@@ -1,8 +1,9 @@
 """Batch engine acceptance: vectorized sweeps are >= 5x faster, bitwise equal.
 
-The vectorized path (``repro.sim.batch`` / ``repro.suite.batch``) exists
-to make campaign-scale grids cheap: a whole sweep curve becomes a few
-NumPy array expressions instead of one Python-object simulation per cell.
+The vectorized path (``repro.sim.wave`` / ``repro.suite.batch``) exists
+to make campaign-scale grids cheap: a whole sweep curve becomes one
+fused NumPy array program instead of one Python-object simulation per
+cell.
 This module pins both halves of that contract on the Fig. 2 problem-size
 sweep (the paper's densest curve family: 3 machines x 6 backends x
 28 sizes x k_it in {1, 1000}):

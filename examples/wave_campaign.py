@@ -1,26 +1,23 @@
-"""The three engine tiers on one campaign: wave vs. batch vs. scalar.
+"""The two engine tiers on one campaign: wave vs. scalar.
 
     python examples/wave_campaign.py
 
 Runs the paper's Table 5 grid (90 cells + 18 shared sequential
-baselines) through each of the executor's three tiers
+baselines) through each of the executor's two tiers
 (docs/PERFORMANCE.md):
 
 1. **wave-fused** (the default): every eligible point of a campaign
    wave packed into one ``repro.sim.wave`` struct-of-arrays program,
    shared baselines computed once per cell;
-2. **per-curve batch** (``wave=False``, the CLI's ``--no-wave``): one
-   vectorized call per curve;
-3. **scalar** (``batch=False``, the CLI's ``--no-batch``): one Python
-   simulation per point.
+2. **scalar** (``batch=False``, the CLI's ``--no-batch``): one Python
+   simulation per point -- the reference engine.
 
-It then proves the contract that makes the default safe -- all three
-grids are *bit-identical* -- prints the wall-clock ratios, and captures
-a trace showing the ``wave.fuse`` / ``wave.execute`` spans.
+It then proves the contract that makes the default safe -- both grids
+are *bit-identical* -- prints the wall-clock ratio, and captures a
+trace showing the ``wave.fuse`` / ``wave.execute`` spans.
 
-Uses a large problem size so simulator work dominates: wave over batch
-is typically ~2x here and gated at >=1.5x by
-``benchmarks/bench_wave_campaign.py`` and ``tools/bench_trajectory.py``.
+Uses a large problem size so simulator work dominates: wave over scalar
+is gated by the ``wave_speedup`` floor in ``tools/bench_trajectory.py``.
 """
 
 import time
@@ -46,19 +43,15 @@ def main() -> None:
     run_campaign(table5_campaign_spec(SIZE_EXP))
 
     wave, wave_wall = _timed("wave-fused")
-    batch, batch_wall = _timed("per-curve batch", wave=False)
     scalar, scalar_wall = _timed("scalar", batch=False)
 
-    print(f"\nwave over batch : {batch_wall / wave_wall:5.2f}x")
-    print(f"batch over scalar: {scalar_wall / batch_wall:5.2f}x")
-    print(f"wave over scalar : {scalar_wall / wave_wall:5.2f}x")
+    print(f"\nwave over scalar: {scalar_wall / wave_wall:5.2f}x")
 
-    # the contract: three executors, one set of bits
-    assert speedup_grid(wave) == speedup_grid(batch) == speedup_grid(scalar)
+    # the contract: two executors, one set of bits
+    assert speedup_grid(wave) == speedup_grid(scalar)
     for tid, result in wave.results.items():
-        assert result.seconds == batch.results[tid].seconds
         assert result.seconds == scalar.results[tid].seconds
-    print("\nall three grids are bit-identical")
+    print("\nboth grids are bit-identical")
 
     # the observability story: two spans per fused wave, on track "wave"
     with use_tracer(Tracer()) as tracer:

@@ -91,12 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip tasks already journaled in --dir")
     run.add_argument("--no-batch", action="store_true",
                      help="force the scalar per-point executor instead of "
-                     "the vectorized curve-at-a-time path (bit-identical "
-                     "results; debugging aid; implies --no-wave)")
-    run.add_argument("--no-wave", action="store_true",
-                     help="disable wave fusion: submit curve-at-a-time "
-                     "batch tasks instead of fused whole-wave programs "
-                     "(bit-identical results; debugging aid)")
+                     "fused whole-wave programs (bit-identical results; "
+                     "debugging aid)")
     run.add_argument("--trace", metavar="OUT.json", default=None,
                      help="write a Chrome trace of the campaign "
                      "(plan/execute/cache-hit/cache-miss spans)")
@@ -108,10 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--timeout", type=float, default=None)
     resume.add_argument("--retries", type=int, default=1)
     resume.add_argument("--no-batch", action="store_true",
-                        help="force the scalar per-point executor "
-                        "(implies --no-wave)")
-    resume.add_argument("--no-wave", action="store_true",
-                        help="disable wave fusion (curve-at-a-time batch)")
+                        help="force the scalar per-point executor")
     _add_robustness_flags(resume)
 
     verify = sub.add_parser(
@@ -229,7 +222,6 @@ def _cmd_run(args) -> int:
             campaign_dir=args.dir,
             resume=args.resume,
             batch=not args.no_batch,
-            wave=not args.no_wave,
             faults=faults,
             backoff=backoff,
         )
@@ -252,7 +244,6 @@ def _cmd_resume(args) -> int:
         campaign_dir=args.dir,
         resume=True,
         batch=not args.no_batch,
-        wave=not args.no_wave,
         faults=faults,
         backoff=backoff,
     )

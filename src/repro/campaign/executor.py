@@ -22,11 +22,11 @@ into one ``repro.sim.wave`` struct-of-arrays program (serial mode) or
 into one balanced shard per worker (pool mode) via
 :func:`execute_wave`, with shared baselines -- execution contexts,
 chunk->thread layouts, NUMA node maps -- computed once per wave instead
-of once per point. ``wave=False`` (CLI ``--no-wave``) falls back to
-curve-at-a-time batch submission, and ``batch=False`` (``--no-batch``)
-to the scalar per-point path; all three produce bit-identical results
-(enforced by ``tools/diffcheck.py``), and retries always degrade to the
-scalar path regardless of how the first attempt was submitted.
+of once per point. ``batch=False`` (CLI ``--no-batch``) falls back to
+the scalar per-point path -- the reference engine; both produce
+bit-identical results (enforced by ``tools/diffcheck.py``), and retries
+always degrade to the scalar path regardless of how the first attempt
+was submitted.
 
 Failures degrade gracefully: a point that raises (or times out) after
 its retries is recorded as ``failed`` with its error string and the
@@ -76,7 +76,6 @@ from repro.execution.context import ExecutionContext
 from repro.faults import (
     FaultInjector,
     FaultPlan,
-    faulty_curve,
     faulty_point,
     faulty_wave,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "run_campaign",
     "load_campaign",
     "execute_point",
-    "execute_curve",
     "execute_wave",
     "point_context",
     "MAX_POOL_REBUILDS",
@@ -216,85 +214,17 @@ def execute_point(payload: dict) -> dict:
     return out
 
 
-def _curve_key(task: PointTask) -> tuple:
-    """Grouping key: points of one sweep curve share this tuple."""
-    point = task.point
-    return (point.machine, point.backend, point.case, point.allocator, point.mode)
-
-
-def _group_curves(tasks: list[PointTask]) -> list[list[PointTask]]:
-    """Split a wave into curves (shared machine/backend/case/allocator/mode)."""
-    groups: dict[tuple, list[PointTask]] = {}
-    for task in tasks:
-        groups.setdefault(_curve_key(task), []).append(task)
-    return list(groups.values())
-
-
-def execute_curve(payloads: list[dict]) -> list[dict]:
-    """Cost a curve of points sharing (machine, backend, case, allocator, mode).
-
-    The batch counterpart of :func:`execute_point` and, like it, a
-    module-level picklable pool-worker entry: one submission covers a
-    whole sweep curve instead of one cell. Each point goes through the
-    vectorized ``repro.sim.batch`` path when eligible (model mode,
-    ``min_time == 0``, a :data:`~repro.suite.batch.BATCH_CASES` case) and
-    falls back to the scalar :func:`execute_point` otherwise; both paths
-    return bit-identical seconds, so cached results stay coherent across
-    paths. Returns one payload per input, in order. When tracing is
-    enabled (serial in-process execution), one ``sim.batch`` span is
-    recorded per curve.
-    """
-    from repro.suite.batch import BATCH_TRACK, batch_supported, measure_case_batch
-
-    out: list[dict] = []
-    batch_total = 0.0
-    batch_points = 0
-    first = None
-    for payload in payloads:
-        t0 = time.perf_counter()
-        try:
-            point = PointSpec.from_dict(payload)
-            ctx = point_context(point)
-            if point.min_time == 0.0 and batch_supported(point.case, ctx):
-                first = first or point
-                seconds = measure_case_batch(point.case, ctx, point.n)
-                batch_total += seconds
-                batch_points += 1
-                out.append({"status": DONE, "seconds": seconds, "error": None})
-            else:
-                out.append(execute_point(payload))
-                continue  # execute_point stamped its own wall_ms
-        except UnsupportedOperationError as exc:
-            out.append({"status": NA, "seconds": None, "error": str(exc)})
-        except ReproError as exc:
-            out.append({"status": FAILED, "seconds": None,
-                        "error": f"{type(exc).__name__}: {exc}"})
-        except Exception as exc:  # noqa: BLE001 - worker boundary
-            out.append({"status": FAILED, "seconds": None,
-                        "error": f"{type(exc).__name__}: {exc}"})
-        out[-1]["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-    tracer = get_tracer()
-    if tracer.enabled and batch_points:
-        tracer.record(
-            "sim.batch", batch_total, category="batch", track=BATCH_TRACK,
-            machine=first.machine, backend=first.backend, case=first.case,
-            points=batch_points,
-        )
-    return out
-
-
 @lru_cache(maxsize=4096)
 def _cached_context(machine, backend, threads: int,
                     allocator: str | None, mode: str) -> ExecutionContext:
     """Memoized :func:`point_context` by value (wave path only).
 
     A campaign wave holds many points per (machine, backend, threads,
-    allocator, mode) cell; the scalar and per-curve paths rebuild the
-    context for every point, which profiling shows is a real share of
-    warm grid time. Contexts are frozen and allocators are stateless
-    policy objects, so sharing one instance across points is safe. Only
-    the wave path uses this cache -- the per-curve batch path keeps its
-    per-point construction so benchmark comparisons stay honest.
+    allocator, mode) cell, and rebuilding the context for every point is
+    a real share of warm grid time. Contexts are frozen and allocators
+    are stateless policy objects, so sharing one instance across points
+    is safe. Only the wave path uses this cache: the scalar path is the
+    reference engine and builds each point's context from scratch.
 
     Keyed by the *resolved* machine and backend objects (frozen, value-
     hashable dataclasses), never by registry name: if the model under a
@@ -331,7 +261,7 @@ def _cached_profile(machine, backend, threads: int,
 def execute_wave(payloads: list[dict]) -> list[dict]:
     """Cost a whole campaign wave as one fused array program.
 
-    The wave counterpart of :func:`execute_curve` and, like it, a
+    The wave counterpart of :func:`execute_point` and, like it, a
     module-level picklable pool-worker entry: one submission covers an
     arbitrary mix of points -- different machines, backends and cases
     fused into a single ``repro.sim.wave`` struct-of-arrays program with
@@ -342,8 +272,7 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
     failure degrades the whole group the same way -- so the wave path
     never fails a point the scalar path could cost. Returns one payload
     per input, in order, each stamped with ``wall_ms``. Seconds are
-    bit-identical to both the per-curve batch path and the scalar path
-    (``tools/diffcheck.py`` enforces the three-way identity).
+    bit-identical to the scalar path (``tools/diffcheck.py`` enforces it).
     """
     from repro.sim.wave import WaveEntry, fuse_wave, simulate_wave
     from repro.suite.batch import batch_supported
@@ -573,38 +502,6 @@ def _serial_attempt(task: PointTask,
     return execute_point(task.point.to_dict())
 
 
-def _execute_serial_batch(tasks: list[PointTask], retries: int,
-                          injector: FaultInjector | None = None,
-                          backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
-    """Serial curve-at-a-time execution; failed points retry scalar.
-
-    An injected worker fault poisons the whole curve -- the same blast
-    radius a crashed pool worker has -- and every point of it then
-    retries through the scalar path.
-    """
-    out: dict[str, dict] = {}
-    for group in _group_curves(tasks):
-        poisoned = None
-        if injector is not None:
-            for t in group:
-                poisoned = injector.claim_worker_fault(t.task_id, pool=False)
-                if poisoned is not None:
-                    break
-        if poisoned is not None:
-            results = [_injected_failure(poisoned) for _ in group]
-        else:
-            results = execute_curve([t.point.to_dict() for t in group])
-        for task, payload in zip(group, results):
-            attempt = 0
-            while payload["status"] == FAILED and attempt < retries:
-                attempt += 1
-                backoff.sleep(task.task_id, attempt)
-                payload = execute_point(task.point.to_dict())
-            payload["attempts"] = attempt + 1
-            out[task.task_id] = payload
-    return out
-
-
 def _execute_serial_wave(tasks: list[PointTask], retries: int,
                          injector: FaultInjector | None = None,
                          backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
@@ -688,12 +585,12 @@ class _PoolHandle:
 
 
 def _tasks_of(val: list[PointTask] | PointTask) -> list[PointTask]:
-    """Normalise a pending-map value (curve group or single task) to a list."""
+    """Normalise a pending-map value (wave shard or single task) to a list."""
     return val if isinstance(val, list) else [val]
 
 
 def _run_pool(tasks: list[PointTask], pool, timeout: float | None, retries: int,
-              *, batch: bool = True, wave: bool = False, shards: int = 1,
+              *, wave: bool = False, shards: int = 1,
               injector: FaultInjector | None = None,
               backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
     """The pool engine: submission, timeout, bounded retry, pool rebuild.
@@ -736,20 +633,6 @@ def _run_pool(tasks: list[PointTask], pool, timeout: float | None, retries: int,
         else:
             pending[fut] = task
 
-    def submit_group(group: list[PointTask]) -> None:
-        payloads = [t.point.to_dict() for t in group]
-        directives = ([injector.claim_worker_fault(t.task_id) for t in group]
-                      if injector else [])
-        if any(directives):
-            fut = _submit(faulty_curve, payloads, directives,
-                          injector.plan.hang_seconds)
-        else:
-            fut = _submit(execute_curve, payloads)
-        if fut is None:
-            requeue.append(list(group))
-        else:
-            pending[fut] = list(group)
-
     def submit_wave(group: list[PointTask]) -> None:
         payloads = [t.point.to_dict() for t in group]
         directives = ([injector.claim_worker_fault(t.task_id) for t in group]
@@ -784,9 +667,6 @@ def _run_pool(tasks: list[PointTask], pool, timeout: float | None, retries: int,
     if wave:
         for shard in _shard_wave(tasks, shards):
             submit_wave(shard)
-    elif batch:
-        for group in _group_curves(tasks):
-            submit_group(group)
     else:
         for task in tasks:
             submit_task(task)
@@ -859,21 +739,7 @@ def _execute_pool(tasks: list[PointTask], pool, timeout: float | None,
                   retries: int, injector: FaultInjector | None = None,
                   backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
     """Run one wave on the pool, one submission per point (scalar path)."""
-    return _run_pool(tasks, pool, timeout, retries, batch=False,
-                     injector=injector, backoff=backoff)
-
-
-def _execute_pool_batch(tasks: list[PointTask], pool, timeout: float | None,
-                        retries: int, injector: FaultInjector | None = None,
-                        backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
-    """Pool execution with one submission per curve; retries are per-point.
-
-    A curve future that fails or times out marks all its points; each
-    failed point is then retried individually through the scalar
-    :func:`execute_point` path (up to ``retries`` total re-executions),
-    so one bad point never re-runs a whole curve.
-    """
-    return _run_pool(tasks, pool, timeout, retries, batch=True,
+    return _run_pool(tasks, pool, timeout, retries,
                      injector=injector, backoff=backoff)
 
 
@@ -887,9 +753,9 @@ def _execute_pool_wave(tasks: list[PointTask], pool, timeout: float | None,
     worker keeps the pool busy without starving fusion), each submitted
     through :func:`execute_wave`. A shard that fails, breaks its worker,
     or times out marks all its points; each failed point then retries
-    individually through the scalar path, exactly like the curve mode.
+    individually through the scalar path.
     """
-    return _run_pool(tasks, pool, timeout, retries, batch=True, wave=True,
+    return _run_pool(tasks, pool, timeout, retries, wave=True,
                      shards=shards, injector=injector, backoff=backoff)
 
 
@@ -904,7 +770,6 @@ def run_campaign(
     resume: bool = False,
     progress: Callable[[PointTask, PointResult], None] | None = None,
     batch: bool = True,
-    wave: bool = True,
     faults: FaultPlan | None = None,
     backoff: BackoffPolicy | None = None,
     should_stop: Callable[[], bool] | None = None,
@@ -937,18 +802,12 @@ def run_campaign(
     progress:
         Optional callback invoked with every (task, result) as recorded.
     batch:
-        Execute points through the vectorized ``repro.sim.batch`` cost
-        model (bit-identical seconds; failed points retry through the
-        scalar path). ``False`` forces the scalar per-point path
-        everywhere -- the ``--no-batch`` debugging mode -- and also
-        disables wave fusion.
-    wave:
         Fuse each wave's eligible points into one ``repro.sim.wave``
         struct-of-arrays program (serial) or into one balanced shard per
-        worker (pool) instead of submitting per-curve tasks. Requires
-        ``batch``; ``False`` falls back to curve-at-a-time submission --
-        the ``--no-wave`` debugging mode. All three paths produce
-        bit-identical seconds.
+        worker (pool); failed points retry through the scalar path.
+        ``False`` forces the scalar per-point path everywhere -- the
+        ``--no-batch`` debugging mode. Both paths produce bit-identical
+        seconds.
     faults:
         Optional deterministic :class:`~repro.faults.FaultPlan`; when
         given, a :class:`~repro.faults.FaultInjector` is threaded
@@ -1008,7 +867,7 @@ def run_campaign(
                        progress, batch,
                        FaultInjector(faults) if faults is not None else None,
                        backoff if backoff is not None else _NO_BACKOFF,
-                       wave, should_stop, dispatch)
+                       should_stop, dispatch)
     finally:
         if span is not None:
             if outcome is not None:
@@ -1020,10 +879,9 @@ def run_campaign(
 
 
 def _run(spec, store, workers, timeout, retries, journal, resume, progress,
-         batch=True, injector=None, backoff=_NO_BACKOFF, wave=True,
+         batch=True, injector=None, backoff=_NO_BACKOFF,
          should_stop=None, dispatch=None):
     """The executor body (directory/span plumbing handled by the caller)."""
-    use_wave = batch and wave  # the loop below rebinds ``wave`` to task groups
     plan = plan_campaign(spec)
     outcome = CampaignOutcome(spec=spec, plan=plan)
     outcome.stats.planned = len(plan.tasks)
@@ -1115,22 +973,17 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                 if workers >= 2:
                     if handle is None:
                         handle = _PoolHandle(workers)
-                    if use_wave:
+                    if batch:
                         payloads = _execute_pool_wave(
                             to_run, handle, timeout, retries,
                             injector=injector, backoff=backoff, shards=workers,
                         )
                     else:
-                        run_pool = _execute_pool_batch if batch else _execute_pool
-                        payloads = run_pool(to_run, handle, timeout, retries,
-                                            injector=injector, backoff=backoff)
+                        payloads = _execute_pool(to_run, handle, timeout,
+                                                 retries, injector=injector,
+                                                 backoff=backoff)
                 else:
-                    if use_wave:
-                        run_serial = _execute_serial_wave
-                    elif batch:
-                        run_serial = _execute_serial_batch
-                    else:
-                        run_serial = _execute_serial
+                    run_serial = _execute_serial_wave if batch else _execute_serial
                     payloads = run_serial(to_run, retries, injector=injector,
                                           backoff=backoff)
                 for task in to_run:

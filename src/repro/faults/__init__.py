@@ -28,7 +28,6 @@ from repro.faults.plan import (
 )
 from repro.faults.workers import (
     apply_directive,
-    faulty_curve,
     faulty_point,
     faulty_wave,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "decision",
     "load_fault_plan",
     "faulty_point",
-    "faulty_curve",
     "faulty_wave",
     "apply_directive",
 ]

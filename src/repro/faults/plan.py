@@ -15,7 +15,7 @@ Sites (see docs/ROBUSTNESS.md for the full fault model):
 ``worker_exception``
     The worker raises :class:`~repro.errors.InjectedFaultError` before
     touching the point (a crashed evaluation; in batch mode it poisons
-    the whole curve future).
+    the whole wave-shard future).
 ``worker_hang``
     The worker stalls ``hang_seconds`` before proceeding (drives the
     executor's per-task timeout path; pool mode only).

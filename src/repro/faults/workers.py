@@ -26,7 +26,7 @@ import time
 
 from repro.errors import InjectedFaultError
 
-__all__ = ["faulty_point", "faulty_curve", "faulty_wave", "apply_directive"]
+__all__ = ["faulty_point", "faulty_wave", "apply_directive"]
 
 
 def apply_directive(directive: str, hang_seconds: float) -> None:
@@ -50,30 +50,14 @@ def faulty_point(payload: dict, directive: str, hang_seconds: float) -> dict:
     return execute_point(payload)
 
 
-def faulty_curve(payloads: list[dict], directives: list[str | None],
-                 hang_seconds: float) -> list[dict]:
-    """:func:`~repro.campaign.executor.execute_curve` under per-point directives.
-
-    Directives are applied in submission order before any evaluation, so
-    a single faulted point poisons the whole curve future -- the shape
-    real worker crashes have, and what forces the executor's per-point
-    scalar retry path.
-    """
-    for directive in directives:
-        if directive is not None:
-            apply_directive(directive, hang_seconds)
-    from repro.campaign.executor import execute_curve
-
-    return execute_curve(payloads)
-
-
 def faulty_wave(payloads: list[dict], directives: list[str | None],
                 hang_seconds: float) -> list[dict]:
     """:func:`~repro.campaign.executor.execute_wave` under per-point directives.
 
-    Same poisoning semantics as :func:`faulty_curve`, scaled to a fused
-    wave shard: one faulted point takes the whole shard future with it,
-    and every affected point then retries through the scalar path.
+    Directives are applied in submission order before any evaluation, so
+    a single faulted point poisons the whole shard future -- the shape
+    real worker crashes have, and what forces the executor's per-point
+    scalar retry path.
     """
     for directive in directives:
         if directive is not None:

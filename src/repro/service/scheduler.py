@@ -85,6 +85,12 @@ def campaign_id(spec: CampaignSpec) -> str:
     return hashlib.sha256(spec.canonical().encode()).hexdigest()[:16]
 
 
+def _add_counters(total: dict[str, int], counters: Mapping[str, Any]) -> None:
+    """Add one coordinator's counters into a running ``total`` in place."""
+    for name, value in counters.items():
+        total[name] = total.get(name, 0) + int(value)
+
+
 @dataclass
 class CampaignRecord:
     """One campaign's service-side state (never the results themselves)."""
@@ -163,7 +169,12 @@ class CampaignService:
             lease_ttl=lease_ttl, executor_ttl=executor_ttl,
             injector=self.injector)
         self.wave_timeout = float(wave_timeout)
+        #: Coordinators of campaigns still running. A finished run folds
+        #: its counters into ``_finished_dispatch`` and drops the
+        #: coordinator, whose store handle and shard caches would
+        #: otherwise live as long as the daemon.
         self._coordinators: dict[str, RemoteCoordinator] = {}
+        self._finished_dispatch: dict[str, int] = {}
         self.records: dict[str, CampaignRecord] = {}
         self.submitted = 0
         self.deduped = 0
@@ -359,6 +370,9 @@ class CampaignService:
                 else:
                     record.state = COMPLETE
                     self.completed += 1
+            finally:
+                _add_counters(self._finished_dispatch, coordinator.counters())
+                del self._coordinators[record.id]
             record.finished_at = time.time()
             self.admission.release(record.api_key)
             self._trace("service.campaign", time.perf_counter() - t0,
@@ -490,11 +504,10 @@ class CampaignService:
         }
 
     def _dispatch_counters(self) -> dict[str, int]:
-        """Dispatch/ingest counters aggregated across campaign coordinators."""
-        agg: dict[str, int] = {}
+        """Dispatch/ingest counters: finished runs plus running coordinators."""
+        agg = dict(self._finished_dispatch)
         for coordinator in self._coordinators.values():
-            for name, value in coordinator.counters().items():
-                agg[name] = agg.get(name, 0) + int(value)
+            _add_counters(agg, coordinator.counters())
         return agg
 
     def store_stats(self) -> dict[str, int | bool]:

@@ -1,32 +1,46 @@
-"""Wave-fused evaluation: every curve of a campaign wave in one array program.
+"""The vectorized cost engine: array profiles evaluated as fused waves.
 
-``repro.sim.batch`` vectorizes one curve at a time; campaign waves hold
-*many* curves -- for the Table 5 grid, every (machine, backend, case)
-cell of a wave is its own single-point curve, so per-curve batching
-amortizes nothing. This module fuses the whole wave instead:
+``repro.sim.engine.simulate_cpu`` walks a :class:`~repro.sim.work.WorkProfile`
+chunk object by chunk object -- for a paper-scale sweep that is tens of
+thousands of ``ChunkWork``/``Chunk`` allocations per curve, and profiling
+shows those allocations (not the arithmetic) dominate sweep wall-clock.
+This module is the same cost model over *array* profiles
+(:class:`ArrayProfile`: one NumPy array per chunk field), and it is the
+only vectorized evaluator. Whatever the caller holds -- one point, one
+sweep curve, or a whole heterogeneous campaign wave -- is one wave:
 
-* :func:`fuse_wave` packs the :class:`~repro.sim.batch.ArrayProfile` of
-  every point into **one struct-of-arrays program** -- a single
-  concatenated array per chunk field across all phases of all profiles,
-  plus the per-phase model scalars (issue rate, SIMD lanes, traffic and
-  overhead factors) expanded to chunk granularity;
+* :func:`fuse_wave` packs the :class:`ArrayProfile` of every point into
+  **one struct-of-arrays program** -- a single concatenated array per
+  chunk field across all phases of all profiles, plus the per-phase
+  model scalars (issue rate, SIMD lanes, traffic and overhead factors)
+  expanded to chunk granularity;
 * :func:`simulate_wave` evaluates the fused program: the elementwise
   stage (instruction totals, FP lane execution, traffic scaling, time
   conversion) runs **once over the whole wave**, and only the
   order-sensitive folds and the NUMA bandwidth model run per phase --
-  with the expensive shared baselines (chunk->thread layouts,
-  thread->node maps) computed once per distinct partition instead of
-  once per point.
+  with the shared baselines (chunk->thread layouts, thread->node maps)
+  computed once per distinct partition instead of once per point.
 
-**Bit-identical by construction.** The fused elementwise stage performs
-the same IEEE-754 operation per element as the batch engine (elementwise
-array ops are bit-identical whether the scalar operand is broadcast from
-a Python float or expanded via ``np.repeat``), and all order-sensitive
-accumulations are delegated to the exact same fold helpers
-(:func:`repro.sim.batch._fold`, ``_thread_fold``,
-``_dram_memory_time_arrays``) over per-phase slices of the fused arrays.
-``tools/diffcheck.py`` enforces the wave-vs-batch-vs-scalar three-way
-bit identity on randomized configurations.
+A sweep curve is a wave whose points share a cell; a single point is a
+one-entry wave (:func:`simulate_cpu_arrays`).
+
+**Bit-identical by construction.** The engine is a second implementation
+of the cost model, so any divergence from the scalar engine is a bug in
+one of them (see ``tools/diffcheck.py``). Every floating-point operation
+here reproduces the scalar engine's operations exactly:
+
+* elementwise IEEE-754 ops (``a * b``, ``a / b``, ``a + b``) are
+  bit-identical whether issued from Python floats or float64 arrays, and
+  whether a scalar operand is broadcast or expanded via ``np.repeat``;
+* order-sensitive accumulations (``acc += x`` loops) are reproduced with
+  ``np.cumsum``, which is a sequential left fold -- **never** ``np.sum``
+  or ``np.add.reduce``, whose pairwise summation rounds differently;
+* per-thread left folds use an occurrence-slot matrix cumsummed along
+  the slot axis; padding slots hold ``+0.0``, and ``x + 0.0 == x``
+  exactly for the non-negative partial sums that occur here;
+* dict-ordered folds over threads (``sum(mem_bytes.values())`` and the
+  NUMA node-demand accumulation) follow the scalar engine's dict
+  insertion order, i.e. first appearance of each thread in chunk order.
 
 The GPU/unified-memory cost path is vectorized alongside the CPU path:
 :func:`simulate_gpu_arrays` is the array-profile counterpart of
@@ -34,47 +48,362 @@ The GPU/unified-memory cost path is vectorized alongside the CPU path:
 model; per-phase counter folds as ``np.cumsum`` left folds, which match
 the scalar engine's ``sum()`` left folds bit for bit).
 
-Observability: fusing and executing a wave emit the ``wave.fuse`` and
-``wave.execute`` spans (category ``"wave"``, track :data:`WAVE_TRACK`)
-documented in docs/OBSERVABILITY.md -- the wave engine itself, like the
-batch engine, never emits per-phase spans.
+Observability: :func:`fuse_wave` and :func:`simulate_wave` emit the
+``wave.fuse`` and ``wave.execute`` spans (category ``"wave"``, track
+:data:`WAVE_TRACK`) documented in docs/OBSERVABILITY.md. The engine
+never emits per-phase spans (that is the scalar engine's job), and the
+one-entry :func:`simulate_cpu_arrays` emits none at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.execution.affinity import ThreadPlacement
 from repro.machines.cpu import CpuMachine
 from repro.machines.gpu import GpuMachine
 from repro.memory.array import SimArray
+from repro.memory.layout import PagePlacement
 from repro.memory.unified import UnifiedMemory
-from repro.sim import batch as _batch
-from repro.sim.bandwidth import MATCHED_POLICIES
-from repro.sim.batch import ArrayPhase, ArrayProfile
+from repro.sim.bandwidth import MATCHED_POLICIES, MemoryTimes
 from repro.sim.engine import _lanes
 from repro.sim.gpu import GpuExecution, _INSTR_RATE_FACTOR
 from repro.sim.interfaces import BackendModel
 from repro.sim.report import Counters, PhaseReport, SimReport
-from repro.sim.work import PhaseKind
+from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
 from repro.trace import get_tracer
+from repro.types import ElemType
 
 __all__ = [
+    "ChunkArrays",
+    "ArrayPhase",
+    "ArrayProfile",
+    "partition_arrays",
+    "profile_to_arrays",
+    "arrays_to_profile",
     "WAVE_TRACK",
     "WaveEntry",
     "WaveProgram",
     "fuse_wave",
     "simulate_wave",
     "simulate_wave_entries",
+    "simulate_cpu_arrays",
     "simulate_gpu_arrays",
 ]
 
 #: Trace track that ``wave.fuse`` / ``wave.execute`` spans are recorded on.
 WAVE_TRACK = "wave"
 
+
+# ---------------------------------------------------------------------------
+# Array profiles
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChunkArrays:
+    """Per-chunk work of one phase, one float64 array per field.
+
+    The arrays are parallel: entry ``i`` describes chunk ``i`` in the
+    scalar engine's chunk order (which is also execution order for the
+    order-sensitive folds). ``thread`` is int64.
+    """
+
+    thread: np.ndarray
+    elems: np.ndarray
+    instr: np.ndarray
+    fp_ops: np.ndarray
+    bytes_read: np.ndarray
+    bytes_written: np.ndarray
+
+    def __post_init__(self) -> None:
+        lengths = {
+            len(self.thread), len(self.elems), len(self.instr),
+            len(self.fp_ops), len(self.bytes_read), len(self.bytes_written),
+        }
+        if lengths != {len(self.thread)} or len(self.thread) == 0:
+            raise ConfigurationError("chunk arrays must be non-empty and aligned")
+        if np.any(self.thread < 0):
+            raise ConfigurationError("thread ids must be non-negative")
+        for name in ("elems", "instr", "fp_ops", "bytes_read", "bytes_written"):
+            if np.any(getattr(self, name) < 0):
+                raise ConfigurationError(f"chunk {name} must be non-negative")
+
+    def __len__(self) -> int:
+        return len(self.thread)
+
+    @classmethod
+    def from_per_elem(
+        cls,
+        thread: np.ndarray,
+        elems: np.ndarray,
+        instr: float,
+        fp: float = 0.0,
+        read: float = 0.0,
+        write: float = 0.0,
+    ) -> "ChunkArrays":
+        """Chunks whose costs are ``elems`` times a per-element cost.
+
+        Mirrors how ``repro.algorithms._build.parallel_phase`` derives
+        each :class:`~repro.sim.work.ChunkWork` from a ``PerElem``: each
+        field is the elementwise product ``elems * per_elem.<field>``.
+        """
+        return cls(
+            thread=np.asarray(thread, dtype=np.int64),
+            elems=elems,
+            instr=elems * instr,
+            fp_ops=elems * fp,
+            bytes_read=elems * read,
+            bytes_written=elems * write,
+        )
+
+
+@dataclass(frozen=True)
+class ArrayPhase:
+    """Array-backed counterpart of :class:`~repro.sim.work.Phase`."""
+
+    name: str
+    kind: PhaseKind
+    chunks: ChunkArrays
+    placement: PagePlacement | None
+    working_set: float
+    sched_chunks: int = 0
+    sync_points: int = 0
+    spread_penalty: float = 1.0
+    apply_instr_overhead: bool = True
+    vectorizable: bool = True
+
+    def __post_init__(self) -> None:
+        if self.spread_penalty < 1.0:
+            raise ConfigurationError("spread_penalty must be >= 1")
+
+
+@dataclass(frozen=True)
+class ArrayProfile:
+    """Array-backed counterpart of :class:`~repro.sim.work.WorkProfile`."""
+
+    alg: str
+    n: int
+    elem: ElemType
+    threads: int
+    policy: object
+    phases: tuple[ArrayPhase, ...]
+    regions: int = 1
+    notes: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def is_parallel(self) -> bool:
+        """Whether any phase runs on more than one thread."""
+        return self.regions > 0 and any(
+            p.kind is PhaseKind.PARALLEL for p in self.phases
+        )
+
+
+def _even_bounds_arrays(n: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized ``repro.execution.partition._even_bounds``: (starts, sizes)."""
+    base, extra = divmod(n, parts)
+    sizes = np.full(parts, base, dtype=np.int64)
+    sizes[:extra] += 1
+    starts = np.zeros(parts, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    return starts, sizes
+
+
+def partition_arrays(
+    backend: BackendModel, n: int, threads: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Partition [0, n) the way ``backend.make_partition`` would, as arrays.
+
+    Returns ``(starts, sizes, thread_ids, num_chunks)`` replicating the
+    exact integer arithmetic of the static, block-cyclic, work-stealing
+    and fixed-grain partitioners, without materialising ``Chunk`` objects.
+    """
+    if n < 0:
+        raise ConfigurationError("n must be non-negative")
+    if threads <= 0:
+        raise ConfigurationError("threads must be positive")
+    grain = getattr(backend, "fixed_chunk_elems", 0)
+    if grain:
+        max_chunks = backend.max_chunks
+        parts = min(max_chunks, max(1, -(-n // grain))) if n else 1
+        starts, sizes = _even_bounds_arrays(n, parts)
+        thread_ids = np.arange(parts, dtype=np.int64) % threads
+        return starts, sizes, thread_ids, parts
+    chunks_per_thread = getattr(backend, "chunks_per_thread", 1)
+    if chunks_per_thread <= 1:
+        parts = threads
+        starts, sizes = _even_bounds_arrays(n, parts)
+        thread_ids = np.arange(parts, dtype=np.int64)
+        return starts, sizes, thread_ids, parts
+    parts = min(max(1, n), threads * chunks_per_thread)
+    starts, sizes = _even_bounds_arrays(n, parts)
+    thread_ids = np.arange(parts, dtype=np.int64) % threads
+    return starts, sizes, thread_ids, parts
+
+
+# ---------------------------------------------------------------------------
+# Exact fold kernels
+# ---------------------------------------------------------------------------
+
+def _fold(values: np.ndarray) -> float:
+    """Sequential left-fold sum (bit-identical to ``acc += x`` loops)."""
+    if len(values) == 0:
+        return 0.0
+    return float(np.cumsum(values)[-1])
+
+
+def _thread_layout(thread: np.ndarray):
+    """Execution-order layout of the chunk->thread assignment.
+
+    Returns ``(thread_order, tidx, slot)`` where ``thread_order`` lists
+    the distinct thread ids in first-appearance order (the scalar
+    engine's dict insertion order), ``tidx[i]`` is chunk ``i``'s index
+    into ``thread_order`` and ``slot[i]`` counts that chunk's earlier
+    same-thread chunks.
+    """
+    uniq, first_idx, inverse = np.unique(
+        thread, return_index=True, return_inverse=True
+    )
+    appearance = np.argsort(first_idx, kind="stable")
+    # Map sorted-unique positions to first-appearance positions.
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[appearance] = np.arange(len(uniq), dtype=np.int64)
+    tidx = rank[inverse]
+    thread_order = uniq[appearance]
+
+    order = np.argsort(tidx, kind="stable")
+    sorted_t = tidx[order]
+    boundary = np.empty(len(sorted_t), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = sorted_t[1:] != sorted_t[:-1]
+    group_starts = np.flatnonzero(boundary)
+    start_per_elem = np.repeat(
+        group_starts,
+        np.diff(np.concatenate([group_starts, [len(sorted_t)]])),
+    )
+    ranks = np.arange(len(sorted_t), dtype=np.int64) - start_per_elem
+    slot = np.empty(len(sorted_t), dtype=np.int64)
+    slot[order] = ranks
+    return thread_order, tidx, slot
+
+
+def _thread_fold(
+    values: np.ndarray, tidx: np.ndarray, slot: np.ndarray, num_threads: int
+) -> np.ndarray:
+    """Per-thread sequential left-fold of ``values`` over chunk order.
+
+    Builds a (slots, threads) matrix with each thread's contributions in
+    occurrence order and cumulative-sums down the slot axis; the padding
+    zeros are exact for the non-negative partials folded here.
+    """
+    depth = int(slot.max()) + 1 if len(slot) else 1
+    if depth == 1:
+        out = np.zeros(num_threads)
+        out[tidx] = values
+        return out
+    matrix = np.zeros((depth, num_threads))
+    matrix[slot, tidx] = values
+    return np.cumsum(matrix, axis=0)[-1]
+
+
+def _dram_memory_time_arrays(
+    machine: CpuMachine,
+    placement: PagePlacement,
+    thread_bytes: np.ndarray,
+    thread_nodes: np.ndarray,
+    matched_quality: float | None,
+    bw_efficiency: float,
+) -> MemoryTimes:
+    """``repro.sim.bandwidth.dram_memory_time`` over thread arrays.
+
+    ``thread_bytes``/``thread_nodes`` are indexed by the engine's
+    first-appearance thread order, so the node-demand and remote-bytes
+    folds reproduce the scalar implementation's accumulation order.
+    """
+    if len(thread_bytes) == 0:
+        raise SimulationError("phase has no memory traffic to time")
+    if not 0.0 < bw_efficiency <= 1.0:
+        raise SimulationError(f"bw_efficiency must be in (0, 1], got {bw_efficiency}")
+    if matched_quality is not None and not 0.0 <= matched_quality <= 1.0:
+        raise SimulationError("matched_quality must be in [0, 1]")
+    if np.any(thread_bytes < 0):
+        raise SimulationError("thread bytes must be non-negative")
+
+    nnodes = machine.topology.num_nodes
+    nbytes = thread_bytes
+    count = len(nbytes)
+    active = nbytes > 0.0
+
+    if matched_quality is not None:
+        local = np.full(count, matched_quality)
+    else:
+        fractions = np.asarray(placement.node_fractions, dtype=float)
+        local = fractions[thread_nodes]
+    remote = 1.0 - local
+
+    remote_bytes = _fold(np.where(active, nbytes * remote, 0.0))
+
+    stream_bw = (
+        machine.stream_bw_1core
+        * (local + remote * machine.remote_bw_factor)
+        * bw_efficiency
+    )
+    per_thread_time = float(
+        np.max(np.where(active, nbytes / stream_bw, 0.0), initial=0.0)
+    )
+
+    # Node demand: each thread first adds its local share to its own node,
+    # then its remote shares -- two fold rows per thread keep the per-cell
+    # accumulation order identical to the scalar loop.
+    rows = np.zeros((2 * count, nnodes))
+    idx = np.arange(count)
+    rows[2 * idx, thread_nodes] = np.where(active, nbytes * local, 0.0)
+    remote_active = active & (remote > 0.0)
+    if matched_quality is not None:
+        others = nnodes - 1
+        if others > 0:
+            share = np.where(remote_active, nbytes * remote / others, 0.0)
+            spread = np.tile(share[:, None], (1, nnodes))
+            spread[idx, thread_nodes] = 0.0
+            rows[2 * idx + 1] = spread
+        else:
+            rows[2 * idx + 1, thread_nodes] = np.where(
+                remote_active, nbytes * remote, 0.0
+            )
+    else:
+        denom = np.maximum(1e-30, 1.0 - local)
+        for j in range(nnodes):
+            vals = nbytes * placement.fraction_on(j) / denom * remote
+            vals = np.where(remote_active & (thread_nodes != j), vals, 0.0)
+            rows[2 * idx + 1, j] = vals
+    node_demand = np.cumsum(rows, axis=0)[-1]
+
+    total_bytes = _fold(nbytes)
+    node_cap = (
+        machine.node_bw_boost
+        * (machine.stream_bw_allcores / nnodes)
+        * bw_efficiency
+    )
+    global_cap = machine.stream_bw_allcores * bw_efficiency
+    node_cap = min(node_cap, global_cap)
+
+    per_node_time = float(np.max(node_demand / node_cap, initial=0.0))
+    global_time = total_bytes / global_cap
+    interconnect_time = remote_bytes / machine.interconnect_bw
+
+    return MemoryTimes(
+        per_thread=per_thread_time,
+        per_node=per_node_time,
+        global_dram=global_time,
+        interconnect=interconnect_time,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Wave fusion
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WaveEntry:
@@ -104,7 +433,7 @@ class WaveProgram:
     ``thread``/``elems``/``instr``/``fp_ops``/``bytes_read``/
     ``bytes_written`` are the chunk fields of every phase of every
     entry, concatenated in entry-then-phase-then-chunk order;
-    ``ovh_per_elem``/``traffic``/``inv_rate``/``lanes`` are the phase
+    ``ovh_per_elem``/``traffic``/``rate``/``lanes`` are the phase
     scalars expanded to chunk granularity, so the elementwise stage of
     the cost model can run once over the entire wave. ``slots`` maps
     each phase back to its slice and its entry.
@@ -127,16 +456,8 @@ class WaveProgram:
         return len(self.entries)
 
 
-def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
-    """Pack a wave of array profiles into one :class:`WaveProgram`.
-
-    Validates each profile against its machine the way the batch engine
-    does (so error parity is preserved), computes every phase's model
-    scalars once, and concatenates all chunk arrays into the fused
-    struct-of-arrays form. Emits a zero-duration ``wave.fuse`` span
-    (fusion is bookkeeping, not simulated time) when tracing is enabled.
-    """
-    entries = tuple(entries)
+def _pack(entries: tuple[WaveEntry, ...]) -> WaveProgram:
+    """Span-free core of :func:`fuse_wave`."""
     slots: list[_PhaseSlot] = []
     fields: dict[str, list[np.ndarray]] = {
         "thread": [], "elems": [], "instr": [], "fp_ops": [],
@@ -192,7 +513,7 @@ def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
         return np.concatenate([np.asarray(a, dtype=dtype) for a in fields[name]])
 
     reps = np.asarray(lengths, dtype=np.int64)
-    program = WaveProgram(
+    return WaveProgram(
         entries=entries,
         slots=tuple(slots),
         thread=_cat("thread", np.int64),
@@ -206,14 +527,32 @@ def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
         rate=np.repeat(np.asarray(rate), reps),
         lanes=np.repeat(np.asarray(lanes_l, dtype=np.float64), reps),
     )
+
+
+def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
+    """Pack a wave of array profiles into one :class:`WaveProgram`.
+
+    Validates each profile against its machine (an oversubscribed
+    profile raises :class:`~repro.errors.SimulationError`, as in the
+    scalar engine), computes every phase's model scalars once, and
+    concatenates all chunk arrays into the fused struct-of-arrays form.
+    Emits a zero-duration ``wave.fuse`` span (fusion is bookkeeping, not
+    simulated time) when tracing is enabled.
+    """
+    program = _pack(tuple(entries))
     tracer = get_tracer()
-    if tracer.enabled and entries:
+    if tracer.enabled and program.entries:
         tracer.record(
             "wave.fuse", 0.0, category="wave", track=WAVE_TRACK,
-            points=len(entries), phases=len(slots), chunks=int(offset),
+            points=len(program.entries), phases=len(program.slots),
+            chunks=len(program.thread),
         )
     return program
 
+
+# ---------------------------------------------------------------------------
+# Wave evaluation
+# ---------------------------------------------------------------------------
 
 def _layout(cache: dict, thread: np.ndarray):
     """Chunk->thread layout of one phase, shared across identical partitions.
@@ -226,7 +565,7 @@ def _layout(cache: dict, thread: np.ndarray):
     key = thread.tobytes()
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = _batch._thread_layout(thread)
+        hit = cache[key] = _thread_layout(thread)
     return hit
 
 
@@ -252,17 +591,8 @@ def _nodes_of(
     return hit
 
 
-def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
-    """Evaluate a fused wave; one :class:`SimReport` per entry.
-
-    Bit-identical to running :func:`repro.sim.batch.simulate_cpu_arrays`
-    on each entry's profile separately (the three-way differential
-    harness enforces this): the fused elementwise stage computes the
-    same per-element IEEE-754 operations, and the order-sensitive folds
-    run on per-phase slices through the batch engine's own fold helpers.
-    Emits one ``wave.execute`` span carrying the wave's total simulated
-    seconds when tracing is enabled.
-    """
+def _evaluate(program: WaveProgram) -> tuple[SimReport, ...]:
+    """Span-free core of :func:`simulate_wave`."""
     if not program.entries:
         return ()
 
@@ -290,26 +620,24 @@ def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
         lanes = slot.lanes
 
         ctr = {
-            "instructions": _batch._fold(instrs[s]),
+            "instructions": _fold(instrs[s]),
             "fp_scalar": 0.0,
             "fp_packed_128": 0.0,
             "fp_packed_256": 0.0,
-            "bytes_read": _batch._fold(read_traffic[s]),
-            "bytes_written": _batch._fold(write_traffic[s]),
+            "bytes_read": _fold(read_traffic[s]),
+            "bytes_written": _fold(write_traffic[s]),
         }
         if lanes <= 1:
-            ctr["fp_scalar"] = _batch._fold(fp_masked[s])
+            ctr["fp_scalar"] = _fold(fp_masked[s])
         elif lanes == 2:
-            ctr["fp_packed_128"] = _batch._fold(executed[s])
+            ctr["fp_packed_128"] = _fold(executed[s])
         else:
-            ctr["fp_packed_256"] = _batch._fold(executed[s])
+            ctr["fp_packed_256"] = _fold(executed[s])
 
         thread_order, tidx, slot_idx = _layout(layout_cache, program.thread[s])
         num_threads = len(thread_order)
-        instr_time = _batch._thread_fold(
-            instr_vals[s], tidx, slot_idx, num_threads
-        )
-        mem_bytes = _batch._thread_fold(mem_vals[s], tidx, slot_idx, num_threads)
+        instr_time = _thread_fold(instr_vals[s], tidx, slot_idx, num_threads)
+        mem_bytes = _thread_fold(mem_vals[s], tidx, slot_idx, num_threads)
 
         compute_time = float(instr_time.max()) if num_threads else 0.0
         if phase.kind is PhaseKind.PARALLEL and profile.threads > 1:
@@ -319,7 +647,7 @@ def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
                 instr_time = instr_time * scaling
 
         memory_time = 0.0
-        total_phase_bytes = _batch._fold(mem_bytes)
+        total_phase_bytes = _fold(mem_bytes)
         if total_phase_bytes > 0.0 and phase.placement is not None:
             active = max(1, num_threads)
             level = machine.caches.fitting_level(int(phase.working_set), active)
@@ -338,7 +666,7 @@ def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
                 matched = None
                 if phase.placement.policy in MATCHED_POLICIES:
                     matched = backend.numa_quality(alg) ** max(0, active_nodes - 1)
-                times = _batch._dram_memory_time_arrays(
+                times = _dram_memory_time_arrays(
                     machine,
                     phase.placement,
                     mem_bytes,
@@ -415,9 +743,23 @@ def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
                 fork_join_seconds=fork_join,
             )
         )
+    return tuple(reports)
 
+
+def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
+    """Evaluate a fused wave; one :class:`SimReport` per entry.
+
+    Each report is bit-identical to the scalar engine's report for the
+    equivalent :class:`~repro.sim.work.WorkProfile` (``tools/diffcheck.py``
+    enforces this): the fused elementwise stage computes the same
+    per-element IEEE-754 operations, and the order-sensitive folds run
+    on per-phase slices. Emits one ``wave.execute`` span carrying the
+    wave's total simulated seconds (a left fold over the entries) and
+    advances the simulated clock by it when tracing is enabled.
+    """
+    reports = _evaluate(program)
     tracer = get_tracer()
-    if tracer.enabled:
+    if tracer.enabled and reports:
         total = 0.0
         for report in reports:
             total += report.seconds
@@ -426,7 +768,7 @@ def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
             points=len(reports),
         )
         tracer.advance(total)
-    return tuple(reports)
+    return reports
 
 
 def simulate_wave_entries(
@@ -434,6 +776,103 @@ def simulate_wave_entries(
 ) -> tuple[SimReport, ...]:
     """Fuse and evaluate ``entries`` in one call (span-emitting shortcut)."""
     return simulate_wave(fuse_wave(entries))
+
+
+def simulate_cpu_arrays(
+    machine: CpuMachine, backend: BackendModel, profile: ArrayProfile
+) -> SimReport:
+    """Cost one :class:`ArrayProfile` as a one-entry wave; emits no spans."""
+    (report,) = _evaluate(_pack((WaveEntry(machine, backend, profile),)))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Converters (differential-harness plumbing)
+# ---------------------------------------------------------------------------
+
+def profile_to_arrays(profile: WorkProfile) -> ArrayProfile:
+    """Convert a scalar :class:`WorkProfile` to its array form losslessly."""
+    phases = []
+    for phase in profile.phases:
+        chunks = ChunkArrays(
+            thread=np.array([c.thread for c in phase.chunks], dtype=np.int64),
+            elems=np.array([c.elems for c in phase.chunks]),
+            instr=np.array([c.instr for c in phase.chunks]),
+            fp_ops=np.array([c.fp_ops for c in phase.chunks]),
+            bytes_read=np.array([c.bytes_read for c in phase.chunks]),
+            bytes_written=np.array([c.bytes_written for c in phase.chunks]),
+        )
+        phases.append(
+            ArrayPhase(
+                name=phase.name,
+                kind=phase.kind,
+                chunks=chunks,
+                placement=phase.placement,
+                working_set=phase.working_set,
+                sched_chunks=phase.sched_chunks,
+                sync_points=phase.sync_points,
+                spread_penalty=phase.spread_penalty,
+                apply_instr_overhead=phase.apply_instr_overhead,
+                vectorizable=phase.vectorizable,
+            )
+        )
+    return ArrayProfile(
+        alg=profile.alg,
+        n=profile.n,
+        elem=profile.elem,
+        threads=profile.threads,
+        policy=profile.policy,
+        phases=tuple(phases),
+        regions=profile.regions,
+        notes=tuple(profile.notes),
+    )
+
+
+def arrays_to_profile(profile: ArrayProfile) -> WorkProfile:
+    """Materialise an :class:`ArrayProfile` as a scalar ``WorkProfile``.
+
+    Test-only plumbing: lets the differential harness run the scalar
+    engine on profiles that the array builders produced, proving the
+    builders (not just the engine) equivalent to the scalar path.
+    """
+    phases = []
+    for phase in profile.phases:
+        ca = phase.chunks
+        chunks = tuple(
+            ChunkWork(
+                thread=int(ca.thread[i]),
+                elems=float(ca.elems[i]),
+                instr=float(ca.instr[i]),
+                fp_ops=float(ca.fp_ops[i]),
+                bytes_read=float(ca.bytes_read[i]),
+                bytes_written=float(ca.bytes_written[i]),
+            )
+            for i in range(len(ca))
+        )
+        phases.append(
+            Phase(
+                name=phase.name,
+                kind=phase.kind,
+                chunks=chunks,
+                placement=phase.placement,
+                working_set=phase.working_set,
+                sched_chunks=phase.sched_chunks,
+                sync_points=phase.sync_points,
+                spread_penalty=phase.spread_penalty,
+                apply_instr_overhead=phase.apply_instr_overhead,
+                vectorizable=phase.vectorizable,
+            )
+        )
+    return WorkProfile(
+        alg=profile.alg,
+        n=profile.n,
+        elem=profile.elem,
+        threads=profile.threads,
+        policy=profile.policy,
+        phases=tuple(phases),
+        regions=profile.regions,
+        notes=tuple(profile.notes),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +892,7 @@ def simulate_gpu_arrays(
     scalar path does (chained calls on resident data still pay nothing),
     and every per-phase counter total is a ``np.cumsum`` left fold,
     which matches the scalar engine's ``sum()`` left fold bit for bit.
-    Like the batch CPU engine it emits no per-phase spans; wave callers
-    record ``wave.*`` spans instead.
+    Like the CPU wave engine it emits no per-phase spans.
     """
     um = UnifiedMemory(gpu)
     migration = 0.0
@@ -468,10 +906,10 @@ def simulate_gpu_arrays(
 
     for phase in profile.phases:
         ca = phase.chunks
-        instr = _batch._fold(ca.instr)
-        fp = _batch._fold(ca.fp_ops)
-        bytes_read = _batch._fold(ca.bytes_read)
-        bytes_written = _batch._fold(ca.bytes_written)
+        instr = _fold(ca.instr)
+        fp = _fold(ca.fp_ops)
+        bytes_read = _fold(ca.bytes_read)
+        bytes_written = _fold(ca.bytes_written)
 
         rate = gpu.compute_rate(profile.elem.size)
         compute = (fp + instr * _INSTR_RATE_FACTOR) / rate

@@ -1,7 +1,7 @@
 """Batch (vectorized) evaluation of benchmark curves.
 
-``repro.sim.batch`` provides the array-based cost engine; this module
-provides the *builders* that produce :class:`~repro.sim.batch.ArrayProfile`
+``repro.sim.wave`` provides the array-based cost engine; this module
+provides the *builders* that produce :class:`~repro.sim.wave.ArrayProfile`
 objects for the headline benchmark cases without materialising any
 ``Chunk``/``ChunkWork`` Python objects -- the per-object allocation that
 dominates scalar sweep time. Each builder replicates, operation for
@@ -18,9 +18,10 @@ The vectorized path applies when **all** of the following hold (see
   real kernels, and the GPU engine has its own cost path).
 
 Curve helpers (:func:`batch_problem_scaling`,
-:func:`batch_strong_scaling`) evaluate a whole size or thread sweep and
-emit a single ``sim.batch`` trace span per curve (category ``"batch"``,
-track ``"batch"``) instead of the scalar path's per-phase spans.
+:func:`batch_strong_scaling`) build every profile of a size or thread
+sweep and evaluate the curve as one fused wave, so a traced curve shows
+up as one ``wave.fuse`` and one clocked ``wave.execute`` span instead of
+the scalar path's per-phase spans.
 """
 
 from __future__ import annotations
@@ -43,15 +44,17 @@ from repro.backends.base import SortStrategy
 from repro.errors import ConfigurationError, UnsupportedOperationError
 from repro.execution.context import ExecutionContext
 from repro.memory.layout import PagePlacement
-from repro.sim.batch import (
+from repro.sim import wave as _wave
+from repro.sim.report import SimReport
+from repro.sim.wave import (
     ArrayPhase,
     ArrayProfile,
     ChunkArrays,
+    WaveEntry,
     partition_arrays,
     simulate_cpu_arrays,
 )
-from repro.sim.batch import _thread_layout
-from repro.sim.report import SimReport
+from repro.sim.wave import _thread_layout
 from repro.sim.work import PhaseKind
 from repro.suite.generators import generate_increment, shuffled_permutation
 from repro.suite.kernels import listing1_kernel
@@ -60,7 +63,6 @@ from repro.types import ElemType, FLOAT64
 
 __all__ = [
     "BATCH_CASES",
-    "BATCH_TRACK",
     "batch_supported",
     "use_batch_path",
     "build_array_profile",
@@ -80,9 +82,6 @@ BATCH_CASES = (
     "sort",
     "stable_sort",
 )
-
-#: Trace track that ``sim.batch`` curve spans are recorded on.
-BATCH_TRACK = "batch"
 
 _Partition = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
@@ -569,25 +568,32 @@ def measure_case_batch(
     return simulate_case_batch(case_name, ctx, n, elem).seconds
 
 
-def _record_curve_span(
-    case_name: str, ctx: ExecutionContext, variable: str, total: float, points: int
-) -> None:
-    """Emit the per-curve ``sim.batch`` span and advance the clock."""
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return
-    tracer.record(
-        "sim.batch",
-        total,
-        category="batch",
-        track=BATCH_TRACK,
-        case=case_name,
-        backend=ctx.backend.name,
-        machine=ctx.machine.name,
-        variable=variable,
-        points=points,
-    )
-    tracer.advance(total)
+def _wave_curve(
+    case_name: str,
+    points: list[tuple[int, ExecutionContext, int]],
+    elem: ElemType,
+) -> list[tuple[int, float, bool]]:
+    """Cost a curve's ``(x, ctx, n)`` points as one fused wave.
+
+    A builder's ``UnsupportedOperationError`` marks only that point
+    unsupported; every other point joins the wave.
+    """
+    entries: list[WaveEntry] = []
+    supported: list[bool] = []
+    for _x, ctx, n in points:
+        try:
+            profile = build_array_profile(case_name, ctx, n, elem)
+        except UnsupportedOperationError:
+            supported.append(False)
+            continue
+        entries.append(WaveEntry(ctx.machine, ctx.backend, profile))
+        supported.append(True)
+    # Looked up on the module, so wrappers installed there see curves too.
+    reports = iter(_wave.simulate_wave(_wave.fuse_wave(entries)))
+    return [
+        (x, next(reports).seconds, True) if ok else (x, float("nan"), False)
+        for (x, _ctx, _n), ok in zip(points, supported)
+    ]
 
 
 def batch_problem_scaling(
@@ -597,17 +603,7 @@ def batch_problem_scaling(
     elem: ElemType = FLOAT64,
 ) -> list[tuple[int, float, bool]]:
     """Evaluate a whole size sweep vectorized: (n, seconds, supported) rows."""
-    points: list[tuple[int, float, bool]] = []
-    total = 0.0
-    for n in sizes:
-        try:
-            seconds = measure_case_batch(case_name, ctx, n, elem)
-            points.append((n, seconds, True))
-            total += seconds
-        except UnsupportedOperationError:
-            points.append((n, float("nan"), False))
-    _record_curve_span(case_name, ctx, "size", total, len(points))
-    return points
+    return _wave_curve(case_name, [(n, ctx, n) for n in sizes], elem)
 
 
 def batch_strong_scaling(
@@ -618,15 +614,6 @@ def batch_strong_scaling(
     elem: ElemType = FLOAT64,
 ) -> list[tuple[int, float, bool]]:
     """Evaluate a whole thread sweep vectorized: (t, seconds, supported) rows."""
-    points: list[tuple[int, float, bool]] = []
-    total = 0.0
-    for t in threads:
-        sub = ctx.with_(threads=t)
-        try:
-            seconds = measure_case_batch(case_name, sub, n, elem)
-            points.append((t, seconds, True))
-            total += seconds
-        except UnsupportedOperationError:
-            points.append((t, float("nan"), False))
-    _record_curve_span(case_name, ctx, "threads", total, len(points))
-    return points
+    return _wave_curve(
+        case_name, [(t, ctx.with_(threads=t), n) for t in threads], elem
+    )

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batch",
         action="store_true",
         help="force the scalar per-point sweep path instead of the "
-        "vectorized repro.sim.batch path (bit-identical results; "
+        "vectorized repro.sim.wave path (bit-identical results; "
         "debugging aid)",
     )
     parser.add_argument("--format", choices=["console", "csv", "json"], default="console")

@@ -89,7 +89,7 @@ def problem_scaling(
     """Time vs problem size at fixed thread count (Figs 2, 4a, 5a, 6a).
 
     ``batch`` selects the evaluation path: ``None`` (auto) uses the
-    vectorized ``repro.sim.batch`` path when the case supports it and
+    vectorized ``repro.sim.wave`` path when the case supports it and
     tracing is off, ``True`` requests it explicitly, ``False`` forces the
     scalar per-point path (the ``--no-batch`` debugging escape hatch).
     Both paths produce bit-identical seconds.

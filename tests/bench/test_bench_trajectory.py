@@ -45,11 +45,11 @@ def _sweep_metrics(speedup=6.0):
     return {"scalar_s": 1.2, "batch_s": 1.2 / speedup, "batch_speedup": speedup}
 
 
-def _campaign_metrics(wave_over_batch=1.7, warm_speedup=40.0):
+def _campaign_metrics(wave_speedup=12.0, cache_speedup=9.0):
     return {
-        "cold_batch_s": 0.08, "cold_wave_s": 0.08 / wave_over_batch,
-        "warm_s": 0.002, "wave_over_batch": wave_over_batch,
-        "warm_speedup": warm_speedup,
+        "cold_scalar_s": 0.4, "cold_wave_s": 0.4 / wave_speedup,
+        "warm_s": 0.4 / wave_speedup / cache_speedup,
+        "wave_speedup": wave_speedup, "cache_speedup": cache_speedup,
     }
 
 
@@ -130,18 +130,35 @@ def test_floor_fires(tmp_path):
 
 def test_regression_fires_on_synthetic_slowdown(tmp_path):
     path = tmp_path / "BENCH_CAMPAIGN.json"
-    bt.append_entry(path, "campaign", _campaign_metrics(2.0, 40.0), "aaa", "t0")
-    bt.append_entry(path, "campaign", _campaign_metrics(1.7, 40.0), "bbb", "t1")
-    with pytest.raises(bt.GateError, match="wave_over_batch regressed"):
+    bt.append_entry(path, "campaign", _campaign_metrics(14.0, 9.0), "aaa", "t0")
+    bt.append_entry(path, "campaign", _campaign_metrics(11.9, 9.0), "bbb", "t1")
+    with pytest.raises(bt.GateError, match="wave_speedup regressed"):
         bt.check_trajectory(path, "campaign")  # 15% drop > 10% tolerance
 
 
 def test_within_tolerance_dip_passes(tmp_path):
     path = tmp_path / "BENCH_CAMPAIGN.json"
-    bt.append_entry(path, "campaign", _campaign_metrics(2.0, 40.0), "aaa", "t0")
-    bt.append_entry(path, "campaign", _campaign_metrics(1.85, 38.0), "bbb", "t1")
+    bt.append_entry(path, "campaign", _campaign_metrics(14.0, 9.0), "aaa", "t0")
+    bt.append_entry(path, "campaign", _campaign_metrics(12.95, 8.5), "bbb", "t1")
     lines = bt.check_trajectory(path, "campaign")  # 7.5% drop: allowed
-    assert any("wave_over_batch" in line for line in lines)
+    assert any("wave_speedup" in line for line in lines)
+
+
+def test_new_metric_starts_a_series_against_an_older_entry(tmp_path):
+    """An entry from before a gated metric existed is not compared on it."""
+    path = tmp_path / "BENCH_CAMPAIGN.json"
+    bt.append_entry(path, "campaign",
+                    {"cold_batch_s": 0.066, "cold_wave_s": 0.037,
+                     "warm_s": 0.005, "wave_over_batch": 1.78,
+                     "warm_speedup": 12.8}, "old", "t0")
+    bt.append_entry(path, "campaign", _campaign_metrics(), "new", "t1")
+    lines = bt.check_trajectory(path, "campaign")
+    assert any("wave_speedup" in line and "first value" in line
+               for line in lines)
+    # ...but the newest entry must carry every gated metric.
+    bt.append_entry(path, "campaign", {"cold_wave_s": 0.03}, "bad", "t2")
+    with pytest.raises(bt.TrajectoryError, match="missing gated metric"):
+        bt.check_trajectory(path, "campaign")
 
 
 def test_service_floor_fires_on_imperfect_dedup(tmp_path):
@@ -222,7 +239,7 @@ def _seed_both(root, **overrides):
                     _sweep_metrics(overrides.get("batch_speedup", 6.0)),
                     "aaa", "t")
     bt.append_entry(root / "BENCH_CAMPAIGN.json", "campaign",
-                    _campaign_metrics(overrides.get("wave_over_batch", 1.7)),
+                    _campaign_metrics(overrides.get("wave_speedup", 12.0)),
                     "aaa", "t")
     bt.append_entry(root / "BENCH_SERVICE.json", "service",
                     _service_metrics(overrides.get("submit_p99_ms", 120.0)),
@@ -242,7 +259,7 @@ def test_cli_check_ok(tmp_path, capsys):
 
 
 def test_cli_check_gate_failure_exits_1(tmp_path, capsys):
-    _seed_both(tmp_path, wave_over_batch=1.2)
+    _seed_both(tmp_path, wave_speedup=4.0)
     assert bt.main(["check", "--root", str(tmp_path)]) == 1
     assert "GATE FAILED" in capsys.readouterr().err
 
@@ -259,7 +276,7 @@ def test_cli_run_with_injected_measures(tmp_path, monkeypatch):
     monkeypatch.setitem(bt.MEASURES, "sweep",
                         lambda repeats: _sweep_metrics(6.2))
     monkeypatch.setitem(bt.MEASURES, "campaign",
-                        lambda repeats: _campaign_metrics(1.8, 35.0))
+                        lambda repeats: _campaign_metrics(13.0, 8.5))
     monkeypatch.setitem(bt.MEASURES, "service",
                         lambda repeats: _service_metrics(110.0))
     monkeypatch.setitem(bt.MEASURES, "store",

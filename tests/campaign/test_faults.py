@@ -21,8 +21,8 @@ from repro.faults import (
     FaultPlan,
     apply_directive,
     decision,
-    faulty_curve,
     faulty_point,
+    faulty_wave,
     load_fault_plan,
 )
 from repro.trace import Tracer, use_tracer
@@ -209,7 +209,7 @@ def test_faulty_wrappers_raise_or_delegate():
     with pytest.raises(InjectedFaultError):
         faulty_point(payload, "worker_exception", 0.0)
     with pytest.raises(InjectedFaultError):
-        faulty_curve([payload, payload], [None, "worker_exception"], 0.0)
+        faulty_wave([payload, payload], [None, "worker_exception"], 0.0)
     # a zero-second hang is a no-op stall: the real evaluation still runs
     out = faulty_point(payload, "worker_hang", 0.0)
     assert out["status"] == DONE and out["seconds"] > 0

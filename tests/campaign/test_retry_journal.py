@@ -3,10 +3,10 @@
 A point that times out or fails and is later retried successfully must
 end up indistinguishable from one that succeeded first try: bit-identical
 seconds, exactly one terminal journal row, and a resume that does not
-re-execute it. These tests drive the failure through the batch executor
-(curve-at-a-time submissions with per-point scalar retries) as well as
-the pool plumbing, complementing the scalar-path injection tests in
-``test_executor.py``.
+re-execute it. These tests drive the failure through the wave executor
+(one fused submission per wave, or per pool shard, with per-point scalar
+retries) as well as the pool plumbing, complementing the scalar-path
+injection tests in ``test_executor.py``.
 """
 
 from __future__ import annotations
@@ -26,21 +26,21 @@ from tests.campaign.test_executor import tiny_spec
 
 def _failed(payloads):
     return [
-        {"status": FAILED, "seconds": None, "error": "injected curve failure"}
+        {"status": FAILED, "seconds": None, "error": "injected wave failure"}
         for _ in payloads
     ]
 
 
 def test_curve_failure_retries_scalar_and_recovers(monkeypatch):
-    """Every point of a failed curve retries through execute_point."""
-    monkeypatch.setattr(executor_mod, "execute_curve", _failed)
-    outcome = run_campaign(tiny_spec(), retries=1, wave=False)
+    """Every point of a failed wave group retries through execute_point."""
+    monkeypatch.setattr(executor_mod, "execute_wave", _failed)
+    outcome = run_campaign(tiny_spec(), retries=1)
     assert outcome.stats.failed == 0
     executed = [r for r in outcome.results.values() if not r.cached]
     assert executed
     for result in executed:
         if result.status == DONE:
-            assert result.attempts == 2  # curve failure + scalar retry
+            assert result.attempts == 2  # wave failure + scalar retry
 
     clean = run_campaign(tiny_spec(), batch=False)
     for tid, result in clean.results.items():
@@ -50,9 +50,9 @@ def test_curve_failure_retries_scalar_and_recovers(monkeypatch):
 
 def test_recovered_points_journal_single_terminal_row(tmp_path, monkeypatch):
     """Retry happens before journaling: one row per task, all done."""
-    monkeypatch.setattr(executor_mod, "execute_curve", _failed)
+    monkeypatch.setattr(executor_mod, "execute_wave", _failed)
     cdir = tmp_path / "camp"
-    outcome = run_campaign(tiny_spec(), campaign_dir=cdir, retries=1, wave=False)
+    outcome = run_campaign(tiny_spec(), campaign_dir=cdir, retries=1)
     assert outcome.stats.failed == 0
     entries = Journal(cdir / "journal.jsonl").entries()
     per_task: dict[str, list[dict]] = {}
@@ -76,8 +76,8 @@ def test_journaled_failure_resumes_to_success_without_duplicates(
             for _ in payloads
         ]
 
-    monkeypatch.setattr(executor_mod, "execute_curve", timed_out)
-    first = run_campaign(tiny_spec(), campaign_dir=cdir, retries=0, wave=False)
+    monkeypatch.setattr(executor_mod, "execute_wave", timed_out)
+    first = run_campaign(tiny_spec(), campaign_dir=cdir, retries=0)
     assert first.stats.failed == first.stats.executed > 0
     monkeypatch.undo()
 
@@ -108,15 +108,15 @@ def _wave_tasks():
 
 
 def test_pool_batch_timeout_fails_all_pending_points(monkeypatch):
-    """A curve stuck past the budget marks each of its points failed."""
+    """A wave shard stuck past the budget marks each of its points failed."""
     monkeypatch.setattr(
-        executor_mod, "execute_curve",
+        executor_mod, "execute_wave",
         lambda payloads: time.sleep(0.5) or [],
     )
     tasks = _wave_tasks()
     with ThreadPoolExecutor(max_workers=2) as pool:
-        payloads = executor_mod._execute_pool_batch(
-            tasks, pool, timeout=0.05, retries=0
+        payloads = executor_mod._execute_pool_wave(
+            tasks, pool, timeout=0.05, retries=0, shards=2
         )
     assert set(payloads) == {t.task_id for t in tasks}
     for payload in payloads.values():
@@ -125,16 +125,16 @@ def test_pool_batch_timeout_fails_all_pending_points(monkeypatch):
 
 
 def test_pool_batch_curve_exception_retries_each_point(monkeypatch):
-    """A crashing curve future degrades to per-point scalar retries."""
+    """A crashing wave-shard future degrades to per-point scalar retries."""
 
     def boom(payloads):
         raise RuntimeError("worker died")
 
-    monkeypatch.setattr(executor_mod, "execute_curve", boom)
+    monkeypatch.setattr(executor_mod, "execute_wave", boom)
     tasks = _wave_tasks()
     with ThreadPoolExecutor(max_workers=2) as pool:
-        payloads = executor_mod._execute_pool_batch(
-            tasks, pool, timeout=None, retries=1
+        payloads = executor_mod._execute_pool_wave(
+            tasks, pool, timeout=None, retries=1, shards=2
         )
     assert set(payloads) == {t.task_id for t in tasks}
     for task in tasks:

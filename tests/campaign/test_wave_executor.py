@@ -1,29 +1,32 @@
 """Wave-fused campaign execution: same answers, fewer and bigger submissions.
 
-The executor's default path now fuses every eligible point of a wave
-into one struct-of-arrays program (``repro.sim.wave``). These tests pin
-the properties that make that safe to default on:
+The executor's default path fuses every eligible point of a wave into
+one struct-of-arrays program (``repro.sim.wave``). These tests pin the
+properties that make that safe to default on:
 
-* **bit-identity** -- wave, per-curve batch and scalar campaigns produce
-  identical statuses and bit-identical seconds, serial and pooled;
-* **escape hatches** -- ``wave=False`` really falls back to curve-at-a-
-  time batch submission (the ``--no-wave`` CLI contract);
+* **bit-identity** -- wave and scalar campaigns produce identical
+  statuses and bit-identical seconds, serial and pooled;
+* **escape hatch** -- ``batch=False`` really runs every point through
+  the scalar ``execute_point`` (the ``--no-batch`` CLI contract);
 * **retry parity** -- a failed fused wave degrades to per-point scalar
-  retries exactly like a failed curve does;
+  retries;
 * **observability** -- a traced wave campaign carries ``wave.fuse`` /
   ``wave.execute`` spans on the ``wave`` track;
 * **profile gates** -- the wave path reuses contexts and thread layouts
   instead of rebuilding them per point, which is where its speedup over
-  the per-curve batch path comes from.
+  point-at-a-time evaluation comes from.
 """
 
 from __future__ import annotations
 
+from repro.backends import get_backend
 from repro.campaign import executor as executor_mod
 from repro.campaign.executor import run_campaign
 from repro.campaign.plan import plan_campaign
 from repro.campaign.store import DONE, FAILED
-from repro.sim import batch as batch_mod
+from repro.machines import get_machine
+from repro.sim import wave as wave_mod
+from repro.suite.batch import simulate_cpu_arrays
 from repro.trace import Tracer, use_tracer
 
 from tests.campaign.test_executor import tiny_spec
@@ -52,10 +55,8 @@ def _assert_outcomes_identical(left, right):
 def test_wave_batch_and_scalar_campaigns_bit_identical():
     spec = wider_spec()
     wave = run_campaign(spec)  # wave fusion is the default
-    batch = run_campaign(spec, wave=False)
     scalar = run_campaign(spec, batch=False)
     assert wave.stats.failed == 0
-    _assert_outcomes_identical(wave, batch)
     _assert_outcomes_identical(wave, scalar)
 
 
@@ -67,36 +68,24 @@ def test_pool_wave_matches_serial_wave():
     _assert_outcomes_identical(pooled, serial)
 
 
-def test_no_wave_forces_curve_submissions(monkeypatch):
-    """``wave=False`` must route through execute_curve, never execute_wave."""
-    curves, waves = [], []
-    real_curve = executor_mod.execute_curve
-
-    def spy_curve(payloads):
-        curves.append(len(payloads))
-        return real_curve(payloads)
-
-    def spy_wave(payloads):  # pragma: no cover - failure mode
-        waves.append(len(payloads))
-        return executor_mod.execute_wave(payloads)
-
-    monkeypatch.setattr(executor_mod, "execute_curve", spy_curve)
-    monkeypatch.setattr(executor_mod, "execute_wave", spy_wave)
-    outcome = run_campaign(tiny_spec(), wave=False)
-    assert outcome.stats.failed == 0
-    assert curves and not waves
-
-
 def test_batch_false_implies_no_wave(monkeypatch):
-    """batch=False disables fusion too; everything goes through execute_point."""
-    called = []
+    """batch=False only calls execute_point, once per executed point."""
+    points, waves = [], []
+    real_point = executor_mod.execute_point
+
+    def spy_point(payload):
+        points.append(payload)
+        return real_point(payload)
+
+    monkeypatch.setattr(executor_mod, "execute_point", spy_point)
     monkeypatch.setattr(
         executor_mod, "execute_wave",
-        lambda payloads: called.append(len(payloads)),
+        lambda payloads: waves.append(len(payloads)),
     )
     outcome = run_campaign(tiny_spec(), batch=False)
     assert outcome.stats.failed == 0
-    assert not called
+    assert not waves
+    assert len(points) == outcome.stats.executed > 0
 
 
 def test_wave_failure_retries_scalar_and_recovers(monkeypatch):
@@ -178,23 +167,32 @@ def test_wave_campaign_builds_one_context_per_cell():
 
 
 def test_wave_path_builds_fewer_thread_layouts_than_batch(monkeypatch):
-    """The fused engine shares layout work the per-curve path repeats."""
+    """The fused wave shares layout work point-at-a-time batch repeats."""
     spec = wider_spec()
     counts = {"n": 0}
-    real_layout = batch_mod._thread_layout
+    real_layout = wave_mod._thread_layout
 
     def counting_layout(thread):
         counts["n"] += 1
         return real_layout(thread)
 
-    monkeypatch.setattr(batch_mod, "_thread_layout", counting_layout)
+    monkeypatch.setattr(wave_mod, "_thread_layout", counting_layout)
 
     counts["n"] = 0
-    run_campaign(spec, wave=False)
-    batch_layouts = counts["n"]
-
-    counts["n"] = 0
-    run_campaign(spec)
+    outcome = run_campaign(spec)
     wave_layouts = counts["n"]
+
+    counts["n"] = 0
+    for task in plan_campaign(spec).runnable:
+        if outcome.result_for(task).status != DONE:
+            continue
+        point = task.point
+        profile = executor_mod._cached_profile(
+            get_machine(point.machine), get_backend(point.backend),
+            point.threads, point.allocator, point.mode, point.case, point.n,
+        )
+        simulate_cpu_arrays(get_machine(point.machine),
+                            get_backend(point.backend), profile)
+    batch_layouts = counts["n"]
 
     assert 0 < wave_layouts < batch_layouts

@@ -159,3 +159,37 @@ def test_warm_cache_serves_a_second_fleet_campaign_without_executors(tmp_path):
         assert done["state"] == "complete"
         assert f"{done['points']} cache hits" in done["stats"]
         assert "0 executed" in done["stats"]
+
+
+def test_finished_campaigns_release_their_coordinators(tmp_path, monkeypatch):
+    """Coordinators are dropped once a run ends; /metrics keeps their totals."""
+    from repro.service import scheduler as scheduler_mod
+
+    built = []
+    real = scheduler_mod.RemoteCoordinator
+
+    def tracking(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(scheduler_mod, "RemoteCoordinator", tracking)
+    with start_background(tmp_path / "svc", concurrent=2) as svc:
+        executors, threads, stop = _fleet(svc.base_url, tmp_path, 1)
+        try:
+            client = ServiceClient(svc.base_url)
+            for name, exps in (("remote-a", [8]), ("remote-b", [9])):
+                doc = client.submit(dict(SPEC, name=name, size_exps=exps))
+                assert client.wait(doc["id"], timeout=120)["state"] == "complete"
+            metrics = client.metrics()
+            live = dict(svc.daemon.service._coordinators)
+        finally:
+            _finish(threads, stop)
+    assert live == {}
+    assert len(built) == 2
+    expected: dict[str, int] = {}
+    for coordinator in built:
+        for name, value in coordinator.counters().items():
+            expected[name] = expected.get(name, 0) + int(value)
+    assert expected["waves_dispatched"] >= 2  # both runs went remote
+    for name, value in expected.items():
+        assert metrics[f"service_remote_{name}"] == value, name

@@ -1,19 +1,22 @@
-"""Differential harness: the wave-fused path must match batch (and scalar) bitwise.
+"""Differential harness: the wave engine must match the scalar engine bitwise.
 
-Mirrors ``test_batch_differential.py`` one tier up: the batch engine is
-already pinned to the scalar engine there, so pinning the wave engine to
-the batch engine closes the scalar == batch == wave triangle. Layers:
+``repro.sim.wave`` is the only vectorized evaluator, so it is pinned
+directly to the scalar reference engine (``repro.sim.engine``). Layers:
 
-1. engine equivalence -- ``simulate_wave`` over a heterogeneous fused
-   program (every machine x backend x case cell in one wave, mixed
-   sizes) reproduces per-profile ``simulate_cpu_arrays`` field for
-   field, including the degenerate single-entry and empty waves;
+1. engine equivalence -- the one-entry ``simulate_cpu_arrays`` on a
+   converted profile reproduces ``simulate_cpu`` field for field, both
+   directions of the ``profile_to_arrays`` / ``arrays_to_profile``
+   converters, and the array partitioner reproduces every backend's
+   chunk layout; ``simulate_wave`` over a heterogeneous fused program
+   (every machine x backend x case cell in one wave, mixed sizes)
+   reproduces each entry's one-entry and scalar reports, including the
+   degenerate single-entry and empty waves;
 2. the GPU array path -- ``simulate_gpu_arrays`` reproduces
    ``simulate_gpu`` on captured profiles, including unified-memory
    residency mutation across chained calls;
 3. the randomized sweep (marker ``diffcheck``, shared with
    ``tools/diffcheck.py`` and the CI job): seeded random configuration
-   groups fused wave-style and diffed entry by entry;
+   groups fused wave-style and diffed entry by entry against scalar;
 4. the observability contract: fusing/executing a wave emits the
    ``wave.fuse`` / ``wave.execute`` spans on the ``wave`` track, and
    the engine stays span-silent when no tracer is installed.
@@ -31,18 +34,21 @@ import pytest
 from repro.errors import SimulationError
 from repro.execution.context import ExecutionContext
 from repro.experiments.common import make_ctx
-from repro.sim.batch import simulate_cpu_arrays
+from repro.sim.engine import simulate_cpu
 from repro.sim.gpu import simulate_gpu
 from repro.sim.wave import (
     WAVE_TRACK,
     WaveEntry,
+    arrays_to_profile,
     fuse_wave,
+    partition_arrays,
+    profile_to_arrays,
+    simulate_cpu_arrays,
     simulate_gpu_arrays,
     simulate_wave,
     simulate_wave_entries,
 )
-from repro.sim.batch import profile_to_arrays
-from repro.suite.batch import BATCH_CASES, build_array_profile
+from repro.suite.batch import BATCH_CASES, batch_supported, build_array_profile
 from repro.suite.cases import get_case
 from repro.suite.wrappers import measure_case
 from repro.trace import Tracer, use_tracer
@@ -64,13 +70,13 @@ def _load_diffcheck():
 diffcheck = _load_diffcheck()
 
 
-def _assert_reports_identical(wave, batch):
+def _assert_reports_identical(wave, reference):
     left = diffcheck._report_fields(wave)
-    right = diffcheck._report_fields(batch)
+    right = diffcheck._report_fields(reference)
     assert len(left) == len(right)
-    for (name_w, value_w), (name_b, value_b) in zip(left, right):
-        assert name_w == name_b
-        assert value_w == value_b, f"{name_w}: wave={value_w} batch={value_b}"
+    for (name_w, value_w), (name_r, value_r) in zip(left, right):
+        assert name_w == name_r
+        assert value_w == value_r, f"{name_w}: wave={value_w} ref={value_r}"
 
 
 def _mixed_wave():
@@ -89,9 +95,9 @@ def _mixed_wave():
                     except Exception:
                         continue  # N/A cells: parity is diffcheck's job
                     entries.append(WaveEntry(ctx.machine, ctx.backend, profile))
-                    expected.append(
-                        simulate_cpu_arrays(ctx.machine, ctx.backend, profile)
-                    )
+                    expected.append(simulate_cpu(
+                        ctx.machine, ctx.backend, arrays_to_profile(profile)
+                    ))
     assert len(entries) > 100  # the wave really is campaign-shaped
     return entries, expected
 
@@ -99,12 +105,73 @@ def _mixed_wave():
 # --- 1. engine equivalence -------------------------------------------------
 
 
+def _scalar_profiles(model_ctx):
+    """Real WorkProfiles captured from scalar algorithm invocations."""
+    from repro.types import FLOAT64
+
+    profiles = []
+    for case_name in BATCH_CASES:
+        if not batch_supported(case_name, model_ctx):
+            continue
+        case = get_case(case_name)
+        arrays = case.setup(model_ctx, 4097, FLOAT64)
+        result = case.invoke(model_ctx, arrays, 0)
+        profiles.append(result.profile)
+    return profiles
+
+
+def test_engine_matches_on_converted_scalar_profiles(model_ctx):
+    """simulate_cpu_arrays(profile_to_arrays(p)) == simulate_cpu(p)."""
+    profiles = _scalar_profiles(model_ctx)
+    assert profiles
+    for profile in profiles:
+        scalar = simulate_cpu(model_ctx.machine, model_ctx.backend, profile)
+        wave = simulate_cpu_arrays(
+            model_ctx.machine, model_ctx.backend, profile_to_arrays(profile)
+        )
+        _assert_reports_identical(wave, scalar)
+
+
+def test_engine_matches_on_converted_array_profiles(model_ctx):
+    """simulate_cpu(arrays_to_profile(ap)) == simulate_cpu_arrays(ap)."""
+    for case_name in BATCH_CASES:
+        array_profile = build_array_profile(case_name, model_ctx, 4097)
+        wave = simulate_cpu_arrays(
+            model_ctx.machine, model_ctx.backend, array_profile
+        )
+        scalar = simulate_cpu(
+            model_ctx.machine, model_ctx.backend, arrays_to_profile(array_profile)
+        )
+        _assert_reports_identical(wave, scalar)
+
+
+def test_partition_arrays_matches_scalar_partitions(mach_a, tbb, gnu, hpx):
+    """The array partitioner reproduces each backend's chunk layout."""
+    import numpy as np
+
+    for backend in (tbb, gnu, hpx):
+        for n in (1, 7, 1024, 4097):
+            for threads in (1, 3, 8):
+                part = backend.make_partition(n, threads)
+                starts, sizes, thread_ids, parts = partition_arrays(
+                    backend, n, threads
+                )
+                assert parts == part.num_chunks
+                assert np.array_equal(starts, [c.start for c in part.chunks])
+                assert np.array_equal(sizes, [len(c) for c in part.chunks])
+                assert np.array_equal(thread_ids, [c.thread for c in part.chunks])
+
+
 def test_fused_wave_matches_batch_per_entry():
+    """Fusing a whole wave changes no entry: == one-entry and scalar reports."""
     entries, expected = _mixed_wave()
     reports = simulate_wave(fuse_wave(entries))
     assert len(reports) == len(expected)
-    for wave_report, batch_report in zip(reports, expected):
-        _assert_reports_identical(wave_report, batch_report)
+    for entry, wave_report, scalar_report in zip(entries, reports, expected):
+        _assert_reports_identical(wave_report, scalar_report)
+        _assert_reports_identical(wave_report, simulate_cpu_arrays(
+            entry.machine, entry.backend, entry.profile
+        ))
 
 
 def test_single_entry_wave_matches_batch():
@@ -115,6 +182,9 @@ def test_single_entry_wave_matches_batch():
     )
     _assert_reports_identical(
         report, simulate_cpu_arrays(ctx.machine, ctx.backend, profile)
+    )
+    _assert_reports_identical(
+        report, simulate_cpu(ctx.machine, ctx.backend, arrays_to_profile(profile))
     )
 
 
@@ -140,6 +210,7 @@ def test_wave_and_scalar_agree_end_to_end():
 
 
 def test_fuse_rejects_oversubscribed_profile_like_batch():
+    """Fused and one-entry evaluation reject oversubscription alike."""
     ctx = make_ctx("A", "GCC-TBB", threads=4)
     profile = build_array_profile("reduce", ctx, 1 << 10)
     bad = dataclasses.replace(profile, threads=ctx.machine.total_cores + 1)
@@ -205,6 +276,7 @@ def test_gpu_arrays_mutates_residency_like_scalar():
 
 @pytest.mark.diffcheck
 def test_randomized_wave_groups_agree_with_batch():
+    """Fused random groups agree with the scalar path entry by entry."""
     sample = diffcheck.random_configs(96, seed=7)
     for start in range(0, len(sample), diffcheck.WAVE_GROUP):
         group = sample[start:start + diffcheck.WAVE_GROUP]

@@ -7,16 +7,23 @@ previous one or falls below an absolute floor. Two families live at the
 repo root (schema documented in ``docs/PERFORMANCE.md``):
 
 ``BENCH_SWEEP.json``
-    The Fig. 2 problem-size sweep through the scalar vs. batch engines.
-    Metrics: ``scalar_s``, ``batch_s``, ``batch_speedup`` (floor:
+    The Fig. 2 problem-size sweep through the scalar engine vs. the
+    vectorized (``batch=True``, i.e. wave) engine. Metrics:
+    ``scalar_s``, ``batch_s``, ``batch_speedup`` (floor:
     :data:`GATES`, currently >= 5.0).
 
 ``BENCH_CAMPAIGN.json``
-    The Table 5 campaign grid, cold per-curve batch vs. cold wave-fused
-    vs. warm cache. Metrics: ``cold_batch_s``, ``cold_wave_s``,
-    ``warm_s``, ``wave_over_batch`` = cold_batch/cold_wave (floor
-    >= 1.5), ``warm_speedup`` = cold_batch/warm (floor >= 10.0 -- the
-    cache guarantee ``benchmarks/bench_campaign_table5.py`` pins).
+    The Table 5 campaign grid, cold scalar vs. cold wave-fused vs. warm
+    cache. Metrics: ``cold_scalar_s``, ``cold_wave_s``, ``warm_s``,
+    ``wave_speedup`` = cold_scalar/cold_wave (floor >= 5.0), and
+    ``cache_speedup`` = cold_wave/warm (floor >= 5.0). The warm run
+    still pays planning and one store lookup per point, so its ratio
+    against the already-fast wave engine sits near 9x on the reference
+    host; the floor leaves headroom below that, and the regression rule
+    does the real work. (Entries before this pair of metrics recorded
+    ``wave_over_batch`` and ``warm_speedup`` against the retired
+    per-curve batch tier; a metric absent from the previous entry starts
+    a new series instead of being compared.)
 
 ``BENCH_SERVICE.json``
     The campaign-service SLO harness: one in-process daemon, 1000
@@ -98,7 +105,7 @@ TRAJECTORY_FILES = {
 #: Absolute floors on dimensionless ratio metrics (family -> metric -> min).
 GATES = {
     "sweep": {"batch_speedup": 5.0},
-    "campaign": {"wave_over_batch": 1.5, "warm_speedup": 10.0},
+    "campaign": {"wave_speedup": 5.0, "cache_speedup": 5.0},
     "service": {"dedup_hit_rate": 1.0, "completed_rate": 1.0},
     "store": {"lookup_speedup_100k": 10.0},
     "remote": {"remote_completed_rate": 1.0, "exactly_once_rate": 1.0,
@@ -123,8 +130,7 @@ REGRESSION_TOLERANCE = 0.10
 #: Wall-clock measurements take the min over this many repetitions.
 DEFAULT_REPEATS = 3
 
-#: Problem-size exponent for the campaign family (matches the tier-2
-#: ``benchmarks/bench_wave_campaign.py`` acceptance benchmark).
+#: Problem-size exponent for the campaign family.
 CAMPAIGN_SIZE_EXP = 26
 
 #: Size stride for the sweep family (every other Fig. 2 problem size:
@@ -151,7 +157,7 @@ def _best_of(fn, repeats: int) -> float:
 
 
 def measure_sweep(repeats: int = DEFAULT_REPEATS) -> dict:
-    """Time the Fig. 2 sweep through the scalar and batch engines."""
+    """Time the Fig. 2 sweep through the scalar and vectorized engines."""
     from repro.experiments.fig2 import run_fig2
 
     run_fig2(size_step=8, batch=True)  # warm imports/caches off the clock
@@ -169,15 +175,16 @@ def measure_sweep(repeats: int = DEFAULT_REPEATS) -> dict:
 
 
 def measure_campaign(repeats: int = DEFAULT_REPEATS) -> dict:
-    """Time the Table 5 grid: cold batch, cold wave, warm cache."""
+    """Time the Table 5 grid: cold scalar, cold wave, warm cache."""
     from repro.campaign import ResultStore, run_campaign
     from repro.experiments.table5 import table5_campaign_spec
 
     spec = table5_campaign_spec(CAMPAIGN_SIZE_EXP)
     run_campaign(spec)  # warm imports/caches off the clock
 
-    cold_batch_s = _best_of(
-        lambda: run_campaign(spec, store=ResultStore(None), wave=False), repeats
+    cold_scalar_s = _best_of(
+        lambda: run_campaign(spec, store=ResultStore(None), batch=False),
+        repeats,
     )
     cold_wave_s = _best_of(
         lambda: run_campaign(spec, store=ResultStore(None)), repeats
@@ -186,11 +193,11 @@ def measure_campaign(repeats: int = DEFAULT_REPEATS) -> dict:
     run_campaign(spec, store=store)  # populate the cache once
     warm_s = _best_of(lambda: run_campaign(spec, store=store), repeats)
     return {
-        "cold_batch_s": cold_batch_s,
+        "cold_scalar_s": cold_scalar_s,
         "cold_wave_s": cold_wave_s,
         "warm_s": warm_s,
-        "wave_over_batch": cold_batch_s / cold_wave_s,
-        "warm_speedup": cold_batch_s / warm_s,
+        "wave_speedup": cold_scalar_s / cold_wave_s,
+        "cache_speedup": cold_wave_s / warm_s,
     }
 
 
@@ -493,6 +500,8 @@ def validate_trajectory(data, benchmark: str, *, name: str = "trajectory") -> No
             raise TrajectoryError(f"{name}: entries[{i}].metrics must be "
                                   f"an object")
         for metric in (*GATES[benchmark], *CEILINGS[benchmark]):
+            if metric not in metrics:
+                continue  # recorded before the metric existed
             value = metrics.get(metric)
             if not isinstance(value, (int, float)):
                 raise TrajectoryError(
@@ -529,8 +538,16 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
             f"'python tools/bench_trajectory.py run --benchmark {benchmark}'"
         )
     last = entries[-1]
-    prev = entries[-2] if len(entries) > 1 else None
+    prev = entries[-2]["metrics"] if len(entries) > 1 else {}
+    prev_commit = entries[-2]["commit"][:12] if len(entries) > 1 else ""
     lines = []
+    missing = [m for m in (*GATES[benchmark], *CEILINGS[benchmark])
+               if m not in last["metrics"]]
+    if missing:
+        raise TrajectoryError(
+            f"{path.name}: newest entry is missing gated metric(s) "
+            f"{', '.join(missing)}"
+        )
     for metric, floor in GATES[benchmark].items():
         value = last["metrics"][metric]
         if value < floor:
@@ -538,21 +555,21 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
                 f"{path.name}: {metric} = {value:.3f} is below the "
                 f"floor {floor:.3f} (commit {last['commit'][:12]})"
             )
-        if prev is not None:
-            baseline = prev["metrics"][metric]
+        if metric in prev:
+            baseline = prev[metric]
             allowed = baseline * (1.0 - REGRESSION_TOLERANCE)
             if value < allowed:
                 raise GateError(
                     f"{path.name}: {metric} regressed {value:.3f} < "
                     f"{allowed:.3f} (= {baseline:.3f} from commit "
-                    f"{prev['commit'][:12]} minus "
+                    f"{prev_commit} minus "
                     f"{REGRESSION_TOLERANCE:.0%} tolerance)"
                 )
             lines.append(f"{path.name}: {metric} = {value:.3f} "
                          f"(floor {floor}, prev {baseline:.3f})")
         else:
             lines.append(f"{path.name}: {metric} = {value:.3f} "
-                         f"(floor {floor}, first entry)")
+                         f"(floor {floor}, first value)")
     for metric, ceiling in CEILINGS[benchmark].items():
         value = last["metrics"][metric]
         if value > ceiling:
@@ -560,21 +577,21 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
                 f"{path.name}: {metric} = {value:.3f} is over the "
                 f"ceiling {ceiling:.3f} (commit {last['commit'][:12]})"
             )
-        if prev is not None:
-            baseline = prev["metrics"][metric]
+        if metric in prev:
+            baseline = prev[metric]
             allowed = baseline * (1.0 + REGRESSION_TOLERANCE)
             if value > allowed:
                 raise GateError(
                     f"{path.name}: {metric} regressed {value:.3f} > "
                     f"{allowed:.3f} (= {baseline:.3f} from commit "
-                    f"{prev['commit'][:12]} plus "
+                    f"{prev_commit} plus "
                     f"{REGRESSION_TOLERANCE:.0%} tolerance)"
                 )
             lines.append(f"{path.name}: {metric} = {value:.3f} "
                          f"(ceiling {ceiling}, prev {baseline:.3f})")
         else:
             lines.append(f"{path.name}: {metric} = {value:.3f} "
-                         f"(ceiling {ceiling}, first entry)")
+                         f"(ceiling {ceiling}, first value)")
     return lines
 
 

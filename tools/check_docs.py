@@ -50,7 +50,6 @@ FENCE_FILES = (
 DOCSTRING_PACKAGES = (
     "repro.trace",
     "repro.campaign",
-    "repro.sim.batch",
     "repro.sim.wave",
     "repro.suite.batch",
     "repro.fidelity",

@@ -1,16 +1,16 @@
 #!/usr/bin/env python
-"""Differential harness: scalar, batch and wave simulation must agree bitwise.
+"""Differential harness: scalar and wave simulation must agree bitwise.
 
-The vectorized engines -- per-curve batch (``repro.sim.batch`` +
-``repro.suite.batch``) and wave-fused (``repro.sim.wave``) -- promise
-*bit-identical* results to the scalar per-point path: not "close",
-identical, so cached campaign results, golden figures and the paper's
-speedup ratios are the same no matter which path produced them. This
-tool is the enforcement, in two layers:
+The vectorized engine (``repro.sim.wave``, fed by the array-profile
+builders in ``repro.suite.batch``) promises *bit-identical* results to
+the scalar per-point path: not "close", identical, so cached campaign
+results, golden figures and the paper's speedup ratios are the same no
+matter which path produced them. This tool is the enforcement, in two
+layers:
 
 1. :func:`compare_point` sweeps randomized configurations (machine x
    backend x allocator x case x size x threads x element type) through
-   the scalar and batch paths and compares the full
+   the scalar path and a one-entry wave and compares the full
    :class:`repro.sim.SimReport` field by field -- total seconds,
    fork/join, every hardware counter, and the per-phase
    name/seconds/compute/memory/overhead/counter breakdown -- using
@@ -20,8 +20,8 @@ tool is the enforcement, in two layers:
 2. :func:`compare_wave` fuses groups of those same configurations into
    one ``repro.sim.wave`` program -- deliberately mixing machines,
    backends and cases the way a campaign wave does -- and compares each
-   fused entry's report against the batch engine's report for the same
-   profile, closing the scalar == batch == wave triangle.
+   fused entry's report against the scalar report captured for the same
+   configuration.
 
 Wired into tier-1 via ``tests/sim/test_batch_differential.py`` and
 ``tests/sim/test_wave_differential.py`` (marker ``diffcheck``) and into
@@ -183,23 +183,20 @@ def _report_fields(report) -> list[tuple[str, str]]:
     return fields
 
 
-def compare_point(config: DiffConfig) -> list[str]:
-    """Divergences between the two paths for one configuration.
+def _scalar_run(config: DiffConfig):
+    """``(report, exception)`` of the scalar path for one configuration.
 
-    Runs the scalar path (capturing the SimReport the case's simulation
-    produced) and the vectorized path, and diffs the flattened reports.
-    An empty list means bitwise agreement, including exception parity.
+    Runs ``measure_case`` while capturing the SimReport the case's
+    simulation produced; ``exception`` is the UnsupportedOperationError
+    text for capability gaps (``report`` is then None). A captured
+    report whose seconds disagree with the measured seconds is returned
+    as an exception text too, since nothing downstream could trust it.
     """
-    _ensure_importable()
     from repro.errors import UnsupportedOperationError
     from repro.execution.context import ExecutionContext
-    from repro.suite.batch import simulate_case_batch
     from repro.suite.cases import get_case
     from repro.suite.wrappers import measure_case
     from repro.types import elem_type
-
-    elem = elem_type(config.dtype)
-    ctx = _context(config)
 
     captured = []
     original = ExecutionContext.simulate
@@ -211,49 +208,65 @@ def compare_point(config: DiffConfig) -> list[str]:
 
     ExecutionContext.simulate = spy
     try:
-        scalar_seconds = measure_case(get_case(config.case), ctx, config.n, elem)
-        scalar_exc = None
+        seconds = measure_case(get_case(config.case), _context(config),
+                               config.n, elem_type(config.dtype))
     except UnsupportedOperationError as exc:
-        scalar_exc = f"UnsupportedOperationError: {exc}"
+        return None, f"UnsupportedOperationError: {exc}"
     finally:
         ExecutionContext.simulate = original
-
-    try:
-        batch_report = simulate_case_batch(config.case, ctx, config.n, elem)
-        batch_exc = None
-    except UnsupportedOperationError as exc:
-        batch_exc = f"UnsupportedOperationError: {exc}"
-
-    label = config.label()
-    if scalar_exc or batch_exc:
-        if scalar_exc != batch_exc:
-            return [
-                f"{label}: exception mismatch: scalar={scalar_exc!r} "
-                f"batch={batch_exc!r}"
-            ]
-        return []
     if not captured:
-        return [f"{label}: scalar path produced no SimReport to compare"]
+        return None, "scalar path produced no SimReport to compare"
+    if _hex(seconds) != _hex(captured[-1].seconds):
+        return None, "captured report does not match measured seconds"
+    return captured[-1], None
 
-    scalar_report = captured[-1]
-    divergences = []
-    if _hex(scalar_seconds) != _hex(scalar_report.seconds):
-        divergences.append(
-            f"{label}: captured report does not match measured seconds"
-        )
-    scalar_fields = _report_fields(scalar_report)
-    batch_fields = _report_fields(batch_report)
-    if len(scalar_fields) != len(batch_fields):
+
+def _diff_reports(label: str, scalar, wave) -> list[str]:
+    """Field-by-field divergences between a scalar and a wave report."""
+    scalar_fields = _report_fields(scalar)
+    wave_fields = _report_fields(wave)
+    if len(scalar_fields) != len(wave_fields):
         return [
             f"{label}: report shape differs "
-            f"({len(scalar_fields)} vs {len(batch_fields)} fields)"
+            f"({len(scalar_fields)} vs {len(wave_fields)} fields)"
         ]
-    for (name_s, value_s), (name_b, value_b) in zip(scalar_fields, batch_fields):
-        if name_s != name_b or value_s != value_b:
-            divergences.append(
-                f"{label}: {name_s}: scalar={value_s} batch={value_b}"
-            )
-    return divergences
+    return [
+        f"{label}: {name_s}: scalar={value_s} wave={value_w}"
+        for (name_s, value_s), (name_w, value_w) in zip(scalar_fields, wave_fields)
+        if name_s != name_w or value_s != value_w
+    ]
+
+
+def compare_point(config: DiffConfig) -> list[str]:
+    """Divergences between the scalar and one-entry wave paths for one config.
+
+    Runs the scalar path (capturing the SimReport the case's simulation
+    produced) and the vectorized path, and diffs the flattened reports.
+    An empty list means bitwise agreement, including exception parity.
+    """
+    _ensure_importable()
+    from repro.errors import UnsupportedOperationError
+    from repro.suite.batch import simulate_case_batch
+    from repro.types import elem_type
+
+    scalar_report, scalar_exc = _scalar_run(config)
+    try:
+        wave_report = simulate_case_batch(
+            config.case, _context(config), config.n, elem_type(config.dtype)
+        )
+        wave_exc = None
+    except UnsupportedOperationError as exc:
+        wave_exc = f"UnsupportedOperationError: {exc}"
+
+    label = config.label()
+    if scalar_exc or wave_exc:
+        if scalar_exc != wave_exc:
+            return [
+                f"{label}: exception mismatch: scalar={scalar_exc!r} "
+                f"wave={wave_exc!r}"
+            ]
+        return []
+    return _diff_reports(label, scalar_report, wave_report)
 
 
 #: How many configurations one wave group fuses in :func:`run_diffcheck`.
@@ -263,26 +276,26 @@ WAVE_GROUP = 16
 
 
 def compare_wave(configs: list[DiffConfig]) -> list[str]:
-    """Divergences between the wave and batch engines for one fused group.
+    """Divergences between a fused wave and the scalar path, entry by entry.
 
-    Builds every eligible configuration's :class:`ArrayProfile` once,
-    costs each through the batch engine, fuses them all into a single
-    wave program, and diffs each fused entry's report against its batch
-    report. Configurations the batch path cannot serve (non-batch cases
-    never occur here; capability gaps raise on build) are skipped --
-    :func:`compare_point` already enforces their exception parity.
-    An empty list means every entry of the wave agrees bitwise.
+    Builds every eligible configuration's :class:`ArrayProfile`, fuses
+    them all into a single wave program -- deliberately mixing machines,
+    backends and cases the way a campaign wave does -- and diffs each
+    fused entry's report against the scalar report captured for the same
+    configuration. Configurations that raise on build (capability gaps)
+    are skipped: :func:`compare_point` already enforces their exception
+    parity. An empty list means every entry of the wave agrees bitwise.
     """
     _ensure_importable()
     from repro.errors import UnsupportedOperationError
-    from repro.sim.batch import simulate_cpu_arrays
     from repro.sim.wave import WaveEntry, fuse_wave, simulate_wave
     from repro.suite.batch import build_array_profile
     from repro.types import elem_type
 
     entries: list = []
     labels: list[str] = []
-    batch_fields: list[list[tuple[str, str]]] = []
+    scalar_reports: list = []
+    divergences: list[str] = []
     for config in configs:
         ctx = _context(config)
         try:
@@ -291,30 +304,21 @@ def compare_wave(configs: list[DiffConfig]) -> list[str]:
             )
         except UnsupportedOperationError:
             continue  # exception parity is compare_point's job
+        scalar_report, scalar_exc = _scalar_run(config)
+        if scalar_exc is not None:
+            divergences.append(f"{config.label()}: {scalar_exc}")
+            continue
         entries.append(WaveEntry(ctx.machine, ctx.backend, profile))
         labels.append(config.label())
-        batch_fields.append(
-            _report_fields(simulate_cpu_arrays(ctx.machine, ctx.backend, profile))
-        )
+        scalar_reports.append(scalar_report)
     if not entries:
-        return []
+        return divergences
 
     reports = simulate_wave(fuse_wave(entries))
-    divergences = []
-    for label, fields_b, report_w in zip(labels, batch_fields, reports):
-        fields_w = _report_fields(report_w)
-        if len(fields_b) != len(fields_w):
-            divergences.append(
-                f"{label} [wave of {len(entries)}]: report shape differs "
-                f"({len(fields_b)} vs {len(fields_w)} fields)"
-            )
-            continue
-        for (name_b, value_b), (name_w, value_w) in zip(fields_b, fields_w):
-            if name_b != name_w or value_b != value_w:
-                divergences.append(
-                    f"{label} [wave of {len(entries)}]: {name_b}: "
-                    f"batch={value_b} wave={value_w}"
-                )
+    for label, scalar_report, wave_report in zip(labels, scalar_reports, reports):
+        divergences.extend(_diff_reports(
+            f"{label} [wave of {len(entries)}]", scalar_report, wave_report
+        ))
     return divergences
 
 
@@ -323,10 +327,9 @@ def run_diffcheck(
 ) -> list[str]:
     """Sweep ``configs`` randomized configurations; return all divergences.
 
-    Each configuration goes through the scalar-vs-batch point check, and
-    the same sample is then fused in groups of :data:`WAVE_GROUP` through
-    the wave-vs-batch check -- together they pin all three engines to one
-    another.
+    Each configuration goes through the scalar-vs-wave point check, and
+    the same sample is then fused in groups of :data:`WAVE_GROUP` and
+    checked entry by entry against the scalar path.
     """
     divergences = []
     sample = random_configs(configs, seed)
@@ -346,8 +349,8 @@ def run_diffcheck(
 def main(argv: list[str] | None = None) -> int:
     """CLI entry; exit 1 if any configuration diverges."""
     parser = argparse.ArgumentParser(
-        description="Differential check: the scalar, batch and wave "
-        "simulation paths must produce bit-identical SimReports."
+        description="Differential check: the scalar and wave simulation "
+        "paths must produce bit-identical SimReports."
     )
     parser.add_argument("--configs", type=int, default=200,
                         help="number of randomized configurations (default 200)")
@@ -363,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}", file=sys.stderr)
         return 1
     print(f"diffcheck: OK ({args.configs} configurations, seed {args.seed}, "
-          "bit-identical reports on the scalar, batch and wave paths)")
+          "bit-identical reports on the scalar and wave paths)")
     return 0
 
 
