@@ -16,7 +16,7 @@ construction):
    tasks.
 
 Uses a small problem size to finish in seconds; the paper-scale grid is
-``table5_campaign_spec(30)`` (or ``pstl-campaign run --spec table5``).
+``campaign_spec("table5")`` (or ``pstl-campaign run --spec table5``).
 """
 
 import shutil
@@ -25,13 +25,13 @@ import time
 from pathlib import Path
 
 from repro.campaign import run_campaign, speedup_grid
-from repro.experiments.table5 import table5_campaign_spec, table5_result
+from repro.scenarios import ScenarioRun, campaign_spec, get_scenario
 
 SIZE_EXP = 16  # 2^16 elements; the paper's grid uses 2^30
 
 
 def main() -> None:
-    spec = table5_campaign_spec(SIZE_EXP)
+    spec = campaign_spec("table5", {"size_exps": [SIZE_EXP]})
     workdir = Path(tempfile.mkdtemp(prefix="campaign_table5_"))
     cdir = workdir / "t5"
     try:
@@ -58,9 +58,10 @@ def main() -> None:
         print(f"resume after interrupt: {resumed.stats.summary()}")
         assert speedup_grid(resumed) == speedup_grid(cold)
 
-        # --- the rendered table ------------------------------------------
+        # --- the speedup cells -------------------------------------------
         print()
-        print(table5_result(resumed, SIZE_EXP).rendered)
+        print(ScenarioRun(get_scenario("table5"),
+                          cells=speedup_grid(resumed)).rendered())
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

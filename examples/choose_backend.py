@@ -13,7 +13,7 @@ import sys
 
 from repro.backends import PARALLEL_CPU_BACKENDS
 from repro.errors import UnsupportedOperationError
-from repro.experiments.common import make_ctx, seq_baseline_seconds
+from repro.scenarios.resolve import make_context
 from repro.suite.cases import HEADLINE_CASES, get_case
 from repro.suite.wrappers import measure_case
 from repro.util.stats import geomean
@@ -29,11 +29,13 @@ def main(machine: str = "A", size_exp: int = 28) -> None:
     per_backend: dict[str, list[float]] = {b: [] for b in PARALLEL_CPU_BACKENDS}
 
     for case_name in HEADLINE_CASES:
-        base = seq_baseline_seconds(machine, case_name, n)
+        base = measure_case(get_case(case_name),
+                            make_context(machine, "gcc-seq"), n)
         row: dict[str, float | None] = {}
         for backend in PARALLEL_CPU_BACKENDS:
             try:
-                t = measure_case(get_case(case_name), make_ctx(machine, backend), n)
+                t = measure_case(get_case(case_name),
+                                 make_context(machine, backend), n)
                 row[backend] = base / t
                 per_backend[backend].append(base / t)
             except UnsupportedOperationError:

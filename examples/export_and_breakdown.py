@@ -5,7 +5,7 @@
 Two downstream-facing features of the analysis layer:
 
 1. **JSON export** -- regenerate a paper artifact (Fig. 1 here) and dump
-   it as JSON for external plotting;
+   its cells as JSON for external plotting;
 2. **phase breakdown** -- ask "where did the time go?" for individual
    calls, comparing a memory-bound and a compute-bound configuration and
    a GPU call whose time is mostly unified-memory migration.
@@ -13,10 +13,10 @@ Two downstream-facing features of the analysis layer:
 
 from repro import ExecutionContext, pstl
 from repro.analysis.breakdown import render_breakdown
-from repro.analysis.export import dump_json, experiment_to_dict
+from repro.analysis.export import dump_json
 from repro.backends import get_backend
-from repro.experiments.fig1 import run_fig1
 from repro.machines import get_machine
+from repro.scenarios import get_scenario, run_scenario
 from repro.sim.gpu import GpuExecution
 from repro.suite.kernels import listing1_kernel
 from repro.types import FLOAT32, FLOAT64
@@ -24,8 +24,8 @@ from repro.types import FLOAT32, FLOAT64
 
 def main() -> None:
     # 1. Fig. 1 as JSON (reduced size keeps the example snappy).
-    fig1 = run_fig1(size_exp=26)
-    text = dump_json(experiment_to_dict(fig1))
+    fig1 = run_scenario(get_scenario("fig1").with_axes(size_exps=[26]))
+    text = dump_json({"scenario": "fig1", "cells": dict(fig1.cells)})
     print("Fig. 1 as JSON (first lines):")
     print("\n".join(text.splitlines()[:8]), "\n  ...\n")
 

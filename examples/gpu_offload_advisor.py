@@ -9,12 +9,18 @@ chained device-resident calls. Prints the winning configuration per cell
 -- the decision table the paper's conclusions describe in prose.
 """
 
-from repro.experiments.common import make_ctx
-from repro.experiments.fig8 import gpu_ctx
+from repro.scenarios.resolve import make_context
+from repro.sim.gpu import GpuExecution
 from repro.suite.cases import _case_for_each
 from repro.suite.wrappers import measure_case, run_case
 from repro.types import FLOAT32
 from repro.util.tables import TextTable
+
+
+def gpu_ctx(machine: str, transfer_back: bool = True):
+    """A CUDA context on Mach D (T4) or Mach E (A2)."""
+    return make_context(machine, "nvc-cuda", threads=1,
+                        gpu_options=GpuExecution(transfer_back=transfer_back))
 
 
 def _chained_gpu_seconds(machine: str, case, n: int) -> float:
@@ -40,8 +46,8 @@ def main() -> None:
             for k in intensities:
                 case = _case_for_each(k)
                 candidates = {
-                    "seq": measure_case(case, make_ctx("gpu-host", "gcc-seq"), n, FLOAT32),
-                    "par": measure_case(case, make_ctx("gpu-host", "nvc-omp"), n, FLOAT32),
+                    "seq": measure_case(case, make_context("gpu-host", "gcc-seq"), n, FLOAT32),
+                    "par": measure_case(case, make_context("gpu-host", "nvc-omp"), n, FLOAT32),
                 }
                 for gpu in ("D", "E"):
                     label = "T4" if gpu == "D" else "A2"

@@ -10,13 +10,13 @@ not run, a page-interleaving policy) across the headline algorithms.
 import sys
 
 from repro.errors import UnsupportedOperationError
-from repro.experiments.common import make_ctx, paper_size
 from repro.machines import get_machine
 from repro.memory.allocators import (
     DefaultAllocator,
     InterleavedAllocator,
     ParallelFirstTouchAllocator,
 )
+from repro.scenarios.resolve import make_context
 from repro.suite.cases import HEADLINE_CASES, get_case
 from repro.suite.wrappers import measure_case
 from repro.util.tables import TextTable
@@ -31,7 +31,7 @@ ALLOCATORS = [
 def main(machine_name: str = "A", threads: int | None = None) -> None:
     machine = get_machine(machine_name)
     threads = threads or machine.total_cores
-    n = paper_size()
+    n = 1 << 30  # the paper's standard problem size
     table = TextTable(
         headers=["Algorithm", *(name for name, _ in ALLOCATORS), "best"],
         title=(
@@ -42,7 +42,8 @@ def main(machine_name: str = "A", threads: int | None = None) -> None:
     for case_name in HEADLINE_CASES:
         row = {}
         for alloc_name, allocator in ALLOCATORS:
-            ctx = make_ctx(machine_name, "gcc-tbb", threads=threads, allocator=allocator)
+            ctx = make_context(machine_name, "gcc-tbb", threads=threads,
+                               allocator=allocator)
             try:
                 row[alloc_name] = measure_case(get_case(case_name), ctx, n)
             except UnsupportedOperationError:

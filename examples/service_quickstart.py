@@ -27,7 +27,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.table5 import table5_campaign_spec
+from repro.scenarios import campaign_spec
 from repro.service import ServiceClient, start_background
 
 SIZE_EXP = 16  # 2^16 elements; the paper's grid uses 2^30
@@ -41,7 +41,7 @@ def main() -> None:
             print(f"daemon listening at {svc.base_url}")
 
             # --- 1. cold submission, streamed to completion --------------
-            spec = table5_campaign_spec(SIZE_EXP)
+            spec = campaign_spec("table5", {"size_exps": [SIZE_EXP]})
             t0 = time.perf_counter()
             doc = client.submit(spec.to_dict())
             cid = doc["id"]
@@ -71,8 +71,7 @@ def main() -> None:
             print(f"duplicate: HTTP {dup['_status']}, same campaign {cid}")
 
             # --- 3. warm grid under a new name: pure cache hits -----------
-            warm_spec = dataclasses.replace(table5_campaign_spec(SIZE_EXP),
-                                            name="table5-warm")
+            warm_spec = dataclasses.replace(spec, name="table5-warm")
             t0 = time.perf_counter()
             warm = client.wait(client.submit(warm_spec.to_dict())["id"])
             warm_wall = time.perf_counter() - t0

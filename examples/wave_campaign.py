@@ -23,14 +23,14 @@ is gated by the ``wave_speedup`` floor in ``tools/bench_trajectory.py``.
 import time
 
 from repro.campaign import ResultStore, run_campaign, speedup_grid
-from repro.experiments.table5 import table5_campaign_spec
+from repro.scenarios import campaign_spec
 from repro.trace import Tracer, use_tracer
 
 SIZE_EXP = 26  # 2^26 elements; big enough for engine work to dominate
 
 
 def _timed(label: str, **kwargs):
-    spec = table5_campaign_spec(SIZE_EXP)
+    spec = campaign_spec("table5", {"size_exps": [SIZE_EXP]})
     t0 = time.perf_counter()
     outcome = run_campaign(spec, store=ResultStore(None), **kwargs)
     wall = time.perf_counter() - t0
@@ -40,7 +40,7 @@ def _timed(label: str, **kwargs):
 
 def main() -> None:
     # warm imports and shared caches so the comparison is engine-vs-engine
-    run_campaign(table5_campaign_spec(SIZE_EXP))
+    run_campaign(campaign_spec("table5", {"size_exps": [SIZE_EXP]}))
 
     wave, wave_wall = _timed("wave-fused")
     scalar, scalar_wall = _timed("scalar", batch=False)
@@ -55,7 +55,7 @@ def main() -> None:
 
     # the observability story: two spans per fused wave, on track "wave"
     with use_tracer(Tracer()) as tracer:
-        run_campaign(table5_campaign_spec(12))
+        run_campaign(campaign_spec("table5", {"size_exps": [12]}))
     fuses = [s for s in tracer.spans if s.name == "wave.fuse"]
     executes = [s for s in tracer.spans if s.name == "wave.execute"]
     assert fuses and len(fuses) == len(executes)

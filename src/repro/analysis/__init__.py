@@ -5,7 +5,6 @@ from repro.analysis.export import (
     bench_result_to_dict,
     curve_to_dict,
     dump_json,
-    experiment_to_dict,
     sweep_to_dict,
 )
 from repro.analysis.roofline import (
@@ -29,7 +28,6 @@ __all__ = [
     "bench_result_to_dict",
     "curve_to_dict",
     "dump_json",
-    "experiment_to_dict",
     "sweep_to_dict",
     "Boundedness",
     "RooflinePoint",

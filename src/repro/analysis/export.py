@@ -1,26 +1,24 @@
-"""JSON export of experiment results and sweeps.
+"""JSON export of sweeps, scaling curves and benchmark rows.
 
 Downstream users plot the regenerated figures with their own tooling;
-this module flattens the experiment/sweep/curve objects into plain JSON.
+this module flattens the sweep/curve/result objects into plain JSON.
 Every exporter returns a JSON-serialisable dict; ``dump_json`` renders it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from typing import Any
 
 from repro.analysis.speedup import ScalingCurve
 from repro.bench.state import BenchResult
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentResult
 from repro.suite.sweeps import SweepResult
 
 __all__ = [
     "sweep_to_dict",
     "curve_to_dict",
     "bench_result_to_dict",
-    "experiment_to_dict",
     "dump_json",
 ]
 
@@ -65,42 +63,6 @@ def bench_result_to_dict(result: BenchResult) -> dict[str, Any]:
             "bytes_read": result.counters.bytes_read,
             "bytes_written": result.counters.bytes_written,
         },
-    }
-
-
-def _convert(value: Any) -> Any:
-    """Best-effort conversion of experiment payload values."""
-    if isinstance(value, SweepResult):
-        return sweep_to_dict(value)
-    if isinstance(value, ScalingCurve):
-        return curve_to_dict(value)
-    if isinstance(value, BenchResult):
-        return bench_result_to_dict(value)
-    if isinstance(value, Mapping):
-        return {str(k): _convert(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_convert(v) for v in value]
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    if hasattr(value, "counters") and hasattr(value, "seconds"):
-        # RegionStats-like objects from the counter layer.
-        return {
-            "calls": getattr(value, "calls", None),
-            "seconds": value.seconds,
-            "instructions": value.counters.instructions,
-            "fp_scalar": value.counters.fp_scalar,
-            "fp_packed_256": value.counters.fp_packed_256,
-            "data_volume": value.counters.data_volume,
-        }
-    return repr(value)
-
-
-def experiment_to_dict(result: ExperimentResult) -> dict[str, Any]:
-    """Flatten a whole experiment (id, title, converted payload)."""
-    return {
-        "experiment_id": result.experiment_id,
-        "title": result.title,
-        "data": _convert(result.data),
     }
 
 

@@ -43,22 +43,28 @@ from repro.trace import Tracer, use_tracer, write_chrome_trace
 
 __all__ = ["main", "build_parser"]
 
-#: Named grid specs: spec builder + outcome renderer, resolved lazily so
-#: importing the CLI does not pull in the experiment drivers.
+#: Named grid specs: the campaign-shaped paper scenarios.
 _NAMED_SPECS = ("table5", "table6")
 
 
 def _named_spec(name: str, size_exp: int):
-    """(spec, render) for one of the named paper grids."""
-    if name == "table5":
-        from repro.experiments.table5 import table5_campaign_spec, table5_result
+    """(spec, render) for one of the named paper grids.
 
-        return table5_campaign_spec(size_exp), table5_result
-    if name == "table6":
-        from repro.experiments.table6 import table6_campaign_spec, table6_result
+    The spec is the registered scenario's campaign form at ``size_exp``;
+    ``render`` folds an outcome into the scenario's flat cell table.
+    """
+    from repro.scenarios.analyses import campaign_cells
+    from repro.scenarios.runner import ScenarioRun, campaign_spec, resolve_spec
+    from repro.scenarios.schema import validate_scenario
 
-        return table6_campaign_spec(size_exp), table6_result
-    raise ReproError(f"unknown named spec {name!r}; known: {_NAMED_SPECS}")
+    scenario = validate_scenario(
+        resolve_spec(name).with_axes(size_exps=(size_exp,)))
+
+    def render(outcome) -> str:
+        cells = campaign_cells(scenario, outcome)
+        return ScenarioRun(spec=scenario, cells=cells).rendered()
+
+    return campaign_spec(scenario), render
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +187,7 @@ def _robustness(args) -> tuple:
 def _print_outcome(outcome, render=None) -> None:
     """Shared run/resume reporting."""
     if render is not None:
-        print(render(outcome).rendered)
+        print(render(outcome))
     else:
         grid = speedup_grid(outcome)
         for key in sorted(grid):

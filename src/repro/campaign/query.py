@@ -11,16 +11,13 @@ console/CSV/JSON reporters work on campaign output unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from repro.analysis.speedup import ScalingCurve, max_threads_above_efficiency
 from repro.bench.state import BenchResult
 from repro.campaign.executor import CampaignOutcome
 from repro.campaign.plan import MEASURE, PointTask
 from repro.campaign.store import DONE, PointResult, ResultStore
 from repro.errors import CampaignError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.speedup import ScalingCurve
 
 __all__ = [
     "grid_key",
@@ -34,7 +31,7 @@ __all__ = [
 
 
 def grid_key(task: PointTask) -> str:
-    """The experiments' grid-cell key: ``backend/case/machine``."""
+    """The tables' grid-cell key: ``backend/case/machine``."""
     p = task.point
     return f"{p.backend}/{p.case}/{p.machine}"
 
@@ -73,12 +70,8 @@ class CellCurve:
     seconds: tuple[float, ...]
     baseline_seconds: float | None
 
-    def scaling_curve(self) -> "ScalingCurve":
+    def scaling_curve(self) -> ScalingCurve:
         """As the analysis layer's :class:`ScalingCurve`."""
-        # Imported here: repro.analysis pulls in repro.experiments, whose
-        # drivers import this module -- a cycle at module-import time.
-        from repro.analysis.speedup import ScalingCurve
-
         assert self.baseline_seconds is not None
         return ScalingCurve(
             label=self.key,
@@ -121,8 +114,6 @@ def efficiency_grid(
     :class:`ScalingCurve` against the shared sequential baseline;
     cells with no supported points (or no baseline) are ``None``.
     """
-    from repro.analysis.speedup import max_threads_above_efficiency
-
     grid: dict[str, int | None] = {}
     for key, curve in cell_curves(outcome).items():
         if not curve.threads or curve.baseline_seconds is None:

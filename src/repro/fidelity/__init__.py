@@ -3,13 +3,15 @@
 Closes the loop between the reproduction and the source paper. For each
 of the 14 paper artifacts (Figures 1-9, Tables 3-7), a JSON file under
 ``refdata/`` transcribes the paper's values and claims; the harness
-regenerates the artifact through the existing experiment drivers and
-checks three tiers of claims against it:
+regenerates the artifact through its registered scenario
+(:mod:`repro.scenarios`) and checks three tiers of claims against it:
 
 * **ordering** -- who wins (fastest backend, highest speedup, N/A
   pattern);
 * **ratio** -- measured values within a per-cell tolerance band of the
-  paper's numbers (plus absolute bounds and golden-object equality);
+  paper's numbers (plus absolute bounds and golden-object equality --
+  every artifact's float-hex ``output`` golden pins the scenario's
+  cells and curves bit for bit);
 * **crossover** -- thresholds (e.g. the size where parallel overtakes
   sequential) within one sweep step of the paper's.
 
@@ -20,7 +22,7 @@ matches the paper everywhere except the documented deviations. See
 docs/FIDELITY.md for the walkthrough.
 """
 
-from repro.fidelity.artifacts import MeasureOptions, artifact_builders, build_artifact
+from repro.fidelity.artifacts import artifact_builders, build_artifact
 from repro.fidelity.engine import (
     DEVIATION,
     PASS,
@@ -64,7 +66,6 @@ __all__ = [
     "Claim",
     "Waiver",
     "MeasuredArtifact",
-    "MeasureOptions",
     "ArtifactReport",
     "ClaimResult",
     "FidelityReport",

@@ -1,16 +1,16 @@
 """Artifact registry: regenerate each figure/table in checkable form.
 
-Each builder now measures through the **scenario registry**
+Each builder measures through the **scenario registry**
 (:mod:`repro.scenarios`): the artifact's registered scenario spec is
 executed by its analysis kind and the resulting cells/curves become the
-:class:`~repro.fidelity.measure.MeasuredArtifact`. The legacy bespoke
-drivers in ``repro.experiments`` remain as the pinned reference
-implementation -- ``tools/scenario_equiv.py`` proves each scenario
-bit-identical to them -- so a scenario regression fails conformance
-here too.
+:class:`~repro.fidelity.measure.MeasuredArtifact`. The artifact also
+carries the scenario's float-hex ``output`` object, which each refdata
+file pins with a ``golden`` claim -- so a scenario regression fails
+conformance here and the deviation names the changed cells.
 
 The campaign-backed grids (Tables 5 and 6) accept the shared
-:class:`~repro.campaign.store.ResultStore`, so fidelity runs reuse the
+:class:`~repro.campaign.store.ResultStore` through
+:class:`~repro.scenarios.analyses.RunOptions`, so fidelity runs reuse the
 campaign cache: a second ``pstl-fidelity run --campaign-dir D`` serves
 both tables entirely from cache.
 
@@ -21,90 +21,77 @@ home of the former bespoke ``tests/trace`` golden file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from typing import Callable, Mapping
 
-from repro.campaign.store import ResultStore
 from repro.errors import FidelityError
 from repro.fidelity.measure import MeasuredArtifact, trace_structure_summary
 from repro.fidelity.refdata import ARTIFACT_IDS
+from repro.scenarios.analyses import RunOptions
 
-__all__ = ["MeasureOptions", "build_artifact", "artifact_builders"]
+__all__ = ["build_artifact", "artifact_builders", "fig3_trace_spec"]
 
 #: Size exponent of the traced fig3 golden sweep (small on purpose: the
 #: trace *structure* is size-independent and the check stays fast).
 FIG3_TRACE_SIZE_EXP = 16
 
 
-@dataclass(frozen=True)
-class MeasureOptions:
-    """Knobs shared by all artifact builders.
-
-    ``store`` and ``workers`` only affect the campaign-backed grids
-    (Tables 5/6); ``size_step`` coarsens the problem-size sweeps of the
-    figure panels (1 = the paper's full 2^3..2^30 grid).
-    """
-
-    store: ResultStore | None = None
-    workers: int = 0
-    size_step: int = 1
-
-
-def _run_options(opts: MeasureOptions):
-    """Map fidelity's measure knobs onto the scenario runner's."""
-    from repro.scenarios.runner import RunOptions
-
-    return RunOptions(
-        store=opts.store, workers=opts.workers, size_step=opts.size_step
-    )
-
-
-def _scenario_builder(artifact: str) -> Callable[[MeasureOptions], MeasuredArtifact]:
+def _scenario_builder(artifact: str) -> Callable[[RunOptions], MeasuredArtifact]:
     """A builder that measures ``artifact`` through its registered scenario."""
 
-    def build(opts: MeasureOptions) -> MeasuredArtifact:
+    def build(opts: RunOptions) -> MeasuredArtifact:
         from repro.scenarios.runner import run_scenario
 
-        return run_scenario(artifact, _run_options(opts)).artifact()
+        return run_scenario(artifact, opts).artifact()
 
     return build
 
 
-def _fig3(opts: MeasureOptions) -> MeasuredArtifact:
-    """fig3 via the registry, plus the traced-sweep golden object."""
-    from repro.experiments.fig3 import foreach_scaling_curve
-    from repro.scenarios.runner import run_scenario
-    from repro.trace import Tracer, to_chrome_trace, use_tracer
+def fig3_trace_spec():
+    """fig3 narrowed to the one traced curve of the trace golden.
 
-    run = run_scenario("fig3", _run_options(opts))
-    with use_tracer(Tracer()) as tracer:
-        foreach_scaling_curve("A", "GCC-TBB", 1000, FIG3_TRACE_SIZE_EXP)
-    summary = trace_structure_summary(to_chrome_trace(tracer))
-    return MeasuredArtifact(
-        "fig3",
-        cells=dict(run.cells),
-        curves=dict(run.curves),
-        objects={"trace_summary": summary},
+    Mach A, GCC-TBB, k_it = 1000 at 2^16: one sequential baseline call
+    plus one call per thread count.
+    """
+    from repro.scenarios.registry import get_scenario
+
+    return dataclasses.replace(
+        get_scenario("fig3"), machines=("A",), backends=("GCC-TBB",),
+        k_values=(1000,), size_exps=(FIG3_TRACE_SIZE_EXP,), exclude=(),
     )
 
 
-_BUILDERS: Mapping[str, Callable[[MeasureOptions], MeasuredArtifact]] = {
+def _fig3(opts: RunOptions) -> MeasuredArtifact:
+    """fig3 via the registry, plus the traced-sweep golden object."""
+    from repro.scenarios.runner import run_scenario
+    from repro.trace import Tracer, to_chrome_trace, use_tracer
+
+    measured = run_scenario("fig3", opts).artifact()
+    with use_tracer(Tracer()) as tracer:
+        run_scenario(fig3_trace_spec())
+    summary = trace_structure_summary(to_chrome_trace(tracer))
+    return dataclasses.replace(
+        measured, objects={**measured.objects, "trace_summary": summary}
+    )
+
+
+_BUILDERS: Mapping[str, Callable[[RunOptions], MeasuredArtifact]] = {
     artifact: (_fig3 if artifact == "fig3" else _scenario_builder(artifact))
     for artifact in ARTIFACT_IDS
 }
 
 
-def artifact_builders() -> dict[str, Callable[[MeasureOptions], MeasuredArtifact]]:
+def artifact_builders() -> dict[str, Callable[[RunOptions], MeasuredArtifact]]:
     """All registered builders, keyed by artifact id (report order)."""
     return {a: _BUILDERS[a] for a in ARTIFACT_IDS}
 
 
 def build_artifact(
-    artifact: str, opts: MeasureOptions | None = None
+    artifact: str, opts: RunOptions | None = None
 ) -> MeasuredArtifact:
     """Regenerate one artifact's measured grid."""
     if artifact not in _BUILDERS:
         raise FidelityError(
             f"unknown artifact {artifact!r}; known: {list(ARTIFACT_IDS)}"
         )
-    return _BUILDERS[artifact](opts if opts is not None else MeasureOptions())
+    return _BUILDERS[artifact](opts if opts is not None else RunOptions())

@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.fidelity.artifacts import MeasureOptions, build_artifact
+from repro.fidelity.artifacts import build_artifact
 from repro.fidelity.engine import run_fidelity
 from repro.fidelity.refdata import (
     ARTIFACT_IDS,
@@ -42,6 +42,7 @@ from repro.fidelity.report import (
     report_to_json,
     update_experiments_md,
 )
+from repro.scenarios.analyses import RunOptions
 from repro.trace import Tracer, use_tracer, write_chrome_trace
 
 __all__ = ["main", "build_parser"]
@@ -75,9 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=0,
                      help="process-pool width for the campaign-backed grids "
                      "(default 0 = inline)")
-    run.add_argument("--size-step", type=int, default=1,
-                     help="coarsen figure problem-size sweeps (default 1 = "
-                     "the paper's full grid)")
     run.add_argument("--trace", metavar="OUT.json", default=None,
                      help="write a Chrome trace (one fidelity.artifact span "
                      "per artifact plus the underlying model spans)")
@@ -122,16 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _measure_options(args) -> MeasureOptions:
-    """Build the measurement knobs shared by ``run`` and ``report``."""
+def _run_options(args) -> RunOptions:
+    """The scenario run knobs of ``run`` (campaign store and pool width)."""
     store = None
     if args.campaign_dir is not None:
         from repro.campaign.store import ResultStore
 
         store = ResultStore(Path(args.campaign_dir) / "cache")
-    return MeasureOptions(
-        store=store, workers=args.workers, size_step=args.size_step
-    )
+    return RunOptions(store=store, workers=args.workers)
 
 
 def _update_goldens(artifacts: list[str] | None, refdata_root: str | None) -> int:
@@ -162,7 +158,7 @@ def _cmd_run(args) -> int:
     root = Path(args.refdata) if args.refdata else None
     with use_tracer(tracer) if tracer is not None else nullcontext():
         report = run_fidelity(
-            args.artifact, refdata_root=root, options=_measure_options(args)
+            args.artifact, refdata_root=root, options=_run_options(args)
         )
     if tracer is not None:
         n_spans = write_chrome_trace(tracer, args.trace)

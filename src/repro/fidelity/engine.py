@@ -8,7 +8,7 @@ statuses:
 * ``waived`` -- the claim fails, but a waiver documents it as a known
   deviation (with its EXPERIMENTS.md citation);
 * ``deviation`` -- the claim fails and nothing waives it: a regression
-  in the model, the drivers or the batch engine flipped a winner, moved
+  in the model, the scenario kinds or the wave engine flipped a winner, moved
   a factor out of band, or shifted a crossover.
 
 :func:`run_fidelity` orchestrates the full suite -- build each measured
@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.errors import FidelityError
-from repro.fidelity.artifacts import MeasureOptions, build_artifact
+from repro.fidelity.artifacts import build_artifact
 from repro.fidelity.measure import MeasuredArtifact, crossover_x, step_distance
 from repro.fidelity.refdata import (
     ArtifactRef,
@@ -33,6 +33,7 @@ from repro.fidelity.refdata import (
     Waiver,
     load_all_refdata,
 )
+from repro.scenarios.analyses import RunOptions
 from repro.trace import get_tracer
 
 __all__ = [
@@ -263,7 +264,7 @@ def run_fidelity(
     artifacts: Sequence[str] | None = None,
     *,
     refdata_root: Path | None = None,
-    options: MeasureOptions | None = None,
+    options: RunOptions | None = None,
     progress=None,
 ) -> FidelityReport:
     """Regenerate and check ``artifacts`` (default: every figure/table).
@@ -275,7 +276,7 @@ def run_fidelity(
     """
     from repro.campaign.fingerprint import model_fingerprint
 
-    opts = options if options is not None else MeasureOptions()
+    opts = options if options is not None else RunOptions()
     refs = load_all_refdata(artifacts, refdata_root)
     tracer = get_tracer()
     reports: list[ArtifactReport] = []

@@ -1,15 +1,15 @@
 """Measured artifacts: the checkable form of a regenerated figure/table.
 
-The experiment drivers render human-readable charts and tables; fidelity
-checks need flat numbers. A :class:`MeasuredArtifact` carries three maps:
+Fidelity checks need flat numbers. A :class:`MeasuredArtifact` carries
+three maps:
 
 * ``cells`` -- scalar values keyed like the refdata claims reference them
   (``"GCC-TBB/find/A"``, ``"scaling/GCC-TBB/max_speedup"`` ...); ``None``
   is an N/A cell (a capability gap the paper also reports as N/A);
 * ``curves`` -- (x, y) series for crossover claims (problem-size or
   thread sweeps);
-* ``objects`` -- JSON-able structures for golden claims (e.g. the fig3
-  trace-event summary).
+* ``objects`` -- JSON-able structures for golden claims (every
+  artifact's float-hex ``output``, plus the fig3 trace-event summary).
 
 :func:`crossover_x` implements the crossover-tier semantics: the first x
 of the common grid where curve *a* becomes faster (smaller y) than curve

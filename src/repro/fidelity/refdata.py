@@ -22,8 +22,8 @@ EXPERIMENTS.md. The schema is deliberately small (see docs/FIDELITY.md):
       must land within ``steps`` sweep steps of ``paper_x`` (the *where
       crossovers fall* tier);
     * ``golden`` -- the measured object named by ``cell`` must equal the
-      artifact's stored golden (ratio tier; pins structure, e.g. the
-      fig3 trace-event summary).
+      artifact's stored golden (ratio tier; every artifact pins its
+      scenario's float-hex ``output``, fig3 also its trace-event summary).
 
 ``waivers``
     ``{"claim": id, "reason": ..., "experiments_md": ...}`` --

@@ -12,7 +12,7 @@ Layers:
 * :mod:`repro.scenarios.schema` -- the typed :class:`ScenarioSpec` and
   its two-stage validation (structural + registry-backed).
 * :mod:`repro.scenarios.resolve` -- the one resolver for
-  machine/backend/case/allocator names, shared with the legacy drivers.
+  machine/backend/case/allocator names and execution contexts.
 * :mod:`repro.scenarios.analyses` -- the data-driven kind runners
   (allocator-grid, problem-panels, ..., campaign-grid).
 * :mod:`repro.scenarios.registry` -- the built-in fig1-fig9 and
@@ -21,10 +21,11 @@ Layers:
   the service bridge (:func:`campaign_payload`).
 * :mod:`repro.scenarios.cli` -- the ``pstl-scenario`` entry point.
 
-The legacy drivers in :mod:`repro.experiments` stay as the pinned
-reference implementation; ``tools/scenario_equiv.py`` (and
-``pytest -m scenario_equiv``) prove every registered scenario's
-cells/curves bit-identical to its legacy driver output.
+The registry is the one implementation of every figure and table. Each
+registered scenario's cells and curves are frozen as float-hex goldens
+(the ``output`` object of its ``refdata/`` artifact, checked by a
+``golden`` fidelity claim), so any change to a scenario's output fails
+``pstl-fidelity run`` and the failure names the cell.
 """
 
 from repro.scenarios.analyses import AnalysisKind, RunOptions, analysis_kinds, get_analysis
@@ -32,6 +33,7 @@ from repro.scenarios.registry import builtin_scenarios, get_scenario, scenario_n
 from repro.scenarios.runner import (
     ScenarioRun,
     campaign_payload,
+    campaign_spec,
     describe_scenario,
     run_scenario,
 )
@@ -50,6 +52,7 @@ __all__ = [
     "analysis_kinds",
     "builtin_scenarios",
     "campaign_payload",
+    "campaign_spec",
     "describe_scenario",
     "get_analysis",
     "get_scenario",

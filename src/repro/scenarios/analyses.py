@@ -3,11 +3,10 @@
 Each paper artifact family is one *kind* -- a generic runner that reads
 its grid entirely from a :class:`~repro.scenarios.schema.ScenarioSpec`
 (machines, backends, cases, sweep axes, options) and produces the flat
-``cells``/``curves`` maps the fidelity layer checks. The bespoke drivers
-in :mod:`repro.experiments` remain as the pinned reference
-implementation; ``tools/scenario_equiv.py`` proves each registered
-scenario's output bit-identical to its legacy driver, the same standard
-``tools/diffcheck.py`` sets for the batch/wave engines.
+``cells``/``curves`` maps the fidelity layer checks. Each registered
+scenario's output is frozen bit for bit (floats as hex) as the
+``output`` golden of its ``refdata/`` artifact, so any change to a
+kind's numbers fails ``pstl-fidelity run`` naming the divergent cell.
 
 Kinds and the artifacts they generalise:
 
@@ -28,7 +27,10 @@ Kinds and the artifacts they generalise:
 ``campaign-*`` kinds also expose :meth:`AnalysisKind.campaign_spec_for`,
 mapping a scenario onto a :class:`~repro.campaign.spec.CampaignSpec`;
 that is what lets ``repro.service`` accept a scenario name as a
-campaign payload with content-derived dedup.
+campaign payload with content-derived dedup. :func:`campaign_cells`
+folds an executed campaign back into the kind's cells, so callers that
+run the campaign themselves (``pstl-campaign run --spec table5``) print
+the same cells the scenario would.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "RunOptions",
     "get_analysis",
     "analysis_kinds",
+    "campaign_cells",
     "Cells",
     "Curves",
 ]
@@ -60,13 +63,13 @@ Curves = Mapping[str, "tuple[tuple[float, float], ...]"]
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Execution knobs orthogonal to the spec (mirrors fidelity's
-    ``MeasureOptions``).
+    """Execution knobs orthogonal to the spec (shared with fidelity).
 
-    ``store``/``workers`` only affect campaign-backed kinds;
+    ``store``/``workers`` only affect campaign-backed kinds, so a
+    second run against the same store serves them from cache;
     ``size_step`` overrides the size-sweep stride of kinds with a size
-    axis (``None`` keeps each spec's own default) -- exactly the knobs
-    the legacy fidelity builders forwarded.
+    axis (``None`` keeps each spec's own default -- the grid the stored
+    ``output`` goldens freeze).
     """
 
     store: Any = None
@@ -82,7 +85,7 @@ def _pow2_exp(n: int) -> int:
 
 
 def _measure_point(case, ctx, n: int, elem=None) -> float:
-    """One batch-aware measurement (the drivers' shared inner step)."""
+    """One batch-aware measurement (the kinds' shared inner step)."""
     from repro.suite.batch import measure_case_batch, use_batch_path
     from repro.suite.wrappers import measure_case
     from repro.types import FLOAT64
@@ -110,8 +113,8 @@ def _size_step(spec: "ScenarioSpec", options: RunOptions, default: int = 1) -> i
 def _foreach_case(k: int):
     """The ``for_each`` case at arithmetic intensity ``k``.
 
-    Built directly (like the fig8 driver) so k values outside the
-    registered k1/k1000 presets -- fig8's k=10000 -- work too.
+    Built directly so k values outside the registered k1/k1000 presets
+    -- fig8's k=10000 -- work too.
     """
     from repro.suite.cases import _case_for_each
 
@@ -120,7 +123,7 @@ def _foreach_case(k: int):
 
 # ---------------------------------------------------------------------------
 # Kind runners. Each reads only the spec + options and returns
-# (cells, curves) in the exact key formats of the legacy exporters.
+# (cells, curves) keyed the way the refdata claims reference them.
 # ---------------------------------------------------------------------------
 
 
@@ -335,10 +338,10 @@ def _run_gpu_chaining(spec, options):
         for entry in series_list:
             key = entry["key"]
             if entry.get("gpu"):
-                # A fresh context per point, like the legacy driver: the
-                # chaining effect lives in per-context UM residency, so
-                # sharing one context across sizes would understate the
-                # first-touch migration cost.
+                # A fresh context per point: the chaining effect lives
+                # in per-context UM residency, so sharing one context
+                # across sizes would understate the first-touch
+                # migration cost.
                 points = []
                 for n in sizes:
                     ctx = make_context(
@@ -403,9 +406,9 @@ def _run_counter_table(spec, options):
 def _campaign_for_grid(spec) -> "CampaignSpec":
     """A scenario's axes as a campaign spec (shared by campaign kinds).
 
-    The default campaign name appends the size exponent, matching the
-    legacy ``table5-2^30``-style identities, so scenario-driven service
-    submissions dedup against historical inline submissions too.
+    The default campaign name appends the size exponent (``table5-2^30``),
+    the identity earlier inline submissions used, so scenario-driven
+    service submissions dedup against stored campaigns too.
     """
     from repro.campaign.spec import CampaignSpec
 
@@ -424,34 +427,21 @@ def _campaign_for_grid(spec) -> "CampaignSpec":
     )
 
 
-def _run_campaign_speedup(spec, options):
-    """table5: plan + execute the grid campaign, fold into speedups;
-    cells ``{backend}/{case}/{machine}``."""
-    from repro.campaign.executor import run_campaign
+def _speedup_cells(spec, outcome):
+    """table5: the campaign folded into speedups; cells
+    ``{backend}/{case}/{machine}``."""
     from repro.campaign.query import speedup_grid
 
-    outcome = run_campaign(
-        _campaign_for_grid(spec), store=options.store, workers=options.workers,
-        batch=True,
-    )
-    return dict(speedup_grid(outcome)), {}
+    return dict(speedup_grid(outcome))
 
 
-def _run_campaign_efficiency(spec, options):
-    """table6: thread-sweep campaign folded into the max-threads-at-
+def _efficiency_cells(spec, outcome):
+    """table6: the thread-sweep campaign folded into the max-threads-at-
     efficiency grid; cells ``{backend}/{case}/{machine}``."""
-    from repro.campaign.executor import run_campaign
     from repro.campaign.query import efficiency_grid
 
-    outcome = run_campaign(
-        _campaign_for_grid(spec), store=options.store, workers=options.workers,
-        batch=True,
-    )
     grid = efficiency_grid(outcome, spec.option("efficiency_threshold", 0.70))
-    return (
-        {k: (None if v is None else float(v)) for k, v in grid.items()},
-        {},
-    )
+    return {k: (None if v is None else float(v)) for k, v in grid.items()}
 
 
 def _run_binary_sizes(spec, options):
@@ -465,19 +455,13 @@ def _run_binary_sizes(spec, options):
     )
 
 
-def _run_campaign_grid(spec, options):
+def _grid_cells(spec, outcome):
     """User-defined sweeps: every measured point as seconds + speedup.
 
     Cells: ``{backend}/{case}/{machine}/2^{exp}/{threads}t[/{alloc}]``
     suffixed ``/seconds`` and ``/speedup`` (``None`` where the paper
     would say N/A or no baseline exists).
     """
-    from repro.campaign.executor import run_campaign
-
-    outcome = run_campaign(
-        _campaign_for_grid(spec), store=options.store, workers=options.workers,
-        batch=True,
-    )
     cells: dict[str, float | None] = {}
     for task in outcome.plan.measures:
         p = task.point
@@ -495,7 +479,31 @@ def _run_campaign_grid(spec, options):
         if seconds is not None and baseline is not None and seconds > 0:
             speedup = baseline / seconds
         cells[f"{key}/speedup"] = speedup
-    return cells, {}
+    return cells
+
+
+#: Campaign kind -> the fold from its executed campaign to its cells.
+_CAMPAIGN_FOLDS: Mapping[str, Callable] = {
+    "campaign-speedup": _speedup_cells,
+    "campaign-efficiency": _efficiency_cells,
+    "campaign-grid": _grid_cells,
+}
+
+
+def campaign_cells(spec: "ScenarioSpec", outcome) -> dict[str, float | None]:
+    """A campaign-shaped scenario's cells from its executed campaign."""
+    return _CAMPAIGN_FOLDS[spec.analysis](spec, outcome)
+
+
+def _run_campaign(spec, options):
+    """Campaign kinds: plan + execute the grid campaign, then fold it."""
+    from repro.campaign.executor import run_campaign
+
+    outcome = run_campaign(
+        _campaign_for_grid(spec), store=options.store, workers=options.workers,
+        batch=True,
+    )
+    return campaign_cells(spec, outcome), {}
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +739,7 @@ _register(AnalysisKind(
 _register(AnalysisKind(
     name="campaign-speedup",
     summary="campaign-planned speedup-vs-sequential grid (table5 shape)",
-    run=_run_campaign_speedup,
+    run=_run_campaign,
     required_axes=("machines", "backends", "cases", "size_exps", "threads"),
     singleton_axes=("size_exps",),
     option_defaults={
@@ -744,7 +752,7 @@ _register(AnalysisKind(
     name="campaign-efficiency",
     summary="max threads at >= threshold parallel efficiency "
             "(table6 shape)",
-    run=_run_campaign_efficiency,
+    run=_run_campaign,
     required_axes=("machines", "backends", "cases", "size_exps", "threads"),
     singleton_axes=("size_exps",),
     option_defaults={
@@ -764,7 +772,7 @@ _register(AnalysisKind(
 _register(AnalysisKind(
     name="campaign-grid",
     summary="generic user-defined sweep: seconds + speedup per point",
-    run=_run_campaign_grid,
+    run=_run_campaign,
     required_axes=("machines", "backends", "cases", "size_exps", "threads"),
     optional_axes=("allocators",),
     singleton_axes=("size_exps",),

@@ -3,11 +3,10 @@
 Each entry below is a plain dict -- the exact JSON a user could put in a
 ``--scenario-file`` -- validated into a
 :class:`~repro.scenarios.schema.ScenarioSpec` on first lookup. The axis
-values are spelled out literally rather than imported from the legacy
-driver constants on purpose: the registry is the declarative source of
-truth, and ``tests/scenarios`` pins it against the legacy constants (and
-``tools/scenario_equiv.py`` against the legacy *outputs*) so the two can
-never drift silently.
+values are spelled out literally on purpose: the registry is the
+declarative source of truth. ``tests/scenarios`` pins its inputs (axes
+and campaign ids) and each artifact's ``output`` golden in ``refdata/``
+pins its outputs bit for bit, so neither can drift silently.
 
 ``claims`` binds a scenario to its fidelity artifact id; the fidelity
 builders (:mod:`repro.fidelity.artifacts`) regenerate those artifacts

@@ -1,14 +1,10 @@
 """The one resolver for machine/backend/case/allocator names and contexts.
 
-Before this module, every experiment driver re-imported and re-wrapped
-the registry lookups of ``repro.machines``/``repro.backends``/``
-repro.suite.cases`` and re-derived the "all cores unless sequential"
-thread rule for itself; the scenario registry would have been the fourth
-copy. This module is the single home of those rules, used by both the
-scenario engine (:mod:`repro.scenarios.analyses`) and the legacy driver
-shims (``repro.experiments.common.make_ctx``, ``repro.experiments.
-fig8.gpu_ctx``), with ``tests/scenarios/test_resolver.py`` pinning that
-all callers resolve identically.
+This module is the single home of the registry lookups of
+``repro.machines``/``repro.backends``/``repro.suite.cases`` and of the
+"all cores unless sequential" thread rule, used by the scenario engine
+(:mod:`repro.scenarios.analyses`), the examples and the differential
+tools; ``tests/scenarios/test_resolver.py`` pins the rules.
 
 Resolution is intentionally *strict*: an unknown name raises the
 registry's own error (:class:`~repro.errors.UnknownMachineError`,
@@ -113,8 +109,7 @@ def make_context(
 ) -> "ExecutionContext":
     """Build an :class:`~repro.execution.context.ExecutionContext` by name.
 
-    The single construction path behind ``experiments.common.make_ctx``,
-    ``experiments.fig8.gpu_ctx`` and every scenario analysis kind.
+    The single construction path behind every scenario analysis kind.
     ``allocator`` accepts either a ready instance or a registered name
     (see :data:`ALLOCATOR_FACTORIES`).
     """

@@ -8,8 +8,10 @@ dispatches to the spec's analysis kind, and wraps the result in a
 consumes fidelity artifacts (claim checks, refdata diffs, CI
 conformance) can consume scenario output unchanged.
 
-:func:`campaign_payload` is the service bridge: for campaign-shaped
-kinds it converts a scenario (plus optional axis overrides) into the
+:func:`campaign_spec` compiles a campaign-shaped scenario (plus
+optional axis overrides) into its :class:`~repro.campaign.spec.
+CampaignSpec` -- ``pstl-campaign run --spec table5`` uses it.
+:func:`campaign_payload` is the service bridge: the same spec as the
 plain campaign-spec dict ``repro.service`` already accepts, so a
 scenario submission dedups against the equivalent inline submission via
 the same content-derived campaign id.
@@ -26,6 +28,7 @@ from repro.scenarios.registry import get_scenario
 from repro.scenarios.schema import ScenarioSpec, scenario_from_dict, validate_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.campaign.spec import CampaignSpec
     from repro.fidelity.measure import MeasuredArtifact
 
 __all__ = [
@@ -33,6 +36,7 @@ __all__ = [
     "ScenarioRun",
     "resolve_spec",
     "run_scenario",
+    "campaign_spec",
     "campaign_payload",
     "service_payload",
     "describe_scenario",
@@ -62,14 +66,30 @@ class ScenarioRun:
     curves: Mapping[str, tuple] = field(default_factory=dict)
 
     def artifact(self) -> "MeasuredArtifact":
-        """As a fidelity artifact (id = the spec's claims binding/name)."""
+        """As a fidelity artifact (id = the spec's claims binding/name).
+
+        The ``output`` object is every cell and curve point in float-hex
+        form, flat-keyed ``cells/<key>`` and ``curves/<key>``: what the
+        artifact's ``golden`` claim compares bit for bit, so a diverging
+        golden names each changed cell or curve.
+        """
         from repro.fidelity.measure import MeasuredArtifact
 
         return MeasuredArtifact(
             self.spec.claims or self.spec.name,
             cells=dict(self.cells),
             curves=dict(self.curves),
+            objects={"output": self.output()},
         )
+
+    def output(self) -> dict[str, Any]:
+        """Cells and curves as a flat, sorted float-hex dict (N/A = null)."""
+        flat: dict[str, Any] = {
+            f"cells/{key}": _hex(value) for key, value in self.cells.items()
+        }
+        for key, curve in self.curves.items():
+            flat[f"curves/{key}"] = [[_hex(x), _hex(y)] for x, y in curve]
+        return dict(sorted(flat.items()))
 
     def rendered(self) -> str:
         """A flat, human-readable table of the measured cells."""
@@ -89,6 +109,11 @@ class ScenarioRun:
         return "\n".join(lines)
 
 
+def _hex(value: float | None) -> str | None:
+    """Bit-exact JSON form of one number."""
+    return None if value is None else float(value).hex()
+
+
 def run_scenario(
     scenario: "str | ScenarioSpec | Mapping[str, Any]",
     options: RunOptions | None = None,
@@ -100,11 +125,11 @@ def run_scenario(
     return ScenarioRun(spec=spec, cells=dict(cells), curves=dict(curves))
 
 
-def campaign_payload(
+def campaign_spec(
     scenario: "str | ScenarioSpec | Mapping[str, Any]",
     overrides: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """A scenario as a service-submittable campaign-spec dict.
+) -> "CampaignSpec":
+    """A campaign-shaped scenario as the campaign spec it compiles to.
 
     Only campaign-shaped kinds (``campaign-speedup``,
     ``campaign-efficiency``, ``campaign-grid``) map onto the campaign
@@ -122,7 +147,16 @@ def campaign_payload(
             "campaign form; service submission needs a campaign-shaped kind "
             "(campaign-speedup, campaign-efficiency, campaign-grid)"
         )
-    return kind.campaign_spec_for(spec).to_dict()
+    return kind.campaign_spec_for(spec)
+
+
+def campaign_payload(
+    scenario: "str | ScenarioSpec | Mapping[str, Any]",
+    overrides: Mapping[str, Any] | None = None,
+) -> dict[str, Any]:
+    """A scenario as a service-submittable campaign-spec dict
+    (:func:`campaign_spec` in JSON form)."""
+    return campaign_spec(scenario, overrides).to_dict()
 
 
 def service_payload(payload: Mapping[str, Any]) -> dict[str, Any]:

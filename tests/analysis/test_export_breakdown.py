@@ -10,7 +10,6 @@ from repro.analysis.export import (
     bench_result_to_dict,
     curve_to_dict,
     dump_json,
-    experiment_to_dict,
     sweep_to_dict,
 )
 from repro.analysis.speedup import ScalingCurve
@@ -58,27 +57,26 @@ class TestCurveAndBenchExport:
 
 
 class TestExperimentExport:
-    def test_fig1_exports(self):
-        from repro.experiments.fig1 import run_fig1
+    """A scenario's cells are plain JSON (N/A as null)."""
 
-        payload = experiment_to_dict(run_fig1(size_exp=20))
-        text = dump_json(payload)
-        parsed = json.loads(text)
-        assert parsed["experiment_id"] == "fig1"
-        assert parsed["data"]["GCC-TBB/reduce"] > 0
+    def test_fig1_exports(self):
+        from repro.scenarios import get_scenario, run_scenario
+
+        run = run_scenario(get_scenario("fig1").with_axes(size_exps=[20]))
+        parsed = json.loads(dump_json(dict(run.cells)))
+        assert parsed["GCC-TBB/reduce"] > 0
+        assert parsed["GCC-GNU/inclusive_scan"] is None
 
     def test_counter_stats_export(self):
-        from repro.experiments.table3 import counters_for_case
+        import dataclasses
 
-        stats = counters_for_case("A", "GCC-TBB", "reduce", calls=1, size_exp=18)
-        payload = experiment_to_dict(
-            type(
-                "R",
-                (),
-                {"experiment_id": "x", "title": "t", "data": {"s": stats}},
-            )()
-        )
-        assert payload["data"]["s"]["instructions"] > 0
+        from repro.scenarios import get_scenario, run_scenario
+
+        spec = dataclasses.replace(
+            get_scenario("table4"), backends=("GCC-TBB",), size_exps=(18,),
+            options={"calls": 1})
+        parsed = json.loads(dump_json(dict(run_scenario(spec).cells)))
+        assert parsed["GCC-TBB/instructions"] > 0
 
 
 class TestBreakdown:

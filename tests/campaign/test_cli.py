@@ -47,7 +47,8 @@ def test_run_named_spec_renders_table(tmp_path, capsys):
                "--dir", str(tmp_path / "t5"), "--workers", "0"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "Table 5" in out
+    assert out.startswith("table5: Speedup vs sequential")  # the scenario's cells
+    assert "GCC-TBB/reduce/A" in out
     assert "N/A" in out  # ICC-on-B / GNU-scan cells
 
 

@@ -7,7 +7,12 @@ import pytest
 from repro.campaign.plan import BASELINE, MEASURE, plan_campaign, task_id_for
 from repro.campaign.spec import CampaignSpec
 from repro.errors import CampaignError
-from repro.experiments.table5 import table5_campaign_spec
+from repro.scenarios import campaign_spec
+
+
+def table5_campaign_spec(size_exp: int) -> CampaignSpec:
+    """The registered Table 5 scenario's campaign at 2^size_exp."""
+    return campaign_spec("table5", {"size_exps": [size_exp]})
 
 
 def tiny_spec(**kwargs) -> CampaignSpec:

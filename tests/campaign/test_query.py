@@ -1,4 +1,4 @@
-"""Query layer: campaign outcomes reproduce the legacy grid values."""
+"""Query layer: campaign outcomes reproduce the directly measured grid values."""
 
 from __future__ import annotations
 
@@ -13,15 +13,61 @@ from repro.campaign.query import (
     speedup_grid,
     store_query,
 )
+from repro.analysis.speedup import ScalingCurve, max_threads_above_efficiency
 from repro.campaign.store import DONE, NA, ResultStore
-from repro.experiments.table5 import cell_speedup, table5_campaign_spec
-from repro.experiments.table6 import (
-    EFFICIENCY_THRESHOLD,
-    cell_max_threads,
-    table6_campaign_spec,
-)
+from repro.errors import UnsupportedOperationError
+from repro.scenarios import campaign_spec
+from repro.scenarios.resolve import make_context
+from repro.suite.cases import get_case
+from repro.suite.sweeps import strong_scaling
+from repro.suite.wrappers import measure_case
 
 SIZE_EXP = 14
+EFFICIENCY_THRESHOLD = 0.70
+
+
+def table5_campaign_spec(size_exp):
+    return campaign_spec("table5", {"size_exps": [size_exp]})
+
+
+def table6_campaign_spec(size_exp):
+    return campaign_spec("table6", {"size_exps": [size_exp]})
+
+
+def _baseline(machine, case_name, n):
+    return measure_case(get_case(case_name), make_context(machine, "gcc-seq"), n)
+
+
+def cell_speedup(machine, backend, case_name, size_exp):
+    """One Table 5 cell measured directly, outside the campaign layer."""
+    if (machine, backend) == ("B", "ICC-TBB"):
+        return None  # ICC is absent from Mach B (Table 2)
+    n = 1 << size_exp
+    try:
+        par = measure_case(get_case(case_name), make_context(machine, backend), n)
+    except UnsupportedOperationError:
+        return None
+    return _baseline(machine, case_name, n) / par
+
+
+def cell_max_threads(machine, backend, case_name, size_exp):
+    """One Table 6 cell measured directly, outside the campaign layer."""
+    if (machine, backend) == ("B", "ICC-TBB"):
+        return None
+    n = 1 << size_exp
+    try:
+        sweep = strong_scaling(get_case(case_name), make_context(machine, backend), n)
+    except UnsupportedOperationError:
+        return None
+    if not sweep.xs():
+        return None
+    curve = ScalingCurve(
+        label=f"{backend}/{case_name}/{machine}",
+        threads=tuple(sweep.xs()),
+        seconds=tuple(sweep.ys()),
+        baseline_seconds=_baseline(machine, case_name, n),
+    )
+    return max_threads_above_efficiency(curve, EFFICIENCY_THRESHOLD)
 
 
 @pytest.fixture(scope="module")

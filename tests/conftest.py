@@ -1,6 +1,8 @@
-"""Shared fixtures: machines, backends and execution contexts."""
+"""Shared fixtures: machines, backends, execution contexts, scenario runs."""
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -73,3 +75,15 @@ def model_ctx(mach_a, tbb):
 def seq_ctx(mach_a, seq_backend):
     """The sequential baseline context on Mach A."""
     return ExecutionContext(mach_a, seq_backend, threads=1, mode="model")
+
+
+@pytest.fixture(scope="session")
+def scenario_run():
+    """``scenario_run(name)``: a registered scenario's run, once per session.
+
+    The simulator is deterministic, so every test reading the same
+    scenario's cells can share one run.
+    """
+    from repro.scenarios import run_scenario
+
+    return functools.cache(run_scenario)

@@ -6,12 +6,9 @@ import pytest
 
 from repro.campaign.store import ResultStore
 from repro.errors import FidelityError
-from repro.fidelity.artifacts import (
-    MeasureOptions,
-    artifact_builders,
-    build_artifact,
-)
+from repro.fidelity.artifacts import artifact_builders, build_artifact
 from repro.fidelity.refdata import ARTIFACT_IDS
+from repro.scenarios import RunOptions, run_scenario
 
 
 def test_registry_covers_every_artifact():
@@ -34,10 +31,10 @@ def test_fig1_cells_match_refdata_keys():
 
 
 def test_fig2_size_step_coarsens_curves():
-    fine = build_artifact("fig2", MeasureOptions(size_step=4))
-    coarse = build_artifact("fig2", MeasureOptions(size_step=8))
+    fine = run_scenario("fig2", RunOptions(size_step=4))
+    coarse = run_scenario("fig2", RunOptions(size_step=8))
     name = next(iter(fine.curves))
-    assert len(coarse.curve(name)) < len(fine.curve(name))
+    assert len(coarse.curves[name]) < len(fine.curves[name])
 
 
 def test_fig3_records_trace_summary_object():
@@ -49,9 +46,9 @@ def test_fig3_records_trace_summary_object():
 
 def test_table5_builder_reuses_campaign_cache(tmp_path):
     store = ResultStore(tmp_path / "cache")
-    build_artifact("table5", MeasureOptions(store=store))
+    build_artifact("table5", RunOptions(store=store))
     assert store.misses > 0
     warm = ResultStore(tmp_path / "cache")
-    again = build_artifact("table5", MeasureOptions(store=warm))
+    again = build_artifact("table5", RunOptions(store=warm))
     assert warm.misses == 0 and warm.hits > 0
     assert again.cells == build_artifact("table5").cells

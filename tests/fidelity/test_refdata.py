@@ -141,8 +141,8 @@ def test_refdata_matches_generator():
     """tools/gen_refdata.py and refdata/ must not drift apart.
 
     The generator is the authoring source; the JSON is what ships. This
-    regenerates into a temp dir and compares (the fig3 golden is seeded
-    from the checked-in file, so the comparison is exact).
+    regenerates every artifact and compares (the stored goldens are read
+    back from the checked-in files, so the comparison is exact).
     """
     import importlib.util
 
@@ -150,17 +150,9 @@ def test_refdata_matches_generator():
     spec = importlib.util.spec_from_file_location("gen_refdata", tool)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    goldens = dict(load_refdata("fig3").goldens)
-    regenerated = {
-        "fig1": mod.fig1_ref(), "fig2": mod.fig2_ref(),
-        "fig3": mod.fig3_ref(goldens), "fig4": mod.fig4_ref(),
-        "fig5": mod.fig5_ref(), "fig6": mod.fig6_ref(),
-        "fig7": mod.fig7_ref(), "fig8": mod.fig8_ref(),
-        "fig9": mod.fig9_ref(), "table3": mod.table3_ref(),
-        "table4": mod.table4_ref(), "table5": mod.table5_ref(),
-        "table6": mod.table6_ref(), "table7": mod.table7_ref(),
-    }
-    for artifact, ref in regenerated.items():
-        assert load_refdata(artifact) == ref, (
-            f"refdata/{artifact}.json is stale; re-run tools/gen_refdata.py"
+    regenerated = mod.all_refs()
+    assert [ref.artifact for ref in regenerated] == list(ARTIFACT_IDS)
+    for ref in regenerated:
+        assert load_refdata(ref.artifact) == ref, (
+            f"refdata/{ref.artifact}.json is stale; re-run tools/gen_refdata.py"
         )

@@ -1,3 +1,2 @@
-"""Scenario registry suite: schema, registry pins, resolver parity,
-runner end-to-end, CLI sync, and the legacy-driver equivalence harness
-(``pytest -m scenario_equiv`` / ``tools/scenario_equiv.py``)."""
+"""Scenario registry tests: schema, registry pins, resolver, runner, CLI
+and the frozen float-hex ``output`` goldens (``test_equivalence``)."""

@@ -1,9 +1,10 @@
-"""Registry pins: the declarative specs cannot drift from the legacy
-constants, the fidelity artifact ids, or the campaign identities.
+"""Registry pins: the declarative specs cannot drift from the paper's
+axes, the fidelity artifact ids, or the campaign identities.
 
-``tools/scenario_equiv.py`` pins the registry against the legacy
-drivers' *outputs*; this module pins the *inputs* (axis values spelled
-out literally in the registry) against the constants those drivers use,
+Each artifact's ``output`` golden in ``refdata/`` pins the registry's
+*outputs*; this module pins its *inputs* -- the axis values the former
+per-figure drivers hard-coded, spelled out here as literals -- and the
+content-derived campaign ids that service dedup and store reuse key on,
 so an edit to either side fails loudly.
 """
 
@@ -70,24 +71,24 @@ def test_builtin_entries_are_plain_json_payloads():
         assert json.loads(json.dumps(entry)) == dict(entry)
 
 
-# -- pins against the legacy driver constants --------------------------------
+# -- pins against the paper's axis constants ----------------------------------
+
+_FIG2_BACKENDS = ("GCC-SEQ", "GCC-TBB", "GCC-GNU", "GCC-HPX", "ICC-TBB", "NVC-OMP")
 
 
 def test_fig1_axes_match_the_legacy_constants():
-    from repro.experiments.fig1 import FIG1_BACKENDS, FIG1_CASES
-
     spec = get_scenario("fig1")
-    assert spec.backends == tuple(FIG1_BACKENDS)
-    assert spec.cases == tuple(FIG1_CASES)
+    # HPX keeps its own allocator, so Fig. 1 compares the other four
+    assert spec.backends == ("GCC-TBB", "GCC-GNU", "ICC-TBB", "NVC-OMP")
+    assert spec.cases == ("find", "for_each_k1", "for_each_k1000",
+                          "inclusive_scan", "reduce", "sort")
     assert spec.machines == ("A",)
     assert spec.threads == (32,)
     assert spec.size_exps == (30,)
 
 
 def test_fig2_backends_match_the_legacy_constant():
-    from repro.experiments.fig2 import FIG2_BACKENDS
-
-    assert get_scenario("fig2").backends == tuple(FIG2_BACKENDS)
+    assert get_scenario("fig2").backends == _FIG2_BACKENDS
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4", "fig5", "fig6", "fig7",
@@ -107,45 +108,54 @@ def test_headline_cases_match_the_suite_constant():
 
 
 def test_table3_backends_match_the_legacy_constant():
-    from repro.experiments.table3 import TABLE3_BACKENDS
+    from repro.backends.registry import PARALLEL_CPU_BACKENDS
 
-    assert get_scenario("table3").backends == tuple(TABLE3_BACKENDS)
-    assert get_scenario("table4").backends == tuple(TABLE3_BACKENDS)
+    assert get_scenario("table3").backends == tuple(PARALLEL_CPU_BACKENDS)
+    assert get_scenario("table4").backends == tuple(PARALLEL_CPU_BACKENDS)
 
 
 def test_table7_backends_match_the_legacy_constant():
-    from repro.experiments.table7 import TABLE7_BACKENDS
-
-    assert get_scenario("table7").backends == tuple(TABLE7_BACKENDS)
+    assert get_scenario("table7").backends == (
+        "GCC-SEQ", "GCC-TBB", "GCC-GNU", "GCC-HPX", "ICC-TBB", "NVC-OMP",
+        "NVC-CUDA",
+    )
 
 
 def test_fig8_sweep_options_match_the_legacy_driver():
-    from repro.experiments.fig8 import FIG8_KITS, GPU_MAX_EXP
-
     spec = get_scenario("fig8")
-    assert spec.k_values == tuple(FIG8_KITS)
-    assert spec.option("max_exp") == GPU_MAX_EXP
+    assert spec.k_values == (1, 1000, 10000)
+    # GPU sweeps stop at 2^29 floats so the A2's 8 GiB UM never thrashes
+    assert spec.option("max_exp") == 29
     assert spec.option("size_step") == 2
 
 
 # -- campaign identity pins --------------------------------------------------
 
+#: Content-derived ids of the paper-scale campaign specs. Service dedup
+#: and store reuse against existing campaigns key on these.
+TABLE5_CAMPAIGN_ID = "ab5ff6107147fc3f"
+TABLE6_CAMPAIGN_ID = "0f4c40975b5b2d7f"
+
 
 def test_table5_scenario_produces_the_legacy_campaign_spec():
-    from repro.experiments.table5 import table5_campaign_spec
+    from repro.scenarios import campaign_spec
+    from repro.service.scheduler import campaign_id
 
     spec = get_scenario("table5")
     kind = get_analysis(spec.analysis)
     assert kind.campaign_spec_for is not None
-    assert kind.campaign_spec_for(spec) == table5_campaign_spec()
+    assert kind.campaign_spec_for(spec).name == "table5-2^30"
+    assert campaign_id(campaign_spec("table5")) == TABLE5_CAMPAIGN_ID
 
 
 def test_table6_scenario_produces_the_legacy_campaign_spec():
-    from repro.experiments.table6 import table6_campaign_spec
+    from repro.scenarios import campaign_spec
+    from repro.service.scheduler import campaign_id
 
-    spec = get_scenario("table6")
-    kind = get_analysis(spec.analysis)
-    assert kind.campaign_spec_for(spec) == table6_campaign_spec()
+    spec = campaign_spec("table6")
+    assert spec.name == "table6-2^30"
+    assert spec.threads == (1, 2, 4, 8, 16, 32, 64, 128)
+    assert campaign_id(spec) == TABLE6_CAMPAIGN_ID
 
 
 def test_campaign_shaped_scenarios_share_the_content_derived_id():
@@ -153,7 +163,5 @@ def test_campaign_shaped_scenarios_share_the_content_derived_id():
     from repro.scenarios.runner import campaign_payload
     from repro.service.scheduler import campaign_id
 
-    from repro.experiments.table5 import table5_campaign_spec
-
-    via_scenario = CampaignSpec.from_dict(campaign_payload("table5"))
-    assert campaign_id(via_scenario) == campaign_id(table5_campaign_spec())
+    via_payload = CampaignSpec.from_dict(campaign_payload("table5"))
+    assert campaign_id(via_payload) == TABLE5_CAMPAIGN_ID

@@ -1,22 +1,25 @@
-"""Resolver parity: one construction path for every context builder.
+"""Resolver rules: one construction path for every context.
 
 ``repro.scenarios.resolve.make_context`` is the single home of the
-"all physical cores unless sequential" thread rule; the legacy shims
-(``experiments.common.make_ctx``, ``experiments.fig8.gpu_ctx``) must
-resolve identically to it for every (machine, backend) the paper uses.
+"all physical cores unless sequential" thread rule. It must build, for
+every (machine, backend) the paper uses, exactly the context the former
+per-figure helpers built by hand (``make_ctx`` for CPU contexts,
+``gpu_ctx`` for CUDA ones) -- spelled out here as :func:`legacy_ctx` and
+:func:`legacy_gpu_ctx`.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.backends import get_backend
 from repro.errors import (
     ScenarioError,
     UnknownBackendError,
     UnknownMachineError,
 )
-from repro.experiments.common import make_ctx
-from repro.experiments.fig8 import gpu_ctx
+from repro.execution.context import ExecutionContext
+from repro.machines import get_machine
 from repro.memory.allocators import (
     DefaultAllocator,
     ParallelFirstTouchAllocator,
@@ -34,6 +37,23 @@ MACHINES = ("A", "B", "C", "gpu-host")
 BACKENDS = ("GCC-SEQ", "GCC-TBB", "GCC-GNU", "GCC-HPX", "ICC-TBB", "NVC-OMP")
 
 
+def legacy_ctx(machine, backend, threads=None):
+    """The paper's context rule by hand: all cores unless sequential."""
+    m, b = get_machine(machine), get_backend(backend)
+    count = 1 if b.is_sequential else (threads or m.total_cores)
+    return ExecutionContext(m, b, threads=count)
+
+
+def legacy_gpu_ctx(machine, transfer_back=True):
+    """A one-thread CUDA context with the given transfer policy, by hand."""
+    from repro.sim.gpu import GpuExecution
+
+    return ExecutionContext(
+        get_machine(machine), get_backend("nvc-cuda"), threads=1,
+        gpu_options=GpuExecution(transfer_back=transfer_back),
+    )
+
+
 def _same_ctx(a, b) -> None:
     assert a.machine.name == b.machine.name
     assert a.backend.name == b.backend.name
@@ -45,12 +65,12 @@ def _same_ctx(a, b) -> None:
 @pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_legacy_make_ctx_matches_the_shared_resolver(machine, backend):
-    _same_ctx(make_ctx(machine, backend), make_context(machine, backend))
+    _same_ctx(legacy_ctx(machine, backend), make_context(machine, backend))
 
 
 @pytest.mark.parametrize("threads", [None, 1, 2, 16])
 def test_explicit_thread_counts_resolve_identically(threads):
-    _same_ctx(make_ctx("A", "gcc-tbb", threads=threads),
+    _same_ctx(legacy_ctx("A", "gcc-tbb", threads=threads),
               make_context("A", "gcc-tbb", threads=threads))
 
 
@@ -71,7 +91,7 @@ def test_sequential_backends_always_run_single_threaded():
 def test_gpu_ctx_matches_the_shared_resolver(machine, transfer_back):
     from repro.sim.gpu import GpuExecution
 
-    legacy = gpu_ctx(machine, transfer_back=transfer_back)
+    legacy = legacy_gpu_ctx(machine, transfer_back=transfer_back)
     shared = make_context(
         machine, "nvc-cuda", threads=1,
         gpu_options=GpuExecution(transfer_back=transfer_back),

@@ -33,7 +33,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.execution.context import ExecutionContext
-from repro.experiments.common import make_ctx
+from repro.scenarios.resolve import make_context
 from repro.sim.engine import simulate_cpu
 from repro.sim.gpu import simulate_gpu
 from repro.sim.wave import (
@@ -87,7 +87,7 @@ def _mixed_wave():
         for backend in ("GCC-TBB", "GCC-GNU", "GCC-SEQ"):
             for case in BATCH_CASES:
                 for n in (1, 63, 1 << 12):
-                    ctx = make_ctx(machine, backend, threads=8)
+                    ctx = make_context(machine, backend, threads=8)
                     try:
                         profile = build_array_profile(
                             case, ctx, n, elem_type("double")
@@ -175,7 +175,7 @@ def test_fused_wave_matches_batch_per_entry():
 
 
 def test_single_entry_wave_matches_batch():
-    ctx = make_ctx("A", "GCC-TBB", threads=16)
+    ctx = make_context("A", "GCC-TBB", threads=16)
     profile = build_array_profile("reduce", ctx, 1 << 16)
     (report,) = simulate_wave_entries(
         [WaveEntry(ctx.machine, ctx.backend, profile)]
@@ -196,7 +196,7 @@ def test_empty_wave_is_empty():
 
 def test_wave_and_scalar_agree_end_to_end():
     """Close the triangle directly: wave seconds == scalar measured seconds."""
-    ctx = make_ctx("B", "GCC-TBB", threads=12)
+    ctx = make_context("B", "GCC-TBB", threads=12)
     entries = []
     scalar_seconds = []
     for case in ("reduce", "find", "inclusive_scan"):
@@ -211,7 +211,7 @@ def test_wave_and_scalar_agree_end_to_end():
 
 def test_fuse_rejects_oversubscribed_profile_like_batch():
     """Fused and one-entry evaluation reject oversubscription alike."""
-    ctx = make_ctx("A", "GCC-TBB", threads=4)
+    ctx = make_context("A", "GCC-TBB", threads=4)
     profile = build_array_profile("reduce", ctx, 1 << 10)
     bad = dataclasses.replace(profile, threads=ctx.machine.total_cores + 1)
     with pytest.raises(SimulationError):
@@ -244,7 +244,7 @@ def _gpu_profiles(gpu_ctx):
 
 
 def test_gpu_arrays_engine_matches_scalar_gpu():
-    gpu_ctx = make_ctx("D", "NVC-CUDA")
+    gpu_ctx = make_context("D", "NVC-CUDA")
     for profile, arrays in _gpu_profiles(gpu_ctx):
         scalar = simulate_gpu(
             gpu_ctx.machine, profile, copy.deepcopy(arrays), gpu_ctx.gpu_options
@@ -260,7 +260,7 @@ def test_gpu_arrays_engine_matches_scalar_gpu():
 
 def test_gpu_arrays_mutates_residency_like_scalar():
     """Chained calls on the same arrays pay migration once (Fig. 9b shape)."""
-    gpu_ctx = make_ctx("D", "NVC-CUDA")
+    gpu_ctx = make_context("D", "NVC-CUDA")
     profile, arrays = _gpu_profiles(gpu_ctx)[0]
     arrays = copy.deepcopy(arrays)
     arrow = profile_to_arrays(profile)
@@ -288,7 +288,7 @@ def test_randomized_wave_groups_agree_with_batch():
 
 
 def test_wave_spans_emitted_under_tracing():
-    ctx = make_ctx("A", "GCC-TBB", threads=8)
+    ctx = make_context("A", "GCC-TBB", threads=8)
     entries = [
         WaveEntry(ctx.machine, ctx.backend,
                   build_array_profile(case, ctx, 1 << 12))
@@ -312,7 +312,7 @@ def test_wave_spans_emitted_under_tracing():
 
 
 def test_no_spans_without_tracer():
-    ctx = make_ctx("A", "GCC-TBB", threads=8)
+    ctx = make_context("A", "GCC-TBB", threads=8)
     entries = [WaveEntry(ctx.machine, ctx.backend,
                          build_array_profile("reduce", ctx, 1 << 12))]
     tracer = Tracer()

@@ -16,18 +16,15 @@ from __future__ import annotations
 import json
 
 from repro.fidelity import build_artifact, check_claim, load_refdata
-from repro.fidelity.artifacts import FIG3_TRACE_SIZE_EXP
-from repro.experiments.fig3 import foreach_scaling_curve
+from repro.fidelity.artifacts import fig3_trace_spec
+from repro.scenarios import run_scenario
 from repro.trace import Tracer, to_chrome_trace, use_tracer
-
-MACHINE = "A"
-BACKEND = "GCC-TBB"
-K_IT = 1000
 
 
 def traced_sweep() -> Tracer:
+    """The fig3 golden's traced curve: Mach A, GCC-TBB, k_it=1000, 2^16."""
     with use_tracer(Tracer()) as tracer:
-        foreach_scaling_curve(MACHINE, BACKEND, K_IT, FIG3_TRACE_SIZE_EXP)
+        run_scenario(fig3_trace_spec())
     return tracer
 
 
@@ -61,7 +58,8 @@ def test_one_call_span_per_thread_count():
     tracer = traced_sweep()
     calls = [s for s in tracer.spans if s.category == "call"]
     threads = [s.attributes["threads"] for s in calls]
-    curve = foreach_scaling_curve(MACHINE, BACKEND, K_IT, FIG3_TRACE_SIZE_EXP)
-    assert set(threads) == set(curve.threads)
+    curve = run_scenario(fig3_trace_spec()).curves["GCC-TBB/k1000/A"]
+    curve_threads = [t for t, _ in curve]
+    assert set(threads) == set(curve_threads)
     # one call per sweep point, plus the serial baseline at threads=1
-    assert len(calls) == len(curve.threads) + 1
+    assert len(calls) == len(curve_threads) + 1

@@ -156,17 +156,27 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
+def _fig2_sweep(size_step: int, batch: bool) -> None:
+    """Every Fig. 2 curve (3 machines x k_it in {1, 1000} x 6 backends)."""
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.resolve import make_context, resolve_case
+    from repro.suite.sweeps import problem_scaling, problem_sizes
+
+    spec = get_scenario("fig2")
+    sizes = problem_sizes(step=size_step)
+    for machine in spec.machines:
+        for k in spec.k_values:
+            case = resolve_case(f"for_each_k{k}")
+            for backend in spec.backends:
+                problem_scaling(case, make_context(machine, backend), sizes,
+                                batch=batch)
+
+
 def measure_sweep(repeats: int = DEFAULT_REPEATS) -> dict:
     """Time the Fig. 2 sweep through the scalar and vectorized engines."""
-    from repro.experiments.fig2 import run_fig2
-
-    run_fig2(size_step=8, batch=True)  # warm imports/caches off the clock
-    scalar_s = _best_of(
-        lambda: run_fig2(size_step=SWEEP_SIZE_STEP, batch=False), repeats
-    )
-    batch_s = _best_of(
-        lambda: run_fig2(size_step=SWEEP_SIZE_STEP, batch=True), repeats
-    )
+    _fig2_sweep(8, batch=True)  # warm imports/caches off the clock
+    scalar_s = _best_of(lambda: _fig2_sweep(SWEEP_SIZE_STEP, False), repeats)
+    batch_s = _best_of(lambda: _fig2_sweep(SWEEP_SIZE_STEP, True), repeats)
     return {
         "scalar_s": scalar_s,
         "batch_s": batch_s,
@@ -177,9 +187,9 @@ def measure_sweep(repeats: int = DEFAULT_REPEATS) -> dict:
 def measure_campaign(repeats: int = DEFAULT_REPEATS) -> dict:
     """Time the Table 5 grid: cold scalar, cold wave, warm cache."""
     from repro.campaign import ResultStore, run_campaign
-    from repro.experiments.table5 import table5_campaign_spec
+    from repro.scenarios import campaign_spec
 
-    spec = table5_campaign_spec(CAMPAIGN_SIZE_EXP)
+    spec = campaign_spec("table5", {"size_exps": [CAMPAIGN_SIZE_EXP]})
     run_campaign(spec)  # warm imports/caches off the clock
 
     cold_scalar_s = _best_of(

@@ -9,9 +9,9 @@ Two checks, wired into tier-1 via ``tests/test_docs.py``:
    directory so snippets that write files do not pollute the repo. A
    fence that raises fails the lint with its file/line and the error.
 2. **Docstring coverage** — every public module, class, function and
-   method in :data:`DOCSTRING_PACKAGES` (the trace, campaign, batch and
-   wave simulation, fidelity, and fault-injection layers) must carry a
-   non-empty docstring.
+   method in :data:`DOCSTRING_PACKAGES` (the trace, campaign, wave
+   simulation, fidelity, fault-injection, service, remote and scenario
+   layers) must carry a non-empty docstring.
 
 Run directly::
 
@@ -58,9 +58,6 @@ DOCSTRING_PACKAGES = (
     "repro.remote",
     "repro.scenarios",
 )
-
-#: Backwards-compatible alias (first entry of :data:`DOCSTRING_PACKAGES`).
-DOCSTRING_PACKAGE = DOCSTRING_PACKAGES[0]
 
 _FENCE_RE = re.compile(r"^```(\w*)\s*$")
 
@@ -146,7 +143,7 @@ def walk_modules(package: str) -> list:
     return modules
 
 
-def check_docstrings(package: str = DOCSTRING_PACKAGE) -> list[str]:
+def check_docstrings(package: str) -> list[str]:
     """Undocumented public symbols in ``package``; empty list = clean."""
     errors: list[str] = []
     for module in walk_modules(package):

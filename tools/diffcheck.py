@@ -125,23 +125,11 @@ def random_configs(count: int, seed: int) -> list[DiffConfig]:
 
 def _context(config: DiffConfig):
     """The execution context a configuration describes."""
-    from repro.experiments.common import make_ctx
-    from repro.memory.allocators import (
-        DefaultAllocator,
-        HpxNumaAllocator,
-        InterleavedAllocator,
-        ParallelFirstTouchAllocator,
-    )
+    from repro.scenarios.resolve import make_context
 
-    named = {
-        "default": DefaultAllocator,
-        "first-touch": ParallelFirstTouchAllocator,
-        "hpx": HpxNumaAllocator,
-        "interleaved": InterleavedAllocator,
-    }
-    allocator = None if config.allocator is None else named[config.allocator]()
-    return make_ctx(
-        config.machine, config.backend, threads=config.threads, allocator=allocator
+    return make_context(
+        config.machine, config.backend, threads=config.threads,
+        allocator=config.allocator,
     )
 
 
