@@ -15,7 +15,10 @@ and for every task:
    miss* span whose duration is the point's simulated seconds;
 3. journals the terminal outcome, making an interrupted campaign
    resumable: ``resume=True`` re-plans deterministically and skips every
-   task the journal already holds.
+   task the journal already holds. Rows are group-committed: each
+   wave's rows land in one fsynced append when the wave ends, after
+   every cache object of the wave is stored, so a crash inside a wave
+   loses only rows whose results a resume serves as cache hits.
 
 By default each wave is submitted *whole*: eligible points are fused
 into one ``repro.sim.wave`` struct-of-arrays program (serial mode) or
@@ -424,12 +427,20 @@ def _trace_point(task: PointTask, result: PointResult) -> None:
     )
 
 
-def _record(outcome: CampaignOutcome, store: ResultStore, journal: Journal | None,
+def _record(outcome: CampaignOutcome, store: ResultStore,
+            journal_rows: list[dict] | None,
             task: PointTask, result: PointResult,
             journal_new: bool = True,
             injector: FaultInjector | None = None,
             persist: bool = True) -> None:
-    """Finalize one task: cache it, journal it, trace it, count it.
+    """Finalize one task: cache it, queue its journal row, trace it, count it.
+
+    The journal row is not written here: it joins ``journal_rows``, the
+    run's buffer, which :func:`_flush_journal` commits once per wave.
+    The cache object is put first, so a crash before that commit loses
+    only rows whose objects are already stored, and a resume serves
+    those tasks as cache hits. ``journal_rows=None`` (no campaign
+    directory) journals nothing.
 
     ``journal_new=False`` marks a result that was *reconstructed from* the
     journal (a resume's journal hit): it is already durable, so appending
@@ -439,8 +450,7 @@ def _record(outcome: CampaignOutcome, store: ResultStore, journal: Journal | Non
     coordinator's segment ingest -- so the local put is skipped (the
     journal entry still lands here, keeping the journal the single
     task-completion log either way). When an ``injector`` is active, the
-    cache publish and journal append are its two storage-side injection
-    surfaces.
+    cache publish is its storage-side injection surface here.
     """
     outcome.results[task.task_id] = result
     key = None
@@ -451,8 +461,8 @@ def _record(outcome: CampaignOutcome, store: ResultStore, journal: Journal | Non
             injector.after_put(store, key)
     elif task.pruned is None:
         key = store.key_for(task.point)
-    if journal is not None and journal_new:
-        journal.append({
+    if journal_rows is not None and journal_new:
+        journal_rows.append({
             "task_id": task.task_id,
             "status": result.status,
             "key": key,
@@ -461,9 +471,27 @@ def _record(outcome: CampaignOutcome, store: ResultStore, journal: Journal | Non
             "cached": result.cached,
             "wall_ms": result.wall_ms,
         })
-        if injector is not None:
-            injector.after_journal(journal, task.task_id)
     _trace_point(task, result)
+
+
+def _flush_journal(journal: Journal | None, rows: list[dict] | None,
+                   injector: FaultInjector | None = None) -> None:
+    """Commit the buffered journal ``rows`` as one fsynced append.
+
+    The buffer is emptied before the write, so a failed commit is never
+    retried into duplicate rows. When an ``injector`` is active, its
+    journal-append surface then runs once per committed row, in order:
+    the same claims as one append per task, but a tear now models a
+    crash between the wave's write and its fsync.
+    """
+    if journal is None or not rows:
+        return
+    batch = list(rows)
+    rows.clear()
+    journal.append(*batch)
+    if injector is not None:
+        for row in batch:
+            injector.after_journal(journal, row["task_id"])
 
 
 def _injected_failure(site: str) -> dict:
@@ -890,11 +918,12 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
     journaled: dict[str, dict] = {}
     if resume and journal is not None:
         journaled = journal.completed_ids()
+    journal_rows: list[dict] | None = [] if journal is not None else None
 
     def finish(task: PointTask, result: PointResult,
                journal_new: bool = True, persist: bool = True) -> None:
-        _record(outcome, store, journal, task, result, journal_new, injector,
-                persist)
+        _record(outcome, store, journal_rows, task, result, journal_new,
+                injector, persist)
         if progress is not None:
             progress(task, result)
 
@@ -905,6 +934,9 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                             track="campaign") if tracer.enabled else None
         try:
             for wave in _all_waves(plan):
+                # Group commit: the previous wave's rows land in one
+                # fsynced append, before the drain check can end the run.
+                _flush_journal(journal, journal_rows, injector)
                 if should_stop is not None and should_stop():
                     # Graceful drain: everything recorded so far is
                     # journaled; the rest belongs to a future resume.
@@ -999,8 +1031,13 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                         wall_ms=payload.get("wall_ms"),
                     ))
         finally:
-            if span is not None:
-                tracer.end()
+            try:
+                # The last wave's rows, or on an exception whatever the
+                # failing wave had recorded.
+                _flush_journal(journal, journal_rows, injector)
+            finally:
+                if span is not None:
+                    tracer.end()
     finally:
         if handle is not None:
             outcome.stats.pool_rebuilds = handle.rebuilds

@@ -20,11 +20,15 @@ whose ``result`` payload has drifted schema (missing ``status`` /
 :meth:`ResultStore.scan` audits the whole object tree; the
 ``pstl-campaign verify`` subcommand fronts it.
 
-**Journal.** Each campaign run appends one JSON line per finished task
-to ``journal.jsonl``. The journal is the resume log: an interrupted
-campaign re-plans (deterministically), drops every task whose terminal
-entry is already journaled, and executes only the remainder. Torn final
-lines from a killed process are tolerated and skipped.
+**Journal.** Each campaign run records one JSON line per finished task
+in ``journal.jsonl``, committed once per wave: :meth:`Journal.append`
+takes any number of entries and lands them with one fsynced write. The
+journal is the resume log: an interrupted campaign re-plans
+(deterministically), drops every task whose terminal entry is already
+journaled, and executes only the remainder -- a task whose row was
+lost with an uncommitted wave is served from its already-stored cache
+object instead. Torn final lines from a killed process are tolerated
+and skipped.
 
 **Index.** v2 stores (marker: ``STORE_META.json``) additionally keep a
 persistent per-shard index (``index/ab.log.jsonl`` + ``index/ab.idx.json``,
@@ -42,8 +46,9 @@ objects publish atomically -- a per-process temp file renamed into
 place -- so readers only ever see whole records, and journal appends
 take a cross-process advisory lock around a single ``O_APPEND``
 ``write()`` so concurrent appenders can never interleave partial
-lines. :class:`JournalReader` adds the offset-resumable read side:
-repeated polls cost O(new bytes), not O(journal).
+lines or split each other's batches. :class:`JournalReader` adds the
+offset-resumable read side: repeated polls cost O(new bytes), not
+O(journal).
 """
 
 from __future__ import annotations
@@ -588,9 +593,10 @@ class Journal:
     """Append-only run log; one JSON object per line.
 
     Safe for concurrent appenders across processes: each append is one
-    ``write()`` of a whole line on an ``O_APPEND`` descriptor, guarded
+    ``write()`` of whole lines on an ``O_APPEND`` descriptor, guarded
     by an exclusive advisory lock, so two processes sharing one journal
-    can never interleave partial lines (the 8-appender property test in
+    can never interleave partial lines, and each append's batch lands
+    as one contiguous run (the 8-appender property test in
     ``tests/campaign/test_store_properties.py`` pins this).
 
     A journal may additionally be *fenced*: ``fence`` is a zero-argument
@@ -612,26 +618,36 @@ class Journal:
         self.path = Path(path)
         self.fence = fence
 
-    def append(self, entry: Mapping[str, Any]) -> None:
-        """Append one entry and flush it to disk immediately.
+    def append(self, *entries: Mapping[str, Any]) -> None:
+        """Append ``entries`` as one group commit: one write, one fsync.
+
+        Any number of entries cost one lock, one tail heal, one fence
+        check, one ``write()`` of the joined lines and one ``fsync`` --
+        the campaign executor commits a whole wave's rows this way. A
+        call with no entries touches nothing.
 
         A crash mid-append can leave the final line without its trailing
         newline; blindly appending to that would concatenate the new
-        entry onto the torn line and lose *both*. The append therefore
-        heals such a tail first by terminating it, so the torn fragment
-        stays an isolated (skipped) line and the new entry parses.
+        entries onto the torn line and lose the first of them. The
+        append therefore heals such a tail first by terminating it, so
+        the torn fragment stays an isolated (skipped) line and the new
+        entries parse.
 
-        The heal-check plus the line write happen under an exclusive
-        advisory lock on the journal file, and the line lands as a
-        single ``write()`` on an ``O_APPEND`` descriptor -- concurrent
-        appenders serialize instead of interleaving.
+        The heal-check plus the write happen under an exclusive advisory
+        lock on the journal file, and the lines land as a single
+        ``write()`` on an ``O_APPEND`` descriptor -- concurrent
+        appenders' batches serialize whole instead of interleaving.
 
         When the journal carries a ``fence``, it is re-checked *inside*
         the lock: an expired or superseded lease holder is rejected with
         the fence's typed error before the heal or the write touch the
-        file, so a stale writer cannot race a takeover.
+        file, so a stale writer cannot race a takeover, and a rejected
+        batch leaves none of its lines behind.
         """
-        line = (canonical_json(dict(entry)) + "\n").encode("utf-8")
+        if not entries:
+            return
+        data = "".join(canonical_json(dict(entry)) + "\n"
+                       for entry in entries).encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
         try:
@@ -642,7 +658,9 @@ class Journal:
                 size = os.fstat(fd).st_size
                 if size and os.pread(fd, 1, size - 1) != b"\n":
                     os.write(fd, b"\n")
-                os.write(fd, line)
+                view = memoryview(data)
+                while view:  # a short write (rare on files) must not drop rows
+                    view = view[os.write(fd, view):]
                 os.fsync(fd)
             finally:
                 _unlock_file(fd)

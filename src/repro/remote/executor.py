@@ -12,9 +12,9 @@ All coordination happens over the service's HTTP executor protocol:
 3. compute the wave through the same fused
    :func:`~repro.campaign.executor.execute_wave` path local campaigns
    use -- bit-identity starts with running identical code;
-4. append each result row to a private leased journal segment whose
-   appends are fenced by the local lease file (a lapsed lease raises
-   instead of writing), then seal it with a manifest;
+4. append the wave's result rows, in one write, to a private leased
+   journal segment fenced by the local lease file (a lapsed lease
+   raises instead of writing), then seal it with a manifest;
 5. ``POST /executors/{id}/segments`` to ship the sealed segment, with
    a bounded re-ship loop absorbing lost deliveries.
 
@@ -151,12 +151,14 @@ class RemoteExecutor:
 
     def _write_segment(self, wave_id: str, epoch: int,
                        payloads: list[dict], outs: list[dict]):
-        """Append rows to a fenced private segment and seal it.
+        """Write the wave's rows to a fenced private segment and seal it.
 
-        The local lease file fences every append; if the lease lapses
-        mid-write (slow host), the writer re-acquires -- bumping the
-        local epoch -- and rewrites into a fresh segment, so a sealed
-        segment is always the product of one uninterrupted lease.
+        All rows land in one fenced append, so the local lease is
+        checked once, under the journal lock, right before the write:
+        a lapsed lease (slow host) leaves the segment empty rather than
+        partial. The writer then re-acquires -- bumping the local epoch
+        -- and rewrites into a fresh segment, so a sealed segment is
+        always the product of one uninterrupted lease.
         """
         lease_file = LeaseFile(
             os.path.join(self.root, "leases", f"{_safe(wave_id)}.json"),
@@ -171,10 +173,10 @@ class RemoteExecutor:
                 executor=self.id, epoch=epoch, wave=wave_id,
                 fence=lease_file.guard(lease))
             try:
-                for payload, out in zip(payloads, outs):
-                    writer.append(result_row(
-                        payload["task_id"], payload["point"], out,
-                        wall_ms=out.get("wall_ms")))
+                writer.append(*(
+                    result_row(payload["task_id"], payload["point"], out,
+                               wall_ms=out.get("wall_ms"))
+                    for payload, out in zip(payloads, outs)))
                 return writer.seal(), writer.rows()
             except (LeaseExpiredError, StaleWriterError) as exc:
                 last_error = exc

@@ -125,11 +125,15 @@ class SegmentWriter:
         self._journal = Journal(self.path, fence=fence)
         self._sealed = False
 
-    def append(self, row: Mapping[str, Any]) -> None:
-        """Append one result row (fenced; raises after seal)."""
+    def append(self, *rows: Mapping[str, Any]) -> None:
+        """Append result rows as one fenced write (raises after seal).
+
+        The fence is checked once for the whole call, so a lapsed lease
+        rejects every row and leaves none of them in the segment.
+        """
         if self._sealed:
             raise SegmentError(f"segment {self.name} is sealed; appends rejected")
-        self._journal.append(row)
+        self._journal.append(*rows)
 
     def rows(self) -> list[dict]:
         """All intact rows currently in the segment, in append order."""

@@ -77,6 +77,23 @@ def test_faulted_run_then_resume_is_bit_identical(tmp_path, seed, kind):
     assert scan.ok + scan.legacy == len(clean.plan.runnable)
 
 
+#: ``faults_injected`` of the journal_torn_tail-only cell per seed, as the
+#: one-append-per-task journal produced them. The wave group commit claims
+#: the same (site, task) pairs once per committed row, so the counts must
+#: not move: a change to claim order or granularity fails here instead of
+#: silently thinning the schedule.
+TORN_TAIL_INJECTED = {1: 10, 2: 9, 3: 11}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_torn_tail_schedule_is_pinned(tmp_path, seed):
+    plan_kwargs, workers = KINDS["journal_torn_tail"]
+    faulted = run_campaign(chaos_spec(), campaign_dir=tmp_path / "camp",
+                           workers=workers, retries=2,
+                           faults=FaultPlan(seed=seed, **plan_kwargs))
+    assert faulted.stats.faults_injected == TORN_TAIL_INJECTED[seed]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_every_site_at_once_still_converges(tmp_path, seed):
     plan = FaultPlan(seed=seed, worker_exception=0.3, cache_corrupt=0.3,

@@ -155,17 +155,27 @@ def test_scan_flags_what_reads_would_quarantine(at):
 # The service runs many campaigns against ONE journal-per-campaign but one
 # SHARED store, and restarts can briefly overlap an old and a new daemon on
 # the same directory. The append path must therefore be safe across
-# *processes*: each entry lands as exactly one intact line no matter how many
-# writers race (flock + single O_APPEND write).
+# *processes*: each append's batch lands as one contiguous run of intact
+# lines no matter how many writers race (flock + single O_APPEND write) --
+# the executor commits a whole wave's rows as one such batch.
 
 def _append_batch(args):
-    """Worker: append one process's batch of entries to the shared journal."""
+    """Worker: append one process's batch to the shared journal, in one call."""
     path, batch = args
-    journal = Journal(Path(path))
-    for tid, status in batch:
-        journal.append({"task_id": tid, "status": status,
-                        "seconds": 1.0 if status == DONE else None})
+    Journal(Path(path)).append(*(
+        {"task_id": tid, "status": status,
+         "seconds": 1.0 if status == DONE else None}
+        for tid, status in batch))
     return len(batch)
+
+
+def assert_batches_contiguous(entries: list[dict], batches) -> None:
+    """Each process's batch (ids ``p<proc>-...``) is one unbroken, ordered run."""
+    ids = [entry["task_id"] for entry in entries]
+    for proc, batch in enumerate(batches):
+        at = [i for i, tid in enumerate(ids) if tid.startswith(f"p{proc}-")]
+        assert at == list(range(at[0], at[0] + len(batch))), f"batch {proc} split"
+        assert [ids[i] for i in at] == [tid for tid, _ in batch]
 
 
 def _run_appenders(path: Path, batches) -> None:
@@ -195,9 +205,10 @@ def test_eight_racing_appenders_lose_and_tear_nothing(data):
         _run_appenders(path, batches)
         journal = Journal(path)
         entries = journal.entries()
-        # every appended line survived, fully intact
+        # every appended line survived, fully intact, batch by batch
         assert len(entries) == sum(len(b) for b in batches)
         assert journal.torn_lines() == 0
+        assert_batches_contiguous(entries, batches)
         # and the fold matches a single-writer reference journal
         reference = Journal(Path(tmp) / "reference.jsonl")
         for batch in batches:
@@ -218,6 +229,7 @@ def test_concurrent_appenders_match_single_writer_bit_for_bit():
             append_all(single, batch)
         racy = Journal(racing)
         assert racy.torn_lines() == 0
+        assert_batches_contiguous(racy.entries(), batches)
         assert racy.completed_ids() == single.completed_ids()
         # same multiset of lines, byte-for-byte, just maybe reordered
         racing_lines = sorted(racing.read_bytes().splitlines())

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.errors import SegmentError
+from repro.errors import LeaseExpiredError, SegmentError
+from repro.remote.lease import LeaseFile
 from repro.remote.segment import (
     SegmentManifest,
     SegmentWriter,
@@ -77,6 +78,19 @@ def test_checksum_depends_only_on_content_not_writer(tmp_path):
         a.append(row)
         b.append(dict(row))
     assert a.seal().checksum == b.seal().checksum
+
+
+def test_multi_row_append_after_lease_lapse_writes_no_row(tmp_path):
+    """One fenced write per wave: a lapsed lease leaves no partial segment."""
+    now = [1000.0]
+    lease_file = LeaseFile(tmp_path / "lease.json", clock=lambda: now[0])
+    writer = SegmentWriter(
+        tmp_path, "w1", executor="ex-1", epoch=1, wave="w",
+        fence=lease_file.guard(lease_file.acquire("ex-1", ttl=5.0)))
+    now[0] += 6.0
+    with pytest.raises(LeaseExpiredError):
+        writer.append(*_rows(3))
+    assert writer.rows() == []
 
 
 def test_read_segment_without_manifest_raises(tmp_path):

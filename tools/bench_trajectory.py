@@ -341,11 +341,13 @@ def _ship_ingest_ms(root: Path, repeats: int) -> float:
     """Coordinator-side cost of one sealed segment, best-of ``repeats``.
 
     Each repetition is end to end on fresh state: append
-    :data:`REMOTE_SEGMENT_ROWS` rows to a private segment, seal it
-    (manifest publish), then verify + ingest into an empty indexed
-    store through the segment ledger -- i.e. exactly the per-segment
-    work the shipping protocol adds over local execution, minus the
-    HTTP hop (measured separately by the fleet campaign's throughput).
+    :data:`REMOTE_SEGMENT_ROWS` rows to a private segment with one
+    fenced ``writer.append(*rows)`` (the single write per wave a remote
+    executor makes), seal it (manifest publish), then verify + ingest
+    into an empty indexed store through the segment ledger -- i.e.
+    exactly the per-segment work the shipping protocol adds over local
+    execution, minus the HTTP hop (measured separately by the fleet
+    campaign's throughput).
     """
     from repro.campaign.spec import PointSpec
     from repro.campaign.store import ResultStore
@@ -367,8 +369,7 @@ def _ship_ingest_ms(root: Path, repeats: int) -> float:
         run = next(serial)
         writer = SegmentWriter(root / f"seg{run}", "bench", executor="ex-1",
                                epoch=1, wave="bench/w1")
-        for row in rows:
-            writer.append(row)
+        writer.append(*rows)
         manifest = writer.seal()
         store = ResultStore(root / f"cache{run}")
         ingestor = SegmentIngestor(store, root / f"ledger{run}.jsonl")
