@@ -120,9 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("dir", help="campaign directory to audit")
     verify.add_argument("--quarantine", action="store_true",
-                        help="pull every corrupt object out of service "
-                        "(moved to cache/quarantine/) instead of only "
-                        "reporting it")
+                        help="pull every corrupt record out of service "
+                        "(tombstoned, its bytes copied to cache/quarantine/) "
+                        "instead of only reporting it")
 
     compact = sub.add_parser(
         "compact",
@@ -260,9 +260,11 @@ def _cmd_resume(args) -> int:
 def _cmd_verify(args) -> int:
     """``pstl-campaign verify``: audit store + journal integrity.
 
-    Exit 0 when every stored object parses, verifies its checksum and
-    matches its content address (and the journal has at most a torn
-    tail, which resume tolerates by design); exit 1 otherwise.
+    Exit 0 when the record behind every live index row parses, verifies
+    its checksum and matches its content address (and the journal has
+    at most a torn tail, which resume tolerates by design); exit 1
+    otherwise. Orphaned pack lines and stale rows are reported as
+    advisory drift, never as errors.
     """
     root = Path(args.dir)
     read_spec(root / "spec.json")  # fail fast (exit 2) on a non-campaign dir
@@ -283,16 +285,12 @@ def _cmd_verify(args) -> int:
     print(f"store:    {scan.summary()}")
     for key, reason in scan.corrupt:
         print(f"  corrupt {key[:16]}...: {reason}")
-    if store.index is not None:
-        print(f"index:    {store.index.count()} row(s) across "
-              f"{len(store.index.prefixes())} shard(s)")
-        if scan.unindexed or scan.index_stale:
-            print(f"  index drift: {scan.unindexed} unindexed object(s), "
-                  f"{scan.index_stale} stale row(s) -- advisory; "
-                  "tools/migrate_store.py --force rebuilds the index")
-    else:
-        print("index:    absent (v1 flat store; "
-              "tools/migrate_store.py upgrades it in place)")
+    print(f"index:    {store.index.count()} row(s) across "
+          f"{len(store.index.prefixes())} shard(s)")
+    if scan.orphaned or scan.index_stale:
+        print(f"  index drift: {scan.orphaned} orphaned line(s), "
+              f"{scan.index_stale} stale row(s) -- advisory; "
+              "tools/migrate_store.py --force rebuilds the index")
     print(f"journal:  {len(journal.entries())} intact entr(ies), "
           f"{torn} torn line(s)")
     print(f"reader:   {replayed} entr(ies) replayed, "
@@ -325,8 +323,8 @@ def _store_root(path: Path) -> Path:
 
 def _cmd_compact(args) -> int:
     """``pstl-campaign compact``: fold index logs into shard snapshots."""
-    store = ResultStore(_store_root(Path(args.dir)))
-    report = store.compact()  # raises (-> exit 2) on unindexed v1 stores
+    store = ResultStore(_store_root(Path(args.dir)))  # v1 raises -> exit 2
+    report = store.compact()
     print(f"compact:  {report.summary()}")
     print(f"index:    {store.index.count()} row(s) across "
           f"{len(store.index.prefixes())} shard(s)")
@@ -351,8 +349,8 @@ def _cmd_status(args) -> int:
             print(f"  {status:6s} {by_status[status]}")
     _print_wall_time(outcome, entries)
     store = ResultStore(Path(args.dir) / "cache")
-    print(f"cache:    {store.count_objects()} object(s)"
-          + (" (indexed)" if store.indexed else " (v1, unindexed)"))
+    print(f"cache:    {store.count_objects()} object(s) across "
+          f"{len(store.index.prefixes())} index shard(s)")
     print(f"pending:  {len(pending)}")
     if pending:
         print("resume with: pstl-campaign resume " + str(args.dir))

@@ -15,10 +15,12 @@ and for every task:
    miss* span whose duration is the point's simulated seconds;
 3. journals the terminal outcome, making an interrupted campaign
    resumable: ``resume=True`` re-plans deterministically and skips every
-   task the journal already holds. Rows are group-committed: each
-   wave's rows land in one fsynced append when the wave ends, after
-   every cache object of the wave is stored, so a crash inside a wave
-   loses only rows whose results a resume serves as cache hits.
+   task the journal already holds. Both writes are group-committed when
+   the wave ends: its cache objects as one pack file plus their index
+   rows (:meth:`~repro.campaign.store.ResultStore.put_many`), then its
+   journal rows as one fsynced append, so every journaled result is
+   already stored and a crash inside a wave loses just that wave, which
+   a resume recomputes.
 
 By default each wave is submitted *whole*: eligible points are fused
 into one ``repro.sim.wave`` struct-of-arrays program (serial mode) or
@@ -428,39 +430,32 @@ def _trace_point(task: PointTask, result: PointResult) -> None:
 
 
 def _record(outcome: CampaignOutcome, store: ResultStore,
-            journal_rows: list[dict] | None,
+            puts: list[PointResult], journal_rows: list[dict] | None,
             task: PointTask, result: PointResult,
             journal_new: bool = True,
-            injector: FaultInjector | None = None,
             persist: bool = True) -> None:
-    """Finalize one task: cache it, queue its journal row, trace it, count it.
+    """Finalize one task: queue its cache object and journal row, trace it.
 
-    The journal row is not written here: it joins ``journal_rows``, the
-    run's buffer, which :func:`_flush_journal` commits once per wave.
-    The cache object is put first, so a crash before that commit loses
-    only rows whose objects are already stored, and a resume serves
-    those tasks as cache hits. ``journal_rows=None`` (no campaign
-    directory) journals nothing.
+    Neither write happens here: the result joins ``puts`` and the row
+    joins ``journal_rows``, the run's buffers, which :func:`_commit_wave`
+    commits once per wave -- objects first, so every journaled result
+    is already stored. ``journal_rows=None`` (no campaign directory)
+    journals nothing.
 
     ``journal_new=False`` marks a result that was *reconstructed from* the
     journal (a resume's journal hit): it is already durable, so appending
     it again would only grow the journal with duplicate terminal rows on
     every resume. ``persist=False`` marks a result whose store write
     already happened elsewhere -- a remote executor's row landed by the
-    coordinator's segment ingest -- so the local put is skipped (the
+    coordinator's segment ingest -- so no local object is queued (the
     journal entry still lands here, keeping the journal the single
-    task-completion log either way). When an ``injector`` is active, the
-    cache publish is its storage-side injection surface here.
+    task-completion log either way).
     """
     outcome.results[task.task_id] = result
-    key = None
-    if persist and result.status != FAILED and not result.cached \
-            and task.pruned is None:
-        key = store.put(task.point, result.payload(), wall_ms=result.wall_ms)
-        if injector is not None:
-            injector.after_put(store, key)
-    elif task.pruned is None:
-        key = store.key_for(task.point)
+    key = None if task.pruned is not None else store.key_for(task.point)
+    if persist and key is not None and result.status != FAILED \
+            and not result.cached:
+        puts.append(result)
     if journal_rows is not None and journal_new:
         journal_rows.append({
             "task_id": task.task_id,
@@ -474,20 +469,33 @@ def _record(outcome: CampaignOutcome, store: ResultStore,
     _trace_point(task, result)
 
 
-def _flush_journal(journal: Journal | None, rows: list[dict] | None,
-                   injector: FaultInjector | None = None) -> None:
-    """Commit the buffered journal ``rows`` as one fsynced append.
+def _commit_wave(store: ResultStore, puts: list[PointResult],
+                 journal: Journal | None, rows: list[dict] | None,
+                 injector: FaultInjector | None = None) -> None:
+    """Commit a wave's buffered objects, then its journal rows.
 
-    The buffer is emptied before the write, so a failed commit is never
-    retried into duplicate rows. When an ``injector`` is active, its
-    journal-append surface then runs once per committed row, in order:
-    the same claims as one append per task, but a tear now models a
-    crash between the wave's write and its fsync.
+    The objects land with one :meth:`ResultStore.put_many` (one pack,
+    one index append per shard touched), the rows with one fsynced
+    :meth:`Journal.append`. Both buffers are emptied before anything is
+    written, so a failed commit is never retried into duplicates, and a
+    failed object commit drops the wave's rows with it: the journal
+    never names a result the store does not hold. When an ``injector``
+    is active, its cache-publish surface runs once per stored key and
+    its journal-append surface once per committed row, each in order:
+    the same claims as one put and one append per task.
     """
-    if journal is None or not rows:
+    objects, batch = list(puts), list(rows or ())
+    puts.clear()
+    if rows:
+        rows.clear()
+    if objects:
+        keys = store.put_many((result.point, result.payload(), result.wall_ms)
+                              for result in objects)
+        if injector is not None:
+            for key in keys:
+                injector.after_put(store, key)
+    if journal is None or not batch:
         return
-    batch = list(rows)
-    rows.clear()
     journal.append(*batch)
     if injector is not None:
         for row in batch:
@@ -918,12 +926,13 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
     journaled: dict[str, dict] = {}
     if resume and journal is not None:
         journaled = journal.completed_ids()
+    puts: list[PointResult] = []
     journal_rows: list[dict] | None = [] if journal is not None else None
 
     def finish(task: PointTask, result: PointResult,
                journal_new: bool = True, persist: bool = True) -> None:
-        _record(outcome, store, journal_rows, task, result, journal_new,
-                injector, persist)
+        _record(outcome, store, puts, journal_rows, task, result,
+                journal_new, persist)
         if progress is not None:
             progress(task, result)
 
@@ -934,9 +943,9 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                             track="campaign") if tracer.enabled else None
         try:
             for wave in _all_waves(plan):
-                # Group commit: the previous wave's rows land in one
-                # fsynced append, before the drain check can end the run.
-                _flush_journal(journal, journal_rows, injector)
+                # Group commit: the previous wave's objects and rows
+                # land before the drain check can end the run.
+                _commit_wave(store, puts, journal, journal_rows, injector)
                 if should_stop is not None and should_stop():
                     # Graceful drain: everything recorded so far is
                     # journaled; the rest belongs to a future resume.
@@ -1032,9 +1041,9 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                     ))
         finally:
             try:
-                # The last wave's rows, or on an exception whatever the
-                # failing wave had recorded.
-                _flush_journal(journal, journal_rows, injector)
+                # The last wave, or on an exception whatever the failing
+                # wave had recorded.
+                _commit_wave(store, puts, journal, journal_rows, injector)
             finally:
                 if span is not None:
                     tracer.end()

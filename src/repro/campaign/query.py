@@ -170,14 +170,13 @@ def store_query(
     index instead, so it is O(result rows) over the *whole* store, which
     is the shape the service's dashboards need at millions of cached
     points. Each hit is a dict with ``key``, ``point``, ``status``,
-    ``seconds``, ``wall_ms`` and the relative object ``path``; rows come
+    ``seconds``, ``wall_ms`` and the record's locator (``path`` of its
+    pack relative to the store root, ``offset``, ``length``); rows come
     back in (shard, key) order for determinism. Raises
-    :class:`CampaignError` on unindexed (in-memory or v1 flat) stores.
+    :class:`CampaignError` on an in-memory store.
     """
     if store.index is None:
-        raise CampaignError(
-            "store has no persistent index (in-memory, or v1 layout; "
-            "run tools/migrate_store.py to upgrade a flat store)")
+        raise CampaignError("in-memory store has no persistent index")
 
     def match(value, wanted: str | None) -> bool:
         return wanted is None or (
@@ -199,6 +198,8 @@ def store_query(
             "seconds": row.get("seconds"),
             "wall_ms": row.get("wall_ms"),
             "path": row.get("path"),
+            "offset": row.get("offset"),
+            "length": row.get("length"),
         })
     return out
 

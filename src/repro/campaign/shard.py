@@ -1,41 +1,51 @@
 """Sharded persistent index for the content-addressed result store.
 
-The object tree already fans out over a two-hex-digit directory level
-(``objects/ab/<key>.json``) -- that fan-out *is* the natural 256-way
-shard structure. What was missing is a per-shard **persistent index**
-so lookups, counts and queries are O(result) instead of O(walk the
-whole tree): with millions of cached points, ``rglob("*.json")`` is the
-scalability cliff, exactly the metadata-path bottleneck the pSTL-Bench
-scaling study keeps finding in the kernels themselves.
+Records live in pack files (``objects/packs/<name>.pack``, one record
+per line, one pack per committed wave or shipped segment), so the store
+needs an index to find them: this module keeps one per key-prefix
+shard, and it is what makes lookups, counts and queries O(result)
+instead of O(walk every pack). The two-hex-digit key prefix gives the
+natural 256-way shard structure.
 
 Layout, per store root::
 
-    STORE_META.json          # {"layout": 2, "shards": 256} -- v2 marker
-    objects/ab/<key>.json    # unchanged: the records stay ground truth
-    index/ab.log.jsonl       # append-only index journal for shard "ab"
-    index/ab.idx.json        # compacted snapshot of shard "ab"
+    STORE_META.json            # {"layout": 2, "shards": 256} -- v2 marker
+    objects/packs/<name>.pack  # the records, ground truth
+    objects/ab/<key>.json      # loose records from stores written before packs
+    index/ab.log.jsonl         # append-only index journal for shard "ab"
+    index/ab.idx.json          # compacted snapshot of shard "ab"
 
-Every ``put`` appends one row (``key -> object path, checksum, status,
-seconds, wall_ms, point``) to its shard's log under the same flock +
-single ``O_APPEND`` ``write()`` discipline as the campaign journal, so
-concurrent writers never interleave partial rows. Every ``quarantine``
-appends a tombstone. Reading a shard merges the compacted snapshot with
-a replay of its log (last-wins; tombstones delete); the merge is cached
-and invalidated by (snapshot, log) file signatures, so repeated reads
-cost O(1) stat calls.
+Every committed batch of records appends its rows (``key -> path,
+offset, length, checksum, status, seconds, wall_ms, point``) to each
+shard it touches -- one :meth:`ShardIndex.append` per shard, under the
+same flock + single ``O_APPEND`` ``write()`` discipline as the campaign
+journal, so concurrent writers never interleave partial rows. A row
+without ``offset`` names a loose object, read whole. Every
+``quarantine`` appends a tombstone. Reading a shard merges the
+compacted snapshot with a replay of its log (last-wins; tombstones
+delete).
+
+The read path keeps only a *locator* per live key -- ``(path, offset,
+length)`` -- cached once per process for all the handles open on a
+store (:meth:`StoreIndex.shared`) and refreshed from the log's new
+bytes only, so a read costs O(1) stat calls plus whatever was appended
+since; full rows (with the point and result fields) are parsed only
+when a query or an audit asks for them.
 
 **Compaction** (:meth:`StoreIndex.compact`, fronted by ``pstl-campaign
 compact``) folds each shard's log into its snapshot: superseded rows
 and quarantined tombstones are dropped, the snapshot is rewritten
 atomically (temp file + rename), and the log is truncated to zero --
 all while holding the shard log's exclusive advisory lock, so appenders
-serialize against the rewrite instead of losing rows.
+serialize against the rewrite instead of losing rows. Packs are never
+rewritten.
 
-The index is a *derived* structure: the object files remain the ground
+The index is a *derived* structure: the records remain the ground
 truth, ``ResultStore.scan`` cross-checks the two, and
-``tools/migrate_store.py`` can rebuild the index from the tree at any
-time. Index appends therefore skip ``fsync`` -- losing a tail row to a
-crash costs one flagged-then-rebuilt row, not data.
+``tools/migrate_store.py --force`` rebuilds the index from the packs
+and loose objects at any time. Index appends therefore skip ``fsync``
+-- losing a tail row to a crash costs an orphaned pack line and a
+recompute, not data.
 """
 
 from __future__ import annotations
@@ -43,10 +53,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -61,6 +73,7 @@ __all__ = [
     "STORE_META",
     "STORE_LAYOUT_VERSION",
     "CompactionReport",
+    "Locator",
     "ShardIndex",
     "StoreIndex",
     "shard_prefix",
@@ -78,6 +91,35 @@ STORE_META = "STORE_META.json"
 STORE_LAYOUT_VERSION = 2
 
 _HEX = set("0123456789abcdef")
+
+#: Where one live record's bytes are: ``(path relative to the store
+#: root, offset, length)``; offset and length are None for a loose
+#: object, which is read whole.
+Locator = tuple[str, int | None, int | None]
+
+
+def _locator(row: Mapping[str, Any]) -> Locator:
+    """The locator of one put row (path strings shared across rows)."""
+    return (sys.intern(str(row.get("path"))), row.get("offset"),
+            row.get("length"))
+
+
+def _row(entry: Mapping[str, Any]) -> dict:
+    """The index row a put entry carries (its ``op`` and ``key`` dropped)."""
+    return {k: v for k, v in entry.items() if k not in ("op", "key")}
+
+
+def _parse_lines(raw: bytes) -> Iterator[dict]:
+    """Parsed JSON-object lines of ``raw`` (torn/garbage lines skipped)."""
+    for line in raw.split(b"\n"):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            continue  # torn tail from a crash mid-append
+        if isinstance(entry, dict):
+            yield entry
 
 
 def shard_prefix(key: str) -> str:
@@ -161,8 +203,15 @@ class ShardIndex:
     Appends go to ``<prefix>.log.jsonl`` (flock + single ``O_APPEND``
     write, torn-tail healed exactly like the campaign journal); reads
     merge ``<prefix>.idx.json`` with a log replay, last row per key
-    winning and ``quarantine`` tombstones deleting. The merge is cached
-    against the two files' stat signatures.
+    winning and ``quarantine`` tombstones deleting.
+
+    The cache holds only locators (:meth:`locators`). It is keyed by
+    the snapshot's stat signature and the number of log bytes already
+    folded in: a grown log replays just its new complete lines, while a
+    rewritten snapshot or a shrunk log (a compaction, by any process)
+    rebuilds it. :meth:`locate` answers a cached key without polling at
+    all (see there); appends through this instance drop their keys from
+    the cache, so its users always see their own writes.
     """
 
     def __init__(self, index_root: str | os.PathLike, prefix: str) -> None:
@@ -171,32 +220,44 @@ class ShardIndex:
         root = Path(index_root)
         self.log_path = root / f"{prefix}.log.jsonl"
         self.compact_path = root / f"{prefix}.idx.json"
-        self._cache: dict[str, dict] | None = None
-        self._cache_sig: tuple | None = None
+        self._cache: dict[str, Locator] | None = None
+        self._cache_base: tuple | None = None  # snapshot signature
+        self._cache_offset = 0  # log bytes folded into the cache
+        self._lock = threading.Lock()
 
-    def _sig(self) -> tuple:
-        """Stat signature of (snapshot, log); changes on any write."""
+    def _snapshot_sig(self) -> tuple | None:
+        """Stat signature of the snapshot (None when absent)."""
         try:
             stat = self.compact_path.stat()
-            compact_sig = (stat.st_mtime_ns, stat.st_size)
         except FileNotFoundError:
-            compact_sig = None
-        try:
-            log_size = self.log_path.stat().st_size
-        except FileNotFoundError:
-            log_size = None
-        return (compact_sig, log_size)
+            return None
+        return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
 
-    def append(self, row: Mapping[str, Any]) -> None:
-        """Append one index row (a whole line) to the shard log.
+    def _log_size(self) -> int:
+        """Current log length in bytes (0 when absent)."""
+        try:
+            return self.log_path.stat().st_size
+        except FileNotFoundError:
+            return 0
+
+    def append(self, *rows: Mapping[str, Any]) -> None:
+        """Append ``rows`` to the shard log as one batch of whole lines.
 
         Same discipline as :meth:`Journal.append` -- heal a torn tail,
-        then a single ``write()`` on an ``O_APPEND`` descriptor under an
+        then one ``write()`` on an ``O_APPEND`` descriptor under an
         exclusive advisory lock -- minus the ``fsync``: the index is
-        derived from the object tree and rebuildable, so a lost tail row
-        costs a flagged rebuild, not data.
+        derived from the records and rebuildable, so a lost tail row
+        costs a flagged rebuild, not data. A call with no rows touches
+        nothing.
         """
-        line = (canonical_json(dict(row)) + "\n").encode("utf-8")
+        if not rows:
+            return
+        data = "".join(canonical_json(dict(row)) + "\n"
+                       for row in rows).encode("utf-8")
+        with self._lock:  # re-read these keys from the log next time
+            if self._cache is not None:
+                for row in rows:
+                    self._cache.pop(row.get("key"), None)
         self.log_path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(self.log_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
         try:
@@ -205,7 +266,9 @@ class ShardIndex:
                 size = os.fstat(fd).st_size
                 if size and os.pread(fd, 1, size - 1) != b"\n":
                     os.write(fd, b"\n")
-                os.write(fd, line)
+                view = memoryview(data)
+                while view:  # a short write (rare on files) must not drop rows
+                    view = view[os.write(fd, view):]
             finally:
                 _funlock(fd)
         finally:
@@ -213,7 +276,7 @@ class ShardIndex:
 
     def _read_compact(self) -> dict[str, dict]:
         """Rows of the compacted snapshot ({} when absent or unreadable --
-        the object tree stays ground truth; scan flags the gap)."""
+        the records stay ground truth; scan flags the gap)."""
         try:
             payload = json.loads(self.compact_path.read_text(encoding="utf-8"))
         except FileNotFoundError:
@@ -231,23 +294,14 @@ class ShardIndex:
             raw = self.log_path.read_bytes()
         except FileNotFoundError:
             return []
-        out: list[dict] = []
-        for line in raw.split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue  # torn tail from a crash mid-append
-            if isinstance(entry, dict):
-                out.append(entry)
-        return out
+        return list(_parse_lines(raw))
 
     @staticmethod
-    def _replay(base: dict[str, dict], entries: list[dict],
-                report: CompactionReport | None = None) -> dict[str, dict]:
-        """Fold log ``entries`` onto ``base`` (last-wins, tombstones delete)."""
-        merged = dict(base)
+    def _replay(merged: dict, entries: Iterable[dict],
+                value: Callable[[Mapping[str, Any]], Any] = _row,
+                report: CompactionReport | None = None) -> dict:
+        """Fold log ``entries`` into ``merged`` in place (last-wins,
+        tombstones delete); each put stores ``value(entry)``."""
         for entry in entries:
             key = entry.get("key")
             if not isinstance(key, str):
@@ -259,28 +313,76 @@ class ShardIndex:
             elif op == "put":
                 if key in merged and report is not None:
                     report.superseded += 1
-                merged[key] = {k: v for k, v in entry.items()
-                               if k not in ("op", "key")}
+                merged[key] = value(entry)
         return merged
 
     def rows(self) -> dict[str, dict]:
-        """key -> index row for every live key in this shard.
+        """key -> full index row for every live key in this shard.
 
-        Returns the internal cached mapping -- treat it as read-only.
-        The cache invalidates whenever the snapshot or log changes on
-        disk (other processes included), so a fresh poll costs two
-        ``stat`` calls.
+        Parsed afresh on every call (queries and audits only); the read
+        path goes through :meth:`locators` instead.
         """
-        sig = self._sig()
-        if self._cache is not None and sig == self._cache_sig:
-            return self._cache
-        merged = self._replay(self._read_compact(), self._read_log())
-        self._cache, self._cache_sig = merged, sig
-        return merged
+        return self._replay(self._read_compact(), self._read_log())
 
     def lookup(self, key: str) -> dict | None:
-        """The index row for ``key``, or None (O(shard), cached)."""
+        """The full index row for ``key``, or None (parses the shard)."""
         return self.rows().get(key)
+
+    def locators(self) -> dict[str, Locator]:
+        """key -> ``(path, offset, length)`` for every live key (cached).
+
+        Returns the internal cached mapping -- treat it as read-only.
+        A fresh poll costs two ``stat`` calls, plus parsing whatever
+        complete lines were appended since the last one.
+        """
+        with self._lock:
+            base, log_size = self._snapshot_sig(), self._log_size()
+            if (self._cache is None or base != self._cache_base
+                    or log_size < self._cache_offset):
+                self._cache = {key: _locator(row)
+                               for key, row in self._read_compact().items()}
+                self._cache_base, self._cache_offset = base, 0
+            if log_size > self._cache_offset:
+                self._fold_log_tail()
+            return self._cache
+
+    def _fold_log_tail(self) -> None:
+        """Replay the log's complete lines past the cached offset.
+
+        An unterminated final fragment is left for a later poll: it is
+        either still being written, or torn and healed into an isolated
+        (skipped) line by the next append.
+        """
+        try:
+            with open(self.log_path, "rb") as fh:
+                fh.seek(self._cache_offset)
+                chunk = fh.read()
+        except FileNotFoundError:
+            return
+        end = chunk.rfind(b"\n")
+        if end < 0:
+            return
+        self._cache_offset += end + 1
+        self._replay(self._cache, _parse_lines(chunk[:end]), _locator)
+
+    def locate(self, key: str) -> Locator | None:
+        """Where ``key``'s record is, or None.
+
+        A key already in the cache is answered without touching the
+        disk: records are never moved or rewritten, so its span stays
+        readable. Another process may since have superseded the row (an
+        identical record, same key) or tombstoned it (its record failed
+        verification); a reader that finds the record bad polls
+        :meth:`locators` for the live row before quarantining anything
+        (:meth:`~repro.campaign.store.ResultStore.load_key`). An unknown
+        key polls for rows appended since.
+        """
+        cache = self._cache
+        if cache is not None:
+            loc = cache.get(key)
+            if loc is not None:
+                return loc
+        return self.locators().get(key)
 
     #: Snapshot head shape: ``sort_keys`` puts ``"count"`` first, so a
     #: 64-byte read answers counts without parsing the whole snapshot.
@@ -292,14 +394,10 @@ class ShardIndex:
         On a compacted shard (empty log) this is O(1): the snapshot
         embeds its row count as its first JSON key, read from the file
         head without parsing the rows. With pending log entries -- whose
-        tombstones and supersedes need the full merge -- it falls back
-        to :meth:`rows`.
+        tombstones and supersedes need the merge -- it counts the
+        locator cache.
         """
-        sig = self._sig()
-        if self._cache is not None and sig == self._cache_sig:
-            return len(self._cache)
-        compact_sig, log_size = sig
-        if not log_size and compact_sig is not None:
+        if not self._log_size() and self._snapshot_sig() is not None:
             try:
                 with open(self.compact_path, "rb") as fh:
                     head = fh.read(64)
@@ -308,7 +406,7 @@ class ShardIndex:
             match = self._COUNT_HEAD.match(head)
             if match:
                 return int(match.group(1))
-        return len(self.rows())
+        return len(self.locators())
 
     def compact(self) -> CompactionReport:
         """Fold the log into the snapshot; truncate the log; atomically.
@@ -329,7 +427,7 @@ class ShardIndex:
             try:
                 report.log_bytes_merged = os.fstat(fd).st_size
                 merged = self._replay(self._read_compact(), self._read_log(),
-                                      report)
+                                      report=report)
                 _atomic_write_json(self.compact_path, {
                     "count": len(merged),  # first key: O(1) count reads
                     "layout": STORE_LAYOUT_VERSION,
@@ -337,13 +435,17 @@ class ShardIndex:
                     "rows": merged,
                 })
                 os.ftruncate(fd, 0)
+                with self._lock:
+                    self._cache = {key: _locator(row)
+                                   for key, row in merged.items()}
+                    self._cache_base, self._cache_offset = \
+                        self._snapshot_sig(), 0
             finally:
                 _funlock(fd)
         finally:
             os.close(fd)
         report.shards = 1
         report.rows_kept = len(merged)
-        self._cache, self._cache_sig = merged, self._sig()
         return report
 
 
@@ -352,9 +454,14 @@ class StoreIndex:
 
     Shards are lazily instantiated and lazily created on disk -- a
     store that only ever saw keys under ``ab/`` has exactly one shard's
-    files. :class:`~repro.campaign.store.ResultStore` owns one of these
-    when the store root carries a v2 ``STORE_META.json`` marker.
+    files. Every on-disk :class:`~repro.campaign.store.ResultStore`
+    holds one, obtained through :meth:`shared`.
     """
+
+    #: The indexes open in this process, by store root; an entry lives
+    #: as long as some handle holds it.
+    _open: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+    _open_lock = threading.Lock()
 
     def __init__(self, root: str | os.PathLike) -> None:
         """Bind to the store ``root`` (index files under ``root/index``)."""
@@ -362,16 +469,38 @@ class StoreIndex:
         self.index_root = self.root / "index"
         self._shards: dict[str, ShardIndex] = {}
 
+    @classmethod
+    def shared(cls, root: str | os.PathLike) -> "StoreIndex":
+        """The index of the store at ``root`` that this process shares.
+
+        Every handle open on one store at the same time gets the same
+        instance, so its locator caches are built once, not once per
+        handle: the service opens a store handle per campaign run,
+        per remote coordinator and per results request, and each would
+        otherwise parse every shard it touches afresh. Sharing is safe
+        because the caches are validated against the files on every
+        poll and records never move; the instance is dropped with the
+        last handle that holds it.
+        """
+        path = os.path.abspath(root)
+        with cls._open_lock:
+            index = cls._open.get(path)
+            if index is None:
+                index = cls._open[path] = cls(root)
+        return index
+
     def shard(self, prefix: str) -> ShardIndex:
         """The :class:`ShardIndex` for ``prefix`` (memoized)."""
         shard = self._shards.get(prefix)
-        if shard is None:
-            shard = self._shards[prefix] = ShardIndex(self.index_root, prefix)
+        if shard is None:  # setdefault: racing threads share one instance
+            shard = self._shards.setdefault(
+                prefix, ShardIndex(self.index_root, prefix))
         return shard
 
     def shard_for(self, key: str) -> ShardIndex:
         """The shard that owns cache key ``key``."""
-        return self.shard(shard_prefix(key))
+        shard = self._shards.get(key[:2])  # the per-lookup fast path
+        return shard if shard is not None else self.shard(shard_prefix(key))
 
     def prefixes(self) -> list[str]:
         """Sorted shard prefixes that exist on disk."""
@@ -384,22 +513,20 @@ class StoreIndex:
                 found.add(prefix)
         return sorted(found)
 
-    def record_put(self, key: str, *, checksum: str | None,
-                   point: Mapping[str, Any],
-                   status: str | None = None,
-                   seconds: float | None = None,
-                   wall_ms: float | None = None) -> None:
-        """Index a freshly published object (appended to its shard log)."""
-        self.shard_for(key).append({
-            "op": "put",
-            "key": key,
-            "path": f"objects/{key[:2]}/{key}.json",
-            "checksum": checksum,
-            "point": dict(point),
-            "status": status,
-            "seconds": seconds,
-            "wall_ms": wall_ms,
-        })
+    def record_puts(self, rows: Iterable[Mapping[str, Any]]) -> None:
+        """Index a batch of freshly written records.
+
+        Each row carries ``key`` plus its locator (``path``, ``offset``,
+        ``length``) and the query fields. Rows are grouped by shard and
+        land with one :meth:`ShardIndex.append` per shard touched, in
+        their given order within each shard.
+        """
+        by_shard: dict[str, list[dict]] = {}
+        for row in rows:
+            by_shard.setdefault(shard_prefix(row["key"]), []).append(
+                {"op": "put", **row})
+        for prefix, batch in by_shard.items():
+            self.shard(prefix).append(*batch)
 
     def record_quarantine(self, key: str, reason: str) -> None:
         """Tombstone ``key`` (its row drops at the next merge/compaction)."""
@@ -407,24 +534,28 @@ class StoreIndex:
             "op": "quarantine", "key": key, "reason": reason,
         })
 
+    def locate(self, key: str) -> Locator | None:
+        """Where ``key``'s live record is (cached), or None."""
+        return self.shard_for(key).locate(key)
+
     def lookup(self, key: str) -> dict | None:
-        """The index row for ``key`` across shards, or None."""
+        """The full index row for ``key``, or None."""
         return self.shard_for(key).lookup(key)
 
     def has(self, key: str) -> bool:
         """True when ``key`` has a live index row (tombstones excluded)."""
-        return self.lookup(key) is not None
+        return self.locate(key) is not None
 
     def count(self) -> int:
         """Total live keys across every shard on disk."""
         return sum(self.shard(p).count() for p in self.prefixes())
 
     def rows(self) -> Iterator[tuple[str, dict]]:
-        """Yield every (key, row) across shards, shard order then key order."""
+        """Yield every (key, full row) across shards, shard then key order."""
         for prefix in self.prefixes():
-            shard = self.shard(prefix)
-            for key in sorted(shard.rows()):
-                yield key, shard.rows()[key]
+            rows = self.shard(prefix).rows()
+            for key in sorted(rows):
+                yield key, rows[key]
 
     def compact(self) -> CompactionReport:
         """Compact every shard on disk; aggregate report."""

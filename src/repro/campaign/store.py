@@ -3,52 +3,60 @@
 **Cache.** Every finished point is stored under a key derived from the
 point's canonical JSON *and* the model-version fingerprint
 (`repro.campaign.fingerprint`). Identical (point, model) pairs therefore
-always collide onto the same object -- a re-run is a pure cache hit --
+always collide onto the same key -- a re-run is a pure cache hit --
 while any model change shifts every key and transparently invalidates
-the whole cache. Objects live as small JSON files fanned out over a
-two-hex-digit directory level (``objects/ab/abcdef....json``), or in a
-plain dict when the store is constructed without a root (tests,
-throwaway runs).
+the whole cache. Records are JSON objects; on disk they are written a
+batch at a time (:meth:`ResultStore.put_many`: a whole campaign wave
+or shipped segment) as the lines of one new pack file
+(``objects/packs/<name>.pack``), so a batch costs one file create
+instead of one per point. A store constructed without a root keeps
+them in a plain dict (tests, throwaway runs).
 
-**Integrity.** Each record carries a checksum over its canonical form.
-A record that parses but fails its checksum -- bit rot, a torn write
-that still decodes, deliberate fault injection -- is *quarantined*
-(moved to ``quarantine/``, counted, never served) and the point
-recomputes; it is neither silently served nor silently dropped. Records
-whose ``result`` payload has drifted schema (missing ``status`` /
-``seconds`` from an older version) are treated as misses, not errors.
-:meth:`ResultStore.scan` audits the whole object tree; the
-``pstl-campaign verify`` subcommand fronts it.
+**Index.** Every disk store carries ``STORE_META.json`` and a
+persistent per-shard index (``index/ab.log.jsonl`` +
+``index/ab.idx.json``, see :mod:`repro.campaign.shard`): each written
+batch appends one row per record -- ``key -> pack path, offset,
+length, checksum, status, seconds, wall_ms, point`` -- with one append
+per shard touched, and every quarantine appends a tombstone. Reads
+follow the key's row and read only its span; counts and queries never
+open a pack. A root that holds an ``objects/`` tree but no marker is a
+v1 flat store: opening it raises, naming ``tools/migrate_store.py``,
+which indexes it in place.
+
+**Integrity.** Each record carries a checksum over its canonical form
+and its own key. A read that finds unparseable bytes, no checksum, a
+checksum mismatch, or another key's record behind the index row
+*quarantines* the key (its span's bytes are copied to
+``quarantine/``, a tombstone drops the row, the pack is left as it is)
+and the point recomputes; a damaged record is neither served nor
+silently dropped. Records whose ``result`` payload has drifted schema
+(missing ``status`` / ``seconds`` from an older version) are treated as
+misses, not errors. :meth:`ResultStore.scan` audits the record behind
+every live index row; the ``pstl-campaign verify`` subcommand fronts
+it.
 
 **Journal.** Each campaign run records one JSON line per finished task
 in ``journal.jsonl``, committed once per wave: :meth:`Journal.append`
 takes any number of entries and lands them with one fsynced write. The
 journal is the resume log: an interrupted campaign re-plans
 (deterministically), drops every task whose terminal entry is already
-journaled, and executes only the remainder -- a task whose row was
-lost with an uncommitted wave is served from its already-stored cache
-object instead. Torn final lines from a killed process are tolerated
-and skipped.
-
-**Index.** v2 stores (marker: ``STORE_META.json``) additionally keep a
-persistent per-shard index (``index/ab.log.jsonl`` + ``index/ab.idx.json``,
-see :mod:`repro.campaign.shard`): every ``put`` appends a row mapping
-``key -> object path, checksum, status, seconds, wall_ms, point`` and
-every quarantine appends a tombstone, so counts, lookups and queries
-are O(result) instead of O(walk the tree). A store root that already
-holds objects but no marker is a v1 flat store: it keeps working,
-unindexed, until ``tools/migrate_store.py`` upgrades it in place.
+journaled, and executes only the remainder. The executor commits a
+wave's records (pack, then index rows) before its journal rows, so
+every journaled result is already stored; a crash inside a wave loses
+the whole wave, which a resume recomputes. Torn final lines from a
+killed process are tolerated and skipped.
 
 **Concurrency.** Several processes may share one store and one journal
 (the ``repro.service`` daemon multiplexes client campaigns over a
-shared cache; the 8-appender property test pins the contract). Cache
-objects publish atomically -- a per-process temp file renamed into
-place -- so readers only ever see whole records, and journal appends
-take a cross-process advisory lock around a single ``O_APPEND``
-``write()`` so concurrent appenders can never interleave partial
-lines or split each other's batches. :class:`JournalReader` adds the
-offset-resumable read side: repeated polls cost O(new bytes), not
-O(journal).
+shared cache; the 8-writer property tests pin the contract). Each
+batch goes to a pack file created with ``O_EXCL`` under a name of its
+own writer's (time stamp, pid, thread), so writers never share a pack,
+and a record becomes visible only once its index row lands. Journal
+and index appends take a cross-process advisory lock around a single
+``O_APPEND`` ``write()``, so concurrent appenders can never interleave
+partial lines or split each other's batches. :class:`JournalReader`
+adds the offset-resumable read side: repeated polls cost O(new bytes),
+not O(journal).
 """
 
 from __future__ import annotations
@@ -57,9 +65,10 @@ import hashlib
 import json
 import os
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -78,12 +87,15 @@ from repro.errors import CampaignError
 
 __all__ = [
     "PointResult",
+    "RecordSpan",
     "ResultStore",
     "StoreScan",
     "Journal",
     "JournalReader",
     "cache_key",
+    "pack_lines",
     "record_checksum",
+    "record_files",
     "write_spec",
     "read_spec",
 ]
@@ -151,48 +163,87 @@ class PointResult:
 
 @dataclass
 class StoreScan:
-    """Integrity report over a store's object tree (see :meth:`ResultStore.scan`).
+    """Integrity report over a store's records (see :meth:`ResultStore.scan`).
 
-    ``corrupt`` lists ``(key, reason)`` pairs for objects that fail to
-    parse, fail their checksum, or disagree with their filename;
+    ``objects`` counts the records audited -- one per live index row
+    (per stored record on a memory store). ``corrupt`` lists ``(key,
+    reason)`` pairs for records that fail to parse, carry no checksum,
+    fail it, or are not the record of the key that indexes them;
     ``drifted`` counts records that verify but whose ``result`` payload
-    is schema-drifted (served as misses, never as hits); ``legacy``
-    counts pre-checksum records (accepted, but unauditable).
+    is schema-drifted (served as misses, never as hits).
 
-    On indexed (v2) stores the scan also cross-checks the persistent
-    index against the tree: ``unindexed`` counts intact objects with no
-    index row (e.g. files dropped in by hand, or a tail row lost to a
-    crash), ``index_stale`` counts rows whose checksum disagrees with
-    the object -- or that point at a missing object. Both are advisory
-    flags, *not* errors: the object tree is ground truth and a
-    compaction/migration pass rebuilds the index.
+    Two advisory counters cross-check the index against the records,
+    *not* errors: ``orphaned`` counts pack lines (and loose objects) no
+    live index row points to -- superseded or quarantined records, or a
+    batch whose index rows a crash lost -- and ``index_stale`` counts
+    rows whose checksum disagrees with their intact record, or that
+    point at a missing file. The records are ground truth and
+    ``tools/migrate_store.py --force`` rebuilds the index from them.
     """
 
     objects: int = 0
     ok: int = 0
-    legacy: int = 0
     drifted: int = 0
     quarantined: int = 0
-    unindexed: int = 0
+    orphaned: int = 0
     index_stale: int = 0
     corrupt: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def errors(self) -> int:
-        """Number of integrity errors (corrupt objects) found."""
+        """Number of integrity errors (corrupt records) found."""
         return len(self.corrupt)
 
     def summary(self) -> str:
         """One-line human report."""
         base = (
-            f"{self.objects} object(s): {self.ok} ok, {self.legacy} legacy, "
+            f"{self.objects} object(s): {self.ok} ok, "
             f"{self.drifted} schema-drifted, {self.errors} corrupt, "
             f"{self.quarantined} quarantined"
         )
-        if self.unindexed or self.index_stale:
-            base += (f", {self.unindexed} unindexed, "
+        if self.orphaned or self.index_stale:
+            base += (f", {self.orphaned} orphaned, "
                      f"{self.index_stale} index-stale")
         return base
+
+    def audit(self, key: str, record: Any, reason: str = "",
+              row: Mapping[str, Any] | None = None) -> None:
+        """Count one record read for ``key`` (None: it did not parse)."""
+        self.objects += 1
+        problem = reason or _record_problem(key, record)
+        if problem is None:
+            derived = _derive_key(record)
+            if derived is not None and derived != key:
+                problem = "content hash != index key"
+        if problem is not None:
+            self.corrupt.append((key, problem))
+        elif _result_slice(record) is None:
+            self.drifted += 1
+        else:
+            self.ok += 1
+        if problem is None and row is not None \
+                and row.get("checksum") != record["checksum"]:
+            self.index_stale += 1
+
+
+def _record_problem(key: str, record: Any) -> str | None:
+    """Why ``record`` must not be served for ``key`` (None: it may be).
+
+    The record must be a JSON object carrying a checksum that verifies,
+    and must name ``key`` itself -- so neither a record written before
+    checksums (or one whose ``checksum`` field a flipped bit renamed)
+    nor a stale index row pointing at another key's record is served.
+    """
+    if not isinstance(record, Mapping):
+        return "not a JSON object"
+    checksum = record.get("checksum")
+    if checksum is None:
+        return "missing checksum"
+    if record_checksum(record) != checksum:
+        return "checksum mismatch"
+    if record.get("key") != key:
+        return "record key != index key"
+    return None
 
 
 def _result_slice(record: Mapping[str, Any]) -> dict | None:
@@ -214,19 +265,74 @@ def _result_slice(record: Mapping[str, Any]) -> dict | None:
     return dict(result)
 
 
+@dataclass(frozen=True)
+class RecordSpan:
+    """Where one record's bytes are: a pack line, or a whole loose object.
+
+    ``length=None`` marks a loose object (written before packs), read to
+    the end of its file.
+    """
+
+    path: Path
+    offset: int = 0
+    length: int | None = None
+
+    def read(self) -> bytes:
+        """The span's bytes (fewer when the file was cut short)."""
+        return _read_span(self.path, self.offset, self.length)
+
+
+def _read_span(path: str | os.PathLike, offset: int | None,
+               length: int | None) -> bytes:
+    """``length`` bytes of ``path`` at ``offset`` (the whole file when
+    ``length`` is None); raises FileNotFoundError for a missing file."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        if length is None:
+            size = os.fstat(fd).st_size
+            return os.pread(fd, size, 0)
+        return os.pread(fd, length, offset or 0)
+    finally:
+        os.close(fd)
+
+
+#: Where packs live, relative to the store root.
+PACKS = "objects/packs"
+
+
+def record_files(root: str | os.PathLike) -> list[str]:
+    """Every loose object, then every pack, under store ``root``.
+
+    Paths are relative to ``root``, each group in name order; pack names
+    start with their creation time stamp, so packs come in write order.
+    """
+    root = Path(root)
+    return [path.relative_to(root).as_posix()
+            for pattern in ("objects/??/*.json", f"{PACKS}/*.pack")
+            for path in sorted(root.glob(pattern))]
+
+
+def pack_lines(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """``(offset, line)`` for every record line in a pack's bytes."""
+    offset = 0
+    for line in data.split(b"\n"):
+        if line:
+            yield offset, line
+        offset += len(line) + 1
+
+
 class ResultStore:
     """Content-addressed point-result cache (on disk or in memory)."""
 
     def __init__(self, root: str | os.PathLike | None = None,
                  fingerprint: str | None = None) -> None:
-        """``root=None`` keeps objects in a dict; else under ``root/objects``.
+        """``root=None`` keeps records in a dict; else packs under ``root``.
 
-        Disk stores detect their layout: a root carrying the
-        ``STORE_META.json`` marker (or a fresh/empty root, which gets
-        one) is v2 and owns a :class:`~repro.campaign.shard.StoreIndex`;
-        a root that already holds objects but no marker is a v1 flat
-        store, served unindexed until ``tools/migrate_store.py``
-        upgrades it in place.
+        A fresh or empty root is stamped with ``STORE_META.json``; a
+        root that holds an ``objects/`` tree but no marker is a v1 flat
+        store and raises :class:`CampaignError` naming
+        ``tools/migrate_store.py`` -- reads go through the index, so
+        serving it unmigrated would read as all misses.
         """
         self.root = Path(root) if root is not None else None
         self.fingerprint = fingerprint if fingerprint is not None else model_fingerprint()
@@ -240,19 +346,22 @@ class ResultStore:
         self.index: StoreIndex | None = None
         if self.root is not None:
             objects = self.root / "objects"
-            if read_store_meta(self.root) is not None:
-                objects.mkdir(parents=True, exist_ok=True)
-                self.index = StoreIndex(self.root)
-            elif objects.is_dir() and any(objects.iterdir()):
-                pass  # v1 flat store: keep serving it, unindexed
-            else:
+            # Look at objects/ before the marker: a concurrent writer
+            # stamps the marker before it creates any pack.
+            populated = objects.is_dir() and any(objects.iterdir())
+            if read_store_meta(self.root) is None:
+                if populated:
+                    raise CampaignError(
+                        f"{self.root} is a v1 flat result store (objects/ "
+                        "but no STORE_META.json); upgrade it in place with "
+                        "tools/migrate_store.py")
                 objects.mkdir(parents=True, exist_ok=True)
                 write_store_meta(self.root)
-                self.index = StoreIndex(self.root)
+            self.index = StoreIndex.shared(self.root)
 
     @property
     def indexed(self) -> bool:
-        """Whether this store carries a persistent shard index (v2)."""
+        """Whether this store carries a persistent shard index (on disk)."""
         return self.index is not None
 
     def key_for(self, point: PointSpec) -> str:
@@ -263,25 +372,28 @@ class ResultStore:
             key = self._key_memo[point] = cache_key(point, self.fingerprint)
         return key
 
-    def object_path(self, key: str) -> Path:
-        """On-disk location of ``key``'s object (disk stores only)."""
+    def locate(self, key: str) -> RecordSpan | None:
+        """Where ``key``'s live record is stored (disk stores only)."""
         if self.root is None:
-            raise CampaignError("in-memory store has no object paths")
-        return self.root / "objects" / key[:2] / f"{key}.json"
+            raise CampaignError("in-memory store has no record spans")
+        loc = self.index.locate(key)
+        if loc is None:
+            return None
+        path, offset, length = loc
+        return RecordSpan(self.root / path, offset or 0, length)
 
     def quarantine(self, key: str, reason: str) -> None:
-        """Pull ``key``'s object out of service (counted, never deleted).
+        """Pull ``key``'s record out of service (counted, never deleted).
 
-        Disk stores move the object file to ``quarantine/`` (preserving
-        the evidence for post-mortems); memory stores park the record in
-        a side dict. Either way the next :meth:`get` is a miss and the
-        point recomputes.
+        Disk stores copy the span's bytes to ``quarantine/`` (the
+        evidence for post-mortems) and tombstone the key's index row;
+        the pack itself is never rewritten, its line just goes dead.
+        Memory stores park the record in a side dict. Either way the
+        next :meth:`get` is a miss and the point recomputes.
 
         Re-quarantining the same key (heal, recompute, corrupt again)
         must not overwrite the earlier evidence: the destination gains a
         monotonic ``.N`` suffix whenever the unsuffixed name is taken.
-        On indexed stores a tombstone row is appended so the key drops
-        from the index at the next merge/compaction.
         """
         self.quarantined += 1
         if self.root is None:
@@ -293,72 +405,86 @@ class ResultStore:
                     slot = f"{key}.{serial}"
                 self._memory_quarantine[slot] = record
             return
-        path = self.object_path(key)
-        qdir = self.root / "quarantine"
-        qdir.mkdir(parents=True, exist_ok=True)
-        target, serial = qdir / f"{key}.json", 0
-        while target.exists():
-            serial += 1
-            target = qdir / f"{key}.{serial}.json"
+        span = self.locate(key)
         try:
-            os.replace(path, target)
+            evidence = None if span is None else span.read()
         except FileNotFoundError:
-            pass  # already gone; nothing to preserve
-        if self.index is not None:
-            self.index.record_quarantine(key, reason)
-
-    def _verified(self, key: str, record: Any) -> dict | None:
-        """``record`` if it is a checksummed, untampered dict; else quarantine."""
-        if not isinstance(record, Mapping):
-            self.quarantine(key, "not a JSON object")
-            return None
-        record = dict(record)
-        checksum = record.get("checksum")
-        if checksum is None:
-            return record  # pre-checksum record: accepted, flagged by scan()
-        if record_checksum(record) != checksum:
-            self.quarantine(key, "checksum mismatch")
-            return None
-        return record
+            evidence = None  # already gone; nothing to preserve
+        if evidence is not None:
+            qdir = self.root / "quarantine"
+            qdir.mkdir(parents=True, exist_ok=True)
+            serial = 0
+            while True:
+                name = f"{key}.json" if not serial else f"{key}.{serial}.json"
+                try:
+                    with open(qdir / name, "xb") as fh:
+                        fh.write(evidence)
+                    break
+                except FileExistsError:
+                    serial += 1
+        self.index.record_quarantine(key, reason)
 
     def contains(self, key: str) -> bool:
         """Cheap presence probe for ``key`` -- no record load, no quarantine.
 
         The remote-ingest dedup path asks "is this key already landed?"
         for every shipped row; answering via :meth:`load_key` would
-        parse and checksum the object. Indexed stores answer from the
-        shard index; unindexed ones from the object path. A corrupt
-        object therefore *does* read as present here -- ingest skips it
-        and the normal verify/quarantine machinery reclaims it later,
-        which is the same trade the executor's resume path makes.
+        read and checksum the record. Disk stores answer from the
+        shard index. A corrupt record therefore *does* read as present
+        here -- ingest skips it and the normal verify/quarantine
+        machinery reclaims it later, which is the same trade the
+        executor's resume path makes.
         """
         if self.root is None:
             return key in self._memory
-        if self.index is not None and self.index.has(key):
-            return True
-        return self.object_path(key).exists()
+        return self.index.has(key)
 
     def load_key(self, key: str) -> dict | None:
         """Fetch a verified cached record by key (None if absent/corrupt).
 
-        A record that fails to parse or fails its checksum is
-        quarantined on the spot and reads as a miss -- a
-        corrupt-but-parseable object is never served as a hit.
+        Disk stores follow the key's index row and read only its span
+        (a loose object whole). A record that fails to parse, carries
+        no checksum, fails it, or is another key's record is
+        quarantined on the spot and reads as a miss -- a damaged or
+        misdirected record is never served as a hit. Before that, a
+        failed read re-polls the shard: when another process has since
+        replaced the row, the live one is read instead, and only a bad
+        live record is quarantined.
         """
         if self.root is None:
             record = self._memory.get(key)
-            return None if record is None else self._verified(key, record)
-        path = self.object_path(key)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                record = json.load(fh)
-        except FileNotFoundError:
+            if record is None:
+                return None
+            problem = _record_problem(key, record)
+            if problem is None:
+                return dict(record)
+            self.quarantine(key, problem)
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            # torn or rotten write -- possibly not even valid UTF-8
-            self.quarantine(key, "unparseable JSON")
-            return None
-        return self._verified(key, record)
+        shard = self.index.shard_for(key)
+        loc = shard.locate(key)
+        for _attempt in range(2):
+            if loc is None:
+                return None
+            path, offset, length = loc
+            record = problem = None
+            try:
+                raw = _read_span(os.path.join(self.root, path), offset, length)
+                record = json.loads(raw.decode("utf-8"))
+                problem = _record_problem(key, record)
+            except FileNotFoundError:
+                pass  # gone: a plain miss
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                # torn or rotten bytes -- possibly not even valid UTF-8
+                problem = "unparseable JSON"
+            if record is not None and problem is None:
+                return record
+            live = shard.locators().get(key)  # poll: was our locator stale?
+            if live == loc:
+                if problem is not None:
+                    self.quarantine(key, problem)
+                return None
+            loc = live
+        return None
 
     def get(self, point: PointSpec) -> dict | None:
         """Cached record for ``point`` under the current model, or None."""
@@ -371,13 +497,74 @@ class ResultStore:
 
     def put(self, point: PointSpec, payload: Mapping[str, Any],
             wall_ms: float | None = None) -> str:
-        """Store ``payload`` for ``point`` (checksummed); returns the cache key.
+        """Store one ``payload`` for ``point``; returns the cache key.
+
+        A one-item :meth:`put_many` (so on disk, a pack of one record).
+        """
+        return self.put_many([(point, payload, wall_ms)])[0]
+
+    def put_many(self, items: Iterable[tuple[PointSpec, Mapping[str, Any],
+                                             float | None]]) -> list[str]:
+        """Store a batch of ``(point, payload, wall_ms)``; returns the keys.
+
+        Each record is checksummed exactly as a single put's. On disk
+        the records stream, one line each, into one new pack file --
+        created with ``O_EXCL`` under a name of this writer's, written
+        without ``fsync`` -- and then their index rows land with one
+        append per shard touched, so a record is served only once its
+        pack line is complete. A crash between the two leaves orphaned
+        pack lines (advisory in :meth:`scan`) and misses that
+        recompute. An empty batch touches nothing.
 
         ``wall_ms`` (real wall-clock the executor spent on the point, if
         known) is *not* part of the cached record -- cache-served results
         stay bit-identical to computed ones -- but is carried on the
-        index row so latency queries never open object files.
+        index row so latency queries never open a pack.
         """
+        keys: list[str] = []
+        if self.root is None:
+            for point, payload, _wall_ms in items:
+                key, record = self._record(point, payload)
+                self._memory[key] = record
+                keys.append(key)
+            self.writes += len(keys)
+            return keys
+        # Until the pack is complete each record's row waits as a
+        # compact tuple, grouped by shard; the row dicts are built one
+        # shard at a time, so a wave's rows never sit in memory whole.
+        pending: dict[str, list[tuple]] = {}
+        pack = None
+        try:
+            for point, payload, wall_ms in items:
+                key, record = self._record(point, payload)
+                data = json.dumps(record, sort_keys=True).encode("utf-8")
+                if pack is None:
+                    pack, path = self._create_pack()
+                    offset = 0
+                pack.write(data + b"\n")
+                result = record["result"]
+                pending.setdefault(key[:2], []).append((
+                    key, offset, len(data), record["checksum"], point,
+                    result.get("status"), result.get("seconds"), wall_ms))
+                offset += len(data) + 1
+                keys.append(key)
+        finally:
+            if pack is not None:
+                pack.close()
+        for prefix, entries in pending.items():
+            self.index.shard(prefix).append(*(
+                {"op": "put", "key": key, "path": path, "offset": offset,
+                 "length": length, "checksum": checksum,
+                 "point": point.to_dict(), "status": status,
+                 "seconds": seconds, "wall_ms": wall_ms}
+                for key, offset, length, checksum, point, status, seconds,
+                wall_ms in entries))
+        self.writes += len(keys)
+        return keys
+
+    def _record(self, point: PointSpec,
+                payload: Mapping[str, Any]) -> tuple[str, dict]:
+        """``point``'s key and checksummed record for ``payload``."""
         key = self.key_for(point)
         record = {
             "key": key,
@@ -386,38 +573,37 @@ class ResultStore:
             "result": dict(payload),
         }
         record["checksum"] = record_checksum(record)
-        if self.root is None:
-            self._memory[key] = record
-        else:
-            path = self.object_path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: readers never see a torn object. The temp
-            # name embeds the pid *and* thread id so concurrent writers
-            # racing on the same key -- sibling processes or the service
-            # daemon's runner threads -- each stage their own file; last
-            # rename wins with a whole record either way.
-            tmp = path.with_name(
-                f".{key}.{os.getpid()}.{threading.get_ident()}.tmp")
-            tmp.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
-            os.replace(tmp, path)
-            if self.index is not None:
-                result = record["result"]
-                self.index.record_put(
-                    key, checksum=record["checksum"], point=record["point"],
-                    status=result.get("status"), seconds=result.get("seconds"),
-                    wall_ms=wall_ms,
-                )
-        self.writes += 1
-        return key
+        return key, record
+
+    def _create_pack(self) -> tuple[BinaryIO, str]:
+        """Open a new pack file exclusively: (binary writer, relative path).
+
+        The name carries a nanosecond stamp, the pid and the thread id,
+        so concurrent writers -- sibling processes or the service
+        daemon's runner threads -- never collide; ``O_EXCL`` turns the
+        rare repeat stamp into a retry instead of a shared file.
+        """
+        packs = self.root / PACKS
+        packs.mkdir(parents=True, exist_ok=True)
+        writer = f"{os.getpid()}-{threading.get_ident():x}"
+        while True:
+            name = f"{time.time_ns():016x}-{writer}.pack"
+            try:
+                fd = os.open(packs / name,
+                             os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
+            except FileExistsError:
+                continue
+            return os.fdopen(fd, "wb"), f"{PACKS}/{name}"
 
     def corrupt(self, key: str, at: float = 0.0) -> None:
-        """Damage ``key``'s stored object in place (fault-injection hook).
+        """Damage ``key``'s stored record in place (fault-injection hook).
 
         ``at`` in [0, 1] picks *where*: disk stores XOR one byte at that
-        fraction of the file, memory stores tamper the record without
-        refreshing its checksum. Out-of-range ``at`` values are clamped
-        (fault schedules derive ``at`` from seeded hashes and may hand
-        in anything); empty or missing objects are a no-op, never an
+        fraction of the record's span (its pack line, never the line's
+        newline), memory stores tamper the record without refreshing
+        its checksum. Out-of-range ``at`` values are clamped (fault
+        schedules derive ``at`` from seeded hashes and may hand in
+        anything); empty or missing records are a no-op, never an
         error. Only :mod:`repro.faults` and tests call this; it exists
         so chaos schedules can corrupt through the same API surface the
         store itself owns.
@@ -428,21 +614,28 @@ class ResultStore:
             if record is not None:
                 record["fingerprint"] = f"corrupt|{record.get('fingerprint')}"
             return
-        path = self.object_path(key)
+        span = self.locate(key)
+        if span is None:
+            return
         try:
-            data = bytearray(path.read_bytes())
+            fd = os.open(span.path, os.O_RDWR)
         except FileNotFoundError:
             return
-        if not data:
-            return
-        pos = min(int(at * len(data)), len(data) - 1)
-        data[pos] ^= 0x01
-        path.write_bytes(bytes(data))
+        try:
+            size = os.fstat(fd).st_size - span.offset
+            length = size if span.length is None else min(span.length, size)
+            if length <= 0:
+                return
+            pos = span.offset + min(int(at * length), length - 1)
+            byte = os.pread(fd, 1, pos)
+            os.pwrite(fd, bytes([byte[0] ^ 0x01]), pos)
+        finally:
+            os.close(fd)
 
     def result_for(self, task_id: str, point: PointSpec) -> PointResult | None:
         """Reconstruct a :class:`PointResult` from cache (marked cached).
 
-        Corrupt objects (quarantined by :meth:`load_key`) and
+        Corrupt records (quarantined by :meth:`load_key`) and
         schema-drifted records both come back as None -- a miss the
         executor answers by recomputing -- never as an exception.
         """
@@ -458,104 +651,81 @@ class ResultStore:
             cached=True, attempts=0,
         )
 
-    def _iter_records(self):
-        """Yield (key, raw record | None, reason) for every stored object."""
-        if self.root is None:
-            for key, record in self._memory.items():
-                yield key, record, ""
-            return
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return
-        for path in sorted(objects.rglob("*.json")):
-            key = path.stem
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-                yield key, None, f"unparseable: {exc}"
-                continue
-            yield key, record, ""
-
     def scan(self, quarantine: bool = False) -> StoreScan:
-        """Audit every stored object; optionally quarantine what fails.
+        """Audit the record behind every live index row; optionally
+        quarantine what fails.
 
-        Checks, per object: JSON parses to a dict, the checksum verifies
-        (pre-checksum records count as ``legacy``), the record's ``key``
-        field matches its filename, and its point/fingerprint re-derive
-        that same key. Schema-drifted ``result`` payloads are counted
-        but are not errors. ``quarantine=True`` additionally pulls every
-        corrupt object out of service, exactly as a read would.
+        Checks, per record: its bytes parse to a JSON object, it carries
+        a checksum that verifies, it names the key that indexes it, and
+        its point/fingerprint re-derive that same key. Schema-drifted
+        ``result`` payloads are counted but are not errors.
+        ``quarantine=True`` additionally pulls every corrupt record out
+        of service, exactly as a read would.
 
-        Indexed (v2) stores get an extra cross-check of the persistent
-        index against the tree -- intact objects without a row count as
-        ``unindexed``, rows that contradict their object (or point at a
-        missing one) as ``index_stale``. Both are advisory, not errors:
-        the tree is ground truth and the index is rebuildable.
+        Each pack (and loose object) is read once; its lines that no
+        live row points to count as ``orphaned``, rows that contradict
+        their record (or point at a missing file) as ``index_stale``.
+        Both are advisory, not errors.
         """
         report = StoreScan()
-        index_rows = None
-        if self.root is not None and self.index is not None:
-            index_rows = {key: row for key, row in self.index.rows()}
-        for key, record, reason in self._iter_records():
-            report.objects += 1
-            row = index_rows.pop(key, None) if index_rows is not None else None
-            if record is None or not isinstance(record, Mapping):
-                report.corrupt.append((key, reason or "not a JSON object"))
-                continue
-            checksum = record.get("checksum")
-            if checksum is not None and record_checksum(record) != checksum:
-                report.corrupt.append((key, "checksum mismatch"))
-                continue
-            if record.get("key") != key:
-                report.corrupt.append((key, "record key != object name"))
-                continue
-            derived = _derive_key(record)
-            if derived is not None and derived != key:
-                report.corrupt.append((key, "content hash != object name"))
-                continue
-            if checksum is None:
-                report.legacy += 1
-            elif _result_slice(record) is None:
-                report.drifted += 1
-            else:
-                report.ok += 1
-            if index_rows is not None:
-                if row is None:
-                    report.unindexed += 1
-                elif row.get("checksum") != checksum:
-                    report.index_stale += 1
-        if index_rows:
-            report.index_stale += len(index_rows)  # rows with no object
+        if self.root is None:
+            for key, record in self._memory.items():
+                report.audit(key, record)
+        else:
+            self._scan_files(report)
+        report.corrupt.sort()
         if quarantine:
-            for key, _reason in report.corrupt:
-                self.quarantine(key, _reason)
+            for key, reason in report.corrupt:
+                self.quarantine(key, reason)
                 report.quarantined += 1
         return report
 
+    def _scan_files(self, report: StoreScan) -> None:
+        """Disk half of :meth:`scan`: one read per pack or loose object."""
+        live: dict[str, list[tuple[str, dict]]] = {}
+        for key, row in self.index.rows():
+            live.setdefault(str(row.get("path")), []).append((key, row))
+        for rel in sorted(set(record_files(self.root)) | set(live)):
+            rows = live.get(rel, [])
+            try:
+                data = (self.root / rel).read_bytes()
+            except FileNotFoundError:
+                report.index_stale += len(rows)  # rows with no file
+                continue
+            pointed = set()
+            for key, row in rows:
+                offset, length = row.get("offset"), row.get("length")
+                pointed.add(offset or 0)
+                raw = data if length is None else \
+                    data[offset or 0:(offset or 0) + length]
+                try:
+                    record = json.loads(raw.decode("utf-8"))
+                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                    report.audit(key, None, f"unparseable: {exc}")
+                    continue
+                report.audit(key, record, row=row)
+            if rel.endswith(".pack"):
+                report.orphaned += sum(1 for offset, _line in pack_lines(data)
+                                       if offset not in pointed)
+            elif not rows:
+                report.orphaned += 1
+
     def count_objects(self) -> int:
-        """Number of stored objects: O(index) when indexed, O(tree) else.
+        """Number of live records: O(index) on disk, never a pack read.
 
         The index-backed count is what the service's ``/metrics`` and
-        ``/store`` endpoints poll; on a v1 (unindexed) store it falls
-        back to walking the object tree.
+        ``/store`` endpoints poll.
         """
         if self.root is None:
             return len(self._memory)
-        if self.index is not None:
-            return self.index.count()
-        objects = self.root / "objects"
-        if not objects.is_dir():
-            return 0
-        return sum(1 for _ in objects.rglob("*.json"))
+        return self.index.count()
 
     def compact(self) -> CompactionReport:
         """Fold every shard's index log into its snapshot (see
         :meth:`repro.campaign.shard.StoreIndex.compact`); raises
-        :class:`CampaignError` on unindexed (memory or v1) stores."""
+        :class:`CampaignError` on an in-memory store."""
         if self.index is None:
-            raise CampaignError(
-                "store has no persistent index (in-memory, or v1 layout; "
-                "run tools/migrate_store.py to upgrade a flat store)")
+            raise CampaignError("in-memory store has no persistent index")
         return self.index.compact()
 
 

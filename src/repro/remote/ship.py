@@ -17,7 +17,9 @@ first:
    segments (a reassigned wave sharded differently) are deduplicated
    one by one against the store: a key that already resolves is
    counted ``deduped`` and not re-put, so the persistent shard index
-   gains exactly one row per unique result.
+   gains exactly one row per unique result. The rest of the segment
+   lands with one :meth:`~repro.campaign.store.ResultStore.put_many`:
+   one pack file and one index append per shard touched.
 
 Ingest deliberately does **not** append to the campaign journal: the
 campaign executor's single finish path journals every dispatched task
@@ -139,7 +141,8 @@ class SegmentIngestor:
             self._trace(manifest, started, duplicate=True)
             return self.report
         self.report.segments += 1
-        ingested = deduped = 0
+        deduped = 0
+        items, queued = [], set()
         for row in rows:
             self.report.rows += 1
             point = self._point(row)
@@ -148,11 +151,13 @@ class SegmentIngestor:
                 self.report.skipped += 1
                 continue
             key = self.store.key_for(point)
-            if self.store.contains(key):
+            if key in queued or self.store.contains(key):
                 deduped += 1
                 continue
-            self.store.put(point, dict(row["result"]), wall_ms=row.get("wall_ms"))
-            ingested += 1
+            queued.add(key)
+            items.append((point, dict(row["result"]), row.get("wall_ms")))
+        self.store.put_many(items)  # the whole segment: one pack
+        ingested = len(items)
         self.ledger.record(manifest, ingested, deduped)
         self.report.ingested += ingested
         self.report.deduped += deduped

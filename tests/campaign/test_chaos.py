@@ -69,12 +69,12 @@ def test_faulted_run_then_resume_is_bit_identical(tmp_path, seed, kind):
     assert resumed.stats.failed == 0
     assert_bit_identical(clean, resumed)
 
-    # After recovery the store holds no corrupt objects. A flip that lands
-    # inside the "checksum" field itself demotes the record to legacy
-    # (accepted, counted, content untouched) rather than corrupt.
+    # After recovery the store holds no corrupt objects: every flipped
+    # record -- one whose "checksum" field name a flip renamed included --
+    # was quarantined on resume and its point recomputed.
     scan = ResultStore(cdir / "cache").scan()
     assert scan.errors == 0
-    assert scan.ok + scan.legacy == len(clean.plan.runnable)
+    assert scan.ok == len(clean.plan.runnable)
 
 
 #: ``faults_injected`` of the journal_torn_tail-only cell per seed, as the

@@ -8,7 +8,7 @@ import pytest
 
 from repro.campaign import executor as executor_mod
 from repro.campaign.cli import main
-from repro.campaign.store import FAILED
+from repro.campaign.store import FAILED, ResultStore
 
 
 SPEC = {
@@ -149,13 +149,19 @@ def test_verify_quarantine_pulls_corrupt_objects(spec_file, tmp_path, capsys):
     main(["run", "--spec-file", str(spec_file), "--dir", str(cdir),
           "--workers", "0"])
     capsys.readouterr()
-    victim = next((cdir / "cache" / "objects").rglob("*.json"))
-    victim.write_text("{torn", encoding="utf-8")
+    store = ResultStore(cdir / "cache")
+    key, _row = next(store.index.rows())
+    victim = store.locate(key)
+    with open(victim.path, "r+b") as fh:  # a torn record, same span length
+        fh.seek(victim.offset)
+        fh.write(b"{torn".ljust(victim.length))
 
     assert main(["verify", str(cdir), "--quarantine"]) == 1
     assert "unparseable" in capsys.readouterr().out
-    assert not victim.exists()
+    assert ResultStore(cdir / "cache").locate(key) is None  # tombstoned
+    assert (cdir / "cache" / "quarantine" / f"{key}.json").exists()
     assert main(["verify", str(cdir)]) == 0  # the audit now comes back clean
+    assert "1 orphaned line(s)" in capsys.readouterr().out  # advisory only
 
 
 def test_fault_seed_requires_a_plan(spec_file, tmp_path, capsys):
@@ -198,7 +204,7 @@ def test_compact_folds_the_index_and_status_reports_it(spec_file, tmp_path, caps
     assert "0 log byte(s) merged" in capsys.readouterr().out
 
     assert main(["status", str(cdir)]) == 0
-    assert "(indexed)" in capsys.readouterr().out
+    assert "index shard(s)" in capsys.readouterr().out
 
     assert main(["verify", str(cdir)]) == 0
     out = capsys.readouterr().out

@@ -1,10 +1,13 @@
-"""Wave-level group commit: one fsynced journal append per wave.
+"""Wave-level group commit: one pack and one fsynced journal append per wave.
 
-The executor buffers each wave's journal rows and commits them with one
-``Journal.append(*rows)`` when the wave ends. Cache objects are still
-put per task *before* that commit, so a crash inside a wave loses only
+The executor buffers each wave's cache objects and journal rows and
+commits them when the wave ends: the objects as one pack file plus
+their index rows (``ResultStore.put_many``), then the rows with one
+``Journal.append(*rows)``. A crash after the object commit loses only
 rows whose results are already stored: a resume serves them as cache
-hits, never re-executes them, and converges bit-identically.
+hits, never re-executes them, and converges bit-identically. A crash
+between the pack and its index rows loses the wave: a resume recomputes
+it bit-identically and the pack's lines are reported as orphaned.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from repro.campaign import executor as executor_mod
 from repro.campaign.cli import main
 from repro.campaign.executor import run_campaign
 from repro.campaign.plan import plan_campaign
-from repro.campaign.store import FAILED, Journal
+from repro.campaign.shard import ShardIndex
+from repro.campaign.store import FAILED, Journal, ResultStore
 
 from tests.campaign.test_executor import tiny_spec
 
@@ -92,3 +96,43 @@ def test_drain_after_the_first_wave_leaves_every_result_durable(tmp_path):
                if result.status != FAILED}
     assert durable and durable < {t.task_id for t in outcome.plan.tasks}
     assert set(Journal(cdir / "journal.jsonl").completed_ids()) == durable
+
+
+def test_crash_between_the_pack_and_its_index_rows_recomputes(
+        tmp_path, monkeypatch, capsys):
+    plan = plan_campaign(tiny_spec())
+    measures = {t.task_id for t in plan.measures if t.pruned is None}
+    keys = {ResultStore(None).key_for(t.point)
+            for t in plan.measures if t.pruned is None}
+    assert len(keys) == len(measures)
+    real = ShardIndex.append
+
+    def crash_on_measures(self, *rows):
+        if any(row["key"] in keys for row in rows):
+            raise OSError("crash between the pack and its index rows")
+        return real(self, *rows)
+
+    cdir = tmp_path / "camp"
+    monkeypatch.setattr(ShardIndex, "append", crash_on_measures)
+    with pytest.raises(OSError, match="index rows"):
+        run_campaign(tiny_spec(), campaign_dir=cdir)
+    monkeypatch.undo()
+    # the failed object commit took the wave's journal rows with it...
+    journaled = Journal(cdir / "journal.jsonl").completed_ids()
+    assert journaled and not measures & set(journaled)
+    # ...and left the written pack's lines unindexed: advisory, not errors
+    scan = ResultStore(cdir / "cache").scan()
+    assert scan.errors == 0 and scan.orphaned == len(keys)
+
+    resumed = run_campaign(tiny_spec(), campaign_dir=cdir, resume=True)
+    assert resumed.stats.executed == len(measures)  # recomputed, not served
+    clean = run_campaign(tiny_spec())
+    assert set(resumed.results) == set(clean.results)
+    for tid, result in clean.results.items():
+        assert resumed.results[tid].status == result.status
+        assert resumed.results[tid].seconds == result.seconds  # bit-identical
+    capsys.readouterr()
+    assert main(["verify", str(cdir)]) == 0
+    out = capsys.readouterr().out
+    assert "verify: OK" in out
+    assert f"{len(keys)} orphaned line(s)" in out

@@ -157,8 +157,10 @@ def test_store_query_walks_the_index_not_the_objects(tmp_path):
         assert row["point"]["machine"] == "A"  # matching is case-insensitive
         assert row["point"]["case"] == "reduce"
         assert row["status"] == DONE and row["seconds"] > 0
-        assert row["path"] == f"objects/{row['key'][:2]}/{row['key']}.json"
-        assert (tmp_path / "cache" / row["path"]).exists()
+        assert row["path"].startswith("objects/packs/")
+        span = store.locate(row["key"])
+        assert (span.path, span.offset, span.length) == (
+            tmp_path / "cache" / row["path"], row["offset"], row["length"])
     assert [r["key"] for r in rows] == sorted(
         (r["key"] for r in rows), key=lambda k: (k[:2], k))
 

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.campaign.spec import canonical_json
 from repro.campaign.shard import (
     SHARD_COUNT,
     STORE_LAYOUT_VERSION,
@@ -120,17 +121,27 @@ def test_compact_is_idempotent_and_survives_reopen(tmp_path):
 
 def test_store_index_routes_counts_and_iterates_in_order(tmp_path):
     index = StoreIndex(tmp_path)
-    index.record_put("ff01", checksum="c1", point={"case": "reduce"},
-                     status="done", seconds=1.0, wall_ms=4.5)
-    index.record_put("ab02", checksum="c2", point={"case": "sort"},
-                     status="done", seconds=2.0)
-    index.record_put("ab03", checksum="c3", point={"case": "merge"},
-                     status="failed", seconds=None)
+    pack = "objects/packs/p1.pack"
+    index.record_puts([
+        {"key": "ff01", "path": pack, "offset": 0, "length": 10,
+         "checksum": "c1", "point": {"case": "reduce"}, "status": "done",
+         "seconds": 1.0, "wall_ms": 4.5},
+        {"key": "ab02", "path": pack, "offset": 11, "length": 12,
+         "checksum": "c2", "point": {"case": "sort"}, "status": "done",
+         "seconds": 2.0, "wall_ms": None},
+        {"key": "ab03", "path": pack, "offset": 24, "length": 9,
+         "checksum": "c3", "point": {"case": "merge"}, "status": "failed",
+         "seconds": None, "wall_ms": None},
+    ])
     assert index.prefixes() == ["ab", "ff"]
     assert index.count() == 3
     assert index.lookup("ff01")["wall_ms"] == 4.5
-    assert index.lookup("ab02")["path"] == "objects/ab/ab02.json"
+    assert index.lookup("ab02")["path"] == pack
+    assert index.locate("ab02") == (pack, 11, 12)
     assert [key for key, _ in index.rows()] == ["ab02", "ab03", "ff01"]
+    # one batch of rows for shard "ab", in order
+    assert [row["key"] for row in index.shard("ab")._read_log()] == \
+        ["ab02", "ab03"]
 
     index.record_quarantine("ab02", "tampered")
     report = index.compact()
@@ -158,3 +169,50 @@ def test_store_meta_roundtrip_and_torn_marker(tmp_path):
     assert meta == {"layout": STORE_LAYOUT_VERSION, "shards": SHARD_COUNT}
     (tmp_path / "STORE_META.json").write_text('{"layout": 2', encoding="utf-8")
     assert read_store_meta(tmp_path) is None  # torn marker reads as v1
+
+
+def test_locator_cache_folds_new_lines_and_rebuilds_after_compaction(tmp_path):
+    writer = ShardIndex(tmp_path, "ab")
+    reader = ShardIndex(tmp_path, "ab")
+    writer.append(_put("ab01"), _put("ab02"))
+    assert set(reader.locators()) == {"ab01", "ab02"}
+    folded = reader._cache_offset
+    assert folded == writer.log_path.stat().st_size
+
+    # an unterminated fragment is left for later; complete lines fold in
+    writer.append(_put("ab03", offset=7, length=5))
+    with open(writer.log_path, "ab") as fh:
+        fh.write(b'{"op": "put", "key": "ab04", "trunc')  # crash mid-append
+    assert reader.locate("ab03") == (_put("ab03")["path"], 7, 5)
+    assert "ab04" not in reader.locators()
+    assert reader._cache_offset > folded  # only the new bytes were read
+    writer.append({"op": "quarantine", "key": "ab01", "reason": "x"})
+    assert set(reader.locators()) == {"ab02", "ab03"}
+
+    # another handle's compaction shrinks the log: the reader rebuilds
+    writer.compact()
+    writer.append(_put("ab05"))
+    assert set(reader.locators()) == {"ab02", "ab03", "ab05"}
+    assert reader.count() == 3
+
+
+def test_locators_agree_with_full_rows_on_torn_and_loose_lines(tmp_path):
+    # The read path folds only locators; a row torn right after its point
+    # dict (ending in "}" like a whole row), a loose row without offset
+    # and a tombstone must fold exactly as the full-row parse reads them.
+    shard = ShardIndex(tmp_path, "ab")
+    packed = _put("ab" + "0" * 62, offset=40, length=7,
+                  checksum="0123456789abcdef",
+                  point={"machine": "A", "threads": 2})
+    line = canonical_json(packed).encode()
+    torn = line[:line.index(b',"seconds"')].replace(b"ab" + b"0" * 62,
+                                                    b"ab" + b"1" * 62)
+    assert torn.endswith(b"}")
+    shard.append(packed, _put("ab02"))  # a packed and a loose row
+    with open(shard.log_path, "ab") as fh:
+        fh.write(torn + b"\n")  # crash mid-append, healed
+    shard.append({"op": "quarantine", "key": "ab02", "reason": "x"})
+
+    assert shard.locators() == {
+        "ab" + "0" * 62: ("objects/ab/ab" + "0" * 62 + ".json", 40, 7)}
+    assert set(shard.rows()) == set(shard.locators())

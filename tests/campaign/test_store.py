@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.campaign.fingerprint import model_fingerprint
+from repro.campaign.shard import ShardIndex
 from repro.campaign.store import (
     DONE,
     FAILED,
@@ -23,6 +24,34 @@ from repro.errors import CampaignError
 
 POINT = PointSpec(machine="A", backend="GCC-TBB", case="reduce",
                   size_exp=12, threads=32)
+OTHER = PointSpec(machine="B", backend="GCC-TBB", case="reduce",
+                  size_exp=12, threads=2)
+
+
+def _overwrite(span, data: bytes) -> None:
+    """Write ``data`` over ``span`` in place, space-padded to its length
+    (a pack line cannot change length without moving its neighbours)."""
+    assert len(data) <= span.length
+    with open(span.path, "r+b") as fh:
+        fh.seek(span.offset)
+        fh.write(data.ljust(span.length))
+
+
+def _replant(store, key: str, raw: bytes) -> None:
+    """Point ``key``'s index row at ``raw`` -- tampered or hand-written
+    record bytes -- written as a pack of their own."""
+    pack = store.root / "objects" / "packs" / f"planted-{key[:12]}.pack"
+    pack.parent.mkdir(parents=True, exist_ok=True)
+    pack.write_bytes(raw + b"\n")
+    row = store.index.lookup(key) or {}
+    store.index.record_puts([{
+        **row, "key": key, "path": pack.relative_to(store.root).as_posix(),
+        "offset": 0, "length": len(raw)}])
+
+
+def _encode(record) -> bytes:
+    """A record's stored form (the same JSON a put writes)."""
+    return json.dumps(record, sort_keys=True).encode("utf-8")
 
 
 def test_cache_key_depends_on_point_and_fingerprint():
@@ -44,8 +73,10 @@ def test_disk_roundtrip(tmp_path):
     key = store.put(POINT, payload)
     assert store.load_key(key)["result"] == payload
     assert store.get(POINT)["result"] == payload
-    # objects are fanned out under a two-hex-digit level
-    assert (tmp_path / "cache" / "objects" / key[:2] / f"{key}.json").exists()
+    # the record is one line of a pack; its index row locates the span
+    span = store.locate(key)
+    assert span.path.parent == tmp_path / "cache" / "objects" / "packs"
+    assert json.loads(span.read()) == store.load_key(key)
 
 
 def test_memory_store_roundtrip():
@@ -68,8 +99,7 @@ def test_fingerprint_change_invalidates(tmp_path):
 def test_corrupt_object_is_a_miss(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    path = tmp_path / "cache" / "objects" / key[:2] / f"{key}.json"
-    path.write_text("{torn", encoding="utf-8")
+    _overwrite(store.locate(key), b"{torn")
     assert store.get(POINT) is None
 
 
@@ -132,11 +162,10 @@ def test_result_for_tolerates_schema_drifted_records(tmp_path):
     # version used to raise KeyError from result_for; it must be a miss
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    path = store.object_path(key)
-    record = json.loads(path.read_text(encoding="utf-8"))
+    record = json.loads(store.locate(key).read())
     record["result"] = {"note": "written by a newer schema"}
     record["checksum"] = record_checksum(record)  # intact, just drifted
-    path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+    _replant(store, key, _encode(record))
 
     assert store.result_for("tid", POINT) is None
     assert store.misses == 1 and store.quarantined == 0  # a miss, not damage
@@ -147,50 +176,141 @@ def test_result_for_tolerates_schema_drifted_records(tmp_path):
 def test_checksum_mismatch_is_quarantined_not_served(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    path = store.object_path(key)
-    record = json.loads(path.read_text(encoding="utf-8"))
-    record["result"]["seconds"] = 99.0  # tampered value, stale checksum
-    path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+    span = store.locate(key)
+    record = json.loads(span.read())
+    record["result"]["seconds"] = 9.0  # tampered value, stale checksum
+    _overwrite(span, _encode(record))
 
     assert store.get(POINT) is None
     assert store.quarantined == 1
-    assert not path.exists()  # moved aside, evidence preserved
-    assert (tmp_path / "cache" / "quarantine" / f"{key}.json").exists()
+    assert store.locate(key) is None  # tombstoned out of the index
+    # the pack is never rewritten; the evidence is a copy of the span
+    quarantined = tmp_path / "cache" / "quarantine" / f"{key}.json"
+    assert quarantined.read_bytes() == span.read() == _encode(record)
 
 
-def test_legacy_records_without_checksum_are_accepted(tmp_path):
+def test_records_without_checksum_are_quarantined(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 2.5, "error": None})
-    path = store.object_path(key)
-    record = json.loads(path.read_text(encoding="utf-8"))
-    del record["checksum"]  # written before checksums existed
-    path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+    record = json.loads(store.locate(key).read())
+    del record["checksum"]  # unauditable: it must not be served
+    _replant(store, key, _encode(record))
 
-    result = store.result_for("tid", POINT)
-    assert result is not None and result.seconds == 2.5
     scan = store.scan()
-    assert scan.legacy == 1 and scan.errors == 0
+    assert scan.corrupt == [(key, "missing checksum")]
+    assert store.result_for("tid", POINT) is None
+    assert store.quarantined == 1 and store.locate(key) is None
+
+
+def test_two_flipped_bits_never_serve_a_wrong_value(tmp_path):
+    # Regression: one flip renaming "checksum" to "chdcksum" plus one
+    # turning 0.5 into 0.4 used to leave a checksum-less record that was
+    # served, unverified, as a cache hit of 0.4.
+    store = ResultStore(tmp_path / "cache")
+    key = store.put(POINT, {"status": DONE, "seconds": 0.5, "error": None})
+    span = store.locate(key)
+    raw = bytearray(span.read())
+    raw[raw.index(b'"checksum"') + 3] ^= 0x01  # checksum -> chdcksum
+    raw[raw.index(b'"seconds": 0.5') + len(b'"seconds": 0.')] ^= 0x01  # 0.4
+    _overwrite(span, bytes(raw))
+    assert b'"chdcksum"' in span.read() and b'"seconds": 0.4' in span.read()
+
+    scan = store.scan()
+    assert scan.corrupt == [(key, "missing checksum")] and scan.ok == 0
+    assert store.result_for("tid", POINT) is None
+    assert store.quarantined == 1
+
+
+def test_put_many_writes_one_pack_of_todays_record_bytes(tmp_path, monkeypatch):
+    appends = []
+    real = ShardIndex.append
+    monkeypatch.setattr(ShardIndex, "append", lambda self, *rows: (
+        appends.append((self.prefix, len(rows))), real(self, *rows))[1])
+    store = ResultStore(tmp_path / "cache")
+    points = [POINT, OTHER, PointSpec(machine="C", backend="GCC-TBB",
+                                      case="reduce", size_exp=12, threads=4)]
+    keys = store.put_many(
+        [(p, {"status": DONE, "seconds": float(i), "error": None}, 0.5)
+         for i, p in enumerate(points)])
+    assert keys == [store.key_for(p) for p in points]
+    packs = sorted((tmp_path / "cache" / "objects" / "packs").iterdir())
+    assert len(packs) == 1  # one file for the whole batch
+    lines = packs[0].read_bytes().splitlines()
+    assert len(lines) == 3
+    for key, line in zip(keys, lines):
+        span = store.locate(key)
+        assert span.path == packs[0] and span.read() == line
+        record = json.loads(line)
+        assert line == _encode(record)  # the object JSON, byte for byte
+        assert record["key"] == key
+        assert record["checksum"] == record_checksum(record)
+    assert sorted(appends) == sorted((k[:2], 1) for k in keys)  # per shard
+    assert store.index.lookup(keys[0])["wall_ms"] == 0.5
+    assert store.writes == 3
+
+    appends.clear()
+    assert store.put_many([]) == []  # nothing to write touches nothing
+    assert appends == [] and len(list(packs[0].parent.iterdir())) == 1
+
+
+def test_stale_row_pointing_at_another_keys_record_is_a_miss(tmp_path):
+    store = ResultStore(tmp_path / "cache")
+    key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
+    okey = store.put(OTHER, {"status": DONE, "seconds": 2.0, "error": None})
+    other = store.locate(okey)
+    store.index.record_puts([{
+        "key": key, "path": other.path.relative_to(store.root).as_posix(),
+        "offset": other.offset, "length": other.length}])
+
+    assert store.scan().corrupt == [(key, "record key != index key")]
+    assert store.result_for("tid", POINT) is None  # never OTHER's 2.0
+    assert store.quarantined == 1 and store.locate(key) is None
+    assert store.result_for("tid", OTHER).seconds == 2.0  # owner unharmed
+
+
+def test_quarantining_one_record_of_a_pack_keeps_its_neighbours(tmp_path):
+    store = ResultStore(tmp_path / "cache")
+    points = [POINT, OTHER, PointSpec(machine="C", backend="GCC-TBB",
+                                      case="reduce", size_exp=12, threads=4)]
+    keys = store.put_many(
+        [(p, {"status": DONE, "seconds": float(i + 1), "error": None}, None)
+         for i, p in enumerate(points)])
+    victim = store.locate(keys[1])
+    pristine = victim.path.read_bytes()
+    store.corrupt(keys[1], at=0.5)
+    damaged = victim.read()
+
+    assert store.result_for("tid", points[1]) is None
+    assert store.quarantined == 1
+    for i in (0, 2):  # the neighbours are still served
+        assert store.result_for("tid", points[i]).seconds == float(i + 1)
+    # the pack kept its size and every byte but the flipped one
+    now = victim.path.read_bytes()
+    assert len(now) == len(pristine)
+    assert sum(a != b for a, b in zip(now, pristine)) == 1
+    qfile = tmp_path / "cache" / "quarantine" / f"{keys[1]}.json"
+    assert qfile.read_bytes() == damaged
+    scan = store.scan()
+    assert (scan.objects, scan.ok, scan.errors, scan.orphaned) == (2, 2, 0, 1)
 
 
 def test_scan_flags_misfiled_and_mismatched_objects(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    record = json.loads(store.object_path(key).read_text(encoding="utf-8"))
-    # file the record under a name that is not its content hash
+    record = json.loads(store.locate(key).read())
+    # index the record under a key that is not its content hash
     fake = "ab" + "0" * (len(key) - 2)
     record["key"] = fake
     record["checksum"] = record_checksum(record)
-    misfiled = store.object_path(fake)
-    misfiled.parent.mkdir(parents=True, exist_ok=True)
-    misfiled.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+    _replant(store, fake, _encode(record))
 
     scan = store.scan()
     reasons = dict(scan.corrupt)
-    assert reasons == {fake: "content hash != object name"}
+    assert reasons == {fake: "content hash != index key"}
 
     scan = store.scan(quarantine=True)
     assert scan.quarantined == 1
-    assert not misfiled.exists()
+    assert store.locate(fake) is None
     assert store.scan().errors == 0  # a second audit comes back clean
 
 
@@ -215,29 +335,31 @@ def test_fresh_disk_store_is_indexed(tmp_path):
     assert (tmp_path / "cache" / "STORE_META.json").exists()
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     row = store.index.lookup(key)
-    record = json.loads(store.object_path(key).read_text(encoding="utf-8"))
+    span = store.locate(key)
+    record = json.loads(span.read())
     assert row["checksum"] == record["checksum"]
-    assert row["path"] == f"objects/{key[:2]}/{key}.json"
+    assert row["path"] == span.path.relative_to(store.root).as_posix()
+    assert row["path"].startswith("objects/packs/")
+    assert (row["offset"], row["length"]) == (0, len(span.read()))
     assert row["status"] == DONE and row["seconds"] == 1.0
     assert store.count_objects() == 1
 
 
 def test_preexisting_flat_store_reads_as_v1_unindexed(tmp_path):
-    store = ResultStore(tmp_path / "cache")
-    store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    (tmp_path / "cache" / "STORE_META.json").unlink()
-    for path in sorted((tmp_path / "cache" / "index").glob("*")):
-        path.unlink()
+    # a v1 flat store: loose objects under objects/ab/, no marker, no
+    # index -- reads go through the index, so opening it is an error
+    root = tmp_path / "cache"
+    key = cache_key(POINT, model_fingerprint())
+    record = {"key": key, "fingerprint": model_fingerprint(),
+              "point": POINT.to_dict(),
+              "result": {"status": DONE, "seconds": 1.0, "error": None}}
+    record["checksum"] = record_checksum(record)
+    (root / "objects" / key[:2]).mkdir(parents=True)
+    (root / "objects" / key[:2] / f"{key}.json").write_bytes(_encode(record))
 
-    v1 = ResultStore(tmp_path / "cache")
-    assert v1.indexed is False
-    assert v1.get(POINT)["result"]["seconds"] == 1.0  # reads still work
-    assert v1.count_objects() == 1  # tree-walk fallback
-    scan = v1.scan()
-    assert scan.ok == 1 and scan.errors == 0
-    assert scan.unindexed == 0  # no index, no cross-check
-    with pytest.raises(CampaignError):
-        v1.compact()
+    with pytest.raises(CampaignError, match="tools/migrate_store.py"):
+        ResultStore(root)
+    assert not (root / "STORE_META.json").exists()  # nothing was stamped
 
 
 def test_memory_store_has_no_index_to_compact():
@@ -267,13 +389,13 @@ def test_requarantine_does_not_overwrite_earlier_evidence(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     store.corrupt(key, at=0.25)
-    first_bytes = store.object_path(key).read_bytes()
+    first_bytes = store.locate(key).read()
     assert store.get(POINT) is None  # first quarantine
 
     key2 = store.put(POINT, {"status": DONE, "seconds": 2.0, "error": None})
     assert key2 == key  # same point, same content address
     store.corrupt(key, at=0.75)
-    second_bytes = store.object_path(key).read_bytes()
+    second_bytes = store.locate(key).read()
     assert store.get(POINT) is None  # second quarantine, same key
 
     qdir = tmp_path / "cache" / "quarantine"
@@ -297,18 +419,20 @@ def test_memory_requarantine_preserves_both_records():
 def test_corrupt_clamps_out_of_range_at(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    pristine = store.object_path(key).read_bytes()
+    span = store.locate(key)
+    pristine = span.read()
     store.corrupt(key, at=-5.0)  # used to raise / index before the file
-    assert store.object_path(key).read_bytes() != pristine
+    assert span.read() != pristine
     store.corrupt(key, at=-5.0)  # XOR is an involution at the same spot
-    assert store.object_path(key).read_bytes() == pristine
-    store.corrupt(key, at=7.5)  # clamps to the final byte
-    assert store.object_path(key).read_bytes() != pristine
+    assert span.read() == pristine
+    store.corrupt(key, at=7.5)  # clamps to the span's final byte...
+    assert span.read()[:-1] == pristine[:-1] and span.read() != pristine
+    assert span.path.read_bytes().endswith(b"\n")  # ...never its newline
 
-    # empty and missing objects are no-ops, never errors
-    store.object_path(key).write_bytes(b"")
+    # empty and missing records are no-ops, never errors
+    span.path.write_bytes(b"")
     store.corrupt(key, at=-1.0)
-    assert store.object_path(key).read_bytes() == b""
+    assert span.path.read_bytes() == b""
     store.corrupt("ff" + "0" * 62, at=2.0)
 
 
@@ -328,27 +452,26 @@ def test_tear_tail_clamps_out_of_range_at(tmp_path):
 
 
 def test_legacy_and_v2_records_share_a_shard_without_double_count(tmp_path):
-    # Satellite: one pre-checksum (legacy) record and one current record
-    # forced into the *same* shard -- the scan must flag, not quarantine,
-    # and repeated audits must not double-count either of them.
+    # One pre-checksum (legacy) record and one current record forced into
+    # the *same* shard: the audit flags and quarantines the legacy one
+    # exactly once, and a repeated audit counts neither twice.
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     sibling, key2 = _same_shard_point(store, key[:2], skip={key})
     store.put(sibling, {"status": DONE, "seconds": 2.0, "error": None})
-    path = store.object_path(key2)
-    record = json.loads(path.read_text(encoding="utf-8"))
+    record = json.loads(store.locate(key2).read())
     del record["checksum"]  # written before checksums existed
-    path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+    _replant(store, key2, _encode(record))
 
-    for _ in range(2):  # audit twice: the counts must be stable
-        scan = store.scan(quarantine=True)
-        assert scan.objects == 2
-        assert scan.ok == 1 and scan.legacy == 1
-        assert scan.errors == 0 and scan.quarantined == 0
-        # the index still holds the put-time checksum: advisory, not fatal
-        assert scan.index_stale == 1 and scan.unindexed == 0
-    assert path.exists()  # the legacy record was never quarantined
-    assert store.result_for("tid", sibling).seconds == 2.0
+    scan = store.scan(quarantine=True)
+    assert (scan.objects, scan.ok, scan.quarantined) == (2, 1, 1)
+    assert scan.corrupt == [(key2, "missing checksum")]
+    again = store.scan(quarantine=True)  # stable: nothing counted twice
+    assert (again.objects, again.ok, again.errors, again.quarantined) == \
+        (1, 1, 0, 0)
+    # the sibling's first line and the legacy line are dead, not errors
+    assert again.orphaned == 2 and again.index_stale == 0
+    assert store.result_for("tid", sibling) is None
     assert store.result_for("tid", POINT).seconds == 1.0
 
 
@@ -356,30 +479,55 @@ def test_scan_cross_checks_index_against_tree(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
 
-    # an object dropped in by hand has no index row -> unindexed
-    other = PointSpec(machine="B", backend="GCC-TBB", case="reduce",
-                      size_exp=12, threads=2)
-    okey = cache_key(other, store.fingerprint)
-    record = {"key": okey, "point": other.to_dict(),
+    # an object dropped in by hand has no index row -> orphaned, unserved
+    okey = cache_key(OTHER, store.fingerprint)
+    record = {"key": okey, "point": OTHER.to_dict(),
               "fingerprint": store.fingerprint,
               "result": {"status": DONE, "seconds": 3.0, "error": None}}
     record["checksum"] = record_checksum(record)
-    opath = store.object_path(okey)
+    opath = store.root / "objects" / okey[:2] / f"{okey}.json"
     opath.parent.mkdir(parents=True, exist_ok=True)
-    opath.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+    opath.write_bytes(_encode(record))
 
     scan = store.scan()
-    assert scan.unindexed == 1 and scan.index_stale == 0
+    assert scan.orphaned == 1 and scan.index_stale == 0
     assert scan.errors == 0
-    assert "1 unindexed" in scan.summary()
+    assert "1 orphaned" in scan.summary()
+    assert store.get(OTHER) is None  # reads follow the index only
 
-    # a row whose object vanished out-of-band -> index-stale
-    store.object_path(key).unlink()
+    # a row whose pack vanished out-of-band -> index-stale
+    store.locate(key).path.unlink()
     scan = store.scan()
-    assert scan.index_stale == 1 and scan.unindexed == 1
+    assert scan.index_stale == 1 and scan.orphaned == 1
     assert "1 index-stale" in scan.summary()
 
     # a clean store keeps the short summary
     clean = ResultStore(tmp_path / "clean")
     clean.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    assert "unindexed" not in clean.scan().summary()
+    assert "orphaned" not in clean.scan().summary()
+
+
+def test_a_row_without_offset_reads_a_loose_object_whole(tmp_path):
+    # stores written before packs hold loose objects and rows naming
+    # them without offset/length; reads, audits and quarantine still work
+    store = ResultStore(tmp_path / "cache")
+    key = cache_key(POINT, store.fingerprint)
+    record = {"key": key, "fingerprint": store.fingerprint,
+              "point": POINT.to_dict(),
+              "result": {"status": DONE, "seconds": 1.5, "error": None}}
+    record["checksum"] = record_checksum(record)
+    loose = store.root / "objects" / key[:2] / f"{key}.json"
+    loose.parent.mkdir(parents=True)
+    loose.write_bytes(_encode(record))
+    store.index.record_puts([{"key": key,
+                              "path": f"objects/{key[:2]}/{key}.json",
+                              "checksum": record["checksum"]}])
+
+    assert store.locate(key).length is None
+    assert store.result_for("tid", POINT).seconds == 1.5
+    scan = store.scan()
+    assert (scan.objects, scan.ok, scan.orphaned) == (1, 1, 0)
+    store.corrupt(key, at=0.5)
+    assert store.get(POINT) is None and store.quarantined == 1
+    assert (store.root / "quarantine" / f"{key}.json").read_bytes() == \
+        loose.read_bytes()

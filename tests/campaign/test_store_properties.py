@@ -7,9 +7,11 @@ damage and checks the safety properties the executor relies on:
   a pure-logic fold of the intact prefix;
 * arbitrarily interleaved failed/done entries fold to the same terminal
   set as the reference semantics (failed pops, done/na pins);
-* a single flipped byte in a stored object is never served as a
+* a single flipped byte in a stored record is never served as a
   different value -- the read is either a miss (quarantined) or the
-  original record, bit-identical.
+  original record, bit-identical;
+* concurrent ``put_many`` writers on one store each keep their own pack
+  files and land each shard's rows as one contiguous run.
 
 Stores touch real files, so tests open their own TemporaryDirectory per
 example instead of using pytest's function-scoped ``tmp_path`` (which
@@ -103,19 +105,22 @@ def test_flipped_byte_is_never_served_as_a_different_value(pos, mask):
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(Path(tmp) / "cache")
         key = store.put(POINT, PAYLOAD)
-        path = store.object_path(key)
-        data = bytearray(path.read_bytes())
+        span = store.locate(key)
+        data = bytearray(span.read())
         data[min(int(pos * len(data)), len(data) - 1)] ^= mask
-        path.write_bytes(bytes(data))
+        with open(span.path, "r+b") as fh:  # in place: a pack line
+            fh.seek(span.offset)
+            fh.write(bytes(data))
 
         record = store.get(POINT)
         if record is None:
-            # detected: unparseable or checksum mismatch, quarantined or
-            # schema-drifted into a miss -- but never an exception
+            # detected: unparseable, no checksum or a mismatch,
+            # quarantined or schema-drifted into a miss -- but never an
+            # exception
             assert store.quarantined <= 1
         else:
             # served: then the result slice must be bit-identical (the
-            # flip landed in bookkeeping such as the checksum field name)
+            # flip turned JSON whitespace into other whitespace)
             assert record["result"] == PAYLOAD
             assert record["point"] == POINT.to_dict()
 
@@ -157,7 +162,8 @@ def test_scan_flags_what_reads_would_quarantine(at):
 # the same directory. The append path must therefore be safe across
 # *processes*: each append's batch lands as one contiguous run of intact
 # lines no matter how many writers race (flock + single O_APPEND write) --
-# the executor commits a whole wave's rows as one such batch.
+# the executor commits a whole wave's rows as one such batch -- and each
+# put_many writes a pack of its own before its index rows land.
 
 def _append_batch(args):
     """Worker: append one process's batch to the shared journal, in one call."""
@@ -235,6 +241,107 @@ def test_concurrent_appenders_match_single_writer_bit_for_bit():
         racing_lines = sorted(racing.read_bytes().splitlines())
         single_lines = sorted(single.path.read_bytes().splitlines())
         assert racing_lines == single_lines
+
+
+def _put_batch(args):
+    """Worker: land one process's points on the shared store, in one call."""
+    root, proc, threads = args
+    store = ResultStore(Path(root))
+    return store.put_many([
+        (_racer(t), {"status": DONE, "seconds": float(proc * 1000 + t),
+                     "error": None}, None)
+        for t in threads])
+
+
+def _racer(threads: int) -> PointSpec:
+    return PointSpec(machine="A", backend="GCC-TBB", case="reduce",
+                     size_exp=12, threads=threads)
+
+
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_eight_racing_put_many_writers_keep_their_packs_and_rows_whole(data):
+    # 8 processes, disjoint points, all creating one fresh store root
+    batches = [data.draw(st.lists(
+        st.integers(min_value=100 * proc + 1, max_value=100 * proc + 60),
+        min_size=1, max_size=12, unique=True)) for proc in range(8)]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "cache"
+        with ctx.Pool(processes=8) as pool:
+            keys = pool.map(_put_batch, [(str(root), proc, batch)
+                                         for proc, batch in enumerate(batches)])
+        owner = {key: proc for proc, batch in enumerate(keys) for key in batch}
+        store = ResultStore(root)
+        # every key reads back its own writer's value
+        for proc, batch in enumerate(batches):
+            for t in batch:
+                record = store.get(_racer(t))
+                assert record["result"]["seconds"] == float(proc * 1000 + t)
+        # one pack per writer, never shared
+        packs = sorted((root / "objects" / "packs").iterdir())
+        assert len(packs) == 8
+        writers = [{owner[json.loads(line)["key"]]
+                    for line in pack.read_bytes().splitlines()}
+                   for pack in packs]
+        assert all(len(w) == 1 for w in writers)
+        assert sorted(w.pop() for w in writers) == list(range(8))
+        # each writer's rows for a shard are one unbroken run, in order
+        for log in (root / "index").glob("*.log.jsonl"):
+            rows = [json.loads(line)["key"]
+                    for line in log.read_bytes().splitlines()]
+            for proc, batch in enumerate(keys):
+                at = [i for i, key in enumerate(rows) if owner[key] == proc]
+                if at:
+                    assert at == list(range(at[0], at[0] + len(at)))
+                    assert [rows[i] for i in at] == \
+                        [k for k in batch if k[:2] == log.name[:2]]
+        scan = store.scan()
+        assert (scan.ok, scan.errors, scan.orphaned) == (len(owner), 0, 0)
+
+
+def test_threads_sharing_one_handle_always_read_their_own_writes():
+    # The service's runner threads may share a store handle; its locator
+    # cache is folded from the log under a lock while writers drop their
+    # keys from it. A lost update would read a freshly written key as a
+    # miss on that handle.
+    import sys
+    import threading
+
+    errors: list[str] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultStore(Path(tmp) / "cache")
+
+        def writer(proc: int) -> None:
+            mine: list[int] = []
+            for batch in range(12):
+                threads = [100 * proc + 4 * batch + i + 1 for i in range(4)]
+                store.put_many([
+                    (_racer(t), {"status": DONE, "error": None,
+                                 "seconds": float(proc * 1000 + t)}, None)
+                    for t in threads])
+                mine += threads
+                for t in mine:
+                    result = store.result_for("t", _racer(t))
+                    if result is None or result.seconds != proc * 1000 + t:
+                        errors.append(f"writer {proc}: {t} read {result}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=writer, args=(proc,))
+                       for proc in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert store.quarantined == 0 and store.count_objects() == 8 * 48
 
 
 def _run_same_campaign(args):

@@ -1,14 +1,23 @@
 #!/usr/bin/env python
-"""One-shot in-place migration of a v1 flat result store to the sharded
-v2 layout (``STORE_META.json`` + per-shard persistent index).
+"""Build a result store's index from its records: migrate a v1 flat
+store in place, or (``--force``) rebuild the index of a v2 one.
 
-The object tree is never rewritten -- v2 keeps ``objects/ab/<key>.json``
-byte-for-byte -- so migration is purely additive: walk the tree once,
-write one compacted index snapshot per populated shard, then stamp the
-``STORE_META.json`` marker (the commit point; a crash before it leaves
-a valid v1 store, re-running finishes the job). Corrupt or unparseable
-objects are left unindexed: ``scan``/``verify`` keep flagging them and
-a quarantining read still pulls them out of service.
+A v1 store is a flat tree of loose objects (``objects/ab/<key>.json``)
+with no ``STORE_META.json`` and no index. Reads go through the index,
+so ``ResultStore`` refuses to open such a store until it is migrated.
+v2 stores write records as the lines of pack files
+(``objects/packs/<name>.pack``) and may still hold loose objects from
+before packs. The index is derived from those records: this tool reads
+every loose object and every pack line once, drops the old index,
+writes one compacted snapshot per populated shard, then stamps the
+``STORE_META.json`` marker (the commit point for a v1 store; a crash
+before it leaves the store as it was, and re-running finishes the
+job). No object or pack is ever rewritten. When a key has several
+intact records, the last one wins (loose objects first, then packs in
+name order -- their names start with a creation time stamp -- and lines
+in order). Damaged or misfiled records are left unindexed:
+``scan``/``verify`` report them as orphaned lines. Run it while no
+process writes to the store.
 
 Usage::
 
@@ -22,12 +31,12 @@ Usage::
 a campaign directory (holding ``spec.json``; its ``cache/`` is used).
 
 ``--verify`` proves the diffcheck-style contract: a pre-migration
-inventory of every object's bytes is re-hashed afterwards (no object
-touched), the index must cover exactly the intact keys in both
-directions, and for every key the indexed (checksum, status, seconds)
-must equal what the record itself answers -- i.e. a migrated (and, with
-``--compact``, compacted) store answers every query bit-identically to
-the v1 flat store.
+inventory of every loose object's and pack's bytes is re-hashed
+afterwards (nothing touched), the index must cover exactly the keys
+with an intact record in both directions, and for every key the indexed
+(checksum, status, seconds) must equal what the record itself answers
+-- i.e. a migrated (and, with ``--compact``, compacted) store answers
+every query bit-identically to the records it was built from.
 
 Exit codes: 0 = migrated/verified OK, 1 = verification failed,
 2 = bad invocation (not a store, unreadable layout).
@@ -38,7 +47,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -49,13 +60,35 @@ if str(SRC) not in sys.path:  # runnable straight from a checkout
 from repro.campaign.shard import (  # noqa: E402
     STORE_LAYOUT_VERSION,
     STORE_META,
-    ShardIndex,
     StoreIndex,
     read_store_meta,
     shard_prefix,
     write_store_meta,
 )
-from repro.campaign.store import ResultStore, record_checksum  # noqa: E402
+from repro.campaign.store import (  # noqa: E402
+    ResultStore,
+    pack_lines,
+    record_checksum,
+    record_files,
+)
+from repro.errors import CampaignError  # noqa: E402
+
+
+@dataclass
+class Inventory:
+    """Everything a store's records hold, read once.
+
+    ``files`` maps each loose object's and pack's path (relative to the
+    store root) to the sha256 of its bytes; ``records`` lists every
+    loose object and pack line in precedence order as dicts with
+    ``name`` (a loose object's filename key, None for a pack line),
+    ``path``, ``offset``, ``length`` (None for a loose object, read
+    whole) and ``record`` (None when the bytes do not parse to a JSON
+    object).
+    """
+
+    files: dict[str, str] = field(default_factory=dict)
+    records: list[dict] = field(default_factory=list)
 
 
 def resolve_store_root(target: Path) -> Path:
@@ -69,55 +102,64 @@ def resolve_store_root(target: Path) -> Path:
     raise SystemExit(2)
 
 
-def inventory_objects(root: Path) -> dict[str, dict]:
-    """key -> {sha256, record|None} for every object file under ``root``.
-
-    ``record`` is None for unparseable files; those stay unindexed (the
-    scan/quarantine machinery owns them, not the index).
-    """
-    objects = root / "objects"
-    out: dict[str, dict] = {}
-    if not objects.is_dir():
-        return out
-    for path in sorted(objects.rglob("*.json")):
-        raw = path.read_bytes()
-        entry: dict = {"sha256": hashlib.sha256(raw).hexdigest(), "record": None}
-        try:
-            record = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            record = None
-        if isinstance(record, dict):
-            entry["record"] = record
-        out[path.stem] = entry
-    return out
+def _parse(raw: bytes) -> dict | None:
+    """``raw`` as a JSON object, or None."""
+    try:
+        record = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None
+    return record if isinstance(record, dict) else None
 
 
-def _indexable(key: str, entry: dict) -> dict | None:
-    """The index row for an inventoried object, or None to skip it.
+def inventory_store(root: Path) -> Inventory:
+    """Read every loose object and pack line under ``root`` once."""
+    inventory = Inventory()
+    for rel in record_files(root):
+        raw = (root / rel).read_bytes()
+        inventory.files[rel] = hashlib.sha256(raw).hexdigest()
+        if rel.endswith(".json"):
+            inventory.records.append({"name": Path(rel).stem, "path": rel,
+                                      "offset": None, "length": None,
+                                      "record": _parse(raw)})
+            continue
+        for offset, line in pack_lines(raw):
+            inventory.records.append({"name": None, "path": rel,
+                                      "offset": offset, "length": len(line),
+                                      "record": _parse(line)})
+    return inventory
 
-    Skipped: unparseable files, records whose embedded key disagrees
-    with the filename (misfiled), records failing their own checksum
-    (a read would quarantine them, so indexing them would only create
-    an immediately-stale row), and keys that are not two-hex-prefix
-    shardable. Legacy pre-checksum records *are* indexed (checksum
-    None) -- they are served, so they must be countable.
+
+def _indexable(entry: dict) -> dict | None:
+    """The index row for an inventoried record, or None to skip it.
+
+    Skipped: unparseable bytes, loose objects whose embedded key
+    disagrees with the filename (misfiled), records without a checksum
+    or failing it (a read would quarantine them, so indexing them would
+    only create an immediately-stale row), and keys that are not
+    two-hex-prefix shardable.
     """
     record = entry["record"]
-    if record is None or record.get("key") != key:
+    if record is None:
+        return None
+    key = record.get("key")
+    if not isinstance(key, str) or entry["name"] not in (None, key):
         return None
     checksum = record.get("checksum")
-    if checksum is not None and record_checksum(record) != checksum:
+    if checksum is None or record_checksum(record) != checksum:
         return None
     try:
         shard_prefix(key)
-    except Exception:
+    except CampaignError:
         return None
     result = record.get("result")
     result = result if isinstance(result, dict) else {}
     point = record.get("point")
     return {
-        "path": f"objects/{key[:2]}/{key}.json",
-        "checksum": record.get("checksum"),
+        "key": key,
+        "path": entry["path"],
+        "offset": entry["offset"],
+        "length": entry["length"],
+        "checksum": checksum,
         "point": dict(point) if isinstance(point, dict) else {},
         "status": result.get("status"),
         "seconds": result.get("seconds"),
@@ -125,77 +167,72 @@ def _indexable(key: str, entry: dict) -> dict | None:
     }
 
 
-def build_index(root: Path, inventory: dict[str, dict]) -> tuple[int, int]:
-    """Write compacted per-shard snapshots for ``inventory``; stamp v2.
-
-    Returns (rows indexed, objects skipped). Snapshots publish
-    atomically via each shard's locked compaction writer; the
-    ``STORE_META.json`` stamp lands last, so a crash mid-migration
-    leaves a still-valid v1 store.
-    """
-    by_shard: dict[str, dict[str, dict]] = {}
+def expected_rows(inventory: Inventory) -> tuple[dict[str, dict], int]:
+    """key -> the row of its last intact record; plus the skipped count."""
+    rows: dict[str, dict] = {}
     skipped = 0
-    for key, entry in sorted(inventory.items()):
-        row = _indexable(key, entry)
+    for entry in inventory.records:
+        row = _indexable(entry)
         if row is None:
             skipped += 1
-            continue
-        by_shard.setdefault(key[:2].lower(), {})[key] = row
-    index_root = root / "index"
-    rows_total = 0
-    for prefix, rows in sorted(by_shard.items()):
-        shard = ShardIndex(index_root, prefix)
-        for key, row in rows.items():
-            shard.append({"op": "put", "key": key, **row})
-        shard.compact()  # fold straight to the snapshot; log ends empty
-        rows_total += len(rows)
+        else:
+            rows[row["key"]] = row
+    return rows, skipped
+
+
+def build_index(root: Path, inventory: Inventory) -> tuple[int, int]:
+    """Replace the index with one built from ``inventory``; stamp v2.
+
+    Returns (rows indexed, records skipped). The old index is dropped
+    first, so the new one is derived from the records alone; each
+    shard's snapshot publishes atomically via its locked compaction
+    writer, and the ``STORE_META.json`` stamp lands last.
+    """
+    rows, skipped = expected_rows(inventory)
+    shutil.rmtree(root / "index", ignore_errors=True)
+    index = StoreIndex(root)
+    index.record_puts(rows[key] for key in sorted(rows))
+    index.compact()  # fold straight to the snapshots; logs end empty
     write_store_meta(root)
-    return rows_total, skipped
+    return len(rows), skipped
 
 
-def verify_store(root: Path, inventory: dict[str, dict]) -> list[str]:
-    """Bit-identity audit of a migrated store against its v1 inventory.
+def verify_store(root: Path, inventory: Inventory) -> list[str]:
+    """Bit-identity audit of an indexed store against its inventory.
 
     Returns a list of problems (empty = verified):
 
-    * every inventoried object file still hashes to its pre-migration
-      sha256 (migration touched no objects);
-    * index coverage is exact both ways over the indexable keys;
-    * per key, the indexed checksum equals the record's stored checksum
-      *and* its recomputed one, and (status, seconds) equal what a v1
-      read of the record answers.
+    * every inventoried loose object and pack still hashes to its
+      pre-migration sha256 (migration touched no record bytes);
+    * index coverage is exact both ways over the keys with an intact
+      record;
+    * per key, the indexed checksum equals its record's, and (status,
+      seconds) equal what a read of the record answers.
     """
     problems: list[str] = []
-    for key, entry in sorted(inventory.items()):
-        path = root / "objects" / key[:2] / f"{key}.json"
+    for rel, digest in sorted(inventory.files.items()):
         try:
-            now = hashlib.sha256(path.read_bytes()).hexdigest()
+            now = hashlib.sha256((root / rel).read_bytes()).hexdigest()
         except FileNotFoundError:
-            problems.append(f"{key}: object file vanished during migration")
+            problems.append(f"{rel}: vanished during migration")
             continue
-        if now != entry["sha256"]:
-            problems.append(f"{key}: object bytes changed during migration")
+        if now != digest:
+            problems.append(f"{rel}: bytes changed during migration")
 
-    index = StoreIndex(root)
-    rows = dict(index.rows())
-    expected = {key: _indexable(key, entry)
-                for key, entry in inventory.items()}
-    expected = {key: row for key, row in expected.items() if row is not None}
+    rows = dict(StoreIndex(root).rows())
+    expected, _skipped = expected_rows(inventory)
     for key in sorted(set(expected) - set(rows)):
-        problems.append(f"{key}: intact object missing from the index")
+        problems.append(f"{key}: intact record missing from the index")
     for key in sorted(set(rows) - set(expected)):
-        problems.append(f"{key}: index row with no intact object")
+        problems.append(f"{key}: index row with no intact record")
     for key in sorted(set(expected) & set(rows)):
         want, got = expected[key], rows[key]
-        record = inventory[key]["record"]
-        recomputed = record_checksum(record) if record.get("checksum") else None
-        if got.get("checksum") != want["checksum"] or (
-                recomputed is not None and got.get("checksum") != recomputed):
+        if got.get("checksum") != want["checksum"]:
             problems.append(f"{key}: index checksum disagrees with the record")
         if (got.get("status"), got.get("seconds")) != (
                 want["status"], want["seconds"]):
             problems.append(f"{key}: index (status, seconds) disagree "
-                            "with a v1 read of the record")
+                            "with a read of the record")
     return problems
 
 
@@ -215,11 +252,12 @@ def main(argv: list[str] | None = None) -> int:
 
     root = resolve_store_root(Path(args.store))
     meta = read_store_meta(root)
-    inventory = inventory_objects(root)
+    inventory = inventory_store(root)
 
     if meta is not None and not args.force:
         print(f"already v{meta.get('layout', STORE_LAYOUT_VERSION)}: "
-              f"{root} ({len(inventory)} object(s)); use --force to rebuild")
+              f"{root} ({len(inventory.records)} record(s)); "
+              "use --force to rebuild")
     else:
         rows, skipped = build_index(root, inventory)
         print(f"migrated {root}: {rows} row(s) indexed across "
@@ -237,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
             for problem in problems:
                 print(f"  {problem}", file=sys.stderr)
             return 1
-        print(f"verify: OK ({len(inventory)} object(s) bit-identical, "
+        print(f"verify: OK ({len(inventory.files)} file(s) bit-identical, "
               "index coverage exact)")
     return 0
 
