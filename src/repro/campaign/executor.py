@@ -23,15 +23,15 @@ and for every task:
    a resume recomputes.
 
 By default each wave is submitted *whole*: eligible points are fused
-into one ``repro.sim.wave`` struct-of-arrays program (serial mode) or
-into one balanced shard per worker (pool mode) via
-:func:`execute_wave`, with shared baselines -- execution contexts,
-chunk->thread layouts, NUMA node maps -- computed once per wave instead
-of once per point. ``batch=False`` (CLI ``--no-batch``) falls back to
-the scalar per-point path -- the reference engine; both produce
-bit-identical results (enforced by ``tools/diffcheck.py``), and retries
-always degrade to the scalar path regardless of how the first attempt
-was submitted.
+into ``repro.sim.wave`` programs (serial mode) or into one balanced
+shard per worker (pool mode) via :func:`execute_wave`, which cuts them
+into sub-waves of bounded size, with shared baselines -- execution
+contexts, chunk->thread layouts, NUMA node maps -- computed once per
+sub-wave instead of once per point. ``batch=False`` (CLI
+``--no-batch``) falls back to the scalar per-point path -- the
+reference engine; both produce bit-identical results (enforced by
+``tools/diffcheck.py``), and retries always degrade to the scalar path
+regardless of how the first attempt was submitted.
 
 Failures degrade gracefully: a point that raises (or times out) after
 its retries is recorded as ``failed`` with its error string and the
@@ -50,7 +50,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import time
+from collections import OrderedDict
 from functools import lru_cache
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -120,6 +122,11 @@ _ALLOCATORS: Mapping[str, Callable] = {
 #: systematically crashing workload (or a hostile fault schedule), not a
 #: transient; the bound keeps the executor from thrashing forever.
 MAX_POOL_REBUILDS = 8
+
+#: Chunk entries of array profiles the wave path keeps alive: the most
+#: one fused sub-wave holds, and the most the profile memo retains. A
+#: GCC-HPX profile at 2^30 elements alone is 32,769 entries (~1.5 MiB).
+WAVE_CHUNK_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -243,48 +250,132 @@ def _cached_context(machine, backend, threads: int,
     )
 
 
-@lru_cache(maxsize=8192)
+class _ProfileMemo:
+    """Thread-safe LRU of array profiles, weighted by chunk entries.
+
+    Holds at most ``budget`` chunk entries: storing a profile evicts the
+    least recently used ones until the total fits again, and a profile
+    larger than the whole budget is never stored. ``hits``/``misses``
+    count :meth:`get` outcomes.
+    """
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.hits = 0
+        self.misses = 0
+        self.chunks = 0
+        self._lock = threading.Lock()
+        self._profiles: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._profiles)
+
+    def get(self, key):
+        """The profile stored under ``key`` (now most recent), else None."""
+        with self._lock:
+            item = self._profiles.get(key)
+            if item is None:
+                self.misses += 1
+                return None
+            self._profiles.move_to_end(key)
+            self.hits += 1
+            return item[0]
+
+    def put(self, key, profile) -> None:
+        """Store ``profile`` under ``key``, evicting to stay in budget."""
+        weight = profile.chunk_entries
+        if weight > self.budget:
+            return
+        with self._lock:
+            if key in self._profiles:
+                return  # a concurrent caller built the same profile first
+            self._profiles[key] = (profile, weight)
+            self.chunks += weight
+            while self.chunks > self.budget:
+                _key, (_profile, dropped) = self._profiles.popitem(last=False)
+                self.chunks -= dropped
+
+
+_PROFILES = _ProfileMemo(WAVE_CHUNK_BUDGET)
+
+
 def _cached_profile(machine, backend, threads: int,
                     allocator: str | None, mode: str, case: str, n: int):
     """Memoized :func:`~repro.suite.batch.build_array_profile` (wave path).
 
     The other shared baseline: an :class:`ArrayProfile` is a frozen,
-    deterministic function of the cell key, is only ever read by the
-    engines, and is small (its arrays scale with chunk count, not
-    problem size), so fused waves can share one instance per cell --
-    across waves and across campaign re-runs -- instead of rebuilding
-    the chunk grid per point. Like :func:`_cached_context` (and keyed
-    the same way, by resolved model objects), this is deliberately
-    wave-only.
+    deterministic function of the cell key and is only ever read by the
+    engines, so fused waves can share one instance per cell -- across
+    waves and across campaign re-runs -- instead of rebuilding the chunk
+    grid per point. Its arrays scale with chunk count, which for a
+    fixed-grain backend grows with problem size, so the memo is an LRU
+    capped at :data:`WAVE_CHUNK_BUDGET` chunk entries rather than a
+    count of profiles: small profiles that grids repeat stay memoised,
+    and a few 2^30 GCC-HPX profiles cannot pin hundreds of MiB. Like
+    :func:`_cached_context` (and keyed the same way, by resolved model
+    objects), this is deliberately wave-only.
     """
-    from repro.suite.batch import build_array_profile
+    key = (machine, backend, threads, allocator, mode, case, n)
+    profile = _PROFILES.get(key)
+    if profile is None:
+        from repro.suite.batch import build_array_profile
 
-    ctx = _cached_context(machine, backend, threads, allocator, mode)
-    return build_array_profile(case, ctx, n)
+        ctx = _cached_context(machine, backend, threads, allocator, mode)
+        profile = build_array_profile(case, ctx, n)
+        _PROFILES.put(key, profile)
+    return profile
+
+
+def _run_sub_wave(sub_wave: list, payloads: list[dict],
+                  out: list[dict | None]) -> None:
+    """Fuse and evaluate one sub-wave, filling ``out`` for its points.
+
+    ``sub_wave`` holds ``(index, entry, parse_ms)`` triples. Any failure
+    of the fused stage degrades every point of the sub-wave to the
+    scalar :func:`execute_point`.
+    """
+    # Looked up at call time, so a patched fuse_wave/simulate_wave is seen.
+    from repro.sim.wave import fuse_wave, simulate_wave
+
+    try:
+        t_fuse = time.perf_counter()
+        reports = simulate_wave(fuse_wave([entry for _, entry, _ in sub_wave]))
+        shared = (time.perf_counter() - t_fuse) * 1000.0 / len(sub_wave)
+        for (i, _entry, parse_ms), report in zip(sub_wave, reports):
+            out[i] = {"status": DONE, "seconds": report.seconds,
+                      "error": None, "wall_ms": parse_ms + shared}
+    except Exception:  # noqa: BLE001 - degrade to per-point scalar
+        for i, _entry, _parse_ms in sub_wave:
+            out[i] = execute_point(payloads[i])
 
 
 def execute_wave(payloads: list[dict]) -> list[dict]:
-    """Cost a whole campaign wave as one fused array program.
+    """Cost a whole campaign wave as fused array programs, in bounded memory.
 
     The wave counterpart of :func:`execute_point` and, like it, a
     module-level picklable pool-worker entry: one submission covers an
     arbitrary mix of points -- different machines, backends and cases
-    fused into a single ``repro.sim.wave`` struct-of-arrays program with
-    shared baselines (contexts, chunk->thread layouts, NUMA node maps)
-    computed once. Points the fused path cannot serve (``min_time > 0``,
-    GPU/run-mode contexts, cases outside the batch set) fall back to the
-    scalar :func:`execute_point` per point, and any unexpected fused-stage
-    failure degrades the whole group the same way -- so the wave path
-    never fails a point the scalar path could cost. Returns one payload
-    per input, in order, each stamped with ``wall_ms``. Seconds are
-    bit-identical to the scalar path (``tools/diffcheck.py`` enforces it).
+    fused into ``repro.sim.wave`` programs with shared baselines
+    (contexts, chunk->thread layouts, NUMA node maps) computed once.
+    Eligible points are fused in sub-waves of at most
+    :data:`WAVE_CHUNK_BUDGET` chunk entries (a single larger profile is
+    a sub-wave of its own), each one ``wave.fuse``/``wave.execute``
+    pair, so a wave never holds more than that many chunk entries of
+    profiles alive beyond the memo's own. Points the fused path cannot
+    serve (``min_time > 0``, GPU/run-mode contexts, cases outside the
+    batch set) fall back to the scalar :func:`execute_point` per point,
+    and any unexpected fused-stage failure degrades its whole sub-wave
+    the same way -- so the wave path never fails a point the scalar
+    path could cost. Returns one payload per input, in order, each
+    stamped with ``wall_ms``. Seconds are bit-identical to the scalar
+    path (``tools/diffcheck.py`` enforces it).
     """
-    from repro.sim.wave import WaveEntry, fuse_wave, simulate_wave
+    from repro.sim.wave import WaveEntry
     from repro.suite.batch import batch_supported
 
     out: list[dict | None] = [None] * len(payloads)
-    fused: list[tuple[int, WaveEntry]] = []
-    parse_wall: dict[int, float] = {}
+    sub_wave: list[tuple[int, WaveEntry, float]] = []
+    sub_chunks = 0
     # Registry factories build a fresh model per call; resolve each
     # (machine, backend) name pair once per wave, not once per point.
     # The memo lives only for this call, so a re-registered model is
@@ -311,8 +402,8 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
             profile = _cached_profile(machine, backend, point.threads,
                                       point.allocator, point.mode,
                                       point.case, point.n)
-            fused.append((i, WaveEntry(ctx.machine, ctx.backend, profile)))
-            parse_wall[i] = (time.perf_counter() - t0) * 1000.0
+            entry = WaveEntry(ctx.machine, ctx.backend, profile)
+            parse_ms = (time.perf_counter() - t0) * 1000.0
         except UnsupportedOperationError as exc:
             out[i] = {"status": NA, "seconds": None, "error": str(exc),
                       "wall_ms": (time.perf_counter() - t0) * 1000.0}
@@ -324,17 +415,15 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
             out[i] = {"status": FAILED, "seconds": None,
                       "error": f"{type(exc).__name__}: {exc}",
                       "wall_ms": (time.perf_counter() - t0) * 1000.0}
-    if fused:
-        try:
-            t_fuse = time.perf_counter()
-            reports = simulate_wave(fuse_wave([entry for _, entry in fused]))
-            shared = (time.perf_counter() - t_fuse) * 1000.0 / len(fused)
-            for (i, _entry), report in zip(fused, reports):
-                out[i] = {"status": DONE, "seconds": report.seconds,
-                          "error": None, "wall_ms": parse_wall[i] + shared}
-        except Exception:  # noqa: BLE001 - degrade to per-point scalar
-            for i, _entry in fused:
-                out[i] = execute_point(payloads[i])
+        else:
+            chunks = profile.chunk_entries
+            if sub_wave and sub_chunks + chunks > WAVE_CHUNK_BUDGET:
+                _run_sub_wave(sub_wave, payloads, out)
+                sub_wave, sub_chunks = [], 0
+            sub_wave.append((i, entry, parse_ms))
+            sub_chunks += chunks
+    if sub_wave:
+        _run_sub_wave(sub_wave, payloads, out)
     return out
 
 
@@ -838,8 +927,8 @@ def run_campaign(
     progress:
         Optional callback invoked with every (task, result) as recorded.
     batch:
-        Fuse each wave's eligible points into one ``repro.sim.wave``
-        struct-of-arrays program (serial) or into one balanced shard per
+        Fuse each wave's eligible points into ``repro.sim.wave``
+        programs of bounded size (serial) or into one balanced shard per
         worker (pool); failed points retry through the scalar path.
         ``False`` forces the scalar per-point path everywhere -- the
         ``--no-batch`` debugging mode. Both paths produce bit-identical

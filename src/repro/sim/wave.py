@@ -9,17 +9,26 @@ This module is the same cost model over *array* profiles
 only vectorized evaluator. Whatever the caller holds -- one point, one
 sweep curve, or a whole heterogeneous campaign wave -- is one wave:
 
-* :func:`fuse_wave` packs the :class:`ArrayProfile` of every point into
-  **one struct-of-arrays program** -- a single concatenated array per
-  chunk field across all phases of all profiles, plus the per-phase
-  model scalars (issue rate, SIMD lanes, traffic and overhead factors)
-  expanded to chunk granularity;
-* :func:`simulate_wave` evaluates the fused program: the elementwise
-  stage (instruction totals, FP lane execution, traffic scaling, time
-  conversion) runs **once over the whole wave**, and only the
-  order-sensitive folds and the NUMA bandwidth model run per phase --
-  with the shared baselines (chunk->thread layouts, thread->node maps)
-  computed once per distinct partition instead of once per point.
+* :func:`fuse_wave` validates every point against its machine and
+  resolves each phase's model scalars (SIMD lanes, issue rate,
+  per-element instruction overhead, traffic factor) once, into a
+  :class:`WaveProgram` that refers to the profiles' chunk arrays
+  without copying them;
+* :func:`simulate_wave` evaluates the program in **blocks**: phases
+  with the same chunk count are stacked as a (rows x chunks) matrix of
+  at most :data:`BLOCK_ENTRIES` entries, with the phase scalars
+  broadcast as columns, and the elementwise stage (instruction totals,
+  FP lane execution, traffic scaling, time conversion), the counter
+  folds and the per-thread folds run once per block. Only the NUMA
+  bandwidth model and report assembly run per phase, with the shared
+  baselines (chunk->thread layouts, thread->node maps) computed once
+  per distinct partition instead of once per point.
+
+Working memory is therefore the block budget plus one layout per
+distinct partition (16 bytes per chunk entry), never a copy of the
+whole wave: evaluating 64 GCC-HPX points at 2^30 elements (32,768
+fixed-grain tasks each, 64 distinct partitions) peaks at about 18
+bytes per chunk entry.
 
 A sweep curve is a wave whose points share a cell; a single point is a
 one-entry wave (:func:`simulate_cpu_arrays`).
@@ -31,13 +40,15 @@ here reproduces the scalar engine's operations exactly:
 
 * elementwise IEEE-754 ops (``a * b``, ``a / b``, ``a + b``) are
   bit-identical whether issued from Python floats or float64 arrays, and
-  whether a scalar operand is broadcast or expanded via ``np.repeat``;
+  whether a scalar operand is a Python float or a broadcast column;
 * order-sensitive accumulations (``acc += x`` loops) are reproduced with
-  ``np.cumsum``, which is a sequential left fold -- **never** ``np.sum``
-  or ``np.add.reduce``, whose pairwise summation rounds differently;
-* per-thread left folds use an occurrence-slot matrix cumsummed along
-  the slot axis; padding slots hold ``+0.0``, and ``x + 0.0 == x``
-  exactly for the non-negative partial sums that occur here;
+  ``np.cumsum`` along the chunk axis of each block row, which is a
+  sequential left fold -- **never** ``np.sum`` or ``np.add.reduce``,
+  whose pairwise summation rounds differently;
+* per-thread left folds scatter each row into an occurrence-slot
+  matrix and cumsum it along the slot axis; padding slots hold ``+0.0``,
+  and ``x + 0.0 == x`` exactly for the non-negative partial sums that
+  occur here;
 * dict-ordered folds over threads (``sum(mem_bytes.values())`` and the
   NUMA node-demand accumulation) follow the scalar engine's dict
   insertion order, i.e. first appearance of each thread in chunk order.
@@ -85,6 +96,7 @@ __all__ = [
     "profile_to_arrays",
     "arrays_to_profile",
     "WAVE_TRACK",
+    "BLOCK_ENTRIES",
     "WaveEntry",
     "WaveProgram",
     "fuse_wave",
@@ -96,6 +108,13 @@ __all__ = [
 
 #: Trace track that ``wave.fuse`` / ``wave.execute`` spans are recorded on.
 WAVE_TRACK = "wave"
+
+#: Most chunk entries one evaluation block stacks (rows x chunks). Bounds
+#: every block temporary of :func:`simulate_wave` to 16 KiB; a phase with
+#: more chunks than this is evaluated as a one-row block. Wave throughput
+#: measured flat from 2^11 to 2^16 on campaign-shaped waves (2-vCPU
+#: x86-64), so the budget sits at the small end.
+BLOCK_ENTRIES = 1 << 11
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +219,11 @@ class ArrayProfile:
             p.kind is PhaseKind.PARALLEL for p in self.phases
         )
 
+    @property
+    def chunk_entries(self) -> int:
+        """Chunk entries across all phases: the profile's array footprint."""
+        return sum(len(p.chunks) for p in self.phases)
+
 
 def _even_bounds_arrays(n: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized ``repro.execution.partition._even_bounds``: (starts, sizes)."""
@@ -289,23 +313,21 @@ def _thread_layout(thread: np.ndarray):
     return thread_order, tidx, slot
 
 
-def _thread_fold(
-    values: np.ndarray, tidx: np.ndarray, slot: np.ndarray, num_threads: int
-) -> np.ndarray:
-    """Per-thread sequential left-fold of ``values`` over chunk order.
+def _thread_fold(values: np.ndarray, layout) -> np.ndarray:
+    """Per-thread sequential left folds of each row of ``values``.
 
-    Builds a (slots, threads) matrix with each thread's contributions in
-    occurrence order and cumulative-sums down the slot axis; the padding
-    zeros are exact for the non-negative partials folded here.
+    ``values`` is a (rows x chunks) block whose rows share one
+    :func:`_layout`. Each row is scattered into a (slots, threads) matrix
+    holding each thread's contributions in occurrence order, and the
+    matrix is cumulative-summed down the slot axis; the padding zeros
+    are exact for the non-negative partials folded here. Returns a
+    (rows x threads) array in first-appearance thread order.
     """
-    depth = int(slot.max()) + 1 if len(slot) else 1
-    if depth == 1:
-        out = np.zeros(num_threads)
-        out[tidx] = values
-        return out
-    matrix = np.zeros((depth, num_threads))
-    matrix[slot, tidx] = values
-    return np.cumsum(matrix, axis=0)[-1]
+    thread_order, flat, depth = layout
+    rows, threads = len(values), len(thread_order)
+    matrix = np.zeros((rows, depth * threads))
+    matrix[:, flat] = values
+    return np.cumsum(matrix.reshape(rows, depth, threads), axis=1)[:, -1]
 
 
 def _dram_memory_time_arrays(
@@ -416,41 +438,31 @@ class WaveEntry:
 
 @dataclass(frozen=True)
 class _PhaseSlot:
-    """Fused-program bookkeeping for one phase of one entry."""
+    """One phase of one entry with its model scalars resolved."""
 
     entry: int
     phase: ArrayPhase
-    start: int
-    stop: int
     lanes: int
     rate: float
+    ovh_per_elem: float
+    traffic: float
 
 
 @dataclass(frozen=True)
 class WaveProgram:
-    """A whole wave packed as one struct-of-arrays array program.
+    """A whole wave with every phase's model scalars resolved.
 
-    ``thread``/``elems``/``instr``/``fp_ops``/``bytes_read``/
-    ``bytes_written`` are the chunk fields of every phase of every
-    entry, concatenated in entry-then-phase-then-chunk order;
-    ``ovh_per_elem``/``traffic``/``rate``/``lanes`` are the phase
-    scalars expanded to chunk granularity, so the elementwise stage of
-    the cost model can run once over the entire wave. ``slots`` maps
-    each phase back to its slice and its entry.
+    ``slots`` lists the phases of every entry in entry-then-phase order.
+    Each slot refers to its phase's chunk arrays (never a copy) and
+    holds the four scalars the elementwise stage needs: SIMD lanes,
+    issue rate, per-element instruction overhead and traffic factor.
+    :func:`simulate_wave` stacks slots of equal chunk count into blocks
+    and broadcasts those scalars as columns, so a program costs no
+    memory beyond its profiles until it is evaluated.
     """
 
     entries: tuple[WaveEntry, ...]
     slots: tuple[_PhaseSlot, ...]
-    thread: np.ndarray
-    elems: np.ndarray
-    instr: np.ndarray
-    fp_ops: np.ndarray
-    bytes_read: np.ndarray
-    bytes_written: np.ndarray
-    ovh_per_elem: np.ndarray
-    traffic: np.ndarray
-    rate: np.ndarray
-    lanes: np.ndarray
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -459,17 +471,6 @@ class WaveProgram:
 def _pack(entries: tuple[WaveEntry, ...]) -> WaveProgram:
     """Span-free core of :func:`fuse_wave`."""
     slots: list[_PhaseSlot] = []
-    fields: dict[str, list[np.ndarray]] = {
-        "thread": [], "elems": [], "instr": [], "fp_ops": [],
-        "bytes_read": [], "bytes_written": [],
-    }
-    ovh: list[float] = []
-    traffic: list[float] = []
-    rate: list[float] = []
-    lanes_l: list[int] = []
-    lengths: list[int] = []
-
-    offset = 0
     for i, entry in enumerate(entries):
         machine, backend, profile = entry.machine, entry.backend, entry.profile
         if profile.threads > machine.total_cores:
@@ -481,52 +482,20 @@ def _pack(entries: tuple[WaveEntry, ...]) -> WaveProgram:
         base_rate = machine.frequency_hz * machine.ipc * turbo
         alg = profile.alg
         for phase in profile.phases:
-            ca = phase.chunks
-            n_chunks = len(ca)
             phase_rate = base_rate * backend.ipc_factor(alg)
             if phase.kind is PhaseKind.SEQUENTIAL:
                 phase_rate /= backend.seq_codegen_factor(alg)
             slots.append(_PhaseSlot(
-                entry=i, phase=phase, start=offset, stop=offset + n_chunks,
+                entry=i, phase=phase,
                 lanes=_lanes(machine, backend, phase, profile),
                 rate=phase_rate,
+                ovh_per_elem=(
+                    backend.instr_overhead_for(alg, machine.topology.num_nodes)
+                    if phase.apply_instr_overhead else 0.0
+                ),
+                traffic=backend.traffic_factor(alg),
             ))
-            fields["thread"].append(ca.thread)
-            fields["elems"].append(ca.elems)
-            fields["instr"].append(ca.instr)
-            fields["fp_ops"].append(ca.fp_ops)
-            fields["bytes_read"].append(ca.bytes_read)
-            fields["bytes_written"].append(ca.bytes_written)
-            ovh.append(
-                backend.instr_overhead_for(alg, machine.topology.num_nodes)
-                if phase.apply_instr_overhead else 0.0
-            )
-            traffic.append(backend.traffic_factor(alg))
-            rate.append(phase_rate)
-            lanes_l.append(slots[-1].lanes)
-            lengths.append(n_chunks)
-            offset += n_chunks
-
-    def _cat(name: str, dtype) -> np.ndarray:
-        if not fields[name]:
-            return np.zeros(0, dtype=dtype)
-        return np.concatenate([np.asarray(a, dtype=dtype) for a in fields[name]])
-
-    reps = np.asarray(lengths, dtype=np.int64)
-    return WaveProgram(
-        entries=entries,
-        slots=tuple(slots),
-        thread=_cat("thread", np.int64),
-        elems=_cat("elems", np.float64),
-        instr=_cat("instr", np.float64),
-        fp_ops=_cat("fp_ops", np.float64),
-        bytes_read=_cat("bytes_read", np.float64),
-        bytes_written=_cat("bytes_written", np.float64),
-        ovh_per_elem=np.repeat(np.asarray(ovh), reps),
-        traffic=np.repeat(np.asarray(traffic), reps),
-        rate=np.repeat(np.asarray(rate), reps),
-        lanes=np.repeat(np.asarray(lanes_l, dtype=np.float64), reps),
-    )
+    return WaveProgram(entries=entries, slots=tuple(slots))
 
 
 def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
@@ -534,9 +503,9 @@ def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
 
     Validates each profile against its machine (an oversubscribed
     profile raises :class:`~repro.errors.SimulationError`, as in the
-    scalar engine), computes every phase's model scalars once, and
-    concatenates all chunk arrays into the fused struct-of-arrays form.
-    Emits a zero-duration ``wave.fuse`` span (fusion is bookkeeping, not
+    scalar engine) and computes every phase's model scalars once; the
+    chunk arrays stay where the profiles hold them. Emits a
+    zero-duration ``wave.fuse`` span (fusion is bookkeeping, not
     simulated time) when tracing is enabled.
     """
     program = _pack(tuple(entries))
@@ -545,7 +514,7 @@ def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
         tracer.record(
             "wave.fuse", 0.0, category="wave", track=WAVE_TRACK,
             points=len(program.entries), phases=len(program.slots),
-            chunks=len(program.thread),
+            chunks=sum(e.profile.chunk_entries for e in program.entries),
         )
     return program
 
@@ -555,17 +524,26 @@ def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
 # ---------------------------------------------------------------------------
 
 def _layout(cache: dict, thread: np.ndarray):
-    """Chunk->thread layout of one phase, shared across identical partitions.
+    """Fold layout of one phase's chunk->thread map, shared across partitions.
 
+    Returns ``(thread_order, flat, depth)``: the distinct thread ids in
+    first-appearance order (the scalar engine's dict insertion order),
+    each chunk's cell in the flattened (depth, threads) occurrence-slot
+    matrix of :func:`_thread_fold`, and the deepest thread's chunk count.
     The layout is a pure function of the thread-id array; points of a
     wave that share a partition (every case of one (machine, backend)
     cell does) compute it once. The key is the array's raw bytes, so
-    sharing works even when builders materialised separate arrays.
+    sharing works even when builders materialised separate arrays, and
+    the cache hands out one tuple per distinct partition.
     """
+    thread = np.asarray(thread, dtype=np.int64)
     key = thread.tobytes()
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = _thread_layout(thread)
+        thread_order, tidx, slot = _thread_layout(thread)
+        hit = cache[key] = (
+            thread_order, slot * len(thread_order) + tidx, int(slot.max()) + 1
+        )
     return hit
 
 
@@ -591,133 +569,197 @@ def _nodes_of(
     return hit
 
 
+def _blocks(slots: tuple[_PhaseSlot, ...]):
+    """Slot indices grouped by chunk count, each group cut into blocks.
+
+    Yields one list of blocks per chunk count, in first-appearance order;
+    a block holds at most ``BLOCK_ENTRIES // chunks`` rows (at least one).
+    """
+    groups: dict[int, list[int]] = {}
+    for index, slot in enumerate(slots):
+        groups.setdefault(len(slot.phase.chunks), []).append(index)
+    for chunks, indices in groups.items():
+        rows = max(1, BLOCK_ENTRIES // chunks)
+        yield [indices[lo:lo + rows] for lo in range(0, len(indices), rows)]
+
+
+def _row_folds(block: np.ndarray) -> list[float]:
+    """Sequential left fold of every row (``_fold`` per row, at once)."""
+    return np.cumsum(block, axis=1)[:, -1].tolist()
+
+
+def _block_folds(slots: list[_PhaseSlot], layouts: dict):
+    """Elementwise stage and every chunk fold of one block of phases.
+
+    The phases share a chunk count; their chunk fields are stacked as
+    rows and their scalars broadcast as columns. Yields, per phase:
+    its :class:`Counters`, its per-thread instruction time and memory
+    bytes (first-appearance thread order), and that thread order.
+    """
+    def stack(name: str) -> np.ndarray:
+        return np.stack([getattr(s.phase.chunks, name) for s in slots],
+                        dtype=np.float64)
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(s, name) for s in slots],
+                        dtype=np.float64)[:, None]
+
+    elems, instr, fp_ops = stack("elems"), stack("instr"), stack("fp_ops")
+    bytes_read, bytes_written = stack("bytes_read"), stack("bytes_written")
+    traffic = column("traffic")
+
+    executed = np.where(fp_ops > 0.0, fp_ops / column("lanes"), 0.0)
+    instrs = instr + elems * column("ovh_per_elem") + executed
+    instr_vals = instrs / column("rate")
+    mem_vals = (bytes_read + bytes_written) * traffic
+    instructions = _row_folds(instrs)
+    # A one-lane phase counts ``executed`` as scalar FP: x / 1.0 == x.
+    fp = _row_folds(executed)
+    read = _row_folds(bytes_read * traffic)
+    written = _row_folds(bytes_written * traffic)
+
+    by_layout: dict[int, tuple] = {}
+    for row, slot in enumerate(slots):
+        layout = _layout(layouts, slot.phase.chunks.thread)
+        by_layout.setdefault(id(layout), (layout, []))[1].append(row)
+    per_thread: list = [None] * len(slots)
+    for layout, rows in by_layout.values():
+        instr_time = _thread_fold(instr_vals[rows], layout)
+        mem_bytes = _thread_fold(mem_vals[rows], layout)
+        for k, row in enumerate(rows):
+            per_thread[row] = (instr_time[k], mem_bytes[k], layout[0])
+
+    for row, slot in enumerate(slots):
+        lanes = slot.lanes
+        counters = Counters(
+            instructions=instructions[row],
+            fp_scalar=fp[row] if lanes <= 1 else 0.0,
+            fp_packed_128=fp[row] if lanes == 2 else 0.0,
+            fp_packed_256=fp[row] if lanes > 2 else 0.0,
+            bytes_read=read[row],
+            bytes_written=written[row],
+        )
+        yield (counters, *per_thread[row])
+
+
+def _phase_report(
+    entry: WaveEntry,
+    phase: ArrayPhase,
+    counters: Counters,
+    instr_time: np.ndarray,
+    mem_bytes: np.ndarray,
+    thread_order: np.ndarray,
+    node_cache: dict,
+) -> PhaseReport:
+    """The per-phase roofline, NUMA and overhead stage over thread folds."""
+    machine, backend, profile = entry.machine, entry.backend, entry.profile
+    alg = profile.alg
+    num_threads = len(thread_order)
+
+    compute_time = float(instr_time.max()) if num_threads else 0.0
+    if phase.kind is PhaseKind.PARALLEL and profile.threads > 1:
+        scaling = profile.threads / backend.effective_threads(profile.threads)
+        if scaling > 1.0:
+            compute_time *= scaling
+            instr_time = instr_time * scaling
+
+    memory_time = 0.0
+    total_phase_bytes = _fold(mem_bytes)
+    if total_phase_bytes > 0.0 and phase.placement is not None:
+        active = max(1, num_threads)
+        level = machine.caches.fitting_level(int(phase.working_set), active)
+        if level is not None:
+            bw = level.bandwidth_per_core
+            lane_mem = mem_bytes / bw
+            memory_time = float(lane_mem.max())
+            per_thread_roofline = float(
+                np.maximum(instr_time, lane_mem).max()
+            )
+        else:
+            thread_nodes = _nodes_of(
+                node_cache, machine, backend, profile.threads, thread_order
+            )
+            active_nodes = len(set(thread_nodes.tolist()))
+            matched = None
+            if phase.placement.policy in MATCHED_POLICIES:
+                matched = backend.numa_quality(alg) ** max(0, active_nodes - 1)
+            times = _dram_memory_time_arrays(
+                machine,
+                phase.placement,
+                mem_bytes,
+                thread_nodes,
+                matched_quality=matched,
+                bw_efficiency=backend.bw_efficiency_at(alg, active_nodes),
+            )
+            memory_time = times.total
+            scale = times.per_thread / max(1e-30, float(mem_bytes.max()))
+            lane_mem = mem_bytes * scale
+            per_thread_roofline = float(
+                np.maximum(instr_time, lane_mem).max()
+            )
+            per_thread_roofline = max(
+                per_thread_roofline,
+                times.per_node,
+                times.global_dram,
+                times.interconnect,
+            )
+    else:
+        per_thread_roofline = compute_time
+
+    phase_time = max(compute_time, per_thread_roofline)
+
+    if (
+        phase.spread_penalty > 1.0
+        and phase.placement is not None
+        and max(phase.placement.node_fractions) < 1.0 - 1e-3
+    ):
+        weight = min(1.0, 2.0 / machine.topology.num_nodes)
+        phase_time *= 1.0 + (phase.spread_penalty - 1.0) * weight
+
+    overhead_time = 0.0
+    if phase.sched_chunks:
+        overhead_time += backend.sched_overhead(
+            phase.sched_chunks, profile.threads
+        )
+    if phase.sync_points:
+        overhead_time += phase.sync_points * backend.sync_cost(profile.threads)
+    phase_time += overhead_time
+
+    return PhaseReport(
+        name=phase.name,
+        seconds=phase_time,
+        compute_seconds=compute_time,
+        memory_seconds=memory_time,
+        overhead_seconds=overhead_time,
+        counters=counters,
+    )
+
+
 def _evaluate(program: WaveProgram) -> tuple[SimReport, ...]:
     """Span-free core of :func:`simulate_wave`."""
     if not program.entries:
         return ()
 
-    # --- fused elementwise stage: once over the entire wave ------------
-    has_fp = program.fp_ops > 0.0
-    executed = np.where(has_fp, program.fp_ops / program.lanes, 0.0)
-    instrs = program.instr + program.elems * program.ovh_per_elem + executed
-    read_traffic = program.bytes_read * program.traffic
-    write_traffic = program.bytes_written * program.traffic
-    instr_vals = instrs / program.rate
-    mem_vals = (program.bytes_read + program.bytes_written) * program.traffic
-    fp_masked = np.where(has_fp, program.fp_ops, 0.0)
-
-    layout_cache: dict = {}
+    # --- blocked elementwise and fold stages, then per-phase tails ------
+    slots = program.slots
     node_cache: dict = {}
+    by_slot: list[PhaseReport | None] = [None] * len(slots)
+    for blocks in _blocks(slots):
+        # Equal partitions have equal chunk counts, so a layout is never
+        # shared across groups and each group's layouts die with it.
+        layouts: dict = {}
+        for block in blocks:
+            rows = [slots[i] for i in block]
+            for index, slot, folds in zip(block, rows,
+                                          _block_folds(rows, layouts)):
+                by_slot[index] = _phase_report(
+                    program.entries[slot.entry], slot.phase, *folds,
+                    node_cache,
+                )
+
     per_entry_phases: list[list[PhaseReport]] = [[] for _ in program.entries]
-
-    # --- per-phase order-sensitive stage --------------------------------
-    for slot in program.slots:
-        entry = program.entries[slot.entry]
-        machine, backend, profile = entry.machine, entry.backend, entry.profile
-        phase = slot.phase
-        s = slice(slot.start, slot.stop)
-        alg = profile.alg
-        lanes = slot.lanes
-
-        ctr = {
-            "instructions": _fold(instrs[s]),
-            "fp_scalar": 0.0,
-            "fp_packed_128": 0.0,
-            "fp_packed_256": 0.0,
-            "bytes_read": _fold(read_traffic[s]),
-            "bytes_written": _fold(write_traffic[s]),
-        }
-        if lanes <= 1:
-            ctr["fp_scalar"] = _fold(fp_masked[s])
-        elif lanes == 2:
-            ctr["fp_packed_128"] = _fold(executed[s])
-        else:
-            ctr["fp_packed_256"] = _fold(executed[s])
-
-        thread_order, tidx, slot_idx = _layout(layout_cache, program.thread[s])
-        num_threads = len(thread_order)
-        instr_time = _thread_fold(instr_vals[s], tidx, slot_idx, num_threads)
-        mem_bytes = _thread_fold(mem_vals[s], tidx, slot_idx, num_threads)
-
-        compute_time = float(instr_time.max()) if num_threads else 0.0
-        if phase.kind is PhaseKind.PARALLEL and profile.threads > 1:
-            scaling = profile.threads / backend.effective_threads(profile.threads)
-            if scaling > 1.0:
-                compute_time *= scaling
-                instr_time = instr_time * scaling
-
-        memory_time = 0.0
-        total_phase_bytes = _fold(mem_bytes)
-        if total_phase_bytes > 0.0 and phase.placement is not None:
-            active = max(1, num_threads)
-            level = machine.caches.fitting_level(int(phase.working_set), active)
-            if level is not None:
-                bw = level.bandwidth_per_core
-                lane_mem = mem_bytes / bw
-                memory_time = float(lane_mem.max())
-                per_thread_roofline = float(
-                    np.maximum(instr_time, lane_mem).max()
-                )
-            else:
-                thread_nodes = _nodes_of(
-                    node_cache, machine, backend, profile.threads, thread_order
-                )
-                active_nodes = len(set(thread_nodes.tolist()))
-                matched = None
-                if phase.placement.policy in MATCHED_POLICIES:
-                    matched = backend.numa_quality(alg) ** max(0, active_nodes - 1)
-                times = _dram_memory_time_arrays(
-                    machine,
-                    phase.placement,
-                    mem_bytes,
-                    thread_nodes,
-                    matched_quality=matched,
-                    bw_efficiency=backend.bw_efficiency_at(alg, active_nodes),
-                )
-                memory_time = times.total
-                scale = times.per_thread / max(1e-30, float(mem_bytes.max()))
-                lane_mem = mem_bytes * scale
-                per_thread_roofline = float(
-                    np.maximum(instr_time, lane_mem).max()
-                )
-                per_thread_roofline = max(
-                    per_thread_roofline,
-                    times.per_node,
-                    times.global_dram,
-                    times.interconnect,
-                )
-        else:
-            per_thread_roofline = compute_time
-
-        phase_time = max(compute_time, per_thread_roofline)
-
-        if (
-            phase.spread_penalty > 1.0
-            and phase.placement is not None
-            and max(phase.placement.node_fractions) < 1.0 - 1e-3
-        ):
-            weight = min(1.0, 2.0 / machine.topology.num_nodes)
-            phase_time *= 1.0 + (phase.spread_penalty - 1.0) * weight
-
-        overhead_time = 0.0
-        if phase.sched_chunks:
-            overhead_time += backend.sched_overhead(
-                phase.sched_chunks, profile.threads
-            )
-        if phase.sync_points:
-            overhead_time += phase.sync_points * backend.sync_cost(profile.threads)
-        phase_time += overhead_time
-
-        per_entry_phases[slot.entry].append(
-            PhaseReport(
-                name=phase.name,
-                seconds=phase_time,
-                compute_seconds=compute_time,
-                memory_seconds=memory_time,
-                overhead_seconds=overhead_time,
-                counters=Counters(**ctr),
-            )
-        )
+    for slot, phase_report in zip(slots, by_slot):
+        per_entry_phases[slot.entry].append(phase_report)
 
     # --- per-entry report assembly (scalar accumulation order) ----------
     reports: list[SimReport] = []
@@ -751,9 +793,9 @@ def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
 
     Each report is bit-identical to the scalar engine's report for the
     equivalent :class:`~repro.sim.work.WorkProfile` (``tools/diffcheck.py``
-    enforces this): the fused elementwise stage computes the same
-    per-element IEEE-754 operations, and the order-sensitive folds run
-    on per-phase slices. Emits one ``wave.execute`` span carrying the
+    enforces this): each block computes the same per-element IEEE-754
+    operations, and every order-sensitive fold is a sequential left fold
+    along one phase's row. Emits one ``wave.execute`` span carrying the
     wave's total simulated seconds (a left fold over the entries) and
     advances the simulated clock by it when tracing is enabled.
     """

@@ -14,15 +14,24 @@ properties that make that safe to default on:
   ``wave.execute`` spans on the ``wave`` track;
 * **profile gates** -- the wave path reuses contexts and thread layouts
   instead of rebuilding them per point, which is where its speedup over
-  point-at-a-time evaluation comes from.
+  point-at-a-time evaluation comes from;
+* **bounded memory** -- a wave whose profiles outgrow
+  ``WAVE_CHUNK_BUDGET`` runs as several sub-waves, and the profile memo
+  never holds more than that many chunk entries, yet still serves a
+  repeated small grid.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+from types import SimpleNamespace
 
 from repro.backends import get_backend
 from repro.campaign import executor as executor_mod
 from repro.campaign.executor import run_campaign
 from repro.campaign.plan import plan_campaign
+from repro.campaign.spec import PointSpec
 from repro.campaign.store import DONE, FAILED
 from repro.machines import get_machine
 from repro.sim import wave as wave_mod
@@ -196,3 +205,81 @@ def test_wave_path_builds_fewer_thread_layouts_than_batch(monkeypatch):
     batch_layouts = counts["n"]
 
     assert 0 < wave_layouts < batch_layouts
+
+
+def _hpx_payloads():
+    """64 GCC-HPX reduce points at 2^30: 32,769 chunk entries each."""
+    return [PointSpec(machine="C", backend="GCC-HPX", case="reduce",
+                      size_exp=30, threads=threads).to_dict()
+            for threads in range(2, 66)]
+
+
+def _fresh_memo(monkeypatch):
+    memo = executor_mod._ProfileMemo(executor_mod.WAVE_CHUNK_BUDGET)
+    monkeypatch.setattr(executor_mod, "_PROFILES", memo)
+    return memo
+
+
+def test_oversized_wave_runs_as_bounded_sub_waves(monkeypatch):
+    """Profiles past the budget split the wave; the memo stays in budget."""
+    memo = _fresh_memo(monkeypatch)
+    payloads = _hpx_payloads()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        out = executor_mod.execute_wave(payloads)
+    assert [p["status"] for p in out] == [DONE] * len(payloads)
+    fuses = [s for s in tracer.spans if s.name == "wave.fuse"]
+    assert len(fuses) > 1
+    assert sum(s.attributes["points"] for s in fuses) == len(payloads)
+    assert all(s.attributes["chunks"] <= executor_mod.WAVE_CHUNK_BUDGET
+               for s in fuses)
+    assert 0 < memo.chunks <= executor_mod.WAVE_CHUNK_BUDGET
+    assert len(memo) < len(payloads)
+
+    # Sub-waving changes no answer: the same points one at a time.
+    for payload, result in zip(payloads[::21], out[::21]):
+        (alone,) = executor_mod.execute_wave([payload])
+        assert alone["seconds"].hex() == result["seconds"].hex()
+
+
+def test_repeated_small_grid_is_served_from_the_memo(monkeypatch):
+    spec = wider_spec()
+    memo = _fresh_memo(monkeypatch)
+    first = run_campaign(spec)
+    built = memo.misses
+    assert built > 0 and len(memo) == built
+    hits = memo.hits
+    second = run_campaign(spec)  # a fresh in-memory store: executes again
+    assert second.stats.executed == first.stats.executed
+    assert memo.misses == built
+    assert memo.hits - hits == built  # every profile came from the memo
+    _assert_outcomes_identical(first, second)
+
+
+def test_profile_memo_is_thread_safe():
+    """Concurrent get/put keep the weight total exact and within budget."""
+    memo = executor_mod._ProfileMemo(budget=64)
+    profiles = [SimpleNamespace(chunk_entries=1 + k % 7) for k in range(40)]
+    rounds = 3000
+
+    def worker(seed: int) -> None:
+        for r in range(rounds):
+            key = (seed * 7 + r) % len(profiles)
+            if memo.get(key) is None:
+                memo.put(key, profiles[key])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert memo.hits + memo.misses == 8 * rounds
+    stored = [memo.get(key) for key in range(len(profiles))]
+    assert memo.chunks == sum(p.chunk_entries for p in stored if p is not None)
+    assert memo.chunks <= memo.budget

@@ -10,7 +10,8 @@ directly to the scalar reference engine (``repro.sim.engine``). Layers:
    chunk layout; ``simulate_wave`` over a heterogeneous fused program
    (every machine x backend x case cell in one wave, mixed sizes)
    reproduces each entry's one-entry and scalar reports, including the
-   degenerate single-entry and empty waves;
+   degenerate single-entry and empty waves, a wave whose length groups
+   outgrow one phase block, and a partition that is not round-robin;
 2. the GPU array path -- ``simulate_gpu_arrays`` reproduces
    ``simulate_gpu`` on captured profiles, including unified-memory
    residency mutation across chained calls;
@@ -19,7 +20,9 @@ directly to the scalar reference engine (``repro.sim.engine``). Layers:
    groups fused wave-style and diffed entry by entry against scalar;
 4. the observability contract: fusing/executing a wave emits the
    ``wave.fuse`` / ``wave.execute`` spans on the ``wave`` track, and
-   the engine stays span-silent when no tracer is installed.
+   the engine stays span-silent when no tracer is installed;
+5. bounded memory: evaluating a wave of fine-grained GCC-HPX profiles
+   allocates a few dozen bytes per chunk entry, not a fused copy.
 """
 
 from __future__ import annotations
@@ -27,8 +30,10 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -37,6 +42,7 @@ from repro.scenarios.resolve import make_context
 from repro.sim.engine import simulate_cpu
 from repro.sim.gpu import simulate_gpu
 from repro.sim.wave import (
+    BLOCK_ENTRIES,
     WAVE_TRACK,
     WaveEntry,
     arrays_to_profile,
@@ -209,6 +215,68 @@ def test_wave_and_scalar_agree_end_to_end():
         assert report.seconds.hex() == float(seconds).hex()
 
 
+def _assert_wave_matches_scalar(entries):
+    reports = simulate_wave(fuse_wave(entries))
+    assert len(reports) == len(entries)
+    for entry, report in zip(entries, reports):
+        _assert_reports_identical(report, simulate_cpu(
+            entry.machine, entry.backend, arrays_to_profile(entry.profile)
+        ))
+    return reports
+
+
+def test_wave_larger_than_a_block_matches_scalar():
+    """1-chunk, small and 32,768-chunk phases in one wave; the 32,768-chunk
+    length group holds more phases than one block, so it spans blocks."""
+    entries = []
+    for threads in (2, 3, 5):
+        ctx = make_context("C", "GCC-HPX", threads=threads)
+        entries.append(WaveEntry(ctx.machine, ctx.backend,
+                                 build_array_profile("reduce", ctx, 1 << 30)))
+    for backend, threads in (("GCC-SEQ", 1), ("GCC-TBB", 8), ("GCC-GNU", 5)):
+        ctx = make_context("C", backend, threads=threads)
+        for case in ("reduce", "find", "sort"):
+            entries.append(WaveEntry(ctx.machine, ctx.backend,
+                                     build_array_profile(case, ctx, 1 << 14)))
+    lengths = [len(phase.chunks)
+               for entry in entries for phase in entry.profile.phases]
+    assert 1 in lengths and any(1 < n < 100 for n in lengths)
+    assert lengths.count(32768) > max(1, BLOCK_ENTRIES // 32768)
+    _assert_wave_matches_scalar(entries)
+
+
+def test_non_round_robin_partition_matches_scalar():
+    """Contiguous per-thread runs (a work-stealing partition) share a block
+    with a round-robin phase of the same chunk count and still match."""
+    from repro.algorithms._build import PerElem, parallel_phase
+    from repro.execution.partition import WorkStealingPartitioner
+
+    ctx = make_context("C", "GCC-TBB", threads=6)
+    n = 1 << 24
+    round_robin = build_array_profile("reduce", ctx, n)
+    base = arrays_to_profile(round_robin)
+    first = base.phases[0]
+    stolen = parallel_phase(
+        first.name, WorkStealingPartitioner().partition(n, ctx.threads),
+        PerElem(instr=3.0, fp=1.0, read=8.0, write=4.0),
+        first.placement, first.working_set,
+    )
+    profile = profile_to_arrays(
+        dataclasses.replace(base, phases=(stolen, *base.phases[1:]))
+    )
+    threads = profile.phases[0].chunks.thread
+    assert len(threads) == len(round_robin.phases[0].chunks)
+    assert not np.array_equal(threads, np.arange(len(threads)) % ctx.threads)
+    reports = _assert_wave_matches_scalar([
+        WaveEntry(ctx.machine, ctx.backend, profile),
+        WaveEntry(ctx.machine, ctx.backend, round_robin),
+    ])
+    _assert_reports_identical(reports[0], simulate_cpu(
+        ctx.machine, ctx.backend,
+        dataclasses.replace(base, phases=(stolen, *base.phases[1:])),
+    ))
+
+
 def test_fuse_rejects_oversubscribed_profile_like_batch():
     """Fused and one-entry evaluation reject oversubscription alike."""
     ctx = make_context("A", "GCC-TBB", threads=4)
@@ -319,3 +387,28 @@ def test_no_spans_without_tracer():
     reports = simulate_wave_entries(entries)  # no use_tracer: must not record
     assert len(reports) == 1
     assert not tracer.spans
+
+
+# --- 5. bounded memory -----------------------------------------------------
+
+
+def test_wave_memory_per_chunk_entry_is_bounded():
+    """64 GCC-HPX reduce profiles at 2^30 (2,097,216 chunk entries): fusing
+    and evaluating them allocates under 64 B per entry at peak. A fused
+    copy of every chunk field plus its chunk-length temporaries reads
+    about 162 B."""
+    entries = []
+    for threads in range(2, 66):
+        ctx = make_context("C", "GCC-HPX", threads=threads)
+        entries.append(WaveEntry(ctx.machine, ctx.backend,
+                                 build_array_profile("reduce", ctx, 1 << 30)))
+    chunks = sum(entry.profile.chunk_entries for entry in entries)
+    assert chunks == 2_097_216
+    tracemalloc.start()
+    try:
+        reports = simulate_wave(fuse_wave(entries))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == len(entries)
+    assert peak / chunks < 64, f"{peak / chunks:.1f} B per chunk entry"

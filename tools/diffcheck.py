@@ -21,7 +21,9 @@ layers:
    one ``repro.sim.wave`` program -- deliberately mixing machines,
    backends and cases the way a campaign wave does -- and compares each
    fused entry's report against the scalar report captured for the same
-   configuration.
+   configuration. The whole sample is also fused as one wave, so the
+   engine's phase blocks fill up and equal-length phases split across
+   several blocks, as they do in a large campaign wave.
 
 Wired into tier-1 via ``tests/sim/test_batch_differential.py`` and
 ``tests/sim/test_wave_differential.py`` (marker ``diffcheck``) and into
@@ -316,8 +318,8 @@ def run_diffcheck(
     """Sweep ``configs`` randomized configurations; return all divergences.
 
     Each configuration goes through the scalar-vs-wave point check, and
-    the same sample is then fused in groups of :data:`WAVE_GROUP` and
-    checked entry by entry against the scalar path.
+    the same sample is then fused in groups of :data:`WAVE_GROUP`, and
+    once as a whole, and checked entry by entry against the scalar path.
     """
     divergences = []
     sample = random_configs(configs, seed)
@@ -331,6 +333,10 @@ def run_diffcheck(
             print(f"[wave {start // WAVE_GROUP + 1}] fusing {len(group)} "
                   "configurations", file=sys.stderr)
         divergences.extend(compare_wave(group))
+    if verbose:
+        print(f"[whole sample] fusing {len(sample)} configurations",
+              file=sys.stderr)
+    divergences.extend(compare_wave(sample))
     return divergences
 
 
