@@ -1,22 +1,32 @@
-"""Shared profile-construction helpers for the algorithm implementations.
+"""The profile builder: every algorithm's work, as array profiles.
 
 Algorithms describe their work as per-element costs over a partition; the
-helpers here turn that into :class:`~repro.sim.work.WorkProfile` phases in
-a uniform way, so run mode and model mode provably build identical
-profiles for deterministic algorithms.
+helpers here turn that into :class:`~repro.sim.wave.ArrayPhase` phases of
+an :class:`~repro.sim.wave.ArrayProfile` in a uniform way, so run mode
+and model mode provably build identical profiles for deterministic
+algorithms. A phase keeps only its chunk->thread ids and element counts
+(both shared with the partition it was cut from, unless early exit
+scales the counts) plus four per-element costs; every other per-chunk
+quantity is ``elems x cost``. This is the only profile builder: the wave
+engine costs these profiles directly, and the scalar reference engine
+reads them through :func:`~repro.sim.wave.arrays_to_profile`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
-from repro.errors import UnsupportedOperationError
+import numpy as np
+
+from repro.errors import SimulationError, UnsupportedOperationError
 from repro.execution.context import ExecutionContext
 from repro.execution.partition import Partition
 from repro.memory.array import SimArray
 from repro.memory.layout import PagePlacement
-from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
+from repro.sim.wave import ArrayPhase, ArrayProfile
+from repro.sim.work import PhaseKind
 
 __all__ = [
     "PerElem",
@@ -27,8 +37,12 @@ __all__ = [
     "require_support",
 ]
 
+#: The chunk->thread map of every single-chunk phase (thread 0).
+_THREAD0 = np.zeros(1, dtype=np.int64)
+_THREAD0.flags.writeable = False
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PerElem:
     """Intrinsic per-element cost of one pass of an algorithm."""
 
@@ -53,19 +67,23 @@ def blend_placement(
     """Traffic-weighted blend of several arrays' placements.
 
     A phase that reads array A and writes array B sees a mix of both
-    placements; weights are the bytes moved per array.
+    placements; weights are the bytes moved per array. Equal blends
+    return one shared (frozen) placement.
     """
-    items = [(a, w) for a, w in arrays if w > 0]
-    if not items:
-        return None
-    nnodes = max(a.placement.num_nodes for a, _ in items)
+    items = tuple((a.placement, w) for a, w in arrays if w > 0)
+    return _blend(items) if items else None
+
+
+@lru_cache(maxsize=256)
+def _blend(items: tuple[tuple[PagePlacement, float], ...]) -> PagePlacement:
+    nnodes = max(p.num_nodes for p, _ in items)
     total = sum(w for _, w in items)
     fractions = [0.0] * nnodes
-    for arr, weight in items:
-        for node, frac in enumerate(arr.placement.node_fractions):
+    for placement, weight in items:
+        for node, frac in enumerate(placement.node_fractions):
             fractions[node] += frac * weight / total
-    policies = {a.placement.policy for a, _ in items}
-    policy = items[0][0].placement.policy if len(policies) > 1 else policies.pop()
+    policies = {p.policy for p, _ in items}
+    policy = items[0][0].policy if len(policies) > 1 else policies.pop()
     return PagePlacement(node_fractions=tuple(fractions), policy=policy)
 
 
@@ -75,40 +93,37 @@ def parallel_phase(
     per_elem: PerElem,
     placement: PagePlacement | None,
     working_set: float,
-    scan_fractions: Sequence[float] | None = None,
+    scan_fractions: np.ndarray | None = None,
     sync_points: int = 0,
     spread_penalty: float = 1.0,
     apply_instr_overhead: bool = True,
     vectorizable: bool = True,
-) -> Phase:
+) -> ArrayPhase:
     """Build a parallel phase from a partition and per-element costs.
 
     ``scan_fractions`` (one entry per chunk) scales each chunk's work, for
-    early-exit algorithms where a chunk only processes a prefix.
+    early-exit algorithms where a chunk only processes a prefix. Chunks
+    left with no work are dropped when the partition has several; a phase
+    left with no chunks keeps one empty chunk on thread 0.
     """
-    chunks = []
-    for i, chunk in enumerate(partition.chunks):
-        elems = float(len(chunk))
-        if scan_fractions is not None:
-            elems *= scan_fractions[i]
-        if elems <= 0 and len(partition.chunks) > 1:
-            continue
-        chunks.append(
-            ChunkWork(
-                thread=chunk.thread,
-                elems=elems,
-                instr=elems * per_elem.instr,
-                fp_ops=elems * per_elem.fp,
-                bytes_read=elems * per_elem.read,
-                bytes_written=elems * per_elem.write,
-            )
-        )
-    if not chunks:
-        chunks = [ChunkWork(thread=0, elems=0.0, instr=0.0)]
-    return Phase(
+    thread, elems = partition.thread, partition.elems
+    if scan_fractions is not None:
+        elems = elems * scan_fractions
+    if len(elems) > 1:
+        keep = elems > 0.0
+        if not keep.all():
+            thread, elems = thread[keep], elems[keep]
+    if len(elems) == 0:
+        thread, elems = _THREAD0, np.zeros(1)
+    return ArrayPhase(
         name=name,
         kind=PhaseKind.PARALLEL,
-        chunks=tuple(chunks),
+        thread=thread,
+        elems=elems,
+        instr_per_elem=per_elem.instr,
+        fp_per_elem=per_elem.fp,
+        read_per_elem=per_elem.read,
+        write_per_elem=per_elem.write,
         placement=placement,
         working_set=working_set,
         sched_chunks=partition.num_chunks,
@@ -117,6 +132,14 @@ def parallel_phase(
         apply_instr_overhead=apply_instr_overhead,
         vectorizable=vectorizable,
     )
+
+
+@lru_cache(maxsize=1024)
+def _single(elems: float) -> np.ndarray:
+    """A read-only one-chunk ``elems`` array, shared by equal phases."""
+    array = np.array([elems], dtype=np.float64)
+    array.flags.writeable = False
+    return array
 
 
 def sequential_phase(
@@ -128,20 +151,19 @@ def sequential_phase(
     spread_penalty: float = 1.0,
     apply_instr_overhead: bool = False,
     vectorizable: bool = True,
-) -> Phase:
+) -> ArrayPhase:
     """Build a single-thread phase (sequential runs, fix-ups, combines)."""
-    chunk = ChunkWork(
-        thread=0,
-        elems=elems,
-        instr=elems * per_elem.instr,
-        fp_ops=elems * per_elem.fp,
-        bytes_read=elems * per_elem.read,
-        bytes_written=elems * per_elem.write,
-    )
-    return Phase(
+    if elems < 0:
+        raise SimulationError("elems must be non-negative")
+    return ArrayPhase(
         name=name,
         kind=PhaseKind.SEQUENTIAL,
-        chunks=(chunk,),
+        thread=_THREAD0,
+        elems=_single(elems),
+        instr_per_elem=per_elem.instr,
+        fp_per_elem=per_elem.fp,
+        read_per_elem=per_elem.read,
+        write_per_elem=per_elem.write,
         placement=placement,
         working_set=working_set,
         spread_penalty=spread_penalty,
@@ -155,13 +177,13 @@ def make_profile(
     alg: str,
     n: int,
     elem,
-    phases: Sequence[Phase],
+    phases: Sequence[ArrayPhase],
     parallel: bool,
     regions: int = 1,
     notes: Sequence[str] = (),
-) -> WorkProfile:
+) -> ArrayProfile:
     """Assemble the final profile for one invocation."""
-    return WorkProfile(
+    return ArrayProfile(
         alg=alg,
         n=n,
         elem=elem,

@@ -55,9 +55,7 @@ def adjacent_difference(
             d[1:n] = s[1:n] - s[: n - 1]
 
     profile = make_profile(ctx, alg, n, src.elem, phases, parallel)
-    return AlgoResult(
-        value=None, report=ctx.simulate(profile, (src, dst)), profile=profile
-    )
+    return AlgoResult(ctx, None, profile, (src, dst))
 
 
 def adjacent_find(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
@@ -99,4 +97,4 @@ def adjacent_find(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
         phases = [sequential_phase("pair-scan", scanned, per_elem, placement, working_set)]
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel)
-    return AlgoResult(value=hit, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, hit, profile, (arr,))

@@ -75,14 +75,14 @@ def equal(ctx: ExecutionContext, a: SimArray, b: SimArray) -> AlgoResult:
     value = None
     if a.materialized and b.materialized:
         value = hit is None
-    return AlgoResult(value=value, report=ctx.simulate(profile, (a, b)), profile=profile)
+    return AlgoResult(ctx, value, profile, (a, b))
 
 
 def mismatch(ctx: ExecutionContext, a: SimArray, b: SimArray) -> AlgoResult:
     """Index of the first mismatch (or ``None`` if equal)."""
     hit = _first_mismatch(a, b) if (a.materialized and b.materialized) else None
     profile = _dual_scan(ctx, a, b, "mismatch-scan", hit)
-    return AlgoResult(value=hit, report=ctx.simulate(profile, (a, b)), profile=profile)
+    return AlgoResult(ctx, hit, profile, (a, b))
 
 
 def lexicographical_compare(
@@ -98,4 +98,4 @@ def lexicographical_compare(
         else:
             value = a.n < b.n
     profile = _dual_scan(ctx, a, b, "lex-scan", hit)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (a, b)), profile=profile)
+    return AlgoResult(ctx, value, profile, (a, b))

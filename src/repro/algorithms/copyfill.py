@@ -51,7 +51,7 @@ def _map_move(
 
     profile = make_profile(ctx, alg, n, dst.elem, phases, parallel)
     touched = tuple(a for a, _ in arrays)
-    return AlgoResult(value=value, report=ctx.simulate(profile, touched), profile=profile)
+    return AlgoResult(ctx, value, profile, touched)
 
 
 def copy(ctx: ExecutionContext, src: SimArray, dst: SimArray) -> AlgoResult:

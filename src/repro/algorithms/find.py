@@ -30,6 +30,7 @@ from repro.algorithms._ops import Predicate
 from repro.algorithms._result import AlgoResult
 from repro.errors import ConfigurationError
 from repro.execution.context import ExecutionContext
+from repro.execution.partition import Partition
 from repro.memory.array import SimArray
 
 __all__ = [
@@ -53,9 +54,22 @@ FIND_SPREAD_PENALTY = 1.45
 COMPARE_INSTR = 1.0
 
 
+def _thread_prefix(thread: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each chunk's exclusive prefix of its own thread's earlier chunk sizes."""
+    order = np.argsort(thread, kind="stable")
+    ordered = sizes[order]
+    before = np.cumsum(ordered) - ordered
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = thread[order][1:] != thread[order][:-1]
+    group = np.cumsum(first) - 1
+    prefix = np.empty_like(before)
+    prefix[order] = before - before[first][group]
+    return prefix
+
+
 def _scan_fractions(
-    partition, hit: int | None, n: int, exact: bool = False
-) -> list[float]:
+    partition: Partition, hit: int | None, n: int, exact: bool = False
+) -> np.ndarray:
     """Fraction of each chunk scanned given the first hit position.
 
     ``hit=None`` means no match: every chunk is fully scanned. Otherwise
@@ -70,50 +84,41 @@ def _scan_fractions(
     that chunk). Both reduce to "everyone scans about as much data as the
     finder" (Section 5.3's bandwidth argument); for a static partition the
     expectation is chunk/2 = n/(2p) per thread.
+
+    Each thread spends its budget on its chunks in order, so a chunk
+    scans ``min(len, max(0, budget - prefix))`` elements, ``prefix``
+    being the thread's earlier chunk lengths. Budget and prefixes are
+    sums of integers and halves, so every subtraction is exact and this
+    equals walking a ``remaining`` budget chunk by chunk; the expectation
+    sums fold in chunk order as left folds (``np.cumsum``).
     """
+    starts, sizes, thread = partition.starts, partition.sizes, partition.thread
     if hit is None:
-        return [1.0] * len(partition.chunks)
+        return np.ones(len(sizes))
+    prefix = _thread_prefix(thread, sizes)
 
     if exact:
-        owner = None
-        for chunk in partition.chunks:
-            if chunk.start <= hit < chunk.stop:
-                owner = chunk
-                break
-        if owner is None:  # hit beyond the partition: treat as full scan
-            return [1.0] * len(partition.chunks)
-        budget = float(hit - owner.start + 1)
-        for chunk in partition.chunks:
-            if chunk.thread == owner.thread and chunk.index < owner.index:
-                budget += len(chunk)
+        owners = np.flatnonzero((starts <= hit) & (hit < starts + sizes))
+        if not len(owners):  # hit beyond the partition: treat as full scan
+            return np.ones(len(sizes))
+        owner = owners[0]
+        budget = float(hit - starts[owner] + 1 + prefix[owner])
     else:
         # Candidate owners: chunks intersecting [0, 2*hit + 1) -- the
         # support of a uniform target with mean ~hit -- weighted by their
         # coverage of that range.
         limit = min(n, 2 * hit + 1)
-        prefixes = {t: 0.0 for t in range(partition.threads)}
-        weighted = 0.0
-        total_weight = 0.0
-        for chunk in partition.chunks:
-            if len(chunk) == 0:
-                continue
-            if chunk.start < limit:
-                covered = min(chunk.stop, limit) - chunk.start
-                weighted += covered * (prefixes[chunk.thread] + covered / 2.0)
-                total_weight += covered
-            prefixes[chunk.thread] += len(chunk)
+        covered = np.where((sizes > 0) & (starts < limit),
+                           np.minimum(starts + sizes, limit) - starts,
+                           0).astype(np.float64)
+        weighted = float(np.cumsum(covered * (prefix + covered / 2.0))[-1])
+        total_weight = float(np.cumsum(covered)[-1])
         budget = (weighted / total_weight + 1.0) if total_weight else float(n)
 
-    remaining = {t: budget for t in range(partition.threads)}
-    fractions = []
-    for chunk in partition.chunks:
-        if len(chunk) == 0:
-            fractions.append(0.0)
-            continue
-        take = min(float(len(chunk)), max(0.0, remaining[chunk.thread]))
-        remaining[chunk.thread] -= take
-        fractions.append(take / len(chunk))
-    return fractions
+    lens = partition.elems
+    take = np.minimum(lens, np.maximum(0.0, budget - prefix))
+    nonzero = sizes > 0
+    return np.where(nonzero, take / np.where(nonzero, lens, 1.0), 0.0)
 
 
 def _search_impl(
@@ -171,9 +176,7 @@ def _search_impl(
         ]
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel)
-    result = AlgoResult(
-        value=hit, report=ctx.simulate(profile, (arr,)), profile=profile
-    )
+    result = AlgoResult(ctx, hit, profile, (arr,))
     return result, hit
 
 
@@ -254,21 +257,21 @@ def any_of(ctx: ExecutionContext, arr: SimArray, pred: Predicate) -> AlgoResult:
     """Whether any element satisfies ``pred`` (early exit on first hit)."""
     inner = _find_pred(ctx, arr, pred, negate=False, alg="find")
     value = None if not arr.materialized else inner.value is not None
-    return AlgoResult(value=value, report=inner.report, profile=inner.profile)
+    return inner.with_value(value)
 
 
 def none_of(ctx: ExecutionContext, arr: SimArray, pred: Predicate) -> AlgoResult:
     """Whether no element satisfies ``pred``."""
     inner = _find_pred(ctx, arr, pred, negate=False, alg="find")
     value = None if not arr.materialized else inner.value is None
-    return AlgoResult(value=value, report=inner.report, profile=inner.profile)
+    return inner.with_value(value)
 
 
 def all_of(ctx: ExecutionContext, arr: SimArray, pred: Predicate) -> AlgoResult:
     """Whether all elements satisfy ``pred`` (early exit on a violation)."""
     inner = _find_pred(ctx, arr, pred, negate=True, alg="find")
     value = None if not arr.materialized else inner.value is None
-    return AlgoResult(value=value, report=inner.report, profile=inner.profile)
+    return inner.with_value(value)
 
 
 def _count_impl(
@@ -300,7 +303,7 @@ def _count_impl(
             value = int(counter(data))
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))
 
 
 def count(ctx: ExecutionContext, arr: SimArray, value: float) -> AlgoResult:

@@ -78,4 +78,4 @@ def for_each_n(
             data[:n] = op(data[:n])
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, None, profile, (arr,))

@@ -71,7 +71,7 @@ def is_heap_until(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
         value = n if violation is None else violation
 
     profile = make_profile(ctx, "find", n, arr.elem, phases, parallel)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))
 
 
 def is_heap(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
@@ -80,4 +80,4 @@ def is_heap(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
     value = None
     if arr.materialized:
         value = inner.value == arr.n
-    return AlgoResult(value=value, report=inner.report, profile=inner.profile)
+    return inner.with_value(value)

@@ -62,6 +62,4 @@ def merge(
         dst.view()[:n] = merged
 
     profile = make_profile(ctx, alg, n, a.elem, phases, parallel)
-    return AlgoResult(
-        value=None, report=ctx.simulate(profile, (a, b, dst)), profile=profile
-    )
+    return AlgoResult(ctx, None, profile, (a, b, dst))

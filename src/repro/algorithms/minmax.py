@@ -59,7 +59,7 @@ def _extreme_impl(
             value = imax
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))
 
 
 def min_element(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:

@@ -72,7 +72,7 @@ def replace_if(
         data = arr.view()
         data[pred(data)] = new_value
     profile = make_profile(ctx, "transform", n, arr.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, None, profile, (arr,))
 
 
 def replace(
@@ -103,7 +103,7 @@ def replace_copy(
         out[out == old_value] = new_value
         dst.view()[:n] = out
     profile = make_profile(ctx, "transform", n, src.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (src, dst)), profile=profile)
+    return AlgoResult(ctx, None, profile, (src, dst))
 
 
 # --- compaction family (scan-structured) --------------------------------------------
@@ -172,7 +172,7 @@ def remove_if(ctx: ExecutionContext, arr: SimArray, pred: Predicate) -> AlgoResu
     profile = make_profile(
         ctx, "inclusive_scan", n, arr.elem, phases, parallel, regions=regions
     )
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))
 
 
 def remove(ctx: ExecutionContext, arr: SimArray, value: float) -> AlgoResult:
@@ -198,9 +198,7 @@ def remove_copy(
     profile = make_profile(
         ctx, "inclusive_scan", n, src.elem, phases, parallel, regions=regions
     )
-    return AlgoResult(
-        value=out_len, report=ctx.simulate(profile, (src, dst)), profile=profile
-    )
+    return AlgoResult(ctx, out_len, profile, (src, dst))
 
 
 def unique(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
@@ -222,7 +220,7 @@ def unique(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
     profile = make_profile(
         ctx, "inclusive_scan", n, arr.elem, phases, parallel, regions=regions
     )
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))
 
 
 def unique_copy(ctx: ExecutionContext, src: SimArray, dst: SimArray) -> AlgoResult:
@@ -247,9 +245,7 @@ def unique_copy(ctx: ExecutionContext, src: SimArray, dst: SimArray) -> AlgoResu
     profile = make_profile(
         ctx, "inclusive_scan", n, src.elem, phases, parallel, regions=regions
     )
-    return AlgoResult(
-        value=out_len, report=ctx.simulate(profile, (src, dst)), profile=profile
-    )
+    return AlgoResult(ctx, out_len, profile, (src, dst))
 
 
 # --- rotations -----------------------------------------------------------------------
@@ -266,7 +262,7 @@ def rotate(ctx: ExecutionContext, arr: SimArray, middle: int) -> AlgoResult:
     if arr.materialized:
         arr.view()[:] = np.roll(arr.view(), -middle)
     profile = make_profile(ctx, "transform", n, arr.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, None, profile, (arr,))
 
 
 def rotate_copy(
@@ -286,7 +282,7 @@ def rotate_copy(
     if src.materialized and dst.materialized:
         dst.view()[:n] = np.roll(src.view(), -middle)
     profile = make_profile(ctx, "transform", n, src.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (src, dst)), profile=profile)
+    return AlgoResult(ctx, None, profile, (src, dst))
 
 
 def reverse_copy(ctx: ExecutionContext, src: SimArray, dst: SimArray) -> AlgoResult:
@@ -302,4 +298,4 @@ def reverse_copy(ctx: ExecutionContext, src: SimArray, dst: SimArray) -> AlgoRes
     if src.materialized and dst.materialized:
         dst.view()[:n] = src.view()[::-1]
     profile = make_profile(ctx, "transform", n, src.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (src, dst)), profile=profile)
+    return AlgoResult(ctx, None, profile, (src, dst))

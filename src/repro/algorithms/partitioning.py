@@ -121,7 +121,7 @@ def stable_partition(
         data[len(true_part) :] = false_part
         value = int(len(true_part))
     profile = make_profile(ctx, "inclusive_scan", n, arr.elem, phases, parallel, regions=regions)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))
 
 
 def partition(ctx: ExecutionContext, arr: SimArray, pred: Predicate) -> AlgoResult:
@@ -158,11 +158,7 @@ def partition_copy(
     profile = make_profile(
         ctx, "inclusive_scan", n, src.elem, phases, parallel, regions=regions
     )
-    return AlgoResult(
-        value=value,
-        report=ctx.simulate(profile, (src, dst_true, dst_false)),
-        profile=profile,
-    )
+    return AlgoResult(ctx, value, profile, (src, dst_true, dst_false))
 
 
 def is_partitioned(
@@ -204,7 +200,7 @@ def is_partitioned(
         scanned = float(n if violation is None else violation + 1)
         phases = [sequential_phase("partition-check", scanned, per_elem, placement, working_set)]
     profile = make_profile(ctx, "find", n, arr.elem, phases, parallel)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))
 
 
 def partition_point(
@@ -232,4 +228,4 @@ def partition_point(
         falses = np.nonzero(~mask)[0]
         value = int(falses[0]) if len(falses) else n
     profile = make_profile(ctx, "find", n, arr.elem, phases, parallel=False)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))

@@ -105,4 +105,4 @@ def _reduce_impl(
             value = op.combine(init, op.reduce(transformed))
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))

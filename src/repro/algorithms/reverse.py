@@ -41,7 +41,7 @@ def reverse(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
         arr.view()[:] = arr.view()[::-1].copy()
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, None, profile, (arr,))
 
 
 def swap_ranges(ctx: ExecutionContext, a: SimArray, b: SimArray) -> AlgoResult:
@@ -69,4 +69,4 @@ def swap_ranges(ctx: ExecutionContext, a: SimArray, b: SimArray) -> AlgoResult:
         bv[:] = tmp
 
     profile = make_profile(ctx, alg, n, a.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (a, b)), profile=profile)
+    return AlgoResult(ctx, None, profile, (a, b))

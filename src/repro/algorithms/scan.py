@@ -222,6 +222,4 @@ def _scan_impl(
     profile = make_profile(
         ctx, alg, n, arr.elem, phases, parallel, regions=regions
     )
-    return AlgoResult(
-        value=value, report=ctx.simulate(profile, (arr, dest)), profile=profile
-    )
+    return AlgoResult(ctx, value, profile, (arr, dest))

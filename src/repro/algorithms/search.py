@@ -96,9 +96,7 @@ def search(
     profile = _scan_search(
         ctx, haystack, probe, hit, exact, "search", tail_slack=len(needle)
     )
-    return AlgoResult(
-        value=hit, report=ctx.simulate(profile, (haystack,)), profile=profile
-    )
+    return AlgoResult(ctx, hit, profile, (haystack,))
 
 
 def find_end(
@@ -120,9 +118,7 @@ def find_end(
     profile = _scan_search(
         ctx, haystack, probe, None, haystack.materialized, "find-end"
     )
-    return AlgoResult(
-        value=value, report=ctx.simulate(profile, (haystack,)), profile=profile
-    )
+    return AlgoResult(ctx, value, profile, (haystack,))
 
 
 def find_first_of(
@@ -145,9 +141,7 @@ def find_first_of(
         hit = min(haystack.n - 1, max(1, haystack.n // (len(candidates) + 1)))
     probe = 1.0 + np.log2(max(2, len(candidates)))  # binary probe of the set
     profile = _scan_search(ctx, haystack, float(probe), hit, exact, "find-first-of")
-    return AlgoResult(
-        value=hit, report=ctx.simulate(profile, (haystack,)), profile=profile
-    )
+    return AlgoResult(ctx, hit, profile, (haystack,))
 
 
 def search_n(
@@ -169,4 +163,4 @@ def search_n(
     profile = _scan_search(
         ctx, arr, 1.25, hit, exact, "search-n", tail_slack=count
     )
-    return AlgoResult(value=hit, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, hit, profile, (arr,))

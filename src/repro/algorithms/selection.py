@@ -88,7 +88,7 @@ def nth_element(ctx: ExecutionContext, arr: SimArray, nth: int) -> AlgoResult:
         value = float(data[nth])
 
     profile = make_profile(ctx, "sort", n, arr.elem, phases, parallel, regions=2)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))
 
 
 def _partial_sort_phases(ctx, arr_in, n, k, es, placement, working_set, writes_out):
@@ -145,7 +145,7 @@ def partial_sort(ctx: ExecutionContext, arr: SimArray, middle: int) -> AlgoResul
         data[:middle] = smallest
         data[middle:] = rest
     profile = make_profile(ctx, "sort", n, arr.elem, phases, parallel, regions=2)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, None, profile, (arr,))
 
 
 def partial_sort_copy(
@@ -163,20 +163,19 @@ def partial_sort_copy(
     if src.materialized and dst.materialized:
         dst.view()[:] = np.sort(np.partition(src.view(), k - 1)[:k], kind="stable")
     profile = make_profile(ctx, "sort", n, src.elem, phases, parallel, regions=2)
-    return AlgoResult(
-        value=None, report=ctx.simulate(profile, (src, dst)), profile=profile
-    )
+    return AlgoResult(ctx, None, profile, (src, dst))
 
 
 def inplace_merge(ctx: ExecutionContext, arr: SimArray, middle: int) -> AlgoResult:
     """Merge the sorted halves ``[0, middle)`` and ``[middle, n)`` in place.
 
-    Costed as a merge with an extra buffer round trip (libstdc++ uses a
-    temporary buffer when available).
+    Either half may be empty (``0 <= middle <= n``), as for
+    ``std::inplace_merge``. Costed as a merge with an extra buffer round
+    trip (libstdc++ uses a temporary buffer when available).
     """
     n = arr.n
-    if not 0 < middle < n:
-        raise ConfigurationError("middle must split the range")
+    if not 0 <= middle <= n:
+        raise ConfigurationError(f"middle must be in [0, {n}], got {middle}")
     es = arr.elem.size
     placement = blend_placement([(arr, 1.0)])
     working_set = float(n * es)
@@ -203,4 +202,4 @@ def inplace_merge(ctx: ExecutionContext, arr: SimArray, middle: int) -> AlgoResu
         data = arr.view()
         data[:] = merge_sorted_arrays(data[:middle].copy(), data[middle:].copy())
     profile = make_profile(ctx, "merge", n, arr.elem, phases, parallel)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, None, profile, (arr,))

@@ -101,7 +101,7 @@ def _setop_impl(
 
     touched = tuple(x for x, _ in arrays)
     profile = make_profile(ctx, "merge", n, a.elem, phases, parallel)
-    return AlgoResult(value=value, report=ctx.simulate(profile, touched), profile=profile)
+    return AlgoResult(ctx, value, profile, touched)
 
 
 def includes(ctx: ExecutionContext, a: SimArray, b: SimArray) -> AlgoResult:
@@ -111,7 +111,7 @@ def includes(ctx: ExecutionContext, a: SimArray, b: SimArray) -> AlgoResult:
     if a.materialized and b.materialized:
         missing = _combine(a.view(), b.view(), lambda na, nb: max(0, nb - na))
         value = len(missing) == 0
-    return AlgoResult(value=value, report=result.report, profile=result.profile)
+    return result.with_value(value)
 
 
 def set_union(

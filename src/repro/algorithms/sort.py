@@ -184,7 +184,7 @@ def _sort_impl(ctx: ExecutionContext, arr: SimArray, stable: bool) -> AlgoResult
             arr.view()[:] = np.sort(arr.view(), kind="stable")
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel, regions=2)
-    return AlgoResult(value=None, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, None, profile, (arr,))
 
 
 def sort(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
@@ -203,7 +203,7 @@ def is_sorted(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
     value = None
     if arr.materialized:
         value = inner.value == arr.n
-    return AlgoResult(value=value, report=inner.report, profile=inner.profile)
+    return inner.with_value(value)
 
 
 def is_sorted_until(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
@@ -247,4 +247,4 @@ def is_sorted_until(ctx: ExecutionContext, arr: SimArray) -> AlgoResult:
         value = n if violation is None else violation
 
     profile = make_profile(ctx, alg, n, arr.elem, phases, parallel)
-    return AlgoResult(value=value, report=ctx.simulate(profile, (arr,)), profile=profile)
+    return AlgoResult(ctx, value, profile, (arr,))

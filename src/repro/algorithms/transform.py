@@ -52,9 +52,7 @@ def transform(
             dview[:n] = op(sview[:n])
 
     profile = make_profile(ctx, alg, n, src.elem, phases, parallel)
-    return AlgoResult(
-        value=None, report=ctx.simulate(profile, (src, dst)), profile=profile
-    )
+    return AlgoResult(ctx, None, profile, (src, dst))
 
 
 def transform_binary(
@@ -101,6 +99,4 @@ def transform_binary(
             dv[:n] = op.reduce_ufunc(av[:n], bv[:n])
 
     profile = make_profile(ctx, alg, n, a.elem, phases, parallel)
-    return AlgoResult(
-        value=None, report=ctx.simulate(profile, (a, b, dst)), profile=profile
-    )
+    return AlgoResult(ctx, None, profile, (a, b, dst))

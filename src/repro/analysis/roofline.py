@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.machines.cpu import CpuMachine
+from repro.sim.wave import ArrayProfile, arrays_to_profile
 from repro.sim.work import WorkProfile
 
 __all__ = ["Boundedness", "RooflinePoint", "analyze_profile", "machine_balance"]
@@ -58,15 +59,18 @@ class RooflinePoint:
 
 
 def analyze_profile(
-    machine: CpuMachine, profile: WorkProfile, slack: float = 1.25
+    machine: CpuMachine, profile: WorkProfile | ArrayProfile,
+    slack: float = 1.25,
 ) -> RooflinePoint:
-    """Classify a work profile on ``machine``.
+    """Classify a work profile (scalar or array form) on ``machine``.
 
     ``slack`` widens the BALANCED band around the balance point (an
     invocation within [balance/slack, balance*slack] is called balanced).
     """
     if slack < 1.0:
         raise ConfigurationError("slack must be >= 1")
+    if isinstance(profile, ArrayProfile):
+        profile = arrays_to_profile(profile)
     instructions = 0.0
     bytes_moved = 0.0
     for phase in profile.phases:

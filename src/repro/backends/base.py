@@ -30,6 +30,7 @@ from typing import Mapping
 from repro.errors import BackendError
 from repro.execution.partition import (
     BlockCyclicPartitioner,
+    FixedGrainPartitioner,
     Partition,
     Partitioner,
     StaticPartitioner,
@@ -286,7 +287,7 @@ class Backend:
     def partitioner(self) -> Partitioner:
         """Partitioner matching this backend's scheduling style."""
         if self.fixed_chunk_elems:
-            return _FixedGrainPartitioner(self.fixed_chunk_elems, self.max_chunks)
+            return FixedGrainPartitioner(self.fixed_chunk_elems, self.max_chunks)
         if self.chunks_per_thread <= 1:
             return StaticPartitioner()
         return BlockCyclicPartitioner(chunks_per_thread=self.chunks_per_thread)
@@ -306,30 +307,3 @@ class Backend:
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
 
-
-class _FixedGrainPartitioner(Partitioner):
-    """Fixed-size grains dealt round-robin (HPX task granularity)."""
-
-    name = "fixed-grain"
-
-    def __init__(self, grain: int, max_chunks: int) -> None:
-        if grain <= 0:
-            raise BackendError("grain must be positive")
-        self.grain = grain
-        self.max_chunks = max_chunks
-
-    def partition(self, n: int, threads: int) -> Partition:
-        self._check(n, threads)
-        from repro.execution.partition import Chunk
-
-        parts = min(self.max_chunks, max(1, -(-n // self.grain))) if n else 1
-        base, extra = divmod(n, parts)
-        chunks = []
-        start = 0
-        for i in range(parts):
-            size = base + (1 if i < extra else 0)
-            chunks.append(
-                Chunk(index=i, start=start, stop=start + size, thread=i % threads)
-            )
-            start += size
-        return Partition(n=n, threads=threads, chunks=tuple(chunks), strategy=self.name)

@@ -70,8 +70,6 @@ def gcc_tbb() -> Backend:
             "for_each": 4.0,  # Table 3: 1.72T/(100*2^30) = 16 = 12 base + 4
             "reduce": 0.0,  # Table 4: 1.76/elem = 0.75 loop + 1 FP scalar
             "find": 0.5,
-            "inclusive_scan": 2.0,
-            "sort": 2.0,
         },
         default_bw_efficiency=0.80,  # Table 3: 107.6 / 135
         bw_efficiencies={"find": 0.95, "reduce": 0.85, "inclusive_scan": 0.72, "sort": 0.50},
@@ -200,8 +198,6 @@ def gcc_hpx() -> Backend:
             "for_each": 23.8,  # Table 3: 3.83T -> 35.8/elem
             "reduce": 10.0,  # Table 4 direction (largest by far)
             "find": 2.0,
-            "inclusive_scan": 8.0,
-            "sort": 8.0,
         },
         instr_overhead_per_node=1.0,
         default_ipc_factor=0.9,  # pointer-heavy future/scheduler code

@@ -22,12 +22,13 @@ and for every task:
    already stored and a crash inside a wave loses just that wave, which
    a resume recomputes.
 
-By default each wave is submitted *whole*: eligible points are fused
-into ``repro.sim.wave`` programs (serial mode) or into one balanced
-shard per worker (pool mode) via :func:`execute_wave`, which cuts them
-into sub-waves of bounded size, with shared baselines -- execution
-contexts, chunk->thread layouts, NUMA node maps -- computed once per
-sub-wave instead of once per point. ``batch=False`` (CLI
+By default each wave is submitted *whole*: every CPU model-mode point,
+whatever its case, is fused into ``repro.sim.wave`` programs (serial
+mode) or into one balanced shard per worker (pool mode) via
+:func:`execute_wave`, which cuts them into sub-waves of bounded size,
+with shared baselines -- execution contexts, array profiles,
+chunk->thread layouts, NUMA node maps -- computed once instead of once
+per point. ``batch=False`` (CLI
 ``--no-batch``) falls back to the scalar per-point path -- the
 reference engine; both produce bit-identical results (enforced by
 ``tools/diffcheck.py``), and retries always degrade to the scalar path
@@ -52,7 +53,6 @@ import hashlib
 import os
 import threading
 import time
-from collections import OrderedDict
 from functools import lru_cache
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -127,6 +127,14 @@ MAX_POOL_REBUILDS = 8
 #: one fused sub-wave holds, and the most the profile memo retains. A
 #: GCC-HPX profile at 2^30 elements alone is 32,769 entries (~1.5 MiB).
 WAVE_CHUNK_BUDGET = 1 << 20
+
+#: Points one fused sub-wave holds at most. The chunk budget does not
+#: bound a wave's per-point transients (entries, resolved phase slots,
+#: reports), and a campaign wave of small profiles is all points: on
+#: grid-cold's 3,840-point measure wave (69k chunk entries), sub-waves of
+#: 512 points cost the same wall time as one and peak at 1.7 MiB of
+#: traced allocations instead of 5.2 MiB.
+WAVE_POINT_BUDGET = 512
 
 
 @dataclass(frozen=True)
@@ -256,7 +264,9 @@ class _ProfileMemo:
     Holds at most ``budget`` chunk entries: storing a profile evicts the
     least recently used ones until the total fits again, and a profile
     larger than the whole budget is never stored. ``hits``/``misses``
-    count :meth:`get` outcomes.
+    count :meth:`get` outcomes. A plain dict in recency order (a hit
+    re-inserts its key at the end) keeps the per-profile overhead to one
+    dict entry, which matters when a grid's profiles are small.
     """
 
     def __init__(self, budget: int) -> None:
@@ -265,7 +275,7 @@ class _ProfileMemo:
         self.misses = 0
         self.chunks = 0
         self._lock = threading.Lock()
-        self._profiles: OrderedDict = OrderedDict()
+        self._profiles: dict = {}
 
     def __len__(self) -> int:
         return len(self._profiles)
@@ -273,13 +283,13 @@ class _ProfileMemo:
     def get(self, key):
         """The profile stored under ``key`` (now most recent), else None."""
         with self._lock:
-            item = self._profiles.get(key)
-            if item is None:
+            profile = self._profiles.pop(key, None)
+            if profile is None:
                 self.misses += 1
                 return None
-            self._profiles.move_to_end(key)
+            self._profiles[key] = profile
             self.hits += 1
-            return item[0]
+            return profile
 
     def put(self, key, profile) -> None:
         """Store ``profile`` under ``key``, evicting to stay in budget."""
@@ -289,11 +299,11 @@ class _ProfileMemo:
         with self._lock:
             if key in self._profiles:
                 return  # a concurrent caller built the same profile first
-            self._profiles[key] = (profile, weight)
+            self._profiles[key] = profile
             self.chunks += weight
             while self.chunks > self.budget:
-                _key, (_profile, dropped) = self._profiles.popitem(last=False)
-                self.chunks -= dropped
+                oldest = next(iter(self._profiles))
+                self.chunks -= self._profiles.pop(oldest).chunk_entries
 
 
 _PROFILES = _ProfileMemo(WAVE_CHUNK_BUDGET)
@@ -301,7 +311,7 @@ _PROFILES = _ProfileMemo(WAVE_CHUNK_BUDGET)
 
 def _cached_profile(machine, backend, threads: int,
                     allocator: str | None, mode: str, case: str, n: int):
-    """Memoized :func:`~repro.suite.batch.build_array_profile` (wave path).
+    """Memoized :meth:`~repro.suite.cases.BenchCase.profile` (wave path).
 
     The other shared baseline: an :class:`ArrayProfile` is a frozen,
     deterministic function of the cell key and is only ever read by the
@@ -318,10 +328,8 @@ def _cached_profile(machine, backend, threads: int,
     key = (machine, backend, threads, allocator, mode, case, n)
     profile = _PROFILES.get(key)
     if profile is None:
-        from repro.suite.batch import build_array_profile
-
         ctx = _cached_context(machine, backend, threads, allocator, mode)
-        profile = build_array_profile(case, ctx, n)
+        profile = get_case(case).profile(ctx, n)
         _PROFILES.put(key, profile)
     return profile
 
@@ -359,14 +367,15 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
     (contexts, chunk->thread layouts, NUMA node maps) computed once.
     Eligible points are fused in sub-waves of at most
     :data:`WAVE_CHUNK_BUDGET` chunk entries (a single larger profile is
-    a sub-wave of its own), each one ``wave.fuse``/``wave.execute``
-    pair, so a wave never holds more than that many chunk entries of
-    profiles alive beyond the memo's own. Points the fused path cannot
-    serve (``min_time > 0``, GPU/run-mode contexts, cases outside the
-    batch set) fall back to the scalar :func:`execute_point` per point,
-    and any unexpected fused-stage failure degrades its whole sub-wave
-    the same way -- so the wave path never fails a point the scalar
-    path could cost. Returns one payload per input, in order, each
+    a sub-wave of its own) and :data:`WAVE_POINT_BUDGET` points, each
+    one ``wave.fuse``/``wave.execute`` pair, so a wave never holds more
+    than that many chunk entries of profiles alive beyond the memo's
+    own. Every case of a CPU model-mode
+    context is fused; the points the fused path cannot serve
+    (``min_time > 0``, GPU or run-mode contexts) fall back to the scalar
+    :func:`execute_point` per point, and any unexpected fused-stage
+    failure degrades its whole sub-wave the same way -- so the wave path
+    never fails a point the scalar path could cost. Returns one payload per input, in order, each
     stamped with ``wall_ms``. Seconds are bit-identical to the scalar
     path (``tools/diffcheck.py`` enforces it).
     """
@@ -396,7 +405,7 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
             machine, backend = models
             ctx = _cached_context(machine, backend, point.threads,
                                   point.allocator, point.mode)
-            if not batch_supported(point.case, ctx):
+            if not batch_supported(ctx):
                 out[i] = execute_point(payload)
                 continue
             profile = _cached_profile(machine, backend, point.threads,
@@ -417,7 +426,8 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
                       "wall_ms": (time.perf_counter() - t0) * 1000.0}
         else:
             chunks = profile.chunk_entries
-            if sub_wave and sub_chunks + chunks > WAVE_CHUNK_BUDGET:
+            if sub_wave and (sub_chunks + chunks > WAVE_CHUNK_BUDGET
+                             or len(sub_wave) == WAVE_POINT_BUDGET):
                 _run_sub_wave(sub_wave, payloads, out)
                 sub_wave, sub_chunks = [], 0
             sub_wave.append((i, entry, parse_ms))

@@ -35,7 +35,7 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointSpec:
     """One executable grid point: a single (machine, backend, case) run.
 

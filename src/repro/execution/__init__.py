@@ -4,6 +4,7 @@ from repro.execution.affinity import ThreadPlacement
 from repro.execution.partition import (
     BlockCyclicPartitioner,
     Chunk,
+    FixedGrainPartitioner,
     Partition,
     Partitioner,
     StaticPartitioner,
@@ -15,6 +16,7 @@ __all__ = [
     "ThreadPlacement",
     "BlockCyclicPartitioner",
     "Chunk",
+    "FixedGrainPartitioner",
     "Partition",
     "Partitioner",
     "StaticPartitioner",

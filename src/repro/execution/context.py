@@ -31,7 +31,7 @@ from repro.memory.layout import PagePlacement
 from repro.sim.engine import simulate_cpu
 from repro.sim.gpu import GpuExecution, simulate_gpu
 from repro.sim.report import SimReport
-from repro.sim.work import WorkProfile
+from repro.sim.wave import ArrayProfile, arrays_to_profile
 from repro.trace.core import get_tracer
 from repro.types import ElemType
 
@@ -164,15 +164,21 @@ class ExecutionContext:
 
     # --- costing -----------------------------------------------------------------
     def simulate(
-        self, profile: WorkProfile, arrays: tuple[SimArray, ...] = ()
+        self, profile: ArrayProfile, arrays: tuple[SimArray, ...] = ()
     ) -> SimReport:
-        """Cost a work profile on this context's machine.
+        """Cost one invocation's profile on the scalar reference engine.
+
+        The profile is read through
+        :func:`~repro.sim.wave.arrays_to_profile`, and the CPU or GPU
+        scalar engine costs it; campaign waves and curves cost the same
+        profiles on the wave engine instead, bit for bit alike.
 
         When the global tracer is enabled (``repro.trace``), the call is
         wrapped in a root span named after the algorithm, carrying this
         context's machine/backend/threads/mode/policy attributes; the
         engine's phase and lane spans nest inside it on the timeline.
         """
+        profile = arrays_to_profile(profile)
         tracer = get_tracer()
         if not tracer.enabled:
             if self.is_gpu:

@@ -5,12 +5,23 @@ contiguous chunk per thread; TBB's auto_partitioner produces a few chunks
 per thread balanced by work stealing; HPX creates many small tasks, which
 is where its instruction overhead (Table 3: up to 2.5x more instructions)
 comes from.
+
+A :class:`Partition` holds its chunks as read-only arrays (starts, sizes,
+chunk->thread ids), which is all a work profile needs; :class:`Chunk`
+objects are materialised only when run mode walks the chunks to execute
+its kernels. A partitioner's output is a pure function of (partitioner,
+n, threads), so small partitions are memoised and every phase and
+profile cut from one shares its arrays.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -21,6 +32,7 @@ __all__ = [
     "StaticPartitioner",
     "BlockCyclicPartitioner",
     "WorkStealingPartitioner",
+    "FixedGrainPartitioner",
 ]
 
 
@@ -43,26 +55,38 @@ class Chunk:
         return self.stop - self.start
 
 
-@dataclass(frozen=True)
+def _frozen(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 class Partition:
-    """A full partition of [0, n) into chunks."""
+    """A full partition of [0, n) into chunks, held as arrays.
 
-    n: int
-    threads: int
-    chunks: tuple[Chunk, ...]
-    strategy: str
+    ``starts``, ``sizes`` and ``thread`` (int64) and ``elems`` (the sizes
+    as float64) are parallel, read-only arrays in chunk (scheduling)
+    order. Constructing a partition from :class:`Chunk` objects validates
+    that they tile [0, n); :meth:`Partitioner.partition` builds the
+    arrays directly.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    __slots__ = ("n", "threads", "strategy", "starts", "sizes", "thread",
+                 "elems", "_chunks")
+
+    def __init__(
+        self, n: int, threads: int, chunks: Sequence[Chunk], strategy: str
+    ) -> None:
+        if n < 0:
             raise ConfigurationError("n must be non-negative")
-        if self.threads <= 0:
+        if threads <= 0:
             raise ConfigurationError("threads must be positive")
-        for chunk in self.chunks:
-            if chunk.thread >= self.threads:
+        for chunk in chunks:
+            if chunk.thread >= threads:
                 raise ConfigurationError("chunk assigned to out-of-range thread")
-            if chunk.stop > self.n:
+            if chunk.stop > n:
                 raise ConfigurationError(
-                    f"chunk [{chunk.start}, {chunk.stop}) exceeds n={self.n}"
+                    f"chunk [{chunk.start}, {chunk.stop}) exceeds n={n}"
                 )
         # The chunks must tile [0, n) exactly, but their *sequence* order is
         # a scheduling detail (block-cyclic partitions listed per-thread are
@@ -70,9 +94,8 @@ class Partition:
         # validate against the sorted view: no gaps, no overlaps, full
         # coverage. Empty chunks carry no elements and may sit anywhere.
         cursor = 0
-        for chunk in sorted(
-            (c for c in self.chunks if len(c) > 0), key=lambda c: c.start
-        ):
+        for chunk in sorted((c for c in chunks if len(c) > 0),
+                            key=lambda c: c.start):
             if chunk.start < cursor:
                 raise ConfigurationError(
                     f"chunks overlap at [{chunk.start}, {cursor})"
@@ -82,15 +105,49 @@ class Partition:
                     f"chunks leave [{cursor}, {chunk.start}) uncovered"
                 )
             cursor = chunk.stop
-        if cursor != self.n:
+        if cursor != n:
             raise ConfigurationError(
-                f"chunks cover [0, {cursor}), expected [0, {self.n})"
+                f"chunks cover [0, {cursor}), expected [0, {n})"
             )
+        self._set(n, threads, strategy,
+                  _frozen([c.start for c in chunks], np.int64),
+                  _frozen([len(c) for c in chunks], np.int64),
+                  _frozen([c.thread for c in chunks], np.int64))
+        self._chunks = tuple(chunks)
+
+    def _set(self, n, threads, strategy, starts, sizes, thread) -> None:
+        self.n, self.threads, self.strategy = n, threads, strategy
+        self.starts, self.sizes, self.thread = starts, sizes, thread
+        self.elems = _frozen(sizes, np.float64)
+
+    @classmethod
+    def _of_arrays(cls, n: int, threads: int, strategy: str,
+                   starts: np.ndarray, sizes: np.ndarray,
+                   thread: np.ndarray) -> "Partition":
+        """A partitioner's output (tiles [0, n) by construction)."""
+        self = cls.__new__(cls)
+        for array in (starts, sizes, thread):
+            array.flags.writeable = False
+        self._set(n, threads, strategy, starts, sizes, thread)
+        self._chunks = None
+        return self
 
     @property
     def num_chunks(self) -> int:
         """Total number of chunks (the fork/join scheduling unit count)."""
-        return len(self.chunks)
+        return len(self.sizes)
+
+    @property
+    def chunks(self) -> tuple[Chunk, ...]:
+        """The chunks as objects, built on first use (run-mode kernels)."""
+        if self._chunks is None:
+            self._chunks = tuple(
+                Chunk(index=i, start=start, stop=start + size, thread=thread)
+                for i, (start, size, thread) in enumerate(zip(
+                    self.starts.tolist(), self.sizes.tolist(),
+                    self.thread.tolist()))
+            )
+        return self._chunks
 
     def chunks_of_thread(self, thread: int) -> list[Chunk]:
         """Chunks executed by ``thread``, in execution order."""
@@ -99,54 +156,78 @@ class Partition:
     def elements_per_thread(self) -> list[int]:
         """Total elements each thread processes."""
         counts = [0] * self.threads
-        for c in self.chunks:
-            counts[c.thread] += len(c)
+        for thread, size in zip(self.thread.tolist(), self.sizes.tolist()):
+            counts[thread] += size
         return counts
 
 
 class Partitioner(ABC):
-    """Strategy turning (n, threads) into a :class:`Partition`."""
+    """Strategy turning (n, threads) into a :class:`Partition`.
+
+    Subclasses are frozen value objects that decide only the chunk count
+    (:meth:`_parts`) and the chunk->thread assignment (:meth:`_threads`);
+    the chunks are always near-equal contiguous ranges in chunk order.
+    """
 
     name: str = "abstract"
 
-    @abstractmethod
     def partition(self, n: int, threads: int) -> Partition:
         """Split [0, n) for ``threads`` workers."""
-
-    @staticmethod
-    def _check(n: int, threads: int) -> None:
         if n < 0:
             raise ConfigurationError("n must be non-negative")
         if threads <= 0:
             raise ConfigurationError("threads must be positive")
+        parts = self._parts(n, threads)
+        build = _shared if parts <= SHARED_PARTITION_CHUNKS else _build
+        return build(self, n, threads, parts)
+
+    @abstractmethod
+    def _parts(self, n: int, threads: int) -> int:
+        """Chunk count for [0, n) over ``threads`` workers."""
+
+    @abstractmethod
+    def _threads(self, parts: int, threads: int) -> np.ndarray:
+        """The chunk->thread ids of ``parts`` chunks, in chunk order."""
 
 
-def _even_bounds(n: int, parts: int) -> list[tuple[int, int]]:
-    """Split [0, n) into ``parts`` near-equal contiguous ranges."""
-    bounds = []
+#: Partitions of at most this many chunks are memoised (256 of them,
+#: so under 3 MiB), and every profile cut from one shares its arrays:
+#: a campaign grid repeats each (backend, n, threads) cell across all of
+#: its cases. Larger partitions -- fine-grained HPX tasks at paper scale
+#: -- are rebuilt per call rather than pinned.
+SHARED_PARTITION_CHUNKS = 256
+
+
+def _build(partitioner: Partitioner, n: int, threads: int,
+           parts: int) -> Partition:
+    """Near-equal contiguous chunks dealt to threads by ``partitioner``."""
     base, extra = divmod(n, parts)
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
+    sizes = np.full(parts, base, dtype=np.int64)
+    sizes[:extra] += 1
+    starts = np.zeros(parts, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    thread = partitioner._threads(parts, threads).astype(np.int64, copy=False)
+    return Partition._of_arrays(n, threads, partitioner.name, starts, sizes,
+                                thread)
 
 
+_shared = lru_cache(maxsize=256)(_build)
+
+
+@dataclass(frozen=True)
 class StaticPartitioner(Partitioner):
     """One contiguous chunk per thread (OpenMP ``schedule(static)``)."""
 
     name = "static"
 
-    def partition(self, n: int, threads: int) -> Partition:
-        self._check(n, threads)
-        chunks = tuple(
-            Chunk(index=i, start=lo, stop=hi, thread=i)
-            for i, (lo, hi) in enumerate(_even_bounds(n, threads))
-        )
-        return Partition(n=n, threads=threads, chunks=chunks, strategy=self.name)
+    def _parts(self, n, threads):
+        return threads
+
+    def _threads(self, parts, threads):
+        return np.arange(parts)
 
 
+@dataclass(frozen=True)
 class BlockCyclicPartitioner(Partitioner):
     """Fixed-size blocks dealt round-robin (OpenMP ``schedule(static, c)``).
 
@@ -156,22 +237,20 @@ class BlockCyclicPartitioner(Partitioner):
     """
 
     name = "block-cyclic"
+    chunks_per_thread: int = 4
 
-    def __init__(self, chunks_per_thread: int = 4) -> None:
-        if chunks_per_thread <= 0:
+    def __post_init__(self) -> None:
+        if self.chunks_per_thread <= 0:
             raise ConfigurationError("chunks_per_thread must be positive")
-        self.chunks_per_thread = chunks_per_thread
 
-    def partition(self, n: int, threads: int) -> Partition:
-        self._check(n, threads)
-        parts = min(max(1, n), threads * self.chunks_per_thread)
-        chunks = tuple(
-            Chunk(index=i, start=lo, stop=hi, thread=i % threads)
-            for i, (lo, hi) in enumerate(_even_bounds(n, parts))
-        )
-        return Partition(n=n, threads=threads, chunks=chunks, strategy=self.name)
+    def _parts(self, n, threads):
+        return min(max(1, n), threads * self.chunks_per_thread)
+
+    def _threads(self, parts, threads):
+        return np.arange(parts) % threads
 
 
+@dataclass(frozen=True)
 class WorkStealingPartitioner(Partitioner):
     """TBB-style recursive range splitting with a balanced steady state.
 
@@ -182,23 +261,33 @@ class WorkStealingPartitioner(Partitioner):
     """
 
     name = "work-stealing"
+    split_factor: int = 8
 
-    def __init__(self, split_factor: int = 8) -> None:
-        if split_factor <= 0:
+    def __post_init__(self) -> None:
+        if self.split_factor <= 0:
             raise ConfigurationError("split_factor must be positive")
-        self.split_factor = split_factor
 
-    def partition(self, n: int, threads: int) -> Partition:
-        self._check(n, threads)
-        parts = min(max(1, n), threads * self.split_factor)
-        bounds = _even_bounds(n, parts)
-        chunks = tuple(
-            Chunk(
-                index=i,
-                start=lo,
-                stop=hi,
-                thread=min(i * threads // parts, threads - 1),
-            )
-            for i, (lo, hi) in enumerate(bounds)
-        )
-        return Partition(n=n, threads=threads, chunks=chunks, strategy=self.name)
+    def _parts(self, n, threads):
+        return min(max(1, n), threads * self.split_factor)
+
+    def _threads(self, parts, threads):
+        return np.minimum(np.arange(parts) * threads // parts, threads - 1)
+
+
+@dataclass(frozen=True)
+class FixedGrainPartitioner(Partitioner):
+    """Fixed-size grains dealt round-robin (HPX task granularity)."""
+
+    name = "fixed-grain"
+    grain: int = 1
+    max_chunks: int = 1 << 20
+
+    def __post_init__(self) -> None:
+        if self.grain <= 0:
+            raise ConfigurationError("grain must be positive")
+
+    def _parts(self, n, threads):
+        return min(self.max_chunks, max(1, -(-n // self.grain))) if n else 1
+
+    def _threads(self, parts, threads):
+        return np.arange(parts) % threads

@@ -7,6 +7,7 @@ single-core / all-core bandwidths that anchor the roofline.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.errors import MachineError
@@ -88,6 +89,21 @@ class CpuMachine:
             raise MachineError("seq_turbo_factor must be >= 1")
         if self.node_bw_boost < 1.0:
             raise MachineError("node_bw_boost must be >= 1")
+
+    def __hash__(self) -> int:
+        """Value hash matching dataclass equality, computed once.
+
+        The wave executor keys its context and profile memos by resolved
+        machine objects, so it hashes a machine on every lookup; the
+        generated hash would re-fold the topology and cache hierarchy
+        each time.
+        """
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name)
+                                for f in dataclasses.fields(self) if f.compare))
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     @property
     def total_cores(self) -> int:

@@ -91,8 +91,8 @@ def _measure_point(case, ctx, n: int, elem=None) -> float:
     from repro.types import FLOAT64
 
     elem = elem if elem is not None else FLOAT64
-    if use_batch_path(None, case.name, ctx):
-        return measure_case_batch(case.name, ctx, n, elem)
+    if use_batch_path(None, ctx):
+        return measure_case_batch(case, ctx, n, elem)
     return measure_case(case, ctx, n, elem)
 
 

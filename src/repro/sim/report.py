@@ -15,7 +15,7 @@ from repro.util.units import GIB
 __all__ = ["Counters", "PhaseReport", "SimReport"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counters:
     """Hardware-counter style event totals.
 
@@ -114,7 +114,7 @@ class Counters:
         return self.data_volume / seconds / GIB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseReport:
     """Timing/counter breakdown for one phase of a work profile.
 
@@ -158,7 +158,7 @@ class PhaseReport:
             raise SimulationError("phase time must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimReport:
     """Full result of simulating one algorithm invocation.
 

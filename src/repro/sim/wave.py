@@ -5,9 +5,13 @@ chunk object by chunk object -- for a paper-scale sweep that is tens of
 thousands of ``ChunkWork``/``Chunk`` allocations per curve, and profiling
 shows those allocations (not the arithmetic) dominate sweep wall-clock.
 This module is the same cost model over *array* profiles
-(:class:`ArrayProfile`: one NumPy array per chunk field), and it is the
-only vectorized evaluator. Whatever the caller holds -- one point, one
-sweep curve, or a whole heterogeneous campaign wave -- is one wave:
+(:class:`ArrayProfile`: per phase, a chunk->thread array, an element
+count array and four per-element costs), and it is the only vectorized
+evaluator. Every case builds its profile in this form
+(``repro.algorithms._build``); the scalar engine reads the same profile
+through :func:`arrays_to_profile`. Whatever the caller holds -- one
+point, one sweep curve, or a whole heterogeneous campaign wave of any
+cases -- is one wave:
 
 * :func:`fuse_wave` validates every point against its machine and
   resolves each phase's model scalars (SIMD lanes, issue rate,
@@ -40,7 +44,9 @@ here reproduces the scalar engine's operations exactly:
 
 * elementwise IEEE-754 ops (``a * b``, ``a / b``, ``a + b``) are
   bit-identical whether issued from Python floats or float64 arrays, and
-  whether a scalar operand is a Python float or a broadcast column;
+  whether a scalar operand is a Python float or a broadcast column --
+  so the per-chunk ``elems x cost`` products each block forms are the
+  scalar path's ``ChunkWork`` fields;
 * order-sensitive accumulations (``acc += x`` loops) are reproduced with
   ``np.cumsum`` along the chunk axis of each block row, which is a
   sequential left fold -- **never** ``np.sum`` or ``np.add.reduce``,
@@ -68,7 +74,7 @@ one-entry :func:`simulate_cpu_arrays` emits none at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,11 +95,8 @@ from repro.trace import get_tracer
 from repro.types import ElemType
 
 __all__ = [
-    "ChunkArrays",
     "ArrayPhase",
     "ArrayProfile",
-    "partition_arrays",
-    "profile_to_arrays",
     "arrays_to_profile",
     "WAVE_TRACK",
     "BLOCK_ENTRIES",
@@ -121,71 +124,28 @@ BLOCK_ENTRIES = 1 << 11
 # Array profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChunkArrays:
-    """Per-chunk work of one phase, one float64 array per field.
-
-    The arrays are parallel: entry ``i`` describes chunk ``i`` in the
-    scalar engine's chunk order (which is also execution order for the
-    order-sensitive folds). ``thread`` is int64.
-    """
-
-    thread: np.ndarray
-    elems: np.ndarray
-    instr: np.ndarray
-    fp_ops: np.ndarray
-    bytes_read: np.ndarray
-    bytes_written: np.ndarray
-
-    def __post_init__(self) -> None:
-        lengths = {
-            len(self.thread), len(self.elems), len(self.instr),
-            len(self.fp_ops), len(self.bytes_read), len(self.bytes_written),
-        }
-        if lengths != {len(self.thread)} or len(self.thread) == 0:
-            raise ConfigurationError("chunk arrays must be non-empty and aligned")
-        if np.any(self.thread < 0):
-            raise ConfigurationError("thread ids must be non-negative")
-        for name in ("elems", "instr", "fp_ops", "bytes_read", "bytes_written"):
-            if np.any(getattr(self, name) < 0):
-                raise ConfigurationError(f"chunk {name} must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.thread)
-
-    @classmethod
-    def from_per_elem(
-        cls,
-        thread: np.ndarray,
-        elems: np.ndarray,
-        instr: float,
-        fp: float = 0.0,
-        read: float = 0.0,
-        write: float = 0.0,
-    ) -> "ChunkArrays":
-        """Chunks whose costs are ``elems`` times a per-element cost.
-
-        Mirrors how ``repro.algorithms._build.parallel_phase`` derives
-        each :class:`~repro.sim.work.ChunkWork` from a ``PerElem``: each
-        field is the elementwise product ``elems * per_elem.<field>``.
-        """
-        return cls(
-            thread=np.asarray(thread, dtype=np.int64),
-            elems=elems,
-            instr=elems * instr,
-            fp_ops=elems * fp,
-            bytes_read=elems * read,
-            bytes_written=elems * write,
-        )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayPhase:
-    """Array-backed counterpart of :class:`~repro.sim.work.Phase`."""
+    """Array-backed counterpart of :class:`~repro.sim.work.Phase`.
+
+    ``thread`` (int64) and ``elems`` (float64) are parallel arrays: entry
+    ``i`` describes chunk ``i`` in the scalar engine's chunk order (which
+    is also execution order for the order-sensitive folds). Every other
+    per-chunk quantity is ``elems`` times one of the four per-element
+    costs, the same elementwise product the scalar path's
+    :class:`~repro.sim.work.ChunkWork` fields hold. The arrays are
+    usually shared with the partition the phase was cut from, so they
+    are read-only.
+    """
 
     name: str
     kind: PhaseKind
-    chunks: ChunkArrays
+    thread: np.ndarray
+    elems: np.ndarray
+    instr_per_elem: float
+    fp_per_elem: float
+    read_per_elem: float
+    write_per_elem: float
     placement: PagePlacement | None
     working_set: float
     sched_chunks: int = 0
@@ -195,11 +155,24 @@ class ArrayPhase:
     vectorizable: bool = True
 
     def __post_init__(self) -> None:
+        if len(self.elems) == 0 or len(self.thread) != len(self.elems):
+            raise ConfigurationError("chunk arrays must be non-empty and aligned")
+        if min(self.instr_per_elem, self.fp_per_elem, self.read_per_elem,
+               self.write_per_elem) < 0:
+            raise ConfigurationError("per-element costs must be non-negative")
         if self.spread_penalty < 1.0:
             raise ConfigurationError("spread_penalty must be >= 1")
 
+    def __len__(self) -> int:
+        return len(self.elems)
 
-@dataclass(frozen=True)
+    @property
+    def total_elems(self) -> float:
+        """Total elements processed in this phase (a left fold)."""
+        return _fold(self.elems)
+
+
+@dataclass(frozen=True, slots=True)
 class ArrayProfile:
     """Array-backed counterpart of :class:`~repro.sim.work.WorkProfile`."""
 
@@ -210,7 +183,7 @@ class ArrayProfile:
     policy: object
     phases: tuple[ArrayPhase, ...]
     regions: int = 1
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
     @property
     def is_parallel(self) -> bool:
@@ -222,49 +195,7 @@ class ArrayProfile:
     @property
     def chunk_entries(self) -> int:
         """Chunk entries across all phases: the profile's array footprint."""
-        return sum(len(p.chunks) for p in self.phases)
-
-
-def _even_bounds_arrays(n: int, parts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``repro.execution.partition._even_bounds``: (starts, sizes)."""
-    base, extra = divmod(n, parts)
-    sizes = np.full(parts, base, dtype=np.int64)
-    sizes[:extra] += 1
-    starts = np.zeros(parts, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=starts[1:])
-    return starts, sizes
-
-
-def partition_arrays(
-    backend: BackendModel, n: int, threads: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Partition [0, n) the way ``backend.make_partition`` would, as arrays.
-
-    Returns ``(starts, sizes, thread_ids, num_chunks)`` replicating the
-    exact integer arithmetic of the static, block-cyclic, work-stealing
-    and fixed-grain partitioners, without materialising ``Chunk`` objects.
-    """
-    if n < 0:
-        raise ConfigurationError("n must be non-negative")
-    if threads <= 0:
-        raise ConfigurationError("threads must be positive")
-    grain = getattr(backend, "fixed_chunk_elems", 0)
-    if grain:
-        max_chunks = backend.max_chunks
-        parts = min(max_chunks, max(1, -(-n // grain))) if n else 1
-        starts, sizes = _even_bounds_arrays(n, parts)
-        thread_ids = np.arange(parts, dtype=np.int64) % threads
-        return starts, sizes, thread_ids, parts
-    chunks_per_thread = getattr(backend, "chunks_per_thread", 1)
-    if chunks_per_thread <= 1:
-        parts = threads
-        starts, sizes = _even_bounds_arrays(n, parts)
-        thread_ids = np.arange(parts, dtype=np.int64)
-        return starts, sizes, thread_ids, parts
-    parts = min(max(1, n), threads * chunks_per_thread)
-    starts, sizes = _even_bounds_arrays(n, parts)
-    thread_ids = np.arange(parts, dtype=np.int64) % threads
-    return starts, sizes, thread_ids, parts
+        return sum(len(p) for p in self.phases)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +358,7 @@ def _dram_memory_time_arrays(
 # Wave fusion
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaveEntry:
     """One point of a wave: an array profile plus its execution target."""
 
@@ -436,7 +367,7 @@ class WaveEntry:
     profile: ArrayProfile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _PhaseSlot:
     """One phase of one entry with its model scalars resolved."""
 
@@ -448,7 +379,7 @@ class _PhaseSlot:
     traffic: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaveProgram:
     """A whole wave with every phase's model scalars resolved.
 
@@ -577,7 +508,7 @@ def _blocks(slots: tuple[_PhaseSlot, ...]):
     """
     groups: dict[int, list[int]] = {}
     for index, slot in enumerate(slots):
-        groups.setdefault(len(slot.phase.chunks), []).append(index)
+        groups.setdefault(len(slot.phase), []).append(index)
     for chunks, indices in groups.items():
         rows = max(1, BLOCK_ENTRIES // chunks)
         yield [indices[lo:lo + rows] for lo in range(0, len(indices), rows)]
@@ -596,21 +527,22 @@ def _block_folds(slots: list[_PhaseSlot], layouts: dict):
     its :class:`Counters`, its per-thread instruction time and memory
     bytes (first-appearance thread order), and that thread order.
     """
-    def stack(name: str) -> np.ndarray:
-        return np.stack([getattr(s.phase.chunks, name) for s in slots],
-                        dtype=np.float64)
-
-    def column(name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in slots],
+    def column(owners, name: str) -> np.ndarray:
+        return np.array([getattr(o, name) for o in owners],
                         dtype=np.float64)[:, None]
 
-    elems, instr, fp_ops = stack("elems"), stack("instr"), stack("fp_ops")
-    bytes_read, bytes_written = stack("bytes_read"), stack("bytes_written")
-    traffic = column("traffic")
+    phases = [s.phase for s in slots]
+    elems = np.stack([p.elems for p in phases], dtype=np.float64)
+    # The builders' per-chunk products, elementwise exactly as ChunkWork.
+    instr = elems * column(phases, "instr_per_elem")
+    fp_ops = elems * column(phases, "fp_per_elem")
+    bytes_read = elems * column(phases, "read_per_elem")
+    bytes_written = elems * column(phases, "write_per_elem")
+    traffic = column(slots, "traffic")
 
-    executed = np.where(fp_ops > 0.0, fp_ops / column("lanes"), 0.0)
-    instrs = instr + elems * column("ovh_per_elem") + executed
-    instr_vals = instrs / column("rate")
+    executed = np.where(fp_ops > 0.0, fp_ops / column(slots, "lanes"), 0.0)
+    instrs = instr + elems * column(slots, "ovh_per_elem") + executed
+    instr_vals = instrs / column(slots, "rate")
     mem_vals = (bytes_read + bytes_written) * traffic
     instructions = _row_folds(instrs)
     # A one-lane phase counts ``executed`` as scalar FP: x / 1.0 == x.
@@ -620,7 +552,7 @@ def _block_folds(slots: list[_PhaseSlot], layouts: dict):
 
     by_layout: dict[int, tuple] = {}
     for row, slot in enumerate(slots):
-        layout = _layout(layouts, slot.phase.chunks.thread)
+        layout = _layout(layouts, slot.phase.thread)
         by_layout.setdefault(id(layout), (layout, []))[1].append(row)
     per_thread: list = [None] * len(slots)
     for layout, rows in by_layout.values():
@@ -829,67 +761,28 @@ def simulate_cpu_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Converters (differential-harness plumbing)
+# The scalar engine's view of an array profile
 # ---------------------------------------------------------------------------
-
-def profile_to_arrays(profile: WorkProfile) -> ArrayProfile:
-    """Convert a scalar :class:`WorkProfile` to its array form losslessly."""
-    phases = []
-    for phase in profile.phases:
-        chunks = ChunkArrays(
-            thread=np.array([c.thread for c in phase.chunks], dtype=np.int64),
-            elems=np.array([c.elems for c in phase.chunks]),
-            instr=np.array([c.instr for c in phase.chunks]),
-            fp_ops=np.array([c.fp_ops for c in phase.chunks]),
-            bytes_read=np.array([c.bytes_read for c in phase.chunks]),
-            bytes_written=np.array([c.bytes_written for c in phase.chunks]),
-        )
-        phases.append(
-            ArrayPhase(
-                name=phase.name,
-                kind=phase.kind,
-                chunks=chunks,
-                placement=phase.placement,
-                working_set=phase.working_set,
-                sched_chunks=phase.sched_chunks,
-                sync_points=phase.sync_points,
-                spread_penalty=phase.spread_penalty,
-                apply_instr_overhead=phase.apply_instr_overhead,
-                vectorizable=phase.vectorizable,
-            )
-        )
-    return ArrayProfile(
-        alg=profile.alg,
-        n=profile.n,
-        elem=profile.elem,
-        threads=profile.threads,
-        policy=profile.policy,
-        phases=tuple(phases),
-        regions=profile.regions,
-        notes=tuple(profile.notes),
-    )
-
 
 def arrays_to_profile(profile: ArrayProfile) -> WorkProfile:
     """Materialise an :class:`ArrayProfile` as a scalar ``WorkProfile``.
 
-    Test-only plumbing: lets the differential harness run the scalar
-    engine on profiles that the array builders produced, proving the
-    builders (not just the engine) equivalent to the scalar path.
+    How the scalar reference engines read the builder's profiles
+    (``ExecutionContext.simulate``): one validated
+    :class:`~repro.sim.work.ChunkWork` per chunk, each field the same
+    ``elems x cost`` product the wave engine forms.
     """
     phases = []
     for phase in profile.phases:
-        ca = phase.chunks
+        costs = (phase.instr_per_elem, phase.fp_per_elem,
+                 phase.read_per_elem, phase.write_per_elem)
+        instr, fp, read, write = (float(c) for c in costs)
         chunks = tuple(
-            ChunkWork(
-                thread=int(ca.thread[i]),
-                elems=float(ca.elems[i]),
-                instr=float(ca.instr[i]),
-                fp_ops=float(ca.fp_ops[i]),
-                bytes_read=float(ca.bytes_read[i]),
-                bytes_written=float(ca.bytes_written[i]),
-            )
-            for i in range(len(ca))
+            ChunkWork(thread=thread, elems=elems, instr=elems * instr,
+                      fp_ops=elems * fp, bytes_read=elems * read,
+                      bytes_written=elems * write)
+            for thread, elems in zip(phase.thread.tolist(),
+                                     phase.elems.tolist())
         )
         phases.append(
             Phase(
@@ -947,11 +840,10 @@ def simulate_gpu_arrays(
     launches = max(1, profile.regions)
 
     for phase in profile.phases:
-        ca = phase.chunks
-        instr = _fold(ca.instr)
-        fp = _fold(ca.fp_ops)
-        bytes_read = _fold(ca.bytes_read)
-        bytes_written = _fold(ca.bytes_written)
+        instr = _fold(phase.elems * phase.instr_per_elem)
+        fp = _fold(phase.elems * phase.fp_per_elem)
+        bytes_read = _fold(phase.elems * phase.read_per_elem)
+        bytes_written = _fold(phase.elems * phase.write_per_elem)
 
         rate = gpu.compute_rate(profile.elem.size)
         compute = (fp + instr * _INSTR_RATE_FACTOR) / rate

@@ -49,10 +49,11 @@ from repro.algorithms import (
     transform_reduce,
     unique,
 )
-from repro.algorithms._result import AlgoResult
+from repro.algorithms._result import AlgoResult, uncosted
 from repro.errors import ConfigurationError
 from repro.execution.context import ExecutionContext
 from repro.memory.array import SimArray
+from repro.sim.wave import ArrayProfile
 from repro.suite.generators import (
     generate_increment,
     random_target,
@@ -85,6 +86,24 @@ class BenchCase:
         [ExecutionContext, tuple[SimArray, ...], int], None
     ] = field(default=lambda ctx, arrays, it: None)
     elem: ElemType = FLOAT64
+
+    def profile(
+        self, ctx: ExecutionContext, n: int, elem: ElemType = FLOAT64
+    ) -> ArrayProfile:
+        """The array profile of one timed invocation, left uncosted.
+
+        Runs exactly what the harness's first iteration runs -- setup,
+        per-iteration setup, invoke -- and returns the result's profile
+        without reading its report, so a CPU invocation never touches
+        the scalar engine (nor records its spans under a tracer). Fused
+        waves and curves cost these profiles on the wave engine.
+        """
+        if n <= 0:
+            raise ConfigurationError("n must be positive")
+        with uncosted():
+            arrays = self.setup(ctx, n, elem)
+            self.per_iteration_setup(ctx, arrays, 0)
+            return self.invoke(ctx, arrays, 0).profile
 
 
 def _single_increment(ctx, n, elem):

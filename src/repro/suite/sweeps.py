@@ -88,21 +88,21 @@ def problem_scaling(
 ) -> SweepResult:
     """Time vs problem size at fixed thread count (Figs 2, 4a, 5a, 6a).
 
-    ``batch`` selects the evaluation path: ``None`` (auto) uses the
-    vectorized ``repro.sim.wave`` path when the case supports it and
-    tracing is off, ``True`` requests it explicitly, ``False`` forces the
-    scalar per-point path (the ``--no-batch`` debugging escape hatch).
-    Both paths produce bit-identical seconds.
+    ``batch`` selects the evaluation path: ``None`` (auto) costs the
+    curve as one ``repro.sim.wave`` wave on a CPU model-mode context
+    when tracing is off, ``True`` requests it explicitly, ``False``
+    forces the scalar per-point path (the ``--no-batch`` debugging
+    escape hatch). Both paths produce bit-identical seconds.
     """
     from repro.suite.batch import batch_problem_scaling, use_batch_path
 
     sizes = sizes if sizes is not None else problem_sizes()
     points = []
-    if use_batch_path(batch, case.name, ctx):
+    if use_batch_path(batch, ctx):
         points = [
             SweepPoint(x=x, seconds=seconds, supported=supported)
             for x, seconds, supported in batch_problem_scaling(
-                case.name, ctx, sizes, elem
+                case, ctx, sizes, elem
             )
         ]
     else:
@@ -139,11 +139,11 @@ def strong_scaling(
         raise ConfigurationError("strong scaling sweeps are CPU experiments")
     threads = threads if threads is not None else thread_counts(ctx.machine.total_cores)
     points = []
-    if use_batch_path(batch, case.name, ctx):
+    if use_batch_path(batch, ctx):
         points = [
             SweepPoint(x=x, seconds=seconds, supported=supported)
             for x, seconds, supported in batch_strong_scaling(
-                case.name, ctx, n, threads, elem
+                case, ctx, n, threads, elem
             )
         ]
     else:

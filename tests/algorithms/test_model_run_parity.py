@@ -29,6 +29,11 @@ def ctx_pair(request):
     return run, model
 
 
+def _same_array(a, b):
+    """Equal dtype, shape and bits (float-hex exact, -0.0 distinct)."""
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _assert_profiles_equal(p_run, p_model):
     assert p_run.alg == p_model.alg
     assert p_run.threads == p_model.threads
@@ -36,9 +41,14 @@ def _assert_profiles_equal(p_run, p_model):
     assert len(p_run.phases) == len(p_model.phases)
     for a, b in zip(p_run.phases, p_model.phases):
         assert a.name == b.name
-        assert a.chunks == b.chunks
-        assert a.working_set == b.working_set
+        assert _same_array(a.thread, b.thread)
+        assert _same_array(a.elems, b.elems)
+        for cost in ("instr_per_elem", "fp_per_elem", "read_per_elem",
+                     "write_per_elem", "working_set", "spread_penalty"):
+            assert float(getattr(a, cost)).hex() == float(getattr(b, cost)).hex()
+        assert a.placement == b.placement
         assert a.sched_chunks == b.sched_chunks
+        assert a.sync_points == b.sync_points
 
 
 def test_for_each_parity(ctx_pair):

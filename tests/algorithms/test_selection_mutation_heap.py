@@ -68,8 +68,25 @@ class TestInplaceMerge:
 
     def test_middle_validated(self, run_ctx):
         arr = run_ctx.allocate(4, FLOAT64)
-        with pytest.raises(ConfigurationError):
-            pstl.inplace_merge(run_ctx, arr, 0)
+        for middle in (-1, 5):
+            with pytest.raises(ConfigurationError):
+                pstl.inplace_merge(run_ctx, arr, middle)
+
+    @pytest.mark.parametrize("middle", [0, 4])
+    def test_empty_half_accepted(self, run_ctx, middle):
+        """Like std::inplace_merge, either half may be empty."""
+        arr = run_ctx.array_from(np.array([1.0, 2.0, 5.0, 8.0]), FLOAT64)
+        pstl.inplace_merge(run_ctx, arr, middle)
+        assert arr.data.tolist() == [1, 2, 5, 8]
+
+    @pytest.mark.parametrize("mode", ["run", "model"])
+    def test_case_runs_at_one_element(self, model_ctx, mode):
+        """The case's ``middle = max(1, n // 2)`` is n itself at n = 1."""
+        from repro.suite.cases import get_case
+        from repro.suite.wrappers import measure_case
+
+        ctx = model_ctx.with_(mode=mode)
+        assert measure_case(get_case("inplace_merge"), ctx, 1) > 0.0
 
 
 class TestReplaceRemoveUnique:

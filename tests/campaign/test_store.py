@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -244,7 +245,9 @@ def test_put_many_writes_one_pack_of_todays_record_bytes(tmp_path, monkeypatch):
         assert line == _encode(record)  # the object JSON, byte for byte
         assert record["key"] == key
         assert record["checksum"] == record_checksum(record)
-    assert sorted(appends) == sorted((k[:2], 1) for k in keys)  # per shard
+    # One append per shard touched, carrying that shard's rows (keys move
+    # with the model fingerprint, so two of them may share a shard).
+    assert sorted(appends) == sorted(Counter(k[:2] for k in keys).items())
     assert store.index.lookup(keys[0])["wall_ms"] == 0.5
     assert store.writes == 3
 

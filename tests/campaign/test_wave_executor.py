@@ -16,22 +16,25 @@ properties that make that safe to default on:
   instead of rebuilding them per point, which is where its speedup over
   point-at-a-time evaluation comes from;
 * **bounded memory** -- a wave whose profiles outgrow
-  ``WAVE_CHUNK_BUDGET`` runs as several sub-waves, and the profile memo
-  never holds more than that many chunk entries, yet still serves a
-  repeated small grid.
+  ``WAVE_CHUNK_BUDGET`` (or ``WAVE_POINT_BUDGET`` points) runs as
+  several sub-waves, and the profile memo never holds more than that
+  many chunk entries, yet still serves a repeated small grid, at a
+  bounded number of bytes per profile.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
-from repro.backends import get_backend
+from repro.backends import PARALLEL_CPU_BACKENDS, get_backend
 from repro.campaign import executor as executor_mod
 from repro.campaign.executor import run_campaign
 from repro.campaign.plan import plan_campaign
-from repro.campaign.spec import PointSpec
+from repro.campaign.spec import CampaignSpec, PointSpec
 from repro.campaign.store import DONE, FAILED
 from repro.machines import get_machine
 from repro.sim import wave as wave_mod
@@ -283,3 +286,59 @@ def test_profile_memo_is_thread_safe():
     stored = [memo.get(key) for key in range(len(profiles))]
     assert memo.chunks == sum(p.chunk_entries for p in stored if p is not None)
     assert memo.chunks <= memo.budget
+
+
+def test_wide_wave_runs_in_point_bounded_sub_waves(monkeypatch):
+    """Small profiles still split: no sub-wave exceeds the point budget."""
+    monkeypatch.setattr(executor_mod, "WAVE_POINT_BUDGET", 5)
+    payloads = [t.point.to_dict() for t in plan_campaign(wider_spec()).runnable]
+    tracer = Tracer()
+    with use_tracer(tracer):
+        out = executor_mod.execute_wave(payloads)
+    fuses = [s.attributes["points"] for s in tracer.spans if s.name == "wave.fuse"]
+    assert sum(fuses) == sum(1 for p in out if p["status"] == DONE)
+    assert max(fuses) == 5 and len(fuses) > 1
+    monkeypatch.undo()
+    assert [p["seconds"] for p in out] == [
+        p["seconds"] for p in executor_mod.execute_wave(payloads)]
+
+
+def test_profile_memo_bytes_per_profile_are_bounded(monkeypatch):
+    """A grid-cold-shaped grid (3 machines x 5 backends x 33 cases x 2 sizes
+    x 4 thread counts: 4,038 profiles, 98,868 chunk entries) memoises at
+    under 1 KiB per profile. On grids of small profiles the per-profile
+    overhead, not the chunk data the budget weighs, is what the memo
+    holds: six chunk-field arrays per phase, unshared, read ~3 KB."""
+    from repro.suite.cases import case_names
+
+    spec = CampaignSpec(
+        name="grid-cold-shaped", machines=("A", "B", "C"),
+        backends=PARALLEL_CPU_BACKENDS, cases=tuple(case_names()),
+        size_exps=(18, 19), threads=(2, 4, 6, 8),
+    )
+    points = [task.point for task in plan_campaign(spec).runnable]
+    models = {name: get_machine(name) for name in spec.machines}
+    backends = {name: get_backend(name) for name in (*spec.backends, "GCC-SEQ")}
+
+    def fill():
+        for p in points:
+            executor_mod._cached_profile(
+                models[p.machine], backends[p.backend], p.threads,
+                p.allocator, p.mode, p.case, p.n)
+
+    _fresh_memo(monkeypatch)
+    fill()  # warms shared partitions, placements and contexts
+    memo = _fresh_memo(monkeypatch)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fill()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        assert (len(memo), memo.chunks) == (len(points), 98_868) == (4038, 98_868)
+        memo._profiles.clear()
+        gc.collect()
+        released = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert released / len(points) < 1024, f"{released / len(points):.0f} B"

@@ -1,12 +1,13 @@
-"""Differential harness: the vectorized batch path must match scalar bitwise.
+"""Differential harness: the wave point and curve path must match scalar bitwise.
 
 The engine itself is pinned to the scalar engine in
-``test_wave_differential.py``; this file pins the array-profile
-builders and the sweep helpers that feed it:
+``test_wave_differential.py``, and the one profile builder to a frozen
+golden in ``tests/algorithms/test_builder_golden.py``; this file pins
+the point and sweep helpers that cost every case on the wave engine:
 
-1. builder equivalence -- ``measure_case_batch`` equals ``measure_case``
-   on the paper's grid corners, including exception parity for N/A
-   cells, and whole sweeps agree point for point;
+1. path equivalence -- ``measure_case_batch`` equals ``measure_case``
+   for every case on the paper's grid corners, including exception
+   parity for N/A cells, and whole sweeps agree point for point;
 2. the randomized sweep (marker ``diffcheck``, shared with
    ``tools/diffcheck.py`` and the CI job): hundreds of seeded random
    configurations across machines x backends x allocators x cases x
@@ -29,13 +30,12 @@ from repro.errors import UnsupportedOperationError
 from repro.execution.context import ExecutionContext
 from repro.sim.wave import WAVE_TRACK
 from repro.suite.batch import (
-    BATCH_CASES,
     batch_problem_scaling,
     batch_strong_scaling,
     measure_case_batch,
     use_batch_path,
 )
-from repro.suite.cases import get_case
+from repro.suite.cases import case_names, get_case
 from repro.suite.sweeps import problem_scaling, strong_scaling
 from repro.suite.wrappers import measure_case
 from repro.trace import Tracer, use_tracer
@@ -66,16 +66,16 @@ def _assert_reports_identical(scalar, batch):
         assert value_s == value_b, f"{name_s}: scalar={value_s} batch={value_b}"
 
 
-# --- 1. builder equivalence ------------------------------------------------
+# --- 1. path equivalence ---------------------------------------------------
 
 
-@pytest.mark.parametrize("case_name", BATCH_CASES)
+@pytest.mark.parametrize("case_name", case_names())
 def test_builders_match_scalar_measurements(case_name, model_ctx, seq_ctx):
     """measure_case_batch == measure_case bitwise on grid corners."""
     case = get_case(case_name)
     for ctx in (model_ctx, seq_ctx):
         for n in (1, 2, 63, 4096, 1 << 20):
-            assert measure_case_batch(case_name, ctx, n) == measure_case(
+            assert measure_case_batch(case, ctx, n) == measure_case(
                 case, ctx, n
             )
 
@@ -87,19 +87,21 @@ def test_na_cells_agree(mach_a, gnu):
     with pytest.raises(UnsupportedOperationError):
         measure_case(case, ctx, 1 << 12)
     with pytest.raises(UnsupportedOperationError):
-        measure_case_batch("inclusive_scan", ctx, 1 << 12)
+        measure_case_batch(case, ctx, 1 << 12)
 
 
 def test_sweeps_agree_between_paths(model_ctx):
     """suite.sweeps with batch=True equals batch=False point-for-point."""
-    case = get_case("reduce")
     sizes = [1 << e for e in range(3, 16, 3)]
-    scalar = problem_scaling(case, model_ctx, sizes, batch=False)
-    batch = problem_scaling(case, model_ctx, sizes, batch=True)
-    assert scalar == batch
-    scalar = strong_scaling(case, model_ctx, 1 << 14, [1, 2, 8, 32], batch=False)
-    batch = strong_scaling(case, model_ctx, 1 << 14, [1, 2, 8, 32], batch=True)
-    assert scalar == batch
+    for name in ("reduce", "set_union"):
+        case = get_case(name)
+        scalar = problem_scaling(case, model_ctx, sizes, batch=False)
+        batch = problem_scaling(case, model_ctx, sizes, batch=True)
+        assert scalar == batch
+        threads = [1, 2, 8, 32]
+        scalar = strong_scaling(case, model_ctx, 1 << 14, threads, batch=False)
+        batch = strong_scaling(case, model_ctx, 1 << 14, threads, batch=True)
+        assert scalar == batch
 
 
 # --- 2. the randomized differential sweep ----------------------------------
@@ -129,9 +131,9 @@ def test_compare_point_flags_a_real_divergence(monkeypatch):
     assert diffcheck.compare_point(config) == []
     real = batch_mod.simulate_case_batch
 
-    def skewed(case_name, ctx, n, elem=None, **kwargs):
-        report = real(case_name, ctx, n) if elem is None else real(
-            case_name, ctx, n, elem
+    def skewed(case, ctx, n, elem=None, **kwargs):
+        report = real(case, ctx, n) if elem is None else real(
+            case, ctx, n, elem
         )
         return report.with_extra_seconds(1e-9)
 
@@ -147,7 +149,7 @@ def test_batch_sweep_records_curve_span(model_ctx):
     tracer = Tracer()
     with use_tracer(tracer):
         points = batch_problem_scaling(
-            "reduce", model_ctx, [1 << 10, 1 << 12, 1 << 14]
+            get_case("reduce"), model_ctx, [1 << 10, 1 << 12, 1 << 14]
         )
     spans = [s for s in tracer.spans if s.name == "wave.execute"]
     assert len(spans) == 1
@@ -167,7 +169,7 @@ def test_batch_strong_scaling_records_curve_span(model_ctx, gnu):
     """The thread sweep is one wave too; N/A points never join it."""
     tracer = Tracer()
     with use_tracer(tracer):
-        batch_strong_scaling("reduce", model_ctx, 1 << 12, [1, 2, 4])
+        batch_strong_scaling(get_case("reduce"), model_ctx, 1 << 12, [1, 2, 4])
     spans = [s for s in tracer.spans if s.name == "wave.execute"]
     assert len(spans) == 1
     assert spans[0].attributes["points"] == 3
@@ -175,7 +177,8 @@ def test_batch_strong_scaling_records_curve_span(model_ctx, gnu):
     tracer = Tracer()
     with use_tracer(tracer):
         points = batch_strong_scaling(
-            "inclusive_scan", model_ctx.with_(backend=gnu), 1 << 12, [1, 2, 4]
+            get_case("inclusive_scan"), model_ctx.with_(backend=gnu), 1 << 12,
+            [1, 2, 4],
         )
     # GNU has no parallel scan: every point is N/A, and an empty wave
     # neither records a span nor advances the clock.
@@ -186,9 +189,10 @@ def test_batch_strong_scaling_records_curve_span(model_ctx, gnu):
 
 def test_auto_mode_defers_to_scalar_under_tracing(model_ctx):
     """batch=None keeps golden per-phase traces scalar; True overrides."""
-    assert use_batch_path(None, "reduce", model_ctx) is True
+    assert use_batch_path(None, model_ctx) is True
     tracer = Tracer()
     with use_tracer(tracer):
-        assert use_batch_path(None, "reduce", model_ctx) is False
-        assert use_batch_path(True, "reduce", model_ctx) is True
-        assert use_batch_path(False, "reduce", model_ctx) is False
+        assert use_batch_path(None, model_ctx) is False
+        assert use_batch_path(True, model_ctx) is True
+        assert use_batch_path(False, model_ctx) is False
+    assert use_batch_path(True, model_ctx.with_(mode="run")) is False

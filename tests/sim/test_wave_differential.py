@@ -3,12 +3,13 @@
 ``repro.sim.wave`` is the only vectorized evaluator, so it is pinned
 directly to the scalar reference engine (``repro.sim.engine``). Layers:
 
-1. engine equivalence -- the one-entry ``simulate_cpu_arrays`` on a
-   converted profile reproduces ``simulate_cpu`` field for field, both
-   directions of the ``profile_to_arrays`` / ``arrays_to_profile``
-   converters, and the array partitioner reproduces every backend's
-   chunk layout; ``simulate_wave`` over a heterogeneous fused program
-   (every machine x backend x case cell in one wave, mixed sizes)
+1. engine equivalence -- the one-entry ``simulate_cpu_arrays`` on every
+   case's array profile reproduces ``simulate_cpu`` on the
+   ``arrays_to_profile`` view of it field for field, and the report an
+   invocation costs on the scalar path; every backend's array partition
+   materialises chunk objects that tile the range; ``simulate_wave``
+   over a heterogeneous fused program (every machine x backend x case
+   cell in one wave, mixed sizes)
    reproduces each entry's one-entry and scalar reports, including the
    degenerate single-entry and empty waves, a wave whose length groups
    outgrow one phase block, and a partition that is not round-robin;
@@ -47,15 +48,12 @@ from repro.sim.wave import (
     WaveEntry,
     arrays_to_profile,
     fuse_wave,
-    partition_arrays,
-    profile_to_arrays,
     simulate_cpu_arrays,
     simulate_gpu_arrays,
     simulate_wave,
     simulate_wave_entries,
 )
-from repro.suite.batch import BATCH_CASES, batch_supported, build_array_profile
-from repro.suite.cases import get_case
+from repro.suite.cases import case_names, get_case
 from repro.suite.wrappers import measure_case
 from repro.trace import Tracer, use_tracer
 from repro.types import elem_type
@@ -85,19 +83,22 @@ def _assert_reports_identical(wave, reference):
         assert value_w == value_r, f"{name_w}: wave={value_w} ref={value_r}"
 
 
+def _profile(case: str, ctx, n: int):
+    """``case``'s array profile at one point, uncosted."""
+    return get_case(case).profile(ctx, n)
+
+
 def _mixed_wave():
     """A deliberately heterogeneous wave: every cell of a mini-campaign."""
     entries = []
     expected = []
     for machine in ("A", "B", "C"):
         for backend in ("GCC-TBB", "GCC-GNU", "GCC-SEQ"):
-            for case in BATCH_CASES:
+            for case in case_names():
                 for n in (1, 63, 1 << 12):
                     ctx = make_context(machine, backend, threads=8)
                     try:
-                        profile = build_array_profile(
-                            case, ctx, n, elem_type("double")
-                        )
+                        profile = _profile(case, ctx, n)
                     except Exception:
                         continue  # N/A cells: parity is diffcheck's job
                     entries.append(WaveEntry(ctx.machine, ctx.backend, profile))
@@ -111,37 +112,33 @@ def _mixed_wave():
 # --- 1. engine equivalence -------------------------------------------------
 
 
-def _scalar_profiles(model_ctx):
-    """Real WorkProfiles captured from scalar algorithm invocations."""
+def _invocations(model_ctx):
+    """Every case's invocation at n = 4097, its report not yet read."""
     from repro.types import FLOAT64
 
-    profiles = []
-    for case_name in BATCH_CASES:
-        if not batch_supported(case_name, model_ctx):
-            continue
+    results = []
+    for case_name in case_names():
         case = get_case(case_name)
         arrays = case.setup(model_ctx, 4097, FLOAT64)
-        result = case.invoke(model_ctx, arrays, 0)
-        profiles.append(result.profile)
-    return profiles
+        results.append(case.invoke(model_ctx, arrays, 0))
+    return results
 
 
 def test_engine_matches_on_converted_scalar_profiles(model_ctx):
-    """simulate_cpu_arrays(profile_to_arrays(p)) == simulate_cpu(p)."""
-    profiles = _scalar_profiles(model_ctx)
-    assert profiles
-    for profile in profiles:
-        scalar = simulate_cpu(model_ctx.machine, model_ctx.backend, profile)
+    """simulate_cpu_arrays(r.profile) == r.report, the scalar path's cost."""
+    results = _invocations(model_ctx)
+    assert len(results) == 33
+    for result in results:
         wave = simulate_cpu_arrays(
-            model_ctx.machine, model_ctx.backend, profile_to_arrays(profile)
+            model_ctx.machine, model_ctx.backend, result.profile
         )
-        _assert_reports_identical(wave, scalar)
+        _assert_reports_identical(wave, result.report)
 
 
 def test_engine_matches_on_converted_array_profiles(model_ctx):
     """simulate_cpu(arrays_to_profile(ap)) == simulate_cpu_arrays(ap)."""
-    for case_name in BATCH_CASES:
-        array_profile = build_array_profile(case_name, model_ctx, 4097)
+    for case_name in case_names():
+        array_profile = _profile(case_name, model_ctx, 4097)
         wave = simulate_cpu_arrays(
             model_ctx.machine, model_ctx.backend, array_profile
         )
@@ -152,20 +149,21 @@ def test_engine_matches_on_converted_array_profiles(model_ctx):
 
 
 def test_partition_arrays_matches_scalar_partitions(mach_a, tbb, gnu, hpx):
-    """The array partitioner reproduces each backend's chunk layout."""
-    import numpy as np
+    """Each backend's array partition materialises chunks that tile [0, n)."""
+    from repro.execution.partition import Partition
 
     for backend in (tbb, gnu, hpx):
         for n in (1, 7, 1024, 4097):
             for threads in (1, 3, 8):
                 part = backend.make_partition(n, threads)
-                starts, sizes, thread_ids, parts = partition_arrays(
-                    backend, n, threads
-                )
-                assert parts == part.num_chunks
-                assert np.array_equal(starts, [c.start for c in part.chunks])
-                assert np.array_equal(sizes, [len(c) for c in part.chunks])
-                assert np.array_equal(thread_ids, [c.thread for c in part.chunks])
+                assert part.num_chunks == len(part.chunks)
+                assert np.array_equal(part.starts, [c.start for c in part.chunks])
+                assert np.array_equal(part.sizes, [len(c) for c in part.chunks])
+                assert np.array_equal(part.thread, [c.thread for c in part.chunks])
+                assert np.array_equal(part.elems, part.sizes)
+                # The validating object constructor accepts the same chunks.
+                Partition(n, threads, part.chunks, part.strategy)
+                assert part is backend.make_partition(n, threads)  # shared
 
 
 def test_fused_wave_matches_batch_per_entry():
@@ -182,7 +180,7 @@ def test_fused_wave_matches_batch_per_entry():
 
 def test_single_entry_wave_matches_batch():
     ctx = make_context("A", "GCC-TBB", threads=16)
-    profile = build_array_profile("reduce", ctx, 1 << 16)
+    profile = _profile("reduce", ctx, 1 << 16)
     (report,) = simulate_wave_entries(
         [WaveEntry(ctx.machine, ctx.backend, profile)]
     )
@@ -206,7 +204,7 @@ def test_wave_and_scalar_agree_end_to_end():
     entries = []
     scalar_seconds = []
     for case in ("reduce", "find", "inclusive_scan"):
-        profile = build_array_profile(case, ctx, 1 << 14)
+        profile = _profile(case, ctx, 1 << 14)
         entries.append(WaveEntry(ctx.machine, ctx.backend, profile))
         scalar_seconds.append(
             measure_case(get_case(case), ctx, 1 << 14, elem_type("double"))
@@ -232,13 +230,13 @@ def test_wave_larger_than_a_block_matches_scalar():
     for threads in (2, 3, 5):
         ctx = make_context("C", "GCC-HPX", threads=threads)
         entries.append(WaveEntry(ctx.machine, ctx.backend,
-                                 build_array_profile("reduce", ctx, 1 << 30)))
+                                 _profile("reduce", ctx, 1 << 30)))
     for backend, threads in (("GCC-SEQ", 1), ("GCC-TBB", 8), ("GCC-GNU", 5)):
         ctx = make_context("C", backend, threads=threads)
         for case in ("reduce", "find", "sort"):
             entries.append(WaveEntry(ctx.machine, ctx.backend,
-                                     build_array_profile(case, ctx, 1 << 14)))
-    lengths = [len(phase.chunks)
+                                     _profile(case, ctx, 1 << 14)))
+    lengths = [len(phase)
                for entry in entries for phase in entry.profile.phases]
     assert 1 in lengths and any(1 < n < 100 for n in lengths)
     assert lengths.count(32768) > max(1, BLOCK_ENTRIES // 32768)
@@ -253,34 +251,29 @@ def test_non_round_robin_partition_matches_scalar():
 
     ctx = make_context("C", "GCC-TBB", threads=6)
     n = 1 << 24
-    round_robin = build_array_profile("reduce", ctx, n)
-    base = arrays_to_profile(round_robin)
-    first = base.phases[0]
+    round_robin = _profile("reduce", ctx, n)
+    first = round_robin.phases[0]
     stolen = parallel_phase(
         first.name, WorkStealingPartitioner().partition(n, ctx.threads),
         PerElem(instr=3.0, fp=1.0, read=8.0, write=4.0),
         first.placement, first.working_set,
     )
-    profile = profile_to_arrays(
-        dataclasses.replace(base, phases=(stolen, *base.phases[1:]))
+    profile = dataclasses.replace(
+        round_robin, phases=(stolen, *round_robin.phases[1:])
     )
-    threads = profile.phases[0].chunks.thread
-    assert len(threads) == len(round_robin.phases[0].chunks)
+    threads = profile.phases[0].thread
+    assert len(threads) == len(round_robin.phases[0])
     assert not np.array_equal(threads, np.arange(len(threads)) % ctx.threads)
-    reports = _assert_wave_matches_scalar([
+    _assert_wave_matches_scalar([
         WaveEntry(ctx.machine, ctx.backend, profile),
         WaveEntry(ctx.machine, ctx.backend, round_robin),
     ])
-    _assert_reports_identical(reports[0], simulate_cpu(
-        ctx.machine, ctx.backend,
-        dataclasses.replace(base, phases=(stolen, *base.phases[1:])),
-    ))
 
 
 def test_fuse_rejects_oversubscribed_profile_like_batch():
     """Fused and one-entry evaluation reject oversubscription alike."""
     ctx = make_context("A", "GCC-TBB", threads=4)
-    profile = build_array_profile("reduce", ctx, 1 << 10)
+    profile = _profile("reduce", ctx, 1 << 10)
     bad = dataclasses.replace(profile, threads=ctx.machine.total_cores + 1)
     with pytest.raises(SimulationError):
         fuse_wave([WaveEntry(ctx.machine, ctx.backend, bad)])
@@ -292,7 +285,7 @@ def test_fuse_rejects_oversubscribed_profile_like_batch():
 
 
 def _gpu_profiles(gpu_ctx):
-    """WorkProfiles + arrays captured from scalar GPU case invocations."""
+    """Array profiles + arrays captured from scalar GPU case invocations."""
     captured = []
     original = ExecutionContext.simulate
 
@@ -315,13 +308,11 @@ def test_gpu_arrays_engine_matches_scalar_gpu():
     gpu_ctx = make_context("D", "NVC-CUDA")
     for profile, arrays in _gpu_profiles(gpu_ctx):
         scalar = simulate_gpu(
-            gpu_ctx.machine, profile, copy.deepcopy(arrays), gpu_ctx.gpu_options
+            gpu_ctx.machine, arrays_to_profile(profile), copy.deepcopy(arrays),
+            gpu_ctx.gpu_options,
         )
         vectorized = simulate_gpu_arrays(
-            gpu_ctx.machine,
-            profile_to_arrays(profile),
-            copy.deepcopy(arrays),
-            gpu_ctx.gpu_options,
+            gpu_ctx.machine, profile, copy.deepcopy(arrays), gpu_ctx.gpu_options
         )
         _assert_reports_identical(vectorized, scalar)
 
@@ -331,9 +322,8 @@ def test_gpu_arrays_mutates_residency_like_scalar():
     gpu_ctx = make_context("D", "NVC-CUDA")
     profile, arrays = _gpu_profiles(gpu_ctx)[0]
     arrays = copy.deepcopy(arrays)
-    arrow = profile_to_arrays(profile)
-    first = simulate_gpu_arrays(gpu_ctx.machine, arrow, arrays, gpu_ctx.gpu_options)
-    second = simulate_gpu_arrays(gpu_ctx.machine, arrow, arrays, gpu_ctx.gpu_options)
+    first = simulate_gpu_arrays(gpu_ctx.machine, profile, arrays, gpu_ctx.gpu_options)
+    second = simulate_gpu_arrays(gpu_ctx.machine, profile, arrays, gpu_ctx.gpu_options)
     assert first.migration_seconds > 0.0
     assert second.migration_seconds == 0.0
     assert second.seconds < first.seconds
@@ -358,8 +348,7 @@ def test_randomized_wave_groups_agree_with_batch():
 def test_wave_spans_emitted_under_tracing():
     ctx = make_context("A", "GCC-TBB", threads=8)
     entries = [
-        WaveEntry(ctx.machine, ctx.backend,
-                  build_array_profile(case, ctx, 1 << 12))
+        WaveEntry(ctx.machine, ctx.backend, _profile(case, ctx, 1 << 12))
         for case in ("reduce", "find")
     ]
     tracer = Tracer()
@@ -382,7 +371,7 @@ def test_wave_spans_emitted_under_tracing():
 def test_no_spans_without_tracer():
     ctx = make_context("A", "GCC-TBB", threads=8)
     entries = [WaveEntry(ctx.machine, ctx.backend,
-                         build_array_profile("reduce", ctx, 1 << 12))]
+                         _profile("reduce", ctx, 1 << 12))]
     tracer = Tracer()
     reports = simulate_wave_entries(entries)  # no use_tracer: must not record
     assert len(reports) == 1
@@ -401,7 +390,7 @@ def test_wave_memory_per_chunk_entry_is_bounded():
     for threads in range(2, 66):
         ctx = make_context("C", "GCC-HPX", threads=threads)
         entries.append(WaveEntry(ctx.machine, ctx.backend,
-                                 build_array_profile("reduce", ctx, 1 << 30)))
+                                 _profile("reduce", ctx, 1 << 30)))
     chunks = sum(entry.profile.chunk_entries for entry in entries)
     assert chunks == 2_097_216
     tracemalloc.start()

@@ -1,16 +1,19 @@
 #!/usr/bin/env python
 """Differential harness: scalar and wave simulation must agree bitwise.
 
-The vectorized engine (``repro.sim.wave``, fed by the array-profile
-builders in ``repro.suite.batch``) promises *bit-identical* results to
-the scalar per-point path: not "close", identical, so cached campaign
-results, golden figures and the paper's speedup ratios are the same no
-matter which path produced them. This tool is the enforcement, in two
-layers:
+Every case builds one array profile (``repro.algorithms._build``); the
+scalar path costs it on the reference engine (``repro.sim.engine``,
+through ``arrays_to_profile``) and the wave path on the vectorized
+engine (``repro.sim.wave``). The wave path promises *bit-identical*
+results to the scalar per-point path: not "close", identical, so cached
+campaign results, golden figures and the paper's speedup ratios are the
+same no matter which path produced them. This tool is the enforcement,
+in two layers:
 
 1. :func:`compare_point` sweeps randomized configurations (machine x
-   backend x allocator x case x size x threads x element type) through
-   the scalar path and a one-entry wave and compares the full
+   backend x allocator x case x size x threads x element type, over all
+   33 cases) through the scalar path and a one-entry wave and compares
+   the full
    :class:`repro.sim.SimReport` field by field -- total seconds,
    fork/join, every hardware counter, and the per-phase
    name/seconds/compute/memory/overhead/counter breakdown -- using
@@ -46,7 +49,7 @@ REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
 #: The sampled axes. Every (machine, backend) pair of the paper's grid,
-#: every named allocator (plus the backend default), every batch case.
+#: every named allocator (plus the backend default), every case.
 MACHINES = ("A", "B", "C")
 BACKENDS = ("GCC-SEQ", "GCC-TBB", "GCC-GNU", "GCC-HPX", "ICC-TBB", "NVC-OMP")
 ALLOCATORS = (None, "default", "first-touch", "hpx", "interleaved")
@@ -101,8 +104,9 @@ def random_configs(count: int, seed: int) -> list[DiffConfig]:
     """``count`` deterministic pseudo-random configurations."""
     _ensure_importable()
     from repro.machines import get_machine
-    from repro.suite.batch import BATCH_CASES
+    from repro.suite.cases import case_names
 
+    cases = case_names()
     rng = random.Random(seed)
     configs = []
     for _ in range(count):
@@ -116,7 +120,7 @@ def random_configs(count: int, seed: int) -> list[DiffConfig]:
                 machine=machine,
                 backend=rng.choice(BACKENDS),
                 allocator=rng.choice(ALLOCATORS),
-                case=rng.choice(BATCH_CASES),
+                case=rng.choice(cases),
                 n=_random_size(rng),
                 threads=threads,
                 dtype=rng.choice(DTYPES),
@@ -237,12 +241,14 @@ def compare_point(config: DiffConfig) -> list[str]:
     _ensure_importable()
     from repro.errors import UnsupportedOperationError
     from repro.suite.batch import simulate_case_batch
+    from repro.suite.cases import get_case
     from repro.types import elem_type
 
     scalar_report, scalar_exc = _scalar_run(config)
     try:
         wave_report = simulate_case_batch(
-            config.case, _context(config), config.n, elem_type(config.dtype)
+            get_case(config.case), _context(config), config.n,
+            elem_type(config.dtype),
         )
         wave_exc = None
     except UnsupportedOperationError as exc:
@@ -268,7 +274,7 @@ WAVE_GROUP = 16
 def compare_wave(configs: list[DiffConfig]) -> list[str]:
     """Divergences between a fused wave and the scalar path, entry by entry.
 
-    Builds every eligible configuration's :class:`ArrayProfile`, fuses
+    Builds every configuration's :class:`ArrayProfile`, fuses
     them all into a single wave program -- deliberately mixing machines,
     backends and cases the way a campaign wave does -- and diffs each
     fused entry's report against the scalar report captured for the same
@@ -279,7 +285,7 @@ def compare_wave(configs: list[DiffConfig]) -> list[str]:
     _ensure_importable()
     from repro.errors import UnsupportedOperationError
     from repro.sim.wave import WaveEntry, fuse_wave, simulate_wave
-    from repro.suite.batch import build_array_profile
+    from repro.suite.cases import get_case
     from repro.types import elem_type
 
     entries: list = []
@@ -289,8 +295,8 @@ def compare_wave(configs: list[DiffConfig]) -> list[str]:
     for config in configs:
         ctx = _context(config)
         try:
-            profile = build_array_profile(
-                config.case, ctx, config.n, elem_type(config.dtype)
+            profile = get_case(config.case).profile(
+                ctx, config.n, elem_type(config.dtype)
             )
         except UnsupportedOperationError:
             continue  # exception parity is compare_point's job
