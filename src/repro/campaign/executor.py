@@ -1,4 +1,4 @@
-"""Campaign executor: run planned points on a process pool, cached.
+"""Campaign executor: run planned points inline or on a process pool, cached.
 
 The simulator is deterministic and CPU-bound, so unlike most Python
 workloads a :class:`~concurrent.futures.ProcessPoolExecutor` buys real
@@ -10,9 +10,8 @@ and for every task:
 1. serves it from the content-addressed store when the (point, model
    fingerprint) key is present -- a *cache hit* span, zero simulator
    invocations;
-2. otherwise executes it (inline for ``workers <= 1``, on the pool
-   otherwise) with a per-task timeout and bounded retry -- a *cache
-   miss* span whose duration is the point's simulated seconds;
+2. otherwise executes it with a per-task timeout and bounded retry -- a
+   *cache miss* span whose duration is the point's simulated seconds;
 3. journals the terminal outcome, making an interrupted campaign
    resumable: ``resume=True`` re-plans deterministically and skips every
    task the journal already holds. Both writes are group-committed when
@@ -22,15 +21,20 @@ and for every task:
    already stored and a crash inside a wave loses just that wave, which
    a resume recomputes.
 
-By default each wave is submitted *whole*: every CPU model-mode point,
-whatever its case, is fused into ``repro.sim.wave`` programs (serial
-mode) or into one balanced shard per worker (pool mode) via
-:func:`execute_wave`, which cuts them into sub-waves of bounded size,
-with shared baselines -- execution contexts, array profiles,
-chunk->thread layouts, NUMA node maps -- computed once instead of once
-per point. ``batch=False`` (CLI
-``--no-batch``) falls back to the scalar per-point path -- the
-reference engine; both produce bit-identical results (enforced by
+Every task that executes goes through one loop, :func:`_run_wave`, and
+*where* it runs is that loop's parameter: ``workers <= 1`` hands it an
+inline runner whose futures settle on submission (the wave is one
+shard), ``workers >= 2`` a process pool (one balanced shard per
+worker). Tasks a ``dispatch=`` hook's remote executors did not land run
+through the same loop, so every local execution claims the same faults
+and retries the same way. By default each shard is one
+:func:`execute_wave` submission: every CPU model-mode point, whatever
+its case, is fused into ``repro.sim.wave`` programs in sub-waves of
+bounded size, with shared baselines -- execution contexts, array
+profiles, chunk->thread layouts, NUMA node maps -- computed once
+instead of once per point. ``batch=False`` (CLI ``--no-batch``)
+submits each point alone through the scalar path -- the reference
+engine; both produce bit-identical results (enforced by
 ``tools/diffcheck.py``), and retries always degrade to the scalar path
 regardless of how the first attempt was submitted.
 
@@ -78,7 +82,7 @@ from repro.campaign.store import (
     read_spec,
     write_spec,
 )
-from repro.errors import CampaignError, ReproError, UnsupportedOperationError
+from repro.errors import CampaignError, UnsupportedOperationError
 from repro.execution.context import ExecutionContext
 from repro.faults import (
     FaultInjector,
@@ -224,9 +228,6 @@ def execute_point(payload: dict) -> dict:
         out = {"status": DONE, "seconds": result.mean_time, "error": None}
     except UnsupportedOperationError as exc:
         out = {"status": NA, "seconds": None, "error": str(exc)}
-    except ReproError as exc:
-        out = {"status": FAILED, "seconds": None,
-               "error": f"{type(exc).__name__}: {exc}"}
     except Exception as exc:  # noqa: BLE001 - worker boundary, degrade gracefully
         out = {"status": FAILED, "seconds": None,
                "error": f"{type(exc).__name__}: {exc}"}
@@ -416,10 +417,6 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
         except UnsupportedOperationError as exc:
             out[i] = {"status": NA, "seconds": None, "error": str(exc),
                       "wall_ms": (time.perf_counter() - t0) * 1000.0}
-        except ReproError as exc:
-            out[i] = {"status": FAILED, "seconds": None,
-                      "error": f"{type(exc).__name__}: {exc}",
-                      "wall_ms": (time.perf_counter() - t0) * 1000.0}
         except Exception as exc:  # noqa: BLE001 - worker boundary
             out[i] = {"status": FAILED, "seconds": None,
                       "error": f"{type(exc).__name__}: {exc}",
@@ -601,73 +598,6 @@ def _commit_wave(store: ResultStore, puts: list[PointResult],
             injector.after_journal(journal, row["task_id"])
 
 
-def _injected_failure(site: str) -> dict:
-    """The payload an inline (serial) injected worker fault settles to."""
-    return {
-        "status": FAILED, "seconds": None,
-        "error": f"InjectedFaultError: injected {site}",
-        "wall_ms": 0.0,
-    }
-
-
-def _execute_serial(tasks: list[PointTask], retries: int,
-                    injector: FaultInjector | None = None,
-                    backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
-    """Run tasks inline (workers <= 1); returns task_id -> payload."""
-    out: dict[str, dict] = {}
-    for task in tasks:
-        payload = _serial_attempt(task, injector)
-        attempt = 0
-        while payload["status"] == FAILED and attempt < retries:
-            attempt += 1
-            backoff.sleep(task.task_id, attempt)
-            payload = _serial_attempt(task, injector)
-        payload["attempts"] = attempt + 1
-        out[task.task_id] = payload
-    return out
-
-
-def _serial_attempt(task: PointTask,
-                    injector: FaultInjector | None) -> dict:
-    """One inline execution of ``task``, under the injector if active."""
-    if injector is not None:
-        site = injector.claim_worker_fault(task.task_id, pool=False)
-        if site is not None:
-            return _injected_failure(site)
-    return execute_point(task.point.to_dict())
-
-
-def _execute_serial_wave(tasks: list[PointTask], retries: int,
-                         injector: FaultInjector | None = None,
-                         backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
-    """Serial wave-at-a-time execution; failed points retry scalar.
-
-    An injected worker fault poisons the whole wave -- the blast radius
-    a crashed worker running a fused wave shard would have -- and every
-    point of it then retries through the scalar path.
-    """
-    out: dict[str, dict] = {}
-    poisoned = None
-    if injector is not None:
-        for t in tasks:
-            poisoned = injector.claim_worker_fault(t.task_id, pool=False)
-            if poisoned is not None:
-                break
-    if poisoned is not None:
-        results = [_injected_failure(poisoned) for _ in tasks]
-    else:
-        results = execute_wave([t.point.to_dict() for t in tasks])
-    for task, payload in zip(tasks, results):
-        attempt = 0
-        while payload["status"] == FAILED and attempt < retries:
-            attempt += 1
-            backoff.sleep(task.task_id, attempt)
-            payload = execute_point(task.point.to_dict())
-        payload["attempts"] = attempt + 1
-        out[task.task_id] = payload
-    return out
-
-
 def _shard_wave(tasks: list[PointTask], shards: int) -> list[list[PointTask]]:
     """Split a wave into up to ``shards`` balanced contiguous shards."""
     count = max(1, min(shards, len(tasks)))
@@ -724,17 +654,48 @@ def _tasks_of(val: list[PointTask] | PointTask) -> list[PointTask]:
     return val if isinstance(val, list) else [val]
 
 
-def _run_pool(tasks: list[PointTask], pool, timeout: float | None, retries: int,
-              *, wave: bool = False, shards: int = 1,
+class _InlineRunner:
+    """The runner of a ``workers <= 1`` campaign: no pool, no fork.
+
+    :meth:`submit` calls the function here, in the driver process, and
+    returns an already-settled future, so an inline wave goes through
+    :func:`_run_wave`'s own submission, fault-claim and retry loop, the
+    same one a pooled wave does. The loop claims worker faults for it
+    with ``pool=False``: only ``worker_exception`` fires, since a kill
+    or a hang would take down or stall the driver itself.
+    """
+
+    def submit(self, fn, *args) -> Future:
+        """Run ``fn(*args)`` now; its result or exception settles the future."""
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - settles like a crashed worker
+            future.set_exception(exc)
+        return future
+
+
+def _run_wave(tasks: list[PointTask], runner, timeout: float | None,
+              retries: int, *, batch: bool = True, shards: int = 1,
               injector: FaultInjector | None = None,
               backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
-    """The pool engine: submission, timeout, bounded retry, pool rebuild.
+    """The executor's one local loop: submit, time out, retry, rebuild.
 
-    ``pool`` is either a ready executor (tests drive this directly with
-    a thread pool) or a :class:`_PoolHandle`, which additionally enables
-    recovery from ``BrokenProcessPool``: the broken pool is rebuilt (up
-    to :data:`MAX_POOL_REBUILDS` times per wave) and every in-flight
-    task re-queued. A task whose worker was *deliberately* killed by the
+    ``runner`` is where submissions run: an :class:`_InlineRunner`
+    (``workers <= 1``), a :class:`_PoolHandle`, or any ready executor
+    (tests drive this directly with a thread pool). With ``batch`` the
+    wave is split into up to ``shards`` balanced contiguous shards, each
+    one :func:`execute_wave` submission; without it every task is one
+    :func:`execute_point` submission. Every submission claims its
+    tasks' worker faults (each fires at most once per task and site),
+    and a faulted shard fails all its points. A failed point retries
+    individually through the scalar path while ``retries`` lasts,
+    spaced by ``backoff``.
+
+    A :class:`_PoolHandle` additionally enables recovery from
+    ``BrokenProcessPool``: the broken pool is rebuilt (up to
+    :data:`MAX_POOL_REBUILDS` times per wave) and every in-flight task
+    re-queued. A task whose worker was *deliberately* killed by the
     fault injector consumes one retry for it; innocent bystanders are
     re-queued free of charge, since they never actually ran.
 
@@ -742,22 +703,29 @@ def _run_pool(tasks: list[PointTask], pool, timeout: float | None, retries: int,
     has exceeded the per-task ``timeout``: each one is cancelled and
     either retried (budget permitting, through the scalar path) or
     failed -- a hung worker therefore costs one attempt, not the wave.
+    Inline futures are settled on submission, so they never time out.
     """
-    handle = pool if isinstance(pool, _PoolHandle) else None
+    handle = runner if isinstance(runner, _PoolHandle) else None
+    in_pool = not isinstance(runner, _InlineRunner)
     out: dict[str, dict] = {}
     attempts: dict[str, int] = {t.task_id: 1 for t in tasks}
     pending: dict[Future, list[PointTask] | PointTask] = {}
     requeue: list[list[PointTask] | PointTask] = []
 
     def _submit(fn, *args) -> Future | None:
-        executor = handle.get() if handle is not None else pool
+        executor = handle.get() if handle is not None else runner
         try:
             return executor.submit(fn, *args)
         except BrokenExecutor:
             return None  # caller re-queues; the wait loop rebuilds
 
+    def claim(task: PointTask) -> str | None:
+        if injector is None:
+            return None
+        return injector.claim_worker_fault(task.task_id, pool=in_pool)
+
     def submit_task(task: PointTask) -> None:
-        directive = injector.claim_worker_fault(task.task_id) if injector else None
+        directive = claim(task)
         if directive is not None:
             fut = _submit(faulty_point, task.point.to_dict(), directive,
                           injector.plan.hang_seconds)
@@ -770,8 +738,7 @@ def _run_pool(tasks: list[PointTask], pool, timeout: float | None, retries: int,
 
     def submit_wave(group: list[PointTask]) -> None:
         payloads = [t.point.to_dict() for t in group]
-        directives = ([injector.claim_worker_fault(t.task_id) for t in group]
-                      if injector else [])
+        directives = [claim(t) for t in group]
         if any(directives):
             fut = _submit(faulty_wave, payloads, directives,
                           injector.plan.hang_seconds)
@@ -799,7 +766,7 @@ def _run_pool(tasks: list[PointTask], pool, timeout: float | None, retries: int,
             "attempts": attempts[task.task_id],
         }
 
-    if wave:
+    if batch:
         for shard in _shard_wave(tasks, shards):
             submit_wave(shard)
     else:
@@ -870,30 +837,6 @@ def _run_pool(tasks: list[PointTask], pool, timeout: float | None, retries: int,
     return out
 
 
-def _execute_pool(tasks: list[PointTask], pool, timeout: float | None,
-                  retries: int, injector: FaultInjector | None = None,
-                  backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
-    """Run one wave on the pool, one submission per point (scalar path)."""
-    return _run_pool(tasks, pool, timeout, retries,
-                     injector=injector, backoff=backoff)
-
-
-def _execute_pool_wave(tasks: list[PointTask], pool, timeout: float | None,
-                       retries: int, injector: FaultInjector | None = None,
-                       backoff: BackoffPolicy = _NO_BACKOFF,
-                       shards: int = 1) -> dict[str, dict]:
-    """Pool execution submitting balanced wave shards; retries are per-point.
-
-    The wave is split into up to ``shards`` contiguous shards (one per
-    worker keeps the pool busy without starving fusion), each submitted
-    through :func:`execute_wave`. A shard that fails, breaks its worker,
-    or times out marks all its points; each failed point then retries
-    individually through the scalar path.
-    """
-    return _run_pool(tasks, pool, timeout, retries, wave=True,
-                     shards=shards, injector=injector, backoff=backoff)
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -908,7 +851,7 @@ def run_campaign(
     faults: FaultPlan | None = None,
     backoff: BackoffPolicy | None = None,
     should_stop: Callable[[], bool] | None = None,
-    dispatch: Callable[[list[PointTask]], dict[str, dict] | None] | None = None,
+    dispatch: Callable[[list[PointTask]], dict[str, dict]] | None = None,
 ) -> CampaignOutcome:
     """Plan and execute ``spec``; returns the full outcome.
 
@@ -918,9 +861,11 @@ def run_campaign(
         Result cache; defaults to ``<campaign_dir>/cache`` when a
         directory is given, else an in-memory store.
     workers:
-        Process-pool width. ``0``/``1`` executes inline in this process
-        (deterministic, no fork) -- the right choice for tests and tiny
-        grids; ``>= 2`` runs points concurrently.
+        Process-pool width. ``0``/``1`` runs each wave inline in this
+        process as one shard (deterministic, no fork) -- the right
+        choice for tests and tiny grids; ``>= 2`` runs ``workers``
+        shards concurrently on a process pool. Both go through the same
+        submit/retry loop, so they claim the same faults.
     timeout:
         Per-task wall-clock budget in seconds (pool mode only); a point
         that exceeds it consumes one retry, and is recorded as failed
@@ -937,10 +882,10 @@ def run_campaign(
     progress:
         Optional callback invoked with every (task, result) as recorded.
     batch:
-        Fuse each wave's eligible points into ``repro.sim.wave``
-        programs of bounded size (serial) or into one balanced shard per
-        worker (pool); failed points retry through the scalar path.
-        ``False`` forces the scalar per-point path everywhere -- the
+        Submit each wave as :func:`execute_wave` shards, which fuse
+        their points into ``repro.sim.wave`` programs of bounded size;
+        failed points retry through the scalar path. ``False`` makes
+        every submission one :func:`execute_point` -- the
         ``--no-batch`` debugging mode. Both paths produce bit-identical
         seconds.
     faults:
@@ -961,12 +906,12 @@ def run_campaign(
         same directory executes exactly the remaining tasks.
     dispatch:
         Optional remote-execution hook (see :mod:`repro.remote`). Called
-        once per wave with the cache-miss tasks; returns a complete
-        ``task_id -> payload`` map, or None to decline the wave -- the
-        wave then runs through the normal local paths, which is the
-        graceful degradation when no remote executor is live. Payloads
-        carrying ``"persisted": True`` already landed in the store via
-        segment ingest, so only their journal entry is written here.
+        once per wave with the cache-miss tasks; returns a
+        ``task_id -> payload`` map of the rows that already landed in
+        the store via segment ingest (``{}`` when no remote executor is
+        live), so only their journal entry is written here. Every other
+        task of the wave runs locally with this campaign's own
+        ``workers``, ``batch``, ``retries``, ``faults`` and ``backoff``.
     """
     if retries < 0:
         raise CampaignError("retries must be >= 0")
@@ -1036,7 +981,11 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
             progress(task, result)
 
     tracer = get_tracer()
-    handle: _PoolHandle | None = None
+    # One shard inline, or one per worker on a lazily started pool.
+    if workers >= 2:
+        runner, shards = _PoolHandle(workers), workers
+    else:
+        runner, shards = _InlineRunner(), 1
     try:
         span = tracer.begin("campaign.execute", category="campaign",
                             track="campaign") if tracer.enabled else None
@@ -1085,50 +1034,20 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                     to_run.append(task)
                 if not to_run:
                     continue
-                payloads = None
-                if dispatch is not None:
-                    # Remote-first: offer the wave to live executors.
-                    # ``None`` means no remote capacity (or the
-                    # coordinator declined) -- fall through to the local
-                    # paths, the graceful single-host degradation.
-                    payloads = dispatch(to_run)
-                if payloads is not None:
-                    for task in to_run:
-                        payload = payloads[task.task_id]
-                        outcome.stats.executed += 1
-                        persisted = bool(payload.get("persisted"))
-                        if persisted:
-                            outcome.stats.remote += 1
-                        if payload["status"] == FAILED:
-                            outcome.stats.failed += 1
-                        finish(task, PointResult(
-                            task_id=task.task_id, point=task.point,
-                            status=payload["status"],
-                            seconds=payload["seconds"],
-                            error=payload["error"],
-                            attempts=payload.get("attempts", 1),
-                            wall_ms=payload.get("wall_ms"),
-                        ), persist=not persisted)
-                    continue
-                if workers >= 2:
-                    if handle is None:
-                        handle = _PoolHandle(workers)
-                    if batch:
-                        payloads = _execute_pool_wave(
-                            to_run, handle, timeout, retries,
-                            injector=injector, backoff=backoff, shards=workers,
-                        )
-                    else:
-                        payloads = _execute_pool(to_run, handle, timeout,
-                                                 retries, injector=injector,
-                                                 backoff=backoff)
-                else:
-                    run_serial = _execute_serial_wave if batch else _execute_serial
-                    payloads = run_serial(to_run, retries, injector=injector,
-                                          backoff=backoff)
+                # Remote-first: live executors return the rows that
+                # landed through segment ingest; every other task runs
+                # on this campaign's own local runner.
+                landed = dispatch(to_run) if dispatch is not None else {}
+                local = [t for t in to_run if t.task_id not in landed]
+                payloads = _run_wave(local, runner, timeout, retries,
+                                     batch=batch, shards=shards,
+                                     injector=injector, backoff=backoff)
+                payloads.update(landed)
                 for task in to_run:
                     payload = payloads[task.task_id]
+                    remote = task.task_id in landed
                     outcome.stats.executed += 1
+                    outcome.stats.remote += remote
                     if payload["status"] == FAILED:
                         outcome.stats.failed += 1
                     finish(task, PointResult(
@@ -1137,7 +1056,7 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                         error=payload["error"],
                         attempts=payload.get("attempts", 1),
                         wall_ms=payload.get("wall_ms"),
-                    ))
+                    ), persist=not remote)
         finally:
             try:
                 # The last wave, or on an exception whatever the failing
@@ -1147,9 +1066,9 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                 if span is not None:
                     tracer.end()
     finally:
-        if handle is not None:
-            outcome.stats.pool_rebuilds = handle.rebuilds
-            handle.shutdown()
+        if isinstance(runner, _PoolHandle):
+            outcome.stats.pool_rebuilds = runner.rebuilds
+            runner.shutdown()
         outcome.stats.quarantined = store.quarantined - quarantined_before
         if injector is not None:
             outcome.stats.faults_injected = injector.total_injected

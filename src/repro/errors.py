@@ -64,10 +64,6 @@ class TraceError(ReproError):
     """Tracer misuse (unbalanced begin/end, negative durations...)."""
 
 
-class ExperimentError(ReproError):
-    """An experiment driver was configured inconsistently."""
-
-
 class CampaignError(ReproError):
     """A benchmark campaign was mis-specified or its on-disk state is bad."""
 

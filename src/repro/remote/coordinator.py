@@ -6,19 +6,19 @@ cache-miss tasks is sharded across the currently-live executors,
 offered as leases through the shared :class:`ExecutorRegistry`, and the
 coordinator then drives a small event loop on the campaign's runner
 thread -- expiring stale leases (reassignment), ingesting delivered
-segments into the shared store, and finally reclaiming anything still
-unfinished at the wave deadline for local execution.
+segments into the shared store, and finally taking back anything still
+unfinished at the wave deadline. ``dispatch`` returns only the rows
+that landed; the coordinator never executes a point itself.
 
 Degradation ladder, graceful at every rung:
 
-- no live executors -> ``dispatch`` returns None, the campaign runs its
-  normal local paths (exactly the pre-remote behavior);
 - an executor dies or stalls mid-wave -> its lease expires and the wave
   is reclaimed by another executor (epoch bump fences the corpse);
-- nobody completes by the wave deadline -> the coordinator takes the
-  wave back and computes it locally;
-- a remote row comes back failed -> it is retried locally through the
-  standard serial wave path with the campaign's retry budget.
+- no live executors, nobody completing by the wave deadline, or a
+  remote row coming back failed -> the task is absent from the returned
+  map, and the campaign runs it on its own local path, with its own
+  ``workers``, ``batch``, ``retries``, ``faults`` and ``backoff``
+  (with no executor live, exactly the pre-remote behavior).
 
 Because the simulator is deterministic, a task computed remotely,
 recomputed after reassignment, or computed locally yields identical
@@ -33,9 +33,9 @@ import os
 import time
 from typing import Any, Callable
 
-from repro.campaign.executor import _execute_serial_wave, _shard_wave
+from repro.campaign.executor import _shard_wave
 from repro.campaign.plan import PointTask
-from repro.campaign.store import FAILED, ResultStore
+from repro.campaign.store import ResultStore
 from repro.errors import SegmentError
 from repro.remote.registry import DONE as WAVE_DONE
 from repro.remote.registry import LEASED as WAVE_LEASED
@@ -44,7 +44,7 @@ from repro.remote.ship import IngestReport, SegmentIngestor
 from repro.trace import get_tracer
 
 #: Storable remote statuses: these rows landed via ingest, everything
-#: else re-runs locally.
+#: else is left to the campaign's local path.
 _REMOTE_TERMINAL = ("done", "na")
 
 
@@ -55,7 +55,6 @@ class RemoteCoordinator:
                  store: ResultStore,
                  campaign: str,
                  ledger_path: str | os.PathLike,
-                 retries: int = 1,
                  wave_timeout: float = 60.0,
                  poll: float = 0.05,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -64,11 +63,10 @@ class RemoteCoordinator:
         ``store`` is the campaign's shared result store (ingest target);
         ``ledger_path`` locates the campaign's segment-ingest ledger;
         ``wave_timeout`` bounds how long a wave may stay remote before
-        the coordinator reclaims it for local execution.
+        the coordinator takes it back for the campaign's local path.
         """
         self.registry = registry
         self.campaign = campaign
-        self.retries = int(retries)
         self.wave_timeout = float(wave_timeout)
         self.poll = float(poll)
         self.clock = clock
@@ -79,20 +77,17 @@ class RemoteCoordinator:
 
     # -- the dispatch= hook ---------------------------------------------
 
-    def dispatch(self, tasks: list[PointTask]) -> dict[str, dict] | None:
-        """Execute one wave remotely; None when no executor is live.
+    def dispatch(self, tasks: list[PointTask]) -> dict[str, dict]:
+        """Execute one wave remotely; returns the rows that landed.
 
-        Returns a complete ``task_id -> payload`` map. Rows that landed
-        via segment ingest are marked ``persisted``; rows the remote
-        side failed (or never shipped) are computed locally here and
-        returned unmarked so the campaign's normal record path persists
-        them.
+        The ``task_id -> payload`` map holds every task whose row landed
+        via segment ingest, already stored; it is empty when no executor
+        is live. A task the remote side failed, never shipped, or held
+        past the deadline is absent, and the campaign runs it locally.
         """
-        if not tasks:
-            return {}
         live = self.registry.live()
-        if not live:
-            return None
+        if not tasks or not live:
+            return {}
         started = time.perf_counter()
         self.waves_dispatched += 1
         shards = _shard_wave(list(tasks), len(live))
@@ -104,16 +99,14 @@ class RemoteCoordinator:
             for shard in shards
         ]
         wave_ids = [offer.wave_id for offer in offers]
-        remote_rows = self._await_waves(wave_ids)
-        payloads = self._settle(tasks, remote_rows)
+        landed = _landed(tasks, self._await_waves(wave_ids))
         tracer = get_tracer()
         if tracer.enabled:
             tracer.record(
                 "remote.dispatch", time.perf_counter() - started,
                 category="remote", track="remote", campaign=self.campaign,
-                tasks=len(tasks), shards=len(shards),
-                remote=sum(1 for p in payloads.values() if p.get("persisted")))
-        return payloads
+                tasks=len(tasks), shards=len(shards), remote=len(landed))
+        return landed
 
     # -- internals -------------------------------------------------------
 
@@ -138,7 +131,7 @@ class RemoteCoordinator:
                     and not self.registry.live():
                 # Nobody holds a lease and nobody is alive to claim one:
                 # waiting out the full deadline would just stall the
-                # campaign, so reclaim now and run locally.
+                # campaign, so take the wave back for the local path now.
                 break
             self.registry.wait(self.poll)
         # Final drain: a ship may have raced the loop exit.
@@ -167,39 +160,6 @@ class RemoteCoordinator:
                 if isinstance(task_id, str):
                     rows_by_task.setdefault(task_id, dict(row))
 
-    def _settle(self, tasks: list[PointTask],
-                remote_rows: dict[str, dict]) -> dict[str, dict]:
-        """Complete the payload map: remote rows + local fallback/retry."""
-        payloads: dict[str, dict] = {}
-        fallback: list[PointTask] = []
-        for task in tasks:
-            row = remote_rows.get(task.task_id)
-            result = (row or {}).get("result") or {}
-            if row is not None and result.get("status") in _REMOTE_TERMINAL:
-                payloads[task.task_id] = {
-                    "status": result.get("status"),
-                    "seconds": result.get("seconds"),
-                    "error": result.get("error"),
-                    "wall_ms": row.get("wall_ms"),
-                    "attempts": 1,
-                    "persisted": True,
-                }
-            else:
-                # Never shipped, or shipped as failed: both re-run
-                # locally with the campaign's retry budget.
-                fallback.append(task)
-        if fallback:
-            local = _execute_serial_wave(fallback, self.retries)
-            for task in fallback:
-                payload = dict(local[task.task_id])
-                if payload["status"] == FAILED:
-                    remote_error = ((remote_rows.get(task.task_id) or {})
-                                    .get("result") or {}).get("error")
-                    if remote_error and not payload.get("error"):
-                        payload["error"] = remote_error
-                payloads[task.task_id] = payload
-        return payloads
-
     def counters(self) -> dict[str, Any]:
         """Per-campaign dispatch/ingest counters (merged into /metrics)."""
         report: IngestReport = self.ingestor.report
@@ -210,3 +170,21 @@ class RemoteCoordinator:
             **{f"ingest_{k}": v for k, v in report.to_dict().items()
                if k != "by_executor"},
         }
+
+
+def _landed(tasks: list[PointTask],
+            remote_rows: dict[str, dict]) -> dict[str, dict]:
+    """The payloads of ``tasks`` whose remote row landed as storable."""
+    landed: dict[str, dict] = {}
+    for task in tasks:
+        row = remote_rows.get(task.task_id)
+        result = (row or {}).get("result") or {}
+        if row is not None and result.get("status") in _REMOTE_TERMINAL:
+            landed[task.task_id] = {
+                "status": result["status"],
+                "seconds": result.get("seconds"),
+                "error": result.get("error"),
+                "wall_ms": row.get("wall_ms"),
+                "attempts": 1,
+            }
+    return landed

@@ -333,16 +333,15 @@ class CampaignService:
             record.state = RUNNING
             t0 = time.perf_counter()
             # One coordinator per campaign run: waves go remote-first
-            # through the executor registry and degrade to local
-            # execution when no executor is live (dispatch returns
-            # None). The coordinator lives on the runner thread; only
-            # registry state is shared with the event loop.
+            # through the executor registry, and every task no executor
+            # landed (all of them when none is live) runs locally. The
+            # coordinator lives on the runner thread; only registry
+            # state is shared with the event loop.
             coordinator = RemoteCoordinator(
                 self.registry,
                 store=ResultStore(self.cache_root),
                 campaign=record.id,
                 ledger_path=self._dir(record.id) / "ingest.jsonl",
-                retries=self.retries,
                 wave_timeout=self.wave_timeout,
             )
             self._coordinators[record.id] = coordinator

@@ -10,7 +10,6 @@ from repro.sim.wave import (
     WaveEntry,
     WaveProgram,
     fuse_wave,
-    simulate_gpu_arrays,
     simulate_wave,
     simulate_wave_entries,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "WaveEntry",
     "WaveProgram",
     "fuse_wave",
-    "simulate_gpu_arrays",
     "simulate_wave",
     "simulate_wave_entries",
     "BackendModel",

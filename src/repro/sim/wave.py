@@ -59,12 +59,6 @@ here reproduces the scalar engine's operations exactly:
   NUMA node-demand accumulation) follow the scalar engine's dict
   insertion order, i.e. first appearance of each thread in chunk order.
 
-The GPU/unified-memory cost path is vectorized alongside the CPU path:
-:func:`simulate_gpu_arrays` is the array-profile counterpart of
-:func:`repro.sim.gpu.simulate_gpu` (same migration, launch and roofline
-model; per-phase counter folds as ``np.cumsum`` left folds, which match
-the scalar engine's ``sum()`` left folds bit for bit).
-
 Observability: :func:`fuse_wave` and :func:`simulate_wave` emit the
 ``wave.fuse`` and ``wave.execute`` spans (category ``"wave"``, track
 :data:`WAVE_TRACK`) documented in docs/OBSERVABILITY.md. The engine
@@ -81,13 +75,9 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.execution.affinity import ThreadPlacement
 from repro.machines.cpu import CpuMachine
-from repro.machines.gpu import GpuMachine
-from repro.memory.array import SimArray
 from repro.memory.layout import PagePlacement
-from repro.memory.unified import UnifiedMemory
 from repro.sim.bandwidth import MATCHED_POLICIES, MemoryTimes
 from repro.sim.engine import _lanes
-from repro.sim.gpu import GpuExecution, _INSTR_RATE_FACTOR
 from repro.sim.interfaces import BackendModel
 from repro.sim.report import Counters, PhaseReport, SimReport
 from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
@@ -106,7 +96,6 @@ __all__ = [
     "simulate_wave",
     "simulate_wave_entries",
     "simulate_cpu_arrays",
-    "simulate_gpu_arrays",
 ]
 
 #: Trace track that ``wave.fuse`` / ``wave.execute`` spans are recorded on.
@@ -807,83 +796,4 @@ def arrays_to_profile(profile: ArrayProfile) -> WorkProfile:
         phases=tuple(phases),
         regions=profile.regions,
         notes=tuple(profile.notes),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Vectorized GPU / unified-memory cost path
-# ---------------------------------------------------------------------------
-
-def simulate_gpu_arrays(
-    gpu: GpuMachine,
-    profile: ArrayProfile,
-    arrays: tuple[SimArray, ...],
-    options: GpuExecution = GpuExecution(),
-) -> SimReport:
-    """Cost an :class:`ArrayProfile` on a GPU; bit-identical to ``simulate_gpu``.
-
-    The array-program counterpart of :func:`repro.sim.gpu.simulate_gpu`:
-    unified-memory migration mutates array residency exactly as the
-    scalar path does (chained calls on resident data still pay nothing),
-    and every per-phase counter total is a ``np.cumsum`` left fold,
-    which matches the scalar engine's ``sum()`` left fold bit for bit.
-    Like the CPU wave engine it emits no per-phase spans.
-    """
-    um = UnifiedMemory(gpu)
-    migration = 0.0
-    for array in arrays:
-        migration += um.to_device(array).seconds
-
-    total_counters = Counters()
-    phase_reports: list[PhaseReport] = []
-    kernel_time = 0.0
-    launches = max(1, profile.regions)
-
-    for phase in profile.phases:
-        instr = _fold(phase.elems * phase.instr_per_elem)
-        fp = _fold(phase.elems * phase.fp_per_elem)
-        bytes_read = _fold(phase.elems * phase.read_per_elem)
-        bytes_written = _fold(phase.elems * phase.write_per_elem)
-
-        rate = gpu.compute_rate(profile.elem.size)
-        compute = (fp + instr * _INSTR_RATE_FACTOR) / rate
-        memory = (bytes_read + bytes_written) / gpu.mem_bandwidth
-        if phase.kind is PhaseKind.SEQUENTIAL:
-            compute = (fp + instr) / (rate / max(1, gpu.cuda_cores // 64))
-        seconds = max(compute, memory)
-        kernel_time += seconds
-
-        counters = Counters(
-            instructions=instr + fp,
-            fp_scalar=fp,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-        )
-        total_counters = total_counters + counters
-        phase_reports.append(
-            PhaseReport(
-                name=phase.name,
-                seconds=seconds,
-                compute_seconds=compute,
-                memory_seconds=memory,
-                overhead_seconds=0.0,
-                counters=counters,
-            )
-        )
-
-    transfer_back = 0.0
-    if options.transfer_back:
-        for array in arrays:
-            transfer_back += um.to_host(array).seconds
-
-    launch = launches * gpu.kernel_launch_latency
-    total = migration + launch + kernel_time + transfer_back
-    if total < 0:
-        raise SimulationError("negative GPU time (model bug)")
-    return SimReport(
-        seconds=total,
-        counters=total_counters,
-        phases=tuple(phase_reports),
-        fork_join_seconds=launch,
-        migration_seconds=migration + transfer_back,
     )

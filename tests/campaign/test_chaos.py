@@ -128,3 +128,26 @@ def test_kill_schedule_rebuilds_the_pool(tmp_path):
     assert outcome.stats.pool_rebuilds >= 1
     assert "pool rebuilds" in outcome.stats.summary()
     assert outcome.stats.failed == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_serial_and_pooled_runs_claim_the_same_faults(seed):
+    # Inline and pooled waves share one submit/retry loop, so a plan's
+    # worker faults are claimed for every task either way.
+    plan = FaultPlan(seed=seed, worker_exception=0.5)
+    runs = [run_campaign(chaos_spec(), retries=2, faults=plan, **kwargs)
+            for kwargs in ({"workers": 0}, {"workers": 2},
+                           {"workers": 0, "batch": False})]
+    injected = {run.stats.faults_injected for run in runs}
+    assert len(injected) == 1 and injected.pop() > 0
+    assert [run.stats.failed for run in runs] == [0, 0, 0]
+
+
+def test_serial_run_never_kills_or_hangs_the_driver():
+    # Kill and hang are pool-only: an inline runner claims neither, so
+    # the driver process survives and nothing waits out a hang.
+    plan = FaultPlan(seed=1, worker_kill=1.0, worker_hang=1.0)
+    outcome = run_campaign(chaos_spec(), workers=0, retries=0, faults=plan)
+    assert outcome.stats.faults_injected == 0
+    assert outcome.stats.failed == 0
+    assert outcome.stats.executed == len(outcome.plan.runnable)

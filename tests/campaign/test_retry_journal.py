@@ -115,7 +115,7 @@ def test_pool_batch_timeout_fails_all_pending_points(monkeypatch):
     )
     tasks = _wave_tasks()
     with ThreadPoolExecutor(max_workers=2) as pool:
-        payloads = executor_mod._execute_pool_wave(
+        payloads = executor_mod._run_wave(
             tasks, pool, timeout=0.05, retries=0, shards=2
         )
     assert set(payloads) == {t.task_id for t in tasks}
@@ -133,7 +133,7 @@ def test_pool_batch_curve_exception_retries_each_point(monkeypatch):
     monkeypatch.setattr(executor_mod, "execute_wave", boom)
     tasks = _wave_tasks()
     with ThreadPoolExecutor(max_workers=2) as pool:
-        payloads = executor_mod._execute_pool_wave(
+        payloads = executor_mod._run_wave(
             tasks, pool, timeout=None, retries=1, shards=2
         )
     assert set(payloads) == {t.task_id for t in tasks}

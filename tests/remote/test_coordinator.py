@@ -1,8 +1,10 @@
-"""Coordinator dispatch: remote rows, reassignment, and local fallback.
+"""Coordinator dispatch: remote rows, reassignment, and what it leaves local.
 
 These tests drive the coordinator against an in-process registry with a
 scripted "executor" thread -- no HTTP -- so each degradation rung is
-exercised in isolation. The full wire path lives in
+exercised in isolation. ``dispatch`` returns only the rows that landed
+through segment ingest; every other task is absent and left to the
+campaign's own local path. The full wire path lives in
 ``test_executor_e2e.py``.
 """
 
@@ -73,8 +75,9 @@ def _coordinator(registry, tmp_path, **kwargs) -> RemoteCoordinator:
 
 def test_no_live_executors_means_dispatch_declines(registry, tmp_path):
     coordinator = _coordinator(registry, tmp_path)
-    assert coordinator.dispatch([_task(0)]) is None
+    assert coordinator.dispatch([_task(0)]) == {}
     assert coordinator.dispatch([]) == {}
+    assert coordinator.counters()["waves_dispatched"] == 0
 
 
 def test_remote_rows_come_back_persisted(registry, tmp_path):
@@ -85,9 +88,8 @@ def test_remote_rows_come_back_persisted(registry, tmp_path):
     payloads = coordinator.dispatch(tasks)
     stop.set()
     thread.join(timeout=5)
-    assert set(payloads) == {"t0", "t1", "t2"}
+    assert set(payloads) == {"t0", "t1", "t2"}  # every row landed
     for payload in payloads.values():
-        assert payload["persisted"] is True
         assert payload["status"] == "done"
         assert payload["seconds"] == 0.5
     # the rows really landed in the store at ingest time
@@ -101,9 +103,7 @@ def test_wave_deadline_reclaims_for_local_execution(registry, tmp_path):
     registry.register("host", 1)  # live but never claims
     coordinator = _coordinator(registry, tmp_path, wave_timeout=0.1)
     tasks = [_task(0)]
-    payloads = coordinator.dispatch(tasks)
-    assert payloads["t0"]["status"] == "done"
-    assert "persisted" not in payloads["t0"]  # computed locally
+    assert coordinator.dispatch(tasks) == {}  # left to the local path
     assert coordinator.waves_local >= 1
 
 
@@ -118,7 +118,7 @@ def test_dead_fleet_exits_before_the_deadline(registry, tmp_path):
         ledger_path=tmp_path / "ingest.jsonl", poll=0.01,
         wave_timeout=3600.0, clock=lambda: clock[0])
     # live() is empty by dispatch time -> decline, not a one-hour stall
-    assert coordinator.dispatch([_task(0)]) is None
+    assert coordinator.dispatch([_task(0)]) == {}
 
 
 def test_remote_failure_is_retried_locally(registry, tmp_path):
@@ -129,11 +129,11 @@ def test_remote_failure_is_retried_locally(registry, tmp_path):
     payloads = coordinator.dispatch(tasks)
     stop.set()
     thread.join(timeout=5)
-    # the deterministic model succeeds locally; the failed row was not
-    # ingested and the local result is the one that counts
-    assert payloads["t0"]["status"] == "done"
-    assert "persisted" not in payloads["t0"]
+    # the failed row was not ingested, so the task is absent: the
+    # campaign's own local path retries it (test_dispatch_seam.py)
+    assert "t0" not in payloads
     assert coordinator.counters()["ingest_skipped"] == 1
+    assert coordinator.ingestor.store.get(tasks[0].point) is None
 
 
 def test_counters_shape(registry, tmp_path):

@@ -13,22 +13,18 @@ directly to the scalar reference engine (``repro.sim.engine``). Layers:
    reproduces each entry's one-entry and scalar reports, including the
    degenerate single-entry and empty waves, a wave whose length groups
    outgrow one phase block, and a partition that is not round-robin;
-2. the GPU array path -- ``simulate_gpu_arrays`` reproduces
-   ``simulate_gpu`` on captured profiles, including unified-memory
-   residency mutation across chained calls;
-3. the randomized sweep (marker ``diffcheck``, shared with
+2. the randomized sweep (marker ``diffcheck``, shared with
    ``tools/diffcheck.py`` and the CI job): seeded random configuration
    groups fused wave-style and diffed entry by entry against scalar;
-4. the observability contract: fusing/executing a wave emits the
+3. the observability contract: fusing/executing a wave emits the
    ``wave.fuse`` / ``wave.execute`` spans on the ``wave`` track, and
    the engine stays span-silent when no tracer is installed;
-5. bounded memory: evaluating a wave of fine-grained GCC-HPX profiles
+4. bounded memory: evaluating a wave of fine-grained GCC-HPX profiles
    allocates a few dozen bytes per chunk entry, not a fused copy.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import importlib.util
 import tracemalloc
@@ -38,10 +34,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.execution.context import ExecutionContext
 from repro.scenarios.resolve import make_context
 from repro.sim.engine import simulate_cpu
-from repro.sim.gpu import simulate_gpu
 from repro.sim.wave import (
     BLOCK_ENTRIES,
     WAVE_TRACK,
@@ -49,7 +43,6 @@ from repro.sim.wave import (
     arrays_to_profile,
     fuse_wave,
     simulate_cpu_arrays,
-    simulate_gpu_arrays,
     simulate_wave,
     simulate_wave_entries,
 )
@@ -281,55 +274,7 @@ def test_fuse_rejects_oversubscribed_profile_like_batch():
         simulate_cpu_arrays(ctx.machine, ctx.backend, bad)
 
 
-# --- 2. the GPU array path -------------------------------------------------
-
-
-def _gpu_profiles(gpu_ctx):
-    """Array profiles + arrays captured from scalar GPU case invocations."""
-    captured = []
-    original = ExecutionContext.simulate
-
-    def spy(self, profile, arrays=()):
-        # Snapshot residency *before* the real call migrates these arrays.
-        captured.append((profile, copy.deepcopy(tuple(arrays))))
-        return original(self, profile, arrays)
-
-    ExecutionContext.simulate = spy
-    try:
-        for case in ("reduce", "transform", "inclusive_scan"):
-            measure_case(get_case(case), gpu_ctx, 1 << 14, elem_type("double"))
-    finally:
-        ExecutionContext.simulate = original
-    assert captured
-    return captured
-
-
-def test_gpu_arrays_engine_matches_scalar_gpu():
-    gpu_ctx = make_context("D", "NVC-CUDA")
-    for profile, arrays in _gpu_profiles(gpu_ctx):
-        scalar = simulate_gpu(
-            gpu_ctx.machine, arrays_to_profile(profile), copy.deepcopy(arrays),
-            gpu_ctx.gpu_options,
-        )
-        vectorized = simulate_gpu_arrays(
-            gpu_ctx.machine, profile, copy.deepcopy(arrays), gpu_ctx.gpu_options
-        )
-        _assert_reports_identical(vectorized, scalar)
-
-
-def test_gpu_arrays_mutates_residency_like_scalar():
-    """Chained calls on the same arrays pay migration once (Fig. 9b shape)."""
-    gpu_ctx = make_context("D", "NVC-CUDA")
-    profile, arrays = _gpu_profiles(gpu_ctx)[0]
-    arrays = copy.deepcopy(arrays)
-    first = simulate_gpu_arrays(gpu_ctx.machine, profile, arrays, gpu_ctx.gpu_options)
-    second = simulate_gpu_arrays(gpu_ctx.machine, profile, arrays, gpu_ctx.gpu_options)
-    assert first.migration_seconds > 0.0
-    assert second.migration_seconds == 0.0
-    assert second.seconds < first.seconds
-
-
-# --- 3. randomized sweep (shared with tools/diffcheck.py and CI) -----------
+# --- 2. randomized sweep (shared with tools/diffcheck.py and CI) -----------
 
 
 @pytest.mark.diffcheck
@@ -342,7 +287,7 @@ def test_randomized_wave_groups_agree_with_batch():
         assert not divergences, "\n".join(divergences)
 
 
-# --- 4. observability contract ---------------------------------------------
+# --- 3. observability contract ---------------------------------------------
 
 
 def test_wave_spans_emitted_under_tracing():
@@ -378,7 +323,7 @@ def test_no_spans_without_tracer():
     assert not tracer.spans
 
 
-# --- 5. bounded memory -----------------------------------------------------
+# --- 4. bounded memory -----------------------------------------------------
 
 
 def test_wave_memory_per_chunk_entry_is_bounded():
