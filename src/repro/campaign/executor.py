@@ -9,7 +9,11 @@ and for every task:
 
 1. serves it from the content-addressed store when the (point, model
    fingerprint) key is present -- a *cache hit* span, zero simulator
-   invocations;
+   invocations. Each task's key is hashed from the canonical JSON the
+   planner encoded once (``PointTask.canonical``), and a wave's hits are
+   read with one verified batch read
+   (:meth:`~repro.campaign.store.ResultStore.results_for`), which opens
+   each pack once;
 2. otherwise executes it with a per-task timeout and bounded retry -- a
    *cache miss* span whose duration is the point's simulated seconds;
 3. journals the terminal outcome, making an interrupted campaign
@@ -525,18 +529,19 @@ def _trace_point(task: PointTask, result: PointResult) -> None:
     )
 
 
-def _record(outcome: CampaignOutcome, store: ResultStore,
-            puts: list[PointResult], journal_rows: list[dict] | None,
-            task: PointTask, result: PointResult,
+def _record(outcome: CampaignOutcome, puts: list[tuple[str, PointResult]],
+            journal_rows: list[dict] | None, task: PointTask,
+            key: str | None, result: PointResult,
             journal_new: bool = True,
             persist: bool = True) -> None:
     """Finalize one task: queue its cache object and journal row, trace it.
 
-    Neither write happens here: the result joins ``puts`` and the row
-    joins ``journal_rows``, the run's buffers, which :func:`_commit_wave`
-    commits once per wave -- objects first, so every journaled result
-    is already stored. ``journal_rows=None`` (no campaign directory)
-    journals nothing.
+    ``key`` is the task's cache key (None for a pruned task, which has
+    no object). Neither write happens here: ``(key, result)`` joins
+    ``puts`` and the row joins ``journal_rows``, the run's buffers,
+    which :func:`_commit_wave` commits once per wave -- objects first,
+    so every journaled result is already stored. ``journal_rows=None``
+    (no campaign directory) journals nothing.
 
     ``journal_new=False`` marks a result that was *reconstructed from* the
     journal (a resume's journal hit): it is already durable, so appending
@@ -548,10 +553,9 @@ def _record(outcome: CampaignOutcome, store: ResultStore,
     task-completion log either way).
     """
     outcome.results[task.task_id] = result
-    key = None if task.pruned is not None else store.key_for(task.point)
     if persist and key is not None and result.status != FAILED \
             and not result.cached:
-        puts.append(result)
+        puts.append((key, result))
     if journal_rows is not None and journal_new:
         journal_rows.append({
             "task_id": task.task_id,
@@ -565,7 +569,7 @@ def _record(outcome: CampaignOutcome, store: ResultStore,
     _trace_point(task, result)
 
 
-def _commit_wave(store: ResultStore, puts: list[PointResult],
+def _commit_wave(store: ResultStore, puts: list[tuple[str, PointResult]],
                  journal: Journal | None, rows: list[dict] | None,
                  injector: FaultInjector | None = None) -> None:
     """Commit a wave's buffered objects, then its journal rows.
@@ -585,8 +589,8 @@ def _commit_wave(store: ResultStore, puts: list[PointResult],
     if rows:
         rows.clear()
     if objects:
-        keys = store.put_many((result.point, result.payload(), result.wall_ms)
-                              for result in objects)
+        keys = store.put_many((key, result.point, result.payload(), result.wall_ms)
+                              for key, result in objects)
         if injector is not None:
             for key in keys:
                 injector.after_put(store, key)
@@ -859,7 +863,11 @@ def run_campaign(
     ----------
     store:
         Result cache; defaults to ``<campaign_dir>/cache`` when a
-        directory is given, else an in-memory store.
+        directory is given, else an in-memory store. The run derives
+        each task's key once, with :meth:`ResultStore.key_of` from the
+        plan's encoding, and uses it for the lookup, the journal row
+        and the store write; each wave's cache hits are read with one
+        verified :meth:`ResultStore.results_for`.
     workers:
         Process-pool width. ``0``/``1`` runs each wave inline in this
         process as one shard (deterministic, no fork) -- the right
@@ -970,12 +978,12 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
     journaled: dict[str, dict] = {}
     if resume and journal is not None:
         journaled = journal.completed_ids()
-    puts: list[PointResult] = []
+    puts: list[tuple[str, PointResult]] = []
     journal_rows: list[dict] | None = [] if journal is not None else None
 
-    def finish(task: PointTask, result: PointResult,
+    def finish(task: PointTask, key: str | None, result: PointResult,
                journal_new: bool = True, persist: bool = True) -> None:
-        _record(outcome, store, puts, journal_rows, task, result,
+        _record(outcome, puts, journal_rows, task, key, result,
                 journal_new, persist)
         if progress is not None:
             progress(task, result)
@@ -999,26 +1007,34 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                     # journaled; the rest belongs to a future resume.
                     outcome.stats.drained = True
                     break
-                to_run: list[PointTask] = []
+                lookups: list[PointTask] = []
                 for task in wave:
-                    if task.pruned is not None:
-                        outcome.stats.pruned += 1
-                        finish(task, PointResult(
-                            task_id=task.task_id, point=task.point, status=NA,
-                            error=task.pruned, attempts=0,
-                        ), journal_new=task.task_id not in journaled)
+                    if task.pruned is None:
+                        lookups.append(task)
                         continue
-                    if task.task_id in journaled:
-                        entry = journaled[task.task_id]
-                        cached = store.result_for(task.task_id, task.point)
+                    outcome.stats.pruned += 1
+                    finish(task, None, PointResult(
+                        task_id=task.task_id, point=task.point, status=NA,
+                        error=task.pruned, attempts=0,
+                    ), journal_new=task.task_id not in journaled)
+                if not lookups:
+                    continue
+                keys = {t.task_id: store.key_of(t.canonical) for t in lookups}
+                found = store.results_for(
+                    (t.task_id, t.point, keys[t.task_id]) for t in lookups)
+                to_run: list[PointTask] = []
+                for task, cached in zip(lookups, found):
+                    key = keys[task.task_id]
+                    entry = journaled.get(task.task_id)
+                    if entry is not None:
                         if cached is not None:
                             outcome.stats.journal_hits += 1
-                            finish(task, cached, journal_new=False)
+                            finish(task, key, cached, journal_new=False)
                             continue
                         if entry["status"] == NA:
                             # N/A needs no cache object to be trustworthy.
                             outcome.stats.journal_hits += 1
-                            finish(task, PointResult(
+                            finish(task, key, PointResult(
                                 task_id=task.task_id, point=task.point,
                                 status=NA, error=entry.get("error"),
                                 cached=True, attempts=0,
@@ -1026,10 +1042,9 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                             continue
                         # Journaled but evicted from cache (or quarantined
                         # as corrupt): recompute.
-                    cached = store.result_for(task.task_id, task.point)
-                    if cached is not None:
+                    elif cached is not None:
                         outcome.stats.cache_hits += 1
-                        finish(task, cached)
+                        finish(task, key, cached)
                         continue
                     to_run.append(task)
                 if not to_run:
@@ -1050,7 +1065,7 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                     outcome.stats.remote += remote
                     if payload["status"] == FAILED:
                         outcome.stats.failed += 1
-                    finish(task, PointResult(
+                    finish(task, keys[task.task_id], PointResult(
                         task_id=task.task_id, point=task.point,
                         status=payload["status"], seconds=payload["seconds"],
                         error=payload["error"],
@@ -1081,9 +1096,10 @@ def load_campaign(campaign_dir: str | os.PathLike,
 
     Re-plans from ``spec.json`` (deterministic, so task ids line up),
     then fills in whatever the journal and cache already hold: pruned
-    tasks, journaled N/As, and cached results. Tasks with no terminal
-    record stay absent from ``outcome.results`` -- that's the pending
-    set a ``resume`` would run.
+    tasks, journaled N/As, and cached results, read with one verified
+    batch read for the whole campaign. Tasks with no terminal record
+    stay absent from ``outcome.results`` -- that's the pending set a
+    ``resume`` would run.
     """
     root = Path(campaign_dir)
     spec = CampaignSpec.from_dict(read_spec(root / "spec.json"))
@@ -1093,6 +1109,8 @@ def load_campaign(campaign_dir: str | os.PathLike,
     outcome = CampaignOutcome(spec=spec, plan=plan)
     outcome.stats.planned = len(plan.tasks)
     journaled = Journal(root / "journal.jsonl").completed_ids()
+    found = iter(store.results_for(
+        (t.task_id, t.point, store.key_of(t.canonical)) for t in plan.runnable))
     for task in plan.tasks:
         if task.pruned is not None:
             outcome.stats.pruned += 1
@@ -1101,7 +1119,7 @@ def load_campaign(campaign_dir: str | os.PathLike,
                 error=task.pruned, attempts=0,
             )
             continue
-        cached = store.result_for(task.task_id, task.point)
+        cached = next(found)
         if cached is not None:
             outcome.stats.cache_hits += 1
             outcome.results[task.task_id] = cached

@@ -19,6 +19,10 @@ Three things happen during expansion beyond the raw product:
   same ``GCC-SEQ`` denominator per (machine, case, n); the planner
   emits exactly one baseline task per distinct denominator and points
   each measure task at it via ``baseline_id``.
+
+Each point is encoded to canonical JSON once: the task id is hashed
+from that text, and the task carries it (``PointTask.canonical``) so
+the executor derives the cache key from it too.
 """
 
 from __future__ import annotations
@@ -45,18 +49,36 @@ MEASURE = "measure"
 
 def task_id_for(point: PointSpec) -> str:
     """Stable short id of a point (prefix of its content hash)."""
-    return hashlib.sha256(point.canonical().encode()).hexdigest()[:16]
+    return _task_id(point.canonical())
+
+
+def _task_id(canonical: str) -> str:
+    """:func:`task_id_for` of the point whose canonical JSON is ``canonical``."""
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
 class PointTask:
-    """One node of the campaign DAG."""
+    """One node of the campaign DAG.
+
+    ``canonical`` is the point's canonical JSON, encoded once by the
+    planner: the task id and, through
+    :meth:`~repro.campaign.store.ResultStore.key_of`, the cache key are
+    both hashed from it, so a warm run never encodes the point again. A
+    task built without it derives it from ``point``. It takes no part in
+    the task's repr, equality or hash.
+    """
 
     task_id: str
     point: PointSpec
     kind: str
     baseline_id: str | None = None
     pruned: str | None = None
+    canonical: str | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.canonical is None:
+            object.__setattr__(self, "canonical", self.point.canonical())
 
     @property
     def depends_on(self) -> tuple[str, ...]:
@@ -146,24 +168,30 @@ def _expand(spec: CampaignSpec) -> CampaignPlan:
             f"baseline backend {spec.baseline_backend!r} is not sequential"
         )
 
-    tasks: list[PointTask] = []
-    seen: dict[str, int] = {}  # task_id -> index into tasks
-    baseline_ids: dict[str, str] = {}  # baseline canonical -> task_id
+    baselines: list[PointTask] = []
+    measures: list[PointTask] = []
+    seen: set[str] = set()  # task ids emitted so far
+    # Every baseline point of a spec shares its backend, thread count,
+    # allocator and min_time, so this cell names it: a baseline point is
+    # built and encoded once per cell, not once per measure.
+    baseline_ids: dict[tuple[str, str, int, str], str] = {}
 
     def add_baseline(machine: str, case: str, size_exp: int, mode: str) -> str:
+        cell = (machine, case, size_exp, mode)
+        tid = baseline_ids.get(cell)
+        if tid is not None:
+            return tid
         point = PointSpec(
             machine=machine, backend=spec.baseline_backend, case=case,
             size_exp=size_exp, threads=1, mode=mode, allocator=None,
             min_time=spec.min_time,
         )
         canon = point.canonical()
-        if canon in baseline_ids:
-            return baseline_ids[canon]
-        tid = task_id_for(point)
-        baseline_ids[canon] = tid
+        tid = baseline_ids[cell] = _task_id(canon)
         if tid not in seen:
-            seen[tid] = len(tasks)
-            tasks.append(PointTask(task_id=tid, point=point, kind=BASELINE))
+            seen.add(tid)
+            baselines.append(PointTask(task_id=tid, point=point, kind=BASELINE,
+                                       canonical=canon))
         return tid
 
     for machine in spec.machines:
@@ -188,18 +216,18 @@ def _expand(spec: CampaignSpec) -> CampaignPlan:
                                     threads=threads, mode=mode,
                                     allocator=allocator, min_time=spec.min_time,
                                 )
-                                tid = task_id_for(point)
+                                canon = point.canonical()
+                                tid = _task_id(canon)
                                 if tid in seen:
                                     continue
                                 bid = None
                                 if pruned is None:
                                     bid = add_baseline(machine, case, size_exp, mode)
-                                seen[tid] = len(tasks)
-                                tasks.append(PointTask(
+                                seen.add(tid)
+                                measures.append(PointTask(
                                     task_id=tid, point=point, kind=MEASURE,
                                     baseline_id=bid, pruned=pruned,
+                                    canonical=canon,
                                 ))
 
-    order = {t.task_id: i for i, t in enumerate(tasks)}
-    ordered = sorted(tasks, key=lambda t: (t.kind != BASELINE, order[t.task_id]))
-    return CampaignPlan(spec=spec, tasks=tuple(ordered))
+    return CampaignPlan(spec=spec, tasks=tuple(baselines + measures))

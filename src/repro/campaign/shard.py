@@ -56,9 +56,10 @@ import re
 import sys
 import threading
 import weakref
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any
 
 try:  # pragma: no cover - platform probe
     import fcntl

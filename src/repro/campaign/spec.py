@@ -30,9 +30,15 @@ _VALID_MODES = ("model", "run")
 ALLOCATOR_NAMES = ("default", "first-touch", "hpx", "interleaved")
 
 
+#: The one canonical encoder. ``json.dumps`` with these options builds
+#: a new encoder on every call; this shared one (``encode`` keeps no
+#: state between calls) yields the same bytes without that cost.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON encoding (sorted keys, compact separators)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,22 +18,24 @@ persistent per-shard index (``index/ab.log.jsonl`` +
 batch appends one row per record -- ``key -> pack path, offset,
 length, checksum, status, seconds, wall_ms, point`` -- with one append
 per shard touched, and every quarantine appends a tombstone. Reads
-follow the key's row and read only its span; counts and queries never
-open a pack. A root that holds an ``objects/`` tree but no marker is a
-v1 flat store: opening it raises, naming ``tools/migrate_store.py``,
-which indexes it in place.
+follow each key's row and read only its span: a batch read
+(:meth:`ResultStore.results_for`, one per campaign wave) groups its
+keys by pack, opens each pack once and reads each record's span with
+one ``pread``. Counts and queries never open a pack. A root that holds
+an ``objects/`` tree but no marker is a v1 flat store: opening it
+raises, naming ``tools/migrate_store.py``, which indexes it in place.
 
 **Integrity.** Each record carries a checksum over its canonical form
-and its own key. A read that finds unparseable bytes, no checksum, a
-checksum mismatch, or another key's record behind the index row
-*quarantines* the key (its span's bytes are copied to
-``quarantine/``, a tombstone drops the row, the pack is left as it is)
-and the point recomputes; a damaged record is neither served nor
-silently dropped. Records whose ``result`` payload has drifted schema
-(missing ``status`` / ``seconds`` from an older version) are treated as
-misses, not errors. :meth:`ResultStore.scan` audits the record behind
-every live index row; the ``pstl-campaign verify`` subcommand fronts
-it.
+and its own key, and every read checks both on the bytes it just read.
+A read that finds unparseable bytes, no checksum, a checksum mismatch,
+or another key's record behind the index row *quarantines* the key
+(its span's bytes are copied to ``quarantine/``, a tombstone drops the
+row, the pack is left as it is) and the point recomputes; a damaged
+record is neither served nor silently dropped. Records whose
+``result`` payload has drifted schema (missing ``status`` /
+``seconds`` from an older version) are treated as misses, not errors.
+:meth:`ResultStore.scan` audits the record behind every live index
+row; the ``pstl-campaign verify`` subcommand fronts it.
 
 **Journal.** Each campaign run records one JSON line per finished task
 in ``journal.jsonl``, committed once per wave: :meth:`Journal.append`
@@ -66,9 +68,10 @@ import json
 import os
 import threading
 import time
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import Any, BinaryIO
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -108,7 +111,11 @@ _STATUSES = (DONE, NA, FAILED)
 
 
 def cache_key(point: PointSpec, fingerprint: str) -> str:
-    """Content hash of (point identity, model fingerprint)."""
+    """Content hash of (point identity, model fingerprint).
+
+    :meth:`ResultStore.key_of` derives the same key from the point's
+    canonical JSON without encoding the point again.
+    """
     payload = canonical_json({"point": point.to_dict(), "model": fingerprint})
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -265,6 +272,20 @@ def _result_slice(record: Mapping[str, Any]) -> dict | None:
     return dict(result)
 
 
+def _cached_result(task_id: str, point: PointSpec,
+                   record: Mapping[str, Any] | None) -> PointResult | None:
+    """The cache-served :class:`PointResult` of a verified ``record``
+    (None when there is no record or its payload has drifted)."""
+    result = None if record is None else _result_slice(record)
+    if result is None:
+        return None
+    return PointResult(
+        task_id=task_id, point=point, status=result["status"],
+        seconds=result["seconds"], error=result.get("error"),
+        cached=True, attempts=0,
+    )
+
+
 @dataclass(frozen=True)
 class RecordSpan:
     """Where one record's bytes are: a pack line, or a whole loose object.
@@ -338,7 +359,9 @@ class ResultStore:
         self.fingerprint = fingerprint if fingerprint is not None else model_fingerprint()
         self._memory: dict[str, dict] = {}
         self._memory_quarantine: dict[str, dict] = {}
-        self._key_memo: dict[PointSpec, str] = {}
+        # sort_keys puts "model" before "point", so a key's payload is
+        # this head, the point's canonical JSON and a closing brace.
+        self._key_head = '{"model":' + canonical_json(self.fingerprint) + ',"point":'
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -365,12 +388,20 @@ class ResultStore:
         return self.index is not None
 
     def key_for(self, point: PointSpec) -> str:
-        """This store's cache key for ``point`` (memoized; the executor
-        derives the same key several times per task on the warm path)."""
-        key = self._key_memo.get(point)
-        if key is None:
-            key = self._key_memo[point] = cache_key(point, self.fingerprint)
-        return key
+        """This store's cache key for ``point`` (see :meth:`key_of`)."""
+        return self.key_of(point.canonical())
+
+    def key_of(self, canonical: str) -> str:
+        """This store's cache key for the point whose canonical JSON is
+        ``canonical`` (:meth:`PointSpec.canonical`).
+
+        Byte-for-byte the payload :func:`cache_key` hashes, built around
+        text the caller already holds: the planner encodes each point
+        once (``PointTask.canonical``), and the executor derives every
+        task's key from that text.
+        """
+        return hashlib.sha256(
+            (self._key_head + canonical + "}").encode()).hexdigest()
 
     def locate(self, key: str) -> RecordSpan | None:
         """Where ``key``'s live record is stored (disk stores only)."""
@@ -501,13 +532,16 @@ class ResultStore:
 
         A one-item :meth:`put_many` (so on disk, a pack of one record).
         """
-        return self.put_many([(point, payload, wall_ms)])[0]
+        return self.put_many([(self.key_for(point), point, payload, wall_ms)])[0]
 
-    def put_many(self, items: Iterable[tuple[PointSpec, Mapping[str, Any],
+    def put_many(self, items: Iterable[tuple[str, PointSpec, Mapping[str, Any],
                                              float | None]]) -> list[str]:
-        """Store a batch of ``(point, payload, wall_ms)``; returns the keys.
+        """Store a batch of ``(key, point, payload, wall_ms)``; returns the keys.
 
-        Each record is checksummed exactly as a single put's. On disk
+        Each ``key`` is the point's key as this store derives it
+        (:meth:`key_for` / :meth:`key_of`); callers that already hold it
+        pass it rather than have the point encoded again. Each record is
+        checksummed exactly as a single put's. On disk
         the records stream, one line each, into one new pack file --
         created with ``O_EXCL`` under a name of this writer's, written
         without ``fsync`` -- and then their index rows land with one
@@ -523,9 +557,8 @@ class ResultStore:
         """
         keys: list[str] = []
         if self.root is None:
-            for point, payload, _wall_ms in items:
-                key, record = self._record(point, payload)
-                self._memory[key] = record
+            for key, point, payload, _wall_ms in items:
+                self._memory[key] = self._record(key, point, payload)
                 keys.append(key)
             self.writes += len(keys)
             return keys
@@ -535,8 +568,8 @@ class ResultStore:
         pending: dict[str, list[tuple]] = {}
         pack = None
         try:
-            for point, payload, wall_ms in items:
-                key, record = self._record(point, payload)
+            for key, point, payload, wall_ms in items:
+                record = self._record(key, point, payload)
                 data = json.dumps(record, sort_keys=True).encode("utf-8")
                 if pack is None:
                     pack, path = self._create_pack()
@@ -562,10 +595,9 @@ class ResultStore:
         self.writes += len(keys)
         return keys
 
-    def _record(self, point: PointSpec,
-                payload: Mapping[str, Any]) -> tuple[str, dict]:
-        """``point``'s key and checksummed record for ``payload``."""
-        key = self.key_for(point)
+    def _record(self, key: str, point: PointSpec,
+                payload: Mapping[str, Any]) -> dict:
+        """The checksummed record of ``payload`` for ``point`` under ``key``."""
         record = {
             "key": key,
             "fingerprint": self.fingerprint,
@@ -573,7 +605,7 @@ class ResultStore:
             "result": dict(payload),
         }
         record["checksum"] = record_checksum(record)
-        return key, record
+        return record
 
     def _create_pack(self) -> tuple[BinaryIO, str]:
         """Open a new pack file exclusively: (binary writer, relative path).
@@ -635,21 +667,85 @@ class ResultStore:
     def result_for(self, task_id: str, point: PointSpec) -> PointResult | None:
         """Reconstruct a :class:`PointResult` from cache (marked cached).
 
-        Corrupt records (quarantined by :meth:`load_key`) and
-        schema-drifted records both come back as None -- a miss the
-        executor answers by recomputing -- never as an exception.
+        The one-item form of :meth:`results_for`. Corrupt records
+        (quarantined) and schema-drifted records both come back as None
+        -- a miss the executor answers by recomputing -- never as an
+        exception.
         """
-        record = self.load_key(self.key_for(point))
-        result = None if record is None else _result_slice(record)
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return PointResult(
-            task_id=task_id, point=point, status=result["status"],
-            seconds=result["seconds"], error=result.get("error"),
-            cached=True, attempts=0,
-        )
+        return self.results_for([(task_id, point, self.key_for(point))])[0]
+
+    def results_for(self, items: Iterable[tuple[str, PointSpec, str]]
+                    ) -> list[PointResult | None]:
+        """Batch :meth:`result_for`: one result (or None) per
+        ``(task_id, point, key)`` item, in order.
+
+        Disk stores look every key up in the shared locator cache, group
+        the spans by pack, open each pack once and ``pread`` each span
+        (adjacent lines are read one by one, not coalesced). Each
+        record is verified exactly as :meth:`load_key` verifies it and
+        becomes its :class:`PointResult` at once, so a wave's raw
+        records are never held together. A record that fails to parse
+        or to verify, a span whose pack is gone, and a loose object
+        (``length`` None) are read again through :meth:`load_key`,
+        which re-polls the shard and quarantines a bad live record: the
+        quarantine decision stays in one place. A memory store reads
+        every key through :meth:`load_key`. ``hits`` and ``misses``
+        count one per item, as :meth:`result_for` does.
+        """
+        items = list(items)
+        out: list[PointResult | None] = [None] * len(items)
+        again = range(len(items)) if self.root is None \
+            else self._read_packs(items, out)
+        for i in again:
+            task_id, point, key = items[i]
+            out[i] = _cached_result(task_id, point, self.load_key(key))
+        hits = sum(result is not None for result in out)
+        self.hits += hits
+        self.misses += len(out) - hits
+        return out
+
+    def _read_packs(self, items: list[tuple[str, PointSpec, str]],
+                    out: list[PointResult | None]) -> list[int]:
+        """Disk half of :meth:`results_for`: one open per pack.
+
+        Fills ``out[i]`` for every item whose pack line verifies and
+        returns the indices :meth:`load_key` must read again: a line
+        that fails to parse or to verify, a span whose pack is gone, and
+        a loose object. A key with no live row is a plain miss.
+        """
+        again: list[int] = []
+        by_pack: dict[str, list[tuple[int, int, int]]] = {}
+        for i, (_task_id, _point, key) in enumerate(items):
+            loc = self.index.locate(key)
+            if loc is None:
+                continue
+            path, offset, length = loc
+            if length is None:
+                again.append(i)
+            else:
+                by_pack.setdefault(path, []).append((i, offset or 0, length))
+        for path, spans in by_pack.items():
+            try:
+                fd = os.open(os.path.join(self.root, path), os.O_RDONLY)
+            except FileNotFoundError:
+                again.extend(i for i, _offset, _length in spans)
+                continue
+            try:
+                for i, offset, length in spans:
+                    task_id, point, key = items[i]
+                    try:
+                        record = json.loads(
+                            os.pread(fd, length, offset).decode("utf-8"))
+                    except (json.JSONDecodeError, UnicodeDecodeError):
+                        again.append(i)
+                        continue
+                    if _record_problem(key, record) is None:
+                        out[i] = _cached_result(task_id, point, record)
+                    else:
+                        again.append(i)
+            finally:
+                os.close(fd)
+        return again
 
     def scan(self, quarantine: bool = False) -> StoreScan:
         """Audit the record behind every live index row; optionally

@@ -155,7 +155,7 @@ class SegmentIngestor:
                 deduped += 1
                 continue
             queued.add(key)
-            items.append((point, dict(row["result"]), row.get("wall_ms")))
+            items.append((key, point, dict(row["result"]), row.get("wall_ms")))
         self.store.put_many(items)  # the whole segment: one pack
         ingested = len(items)
         self.ledger.record(manifest, ingested, deduped)

@@ -208,8 +208,9 @@ def _packed_store(root: Path) -> tuple[ResultStore, list[PointSpec]]:
     """A v2 store whose records sit in several packs (one batch + singles)."""
     store = ResultStore(root)
     points = [_point(i) for i in range(6)]
-    store.put_many([(p, {"status": DONE, "seconds": float(i + 1),
-                         "error": None}, None)
+    store.put_many([(store.key_for(p), p, {"status": DONE,
+                                           "seconds": float(i + 1),
+                                           "error": None}, None)
                     for i, p in enumerate(points[:4])])
     for i, point in enumerate(points[4:], start=4):
         store.put(point, {"status": DONE, "seconds": float(i + 1),

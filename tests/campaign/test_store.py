@@ -231,7 +231,8 @@ def test_put_many_writes_one_pack_of_todays_record_bytes(tmp_path, monkeypatch):
     points = [POINT, OTHER, PointSpec(machine="C", backend="GCC-TBB",
                                       case="reduce", size_exp=12, threads=4)]
     keys = store.put_many(
-        [(p, {"status": DONE, "seconds": float(i), "error": None}, 0.5)
+        [(store.key_for(p), p, {"status": DONE, "seconds": float(i),
+                                "error": None}, 0.5)
          for i, p in enumerate(points)])
     assert keys == [store.key_for(p) for p in points]
     packs = sorted((tmp_path / "cache" / "objects" / "packs").iterdir())
@@ -276,7 +277,8 @@ def test_quarantining_one_record_of_a_pack_keeps_its_neighbours(tmp_path):
     points = [POINT, OTHER, PointSpec(machine="C", backend="GCC-TBB",
                                       case="reduce", size_exp=12, threads=4)]
     keys = store.put_many(
-        [(p, {"status": DONE, "seconds": float(i + 1), "error": None}, None)
+        [(store.key_for(p), p, {"status": DONE, "seconds": float(i + 1),
+                                "error": None}, None)
          for i, p in enumerate(points)])
     victim = store.locate(keys[1])
     pristine = victim.path.read_bytes()

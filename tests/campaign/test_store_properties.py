@@ -248,8 +248,9 @@ def _put_batch(args):
     root, proc, threads = args
     store = ResultStore(Path(root))
     return store.put_many([
-        (_racer(t), {"status": DONE, "seconds": float(proc * 1000 + t),
-                     "error": None}, None)
+        (store.key_for(_racer(t)), _racer(t),
+         {"status": DONE, "seconds": float(proc * 1000 + t), "error": None},
+         None)
         for t in threads])
 
 
@@ -319,8 +320,9 @@ def test_threads_sharing_one_handle_always_read_their_own_writes():
             for batch in range(12):
                 threads = [100 * proc + 4 * batch + i + 1 for i in range(4)]
                 store.put_many([
-                    (_racer(t), {"status": DONE, "error": None,
-                                 "seconds": float(proc * 1000 + t)}, None)
+                    (store.key_for(_racer(t)), _racer(t),
+                     {"status": DONE, "error": None,
+                      "seconds": float(proc * 1000 + t)}, None)
                     for t in threads])
                 mine += threads
                 for t in mine:
