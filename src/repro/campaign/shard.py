@@ -17,13 +17,13 @@ Layout, per store root::
 
 Every committed batch of records appends its rows (``key -> path,
 offset, length, checksum, status, seconds, wall_ms, point``) to each
-shard it touches -- one :meth:`ShardIndex.append` per shard, under the
-same flock + single ``O_APPEND`` ``write()`` discipline as the campaign
-journal, so concurrent writers never interleave partial rows. A row
-without ``offset`` names a loose object, read whole. Every
-``quarantine`` appends a tombstone. Reading a shard merges the
-compacted snapshot with a replay of its log (last-wins; tombstones
-delete).
+shard it touches -- one :meth:`ShardIndex.append` per shard, through
+the same locked ``O_APPEND`` append as the campaign journal
+(:func:`repro.campaign.durable.append_lines`), so concurrent writers
+never interleave partial rows. A row without ``offset`` names a loose
+object, read whole. Every ``quarantine`` appends a tombstone. Reading
+a shard merges the compacted snapshot with a torn-tolerant replay of
+its log (last-wins; tombstones delete).
 
 The read path keeps only a *locator* per live key -- ``(path, offset,
 length)`` -- cached once per process for all the handles open on a
@@ -34,11 +34,12 @@ when a query or an audit asks for them.
 
 **Compaction** (:meth:`StoreIndex.compact`, fronted by ``pstl-campaign
 compact``) folds each shard's log into its snapshot: superseded rows
-and quarantined tombstones are dropped, the snapshot is rewritten
-atomically (temp file + rename), and the log is truncated to zero --
-all while holding the shard log's exclusive advisory lock, so appenders
-serialize against the rewrite instead of losing rows. Packs are never
-rewritten.
+and quarantined tombstones are dropped, the snapshot is published
+atomically (temp file + rename, :func:`repro.campaign.durable.publish`),
+and the log is truncated to zero -- all while holding the shard log's
+exclusive advisory lock (:func:`repro.campaign.durable.locked`), so
+appenders serialize against the rewrite instead of losing rows. Packs
+are never rewritten.
 
 The index is a *derived* structure: the records remain the ground
 truth, ``ResultStore.scan`` cross-checks the two, and
@@ -61,11 +62,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback (single-writer)
-    fcntl = None
-
+from repro.campaign.durable import (
+    append_lines,
+    locked,
+    publish,
+    read_json,
+    read_lines,
+    read_tail,
+)
 from repro.campaign.spec import canonical_json
 from repro.errors import CampaignError
 
@@ -110,19 +114,6 @@ def _row(entry: Mapping[str, Any]) -> dict:
     return {k: v for k, v in entry.items() if k not in ("op", "key")}
 
 
-def _parse_lines(raw: bytes) -> Iterator[dict]:
-    """Parsed JSON-object lines of ``raw`` (torn/garbage lines skipped)."""
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            continue  # torn tail from a crash mid-append
-        if isinstance(entry, dict):
-            yield entry
-
-
 def shard_prefix(key: str) -> str:
     """The two-hex-digit shard a cache key belongs to."""
     prefix = key[:2].lower()
@@ -131,43 +122,18 @@ def shard_prefix(key: str) -> str:
     return prefix
 
 
-def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
-    """Publish ``payload`` at ``path`` via per-process/thread temp + rename."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(json.dumps(dict(payload), sort_keys=True), encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def write_store_meta(root: str | os.PathLike) -> None:
     """Stamp ``root`` as a v2 (sharded-index) store, atomically."""
-    _atomic_write_json(
-        Path(root) / STORE_META,
+    publish(Path(root) / STORE_META, json.dumps(
         {"layout": STORE_LAYOUT_VERSION, "shards": SHARD_COUNT},
-    )
+        sort_keys=True))
 
 
 def read_store_meta(root: str | os.PathLike) -> dict | None:
-    """The store-layout marker at ``root``, or None for a v1/fresh store."""
-    try:
-        payload = json.loads((Path(root) / STORE_META).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return None
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None  # torn marker: treat as unmigrated, never crash a read
+    """The store-layout marker at ``root``, or None for a v1/fresh store
+    (a torn marker reads as unmigrated, never crashing a read)."""
+    payload = read_json(Path(root) / STORE_META)
     return payload if isinstance(payload, dict) else None
-
-
-def _flock(fd: int) -> None:
-    """Exclusive cross-process advisory lock (no-op without fcntl)."""
-    if fcntl is not None:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-
-
-def _funlock(fd: int) -> None:
-    """Release the lock taken by :func:`_flock`."""
-    if fcntl is not None:
-        fcntl.flock(fd, fcntl.LOCK_UN)
 
 
 @dataclass
@@ -201,8 +167,8 @@ class CompactionReport:
 class ShardIndex:
     """One key-prefix shard: an append-only log plus a compacted snapshot.
 
-    Appends go to ``<prefix>.log.jsonl`` (flock + single ``O_APPEND``
-    write, torn-tail healed exactly like the campaign journal); reads
+    Appends go to ``<prefix>.log.jsonl`` (one locked ``O_APPEND``
+    write that heals a torn tail, like the campaign journal); reads
     merge ``<prefix>.idx.json`` with a log replay, last row per key
     winning and ``quarantine`` tombstones deleting.
 
@@ -244,58 +210,28 @@ class ShardIndex:
     def append(self, *rows: Mapping[str, Any]) -> None:
         """Append ``rows`` to the shard log as one batch of whole lines.
 
-        Same discipline as :meth:`Journal.append` -- heal a torn tail,
-        then one ``write()`` on an ``O_APPEND`` descriptor under an
-        exclusive advisory lock -- minus the ``fsync``: the index is
-        derived from the records and rebuildable, so a lost tail row
-        costs a flagged rebuild, not data. A call with no rows touches
-        nothing.
+        The same locked append as :meth:`Journal.append`
+        (:func:`repro.campaign.durable.append_lines`) minus the fence
+        and the ``fsync``: the index is derived from the records and
+        rebuildable, so a lost tail row costs a flagged rebuild, not
+        data. A call with no rows touches no file.
         """
-        if not rows:
-            return
-        data = "".join(canonical_json(dict(row)) + "\n"
-                       for row in rows).encode("utf-8")
         with self._lock:  # re-read these keys from the log next time
             if self._cache is not None:
                 for row in rows:
                     self._cache.pop(row.get("key"), None)
-        self.log_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.log_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
-        try:
-            _flock(fd)
-            try:
-                size = os.fstat(fd).st_size
-                if size and os.pread(fd, 1, size - 1) != b"\n":
-                    os.write(fd, b"\n")
-                view = memoryview(data)
-                while view:  # a short write (rare on files) must not drop rows
-                    view = view[os.write(fd, view):]
-            finally:
-                _funlock(fd)
-        finally:
-            os.close(fd)
+        append_lines(self.log_path, "".join(
+            canonical_json(dict(row)) + "\n" for row in rows
+        ).encode("utf-8"))
 
     def _read_compact(self) -> dict[str, dict]:
         """Rows of the compacted snapshot ({} when absent or unreadable --
         the records stay ground truth; scan flags the gap)."""
-        try:
-            payload = json.loads(self.compact_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            return {}
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return {}
+        payload = read_json(self.compact_path)
         rows = payload.get("rows") if isinstance(payload, Mapping) else None
         if not isinstance(rows, Mapping):
             return {}
         return {k: dict(v) for k, v in rows.items() if isinstance(v, Mapping)}
-
-    def _read_log(self) -> list[dict]:
-        """Parsed log entries in append order (torn/garbage lines skipped)."""
-        try:
-            raw = self.log_path.read_bytes()
-        except FileNotFoundError:
-            return []
-        return list(_parse_lines(raw))
 
     @staticmethod
     def _replay(merged: dict, entries: Iterable[dict],
@@ -323,7 +259,7 @@ class ShardIndex:
         Parsed afresh on every call (queries and audits only); the read
         path goes through :meth:`locators` instead.
         """
-        return self._replay(self._read_compact(), self._read_log())
+        return self._replay(self._read_compact(), read_lines(self.log_path))
 
     def lookup(self, key: str) -> dict | None:
         """The full index row for ``key``, or None (parses the shard)."""
@@ -344,27 +280,14 @@ class ShardIndex:
                                for key, row in self._read_compact().items()}
                 self._cache_base, self._cache_offset = base, 0
             if log_size > self._cache_offset:
-                self._fold_log_tail()
+                # Only complete lines fold; an unterminated fragment waits
+                # for its newline. A log that shrank since the stat reads
+                # nothing here and is rebuilt on the next poll.
+                lines, offset, _read = read_tail(self.log_path,
+                                                 self._cache_offset)
+                self._replay(self._cache, lines, _locator)
+                self._cache_offset = max(offset, self._cache_offset)
             return self._cache
-
-    def _fold_log_tail(self) -> None:
-        """Replay the log's complete lines past the cached offset.
-
-        An unterminated final fragment is left for a later poll: it is
-        either still being written, or torn and healed into an isolated
-        (skipped) line by the next append.
-        """
-        try:
-            with open(self.log_path, "rb") as fh:
-                fh.seek(self._cache_offset)
-                chunk = fh.read()
-        except FileNotFoundError:
-            return
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return
-        self._cache_offset += end + 1
-        self._replay(self._cache, _parse_lines(chunk[:end]), _locator)
 
     def locate(self, key: str) -> Locator | None:
         """Where ``key``'s record is, or None.
@@ -415,36 +338,28 @@ class ShardIndex:
         Runs under the shard log's exclusive advisory lock, so appends
         racing the compaction serialize: a row appended before the lock
         is merged, one appended after lands in the (now empty) log.
-        The snapshot rewrite publishes via temp file + rename, so
-        readers only ever see a whole snapshot.
+        The snapshot publishes via temp file + rename, so readers only
+        ever see a whole snapshot.
         """
         report = CompactionReport()
         if not self.log_path.exists() and not self.compact_path.exists():
             return report
-        self.log_path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.log_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            _flock(fd)
-            try:
-                report.log_bytes_merged = os.fstat(fd).st_size
-                merged = self._replay(self._read_compact(), self._read_log(),
-                                      report=report)
-                _atomic_write_json(self.compact_path, {
-                    "count": len(merged),  # first key: O(1) count reads
-                    "layout": STORE_LAYOUT_VERSION,
-                    "prefix": self.prefix,
-                    "rows": merged,
-                })
-                os.ftruncate(fd, 0)
-                with self._lock:
-                    self._cache = {key: _locator(row)
-                                   for key, row in merged.items()}
-                    self._cache_base, self._cache_offset = \
-                        self._snapshot_sig(), 0
-            finally:
-                _funlock(fd)
-        finally:
-            os.close(fd)
+        with locked(self.log_path) as fd:
+            report.log_bytes_merged = os.fstat(fd).st_size
+            merged = self._replay(self._read_compact(),
+                                  read_lines(self.log_path), report=report)
+            publish(self.compact_path, json.dumps({
+                "count": len(merged),  # first key: O(1) count reads
+                "layout": STORE_LAYOUT_VERSION,
+                "prefix": self.prefix,
+                "rows": merged,
+            }, sort_keys=True))
+            os.ftruncate(fd, 0)
+            with self._lock:
+                self._cache = {key: _locator(row)
+                               for key, row in merged.items()}
+                self._cache_base, self._cache_offset = \
+                    self._snapshot_sig(), 0
         report.shards = 1
         report.rows_kept = len(merged)
         return report

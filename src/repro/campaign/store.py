@@ -53,12 +53,14 @@ killed process are tolerated and skipped.
 shared cache; the 8-writer property tests pin the contract). Each
 batch goes to a pack file created with ``O_EXCL`` under a name of its
 own writer's (time stamp, pid, thread), so writers never share a pack,
-and a record becomes visible only once its index row lands. Journal
-and index appends take a cross-process advisory lock around a single
-``O_APPEND`` ``write()``, so concurrent appenders can never interleave
-partial lines or split each other's batches. :class:`JournalReader`
-adds the offset-resumable read side: repeated polls cost O(new bytes),
-not O(journal).
+and a record becomes visible only once its index row lands. Every
+other durable file goes through :mod:`repro.campaign.durable`: journal
+and index appends are one locked ``O_APPEND`` write that heals a torn
+tail first, so concurrent appenders can never interleave partial lines
+or split each other's batches; their replays skip torn lines; and
+``spec.json`` and ``STORE_META.json`` publish by temp file plus rename.
+:class:`JournalReader` adds the offset-resumable read side: repeated
+polls cost O(new bytes), not O(journal).
 """
 
 from __future__ import annotations
@@ -73,11 +75,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO
 
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback (single-writer)
-    fcntl = None
-
+from repro.campaign.durable import append_lines, publish, read_lines, read_tail
 from repro.campaign.fingerprint import model_fingerprint
 from repro.campaign.shard import (
     CompactionReport,
@@ -420,7 +418,8 @@ class ResultStore:
         evidence for post-mortems) and tombstone the key's index row;
         the pack itself is never rewritten, its line just goes dead.
         Memory stores park the record in a side dict. Either way the
-        next :meth:`get` is a miss and the point recomputes.
+        next read of the key (:meth:`load_key`, :meth:`results_for`) is
+        a miss and the point recomputes.
 
         Re-quarantining the same key (heal, recompute, corrupt again)
         must not overwrite the earlier evidence: the destination gains a
@@ -516,15 +515,6 @@ class ResultStore:
                 return None
             loc = live
         return None
-
-    def get(self, point: PointSpec) -> dict | None:
-        """Cached record for ``point`` under the current model, or None."""
-        record = self.load_key(self.key_for(point))
-        if record is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return record
 
     def put(self, point: PointSpec, payload: Mapping[str, Any],
             wall_ms: float | None = None) -> str:
@@ -843,27 +833,15 @@ def _derive_key(record: Mapping[str, Any]) -> str | None:
     return cache_key(point, fingerprint)
 
 
-def _lock_file(fd: int) -> None:
-    """Take an exclusive cross-process advisory lock on ``fd`` (blocking)."""
-    if fcntl is not None:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-
-
-def _unlock_file(fd: int) -> None:
-    """Release the advisory lock taken by :func:`_lock_file`."""
-    if fcntl is not None:
-        fcntl.flock(fd, fcntl.LOCK_UN)
-
-
 class Journal:
     """Append-only run log; one JSON object per line.
 
     Safe for concurrent appenders across processes: each append is one
-    ``write()`` of whole lines on an ``O_APPEND`` descriptor, guarded
-    by an exclusive advisory lock, so two processes sharing one journal
-    can never interleave partial lines, and each append's batch lands
-    as one contiguous run (the 8-appender property test in
-    ``tests/campaign/test_store_properties.py`` pins this).
+    locked ``write()`` of whole lines on an ``O_APPEND`` descriptor
+    (:func:`repro.campaign.durable.append_lines`), so two processes
+    sharing one journal can never interleave partial lines, and each
+    append's batch lands as one contiguous run (the 8-appender property
+    test in ``tests/campaign/test_store_properties.py`` pins this).
 
     A journal may additionally be *fenced*: ``fence`` is a zero-argument
     callable re-validated under the append lock before any byte is
@@ -888,21 +866,10 @@ class Journal:
         """Append ``entries`` as one group commit: one write, one fsync.
 
         Any number of entries cost one lock, one tail heal, one fence
-        check, one ``write()`` of the joined lines and one ``fsync`` --
-        the campaign executor commits a whole wave's rows this way. A
-        call with no entries touches nothing.
-
-        A crash mid-append can leave the final line without its trailing
-        newline; blindly appending to that would concatenate the new
-        entries onto the torn line and lose the first of them. The
-        append therefore heals such a tail first by terminating it, so
-        the torn fragment stays an isolated (skipped) line and the new
-        entries parse.
-
-        The heal-check plus the write happen under an exclusive advisory
-        lock on the journal file, and the lines land as a single
-        ``write()`` on an ``O_APPEND`` descriptor -- concurrent
-        appenders' batches serialize whole instead of interleaving.
+        check, one ``write()`` of the joined lines and one ``fsync``
+        (:func:`repro.campaign.durable.append_lines`) -- the campaign
+        executor commits a whole wave's rows this way. A call with no
+        entries touches nothing.
 
         When the journal carries a ``fence``, it is re-checked *inside*
         the lock: an expired or superseded lease holder is rejected with
@@ -910,28 +877,9 @@ class Journal:
         file, so a stale writer cannot race a takeover, and a rejected
         batch leaves none of its lines behind.
         """
-        if not entries:
-            return
-        data = "".join(canonical_json(dict(entry)) + "\n"
-                       for entry in entries).encode("utf-8")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
-        try:
-            _lock_file(fd)
-            try:
-                if self.fence is not None:
-                    self.fence()
-                size = os.fstat(fd).st_size
-                if size and os.pread(fd, 1, size - 1) != b"\n":
-                    os.write(fd, b"\n")
-                view = memoryview(data)
-                while view:  # a short write (rare on files) must not drop rows
-                    view = view[os.write(fd, view):]
-                os.fsync(fd)
-            finally:
-                _unlock_file(fd)
-        finally:
-            os.close(fd)
+        append_lines(self.path, "".join(
+            canonical_json(dict(entry)) + "\n" for entry in entries
+        ).encode("utf-8"), fence=self.fence, fsync=True)
 
     def tear_tail(self, at: float = 0.0) -> int:
         """Truncate the final line mid-write (fault-injection hook).
@@ -961,35 +909,15 @@ class Journal:
 
     def torn_lines(self) -> int:
         """Number of journal lines that do not parse (normally 0 or 1)."""
-        if not self.path.exists():
-            return 0
-        torn = 0
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    json.loads(line)
-                except json.JSONDecodeError:
-                    torn += 1
-        return torn
+        lines = read_lines(self.path)
+        for _entry in lines:
+            pass
+        return lines.torn
 
     def entries(self) -> list[dict]:
-        """All intact entries, in append order (torn tail lines skipped)."""
-        if not self.path.exists():
-            return []
-        out: list[dict] = []
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue  # interrupted mid-write; the task will re-run
-        return out
+        """All intact entries, in append order: a torn line (its task
+        re-runs) and a line that is not a JSON object are skipped."""
+        return list(read_lines(self.path))
 
     def completed_ids(self) -> dict[str, dict]:
         """task_id -> latest terminal entry (failed tasks are *not* terminal).
@@ -1020,11 +948,12 @@ class JournalReader:
     the journal once per client request. A reader remembers the byte
     offset it has consumed up to and only reads what appended since.
 
-    Torn-tail semantics: a final line *without* a trailing newline is
-    left unconsumed (it may still be mid-write; the next append heals
-    it), while a newline-terminated line that fails to parse is counted
-    in ``torn`` and skipped permanently. ``bytes_read`` accumulates the
-    real read cost, which the O(new rows) regression test pins.
+    Torn-tail semantics (:func:`repro.campaign.durable.read_tail`): a
+    final line *without* a trailing newline is left unconsumed (it may
+    still be mid-write; the next append heals it), while a
+    newline-terminated line that fails to parse is counted in ``torn``
+    and skipped permanently. ``bytes_read`` accumulates the real read
+    cost, which the O(new rows) regression test pins.
     """
 
     def __init__(self, path: str | os.PathLike, offset: int = 0) -> None:
@@ -1051,52 +980,25 @@ class JournalReader:
         just before the tear may be delivered again after the rewrite,
         which is safe: journal folding (``completed_ids``) is last-wins.
         """
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                if fh.tell() < self.offset:
-                    self.offset = fh.tell()
-                    self.resyncs += 1
-                fh.seek(self.offset)
-                chunk = fh.read()
-        except FileNotFoundError:
-            return []
-        if not chunk:
-            return []
-        self.bytes_read += len(chunk)
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return []  # only an unterminated fragment so far
-        consumed = chunk[: end + 1]
-        self.offset += len(consumed)
-        out: list[dict] = []
-        for line in consumed.split(b"\n"):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                self.torn += 1  # healed torn fragment; permanently skipped
-                continue
-            if isinstance(entry, dict):
-                out.append(entry)
-        return out
+        lines, offset, read = read_tail(self.path, self.offset)
+        entries = list(lines)
+        if offset < self.offset:
+            self.resyncs += 1
+        self.offset = offset
+        self.torn += lines.torn  # healed torn fragments; permanently skipped
+        self.bytes_read += read
+        return entries
 
 
 def write_spec(path: Path, spec_payload: Mapping[str, Any]) -> None:
     """Persist a campaign's spec.json (pretty, stable key order).
 
-    Published atomically (per-process temp file + rename) so concurrent
+    Published atomically (:func:`repro.campaign.durable.publish`) so concurrent
     runners racing to create the same campaign directory -- the service
     deduplicates upstream, but the CLI has no such guard -- never leave
     a half-written spec for the loser to read.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(json.dumps(dict(spec_payload), sort_keys=True, indent=2) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
+    publish(path, json.dumps(dict(spec_payload), sort_keys=True, indent=2) + "\n")
 
 
 def read_spec(path: Path) -> dict:

@@ -16,10 +16,12 @@ monotonically increasing ``epoch``, and an expiry deadline. The rules:
   the new holder owns.
 
 All reads and writes of the lease file happen under an exclusive
-``flock`` on the file itself, so acquire/renew/check are atomic with
-respect to each other even across processes. The clock is injectable
-(``clock=time.time`` by default) so tests drive expiry deterministically
-without sleeping.
+``flock`` on the file itself (the store's shared lock,
+:func:`repro.campaign.durable.locked`), so acquire/renew/check are
+atomic with respect to each other even across processes. A grant
+rewrites the file in place and syncs it under that lock. The clock is
+injectable (``clock=time.time`` by default) so tests drive expiry
+deterministically without sleeping.
 """
 
 from __future__ import annotations
@@ -31,12 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from repro.campaign.durable import locked
 from repro.errors import LeaseError, LeaseExpiredError, StaleWriterError
-
-try:  # pragma: no cover - platform probe
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True)
@@ -100,32 +98,22 @@ class LeaseFile:
         ``mutate`` returns the lease to persist (or None to leave the
         file as-is); its exceptions propagate with the file untouched.
         """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            try:
-                size = os.fstat(fd).st_size
-                current: Lease | None = None
-                if size:
-                    raw = os.pread(fd, size, 0)
-                    try:
-                        current = Lease.from_dict(json.loads(raw.decode("utf-8")))
-                    except (json.JSONDecodeError, UnicodeDecodeError, LeaseError):
-                        current = None  # torn lease file: treat as free
-                updated = mutate(current)
-                if updated is not None and updated is not current:
-                    data = (json.dumps(updated.to_dict(), sort_keys=True) + "\n").encode("utf-8")
-                    os.ftruncate(fd, 0)
-                    os.pwrite(fd, data, 0)
-                    os.fsync(fd)
-                return updated
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
+        with locked(self.path) as fd:
+            size = os.fstat(fd).st_size
+            current: Lease | None = None
+            if size:
+                raw = os.pread(fd, size, 0)
+                try:
+                    current = Lease.from_dict(json.loads(raw.decode("utf-8")))
+                except (json.JSONDecodeError, UnicodeDecodeError, LeaseError):
+                    current = None  # torn lease file: treat as free
+            updated = mutate(current)
+            if updated is not None and updated is not current:
+                data = (json.dumps(updated.to_dict(), sort_keys=True) + "\n").encode("utf-8")
+                os.ftruncate(fd, 0)
+                os.pwrite(fd, data, 0)
+                os.fsync(fd)
+            return updated
 
     # -- protocol --------------------------------------------------------
 

@@ -1,12 +1,14 @@
 """Private leased journal segments and their sealed manifests.
 
 A *segment* is one executor's private result log for one wave lease:
-an append-only journal (one canonical-JSON row per line, same
-torn-tail-healing discipline as the campaign journal) whose appends are
-fenced by the executor's lease. When the wave finishes, the executor
-*seals* the segment: a manifest is published next to it recording the
-row count, byte size, and a content checksum, after which the segment
-is immutable and ready to ship.
+an append-only journal (one canonical-JSON row per line, written and
+replayed by the campaign :class:`~repro.campaign.store.Journal`, so it
+heals torn tails the same way) whose appends are fenced by the
+executor's lease. When the wave finishes, the executor *seals* the
+segment: a manifest is published next to it (temp file plus rename,
+:func:`repro.campaign.durable.publish`) recording the row count, byte
+size, and a content checksum, after which the segment is immutable and
+ready to ship.
 
 The checksum is defined over the canonical serialization of the rows
 (exactly the bytes a fence-disciplined writer produced), so the
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from repro.campaign.durable import publish
 from repro.campaign.spec import canonical_json
 from repro.campaign.store import Journal
 from repro.errors import SegmentError
@@ -155,11 +158,8 @@ class SegmentWriter:
             size=self.path.stat().st_size if self.path.exists() else 0,
             checksum=rows_checksum(rows),
         )
-        tmp = self.manifest_path.with_name(
-            f".{self.manifest_path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, self.manifest_path)
+        publish(self.manifest_path,
+                json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
         self._sealed = True
         return manifest
 

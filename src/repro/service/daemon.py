@@ -42,10 +42,14 @@ Every response carries ``X-Handle-Ms``, the server-side handling time:
 the load generator subtracts it from wall latency to report *request
 overhead* -- what the service costs beyond the work itself.
 
-``serve()`` installs SIGTERM/SIGINT handlers that drain gracefully:
-stop admissions, let running campaigns finish their wave, flush
-journals, exit. A restarted daemon resumes interrupted campaigns from
-those journals (see :meth:`CampaignService.start`).
+Once listening, the daemon publishes its bound address to
+``<root>/service.json`` by temp file plus rename
+(:func:`repro.campaign.durable.publish`), so a client that finds the
+file always reads a whole document. ``serve()`` installs SIGTERM/SIGINT
+handlers that drain gracefully: stop admissions, let running campaigns
+finish their wave, flush journals, remove ``service.json``, exit. A
+restarted daemon resumes interrupted campaigns from those journals (see
+:meth:`CampaignService.start`).
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import __version__
+from repro.campaign.durable import publish
 from repro.campaign.store import canonical_json
 from repro.errors import CampaignError, ReproError, SegmentError, ServiceError
 from repro.faults import FaultPlan
@@ -125,8 +130,8 @@ class ServiceDaemon:
         """Configure (but do not start) a daemon rooted at ``root``.
 
         ``port=0`` asks the OS for a free port; the bound address is
-        published to ``<root>/service.json`` once listening, which is
-        how the CLI and tests discover a just-started daemon.
+        published atomically to ``<root>/service.json`` once listening,
+        which is how the CLI and tests discover a just-started daemon.
         ``lease_ttl``/``executor_ttl``/``wave_timeout`` parameterize the
         remote-executor protocol (see :mod:`repro.remote`).
         """
@@ -431,9 +436,9 @@ class ServiceDaemon:
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         port_file = self.root / "service.json"
-        port_file.write_text(canonical_json({
+        publish(port_file, canonical_json({
             "host": self.host, "port": self.port, "resumed": resumed,
-        }) + "\n", encoding="utf-8")
+        }) + "\n")
         if install_signals:
             loop = asyncio.get_running_loop()
             for signum in (signal.SIGTERM, signal.SIGINT):

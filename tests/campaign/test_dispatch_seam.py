@@ -69,7 +69,7 @@ def test_dispatch_lands_some_rows_and_the_rest_run_locally(tmp_path,
     # Landed rows are journaled but not stored again here: ingest owns
     # their store write. Local results are stored as usual.
     for task in runnable:
-        stored = store.get(task.point)
+        stored = store.load_key(store.key_for(task.point))
         assert (stored is None) == (task.task_id in landed_ids)
 
     # The journal holds each wave's rows in plan order.

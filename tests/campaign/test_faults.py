@@ -157,7 +157,7 @@ def test_after_put_corrupts_and_the_store_quarantines():
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     injector = FaultInjector(FaultPlan(cache_corrupt=1.0))
     injector.after_put(store, key)
-    assert store.get(POINT) is None  # tampered record is never served
+    assert store.load_key(store.key_for(POINT)) is None  # tampered record is never served
     assert store.quarantined == 1
     assert injector.counts == {"cache_corrupt": 1}
 

@@ -111,6 +111,49 @@ def test_reader_agrees_with_full_journal_replay(tmp_path: Path):
     streamed = reader.poll()
     assert streamed == journal.entries()
 
+    # The same fixture through every reader: a blank line, JSON lines
+    # that are not objects (skipped by all), and a torn line that the
+    # next append healed (counted torn by all).
+    with open(journal.path, "ab") as fh:
+        fh.write(b'\n[1, 2]\n"loose"\n{"task_id": "torn", "sta')
+    _fill(journal, 1, prefix="healed")
+    streamed += reader.poll()
+    assert streamed == journal.entries()
+    assert streamed[-1]["task_id"] == "healed-00000"
+    assert reader.torn == journal.torn_lines() == 1
+
+    # An unterminated final line that parses: the replay keeps it (its
+    # writer may yet add the newline), the reader waits for it.
+    with open(journal.path, "ab") as fh:
+        fh.write(b'{"task_id": "pending", "status": "done", "seconds": 1.0}')
+    assert reader.poll() == []
+    assert journal.entries()[-1]["task_id"] == "pending"
+    _fill(journal, 1, prefix="after")  # the heal completes the line
+    streamed += reader.poll()
+    assert streamed == journal.entries()
+
+    # One that does not parse: torn for the replay at once, for the
+    # reader once the next append has healed it.
+    with open(journal.path, "ab") as fh:
+        fh.write(b'{"task_id": "cut')
+    assert reader.poll() == [] and reader.torn == 1
+    assert journal.torn_lines() == 2
+    _fill(journal, 1, prefix="last")
+    streamed += reader.poll()
+    assert streamed == journal.entries()
+    assert reader.torn == journal.torn_lines() == 2
+
+    # The log shrinks under the live reader: it re-syncs, the rewritten
+    # entry reaches it whole, and a fresh reader still agrees with the
+    # replay.
+    journal.tear_tail(0.9)
+    assert reader.poll() == [] and reader.resyncs == 1
+    _fill(journal, 1, prefix="last")
+    assert reader.poll() == journal.entries()[-1:]
+    fresh = JournalReader(journal.path)
+    assert fresh.poll() == journal.entries()
+    assert fresh.torn == journal.torn_lines() == 3
+
 
 def test_tear_below_consumed_offset_resyncs_instead_of_losing_entries(tmp_path: Path):
     # Regression: a tear that cut into bytes the reader had already

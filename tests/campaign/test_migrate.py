@@ -83,7 +83,7 @@ def test_migrate_stamps_v2_and_indexes_every_object(tmp_path, capsys):
     assert store.indexed is True
     assert store.count_objects() == 6
     for i in range(6):
-        assert store.get(_point(i))["result"]["seconds"] == float(i + 1)
+        assert store.load_key(store.key_for(_point(i)))["result"]["seconds"] == float(i + 1)
     # migration is additive: not one object byte rewritten
     assert before == {p: p.read_bytes()
                       for p in sorted((root / "objects").rglob("*.json"))}
@@ -170,7 +170,7 @@ def test_records_without_checksum_stay_unindexed(tmp_path, capsys):
     migrated = ResultStore(root)
     assert migrated.count_objects() == 1
     assert migrated.index.lookup(keys[0]) is None
-    assert migrated.get(_point(0)) is None  # a miss that recomputes
+    assert migrated.load_key(keys[0]) is None  # a miss that recomputes
     scan = migrated.scan()
     assert (scan.ok, scan.errors, scan.orphaned) == (1, 0, 1)
 
@@ -228,7 +228,7 @@ def test_force_rebuilds_a_deleted_index_from_the_packs(tmp_path, capsys):
 
     del store  # the last handle: its locator caches go with it
     shutil.rmtree(root / "index")
-    assert ResultStore(root).get(points[0]) is None  # reads need the index
+    assert ResultStore(root).load_key(keys[0]) is None  # reads need the index
     assert ms.main([str(root), "--force", "--verify"]) == 0
     out = capsys.readouterr().out
     assert "6 row(s) indexed" in out and "verify: OK" in out
@@ -247,7 +247,7 @@ def test_force_rebuild_prefers_the_last_intact_record(tmp_path):
     store, points = _packed_store(root)
     key = store.key_for(points[0])
     store.corrupt(key, at=0.5)
-    assert store.get(points[0]) is None  # quarantined; the line stays dead
+    assert store.load_key(store.key_for(points[0])) is None  # quarantined; the line stays dead
     store.put(points[0], {"status": DONE, "seconds": 1.0, "error": None})
     live = store.locate(key)
 

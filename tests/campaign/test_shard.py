@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.campaign.durable import read_lines
 from repro.campaign.spec import canonical_json
 from repro.campaign.shard import (
     SHARD_COUNT,
@@ -140,7 +141,7 @@ def test_store_index_routes_counts_and_iterates_in_order(tmp_path):
     assert index.locate("ab02") == (pack, 11, 12)
     assert [key for key, _ in index.rows()] == ["ab02", "ab03", "ff01"]
     # one batch of rows for shard "ab", in order
-    assert [row["key"] for row in index.shard("ab")._read_log()] == \
+    assert [row["key"] for row in read_lines(index.shard("ab").log_path)] == \
         ["ab02", "ab03"]
 
     index.record_quarantine("ab02", "tampered")
@@ -216,3 +217,36 @@ def test_locators_agree_with_full_rows_on_torn_and_loose_lines(tmp_path):
     assert shard.locators() == {
         "ab" + "0" * 62: ("objects/ab/ab" + "0" * 62 + ".json", 40, 7)}
     assert set(shard.rows()) == set(shard.locators())
+
+    # The same fixture through every reader -- the whole-log replay
+    # (rows), the live cache's tail fold and a fresh handle's: a blank
+    # line, JSON lines that are not objects, and a torn row that the
+    # next append healed are all skipped.
+    with open(shard.log_path, "ab") as fh:
+        fh.write(b'\n[1, 2]\n"loose"\n' + canonical_json(_put("ab03"))[:30].encode())
+    shard.append(_put("ab04"))
+    live = {"ab" + "0" * 62, "ab04"}
+    assert set(shard.rows()) == set(shard.locators()) == live
+    assert ShardIndex(tmp_path, "ab").locators() == shard.locators()
+
+    # An unterminated final row: the replay reads one that parses, the
+    # tail fold waits for its newline; one that does not parse is
+    # skipped by both.
+    with open(shard.log_path, "ab") as fh:
+        fh.write(canonical_json(_put("ab05")).encode())
+    assert set(shard.rows()) == live | {"ab05"}
+    assert set(shard.locators()) == live
+    with open(shard.log_path, "ab") as fh:
+        fh.write(b'\n{"op":"put","key":"ab06","pa')  # ab05 completes
+    live.add("ab05")
+    assert set(shard.rows()) == set(shard.locators()) == live
+    assert ShardIndex(tmp_path, "ab").locators() == shard.locators()
+
+    # The log shrinks under the live cache: another handle compacts
+    # (dropping the torn fragment) and appends; the cache rebuilds.
+    other = ShardIndex(tmp_path, "ab")
+    other.compact()
+    other.append(_put("ab07"))
+    live.add("ab07")
+    assert set(shard.locators()) == set(shard.rows()) == live
+    assert shard.locators() == other.locators()

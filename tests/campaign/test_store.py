@@ -73,7 +73,7 @@ def test_disk_roundtrip(tmp_path):
     payload = {"status": DONE, "seconds": 1.5, "error": None}
     key = store.put(POINT, payload)
     assert store.load_key(key)["result"] == payload
-    assert store.get(POINT)["result"] == payload
+    assert store.load_key(store.key_for(POINT))["result"] == payload
     # the record is one line of a pack; its index row locates the span
     span = store.locate(key)
     assert span.path.parent == tmp_path / "cache" / "objects" / "packs"
@@ -93,7 +93,7 @@ def test_fingerprint_change_invalidates(tmp_path):
     old = ResultStore(tmp_path / "cache", fingerprint="model-v1")
     old.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     new = ResultStore(tmp_path / "cache", fingerprint="model-v2")
-    assert new.get(POINT) is None
+    assert new.result_for("tid", POINT) is None
     assert new.misses == 1
 
 
@@ -101,7 +101,7 @@ def test_corrupt_object_is_a_miss(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     _overwrite(store.locate(key), b"{torn")
-    assert store.get(POINT) is None
+    assert store.load_key(store.key_for(POINT)) is None
 
 
 def test_cached_payload_excludes_run_bookkeeping():
@@ -182,7 +182,7 @@ def test_checksum_mismatch_is_quarantined_not_served(tmp_path):
     record["result"]["seconds"] = 9.0  # tampered value, stale checksum
     _overwrite(span, _encode(record))
 
-    assert store.get(POINT) is None
+    assert store.load_key(store.key_for(POINT)) is None
     assert store.quarantined == 1
     assert store.locate(key) is None  # tombstoned out of the index
     # the pack is never rewritten; the evidence is a copy of the span
@@ -381,7 +381,7 @@ def test_quarantine_drops_the_index_row(tmp_path):
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     assert store.count_objects() == 1
     store.corrupt(key, at=0.5)
-    assert store.get(POINT) is None  # quarantining read
+    assert store.load_key(store.key_for(POINT)) is None  # quarantining read
     assert store.index.lookup(key) is None
     assert store.count_objects() == 0
     report = store.compact()
@@ -395,13 +395,13 @@ def test_requarantine_does_not_overwrite_earlier_evidence(tmp_path):
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     store.corrupt(key, at=0.25)
     first_bytes = store.locate(key).read()
-    assert store.get(POINT) is None  # first quarantine
+    assert store.load_key(store.key_for(POINT)) is None  # first quarantine
 
     key2 = store.put(POINT, {"status": DONE, "seconds": 2.0, "error": None})
     assert key2 == key  # same point, same content address
     store.corrupt(key, at=0.75)
     second_bytes = store.locate(key).read()
-    assert store.get(POINT) is None  # second quarantine, same key
+    assert store.load_key(store.key_for(POINT)) is None  # second quarantine, same key
 
     qdir = tmp_path / "cache" / "quarantine"
     assert (qdir / f"{key}.json").read_bytes() == first_bytes
@@ -498,7 +498,7 @@ def test_scan_cross_checks_index_against_tree(tmp_path):
     assert scan.orphaned == 1 and scan.index_stale == 0
     assert scan.errors == 0
     assert "1 orphaned" in scan.summary()
-    assert store.get(OTHER) is None  # reads follow the index only
+    assert store.load_key(store.key_for(OTHER)) is None  # reads follow the index only
 
     # a row whose pack vanished out-of-band -> index-stale
     store.locate(key).path.unlink()
@@ -533,6 +533,6 @@ def test_a_row_without_offset_reads_a_loose_object_whole(tmp_path):
     scan = store.scan()
     assert (scan.objects, scan.ok, scan.orphaned) == (1, 1, 0)
     store.corrupt(key, at=0.5)
-    assert store.get(POINT) is None and store.quarantined == 1
+    assert store.load_key(store.key_for(POINT)) is None and store.quarantined == 1
     assert (store.root / "quarantine" / f"{key}.json").read_bytes() == \
         loose.read_bytes()

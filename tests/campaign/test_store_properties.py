@@ -112,7 +112,7 @@ def test_flipped_byte_is_never_served_as_a_different_value(pos, mask):
             fh.seek(span.offset)
             fh.write(bytes(data))
 
-        record = store.get(POINT)
+        record = store.load_key(store.key_for(POINT))
         if record is None:
             # detected: unparseable, no checksum or a mismatch,
             # quarantined or schema-drifted into a miss -- but never an
@@ -133,7 +133,7 @@ def test_corrupt_hook_is_always_detected_or_harmless(at):
         store = ResultStore(Path(tmp) / "cache")
         store.put(POINT, PAYLOAD)
         store.corrupt(store.key_for(POINT), at=at)
-        record = store.get(POINT)
+        record = store.load_key(store.key_for(POINT))
         if record is not None:
             assert record["result"] == PAYLOAD
 
@@ -148,7 +148,7 @@ def test_scan_flags_what_reads_would_quarantine(at):
         scan = store.scan()
         assert scan.objects == 1
         reader = ResultStore(Path(tmp) / "cache")
-        served = reader.get(POINT)
+        served = reader.load_key(reader.key_for(POINT))
         if scan.errors:
             assert served is None  # what scan flags, reads refuse
         elif served is not None:
@@ -279,7 +279,7 @@ def test_eight_racing_put_many_writers_keep_their_packs_and_rows_whole(data):
         # every key reads back its own writer's value
         for proc, batch in enumerate(batches):
             for t in batch:
-                record = store.get(_racer(t))
+                record = store.load_key(store.key_for(_racer(t)))
                 assert record["result"]["seconds"] == float(proc * 1000 + t)
         # one pack per writer, never shared
         packs = sorted((root / "objects" / "packs").iterdir())

@@ -95,7 +95,7 @@ def test_remote_rows_come_back_persisted(registry, tmp_path):
     # the rows really landed in the store at ingest time
     store = coordinator.ingestor.store
     for task in tasks:
-        assert store.get(task.point)["result"]["seconds"] == 0.5
+        assert store.load_key(store.key_for(task.point))["result"]["seconds"] == 0.5
     assert coordinator.counters()["ingest_ingested"] == 3
 
 
@@ -133,7 +133,7 @@ def test_remote_failure_is_retried_locally(registry, tmp_path):
     # campaign's own local path retries it (test_dispatch_seam.py)
     assert "t0" not in payloads
     assert coordinator.counters()["ingest_skipped"] == 1
-    assert coordinator.ingestor.store.get(tasks[0].point) is None
+    assert coordinator.ingestor.store.result_for("t0", tasks[0].point) is None
 
 
 def test_counters_shape(registry, tmp_path):

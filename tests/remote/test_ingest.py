@@ -57,7 +57,7 @@ def test_fresh_segment_lands_every_storable_row(ingestor, store):
     assert report.deduped == 0
     for row in rows:
         point = PointSpec.from_dict(row["point"])
-        record = store.get(point)
+        record = store.load_key(store.key_for(point))
         assert record is not None
         assert record["result"]["seconds"] == 0.25
 
@@ -101,7 +101,7 @@ def test_failed_rows_are_skipped_not_stored(ingestor, store):
     report = ingestor.ingest(manifest, rows)
     assert report.ingested == 1
     assert report.skipped == 1
-    assert store.get(PointSpec.from_dict(_point(9))) is None
+    assert store.load_key(store.key_for(PointSpec.from_dict(_point(9)))) is None
 
 
 def test_drifted_point_schema_is_skipped(ingestor):
@@ -119,7 +119,7 @@ def test_corrupt_shipment_is_rejected_whole(ingestor, store):
     with pytest.raises(SegmentError, match="checksum mismatch"):
         ingestor.ingest(manifest, rows)
     assert ingestor.report.ingested == 0
-    assert store.get(PointSpec.from_dict(_point(1))) is None
+    assert store.load_key(store.key_for(PointSpec.from_dict(_point(1)))) is None
 
 
 def test_ledger_survives_process_restart(tmp_path, store):

@@ -175,7 +175,7 @@ def _run_scenario(data) -> None:
 
         # -- exactly-once: nothing lost ...
         for i in range(n_points):
-            record = store.get(PointSpec.from_dict(_point(i)))
+            record = store.load_key(store.key_for(PointSpec.from_dict(_point(i))))
             assert record is not None, f"point {i} was lost"
             assert record["result"]["seconds"] == 0.5 + i
         # ... and nothing landed twice

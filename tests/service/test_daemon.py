@@ -10,13 +10,16 @@ hold its admission slot for a deterministic window.
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
+import os
 from http.client import HTTPConnection
 
 import pytest
 
 from repro.campaign.executor import run_campaign
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, canonical_json
 from repro.errors import QuotaExceededError, ServiceError
 from repro.service import QuotaPolicy, ServiceClient, start_background
 
@@ -234,6 +237,47 @@ def test_service_json_is_published_and_removed(tmp_path):
         assert svc.base_url.endswith(str(meta["port"]))
         assert meta["resumed"] == 0
     assert not (root / "service.json").exists()
+
+
+def test_service_json_appears_whole_through_a_rename(tmp_path, monkeypatch):
+    # Clients read service.json as soon as it exists, so the daemon must
+    # never create it empty and fill it in place: the final path is never
+    # opened for writing and appears only through os.replace.
+    root = tmp_path / "svc"
+    target = str(root / "service.json")
+    written, published = [], []
+    real_os_open, real_io_open, real_replace = os.open, io.open, os.replace
+
+    def is_target(path) -> bool:
+        return not isinstance(path, int) and \
+            os.path.abspath(os.fspath(path)) == target
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        if is_target(path) and flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+            written.append(flags)
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_io_open(file, mode="r", *args, **kwargs):
+        if is_target(file) and set(mode) & set("wax+"):
+            written.append(mode)
+        return real_io_open(file, mode, *args, **kwargs)
+
+    def spy_replace(src, dst, *args, **kwargs):
+        real_replace(src, dst, *args, **kwargs)
+        if is_target(dst):
+            with real_io_open(target, "rb") as fh:
+                published.append(fh.read())
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(io, "open", spy_io_open)
+    monkeypatch.setattr(builtins, "open", spy_io_open)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    with start_background(root) as svc:
+        host, port = svc.daemon.address
+        assert published == [(canonical_json(
+            {"host": host, "port": port, "resumed": 0}) + "\n").encode()]
+    assert written == []
+    assert not os.path.exists(target)
 
 
 def test_scheduler_rejects_while_draining_without_a_loop(tmp_path):
