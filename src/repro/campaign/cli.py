@@ -287,9 +287,13 @@ def _cmd_verify(args) -> int:
         print(f"  corrupt {key[:16]}...: {reason}")
     print(f"index:    {store.index.count()} row(s) across "
           f"{len(store.index.prefixes())} shard(s)")
-    if scan.orphaned or scan.index_stale:
-        print(f"  index drift: {scan.orphaned} orphaned line(s), "
-              f"{scan.index_stale} stale row(s) -- advisory; "
+    if scan.orphaned:
+        print(f"  index drift: {scan.orphaned} orphaned line(s) -- advisory; "
+              "dead bytes of superseded, quarantined or crash-orphaned "
+              "records, which stay because packs are never rewritten "
+              "(no index rebuild reclaims them)")
+    if scan.index_stale:
+        print(f"  index drift: {scan.index_stale} stale row(s) -- advisory; "
               "tools/migrate_store.py --force rebuilds the index")
     print(f"journal:  {len(journal.entries())} intact entr(ies), "
           f"{torn} torn line(s)")

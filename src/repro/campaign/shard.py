@@ -30,7 +30,23 @@ length)`` -- cached once per process for all the handles open on a
 store (:meth:`StoreIndex.shared`) and refreshed from the log's new
 bytes only, so a read costs O(1) stat calls plus whatever was appended
 since; full rows (with the point and result fields) are parsed only
-when a query or an audit asks for them.
+when a query or an audit asks for them. A batch read
+(:meth:`StoreIndex.locate_many`) polls each shard it needs at most once.
+
+**The locator fold.** Most log lines are put rows exactly as
+``ResultStore.put_many`` writes them: canonical JSON with its ten
+fields in sorted order (``checksum``, ``key``, ``length``, ``offset``,
+``op`` = ``"put"``, ``path``, ``point``, ``seconds``, ``status``,
+``wall_ms``). The fold reads such a row's key, path, offset and length
+from one match of that shape (:data:`_PUT_ROW`) instead of parsing the
+row. The pattern spells out the whole grammar of the row -- strings of
+printable ASCII without escapes, JSON numbers, ``null``, and a flat
+``point`` object of such members -- so a line it matches is one
+``json.loads`` accepts and whose locator is the one read from it; a
+row torn anywhere, even right after a ``}``, does not match. Every
+other line (tombstones, loose-object rows, rows with other fields, torn
+or healed fragments, non-object JSON, blank lines) is parsed whole and
+folded in log order, exactly as :meth:`ShardIndex.rows` reads it.
 
 **Compaction** (:meth:`StoreIndex.compact`, fronted by ``pstl-campaign
 compact``) folds each shard's log into its snapshot: superseded rows
@@ -38,8 +54,10 @@ and quarantined tombstones are dropped, the snapshot is published
 atomically (temp file + rename, :func:`repro.campaign.durable.publish`),
 and the log is truncated to zero -- all while holding the shard log's
 exclusive advisory lock (:func:`repro.campaign.durable.locked`), so
-appenders serialize against the rewrite instead of losing rows. Packs
-are never rewritten.
+appenders serialize against the rewrite instead of losing rows. A
+shard whose log is empty has nothing to fold and keeps its snapshot
+file untouched, so no reader rebuilds its locators. Packs are never
+rewritten.
 
 The index is a *derived* structure: the records remain the ground
 truth, ``ResultStore.scan`` cross-checks the two, and
@@ -57,12 +75,13 @@ import re
 import sys
 import threading
 import weakref
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.campaign.durable import (
+    Lines,
     append_lines,
     locked,
     publish,
@@ -107,6 +126,26 @@ def _locator(row: Mapping[str, Any]) -> Locator:
     """The locator of one put row (path strings shared across rows)."""
     return (sys.intern(str(row.get("path"))), row.get("offset"),
             row.get("length"))
+
+
+#: The text of a JSON string without escapes (printable ASCII but
+#: ``"`` and ``\``), one such string, one JSON number, one scalar value.
+_CHARS = rb'[\x20\x21\x23-\x5b\x5d-\x7e]*'
+_STRING = rb'"' + _CHARS + rb'"'
+_NUMBER = rb'-?(?:0|[1-9][0-9]{0,99})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
+_SCALAR = rb'(?:' + _STRING + rb'|' + _NUMBER + rb'|null)'
+_MEMBER = _STRING + rb':' + _SCALAR
+
+#: A put row exactly as ``put_many`` writes it (see the module doc);
+#: groups: key, length, offset, path. Integer parts stop at 100 digits
+#: (offsets and lengths at 18), so every match converts as json would.
+_PUT_ROW = re.compile(
+    rb'\{"checksum":' + _SCALAR + rb',"key":"(' + _CHARS + rb')"'
+    + rb',"length":(0|[1-9][0-9]{0,17}),"offset":(0|[1-9][0-9]{0,17})'
+    + rb',"op":"put","path":"(' + _CHARS + rb')"'
+    + rb',"point":\{(?:' + _MEMBER + rb'(?:,' + _MEMBER + rb')*)?\}'
+    + rb',"seconds":' + _SCALAR + rb',"status":' + _SCALAR
+    + rb',"wall_ms":' + _SCALAR + rb'\}')
 
 
 def _row(entry: Mapping[str, Any]) -> dict:
@@ -253,6 +292,21 @@ class ShardIndex:
                 merged[key] = value(entry)
         return merged
 
+    @classmethod
+    def _fold(cls, cache: dict[str, Locator], data: bytes) -> None:
+        """Fold the log lines ``data`` into the locator ``cache``, in log
+        order: a put row in ``put_many``'s shape (:data:`_PUT_ROW`) by
+        its match, every other line parsed whole as :meth:`_replay`
+        reads it."""
+        for line in data.split(b"\n"):
+            match = _PUT_ROW.fullmatch(line)
+            if match is None:
+                cls._replay(cache, Lines(line), _locator)
+            else:
+                key, length, offset, path = match.groups()
+                cache[key.decode()] = (sys.intern(path.decode()),
+                                       int(offset), int(length))
+
     def rows(self) -> dict[str, dict]:
         """key -> full index row for every live key in this shard.
 
@@ -269,8 +323,8 @@ class ShardIndex:
         """key -> ``(path, offset, length)`` for every live key (cached).
 
         Returns the internal cached mapping -- treat it as read-only.
-        A fresh poll costs two ``stat`` calls, plus parsing whatever
-        complete lines were appended since the last one.
+        A fresh poll costs two ``stat`` calls, plus folding whatever
+        complete lines were appended since the last one (:meth:`_fold`).
         """
         with self._lock:
             base, log_size = self._snapshot_sig(), self._log_size()
@@ -285,7 +339,7 @@ class ShardIndex:
                 # nothing here and is rebuilt on the next poll.
                 lines, offset, _read = read_tail(self.log_path,
                                                  self._cache_offset)
-                self._replay(self._cache, lines, _locator)
+                self._fold(self._cache, lines.raw)
                 self._cache_offset = max(offset, self._cache_offset)
             return self._cache
 
@@ -301,12 +355,13 @@ class ShardIndex:
         (:meth:`~repro.campaign.store.ResultStore.load_key`). An unknown
         key polls for rows appended since.
         """
+        loc = self.cached(key)
+        return loc if loc is not None else self.locators().get(key)
+
+    def cached(self, key: str) -> Locator | None:
+        """``key``'s locator if the cache holds it; never polls."""
         cache = self._cache
-        if cache is not None:
-            loc = cache.get(key)
-            if loc is not None:
-                return loc
-        return self.locators().get(key)
+        return None if cache is None else cache.get(key)
 
     #: Snapshot head shape: ``sort_keys`` puts ``"count"`` first, so a
     #: 64-byte read answers counts without parsing the whole snapshot.
@@ -321,16 +376,22 @@ class ShardIndex:
         tombstones and supersedes need the merge -- it counts the
         locator cache.
         """
-        if not self._log_size() and self._snapshot_sig() is not None:
-            try:
-                with open(self.compact_path, "rb") as fh:
-                    head = fh.read(64)
-            except FileNotFoundError:
-                head = b""
-            match = self._COUNT_HEAD.match(head)
-            if match:
-                return int(match.group(1))
+        if not self._log_size():
+            count = self._snapshot_count()
+            if count is not None:
+                return count
         return len(self.locators())
+
+    def _snapshot_count(self) -> int | None:
+        """The row count in the snapshot's head (None when the snapshot
+        is missing or its head does not give one)."""
+        try:
+            with open(self.compact_path, "rb") as fh:
+                head = fh.read(64)
+        except FileNotFoundError:
+            return None
+        match = self._COUNT_HEAD.match(head)
+        return int(match.group(1)) if match else None
 
     def compact(self) -> CompactionReport:
         """Fold the log into the snapshot; truncate the log; atomically.
@@ -339,13 +400,21 @@ class ShardIndex:
         racing the compaction serialize: a row appended before the lock
         is merged, one appended after lands in the (now empty) log.
         The snapshot publishes via temp file + rename, so readers only
-        ever see a whole snapshot.
+        ever see a whole snapshot. A shard whose log is empty has
+        nothing to fold: its snapshot file is left untouched (its stat
+        signature, which every reader's cache is keyed by, stays) and
+        only its rows are counted as kept.
         """
         report = CompactionReport()
         if not self.log_path.exists() and not self.compact_path.exists():
             return report
         with locked(self.log_path) as fd:
             report.log_bytes_merged = os.fstat(fd).st_size
+            if not report.log_bytes_merged:
+                count = self._snapshot_count()
+                report.rows_kept = len(self._read_compact()) \
+                    if count is None else count
+                return report
             merged = self._replay(self._read_compact(),
                                   read_lines(self.log_path), report=report)
             publish(self.compact_path, json.dumps({
@@ -453,6 +522,30 @@ class StoreIndex:
     def locate(self, key: str) -> Locator | None:
         """Where ``key``'s live record is (cached), or None."""
         return self.shard_for(key).locate(key)
+
+    def locate_many(self, keys: Sequence[str]) -> list[Locator | None]:
+        """:meth:`locate` for each of ``keys``, polling each shard at
+        most once.
+
+        A key its shard's cache holds is answered from it, as
+        :meth:`ShardIndex.locate` answers it. Each shard that owns any
+        other key is then polled once (:meth:`ShardIndex.locators`) for
+        all of them, so an all-miss batch costs two ``stat`` calls per
+        shard touched, not per key.
+        """
+        found: list[Locator | None] = []
+        unknown: dict[ShardIndex, list[int]] = {}
+        for i, key in enumerate(keys):
+            shard = self.shard_for(key)
+            loc = shard.cached(key)
+            if loc is None:
+                unknown.setdefault(shard, []).append(i)
+            found.append(loc)
+        for shard, indices in unknown.items():
+            locators = shard.locators()
+            for i in indices:
+                found[i] = locators.get(keys[i])
+        return found
 
     def lookup(self, key: str) -> dict | None:
         """The full index row for ``key``, or None."""

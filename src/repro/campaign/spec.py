@@ -35,10 +35,22 @@ ALLOCATOR_NAMES = ("default", "first-touch", "hpx", "interleaved")
 #: state between calls) yields the same bytes without that cost.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
+#: Its C encoder, made once: ``encode`` makes one per call. It is built
+#: with ``_CANONICAL``'s settings but no circular-reference markers,
+#: since every thread shares it; None where ``json`` has no C speedups.
+_C_ENCODE = None if json.encoder.c_make_encoder is None else \
+    json.encoder.c_make_encoder(
+        None, _CANONICAL.default, json.encoder.encode_basestring_ascii,
+        _CANONICAL.indent, _CANONICAL.key_separator,
+        _CANONICAL.item_separator, _CANONICAL.sort_keys,
+        _CANONICAL.skipkeys, _CANONICAL.allow_nan)
+
 
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON encoding (sorted keys, compact separators)."""
-    return _CANONICAL.encode(payload)
+    if _C_ENCODE is None:
+        return _CANONICAL.encode(payload)
+    return "".join(_C_ENCODE(payload, 0))
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,6 +37,28 @@ record is neither served nor silently dropped. Records whose
 :meth:`ResultStore.scan` audits the record behind every live index
 row; the ``pstl-campaign verify`` subcommand fronts it.
 
+**The record byte path.** A batch read checks a pack line in exactly
+``put_many``'s shape on its own bytes, without parsing it. The shape
+(:data:`_RECORD_LINE`) is ``json.dumps(record, sort_keys=True)`` of the
+five-member record: ``checksum`` (16 hex digits), ``fingerprint``,
+``key`` (64 hex digits), ``point`` with exactly its eight fields, and
+``result`` with ``error``, ``seconds`` and ``status``; every string is
+printable ASCII without ``"`` or ``\\``, the point's ``size_exp`` and
+``threads`` are integers, and ``min_time`` and ``seconds`` are spelled
+the way ``repr`` spells the value ``json`` reads from them (checked
+after the match). In that shape a ``"`` only ever delimits a string, so
+every ``": `` is a key separator and every ``, "`` an item separator
+(a string may not start with ``: `` or end with ``, ``, which would
+fake one). Cutting the leading ``checksum`` member and compacting
+those separators therefore gives, byte for byte, the canonical JSON
+the writer hashed: the line verifies when that hash equals its
+checksum and its key is the requested one, and its status, seconds
+and error come from the same match. The byte path only ever accepts:
+any other line, or one whose hash or key disagrees, goes through the
+parse, :func:`_record_problem` and :meth:`ResultStore.load_key` as
+before, which alone quarantine. Either way every read hashes the
+record it serves.
+
 **Journal.** Each campaign run records one JSON line per finished task
 in ``journal.jsonl``, committed once per wave: :meth:`Journal.append`
 takes any number of entries and lands them with one fsynced write. The
@@ -68,6 +90,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -183,7 +206,9 @@ class StoreScan:
     batch whose index rows a crash lost -- and ``index_stale`` counts
     rows whose checksum disagrees with their intact record, or that
     point at a missing file. The records are ground truth and
-    ``tools/migrate_store.py --force`` rebuilds the index from them.
+    ``tools/migrate_store.py --force`` rebuilds the index from them,
+    which mends stale rows; orphaned lines keep their bytes, since
+    packs are never rewritten.
     """
 
     objects: int = 0
@@ -268,6 +293,86 @@ def _result_slice(record: Mapping[str, Any]) -> dict | None:
     if status == DONE and not isinstance(result.get("seconds"), (int, float)):
         return None
     return dict(result)
+
+
+#: The text of a JSON string in the record shape: printable ASCII
+#: without ``"`` or ``\`` that neither starts with ``: `` nor ends with
+#: ``, ``.
+_TEXT = rb'(?!: )[\x20\x21\x23-\x5b\x5d-\x7e]*(?<!, )'
+#: Any JSON number, and an integer ``repr`` spells so (``-0`` aside, no
+#: JSON integer is spelled otherwise; 18 digits keep ``int`` in range).
+_NUMBER = rb'-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
+_INT = rb'(?:0|-?[1-9][0-9]{0,17})'
+
+#: A pack line exactly as ``put_many`` writes it (see the module doc);
+#: groups: checksum, key, min_time, error, seconds, status.
+_RECORD_LINE = re.compile(
+    rb'\{"checksum": "([0-9a-f]{16})", "fingerprint": "' + _TEXT
+    + rb'", "key": "([0-9a-f]{64})", "point": \{"allocator": (?:null|"'
+    + _TEXT + rb'"), "backend": "' + _TEXT + rb'", "case": "' + _TEXT
+    + rb'", "machine": "' + _TEXT + rb'", "min_time": (' + _NUMBER
+    + rb'), "mode": "' + _TEXT + rb'", "size_exp": ' + _INT
+    + rb', "threads": ' + _INT + rb'\}, "result": \{"error": (?:null|"('
+    + _TEXT + rb')"), "seconds": (?:null|(' + _NUMBER + rb')), "status": "('
+    + _TEXT + rb')"\}\}')
+
+#: Where the record core starts: past ``{"checksum": "<16 hex>", ``.
+_CORE_AT = len(b'{"checksum": "0123456789abcdef", ')
+
+
+def _number(token: bytes) -> int | float:
+    """JSON number ``token`` as ``json`` reads it; ValueError unless
+    ``repr`` spells that value exactly as ``token`` does."""
+    if b"." in token or b"e" in token or b"E" in token:
+        value = float(token)
+        if repr(value).encode() != token:
+            raise ValueError(f"{token!r} is not spelled as repr spells it")
+        return value
+    if token == b"-0":
+        raise ValueError("-0 is the integer 0")
+    return int(token)
+
+
+def _record_view(line: bytes) -> tuple[bytes, str, str, str,
+                                       int | float | None, str | None] | None:
+    """``(core, checksum, key, status, seconds, error)`` of a pack line
+    in exactly ``put_many``'s shape; None for any other line.
+
+    ``core`` is the line with its ``checksum`` member cut and its
+    separators compacted: the canonical JSON of the parsed record minus
+    its checksum, which is what :func:`record_checksum` hashes.
+    """
+    match = _RECORD_LINE.fullmatch(line)
+    if match is None:
+        return None
+    checksum, key, min_time, error, seconds, status = match.groups()
+    try:
+        _number(min_time)
+        if seconds is not None:
+            seconds = _number(seconds)
+    except ValueError:
+        return None
+    core = (b"{" + line[_CORE_AT:]).replace(b'": ', b'":').replace(b', "', b',"')
+    return (core, checksum.decode(), key.decode(), status.decode(), seconds,
+            None if error is None else error.decode())
+
+
+def _verified_slice(key: str, line: bytes
+                    ) -> tuple[str, int | float | None, str | None] | None:
+    """``(status, seconds, error)`` of pack ``line`` when the byte path
+    accepts it for ``key``: the line is in ``put_many``'s shape, its
+    core hashes to its checksum, it names ``key``, and its payload is
+    one :func:`_result_slice` serves. None sends the line to the full
+    check, which alone may quarantine."""
+    view = _record_view(line)
+    if view is None:
+        return None
+    core, checksum, record_key, status, seconds, error = view
+    if record_key != key \
+            or hashlib.sha256(core).hexdigest()[:16] != checksum \
+            or status not in _STATUSES or (status == DONE and seconds is None):
+        return None
+    return status, seconds, error
 
 
 def _cached_result(task_id: str, point: PointSpec,
@@ -669,11 +774,13 @@ class ResultStore:
         """Batch :meth:`result_for`: one result (or None) per
         ``(task_id, point, key)`` item, in order.
 
-        Disk stores look every key up in the shared locator cache, group
-        the spans by pack, open each pack once and ``pread`` each span
-        (adjacent lines are read one by one, not coalesced). Each
-        record is verified exactly as :meth:`load_key` verifies it and
-        becomes its :class:`PointResult` at once, so a wave's raw
+        Disk stores look every key up in the shared locator cache
+        (polling each shard at most once), group the spans by pack,
+        open each pack once and ``pread`` each span (adjacent lines are
+        read one by one, not coalesced). Each record is verified on its
+        bytes (the byte path, see the module doc) or, when not in
+        ``put_many``'s shape, exactly as :meth:`load_key` verifies it,
+        and becomes its :class:`PointResult` at once, so a wave's raw
         records are never held together. A record that fails to parse
         or to verify, a span whose pack is gone, and a loose object
         (``length`` None) are read again through :meth:`load_key`,
@@ -705,8 +812,8 @@ class ResultStore:
         """
         again: list[int] = []
         by_pack: dict[str, list[tuple[int, int, int]]] = {}
-        for i, (_task_id, _point, key) in enumerate(items):
-            loc = self.index.locate(key)
+        locs = self.index.locate_many([key for _tid, _point, key in items])
+        for i, loc in enumerate(locs):
             if loc is None:
                 continue
             path, offset, length = loc
@@ -723,9 +830,17 @@ class ResultStore:
             try:
                 for i, offset, length in spans:
                     task_id, point, key = items[i]
+                    line = os.pread(fd, length, offset)
+                    served = _verified_slice(key, line)
+                    if served is not None:
+                        status, seconds, error = served
+                        out[i] = PointResult(
+                            task_id=task_id, point=point, status=status,
+                            seconds=seconds, error=error, cached=True,
+                            attempts=0)
+                        continue
                     try:
-                        record = json.loads(
-                            os.pread(fd, length, offset).decode("utf-8"))
+                        record = json.loads(line.decode("utf-8"))
                     except (json.JSONDecodeError, UnicodeDecodeError):
                         again.append(i)
                         continue

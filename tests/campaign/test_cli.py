@@ -164,6 +164,39 @@ def test_verify_quarantine_pulls_corrupt_objects(spec_file, tmp_path, capsys):
     assert "1 orphaned line(s)" in capsys.readouterr().out  # advisory only
 
 
+def test_verify_reports_orphaned_lines_without_the_rebuild_hint(
+        spec_file, tmp_path, capsys):
+    cdir = tmp_path / "c"
+    main(["run", "--spec-file", str(spec_file), "--dir", str(cdir),
+          "--workers", "0"])
+    store = ResultStore(cdir / "cache")
+    key, _row = next(store.index.rows())
+    store.quarantine(key, "pulled by hand")  # its pack line goes dead
+    capsys.readouterr()
+
+    assert main(["verify", str(cdir)]) == 0
+    out = capsys.readouterr().out
+    assert "1 orphaned line(s)" in out and "never rewritten" in out
+    assert "--force" not in out and "stale row(s)" not in out
+
+
+def test_verify_hints_at_the_rebuild_for_stale_rows(spec_file, tmp_path, capsys):
+    cdir = tmp_path / "c"
+    main(["run", "--spec-file", str(spec_file), "--dir", str(cdir),
+          "--workers", "0"])
+    store = ResultStore(cdir / "cache")
+    key, row = next(store.index.rows())
+    # a row whose checksum disagrees with its intact record
+    store.index.record_puts([{**row, "key": key, "checksum": "0" * 16}])
+    capsys.readouterr()
+
+    assert main(["verify", str(cdir)]) == 0
+    out = capsys.readouterr().out
+    assert "1 stale row(s)" in out
+    assert "tools/migrate_store.py --force rebuilds the index" in out
+    assert "orphaned line(s)" not in out
+
+
 def test_fault_seed_requires_a_plan(spec_file, tmp_path, capsys):
     rc = main(["run", "--spec-file", str(spec_file),
                "--dir", str(tmp_path / "c"), "--workers", "0",

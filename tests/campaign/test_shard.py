@@ -120,6 +120,44 @@ def test_compact_is_idempotent_and_survives_reopen(tmp_path):
     assert ShardIndex(tmp_path, "ab").lookup("ab01") is not None
 
 
+def test_a_compaction_with_nothing_to_fold_leaves_the_snapshots_alone(
+        tmp_path, monkeypatch):
+    index = StoreIndex(tmp_path)
+    index.shard("ab").append(_put("ab01"), _put("ab02"))
+    index.shard("ff").append(_put("ff01"))
+    first = index.compact()
+    assert (first.shards, first.rows_kept) == (2, 3)
+    snapshots = sorted((tmp_path / "index").glob("*.idx.json"))
+
+    def signatures():
+        return {path.name: (path.stat().st_ino, path.stat().st_mtime_ns,
+                            path.stat().st_size, path.read_bytes())
+                for path in snapshots}
+
+    before = signatures()
+    live = ShardIndex(tmp_path / "index", "ab")  # another process's cache
+    assert set(live.locators()) == {"ab01", "ab02"}
+    parsed = []
+    real = ShardIndex._read_compact
+    monkeypatch.setattr(ShardIndex, "_read_compact",
+                        lambda self: parsed.append(self.prefix) or real(self))
+
+    again = StoreIndex(tmp_path).compact()
+    assert (again.shards, again.rows_kept, again.log_bytes_merged) == (0, 3, 0)
+    assert signatures() == before
+    assert parsed == []  # kept rows counted from the snapshot heads
+    assert set(live.locators()) == {"ab01", "ab02"}
+    assert parsed == []  # the live cache did not re-read its snapshot
+
+    # a shard with a row to fold is still rewritten, and only that one
+    index.shard("ab").append(_put("ab03"))
+    third = StoreIndex(tmp_path).compact()
+    assert (third.shards, third.rows_kept) == (1, 4)
+    after = signatures()
+    assert after["ff.idx.json"] == before["ff.idx.json"]
+    assert after["ab.idx.json"] != before["ab.idx.json"]
+
+
 def test_store_index_routes_counts_and_iterates_in_order(tmp_path):
     index = StoreIndex(tmp_path)
     pack = "objects/packs/p1.pack"

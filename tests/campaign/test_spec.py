@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import json
+import sys
+import threading
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.campaign import spec as spec_mod
 from repro.campaign.spec import CampaignSpec, PointSpec, canonical_json
 from repro.errors import CampaignError
 
@@ -81,3 +87,56 @@ def test_campaign_validation(kwargs):
 
 def test_canonical_json_is_order_independent():
     assert canonical_json({"b": 1, "a": 2}) == canonical_json({"a": 2, "b": 1})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(payload=_JSON)
+def test_canonical_json_is_sorted_compact_json(payload):
+    assert canonical_json(payload) == _dumps(payload)
+
+
+def test_canonical_json_without_the_c_encoder_gives_the_same_text(monkeypatch):
+    payloads = [{"b": [1, 2.5, None], "a": "é\n\""}, "text", -0.0, 1e16,
+                float("nan"), [], {}]
+    expected = [canonical_json(p) for p in payloads]
+    monkeypatch.setattr(spec_mod, "_C_ENCODE", None)
+    assert [canonical_json(p) for p in payloads] == expected
+    assert expected == [_dumps(p) for p in payloads]
+
+
+def test_the_shared_encoder_is_safe_across_threads():
+    payloads = [{"point": {"size_exp": i, "machine": "A" * (i % 7)},
+                 "nested": [{"k": j} for j in range(i % 5)]}
+                for i in range(200)]
+    expected = [_dumps(p) for p in payloads]
+    bad: list[int] = []
+
+    def encode() -> None:
+        for _round in range(20):
+            for i, payload in enumerate(payloads):
+                if canonical_json(payload) != expected[i]:
+                    bad.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert bad == []

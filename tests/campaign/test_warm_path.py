@@ -177,6 +177,30 @@ def test_a_superseding_put_by_another_handle_is_served(tmp_path):
     assert reader.quarantined == 0
 
 
+def test_an_all_miss_batch_polls_each_shard_once(tmp_path, monkeypatch):
+    _fill(ResultStore(tmp_path / "cache"), _points(8))
+    store = ResultStore(tmp_path / "cache")
+    store.index = StoreIndex(tmp_path / "cache")  # a fresh handle's caches
+    missing = [PointSpec(machine="B", backend="GCC-GNU", case="sort",
+                         size_exp=10, threads=t) for t in range(1, 301)]
+    keys = [store.key_for(p) for p in missing]
+    shards = {key[:2] for key in keys}
+    assert len(shards) < len(keys)  # several keys share a shard
+    stats: list[str] = []
+    real_stat = os.stat
+
+    def spy_stat(path, *args, **kwargs):
+        stats.append(str(path))
+        return real_stat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", spy_stat)
+    found = store.results_for(
+        (f"t{i}", p, key) for i, (p, key) in enumerate(zip(missing, keys)))
+    assert found == [None] * len(keys)
+    assert len(stats) <= 2 * len(shards)
+    assert max(Counter(stats).values()) == 1
+
+
 def test_a_stale_locator_to_a_bad_span_reads_the_live_row(tmp_path):
     # a handle with an index of its own (as in another process) still
     # caches the locator another handle superseded; when that span goes
