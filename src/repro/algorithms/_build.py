@@ -8,8 +8,9 @@ algorithms. A phase keeps only its chunk->thread ids and element counts
 (both shared with the partition it was cut from, unless early exit
 scales the counts) plus four per-element costs; every other per-chunk
 quantity is ``elems x cost``. This is the only profile builder: the wave
-engine costs these profiles directly, and the scalar reference engine
-reads them through :func:`~repro.sim.wave.arrays_to_profile`.
+engine costs these profiles directly, and the checks against the scalar
+reference engine read them through
+:func:`~repro.sim.engine.arrays_to_profile`.
 """
 
 from __future__ import annotations

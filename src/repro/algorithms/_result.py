@@ -45,7 +45,7 @@ class AlgoResult:
         Simulated timing and counters: ``ctx.simulate`` of the profile.
         A CPU call costs its profile when ``report`` is first read, so a
         caller that only needs the profile (a fused campaign wave) never
-        runs the scalar engine. Under an enabled tracer it is costed at
+        costs it on its own. Under an enabled tracer it is costed at
         the call, so its spans land where the call happened -- except
         inside :func:`uncosted`. A GPU call is always costed at once,
         because unified-memory migration mutates its arrays' residency
@@ -70,7 +70,7 @@ class AlgoResult:
 
     @property
     def report(self) -> SimReport:
-        """The profile's cost on the context's scalar engine (cached)."""
+        """The profile's cost on the context's engine (cached)."""
         if self._report is None:
             self._report = self._ctx.simulate(self.profile)
             self._ctx = None

@@ -15,10 +15,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.machines.cpu import CpuMachine
-from repro.sim.wave import ArrayProfile, arrays_to_profile
-from repro.sim.work import WorkProfile
+from repro.sim.wave import ArrayProfile, _fold
 
 __all__ = ["Boundedness", "RooflinePoint", "analyze_profile", "machine_balance"]
 
@@ -59,24 +60,24 @@ class RooflinePoint:
 
 
 def analyze_profile(
-    machine: CpuMachine, profile: WorkProfile | ArrayProfile,
-    slack: float = 1.25,
+    machine: CpuMachine, profile: ArrayProfile, slack: float = 1.25,
 ) -> RooflinePoint:
-    """Classify a work profile (scalar or array form) on ``machine``.
+    """Classify an array work profile on ``machine``.
 
-    ``slack`` widens the BALANCED band around the balance point (an
-    invocation within [balance/slack, balance*slack] is called balanced).
+    Instructions and bytes are one left fold over every chunk of every
+    phase, in order. ``slack`` widens the BALANCED band around the
+    balance point (an invocation within [balance/slack, balance*slack]
+    is called balanced).
     """
     if slack < 1.0:
         raise ConfigurationError("slack must be >= 1")
-    if isinstance(profile, ArrayProfile):
-        profile = arrays_to_profile(profile)
-    instructions = 0.0
-    bytes_moved = 0.0
-    for phase in profile.phases:
-        for chunk in phase.chunks:
-            instructions += chunk.instr + chunk.fp_ops
-            bytes_moved += chunk.bytes_read + chunk.bytes_written
+    phases = profile.phases
+    instructions = _fold(np.concatenate([
+        p.elems * p.instr_per_elem + p.elems * p.fp_per_elem for p in phases
+    ]))
+    bytes_moved = _fold(np.concatenate([
+        p.elems * p.read_per_elem + p.elems * p.write_per_elem for p in phases
+    ]))
     if bytes_moved <= 0.0:
         # No memory traffic at all: trivially compute-bound.
         return RooflinePoint(

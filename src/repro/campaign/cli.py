@@ -95,10 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="re-executions of a failed point (default 1)")
     run.add_argument("--resume", action="store_true",
                      help="skip tasks already journaled in --dir")
-    run.add_argument("--no-batch", action="store_true",
-                     help="force the scalar per-point executor instead of "
-                     "fused whole-wave programs (bit-identical results; "
-                     "debugging aid)")
     run.add_argument("--trace", metavar="OUT.json", default=None,
                      help="write a Chrome trace of the campaign "
                      "(plan/execute/cache-hit/cache-miss spans)")
@@ -109,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--workers", type=int, default=4)
     resume.add_argument("--timeout", type=float, default=None)
     resume.add_argument("--retries", type=int, default=1)
-    resume.add_argument("--no-batch", action="store_true",
-                        help="force the scalar per-point executor")
     _add_robustness_flags(resume)
 
     verify = sub.add_parser(
@@ -227,7 +221,6 @@ def _cmd_run(args) -> int:
             retries=args.retries,
             campaign_dir=args.dir,
             resume=args.resume,
-            batch=not args.no_batch,
             faults=faults,
             backoff=backoff,
         )
@@ -249,7 +242,6 @@ def _cmd_resume(args) -> int:
         retries=args.retries,
         campaign_dir=args.dir,
         resume=True,
-        batch=not args.no_batch,
         faults=faults,
         backoff=backoff,
     )

@@ -102,7 +102,7 @@ class Lines:
                 continue
             try:
                 entry = json.loads(line.decode("utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError):
+            except ValueError:  # bad JSON or UTF-8, or a huge integer
                 self.torn += 1
                 continue
             if isinstance(entry, dict):
@@ -159,5 +159,5 @@ def read_json(path: Path) -> Any:
     or does not parse."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
+    except (FileNotFoundError, ValueError):
         return None

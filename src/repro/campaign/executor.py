@@ -31,16 +31,16 @@ inline runner whose futures settle on submission (the wave is one
 shard), ``workers >= 2`` a process pool (one balanced shard per
 worker). Tasks a ``dispatch=`` hook's remote executors did not land run
 through the same loop, so every local execution claims the same faults
-and retries the same way. By default each shard is one
-:func:`execute_wave` submission: every CPU model-mode point, whatever
-its case, is fused into ``repro.sim.wave`` programs in sub-waves of
-bounded size, with shared baselines -- execution contexts, array
-profiles, chunk->thread layouts, NUMA node maps -- computed once
-instead of once per point. ``batch=False`` (CLI ``--no-batch``)
-submits each point alone through the scalar path -- the reference
-engine; both produce bit-identical results (enforced by
-``tools/diffcheck.py``), and retries always degrade to the scalar path
-regardless of how the first attempt was submitted.
+and retries the same way. Each shard is one :func:`execute_wave`
+submission: every CPU model-mode point, whatever its case, is fused
+into ``repro.sim.wave`` programs in sub-waves of bounded size, with
+shared baselines -- execution contexts, array profiles, chunk->thread
+layouts, NUMA node maps -- computed once instead of once per point.
+The points a fused wave cannot serve (GPU, run mode, ``min_time >
+0``), a failed sub-wave and every retry run one at a time through
+:func:`execute_point` -- the per-point path, which costs a CPU profile
+as a one-entry wave on the same engine, so both give bit-identical
+seconds.
 
 Failures degrade gracefully: a point that raises (or times out) after
 its retries is recorded as ``failed`` with its error string and the
@@ -248,8 +248,8 @@ def _cached_context(machine, backend, threads: int,
     allocator, mode) cell, and rebuilding the context for every point is
     a real share of warm grid time. Contexts are frozen and allocators
     are stateless policy objects, so sharing one instance across points
-    is safe. Only the wave path uses this cache: the scalar path is the
-    reference engine and builds each point's context from scratch.
+    is safe. Only the fused path uses this cache: the per-point path
+    builds each point's context from scratch.
 
     Keyed by the *resolved* machine and backend objects (frozen, value-
     hashable dataclasses), never by registry name: if the model under a
@@ -345,7 +345,7 @@ def _run_sub_wave(sub_wave: list, payloads: list[dict],
 
     ``sub_wave`` holds ``(index, entry, parse_ms)`` triples. Any failure
     of the fused stage degrades every point of the sub-wave to the
-    scalar :func:`execute_point`.
+    per-point :func:`execute_point`.
     """
     # Looked up at call time, so a patched fuse_wave/simulate_wave is seen.
     from repro.sim.wave import fuse_wave, simulate_wave
@@ -357,7 +357,7 @@ def _run_sub_wave(sub_wave: list, payloads: list[dict],
         for (i, _entry, parse_ms), report in zip(sub_wave, reports):
             out[i] = {"status": DONE, "seconds": report.seconds,
                       "error": None, "wall_ms": parse_ms + shared}
-    except Exception:  # noqa: BLE001 - degrade to per-point scalar
+    except Exception:  # noqa: BLE001 - degrade to the per-point path
         for i, _entry, _parse_ms in sub_wave:
             out[i] = execute_point(payloads[i])
 
@@ -377,12 +377,12 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
     than that many chunk entries of profiles alive beyond the memo's
     own. Every case of a CPU model-mode
     context is fused; the points the fused path cannot serve
-    (``min_time > 0``, GPU or run-mode contexts) fall back to the scalar
+    (``min_time > 0``, GPU or run-mode contexts) fall back to
     :func:`execute_point` per point, and any unexpected fused-stage
     failure degrades its whole sub-wave the same way -- so the wave path
-    never fails a point the scalar path could cost. Returns one payload per input, in order, each
-    stamped with ``wall_ms``. Seconds are bit-identical to the scalar
-    path (``tools/diffcheck.py`` enforces it).
+    never fails a point the per-point path could cost. Returns one
+    payload per input, in order, each stamped with ``wall_ms``. Seconds
+    are bit-identical to the per-point path.
     """
     from repro.sim.wave import WaveEntry
     from repro.suite.batch import batch_supported
@@ -680,21 +680,20 @@ class _InlineRunner:
 
 
 def _run_wave(tasks: list[PointTask], runner, timeout: float | None,
-              retries: int, *, batch: bool = True, shards: int = 1,
+              retries: int, *, shards: int = 1,
               injector: FaultInjector | None = None,
               backoff: BackoffPolicy = _NO_BACKOFF) -> dict[str, dict]:
     """The executor's one local loop: submit, time out, retry, rebuild.
 
     ``runner`` is where submissions run: an :class:`_InlineRunner`
     (``workers <= 1``), a :class:`_PoolHandle`, or any ready executor
-    (tests drive this directly with a thread pool). With ``batch`` the
-    wave is split into up to ``shards`` balanced contiguous shards, each
-    one :func:`execute_wave` submission; without it every task is one
-    :func:`execute_point` submission. Every submission claims its
-    tasks' worker faults (each fires at most once per task and site),
-    and a faulted shard fails all its points. A failed point retries
-    individually through the scalar path while ``retries`` lasts,
-    spaced by ``backoff``.
+    (tests drive this directly with a thread pool). The wave is split
+    into up to ``shards`` balanced contiguous shards, each one
+    :func:`execute_wave` submission. Every submission claims its tasks'
+    worker faults (each fires at most once per task and site), and a
+    faulted shard fails all its points. A failed point retries
+    individually through :func:`execute_point` while ``retries``
+    lasts, spaced by ``backoff``.
 
     A :class:`_PoolHandle` additionally enables recovery from
     ``BrokenProcessPool``: the broken pool is rebuilt (up to
@@ -705,7 +704,7 @@ def _run_wave(tasks: list[PointTask], runner, timeout: float | None,
 
     A wait window in which nothing completes means every in-flight task
     has exceeded the per-task ``timeout``: each one is cancelled and
-    either retried (budget permitting, through the scalar path) or
+    either retried (budget permitting, through :func:`execute_point`) or
     failed -- a hung worker therefore costs one attempt, not the wave.
     Inline futures are settled on submission, so they never time out.
     """
@@ -759,7 +758,7 @@ def _run_wave(tasks: list[PointTask], runner, timeout: float | None,
             failed_attempt = attempts[task.task_id]
             attempts[task.task_id] += 1
             backoff.sleep(task.task_id, failed_attempt)
-            submit_task(task)  # retries always go through the scalar path
+            submit_task(task)  # retries always go through execute_point
             return
         payload["attempts"] = attempts[task.task_id]
         out[task.task_id] = payload
@@ -770,12 +769,8 @@ def _run_wave(tasks: list[PointTask], runner, timeout: float | None,
             "attempts": attempts[task.task_id],
         }
 
-    if batch:
-        for shard in _shard_wave(tasks, shards):
-            submit_wave(shard)
-    else:
-        for task in tasks:
-            submit_task(task)
+    for shard in _shard_wave(tasks, shards):
+        submit_wave(shard)
 
     while pending or requeue:
         if pending:
@@ -851,7 +846,6 @@ def run_campaign(
     campaign_dir: str | os.PathLike | None = None,
     resume: bool = False,
     progress: Callable[[PointTask, PointResult], None] | None = None,
-    batch: bool = True,
     faults: FaultPlan | None = None,
     backoff: BackoffPolicy | None = None,
     should_stop: Callable[[], bool] | None = None,
@@ -889,13 +883,6 @@ def run_campaign(
         loading its result from the cache instead of recomputing.
     progress:
         Optional callback invoked with every (task, result) as recorded.
-    batch:
-        Submit each wave as :func:`execute_wave` shards, which fuse
-        their points into ``repro.sim.wave`` programs of bounded size;
-        failed points retry through the scalar path. ``False`` makes
-        every submission one :func:`execute_point` -- the
-        ``--no-batch`` debugging mode. Both paths produce bit-identical
-        seconds.
     faults:
         Optional deterministic :class:`~repro.faults.FaultPlan`; when
         given, a :class:`~repro.faults.FaultInjector` is threaded
@@ -919,7 +906,7 @@ def run_campaign(
         the store via segment ingest (``{}`` when no remote executor is
         live), so only their journal entry is written here. Every other
         task of the wave runs locally with this campaign's own
-        ``workers``, ``batch``, ``retries``, ``faults`` and ``backoff``.
+        ``workers``, ``retries``, ``faults`` and ``backoff``.
     """
     if retries < 0:
         raise CampaignError("retries must be >= 0")
@@ -952,7 +939,7 @@ def run_campaign(
                         campaign=spec.name) if tracer.enabled else None
     try:
         outcome = _run(spec, store, workers, timeout, retries, journal, resume,
-                       progress, batch,
+                       progress,
                        FaultInjector(faults) if faults is not None else None,
                        backoff if backoff is not None else _NO_BACKOFF,
                        should_stop, dispatch)
@@ -967,7 +954,7 @@ def run_campaign(
 
 
 def _run(spec, store, workers, timeout, retries, journal, resume, progress,
-         batch=True, injector=None, backoff=_NO_BACKOFF,
+         injector=None, backoff=_NO_BACKOFF,
          should_stop=None, dispatch=None):
     """The executor body (directory/span plumbing handled by the caller)."""
     plan = plan_campaign(spec)
@@ -1055,7 +1042,7 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                 landed = dispatch(to_run) if dispatch is not None else {}
                 local = [t for t in to_run if t.task_id not in landed]
                 payloads = _run_wave(local, runner, timeout, retries,
-                                     batch=batch, shards=shards,
+                                     shards=shards,
                                      injector=injector, backoff=backoff)
                 payloads.update(landed)
                 for task in to_run:

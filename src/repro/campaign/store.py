@@ -608,8 +608,9 @@ class ResultStore:
                 problem = _record_problem(key, record)
             except FileNotFoundError:
                 pass  # gone: a plain miss
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                # torn or rotten bytes -- possibly not even valid UTF-8
+            except ValueError:
+                # torn or rotten bytes -- possibly not even valid UTF-8,
+                # or an integer past json's digit limit
                 problem = "unparseable JSON"
             if record is not None and problem is None:
                 return record
@@ -841,7 +842,7 @@ class ResultStore:
                         continue
                     try:
                         record = json.loads(line.decode("utf-8"))
-                    except (json.JSONDecodeError, UnicodeDecodeError):
+                    except ValueError:
                         again.append(i)
                         continue
                     if _record_problem(key, record) is None:
@@ -901,7 +902,7 @@ class ResultStore:
                     data[offset or 0:(offset or 0) + length]
                 try:
                     record = json.loads(raw.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                except ValueError as exc:
                     report.audit(key, None, f"unparseable: {exc}")
                     continue
                 report.audit(key, record, row=row)
@@ -1122,5 +1123,5 @@ def read_spec(path: Path) -> dict:
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CampaignError(f"no campaign spec at {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CampaignError(f"corrupt campaign spec at {path}: {exc}") from None

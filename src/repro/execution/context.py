@@ -28,10 +28,9 @@ from repro.memory.allocators import (
 )
 from repro.memory.array import SimArray
 from repro.memory.layout import PagePlacement
-from repro.sim.engine import simulate_cpu
 from repro.sim.gpu import GpuExecution, simulate_gpu
 from repro.sim.report import SimReport
-from repro.sim.wave import ArrayProfile, arrays_to_profile
+from repro.sim.wave import ArrayProfile, simulate_cpu_arrays
 from repro.trace.core import get_tracer
 from repro.types import ElemType
 
@@ -166,24 +165,23 @@ class ExecutionContext:
     def simulate(
         self, profile: ArrayProfile, arrays: tuple[SimArray, ...] = ()
     ) -> SimReport:
-        """Cost one invocation's profile on the scalar reference engine.
+        """Cost one invocation's profile.
 
-        The profile is read through
-        :func:`~repro.sim.wave.arrays_to_profile`, and the CPU or GPU
-        scalar engine costs it; campaign waves and curves cost the same
-        profiles on the wave engine instead, bit for bit alike.
+        A CPU profile is a one-entry wave
+        (:func:`~repro.sim.wave.simulate_cpu_arrays`), in model and run
+        mode alike; a GPU profile goes to
+        :func:`~repro.sim.gpu.simulate_gpu`.
 
         When the global tracer is enabled (``repro.trace``), the call is
         wrapped in a root span named after the algorithm, carrying this
         context's machine/backend/threads/mode/policy attributes; the
         engine's phase and lane spans nest inside it on the timeline.
         """
-        profile = arrays_to_profile(profile)
         tracer = get_tracer()
         if not tracer.enabled:
             if self.is_gpu:
                 return simulate_gpu(self.machine, profile, arrays, self.gpu_options)
-            return simulate_cpu(self.machine, self.backend, profile)
+            return simulate_cpu_arrays(self.machine, self.backend, profile)
         with tracer.span(
             profile.alg,
             category="call",
@@ -199,7 +197,7 @@ class ExecutionContext:
                     self.machine, profile, arrays, self.gpu_options
                 )
             else:
-                report = simulate_cpu(self.machine, self.backend, profile)
+                report = simulate_cpu_arrays(self.machine, self.backend, profile)
             span.set_attribute("seconds", report.seconds)
         return report
 

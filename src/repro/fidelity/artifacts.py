@@ -14,7 +14,8 @@ The campaign-backed grids (Tables 5 and 6) accept the shared
 campaign cache: a second ``pstl-fidelity run --campaign-dir D`` serves
 both tables entirely from cache.
 
-The fig3 builder additionally runs a small traced sweep and records the
+The fig3 builder additionally traces the seven per-call measurements of
+one small fig3 curve (:func:`trace_fig3_calls`) and records the
 Chrome-trace structure summary as a golden object -- the conformance
 home of the former bespoke ``tests/trace`` golden file.
 """
@@ -29,7 +30,12 @@ from repro.fidelity.measure import MeasuredArtifact, trace_structure_summary
 from repro.fidelity.refdata import ARTIFACT_IDS
 from repro.scenarios.analyses import RunOptions
 
-__all__ = ["build_artifact", "artifact_builders", "fig3_trace_spec"]
+__all__ = [
+    "build_artifact",
+    "artifact_builders",
+    "fig3_trace_spec",
+    "trace_fig3_calls",
+]
 
 #: Size exponent of the traced fig3 golden sweep (small on purpose: the
 #: trace *structure* is size-independent and the check stays fast).
@@ -61,14 +67,37 @@ def fig3_trace_spec():
     )
 
 
+def trace_fig3_calls() -> None:
+    """The per-call measurements of :func:`fig3_trace_spec`'s curve.
+
+    ``measure_case`` on the one-thread sequential baseline, then on
+    each thread count of the curve: the calls whose bench, call, phase,
+    lane and fork/join spans the trace golden pins. A traced scenario
+    run costs the same curve as one fused wave instead.
+    """
+    from repro.scenarios.resolve import make_context, resolve_case
+    from repro.suite.sweeps import thread_counts
+    from repro.suite.wrappers import measure_case
+
+    spec = fig3_trace_spec()
+    (machine,), (backend,) = spec.machines, spec.backends
+    (k,), (exp,) = spec.k_values, spec.size_exps
+    case = resolve_case(spec.option("case_template", "for_each_k{k}").format(k=k))
+    baseline = spec.option("baseline_backend", "GCC-SEQ")
+    measure_case(case, make_context(machine, baseline, threads=1), 1 << exp)
+    ctx = make_context(machine, backend)
+    for threads in thread_counts(ctx.machine.total_cores):
+        measure_case(case, ctx.with_(threads=threads), 1 << exp)
+
+
 def _fig3(opts: RunOptions) -> MeasuredArtifact:
-    """fig3 via the registry, plus the traced-sweep golden object."""
+    """fig3 via the registry, plus the traced-calls golden object."""
     from repro.scenarios.runner import run_scenario
     from repro.trace import Tracer, to_chrome_trace, use_tracer
 
     measured = run_scenario("fig3", opts).artifact()
     with use_tracer(Tracer()) as tracer:
-        run_scenario(fig3_trace_spec())
+        trace_fig3_calls()
     summary = trace_structure_summary(to_chrome_trace(tracer))
     return dataclasses.replace(
         measured, objects={**measured.objects, "trace_summary": summary}

@@ -105,7 +105,7 @@ class LeaseFile:
                 raw = os.pread(fd, size, 0)
                 try:
                     current = Lease.from_dict(json.loads(raw.decode("utf-8")))
-                except (json.JSONDecodeError, UnicodeDecodeError, LeaseError):
+                except (ValueError, LeaseError):
                     current = None  # torn lease file: treat as free
             updated = mutate(current)
             if updated is not None and updated is not current:

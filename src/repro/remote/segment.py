@@ -181,7 +181,7 @@ def read_segment(path: str | os.PathLike) -> tuple[SegmentManifest, list[dict]]:
             json.loads(manifest_path.read_text(encoding="utf-8")))
     except FileNotFoundError:
         raise SegmentError(f"segment {name}: no manifest at {manifest_path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SegmentError(f"segment {name}: corrupt manifest: {exc}") from None
     rows = Journal(seg_path).entries()
     verify_rows(manifest, rows)

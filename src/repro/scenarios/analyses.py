@@ -85,13 +85,17 @@ def _pow2_exp(n: int) -> int:
 
 
 def _measure_point(case, ctx, n: int, elem=None) -> float:
-    """One batch-aware measurement (the kinds' shared inner step)."""
-    from repro.suite.batch import measure_case_batch, use_batch_path
+    """One measurement (the kinds' shared inner step).
+
+    A CPU model-mode point is costed directly as a one-entry wave; any
+    other goes through the harness.
+    """
+    from repro.suite.batch import batch_supported, measure_case_batch
     from repro.suite.wrappers import measure_case
     from repro.types import FLOAT64
 
     elem = elem if elem is not None else FLOAT64
-    if use_batch_path(None, ctx):
+    if batch_supported(ctx):
         return measure_case_batch(case, ctx, n, elem)
     return measure_case(case, ctx, n, elem)
 
@@ -501,7 +505,6 @@ def _run_campaign(spec, options):
 
     outcome = run_campaign(
         _campaign_for_grid(spec), store=options.store, workers=options.workers,
-        batch=True,
     )
     return campaign_cells(spec, outcome), {}
 

@@ -332,7 +332,7 @@ class ServiceDaemon:
         """Parse a JSON-object request body (400 on anything else)."""
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or a huge integer
             raise _HttpReply(400, {"error": f"body is not JSON: {exc}"}) from None
         if not isinstance(payload, dict):
             raise _HttpReply(400, {"error": "body must be a JSON object"})
@@ -342,12 +342,9 @@ class ServiceDaemon:
                        body: bytes) -> tuple[int, dict[str, Any], str]:
         """``POST /campaigns``: parse the spec and submit it."""
         api_key = headers.get("x-api-key", "anonymous")
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise _HttpReply(400, {"error": f"body is not JSON: {exc}"}) from None
-        if not isinstance(payload, dict):
-            raise _HttpReply(400, {"error": "body must be a JSON object"})
+        if not body:
+            raise _HttpReply(400, {"error": "body is not JSON: empty body"})
+        payload = self._json_body(body)
         try:
             record, deduped, rejection = self.service.submit(payload, api_key)
         except (CampaignError, ReproError) as exc:

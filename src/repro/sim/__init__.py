@@ -1,7 +1,12 @@
-"""Deterministic cost engine: work profiles -> simulated time and counters."""
+"""Deterministic cost engine: array profiles -> simulated time and counters.
 
-from repro.sim.bandwidth import MATCHED_POLICIES, MemoryTimes, dram_memory_time
-from repro.sim.engine import simulate_cpu
+The wave engine (``repro.sim.wave``) costs every CPU profile and
+``repro.sim.gpu`` every GPU one. The scalar reference engine and its IR
+(``repro.sim.engine``, ``repro.sim.work``) are imported from their own
+modules by the checks that compare against them.
+"""
+
+from repro.sim.bandwidth import MATCHED_POLICIES, MemoryTimes
 from repro.sim.gpu import GpuExecution, simulate_gpu
 from repro.sim.interfaces import BackendModel
 from repro.sim.report import Counters, PhaseReport, SimReport
@@ -13,13 +18,11 @@ from repro.sim.wave import (
     simulate_wave,
     simulate_wave_entries,
 )
-from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
+from repro.sim.work import PhaseKind
 
 __all__ = [
     "MATCHED_POLICIES",
     "MemoryTimes",
-    "dram_memory_time",
-    "simulate_cpu",
     "GpuExecution",
     "simulate_gpu",
     "WAVE_TRACK",
@@ -32,8 +35,5 @@ __all__ = [
     "Counters",
     "PhaseReport",
     "SimReport",
-    "ChunkWork",
-    "Phase",
     "PhaseKind",
-    "WorkProfile",
 ]

@@ -1,4 +1,11 @@
-"""The CPU cost engine: WorkProfile -> (seconds, counters).
+"""The scalar reference engine: WorkProfile -> (seconds, counters).
+
+No product path calls this module. It is the second implementation of
+the cost model that the wave engine (``repro.sim.wave``) is checked
+against, bit for bit: ``tools/diffcheck.py``, the differential tests
+and ``tools/builder_golden.py capture`` cost a case's array profile
+here through :func:`arrays_to_profile`, one validated ``ChunkWork``
+object per chunk.
 
 Roofline-style: each thread's phase time is the max of its instruction
 time and its memory time; the phase is the slowest thread, further bounded
@@ -10,8 +17,7 @@ additionally emits one span per phase on the "phases" track (attributes:
 compute vs memory vs overhead seconds and the binding bound) and one lane
 span per simulated thread (that thread's instruction time vs memory
 time), then advances the simulated clock by the phase cost; fork/join is
-a trailing overhead span. With the default null tracer all of this is
-skipped behind a single ``enabled`` check per invocation.
+a trailing overhead span. The wave engine narrates the same spans.
 """
 
 from __future__ import annotations
@@ -22,23 +28,58 @@ from repro.machines.cpu import CpuMachine
 from repro.sim.bandwidth import MATCHED_POLICIES, dram_memory_time
 from repro.sim.interfaces import BackendModel
 from repro.sim.report import Counters, PhaseReport, SimReport
-from repro.sim.work import Phase, PhaseKind, WorkProfile
+from repro.sim.wave import ArrayProfile, _lanes
+from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
 from repro.trace.core import PHASE_TRACK, get_tracer, thread_track
 
-__all__ = ["simulate_cpu"]
+__all__ = ["simulate_cpu", "arrays_to_profile"]
 
 _SPREAD_EPS = 1e-3
 
 
-def _lanes(machine: CpuMachine, backend: BackendModel, phase: Phase, profile: WorkProfile) -> int:
-    """SIMD lanes the backend uses for this phase's FP work (1 = scalar)."""
-    if not phase.vectorizable:
-        return 1
-    width = backend.vector_width(profile.alg, profile.policy)
-    if width <= 0:
-        return 1
-    width = min(width, machine.simd_width_bits)
-    return max(1, width // (8 * profile.elem.size))
+def arrays_to_profile(profile: ArrayProfile) -> WorkProfile:
+    """Materialise an :class:`ArrayProfile` as a scalar ``WorkProfile``.
+
+    How the reference engine reads the builder's profiles: one
+    validated :class:`~repro.sim.work.ChunkWork` per chunk, each field
+    the same ``elems x cost`` product the wave engine forms.
+    """
+    phases = []
+    for phase in profile.phases:
+        costs = (phase.instr_per_elem, phase.fp_per_elem,
+                 phase.read_per_elem, phase.write_per_elem)
+        instr, fp, read, write = (float(c) for c in costs)
+        chunks = tuple(
+            ChunkWork(thread=thread, elems=elems, instr=elems * instr,
+                      fp_ops=elems * fp, bytes_read=elems * read,
+                      bytes_written=elems * write)
+            for thread, elems in zip(phase.thread.tolist(),
+                                     phase.elems.tolist())
+        )
+        phases.append(
+            Phase(
+                name=phase.name,
+                kind=phase.kind,
+                chunks=chunks,
+                placement=phase.placement,
+                working_set=phase.working_set,
+                sched_chunks=phase.sched_chunks,
+                sync_points=phase.sync_points,
+                spread_penalty=phase.spread_penalty,
+                apply_instr_overhead=phase.apply_instr_overhead,
+                vectorizable=phase.vectorizable,
+            )
+        )
+    return WorkProfile(
+        alg=profile.alg,
+        n=profile.n,
+        elem=profile.elem,
+        threads=profile.threads,
+        policy=profile.policy,
+        phases=tuple(phases),
+        regions=profile.regions,
+        notes=tuple(profile.notes),
+    )
 
 
 def _record_fp(counters: dict, fp_ops: float, lanes: int) -> float:

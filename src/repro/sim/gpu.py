@@ -16,7 +16,8 @@ from repro.machines.gpu import GpuMachine
 from repro.memory.array import SimArray
 from repro.memory.unified import UnifiedMemory
 from repro.sim.report import Counters, PhaseReport, SimReport
-from repro.sim.work import PhaseKind, WorkProfile
+from repro.sim.wave import ArrayProfile, _fold
+from repro.sim.work import PhaseKind
 from repro.trace.core import PHASE_TRACK, get_tracer
 
 __all__ = ["GpuExecution", "simulate_gpu"]
@@ -35,7 +36,7 @@ class GpuExecution:
 
 def simulate_gpu(
     gpu: GpuMachine,
-    profile: WorkProfile,
+    profile: ArrayProfile,
     arrays: tuple[SimArray, ...],
     options: GpuExecution = GpuExecution(),
 ) -> SimReport:
@@ -43,7 +44,9 @@ def simulate_gpu(
 
     ``arrays`` are the buffers the kernel touches. Their
     ``device_resident_fraction`` determines migration cost -- chained calls
-    on the same data pay nothing, which reproduces Fig. 9b.
+    on the same data pay nothing, which reproduces Fig. 9b. Each phase's
+    totals are left folds of its per-chunk ``elems x cost`` products,
+    in chunk order.
     """
     um = UnifiedMemory(gpu)
     migration = 0.0
@@ -72,10 +75,11 @@ def simulate_gpu(
             tracer.advance(launch_seconds)
 
     for phase in profile.phases:
-        instr = sum(c.instr for c in phase.chunks)
-        fp = sum(c.fp_ops for c in phase.chunks)
-        bytes_read = sum(c.bytes_read for c in phase.chunks)
-        bytes_written = sum(c.bytes_written for c in phase.chunks)
+        elems = phase.elems
+        instr = _fold(elems * phase.instr_per_elem)
+        fp = _fold(elems * phase.fp_per_elem)
+        bytes_read = _fold(elems * phase.read_per_elem)
+        bytes_written = _fold(elems * phase.write_per_elem)
 
         rate = gpu.compute_rate(profile.elem.size)
         compute = (fp + instr * _INSTR_RATE_FACTOR) / rate

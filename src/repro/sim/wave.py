@@ -1,17 +1,11 @@
-"""The vectorized cost engine: array profiles evaluated as fused waves.
+"""The cost engine: array profiles evaluated as fused waves.
 
-``repro.sim.engine.simulate_cpu`` walks a :class:`~repro.sim.work.WorkProfile`
-chunk object by chunk object -- for a paper-scale sweep that is tens of
-thousands of ``ChunkWork``/``Chunk`` allocations per curve, and profiling
-shows those allocations (not the arithmetic) dominate sweep wall-clock.
-This module is the same cost model over *array* profiles
+Every case builds its work once, as an *array* profile
 (:class:`ArrayProfile`: per phase, a chunk->thread array, an element
-count array and four per-element costs), and it is the only vectorized
-evaluator. Every case builds its profile in this form
-(``repro.algorithms._build``); the scalar engine reads the same profile
-through :func:`arrays_to_profile`. Whatever the caller holds -- one
-point, one sweep curve, or a whole heterogeneous campaign wave of any
-cases -- is one wave:
+count array and four per-element costs; ``repro.algorithms._build``),
+and this module costs it. Whatever the caller holds -- one point, one
+sweep curve, or a whole heterogeneous campaign wave of any cases -- is
+one wave:
 
 * :func:`fuse_wave` validates every point against its machine and
   resolves each phase's model scalars (SIMD lanes, issue rate,
@@ -34,19 +28,23 @@ whole wave: evaluating 64 GCC-HPX points at 2^30 elements (32,768
 fixed-grain tasks each, 64 distinct partitions) peaks at about 18
 bytes per chunk entry.
 
-A sweep curve is a wave whose points share a cell; a single point is a
-one-entry wave (:func:`simulate_cpu_arrays`).
+A sweep curve is a wave whose points share a cell; a single point --
+every CPU ``ExecutionContext.simulate`` call -- is a one-entry wave
+(:func:`simulate_cpu_arrays`). Profiles are validated when they are
+built (:class:`ArrayPhase`, :class:`ArrayProfile`), with the checks and
+messages of the scalar IR in ``repro.sim.work``.
 
-**Bit-identical by construction.** The engine is a second implementation
-of the cost model, so any divergence from the scalar engine is a bug in
-one of them (see ``tools/diffcheck.py``). Every floating-point operation
-here reproduces the scalar engine's operations exactly:
+**Bit-identical by construction.** ``repro.sim.engine.simulate_cpu``,
+which walks one ``ChunkWork`` object per chunk, is kept as the
+reference this engine is checked against (``tools/diffcheck.py``, the
+differential tests); no product path calls it. Every floating-point
+operation here reproduces the reference's operations exactly:
 
 * elementwise IEEE-754 ops (``a * b``, ``a / b``, ``a + b``) are
   bit-identical whether issued from Python floats or float64 arrays, and
   whether a scalar operand is a Python float or a broadcast column --
   so the per-chunk ``elems x cost`` products each block forms are the
-  scalar path's ``ChunkWork`` fields;
+  reference's ``ChunkWork`` fields;
 * order-sensitive accumulations (``acc += x`` loops) are reproduced with
   ``np.cumsum`` along the chunk axis of each block row, which is a
   sequential left fold -- **never** ``np.sum`` or ``np.add.reduce``,
@@ -56,14 +54,17 @@ here reproduces the scalar engine's operations exactly:
   and ``x + 0.0 == x`` exactly for the non-negative partial sums that
   occur here;
 * dict-ordered folds over threads (``sum(mem_bytes.values())`` and the
-  NUMA node-demand accumulation) follow the scalar engine's dict
-  insertion order, i.e. first appearance of each thread in chunk order.
+  NUMA node-demand accumulation) follow the reference's dict insertion
+  order, i.e. first appearance of each thread in chunk order.
 
 Observability: :func:`fuse_wave` and :func:`simulate_wave` emit the
 ``wave.fuse`` and ``wave.execute`` spans (category ``"wave"``, track
-:data:`WAVE_TRACK`) documented in docs/OBSERVABILITY.md. The engine
-never emits per-phase spans (that is the scalar engine's job), and the
-one-entry :func:`simulate_cpu_arrays` emits none at all.
+:data:`WAVE_TRACK`) documented in docs/OBSERVABILITY.md. Under a
+tracer, every entry costed -- fused or alone -- also records one
+``phase`` span per phase, one ``lane`` span per thread and a
+``fork/join`` overhead span, placed at its simulated start time. A
+fused wave advances the clock by its total, a one-entry wave by its
+report's seconds.
 """
 
 from __future__ import annotations
@@ -77,17 +78,15 @@ from repro.execution.affinity import ThreadPlacement
 from repro.machines.cpu import CpuMachine
 from repro.memory.layout import PagePlacement
 from repro.sim.bandwidth import MATCHED_POLICIES, MemoryTimes
-from repro.sim.engine import _lanes
 from repro.sim.interfaces import BackendModel
 from repro.sim.report import Counters, PhaseReport, SimReport
-from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
-from repro.trace import get_tracer
+from repro.sim.work import PhaseKind
+from repro.trace.core import PHASE_TRACK, get_tracer, thread_track
 from repro.types import ElemType
 
 __all__ = [
     "ArrayPhase",
     "ArrayProfile",
-    "arrays_to_profile",
     "WAVE_TRACK",
     "BLOCK_ENTRIES",
     "WaveEntry",
@@ -118,13 +117,18 @@ class ArrayPhase:
     """Array-backed counterpart of :class:`~repro.sim.work.Phase`.
 
     ``thread`` (int64) and ``elems`` (float64) are parallel arrays: entry
-    ``i`` describes chunk ``i`` in the scalar engine's chunk order (which
-    is also execution order for the order-sensitive folds). Every other
-    per-chunk quantity is ``elems`` times one of the four per-element
-    costs, the same elementwise product the scalar path's
+    ``i`` describes chunk ``i`` in chunk order (which is also execution
+    order for the order-sensitive folds). Every other per-chunk quantity
+    is ``elems`` times one of the four per-element costs, the same
+    elementwise product the reference's
     :class:`~repro.sim.work.ChunkWork` fields hold. The arrays are
     usually shared with the partition the phase was cut from, so they
     are read-only.
+
+    Construction applies the checks of ``ChunkWork`` and ``Phase``,
+    once over the arrays and with their messages: non-negative thread
+    ids, elements, working set and scheduling counts, and one thread
+    for a sequential phase.
     """
 
     name: str
@@ -151,6 +155,23 @@ class ArrayPhase:
             raise ConfigurationError("per-element costs must be non-negative")
         if self.spread_penalty < 1.0:
             raise ConfigurationError("spread_penalty must be >= 1")
+        thread, elems = self.thread, self.elems
+        low = thread.min()
+        if low < 0 or not elems.min() >= 0:  # a NaN minimum looks closer
+            bad = (thread < 0) | (elems < 0)
+            if bad.any():
+                first = int(bad.argmax())
+                raise SimulationError("thread id must be non-negative"
+                                      if thread[first] < 0 else
+                                      "elems must be non-negative")
+        if self.kind is PhaseKind.SEQUENTIAL and thread.max() != low:
+            raise SimulationError(
+                f"sequential phase {self.name!r} must use exactly one thread"
+            )
+        if self.working_set < 0:
+            raise SimulationError("working_set must be non-negative")
+        if self.sched_chunks < 0 or self.sync_points < 0:
+            raise SimulationError("sched_chunks/sync_points must be non-negative")
 
     def __len__(self) -> int:
         return len(self.elems)
@@ -163,7 +184,12 @@ class ArrayPhase:
 
 @dataclass(frozen=True, slots=True)
 class ArrayProfile:
-    """Array-backed counterpart of :class:`~repro.sim.work.WorkProfile`."""
+    """Array-backed counterpart of :class:`~repro.sim.work.WorkProfile`.
+
+    Construction applies ``WorkProfile``'s checks with its messages:
+    ``n >= 0``, ``threads > 0``, at least one phase, ``regions >= 0``,
+    and every chunk's thread below ``threads``.
+    """
 
     alg: str
     n: int
@@ -173,6 +199,24 @@ class ArrayProfile:
     phases: tuple[ArrayPhase, ...]
     regions: int = 1
     notes: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise SimulationError("n must be non-negative")
+        if self.threads <= 0:
+            raise SimulationError("threads must be positive")
+        if not self.phases:
+            raise SimulationError("profile needs at least one phase")
+        if self.regions < 0:
+            raise SimulationError("regions must be non-negative")
+        for phase in self.phases:
+            thread = phase.thread
+            if thread.max() >= self.threads:
+                first = thread[int((thread >= self.threads).argmax())]
+                raise SimulationError(
+                    f"phase {phase.name!r} uses thread {int(first)} "
+                    f"but profile has {self.threads} threads"
+                )
 
     @property
     def is_parallel(self) -> bool:
@@ -202,7 +246,7 @@ def _thread_layout(thread: np.ndarray):
     """Execution-order layout of the chunk->thread assignment.
 
     Returns ``(thread_order, tidx, slot)`` where ``thread_order`` lists
-    the distinct thread ids in first-appearance order (the scalar
+    the distinct thread ids in first-appearance order (the reference
     engine's dict insertion order), ``tidx[i]`` is chunk ``i``'s index
     into ``thread_order`` and ``slot[i]`` counts that chunk's earlier
     same-thread chunks.
@@ -262,7 +306,7 @@ def _dram_memory_time_arrays(
 
     ``thread_bytes``/``thread_nodes`` are indexed by the engine's
     first-appearance thread order, so the node-demand and remote-bytes
-    folds reproduce the scalar implementation's accumulation order.
+    folds reproduce the reference implementation's accumulation order.
     """
     if len(thread_bytes) == 0:
         raise SimulationError("phase has no memory traffic to time")
@@ -298,7 +342,7 @@ def _dram_memory_time_arrays(
 
     # Node demand: each thread first adds its local share to its own node,
     # then its remote shares -- two fold rows per thread keep the per-cell
-    # accumulation order identical to the scalar loop.
+    # accumulation order identical to the reference loop.
     rows = np.zeros((2 * count, nnodes))
     idx = np.arange(count)
     rows[2 * idx, thread_nodes] = np.where(active, nbytes * local, 0.0)
@@ -346,6 +390,21 @@ def _dram_memory_time_arrays(
 # ---------------------------------------------------------------------------
 # Wave fusion
 # ---------------------------------------------------------------------------
+
+def _lanes(machine: CpuMachine, backend: BackendModel, phase, profile) -> int:
+    """SIMD lanes the backend uses for this phase's FP work (1 = scalar).
+
+    Reads only ``phase.vectorizable`` and the profile's ``alg``,
+    ``policy`` and ``elem``, so the reference engine shares it.
+    """
+    if not phase.vectorizable:
+        return 1
+    width = backend.vector_width(profile.alg, profile.policy)
+    if width <= 0:
+        return 1
+    width = min(width, machine.simd_width_bits)
+    return max(1, width // (8 * profile.elem.size))
+
 
 @dataclass(frozen=True, slots=True)
 class WaveEntry:
@@ -423,7 +482,7 @@ def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
 
     Validates each profile against its machine (an oversubscribed
     profile raises :class:`~repro.errors.SimulationError`, as in the
-    scalar engine) and computes every phase's model scalars once; the
+    reference engine) and computes every phase's model scalars once; the
     chunk arrays stay where the profiles hold them. Emits a
     zero-duration ``wave.fuse`` span (fusion is bookkeeping, not
     simulated time) when tracing is enabled.
@@ -447,7 +506,7 @@ def _layout(cache: dict, thread: np.ndarray):
     """Fold layout of one phase's chunk->thread map, shared across partitions.
 
     Returns ``(thread_order, flat, depth)``: the distinct thread ids in
-    first-appearance order (the scalar engine's dict insertion order),
+    first-appearance order (the reference engine's dict insertion order),
     each chunk's cell in the flattened (depth, threads) occurrence-slot
     matrix of :func:`_thread_fold`, and the deepest thread's chunk count.
     The layout is a pure function of the thread-id array; points of a
@@ -571,8 +630,14 @@ def _phase_report(
     mem_bytes: np.ndarray,
     thread_order: np.ndarray,
     node_cache: dict,
-) -> PhaseReport:
-    """The per-phase roofline, NUMA and overhead stage over thread folds."""
+) -> tuple[PhaseReport, tuple]:
+    """The per-phase roofline, NUMA and overhead stage over thread folds.
+
+    Returns the phase's report and its lanes: ``(thread_order,
+    instr_time, lane_mem)``, each thread's scaled instruction time and
+    its memory time (``None`` when the phase streams nothing), the
+    values a traced phase narrates.
+    """
     machine, backend, profile = entry.machine, entry.backend, entry.profile
     alg = profile.alg
     num_threads = len(thread_order)
@@ -585,6 +650,7 @@ def _phase_report(
             instr_time = instr_time * scaling
 
     memory_time = 0.0
+    lane_mem = None
     total_phase_bytes = _fold(mem_bytes)
     if total_phase_bytes > 0.0 and phase.placement is not None:
         active = max(1, num_threads)
@@ -653,11 +719,13 @@ def _phase_report(
         memory_seconds=memory_time,
         overhead_seconds=overhead_time,
         counters=counters,
-    )
+    ), (thread_order, instr_time, lane_mem)
 
 
-def _evaluate(program: WaveProgram) -> tuple[SimReport, ...]:
-    """Span-free core of :func:`simulate_wave`."""
+def _evaluate(program: WaveProgram, tracer) -> tuple[SimReport, ...]:
+    """Evaluate ``program``; under an enabled ``tracer``, also narrate
+    every entry from the current clock (:func:`_narrate`), leaving the
+    clock where it was."""
     if not program.entries:
         return ()
 
@@ -665,6 +733,7 @@ def _evaluate(program: WaveProgram) -> tuple[SimReport, ...]:
     slots = program.slots
     node_cache: dict = {}
     by_slot: list[PhaseReport | None] = [None] * len(slots)
+    lanes = [None] * len(slots) if tracer.enabled else None
     for blocks in _blocks(slots):
         # Equal partitions have equal chunk counts, so a layout is never
         # shared across groups and each group's layouts die with it.
@@ -673,16 +742,18 @@ def _evaluate(program: WaveProgram) -> tuple[SimReport, ...]:
             rows = [slots[i] for i in block]
             for index, slot, folds in zip(block, rows,
                                           _block_folds(rows, layouts)):
-                by_slot[index] = _phase_report(
+                by_slot[index], lane = _phase_report(
                     program.entries[slot.entry], slot.phase, *folds,
                     node_cache,
                 )
+                if lanes is not None:
+                    lanes[index] = lane
 
     per_entry_phases: list[list[PhaseReport]] = [[] for _ in program.entries]
     for slot, phase_report in zip(slots, by_slot):
         per_entry_phases[slot.entry].append(phase_report)
 
-    # --- per-entry report assembly (scalar accumulation order) ----------
+    # --- per-entry report assembly (reference accumulation order) -------
     reports: list[SimReport] = []
     for entry, phase_reports in zip(program.entries, per_entry_phases):
         backend, profile = entry.backend, entry.profile
@@ -706,22 +777,80 @@ def _evaluate(program: WaveProgram) -> tuple[SimReport, ...]:
                 fork_join_seconds=fork_join,
             )
         )
+    if lanes is not None:
+        _narrate(tracer, program, reports, lanes)
     return tuple(reports)
+
+
+def _bound(report: PhaseReport) -> str:
+    """Which cost bounds a phase: overhead, compute or memory."""
+    compute, memory = report.compute_seconds, report.memory_seconds
+    if report.overhead_seconds >= max(compute, memory):
+        return "overhead"
+    return "compute" if compute >= memory else "memory"
+
+
+def _narrate(tracer, program: WaveProgram, reports: list[SimReport],
+             lanes: list) -> None:
+    """Record every entry's phase, lane and fork/join spans.
+
+    Entries follow one another on the timeline from the current clock.
+    Each phase span sits at its simulated start, with its thread lanes
+    (in thread-id order) beside it, and a parallel entry ends with its
+    ``fork/join`` span. Never advances the clock.
+    """
+    cursor = tracer.clock
+    slots = iter(zip(program.slots, lanes))
+    for entry, report in zip(program.entries, reports):
+        for phase_report in report.phases:
+            slot, (thread_order, instr_time, lane_mem) = next(slots)
+            phase, counters = slot.phase, phase_report.counters
+            tracer.record(
+                phase.name, phase_report.seconds, category="phase",
+                track=PHASE_TRACK, start=cursor,
+                kind=phase.kind.value,
+                bound=_bound(phase_report),
+                compute_seconds=phase_report.compute_seconds,
+                memory_seconds=phase_report.memory_seconds,
+                overhead_seconds=phase_report.overhead_seconds,
+                instructions=counters.instructions,
+                bytes_read=counters.bytes_read,
+                bytes_written=counters.bytes_written,
+            )
+            instr = instr_time.tolist()
+            mem = [0.0] * len(instr) if lane_mem is None else lane_mem.tolist()
+            threads = thread_order.tolist()
+            for i in sorted(range(len(threads)), key=threads.__getitem__):
+                tracer.record(
+                    phase.name, max(instr[i], mem[i]), category="lane",
+                    track=thread_track(threads[i]), start=cursor,
+                    instruction_seconds=instr[i], memory_seconds=mem[i],
+                )
+            cursor += phase_report.seconds
+        if report.fork_join_seconds > 0.0:
+            profile = entry.profile
+            tracer.record(
+                "fork/join", report.fork_join_seconds, category="overhead",
+                track=PHASE_TRACK, start=cursor,
+                regions=profile.regions, threads=profile.threads,
+            )
+            cursor += report.fork_join_seconds
 
 
 def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
     """Evaluate a fused wave; one :class:`SimReport` per entry.
 
-    Each report is bit-identical to the scalar engine's report for the
-    equivalent :class:`~repro.sim.work.WorkProfile` (``tools/diffcheck.py``
-    enforces this): each block computes the same per-element IEEE-754
-    operations, and every order-sensitive fold is a sequential left fold
-    along one phase's row. Emits one ``wave.execute`` span carrying the
-    wave's total simulated seconds (a left fold over the entries) and
-    advances the simulated clock by it when tracing is enabled.
+    Each report is bit-identical to the reference engine's report for
+    the equivalent :class:`~repro.sim.work.WorkProfile`
+    (``tools/diffcheck.py`` enforces this): each block computes the same
+    per-element IEEE-754 operations, and every order-sensitive fold is a
+    sequential left fold along one phase's row. Under a tracer it
+    records every entry's spans (:func:`_narrate`) and one
+    ``wave.execute`` span carrying the wave's total simulated seconds (a
+    left fold over the entries), and advances the clock by that total.
     """
-    reports = _evaluate(program)
     tracer = get_tracer()
+    reports = _evaluate(program, tracer)
     if tracer.enabled and reports:
         total = 0.0
         for report in reports:
@@ -744,56 +873,14 @@ def simulate_wave_entries(
 def simulate_cpu_arrays(
     machine: CpuMachine, backend: BackendModel, profile: ArrayProfile
 ) -> SimReport:
-    """Cost one :class:`ArrayProfile` as a one-entry wave; emits no spans."""
-    (report,) = _evaluate(_pack((WaveEntry(machine, backend, profile),)))
-    return report
+    """Cost one :class:`ArrayProfile` as a one-entry wave.
 
-
-# ---------------------------------------------------------------------------
-# The scalar engine's view of an array profile
-# ---------------------------------------------------------------------------
-
-def arrays_to_profile(profile: ArrayProfile) -> WorkProfile:
-    """Materialise an :class:`ArrayProfile` as a scalar ``WorkProfile``.
-
-    How the scalar reference engines read the builder's profiles
-    (``ExecutionContext.simulate``): one validated
-    :class:`~repro.sim.work.ChunkWork` per chunk, each field the same
-    ``elems x cost`` product the wave engine forms.
+    Records no wave spans. Under a tracer it narrates the entry's
+    phases, lanes and fork/join (:func:`_narrate`) and advances the
+    clock by the report's seconds.
     """
-    phases = []
-    for phase in profile.phases:
-        costs = (phase.instr_per_elem, phase.fp_per_elem,
-                 phase.read_per_elem, phase.write_per_elem)
-        instr, fp, read, write = (float(c) for c in costs)
-        chunks = tuple(
-            ChunkWork(thread=thread, elems=elems, instr=elems * instr,
-                      fp_ops=elems * fp, bytes_read=elems * read,
-                      bytes_written=elems * write)
-            for thread, elems in zip(phase.thread.tolist(),
-                                     phase.elems.tolist())
-        )
-        phases.append(
-            Phase(
-                name=phase.name,
-                kind=phase.kind,
-                chunks=chunks,
-                placement=phase.placement,
-                working_set=phase.working_set,
-                sched_chunks=phase.sched_chunks,
-                sync_points=phase.sync_points,
-                spread_penalty=phase.spread_penalty,
-                apply_instr_overhead=phase.apply_instr_overhead,
-                vectorizable=phase.vectorizable,
-            )
-        )
-    return WorkProfile(
-        alg=profile.alg,
-        n=profile.n,
-        elem=profile.elem,
-        threads=profile.threads,
-        policy=profile.policy,
-        phases=tuple(phases),
-        regions=profile.regions,
-        notes=tuple(profile.notes),
-    )
+    tracer = get_tracer()
+    (report,) = _evaluate(_pack((WaveEntry(machine, backend, profile),)),
+                          tracer)
+    tracer.advance(report.seconds)
+    return report

@@ -4,18 +4,20 @@ Every case builds its work once, as an
 :class:`~repro.sim.wave.ArrayProfile` (``repro.algorithms._build``), and
 :meth:`~repro.suite.cases.BenchCase.profile` returns that profile
 uncosted. This module costs those profiles on the wave engine
-(``repro.sim.wave``): a point as a one-entry wave
-(:func:`simulate_case_batch`), a size or thread sweep as one fused wave
-(:func:`batch_problem_scaling`, :func:`batch_strong_scaling`), so a
-traced curve shows up as one ``wave.fuse`` and one clocked
-``wave.execute`` span instead of the scalar path's per-phase spans.
-The reports are bit-identical to the scalar path's (enforced by
-``tools/diffcheck.py``).
+(``repro.sim.wave``) without the benchmark harness: a point as a
+one-entry wave (:func:`simulate_case_batch`), a size or thread sweep
+as one fused wave (:func:`batch_problem_scaling`,
+:func:`batch_strong_scaling`), so a traced curve shows up as one
+``wave.fuse`` and one clocked ``wave.execute`` span holding each
+point's phase and lane spans.
 
-The wave path serves every case of a CPU context in ``model`` mode (see
-:func:`batch_supported`): run mode must execute real kernels, and the
-GPU engine costs each call eagerly because unified-memory residency
-depends on call order.
+It serves every case of a CPU context in ``model`` mode (see
+:func:`batch_supported`), and the sweeps and scenarios use it exactly
+there: run mode must execute real kernels, and the GPU engine costs
+each call eagerly because unified-memory residency depends on call
+order. Those contexts cost each point through the harness
+(``repro.suite.wrappers.measure_case``), whose ``ctx.simulate`` runs
+the same wave engine.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ from repro.sim import wave as _wave
 from repro.sim.report import SimReport
 from repro.sim.wave import WaveEntry, simulate_cpu_arrays
 from repro.suite.cases import BenchCase
-from repro.trace import get_tracer
 from repro.types import ElemType, FLOAT64
 
 __all__ = [
     "BATCH_CASES",
     "batch_supported",
-    "use_batch_path",
     "simulate_case_batch",
     "measure_case_batch",
     "batch_problem_scaling",
@@ -58,23 +58,6 @@ def batch_supported(ctx: ExecutionContext) -> bool:
     return not ctx.is_gpu and ctx.mode == "model"
 
 
-def use_batch_path(batch: bool | None, ctx: ExecutionContext) -> bool:
-    """Resolve a sweep's ``batch`` tri-state into a concrete decision.
-
-    ``False`` always forces the scalar path (the ``--no-batch`` debugging
-    escape hatch). ``True`` requests the wave path wherever it is
-    supported. ``None`` (auto) uses the wave path when supported *and*
-    tracing is disabled -- the scalar engine is the one that knows how to
-    narrate per-phase spans, so traced runs keep their familiar timeline
-    unless batch is requested explicitly.
-    """
-    if batch is False:
-        return False
-    if batch is True:
-        return batch_supported(ctx)
-    return batch_supported(ctx) and not get_tracer().enabled
-
-
 def _profile(case: BenchCase, ctx: ExecutionContext, n: int, elem: ElemType):
     """``case``'s profile at one point; raises outside the wave path."""
     if not batch_supported(ctx):
@@ -92,7 +75,7 @@ def simulate_case_batch(
     Raises :class:`~repro.errors.ConfigurationError` for contexts the
     wave path cannot serve, and
     :class:`~repro.errors.UnsupportedOperationError` exactly where the
-    scalar path would (e.g. GNU ``inclusive_scan``).
+    harness would (e.g. GNU ``inclusive_scan``).
     """
     profile = _profile(case, ctx, n, elem)
     return simulate_cpu_arrays(ctx.machine, ctx.backend, profile)

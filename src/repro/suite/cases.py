@@ -94,8 +94,8 @@ class BenchCase:
 
         Runs exactly what the harness's first iteration runs -- setup,
         per-iteration setup, invoke -- and returns the result's profile
-        without reading its report, so a CPU invocation never touches
-        the scalar engine (nor records its spans under a tracer). Fused
+        without reading its report, so a CPU invocation is never costed
+        on its own (nor records its spans under a tracer). Fused
         waves and curves cost these profiles on the wave engine.
         """
         if n <= 0:

@@ -18,10 +18,15 @@ from repro.backends import PARALLEL_CPU_BACKENDS, get_backend
 from repro.bench.reporters import console_report, csv_report, json_report
 from repro.bench.state import BenchResult
 from repro.errors import ReproError, UnsupportedOperationError
-from repro.execution.context import ExecutionContext
+from repro.execution.context import RUN_MODE_MAX_ELEMS, ExecutionContext
 from repro.machines import get_machine
 from repro.suite.cases import case_names, get_case
-from repro.suite.sweeps import problem_scaling, problem_sizes, strong_scaling
+from repro.suite.sweeps import (
+    MAX_SIZE_EXP,
+    problem_scaling,
+    problem_sizes,
+    strong_scaling,
+)
 from repro.suite.wrappers import run_case
 from repro.trace import Tracer, use_tracer, write_chrome_trace
 from repro.types import elem_type
@@ -61,13 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="none",
         help="sweep problem sizes or thread counts instead of a single point",
     )
-    parser.add_argument("--mode", choices=["model", "run"], default="model")
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="force the scalar per-point sweep path instead of the "
-        "vectorized repro.sim.wave path (bit-identical results; "
-        "debugging aid)",
+        "--mode", choices=["model", "run"], default="model",
+        help="run materialises NumPy arrays, so its size sweep stops at 2^25",
     )
     parser.add_argument("--format", choices=["console", "csv", "json"], default="console")
     parser.add_argument(
@@ -129,6 +130,9 @@ def _run(args: argparse.Namespace) -> int:
     elem = elem_type(args.dtype)
     n = parse_size(args.size)
 
+    # Run mode materialises its arrays, so its size sweep stops at the cap.
+    max_exp = (RUN_MODE_MAX_ELEMS.bit_length() - 1 if args.mode == "run"
+               else MAX_SIZE_EXP)
     results = []
     measured = 0  # backends that produced at least one value
     unavailable: list[str] = []  # backends whose every point was N/A
@@ -139,12 +143,13 @@ def _run(args: argparse.Namespace) -> int:
             machine, backend, threads=threads, mode=args.mode
         )
         if args.sweep != "none":
-            batch = False if args.no_batch else None
             if args.sweep == "sizes":
-                sweep = problem_scaling(case, ctx, problem_sizes(), elem, batch=batch)
+                sweep = problem_scaling(
+                    case, ctx, problem_sizes(max_exp=max_exp), elem
+                )
                 variable = "n"
             else:
-                sweep = strong_scaling(case, ctx, n, elem=elem, batch=batch)
+                sweep = strong_scaling(case, ctx, n, elem=elem)
                 variable = "t"
             if not any(point.supported for point in sweep.points):
                 unavailable.append(backend.name)

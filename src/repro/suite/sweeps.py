@@ -2,7 +2,10 @@
 
 Problem sizes run 2^3..2^30 and thread counts 1, 2, 4, ..., #cores; these
 helpers generate those grids and run a case across them, producing the
-(x, y) series the figures plot.
+(x, y) series the figures plot. The context decides how a sweep is
+costed: a CPU model-mode sweep is one fused wave
+(``repro.suite.batch``), any other sweep costs each point through the
+harness. Both give bit-identical seconds.
 """
 
 from __future__ import annotations
@@ -84,39 +87,19 @@ def problem_scaling(
     ctx: ExecutionContext,
     sizes: list[int] | None = None,
     elem: ElemType = FLOAT64,
-    batch: bool | None = None,
 ) -> SweepResult:
-    """Time vs problem size at fixed thread count (Figs 2, 4a, 5a, 6a).
-
-    ``batch`` selects the evaluation path: ``None`` (auto) costs the
-    curve as one ``repro.sim.wave`` wave on a CPU model-mode context
-    when tracing is off, ``True`` requests it explicitly, ``False``
-    forces the scalar per-point path (the ``--no-batch`` debugging
-    escape hatch). Both paths produce bit-identical seconds.
-    """
-    from repro.suite.batch import batch_problem_scaling, use_batch_path
+    """Time vs problem size at fixed thread count (Figs 2, 4a, 5a, 6a)."""
+    from repro.suite.batch import batch_problem_scaling, batch_supported
 
     sizes = sizes if sizes is not None else problem_sizes()
-    points = []
-    if use_batch_path(batch, ctx):
-        points = [
-            SweepPoint(x=x, seconds=seconds, supported=supported)
-            for x, seconds, supported in batch_problem_scaling(
-                case, ctx, sizes, elem
-            )
-        ]
+    if batch_supported(ctx):
+        rows = batch_problem_scaling(case, ctx, sizes, elem)
     else:
-        for n in sizes:
-            try:
-                points.append(
-                    SweepPoint(x=n, seconds=measure_case(case, ctx, n, elem))
-                )
-            except UnsupportedOperationError:
-                points.append(SweepPoint(x=n, seconds=float("nan"), supported=False))
+        rows = [_measured(case, ctx, n, n, elem) for n in sizes]
     return SweepResult(
         label=f"{case.name}<{ctx.backend.name}>@{ctx.threads}t",
         variable="size",
-        points=tuple(points),
+        points=tuple(SweepPoint(*row) for row in rows),
     )
 
 
@@ -126,35 +109,29 @@ def strong_scaling(
     n: int,
     threads: list[int] | None = None,
     elem: ElemType = FLOAT64,
-    batch: bool | None = None,
 ) -> SweepResult:
-    """Time vs thread count at fixed size (Figs 3, 4b, 5b, 6b, 7b).
-
-    ``batch`` selects the scalar/vectorized evaluation path exactly as in
-    :func:`problem_scaling`.
-    """
-    from repro.suite.batch import batch_strong_scaling, use_batch_path
+    """Time vs thread count at fixed size (Figs 3, 4b, 5b, 6b, 7b)."""
+    from repro.suite.batch import batch_strong_scaling, batch_supported
 
     if ctx.is_gpu:
         raise ConfigurationError("strong scaling sweeps are CPU experiments")
     threads = threads if threads is not None else thread_counts(ctx.machine.total_cores)
-    points = []
-    if use_batch_path(batch, ctx):
-        points = [
-            SweepPoint(x=x, seconds=seconds, supported=supported)
-            for x, seconds, supported in batch_strong_scaling(
-                case, ctx, n, threads, elem
-            )
-        ]
+    if batch_supported(ctx):
+        rows = batch_strong_scaling(case, ctx, n, threads, elem)
     else:
-        for t in threads:
-            sub = ctx.with_(threads=t)
-            try:
-                points.append(SweepPoint(x=t, seconds=measure_case(case, sub, n, elem)))
-            except UnsupportedOperationError:
-                points.append(SweepPoint(x=t, seconds=float("nan"), supported=False))
+        rows = [_measured(case, ctx.with_(threads=t), n, t, elem)
+                for t in threads]
     return SweepResult(
         label=f"{case.name}<{ctx.backend.name}>/n={n}",
         variable="threads",
-        points=tuple(points),
+        points=tuple(SweepPoint(*row) for row in rows),
     )
+
+
+def _measured(case: BenchCase, ctx: ExecutionContext, n: int, x: int,
+              elem: ElemType) -> tuple[int, float, bool]:
+    """One point costed through the harness: ``(x, seconds, supported)``."""
+    try:
+        return x, measure_case(case, ctx, n, elem), True
+    except UnsupportedOperationError:
+        return x, float("nan"), False

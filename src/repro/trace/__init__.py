@@ -3,9 +3,9 @@
 Observability layer over the four execution layers (see
 ``docs/OBSERVABILITY.md`` for the full walkthrough):
 
-* the **cost engine** emits one span per costed :class:`Phase` plus one
-  lane span per simulated thread (instruction time vs memory time, and
-  which bound won);
+* the **cost engine** emits one span per costed phase plus one lane
+  span per simulated thread (instruction time vs memory time, and
+  which bound won), for a call costed alone or inside a fused wave;
 * the **execution context** wraps every algorithm call in a root span
   carrying machine/backend/threads/mode attributes;
 * the **bench harness** brackets warmup and the min-time measurement

@@ -7,6 +7,7 @@ and the breakdown's shares partitioning the invocation exactly.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,8 +24,8 @@ from repro.analysis import (
 from repro.backends import get_backend
 from repro.execution.policy import PAR
 from repro.machines import get_machine
-from repro.sim.engine import simulate_cpu
-from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
+from repro.sim.wave import ArrayPhase, ArrayProfile, simulate_cpu_arrays
+from repro.sim.work import PhaseKind
 from repro.types import FLOAT64
 
 times = st.floats(min_value=1e-9, max_value=1e6,
@@ -71,11 +72,24 @@ def test_scaling_curve_identities(baseline, pairs):
         assert e == s / t
 
 
-def _profile(instr: float, nbytes: float) -> WorkProfile:
-    chunk = ChunkWork(thread=0, elems=1024.0, instr=instr, bytes_read=nbytes)
-    phase = Phase(name="w", kind=PhaseKind.PARALLEL, chunks=(chunk,))
-    return WorkProfile(alg="for_each", n=1024, elem=FLOAT64, threads=1,
-                       policy=PAR, phases=(phase,))
+def _phase(name: str, thread, elems, instr_per_elem: float,
+           read_per_elem: float) -> ArrayPhase:
+    """A parallel phase streaming no placed data."""
+    return ArrayPhase(
+        name=name, kind=PhaseKind.PARALLEL,
+        thread=np.asarray(thread, dtype=np.int64),
+        elems=np.asarray(elems, dtype=np.float64),
+        instr_per_elem=instr_per_elem, fp_per_elem=0.0,
+        read_per_elem=read_per_elem, write_per_elem=0.0,
+        placement=None, working_set=0.0,
+    )
+
+
+def _profile(instr: float, nbytes: float) -> ArrayProfile:
+    # 1024 is a power of two, so 1024 * (x / 1024) == x exactly.
+    phase = _phase("w", [0], [1024.0], instr / 1024, nbytes / 1024)
+    return ArrayProfile(alg="for_each", n=1024, elem=FLOAT64, threads=1,
+                        policy=PAR, phases=(phase,))
 
 
 @given(name=machines, instr=st.floats(1e0, 1e12), nbytes=st.floats(1e0, 1e12))
@@ -122,16 +136,14 @@ def test_breakdown_shares_partition_the_invocation(
 ):
     elems = 1 << 16
     per = elems // threads
-    chunks = tuple(
-        ChunkWork(thread=t, elems=per, instr=per * instr_per_elem,
-                  bytes_read=per * bytes_per_elem)
-        for t in range(threads)
-    )
-    profile = WorkProfile(
+    phase = _phase("work", range(threads), [per] * threads,
+                   instr_per_elem, bytes_per_elem)
+    profile = ArrayProfile(
         alg="for_each", n=elems, elem=FLOAT64, threads=threads, policy=PAR,
-        phases=(Phase(name="work", kind=PhaseKind.PARALLEL, chunks=chunks),),
+        phases=(phase,),
     )
-    report = simulate_cpu(get_machine(name), get_backend("GCC-TBB"), profile)
+    report = simulate_cpu_arrays(get_machine(name), get_backend("GCC-TBB"),
+                                 profile)
     shares = breakdown(report)
     assert abs(sum(s.share for s in shares) - 1.0) < 1e-9
     assert all(s.share >= 0 for s in shares)

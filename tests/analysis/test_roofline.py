@@ -42,20 +42,30 @@ class TestClassification:
         assert point.boundedness is Boundedness.MEMORY_BOUND
 
     def test_no_traffic_is_compute_bound(self, mach_a):
-        from repro.execution.policy import PAR
-        from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
+        import numpy as np
 
-        prof = WorkProfile(
+        from repro.execution.policy import PAR
+        from repro.sim.wave import ArrayPhase, ArrayProfile
+        from repro.sim.work import PhaseKind
+
+        prof = ArrayProfile(
             alg="x",
             n=100,
             elem=FLOAT64,
             threads=1,
             policy=PAR,
             phases=(
-                Phase(
+                ArrayPhase(
                     name="p",
                     kind=PhaseKind.SEQUENTIAL,
-                    chunks=(ChunkWork(thread=0, elems=100, instr=1000),),
+                    thread=np.zeros(1, dtype=np.int64),
+                    elems=np.array([100.0]),
+                    instr_per_elem=10.0,
+                    fp_per_elem=0.0,
+                    read_per_elem=0.0,
+                    write_per_elem=0.0,
+                    placement=None,
+                    working_set=0.0,
                 ),
             ),
             regions=0,

@@ -42,14 +42,16 @@ bt = _load_tool()
 
 
 def _sweep_metrics(speedup=6.0):
-    return {"scalar_s": 1.2, "batch_s": 1.2 / speedup, "batch_speedup": speedup}
+    return {"reference_s": 1.2, "fused_s": 1.2 / speedup,
+            "reference_speedup": speedup}
 
 
-def _campaign_metrics(wave_speedup=12.0, cache_speedup=9.0):
+def _campaign_metrics(reference_speedup=12.0, cache_speedup=9.0):
     return {
-        "cold_scalar_s": 0.4, "cold_wave_s": 0.4 / wave_speedup,
-        "warm_s": 0.4 / wave_speedup / cache_speedup,
-        "wave_speedup": wave_speedup, "cache_speedup": cache_speedup,
+        "cold_reference_s": 0.4, "cold_wave_s": 0.4 / reference_speedup,
+        "warm_s": 0.4 / reference_speedup / cache_speedup,
+        "cold_reference_speedup": reference_speedup,
+        "cache_speedup": cache_speedup,
     }
 
 
@@ -92,7 +94,7 @@ def test_append_is_idempotent_per_commit(tmp_path):
     bt.append_entry(path, "sweep", _sweep_metrics(6.5), "aaa111", "2026-08-08")
     data = bt.load_trajectory(path, "sweep")
     assert len(data["entries"]) == 1  # same commit: replaced, not duplicated
-    assert data["entries"][0]["metrics"]["batch_speedup"] == 6.5
+    assert data["entries"][0]["metrics"]["reference_speedup"] == 6.5
 
     bt.append_entry(path, "sweep", _sweep_metrics(7.0), "bbb222", "2026-08-09")
     data = bt.load_trajectory(path, "sweep")
@@ -132,7 +134,7 @@ def test_regression_fires_on_synthetic_slowdown(tmp_path):
     path = tmp_path / "BENCH_CAMPAIGN.json"
     bt.append_entry(path, "campaign", _campaign_metrics(14.0, 9.0), "aaa", "t0")
     bt.append_entry(path, "campaign", _campaign_metrics(11.9, 9.0), "bbb", "t1")
-    with pytest.raises(bt.GateError, match="wave_speedup regressed"):
+    with pytest.raises(bt.GateError, match="cold_reference_speedup regressed"):
         bt.check_trajectory(path, "campaign")  # 15% drop > 10% tolerance
 
 
@@ -141,7 +143,7 @@ def test_within_tolerance_dip_passes(tmp_path):
     bt.append_entry(path, "campaign", _campaign_metrics(14.0, 9.0), "aaa", "t0")
     bt.append_entry(path, "campaign", _campaign_metrics(12.95, 8.5), "bbb", "t1")
     lines = bt.check_trajectory(path, "campaign")  # 7.5% drop: allowed
-    assert any("wave_speedup" in line for line in lines)
+    assert any("cold_reference_speedup" in line for line in lines)
 
 
 def test_new_metric_starts_a_series_against_an_older_entry(tmp_path):
@@ -153,7 +155,7 @@ def test_new_metric_starts_a_series_against_an_older_entry(tmp_path):
                      "warm_speedup": 12.8}, "old", "t0")
     bt.append_entry(path, "campaign", _campaign_metrics(), "new", "t1")
     lines = bt.check_trajectory(path, "campaign")
-    assert any("wave_speedup" in line and "first value" in line
+    assert any("cold_reference_speedup" in line and "first value" in line
                for line in lines)
     # ...but the newest entry must carry every gated metric.
     bt.append_entry(path, "campaign", {"cold_wave_s": 0.03}, "bad", "t2")
@@ -218,6 +220,7 @@ def test_invalid_json_rejected_with_clear_error(tmp_path):
     (lambda d: d["entries"][0].pop("commit"), "missing 'commit'"),
     (lambda d: d["entries"][0].pop("recorded"), "missing 'recorded'"),
     (lambda d: d["entries"][0].pop("metrics"), "missing 'metrics'"),
+    # Every recorded metric must be a number, gated or not.
     (lambda d: d["entries"][0]["metrics"].update(batch_speedup="fast"),
      "batch_speedup must be a number"),
 ])
@@ -236,10 +239,10 @@ def test_malformed_ledger_rejected(tmp_path, mutate, message):
 
 def _seed_both(root, **overrides):
     bt.append_entry(root / "BENCH_SWEEP.json", "sweep",
-                    _sweep_metrics(overrides.get("batch_speedup", 6.0)),
+                    _sweep_metrics(overrides.get("reference_speedup", 6.0)),
                     "aaa", "t")
     bt.append_entry(root / "BENCH_CAMPAIGN.json", "campaign",
-                    _campaign_metrics(overrides.get("wave_speedup", 12.0)),
+                    _campaign_metrics(overrides.get("cold_reference_speedup", 12.0)),
                     "aaa", "t")
     bt.append_entry(root / "BENCH_SERVICE.json", "service",
                     _service_metrics(overrides.get("submit_p99_ms", 120.0)),
@@ -259,7 +262,7 @@ def test_cli_check_ok(tmp_path, capsys):
 
 
 def test_cli_check_gate_failure_exits_1(tmp_path, capsys):
-    _seed_both(tmp_path, wave_speedup=4.0)
+    _seed_both(tmp_path, cold_reference_speedup=4.0)
     assert bt.main(["check", "--root", str(tmp_path)]) == 1
     assert "GATE FAILED" in capsys.readouterr().err
 
@@ -372,3 +375,22 @@ def test_remote_within_tolerance_dip_passes(tmp_path):
                     "bbb", "t1")
     lines = bt.check_trajectory(path, "remote")
     assert any("scaleout_rows_per_s" in line for line in lines)
+
+
+def test_ratio_is_the_median_of_per_round_ratios():
+    # One slow round on either side moves the median ratio, not the
+    # recorded value: 10/2, 30/2 and 10/5 give 5, 15 and 2 -> 5.
+    assert bt._median_ratio([10.0, 30.0, 10.0], [2.0, 2.0, 5.0]) == 5.0
+
+
+def test_reference_side_costs_on_the_scalar_engine(monkeypatch):
+    import repro.sim.engine as engine
+    from repro.scenarios.resolve import make_context, resolve_case
+
+    calls = []
+    real = engine.simulate_cpu
+    monkeypatch.setattr(engine, "simulate_cpu",
+                        lambda *args: calls.append(args) or real(*args))
+    bt._reference_point(resolve_case("for_each_k1"),
+                        make_context("A", "GCC-TBB"), 1 << 10)
+    assert len(calls) == 1

@@ -22,6 +22,8 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.faults import FaultPlan
 
+from tests.campaign.test_executor import per_point
+
 pytestmark = pytest.mark.chaos
 
 SEEDS = (1, 2, 3)
@@ -131,13 +133,15 @@ def test_kill_schedule_rebuilds_the_pool(tmp_path):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_serial_and_pooled_runs_claim_the_same_faults(seed):
+def test_serial_and_pooled_runs_claim_the_same_faults(seed, monkeypatch):
     # Inline and pooled waves share one submit/retry loop, so a plan's
-    # worker faults are claimed for every task either way.
+    # worker faults are claimed for every task either way, and so are
+    # they when every task is submitted alone.
     plan = FaultPlan(seed=seed, worker_exception=0.5)
-    runs = [run_campaign(chaos_spec(), retries=2, faults=plan, **kwargs)
-            for kwargs in ({"workers": 0}, {"workers": 2},
-                           {"workers": 0, "batch": False})]
+    runs = [run_campaign(chaos_spec(), retries=2, faults=plan, workers=workers)
+            for workers in (0, 2)]
+    per_point(monkeypatch)
+    runs.append(run_campaign(chaos_spec(), retries=2, faults=plan, workers=0))
     injected = {run.stats.faults_injected for run in runs}
     assert len(injected) == 1 and injected.pop() > 0
     assert [run.stats.failed for run in runs] == [0, 0, 0]

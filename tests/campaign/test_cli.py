@@ -10,6 +10,8 @@ from repro.campaign import executor as executor_mod
 from repro.campaign.cli import main
 from repro.campaign.store import FAILED, ResultStore
 
+from tests.campaign.test_executor import per_point
+
 
 SPEC = {
     "name": "cli-tiny",
@@ -108,9 +110,10 @@ def test_failures_exit_code_1(spec_file, tmp_path, monkeypatch, capsys):
         return {"status": FAILED, "seconds": None, "error": "boom"}
 
     monkeypatch.setattr(executor_mod, "execute_point", always_fail)
+    per_point(monkeypatch)
     rc = main(["run", "--spec-file", str(spec_file),
                "--dir", str(tmp_path / "c"), "--workers", "0",
-               "--retries", "0", "--no-batch"])
+               "--retries", "0"])
     assert rc == 1
 
 

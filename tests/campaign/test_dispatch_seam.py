@@ -3,7 +3,7 @@
 A dispatch hook returns only the rows that already landed through
 segment ingest. ``run_campaign`` records those without a local store
 write and runs every other task of the wave through its own local
-runner, with the campaign's own ``batch``, ``retries`` and ``faults``.
+runner, with the campaign's own ``retries`` and ``faults``.
 A stub stands in for :class:`~repro.remote.RemoteCoordinator` here, so
 no registry or executor is involved.
 """
@@ -17,6 +17,7 @@ from repro.campaign.store import Journal, ResultStore
 from repro.faults import FaultPlan
 
 from tests.campaign.test_chaos import chaos_spec
+from tests.campaign.test_executor import per_point
 
 
 def test_dispatch_lands_some_rows_and_the_rest_run_locally(tmp_path,
@@ -45,10 +46,11 @@ def test_dispatch_lands_some_rows_and_the_rest_run_locally(tmp_path,
         return real_execute_point(payload)
 
     monkeypatch.setattr(executor_mod, "execute_point", spy)
+    per_point(monkeypatch)
     plan = FaultPlan(seed=1, worker_exception=0.5)
     store = ResultStore(None)
     cdir = tmp_path / "camp"
-    outcome = run_campaign(spec, campaign_dir=cdir, store=store, batch=False,
+    outcome = run_campaign(spec, campaign_dir=cdir, store=store,
                            retries=2, faults=plan, dispatch=stub)
 
     runnable = outcome.plan.runnable

@@ -19,6 +19,22 @@ def tiny_spec(**kwargs) -> CampaignSpec:
     return CampaignSpec(**base)
 
 
+def per_point(monkeypatch) -> None:
+    """Run every task of a wave alone through ``execute_point``.
+
+    Injects through the ``execute_wave`` seam: each wave is cut into
+    one-task shards (so a fault claimed for one task fails only that
+    task), and each shard calls ``execute_point`` as looked up on the
+    executor module, where a test's double replaces it.
+    """
+    monkeypatch.setattr(executor_mod, "_shard_wave",
+                        lambda tasks, shards: [[task] for task in tasks])
+    monkeypatch.setattr(
+        executor_mod, "execute_wave",
+        lambda payloads: [executor_mod.execute_point(p) for p in payloads],
+    )
+
+
 def test_serial_run_completes_all_tasks():
     outcome = run_campaign(tiny_spec())
     # 4 cells + 2 shared baselines; GNU/inclusive_scan pruned at plan time
@@ -114,7 +130,8 @@ def test_failure_degrades_gracefully(monkeypatch):
         return real(payload)
 
     monkeypatch.setattr(executor_mod, "execute_point", flaky)
-    outcome = run_campaign(tiny_spec(), retries=0, batch=False)
+    per_point(monkeypatch)
+    outcome = run_campaign(tiny_spec(), retries=0)
     assert outcome.stats.failed == 1
     # the rest of the grid still completed
     done = [r for r in outcome.results.values() if r.status == DONE]
@@ -133,7 +150,8 @@ def test_bounded_retry_recovers_transient_failures(monkeypatch):
         return real(payload)
 
     monkeypatch.setattr(executor_mod, "execute_point", flaky)
-    outcome = run_campaign(tiny_spec(), retries=1, batch=False)
+    per_point(monkeypatch)
+    outcome = run_campaign(tiny_spec(), retries=1)
     assert outcome.stats.failed == 0
     assert calls["n"] == 2
     recovered = [r for r in outcome.results.values() if r.attempts == 2]
@@ -145,8 +163,9 @@ def test_failed_results_are_not_cached(monkeypatch):
         return {"status": FAILED, "seconds": None, "error": "boom"}
 
     monkeypatch.setattr(executor_mod, "execute_point", always_fail)
+    per_point(monkeypatch)
     store = ResultStore(None)
-    run_campaign(tiny_spec(), store=store, retries=0, batch=False)
+    run_campaign(tiny_spec(), store=store, retries=0)
     assert store.writes == 0
 
 
@@ -157,7 +176,8 @@ def test_resume_retries_journaled_failures(tmp_path, monkeypatch):
         return {"status": FAILED, "seconds": None, "error": "boom"}
 
     monkeypatch.setattr(executor_mod, "execute_point", always_fail)
-    first = run_campaign(tiny_spec(), campaign_dir=cdir, retries=0, batch=False)
+    per_point(monkeypatch)
+    first = run_campaign(tiny_spec(), campaign_dir=cdir, retries=0)
     assert first.stats.failed == first.stats.executed
     monkeypatch.undo()
     resumed = run_campaign(tiny_spec(), campaign_dir=cdir, resume=True)
@@ -235,9 +255,10 @@ def test_wall_time_is_journaled_not_cached(tmp_path):
 
 
 def test_wall_time_present_in_scalar_and_batch_paths():
-    for batch in (True, False):
-        outcome = run_campaign(tiny_spec(), batch=batch)
+    # Model mode is fused; run-mode points fall back to execute_point.
+    for modes in (("model",), ("run",)):
+        outcome = run_campaign(tiny_spec(modes=modes))
         for task in outcome.plan.runnable:
             assert outcome.results[task.task_id].wall_ms is not None, (
-                f"batch={batch} lost wall_ms"
+                f"modes={modes} lost wall_ms"
             )

@@ -4,8 +4,8 @@ A point that times out or fails and is later retried successfully must
 end up indistinguishable from one that succeeded first try: bit-identical
 seconds, exactly one terminal journal row, and a resume that does not
 re-execute it. These tests drive the failure through the wave executor
-(one fused submission per wave, or per pool shard, with per-point scalar
-retries) as well as the pool plumbing, complementing the scalar-path
+(one fused submission per wave, or per pool shard, with per-point
+retries) as well as the pool plumbing, complementing the per-point
 injection tests in ``test_executor.py``.
 """
 
@@ -21,7 +21,7 @@ from repro.campaign.plan import plan_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import DONE, FAILED, NA, Journal
 
-from tests.campaign.test_executor import tiny_spec
+from tests.campaign.test_executor import per_point, tiny_spec
 
 
 def _failed(payloads):
@@ -42,7 +42,8 @@ def test_curve_failure_retries_scalar_and_recovers(monkeypatch):
         if result.status == DONE:
             assert result.attempts == 2  # wave failure + scalar retry
 
-    clean = run_campaign(tiny_spec(), batch=False)
+    per_point(monkeypatch)
+    clean = run_campaign(tiny_spec())
     for tid, result in clean.results.items():
         assert outcome.results[tid].status == result.status
         assert outcome.results[tid].seconds == result.seconds  # no stale state

@@ -72,6 +72,20 @@ def test_torn_log_line_is_skipped_not_fatal(tmp_path):
     assert set(shard.rows()) == {"ab01", "ab03"}
 
 
+def test_huge_integer_log_line_is_skipped_not_fatal(tmp_path):
+    # An integer past json's 4,300-digit limit raises a plain ValueError.
+    shard = ShardIndex(tmp_path, "ab")
+    shard.append(_put("ab01"))
+    with open(shard.log_path, "ab") as fh:
+        fh.write(b'{"op": "put", "key": "ab02", "offset": '
+                 + b"9" * 5000 + b"}\n")
+    assert set(shard.rows()) == {"ab01"}
+    assert set(shard.locators()) == {"ab01"}
+    (tmp_path / "STORE_META.json").write_text(
+        '{"layout": ' + "9" * 5000 + "}", encoding="utf-8")
+    assert read_store_meta(tmp_path) is None  # reads as unmigrated
+
+
 def test_compact_folds_log_and_reports_drops(tmp_path):
     shard = ShardIndex(tmp_path, "ab")
     shard.append(_put("ab01", seconds=1.0))

@@ -13,10 +13,12 @@ from repro.campaign.store import (
     DONE,
     FAILED,
     Journal,
+    JournalReader,
     NA,
     PointResult,
     ResultStore,
     cache_key,
+    read_spec,
     record_checksum,
 )
 from repro.campaign.spec import PointSpec
@@ -104,6 +106,17 @@ def test_corrupt_object_is_a_miss(tmp_path):
     assert store.load_key(store.key_for(POINT)) is None
 
 
+def test_huge_integer_pack_line_is_quarantined(tmp_path):
+    # An integer past json's 4,300-digit limit raises a plain ValueError.
+    store = ResultStore(tmp_path / "cache")
+    key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
+    _replant(store, key, b'{"seconds": ' + b"9" * 5000 + b"}")
+    assert store.scan().errors == 1  # audited as unparseable, not a crash
+    assert store.results_for([("t", POINT, key)]) == [None]
+    assert store.quarantined == 1
+    assert store.load_key(key) is None
+
+
 def test_cached_payload_excludes_run_bookkeeping():
     fresh = PointResult(task_id="t", point=POINT, status=DONE, seconds=3.0,
                         cached=False, attempts=2)
@@ -128,6 +141,23 @@ def test_journal_tolerates_torn_tail(tmp_path):
         fh.write('{"task_id": "b", "sta')  # killed mid-write
     assert [e["task_id"] for e in journal.entries()] == ["a"]
     assert set(journal.completed_ids()) == {"a"}
+
+
+def test_journal_skips_a_huge_integer_line(tmp_path):
+    # An integer past json's 4,300-digit limit raises a plain ValueError.
+    journal = Journal(tmp_path / "journal.jsonl")
+    journal.append({"task_id": "a", "status": DONE, "seconds": 1.0})
+    with open(journal.path, "a", encoding="utf-8") as fh:
+        fh.write('{"task_id": "b", "wall_ms": ' + "9" * 5000 + "}\n")
+    reader = JournalReader(journal.path)
+    assert [e["task_id"] for e in journal.entries()] == ["a"]
+    assert journal.torn_lines() == 1
+    assert [e["task_id"] for e in reader.poll()] == ["a"]
+    assert reader.torn == 1
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"name": ' + "9" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(CampaignError, match="corrupt campaign spec"):
+        read_spec(spec)
 
 
 def test_journal_failed_entries_are_not_terminal(tmp_path):

@@ -4,11 +4,11 @@ The executor's default path fuses every eligible point of a wave into
 one struct-of-arrays program (``repro.sim.wave``). These tests pin the
 properties that make that safe to default on:
 
-* **bit-identity** -- wave and scalar campaigns produce identical
-  statuses and bit-identical seconds, serial and pooled;
-* **escape hatch** -- ``batch=False`` really runs every point through
-  the scalar ``execute_point`` (the ``--no-batch`` CLI contract);
-* **retry parity** -- a failed fused wave degrades to per-point scalar
+* **bit-identity** -- a wave campaign reproduces the scalar reference
+  engine's statuses and bit-identical seconds, serial and pooled;
+* **per-point fallbacks** -- points a fused wave cannot serve (run mode
+  here) run alone through ``execute_point``, and fused points never do;
+* **retry parity** -- a failed fused wave degrades to per-point
   retries;
 * **observability** -- a traced wave campaign carries ``wave.fuse`` /
   ``wave.execute`` spans on the ``wave`` track;
@@ -32,16 +32,19 @@ from types import SimpleNamespace
 
 from repro.backends import PARALLEL_CPU_BACKENDS, get_backend
 from repro.campaign import executor as executor_mod
-from repro.campaign.executor import run_campaign
+from repro.campaign.executor import point_context, run_campaign
 from repro.campaign.plan import plan_campaign
 from repro.campaign.spec import CampaignSpec, PointSpec
-from repro.campaign.store import DONE, FAILED
+from repro.campaign.store import DONE, FAILED, NA
+from repro.errors import UnsupportedOperationError
 from repro.machines import get_machine
 from repro.sim import wave as wave_mod
+from repro.sim.engine import arrays_to_profile, simulate_cpu
 from repro.suite.batch import simulate_cpu_arrays
+from repro.suite.cases import get_case
 from repro.trace import Tracer, use_tracer
 
-from tests.campaign.test_executor import tiny_spec
+from tests.campaign.test_executor import per_point, tiny_spec
 
 
 def wider_spec(**kwargs):
@@ -64,10 +67,27 @@ def _assert_outcomes_identical(left, right):
             assert a.seconds.hex() == b.seconds.hex(), tid
 
 
+def _reference_outcome(outcome):
+    """Each task of ``outcome`` costed on the scalar reference engine."""
+    results = {}
+    for tid, result in outcome.results.items():
+        point = result.point
+        ctx = point_context(point)
+        try:
+            profile = get_case(point.case).profile(ctx, point.n)
+        except UnsupportedOperationError:
+            results[tid] = SimpleNamespace(status=NA, seconds=None)
+            continue
+        report = simulate_cpu(ctx.machine, ctx.backend,
+                              arrays_to_profile(profile))
+        results[tid] = SimpleNamespace(status=DONE, seconds=report.seconds)
+    return SimpleNamespace(results=results)
+
+
 def test_wave_batch_and_scalar_campaigns_bit_identical():
     spec = wider_spec()
     wave = run_campaign(spec)  # wave fusion is the default
-    scalar = run_campaign(spec, batch=False)
+    scalar = _reference_outcome(wave)
     assert wave.stats.failed == 0
     _assert_outcomes_identical(wave, scalar)
 
@@ -80,9 +100,10 @@ def test_pool_wave_matches_serial_wave():
     _assert_outcomes_identical(pooled, serial)
 
 
-def test_batch_false_implies_no_wave(monkeypatch):
-    """batch=False only calls execute_point, once per executed point."""
-    points, waves = [], []
+def test_per_point_fallbacks_never_fuse(monkeypatch):
+    """Run-mode points call execute_point once each; model-mode points
+    are fused and never do."""
+    points = []
     real_point = executor_mod.execute_point
 
     def spy_point(payload):
@@ -90,14 +111,13 @@ def test_batch_false_implies_no_wave(monkeypatch):
         return real_point(payload)
 
     monkeypatch.setattr(executor_mod, "execute_point", spy_point)
-    monkeypatch.setattr(
-        executor_mod, "execute_wave",
-        lambda payloads: waves.append(len(payloads)),
-    )
-    outcome = run_campaign(tiny_spec(), batch=False)
+    outcome = run_campaign(tiny_spec(modes=("model", "run")))
     assert outcome.stats.failed == 0
-    assert not waves
-    assert len(points) == outcome.stats.executed > 0
+    assert points and {p["mode"] for p in points} == {"run"}
+    run_points = [r for r in outcome.results.values()
+                  if r.point.mode == "run" and not r.cached
+                  and r.status != NA]
+    assert len(points) == len(run_points)
 
 
 def test_wave_failure_retries_scalar_and_recovers(monkeypatch):
@@ -119,7 +139,8 @@ def test_wave_failure_retries_scalar_and_recovers(monkeypatch):
             assert result.attempts == 2  # wave failure + scalar retry
     monkeypatch.undo()
 
-    clean = run_campaign(tiny_spec(), batch=False)
+    per_point(monkeypatch)
+    clean = run_campaign(tiny_spec())
     _assert_outcomes_identical(outcome, clean)
 
 
@@ -134,7 +155,8 @@ def test_wave_fused_stage_exception_falls_back_per_point(monkeypatch):
     monkeypatch.setattr(wave_mod, "fuse_wave", boom)
     outcome = run_campaign(tiny_spec())
     assert outcome.stats.failed == 0
-    clean = run_campaign(tiny_spec(), batch=False)
+    per_point(monkeypatch)
+    clean = run_campaign(tiny_spec())
     _assert_outcomes_identical(outcome, clean)
 
 

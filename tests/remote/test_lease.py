@@ -121,6 +121,15 @@ def test_torn_lease_file_reads_as_free(lease_file, clock, tmp_path):
     assert fresh.epoch == 1  # history was lost with the torn file
 
 
+def test_huge_integer_lease_file_reads_as_free(lease_file, clock, tmp_path):
+    # An integer past json's 4,300-digit limit raises a plain ValueError.
+    lease_file.acquire("ex-1", ttl=5.0)
+    (tmp_path / "wave.json").write_text('{"epoch": ' + "9" * 5000 + "}",
+                                        encoding="utf-8")
+    assert lease_file.read() is None
+    assert lease_file.acquire("ex-2", ttl=5.0).epoch == 1
+
+
 def test_lease_roundtrips_through_json():
     lease = Lease(name="w", holder="ex-1", epoch=3, granted_at=10.0, ttl=5.0)
     assert Lease.from_dict(json.loads(json.dumps(lease.to_dict()))) == lease

@@ -100,6 +100,17 @@ def test_read_segment_without_manifest_raises(tmp_path):
         read_segment(writer.path)
 
 
+def test_read_segment_with_huge_integer_manifest_raises(tmp_path):
+    # An integer past json's 4,300-digit limit raises a plain ValueError.
+    writer = SegmentWriter(tmp_path, "w1", executor="e", epoch=1, wave="w")
+    writer.append(_rows(1)[0])
+    writer.seal()
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    manifest.write_text('{"rows": ' + "9" * 5000 + "}", encoding="utf-8")
+    with pytest.raises(SegmentError, match="corrupt manifest"):
+        read_segment(writer.path)
+
+
 def test_read_segment_detects_post_seal_tampering(tmp_path):
     writer = SegmentWriter(tmp_path, "w1", executor="e", epoch=1, wave="w")
     for row in _rows(2):

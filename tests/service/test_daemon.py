@@ -130,12 +130,17 @@ def test_unknown_campaign_is_404(service):
 
 
 def test_malformed_body_is_400(service):
-    conn = HTTPConnection("127.0.0.1", ServiceClient(service.base_url).port)
-    conn.request("POST", "/campaigns", body=b"not json",
-                 headers={"Content-Type": "application/json"})
-    response = conn.getresponse()
-    assert response.status == 400
-    conn.close()
+    # An integer past json's 4,300-digit limit is unparseable too, and
+    # an empty body is no spec at all.
+    for body in (b"not json", b'{"name": ' + b"9" * 5000 + b"}", b""):
+        conn = HTTPConnection("127.0.0.1",
+                              ServiceClient(service.base_url).port)
+        conn.request("POST", "/campaigns", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        assert response.status == 400, body[:20]
+        assert "body is not JSON" in json.loads(response.read())["error"]
+        conn.close()
 
 
 def test_invalid_spec_is_400(service):

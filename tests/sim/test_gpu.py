@@ -1,12 +1,16 @@
 """Tests for the GPU cost engine."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.execution.policy import PAR
 from repro.memory.array import SimArray
 from repro.memory.layout import PagePlacement
 from repro.sim.gpu import GpuExecution, simulate_gpu
-from repro.sim.work import ChunkWork, Phase, PhaseKind, WorkProfile
+from repro.sim.wave import ArrayPhase, ArrayProfile
+from repro.sim.work import PhaseKind
 from repro.types import FLOAT32
 
 
@@ -17,16 +21,19 @@ def _arr(n=1 << 20):
 
 
 def _profile(n=1 << 20, fp_per_elem=1.0, bytes_per_elem=8.0):
-    chunk = ChunkWork(
-        thread=0,
-        elems=n,
-        instr=n * 1.0,
-        fp_ops=n * fp_per_elem,
-        bytes_read=n * bytes_per_elem / 2,
-        bytes_written=n * bytes_per_elem / 2,
+    phase = ArrayPhase(
+        name="kernel",
+        kind=PhaseKind.PARALLEL,
+        thread=np.zeros(1, dtype=np.int64),
+        elems=np.array([float(n)]),
+        instr_per_elem=1.0,
+        fp_per_elem=fp_per_elem,
+        read_per_elem=bytes_per_elem / 2,
+        write_per_elem=bytes_per_elem / 2,
+        placement=None,
+        working_set=0.0,
     )
-    phase = Phase(name="kernel", kind=PhaseKind.PARALLEL, chunks=(chunk,))
-    return WorkProfile(
+    return ArrayProfile(
         alg="for_each",
         n=n,
         elem=FLOAT32,
@@ -99,14 +106,6 @@ class TestKernelRoofline:
             elem=FLOAT64,
             placement=PagePlacement.single_node(0, 1, "default"),
         )
-        p64 = WorkProfile(
-            alg="for_each",
-            n=p32.n,
-            elem=FLOAT64,
-            threads=1,
-            policy=PAR,
-            phases=p32.phases,
-            regions=1,
-        )
+        p64 = dataclasses.replace(p32, elem=FLOAT64)
         t64 = simulate_gpu(mach_d, p64, (arr64,)).seconds
         assert t64 > t32

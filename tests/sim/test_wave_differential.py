@@ -5,8 +5,8 @@ directly to the scalar reference engine (``repro.sim.engine``). Layers:
 
 1. engine equivalence -- the one-entry ``simulate_cpu_arrays`` on every
    case's array profile reproduces ``simulate_cpu`` on the
-   ``arrays_to_profile`` view of it field for field, and the report an
-   invocation costs on the scalar path; every backend's array partition
+   ``arrays_to_profile`` view of it field for field, and so does the
+   report an invocation costs (``ctx.simulate``); every backend's array partition
    materialises chunk objects that tile the range; ``simulate_wave``
    over a heterogeneous fused program (every machine x backend x case
    cell in one wave, mixed sizes)
@@ -35,12 +35,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.scenarios.resolve import make_context
-from repro.sim.engine import simulate_cpu
+from repro.sim.engine import arrays_to_profile, simulate_cpu
 from repro.sim.wave import (
     BLOCK_ENTRIES,
     WAVE_TRACK,
     WaveEntry,
-    arrays_to_profile,
     fuse_wave,
     simulate_cpu_arrays,
     simulate_wave,
@@ -118,14 +117,19 @@ def _invocations(model_ctx):
 
 
 def test_engine_matches_on_converted_scalar_profiles(model_ctx):
-    """simulate_cpu_arrays(r.profile) == r.report, the scalar path's cost."""
+    """simulate_cpu_arrays(r.profile) == r.report == the reference's cost."""
     results = _invocations(model_ctx)
     assert len(results) == 33
     for result in results:
         wave = simulate_cpu_arrays(
             model_ctx.machine, model_ctx.backend, result.profile
         )
-        _assert_reports_identical(wave, result.report)
+        reference = simulate_cpu(
+            model_ctx.machine, model_ctx.backend,
+            arrays_to_profile(result.profile),
+        )
+        _assert_reports_identical(wave, reference)
+        _assert_reports_identical(result.report, reference)
 
 
 def test_engine_matches_on_converted_array_profiles(model_ctx):
@@ -192,16 +196,20 @@ def test_empty_wave_is_empty():
 
 
 def test_wave_and_scalar_agree_end_to_end():
-    """Close the triangle directly: wave seconds == scalar measured seconds."""
+    """Close the triangle directly: fused wave seconds == the reference's
+    seconds == the harness's measured seconds."""
     ctx = make_context("B", "GCC-TBB", threads=12)
     entries = []
     scalar_seconds = []
     for case in ("reduce", "find", "inclusive_scan"):
         profile = _profile(case, ctx, 1 << 14)
         entries.append(WaveEntry(ctx.machine, ctx.backend, profile))
-        scalar_seconds.append(
-            measure_case(get_case(case), ctx, 1 << 14, elem_type("double"))
-        )
+        reference = simulate_cpu(
+            ctx.machine, ctx.backend, arrays_to_profile(profile)
+        ).seconds
+        measured = measure_case(get_case(case), ctx, 1 << 14, elem_type("double"))
+        assert float(measured).hex() == reference.hex()
+        scalar_seconds.append(reference)
     for report, seconds in zip(simulate_wave(fuse_wave(entries)), scalar_seconds):
         assert report.seconds.hex() == float(seconds).hex()
 

@@ -120,6 +120,20 @@ class TestSweepFormats:
         assert "/n=8," in out
         assert f"/n={1 << 30}," in out
 
+    def test_run_mode_size_sweep_stops_at_the_cap(self, capsys):
+        # Run mode materialises arrays up to 2^25 elements; the sweep
+        # reports every size up to there instead of failing at 2^26.
+        rc = main(
+            ["--mode", "run", "--sweep", "sizes", "--case", "reduce",
+             "--machine", "A", "--backend", "GCC-TBB", "--threads", "4",
+             "--format", "csv"]
+        )
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0].rsplit("=", 1)[1] for row in rows] == [
+            str(1 << e) for e in range(3, 26)
+        ]
+
     def test_thread_sweep_json(self, capsys):
         import json
 

@@ -16,15 +16,15 @@ from __future__ import annotations
 import json
 
 from repro.fidelity import build_artifact, check_claim, load_refdata
-from repro.fidelity.artifacts import fig3_trace_spec
+from repro.fidelity.artifacts import fig3_trace_spec, trace_fig3_calls
 from repro.scenarios import run_scenario
 from repro.trace import Tracer, to_chrome_trace, use_tracer
 
 
 def traced_sweep() -> Tracer:
-    """The fig3 golden's traced curve: Mach A, GCC-TBB, k_it=1000, 2^16."""
+    """The fig3 golden's traced calls: Mach A, GCC-TBB, k_it=1000, 2^16."""
     with use_tracer(Tracer()) as tracer:
-        run_scenario(fig3_trace_spec())
+        trace_fig3_calls()
     return tracer
 
 

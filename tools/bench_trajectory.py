@@ -7,23 +7,33 @@ previous one or falls below an absolute floor. Two families live at the
 repo root (schema documented in ``docs/PERFORMANCE.md``):
 
 ``BENCH_SWEEP.json``
-    The Fig. 2 problem-size sweep through the scalar engine vs. the
-    vectorized (``batch=True``, i.e. wave) engine. Metrics:
-    ``scalar_s``, ``batch_s``, ``batch_speedup`` (floor:
-    :data:`GATES`, currently >= 5.0).
+    The Fig. 2 problem-size sweep: each point's profile costed one at a
+    time on the scalar reference engine (``simulate_cpu`` on its
+    ``arrays_to_profile`` view, called directly) vs. each curve as one
+    fused wave (``problem_scaling``). The reference is a fixed
+    yardstick no product path runs, so a slower wave engine or a lost
+    fusion shows as a lower ratio. Metrics: ``reference_s``,
+    ``fused_s``, ``reference_speedup`` (floor: :data:`GATES`,
+    currently >= 5.0). (Older entries recorded ``scalar_s``,
+    ``batch_s`` and ``batch_speedup``, whose scalar side ran through
+    the harness and predates a faster profile conversion; a metric
+    absent from the previous entry starts a new series instead of being
+    compared.)
 
 ``BENCH_CAMPAIGN.json``
-    The Table 5 campaign grid, cold scalar vs. cold wave-fused vs. warm
-    cache. Metrics: ``cold_scalar_s``, ``cold_wave_s``, ``warm_s``,
-    ``wave_speedup`` = cold_scalar/cold_wave (floor >= 5.0), and
-    ``cache_speedup`` = cold_wave/warm (floor >= 5.0). The warm run
+    The Table 5 campaign grid: its runnable points costed one at a
+    time on the scalar reference engine vs. a cold wave-fused campaign
+    vs. a warm cache. Metrics: ``cold_reference_s``, ``cold_wave_s``,
+    ``warm_s``, ``cold_reference_speedup`` = cold_reference/cold_wave
+    (floor >= 5.0), and ``cache_speedup`` = cold_wave/warm (floor >=
+    5.0). The warm run
     still pays planning and one store lookup per point, so its ratio
     against the already-fast wave engine sits near 9x on the reference
     host; the floor leaves headroom below that, and the regression rule
-    does the real work. (Entries before this pair of metrics recorded
-    ``wave_over_batch`` and ``warm_speedup`` against the retired
-    per-curve batch tier; a metric absent from the previous entry starts
-    a new series instead of being compared.)
+    does the real work. (Older entries recorded ``wave_over_batch`` and
+    ``warm_speedup`` against the retired per-curve batch tier, then
+    ``cold_scalar_s`` and ``wave_speedup`` against the scalar engine
+    behind ``run_campaign(batch=False)``.)
 
 ``BENCH_SERVICE.json``
     The campaign-service SLO harness: one in-process daemon, 1000
@@ -70,8 +80,10 @@ Usage::
     python tools/bench_trajectory.py run [--benchmark all|sweep|campaign|service]
     python tools/bench_trajectory.py check
 
-``run`` measures (best-of-N wall clock, N=3) and appends one entry
-keyed by the current commit SHA -- re-running on the same commit
+``run`` measures (best-of-N wall clock, N=3; the sweep and campaign
+families instead take the median ratio over :data:`RATIO_ROUNDS`
+interleaved rounds of CPU time) and appends one entry keyed by the
+current commit SHA -- re-running on the same commit
 replaces that commit's entry instead of duplicating it, so the append
 is idempotent per commit. ``check`` validates both files against the
 schema (malformed files are a hard error with a pointed message, not a
@@ -83,6 +95,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -104,8 +117,8 @@ TRAJECTORY_FILES = {
 
 #: Absolute floors on dimensionless ratio metrics (family -> metric -> min).
 GATES = {
-    "sweep": {"batch_speedup": 5.0},
-    "campaign": {"wave_speedup": 5.0, "cache_speedup": 5.0},
+    "sweep": {"reference_speedup": 5.0},
+    "campaign": {"cold_reference_speedup": 5.0, "cache_speedup": 5.0},
     "service": {"dedup_hit_rate": 1.0, "completed_rate": 1.0},
     "store": {"lookup_speedup_100k": 10.0},
     "remote": {"remote_completed_rate": 1.0, "exactly_once_rate": 1.0,
@@ -130,11 +143,20 @@ REGRESSION_TOLERANCE = 0.10
 #: Wall-clock measurements take the min over this many repetitions.
 DEFAULT_REPEATS = 3
 
+#: Interleaved rounds for the sweep and campaign families. Their ratios
+#: divide sub-second timings, so they take the median of per-round
+#: ratios, which keeps a fresh entry within the regression tolerance of
+#: the last one on an unchanged tree (see docs/PERFORMANCE.md).
+RATIO_ROUNDS = 15
+
+#: The families measured in :data:`RATIO_ROUNDS` rounds by default.
+RATIO_FAMILIES = ("sweep", "campaign")
+
 #: Problem-size exponent for the campaign family.
 CAMPAIGN_SIZE_EXP = 26
 
 #: Size stride for the sweep family (every other Fig. 2 problem size:
-#: the full scalar sweep is accurate but slow for a per-PR gate).
+#: the full reference sweep is accurate but slow for a per-PR gate).
 SWEEP_SIZE_STEP = 2
 
 
@@ -156,8 +178,49 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _fig2_sweep(size_step: int, batch: bool) -> None:
-    """Every Fig. 2 curve (3 machines x k_it in {1, 1000} x 6 backends)."""
+def _rounds(fns, repeats: int) -> list[list[float]]:
+    """CPU seconds of each of ``fns`` over ``repeats`` interleaved rounds.
+
+    Each round runs every function once, in turn, so the sides of a
+    ratio sample the same stretch of host load; the clock is this
+    process's CPU time, which leaves out time the host gives to other
+    tenants.
+    """
+    times: list[list[float]] = [[] for _ in fns]
+    for _ in range(max(1, repeats)):
+        for fn, samples in zip(fns, times):
+            t0 = time.process_time()
+            fn()
+            samples.append(time.process_time() - t0)
+    return times
+
+
+def _median_ratio(numerator: list[float], denominator: list[float]) -> float:
+    """Median over rounds of one side's seconds over the other's."""
+    return statistics.median(a / b for a, b in zip(numerator, denominator))
+
+
+def _reference_point(case, ctx, n: int) -> None:
+    """Cost one point on the scalar reference engine, called directly.
+
+    Builds the profile the harness builds and costs its
+    ``arrays_to_profile`` view with ``simulate_cpu``, which no product
+    path runs; a capability gap (an N/A cell) costs nothing.
+    """
+    from repro.errors import UnsupportedOperationError
+    from repro.sim.engine import arrays_to_profile, simulate_cpu
+
+    try:
+        profile = case.profile(ctx, n)
+    except UnsupportedOperationError:
+        return
+    simulate_cpu(ctx.machine, ctx.backend, arrays_to_profile(profile))
+
+
+def _fig2_sweep(size_step: int, fused: bool) -> None:
+    """Every Fig. 2 curve (3 machines x k_it in {1, 1000} x 6 backends),
+    each one fused wave, or its points one at a time on the reference
+    engine."""
     from repro.scenarios.registry import get_scenario
     from repro.scenarios.resolve import make_context, resolve_case
     from repro.suite.sweeps import problem_scaling, problem_sizes
@@ -168,46 +231,58 @@ def _fig2_sweep(size_step: int, batch: bool) -> None:
         for k in spec.k_values:
             case = resolve_case(f"for_each_k{k}")
             for backend in spec.backends:
-                problem_scaling(case, make_context(machine, backend), sizes,
-                                batch=batch)
+                ctx = make_context(machine, backend)
+                if fused:
+                    problem_scaling(case, ctx, sizes)
+                else:
+                    for n in sizes:
+                        _reference_point(case, ctx, n)
 
 
-def measure_sweep(repeats: int = DEFAULT_REPEATS) -> dict:
-    """Time the Fig. 2 sweep through the scalar and vectorized engines."""
-    _fig2_sweep(8, batch=True)  # warm imports/caches off the clock
-    scalar_s = _best_of(lambda: _fig2_sweep(SWEEP_SIZE_STEP, False), repeats)
-    batch_s = _best_of(lambda: _fig2_sweep(SWEEP_SIZE_STEP, True), repeats)
+def measure_sweep(repeats: int = RATIO_ROUNDS) -> dict:
+    """Time the Fig. 2 sweep on the reference engine and as fused curves."""
+    _fig2_sweep(8, fused=True)  # warm imports/caches off the clock
+    reference, fused = _rounds(
+        [lambda: _fig2_sweep(SWEEP_SIZE_STEP, False),
+         lambda: _fig2_sweep(SWEEP_SIZE_STEP, True)], repeats)
     return {
-        "scalar_s": scalar_s,
-        "batch_s": batch_s,
-        "batch_speedup": scalar_s / batch_s,
+        "reference_s": min(reference),
+        "fused_s": min(fused),
+        "reference_speedup": _median_ratio(reference, fused),
     }
 
 
-def measure_campaign(repeats: int = DEFAULT_REPEATS) -> dict:
-    """Time the Table 5 grid: cold scalar, cold wave, warm cache."""
+def measure_campaign(repeats: int = RATIO_ROUNDS) -> dict:
+    """Time the Table 5 grid: cold reference, cold wave, warm cache."""
     from repro.campaign import ResultStore, run_campaign
+    from repro.campaign.executor import point_context
+    from repro.campaign.plan import plan_campaign
+    from repro.campaign.spec import PointSpec
     from repro.scenarios import campaign_spec
+    from repro.suite.cases import get_case
 
     spec = campaign_spec("table5", {"size_exps": [CAMPAIGN_SIZE_EXP]})
     run_campaign(spec)  # warm imports/caches off the clock
-
-    cold_scalar_s = _best_of(
-        lambda: run_campaign(spec, store=ResultStore(None), batch=False),
-        repeats,
-    )
-    cold_wave_s = _best_of(
-        lambda: run_campaign(spec, store=ResultStore(None)), repeats
-    )
+    payloads = [task.point.to_dict() for task in plan_campaign(spec).runnable]
     store = ResultStore(None)
     run_campaign(spec, store=store)  # populate the cache once
-    warm_s = _best_of(lambda: run_campaign(spec, store=store), repeats)
+
+    def cold_reference():
+        for payload in payloads:
+            point = PointSpec.from_dict(payload)
+            _reference_point(get_case(point.case), point_context(point),
+                             point.n)
+
+    reference, cold, warm = _rounds(
+        [cold_reference,
+         lambda: run_campaign(spec, store=ResultStore(None)),
+         lambda: run_campaign(spec, store=store)], repeats)
     return {
-        "cold_scalar_s": cold_scalar_s,
-        "cold_wave_s": cold_wave_s,
-        "warm_s": warm_s,
-        "wave_speedup": cold_scalar_s / cold_wave_s,
-        "cache_speedup": cold_wave_s / warm_s,
+        "cold_reference_s": min(reference),
+        "cold_wave_s": min(cold),
+        "warm_s": min(warm),
+        "cold_reference_speedup": _median_ratio(reference, cold),
+        "cache_speedup": _median_ratio(cold, warm),
     }
 
 
@@ -510,10 +585,7 @@ def validate_trajectory(data, benchmark: str, *, name: str = "trajectory") -> No
         if not isinstance(metrics, dict):
             raise TrajectoryError(f"{name}: entries[{i}].metrics must be "
                                   f"an object")
-        for metric in (*GATES[benchmark], *CEILINGS[benchmark]):
-            if metric not in metrics:
-                continue  # recorded before the metric existed
-            value = metrics.get(metric)
+        for metric, value in metrics.items():
             if not isinstance(value, (int, float)):
                 raise TrajectoryError(
                     f"{name}: entries[{i}].metrics.{metric} must be a "
@@ -615,8 +687,12 @@ def _cmd_run(args) -> int:
         timespec="seconds"
     )
     for family in families:
-        print(f"[{family}] measuring (best of {args.repeats})...", flush=True)
-        metrics = MEASURES[family](repeats=args.repeats)
+        repeats = args.repeats
+        if repeats is None:
+            repeats = RATIO_ROUNDS if family in RATIO_FAMILIES \
+                else DEFAULT_REPEATS
+        print(f"[{family}] measuring ({repeats} repeats)...", flush=True)
+        metrics = MEASURES[family](repeats=repeats)
         path = root / TRAJECTORY_FILES[family]
         append_entry(path, family, metrics, commit, recorded)
         rendered = ", ".join(f"{k}={v:.4g}" for k, v in sorted(metrics.items()))
@@ -655,8 +731,10 @@ def main(argv: list[str] | None = None) -> int:
                        help="entry key (default: git HEAD SHA)")
     run_p.add_argument("--recorded", default=None,
                        help="ISO timestamp (default: now, UTC)")
-    run_p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS,
-                       help="wall-clock repetitions; the min is recorded")
+    run_p.add_argument("--repeats", type=int, default=None,
+                       help="repetitions per measurement, or interleaved "
+                            "rounds for the sweep and campaign families "
+                            "(default: each family's own)")
     run_p.add_argument("--root", default=str(REPO_ROOT),
                        help="directory holding the BENCH_*.json ledgers")
     run_p.set_defaults(func=_cmd_run)

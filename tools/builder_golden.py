@@ -16,11 +16,12 @@ names the commit it was captured at.
 
 Two modes::
 
-    python tools/builder_golden.py capture OUT.json   # from measure_case
+    python tools/builder_golden.py capture OUT.json   # on the reference engine
     python tools/builder_golden.py check [GOLDEN]     # exit 1 on a mismatch
 
-``capture`` costs each configuration through ``measure_case`` (the
-scalar reference path); ``check`` builds every configuration's profile
+``capture`` costs each configuration on the scalar reference engine
+(``simulate_cpu`` on ``arrays_to_profile``, through diffcheck's
+``_scalar_run``); ``check`` builds every configuration's profile
 with ``BenchCase.profile`` and costs them all as one fused wave, so it
 runs in tier-1 time (``tests/algorithms/test_builder_golden.py``).
 """
@@ -84,7 +85,7 @@ def _error(exc: Exception) -> dict:
 
 
 def capture(configs: list[diffcheck.DiffConfig]) -> dict[str, dict]:
-    """Golden entries from the scalar path (``measure_case``)."""
+    """Golden entries from the scalar reference engine."""
     from repro.errors import ReproError
 
     entries = {}
@@ -143,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry: ``capture OUT`` writes a golden, ``check`` compares."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    cap = sub.add_parser("capture", help="write a golden from measure_case")
+    cap = sub.add_parser("capture", help="write a golden from the reference engine")
     cap.add_argument("out", type=Path)
     chk = sub.add_parser("check", help="compare BenchCase.profile to a golden")
     chk.add_argument("golden", type=Path, nargs="?", default=GOLDEN)

@@ -1,32 +1,37 @@
 #!/usr/bin/env python
-"""Differential harness: scalar and wave simulation must agree bitwise.
+"""Differential harness: the wave engine must agree bitwise with the
+scalar reference engine.
 
 Every case builds one array profile (``repro.algorithms._build``); the
-scalar path costs it on the reference engine (``repro.sim.engine``,
-through ``arrays_to_profile``) and the wave path on the vectorized
-engine (``repro.sim.wave``). The wave path promises *bit-identical*
-results to the scalar per-point path: not "close", identical, so cached
-campaign results, golden figures and the paper's speedup ratios are the
-same no matter which path produced them. This tool is the enforcement,
-in two layers:
+reference side costs it with ``repro.sim.engine.simulate_cpu`` on
+``arrays_to_profile`` of it, called directly, and the product costs it
+on the wave engine (``repro.sim.wave``), which is the only engine any
+product path runs on a CPU. The wave engine promises *bit-identical*
+results to the reference: not "close", identical, so cached campaign
+results, golden figures and the paper's speedup ratios do not depend
+on how the points were grouped into waves. This tool is the
+enforcement, in two layers:
 
 1. :func:`compare_point` sweeps randomized configurations (machine x
    backend x allocator x case x size x threads x element type, over all
-   33 cases) through the scalar path and a one-entry wave and compares
+   33 cases) through the reference and a one-entry wave and compares
    the full
    :class:`repro.sim.SimReport` field by field -- total seconds,
    fork/join, every hardware counter, and the per-phase
    name/seconds/compute/memory/overhead/counter breakdown -- using
-   exact float equality on the hex encodings. Capability gaps must also
-   agree: a configuration that raises ``UnsupportedOperationError`` on
-   one path must raise it on the other.
+   exact float equality on the hex encodings; the harness's measured
+   seconds (``measure_case``, which costs through
+   ``ExecutionContext.simulate``) must equal the reference's too.
+   Capability gaps must also agree: a configuration that raises
+   ``UnsupportedOperationError`` on one side must raise it on the other.
 2. :func:`compare_wave` fuses groups of those same configurations into
    one ``repro.sim.wave`` program -- deliberately mixing machines,
    backends and cases the way a campaign wave does -- and compares each
-   fused entry's report against the scalar report captured for the same
+   fused entry's report against the reference report for the same
    configuration. The whole sample is also fused as one wave, so the
-   engine's phase blocks fill up and equal-length phases split across
-   several blocks, as they do in a large campaign wave.
+   engine's phase blocks fill up, and once more under a small block
+   budget (:data:`SMALL_BLOCK_ENTRIES`), so equal-length phases split
+   across many blocks, as they do in a large campaign wave.
 
 Wired into tier-1 via ``tests/sim/test_batch_differential.py`` and
 ``tests/sim/test_wave_differential.py`` (marker ``diffcheck``) and into
@@ -178,41 +183,29 @@ def _report_fields(report) -> list[tuple[str, str]]:
 
 
 def _scalar_run(config: DiffConfig):
-    """``(report, exception)`` of the scalar path for one configuration.
+    """``(report, exception)`` of the reference engine for one configuration.
 
-    Runs ``measure_case`` while capturing the SimReport the case's
-    simulation produced; ``exception`` is the UnsupportedOperationError
-    text for capability gaps (``report`` is then None). A captured
-    report whose seconds disagree with the measured seconds is returned
-    as an exception text too, since nothing downstream could trust it.
+    Builds the profile the harness's first invocation builds
+    (``BenchCase.profile``) and costs it with ``simulate_cpu`` on its
+    ``arrays_to_profile`` view -- never through
+    ``ExecutionContext.simulate``, which runs the wave engine.
+    ``exception`` is the UnsupportedOperationError text for capability
+    gaps (``report`` is then None).
     """
     from repro.errors import UnsupportedOperationError
-    from repro.execution.context import ExecutionContext
+    from repro.sim.engine import arrays_to_profile, simulate_cpu
     from repro.suite.cases import get_case
-    from repro.suite.wrappers import measure_case
     from repro.types import elem_type
 
-    captured = []
-    original = ExecutionContext.simulate
-
-    def spy(self, profile, arrays=()):
-        report = original(self, profile, arrays)
-        captured.append(report)
-        return report
-
-    ExecutionContext.simulate = spy
+    ctx = _context(config)
     try:
-        seconds = measure_case(get_case(config.case), _context(config),
-                               config.n, elem_type(config.dtype))
+        profile = get_case(config.case).profile(
+            ctx, config.n, elem_type(config.dtype)
+        )
     except UnsupportedOperationError as exc:
         return None, f"UnsupportedOperationError: {exc}"
-    finally:
-        ExecutionContext.simulate = original
-    if not captured:
-        return None, "scalar path produced no SimReport to compare"
-    if _hex(seconds) != _hex(captured[-1].seconds):
-        return None, "captured report does not match measured seconds"
-    return captured[-1], None
+    return simulate_cpu(ctx.machine, ctx.backend,
+                        arrays_to_profile(profile)), None
 
 
 def _diff_reports(label: str, scalar, wave) -> list[str]:
@@ -232,16 +225,18 @@ def _diff_reports(label: str, scalar, wave) -> list[str]:
 
 
 def compare_point(config: DiffConfig) -> list[str]:
-    """Divergences between the scalar and one-entry wave paths for one config.
+    """Divergences between the reference and the product for one config.
 
-    Runs the scalar path (capturing the SimReport the case's simulation
-    produced) and the vectorized path, and diffs the flattened reports.
-    An empty list means bitwise agreement, including exception parity.
+    Costs the configuration on the reference engine and as a one-entry
+    wave, diffs the flattened reports, and checks the harness's
+    measured seconds against the reference's. An empty list means
+    bitwise agreement, including exception parity.
     """
     _ensure_importable()
     from repro.errors import UnsupportedOperationError
     from repro.suite.batch import simulate_case_batch
     from repro.suite.cases import get_case
+    from repro.suite.wrappers import measure_case
     from repro.types import elem_type
 
     scalar_report, scalar_exc = _scalar_run(config)
@@ -262,7 +257,15 @@ def compare_point(config: DiffConfig) -> list[str]:
                 f"wave={wave_exc!r}"
             ]
         return []
-    return _diff_reports(label, scalar_report, wave_report)
+    divergences = _diff_reports(label, scalar_report, wave_report)
+    measured = measure_case(get_case(config.case), _context(config),
+                            config.n, elem_type(config.dtype))
+    if _hex(measured) != _hex(scalar_report.seconds):
+        divergences.append(
+            f"{label}: measured seconds: scalar={_hex(scalar_report.seconds)} "
+            f"harness={_hex(measured)}"
+        )
+    return divergences
 
 
 #: How many configurations one wave group fuses in :func:`run_diffcheck`.
@@ -270,20 +273,30 @@ def compare_point(config: DiffConfig) -> list[str]:
 #: and cases in one program, small enough to localise a divergence.
 WAVE_GROUP = 16
 
+#: Block budget of :func:`run_diffcheck`'s second whole-sample wave. At
+#: the engine's own budget a 200-configuration sample rarely puts more
+#: than two blocks in a group of equal-length phases; at this one, groups
+#: span many blocks, so a block evaluated or filed out of order shows.
+SMALL_BLOCK_ENTRIES = 64
 
-def compare_wave(configs: list[DiffConfig]) -> list[str]:
-    """Divergences between a fused wave and the scalar path, entry by entry.
+
+def compare_wave(configs: list[DiffConfig],
+                 block_entries: int | None = None) -> list[str]:
+    """Divergences between a fused wave and the reference, entry by entry.
 
     Builds every configuration's :class:`ArrayProfile`, fuses
     them all into a single wave program -- deliberately mixing machines,
     backends and cases the way a campaign wave does -- and diffs each
-    fused entry's report against the scalar report captured for the same
-    configuration. Configurations that raise on build (capability gaps)
-    are skipped: :func:`compare_point` already enforces their exception
-    parity. An empty list means every entry of the wave agrees bitwise.
+    fused entry's report against the reference report for the same
+    configuration; ``block_entries`` evaluates the wave under that
+    block budget instead of the engine's. Configurations that raise on
+    build (capability gaps) are skipped: :func:`compare_point` already
+    enforces their exception parity. An empty list means every entry of
+    the wave agrees bitwise.
     """
     _ensure_importable()
     from repro.errors import UnsupportedOperationError
+    from repro.sim import wave
     from repro.sim.wave import WaveEntry, fuse_wave, simulate_wave
     from repro.suite.cases import get_case
     from repro.types import elem_type
@@ -310,10 +323,16 @@ def compare_wave(configs: list[DiffConfig]) -> list[str]:
     if not entries:
         return divergences
 
-    reports = simulate_wave(fuse_wave(entries))
+    blocks = block_entries or wave.BLOCK_ENTRIES
+    saved, wave.BLOCK_ENTRIES = wave.BLOCK_ENTRIES, blocks
+    try:
+        reports = simulate_wave(fuse_wave(entries))
+    finally:
+        wave.BLOCK_ENTRIES = saved
     for label, scalar_report, wave_report in zip(labels, scalar_reports, reports):
         divergences.extend(_diff_reports(
-            f"{label} [wave of {len(entries)}]", scalar_report, wave_report
+            f"{label} [wave of {len(entries)}, blocks of {blocks}]",
+            scalar_report, wave_report,
         ))
     return divergences
 
@@ -323,9 +342,11 @@ def run_diffcheck(
 ) -> list[str]:
     """Sweep ``configs`` randomized configurations; return all divergences.
 
-    Each configuration goes through the scalar-vs-wave point check, and
-    the same sample is then fused in groups of :data:`WAVE_GROUP`, and
-    once as a whole, and checked entry by entry against the scalar path.
+    Each configuration goes through the reference-vs-wave point check,
+    and the same sample is then fused in groups of :data:`WAVE_GROUP`,
+    and as a whole under the engine's block budget and under
+    :data:`SMALL_BLOCK_ENTRIES`, and checked entry by entry against the
+    reference.
     """
     divergences = []
     sample = random_configs(configs, seed)
@@ -343,14 +364,15 @@ def run_diffcheck(
         print(f"[whole sample] fusing {len(sample)} configurations",
               file=sys.stderr)
     divergences.extend(compare_wave(sample))
+    divergences.extend(compare_wave(sample, SMALL_BLOCK_ENTRIES))
     return divergences
 
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry; exit 1 if any configuration diverges."""
     parser = argparse.ArgumentParser(
-        description="Differential check: the scalar and wave simulation "
-        "paths must produce bit-identical SimReports."
+        description="Differential check: the wave engine must produce "
+        "SimReports bit-identical to the scalar reference engine's."
     )
     parser.add_argument("--configs", type=int, default=200,
                         help="number of randomized configurations (default 200)")
@@ -366,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}", file=sys.stderr)
         return 1
     print(f"diffcheck: OK ({args.configs} configurations, seed {args.seed}, "
-          "bit-identical reports on the scalar and wave paths)")
+          "bit-identical reports on the reference and wave engines)")
     return 0
 
 
