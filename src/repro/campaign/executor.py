@@ -33,9 +33,12 @@ worker). Tasks a ``dispatch=`` hook's remote executors did not land run
 through the same loop, so every local execution claims the same faults
 and retries the same way. Each shard is one :func:`execute_wave`
 submission: every CPU model-mode point, whatever its case, is fused
-into ``repro.sim.wave`` programs in sub-waves of bounded size, with
-shared baselines -- execution contexts, array profiles, chunk->thread
-layouts, NUMA node maps -- computed once instead of once per point.
+into ``repro.sim.wave`` programs in sub-waves of bounded size. Its
+execution contexts and array profiles are memoised per process
+(:func:`_cached_context`, :func:`_cached_profile`), and the engine
+memoises chunk->thread layouts and NUMA node maps per process for
+every path, so each is built once per process, not once per point or
+per wave.
 The points a fused wave cannot serve (GPU, run mode, ``min_time >
 0``), a failed sub-wave and every retry run one at a time through
 :func:`execute_point` -- the per-point path, which costs a CPU profile
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
 import time
 from functools import lru_cache
 from concurrent.futures import (
@@ -70,6 +72,7 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -101,6 +104,7 @@ from repro.memory.allocators import (
     InterleavedAllocator,
     ParallelFirstTouchAllocator,
 )
+from repro.sim.wave import WAVE_CHUNK_BUDGET, WeightedLRU
 from repro.suite.cases import get_case
 from repro.suite.wrappers import run_case
 from repro.trace import get_tracer
@@ -130,11 +134,6 @@ _ALLOCATORS: Mapping[str, Callable] = {
 #: systematically crashing workload (or a hostile fault schedule), not a
 #: transient; the bound keeps the executor from thrashing forever.
 MAX_POOL_REBUILDS = 8
-
-#: Chunk entries of array profiles the wave path keeps alive: the most
-#: one fused sub-wave holds, and the most the profile memo retains. A
-#: GCC-HPX profile at 2^30 elements alone is 32,769 entries (~1.5 MiB).
-WAVE_CHUNK_BUDGET = 1 << 20
 
 #: Points one fused sub-wave holds at most. The chunk budget does not
 #: bound a wave's per-point transients (entries, resolved phase slots,
@@ -263,55 +262,8 @@ def _cached_context(machine, backend, threads: int,
     )
 
 
-class _ProfileMemo:
-    """Thread-safe LRU of array profiles, weighted by chunk entries.
-
-    Holds at most ``budget`` chunk entries: storing a profile evicts the
-    least recently used ones until the total fits again, and a profile
-    larger than the whole budget is never stored. ``hits``/``misses``
-    count :meth:`get` outcomes. A plain dict in recency order (a hit
-    re-inserts its key at the end) keeps the per-profile overhead to one
-    dict entry, which matters when a grid's profiles are small.
-    """
-
-    def __init__(self, budget: int) -> None:
-        self.budget = budget
-        self.hits = 0
-        self.misses = 0
-        self.chunks = 0
-        self._lock = threading.Lock()
-        self._profiles: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._profiles)
-
-    def get(self, key):
-        """The profile stored under ``key`` (now most recent), else None."""
-        with self._lock:
-            profile = self._profiles.pop(key, None)
-            if profile is None:
-                self.misses += 1
-                return None
-            self._profiles[key] = profile
-            self.hits += 1
-            return profile
-
-    def put(self, key, profile) -> None:
-        """Store ``profile`` under ``key``, evicting to stay in budget."""
-        weight = profile.chunk_entries
-        if weight > self.budget:
-            return
-        with self._lock:
-            if key in self._profiles:
-                return  # a concurrent caller built the same profile first
-            self._profiles[key] = profile
-            self.chunks += weight
-            while self.chunks > self.budget:
-                oldest = next(iter(self._profiles))
-                self.chunks -= self._profiles.pop(oldest).chunk_entries
-
-
-_PROFILES = _ProfileMemo(WAVE_CHUNK_BUDGET)
+#: Array profiles by cell key; weighed in chunk entries.
+_PROFILES = WeightedLRU(WAVE_CHUNK_BUDGET, attrgetter("chunk_entries"))
 
 
 def _cached_profile(machine, backend, threads: int,
@@ -334,8 +286,7 @@ def _cached_profile(machine, backend, threads: int,
     profile = _PROFILES.get(key)
     if profile is None:
         ctx = _cached_context(machine, backend, threads, allocator, mode)
-        profile = get_case(case).profile(ctx, n)
-        _PROFILES.put(key, profile)
+        profile = _PROFILES.put(key, get_case(case).profile(ctx, n))
     return profile
 
 
@@ -368,8 +319,9 @@ def execute_wave(payloads: list[dict]) -> list[dict]:
     The wave counterpart of :func:`execute_point` and, like it, a
     module-level picklable pool-worker entry: one submission covers an
     arbitrary mix of points -- different machines, backends and cases
-    fused into ``repro.sim.wave`` programs with shared baselines
-    (contexts, chunk->thread layouts, NUMA node maps) computed once.
+    fused into ``repro.sim.wave`` programs that share per-process
+    baselines (contexts, profiles, and the engine's chunk->thread
+    layouts and NUMA node maps).
     Eligible points are fused in sub-waves of at most
     :data:`WAVE_CHUNK_BUDGET` chunk entries (a single larger profile is
     a sub-wave of its own) and :data:`WAVE_POINT_BUDGET` points, each

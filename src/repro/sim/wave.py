@@ -18,15 +18,21 @@ one wave:
   broadcast as columns, and the elementwise stage (instruction totals,
   FP lane execution, traffic scaling, time conversion), the counter
   folds and the per-thread folds run once per block. Only the NUMA
-  bandwidth model and report assembly run per phase, with the shared
-  baselines (chunk->thread layouts, thread->node maps) computed once
-  per distinct partition instead of once per point.
+  bandwidth model and report assembly run per phase.
 
-Working memory is therefore the block budget plus one layout per
-distinct partition (16 bytes per chunk entry), never a copy of the
-whole wave: evaluating 64 GCC-HPX points at 2^30 elements (32,768
-fixed-grain tasks each, 64 distinct partitions) peaks at about 18
-bytes per chunk entry.
+The index bookkeeping the folds need is not recomputed per wave: each
+distinct partition's chunk->thread fold layout and each distinct
+placement's thread->node map are built once per process and kept in
+two process-wide memos (:func:`_layout`, :func:`_nodes_of`), LRUs of at
+most :data:`WAVE_CHUNK_BUDGET` entries. A sweep or a campaign repeats
+its partitions across waves and scenarios, so most waves build none.
+No float is memoised, so every report is the same warm or cold.
+
+Working memory is therefore the block budget plus the layout memo (8
+bytes per chunk entry: the int32 key and the int32 fold index), never a
+copy of the whole wave: evaluating 64 GCC-HPX points at 2^30 elements
+(32,768 fixed-grain tasks each, 64 distinct partitions, twice the memo
+budget) peaks at about 6 bytes per chunk entry.
 
 A sweep curve is a wave whose points share a cell; a single point --
 every CPU ``ExecutionContext.simulate`` call -- is a one-entry wave
@@ -69,7 +75,9 @@ report's seconds.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -89,6 +97,8 @@ __all__ = [
     "ArrayProfile",
     "WAVE_TRACK",
     "BLOCK_ENTRIES",
+    "WAVE_CHUNK_BUDGET",
+    "WeightedLRU",
     "WaveEntry",
     "WaveProgram",
     "fuse_wave",
@@ -106,6 +116,14 @@ WAVE_TRACK = "wave"
 #: measured flat from 2^11 to 2^16 on campaign-shaped waves (2-vCPU
 #: x86-64), so the budget sits at the small end.
 BLOCK_ENTRIES = 1 << 11
+
+#: Entries of array data kept alive at once: the chunk entries one fused
+#: campaign sub-wave holds, and what each process-wide memo retains (the
+#: campaign executor's array profiles and this module's fold layouts in
+#: chunk entries, its node maps in threads). A GCC-HPX profile at 2^30
+#: elements alone is 32,769 chunk entries (~1.5 MiB); its fold layout,
+#: 256 KiB.
+WAVE_CHUNK_BUDGET = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -502,64 +520,154 @@ def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
 # Wave evaluation
 # ---------------------------------------------------------------------------
 
-def _layout(cache: dict, thread: np.ndarray):
-    """Fold layout of one phase's chunk->thread map, shared across partitions.
+class WeightedLRU:
+    """Thread-safe LRU memo, weighted by a size per value.
+
+    Holds values of at most ``budget`` total ``size(value)``: storing a
+    value evicts the least recently used ones until the total fits
+    again, and a value larger than the whole budget is never stored.
+    ``hits``/``misses`` count :meth:`get` outcomes, so for a caller that
+    builds on every miss, ``misses`` counts its builds. Callers build
+    outside the lock (the daemon costs waves from several threads at
+    once); when two build the same key, :meth:`put` keeps the first.
+    A plain dict in recency order (a hit re-inserts its key at the end)
+    keeps the per-value overhead to one dict entry.
+    """
+
+    def __init__(self, budget: int, size: Callable[[object], int]) -> None:
+        self.budget = budget
+        self.size = size
+        self.hits = 0
+        self.misses = 0
+        self.weight = 0
+        self._lock = threading.Lock()
+        self._values: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def get(self, key):
+        """The value stored under ``key`` (now most recent), else None."""
+        with self._lock:
+            value = self._values.pop(key, None)
+            if value is None:
+                self.misses += 1
+                return None
+            self._values[key] = value
+            self.hits += 1
+            return value
+
+    def put(self, key, value):
+        """Store ``value`` under ``key``, evicting to stay in budget.
+
+        Returns the value now stored under ``key`` (the first one, when
+        a concurrent caller stored it first), or ``value`` when it is
+        over budget.
+        """
+        weight = self.size(value)
+        if weight > self.budget:
+            return value
+        with self._lock:
+            stored = self._values.get(key)
+            if stored is not None:
+                return stored
+            self._values[key] = value
+            self.weight += weight
+            while self.weight > self.budget:
+                oldest = next(iter(self._values))
+                self.weight -= self.size(self._values.pop(oldest))
+            return value
+
+    def clear(self) -> None:
+        """Drop every value (the hit and miss counts stay)."""
+        with self._lock:
+            self._values.clear()
+            self.weight = 0
+
+
+#: Fold layouts by thread-id bytes; weighed in chunk entries.
+_LAYOUTS = WeightedLRU(WAVE_CHUNK_BUDGET, lambda layout: len(layout[1]))
+
+#: thread-order -> NUMA node maps by placement; weighed in threads.
+_NODE_MAPS = WeightedLRU(WAVE_CHUNK_BUDGET, len)
+
+_INT32 = np.iinfo(np.int32)
+
+
+def _layout(thread: np.ndarray):
+    """Fold layout of one phase's chunk->thread map, memoised per process.
 
     Returns ``(thread_order, flat, depth)``: the distinct thread ids in
     first-appearance order (the reference engine's dict insertion order),
     each chunk's cell in the flattened (depth, threads) occurrence-slot
     matrix of :func:`_thread_fold`, and the deepest thread's chunk count.
-    The layout is a pure function of the thread-id array; points of a
-    wave that share a partition (every case of one (machine, backend)
-    cell does) compute it once. The key is the array's raw bytes, so
-    sharing works even when builders materialised separate arrays, and
-    the cache hands out one tuple per distinct partition.
+    The layout is a pure function of the thread-id array, so every phase
+    cut from an equal partition -- in any wave, sweep or campaign of
+    this process -- shares one read-only tuple from :data:`_LAYOUTS`.
+    The key is the ids' exact bytes narrowed to int32 (never a digest),
+    so sharing works even when builders materialised separate arrays,
+    and the fold index is stored as int32: 8 bytes per chunk entry. A
+    partition either narrowing would not represent exactly is built
+    every time and never stored.
     """
     thread = np.asarray(thread, dtype=np.int64)
-    key = thread.tobytes()
-    hit = cache.get(key)
-    if hit is None:
-        thread_order, tidx, slot = _thread_layout(thread)
-        hit = cache[key] = (
-            thread_order, slot * len(thread_order) + tidx, int(slot.max()) + 1
-        )
-    return hit
+    key = None
+    if _INT32.min <= thread.min() and thread.max() <= _INT32.max:
+        key = thread.astype(np.int32).tobytes()
+        hit = _LAYOUTS.get(key)
+        if hit is not None:
+            return hit
+    thread_order, tidx, slot = _thread_layout(thread)
+    threads, depth = len(thread_order), int(slot.max()) + 1
+    flat = slot * threads + tidx
+    if key is None or depth * threads - 1 > _INT32.max:
+        return thread_order, flat, depth
+    flat = flat.astype(np.int32)
+    thread_order.flags.writeable = flat.flags.writeable = False
+    return _LAYOUTS.put(key, (thread_order, flat, depth))
 
 
 def _nodes_of(
-    cache: dict,
     machine: CpuMachine,
     backend: BackendModel,
     threads: int,
     thread_order: np.ndarray,
 ) -> np.ndarray:
-    """thread-order -> NUMA node array, shared across identical placements."""
-    key = (machine.name, backend.affinity_strategy, threads,
-           thread_order.tobytes())
-    hit = cache.get(key)
-    if hit is None:
-        placement = ThreadPlacement(
-            machine, threads, strategy=backend.affinity_strategy
-        )
-        hit = cache[key] = np.array(
+    """thread-order -> NUMA node array, memoised per placement.
+
+    The placement reads only the machine's topology, so the key is that
+    resolved :class:`~repro.machines.topology.Topology` with the
+    affinity strategy, thread count and thread order -- never the
+    machine's name, which a perturbed model can share. The array is
+    read-only.
+    """
+    strategy = backend.affinity_strategy
+    key = (machine.topology, strategy, threads, thread_order.tobytes())
+    nodes = _NODE_MAPS.get(key)
+    if nodes is None:
+        placement = ThreadPlacement(machine, threads, strategy=strategy)
+        nodes = np.array(
             [placement.node_of_thread(int(t) % threads) for t in thread_order],
             dtype=np.int64,
         )
-    return hit
+        nodes.flags.writeable = False
+        nodes = _NODE_MAPS.put(key, nodes)
+    return nodes
 
 
 def _blocks(slots: tuple[_PhaseSlot, ...]):
-    """Slot indices grouped by chunk count, each group cut into blocks.
+    """Slot indices grouped by chunk count and cut into blocks.
 
-    Yields one list of blocks per chunk count, in first-appearance order;
-    a block holds at most ``BLOCK_ENTRIES // chunks`` rows (at least one).
+    Yields the blocks of each chunk count in first-appearance order; a
+    block holds at most ``BLOCK_ENTRIES // chunks`` rows (at least one).
     """
     groups: dict[int, list[int]] = {}
     for index, slot in enumerate(slots):
         groups.setdefault(len(slot.phase), []).append(index)
     for chunks, indices in groups.items():
         rows = max(1, BLOCK_ENTRIES // chunks)
-        yield [indices[lo:lo + rows] for lo in range(0, len(indices), rows)]
+        for lo in range(0, len(indices), rows):
+            yield indices[lo:lo + rows]
 
 
 def _row_folds(block: np.ndarray) -> list[float]:
@@ -567,7 +675,7 @@ def _row_folds(block: np.ndarray) -> list[float]:
     return np.cumsum(block, axis=1)[:, -1].tolist()
 
 
-def _block_folds(slots: list[_PhaseSlot], layouts: dict):
+def _block_folds(slots: list[_PhaseSlot]):
     """Elementwise stage and every chunk fold of one block of phases.
 
     The phases share a chunk count; their chunk fields are stacked as
@@ -598,9 +706,15 @@ def _block_folds(slots: list[_PhaseSlot], layouts: dict):
     read = _row_folds(bytes_read * traffic)
     written = _row_folds(bytes_written * traffic)
 
+    # A block's rows mostly share a few partition arrays (a campaign
+    # grid's 6,318 rows: 354 arrays), so each array is looked up once.
+    of_array: dict[int, tuple] = {}
     by_layout: dict[int, tuple] = {}
     for row, slot in enumerate(slots):
-        layout = _layout(layouts, slot.phase.thread)
+        thread = slot.phase.thread
+        layout = of_array.get(id(thread))
+        if layout is None:
+            layout = of_array[id(thread)] = _layout(thread)
         by_layout.setdefault(id(layout), (layout, []))[1].append(row)
     per_thread: list = [None] * len(slots)
     for layout, rows in by_layout.values():
@@ -629,7 +743,6 @@ def _phase_report(
     instr_time: np.ndarray,
     mem_bytes: np.ndarray,
     thread_order: np.ndarray,
-    node_cache: dict,
 ) -> tuple[PhaseReport, tuple]:
     """The per-phase roofline, NUMA and overhead stage over thread folds.
 
@@ -664,7 +777,7 @@ def _phase_report(
             )
         else:
             thread_nodes = _nodes_of(
-                node_cache, machine, backend, profile.threads, thread_order
+                machine, backend, profile.threads, thread_order
             )
             active_nodes = len(set(thread_nodes.tolist()))
             matched = None
@@ -731,23 +844,16 @@ def _evaluate(program: WaveProgram, tracer) -> tuple[SimReport, ...]:
 
     # --- blocked elementwise and fold stages, then per-phase tails ------
     slots = program.slots
-    node_cache: dict = {}
     by_slot: list[PhaseReport | None] = [None] * len(slots)
     lanes = [None] * len(slots) if tracer.enabled else None
-    for blocks in _blocks(slots):
-        # Equal partitions have equal chunk counts, so a layout is never
-        # shared across groups and each group's layouts die with it.
-        layouts: dict = {}
-        for block in blocks:
-            rows = [slots[i] for i in block]
-            for index, slot, folds in zip(block, rows,
-                                          _block_folds(rows, layouts)):
-                by_slot[index], lane = _phase_report(
-                    program.entries[slot.entry], slot.phase, *folds,
-                    node_cache,
-                )
-                if lanes is not None:
-                    lanes[index] = lane
+    for block in _blocks(slots):
+        rows = [slots[i] for i in block]
+        for index, slot, folds in zip(block, rows, _block_folds(rows)):
+            by_slot[index], lane = _phase_report(
+                program.entries[slot.entry], slot.phase, *folds,
+            )
+            if lanes is not None:
+                lanes[index] = lane
 
     per_entry_phases: list[list[PhaseReport]] = [[] for _ in program.entries]
     for slot, phase_report in zip(slots, by_slot):

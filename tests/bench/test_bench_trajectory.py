@@ -15,7 +15,8 @@ noticing. Covered here with injected metrics (no real benchmarks run):
 * malformed ledgers -- invalid JSON, wrong schema version, wrong
   benchmark name, missing entry keys and non-numeric gated metrics are
   all rejected with errors that name the file and the problem;
-* the CLI -- exit code 0 / 1 / 2 mapping for OK / gate / malformed.
+* the CLI -- exit code 0 / 1 / 2 mapping for OK / gate / malformed,
+  and ``check`` reports the violations of every family, not the first.
 """
 
 from __future__ import annotations
@@ -272,6 +273,32 @@ def test_cli_check_malformed_exits_2(tmp_path, capsys):
     (tmp_path / "BENCH_CAMPAIGN.json").write_text("[]")
     assert bt.main(["check", "--root", str(tmp_path)]) == 2
     assert "MALFORMED" in capsys.readouterr().err
+
+
+def test_cli_check_reports_every_regressed_ledger(tmp_path, capsys):
+    """Two regressed families (one of them twice over): check goes on past
+    the first and prints each violation on its own line."""
+    _seed_both(tmp_path)
+    bt.append_entry(tmp_path / "BENCH_SWEEP.json", "sweep",
+                    _sweep_metrics(5.1), "bbb", "t1")  # -15%
+    bt.append_entry(tmp_path / "BENCH_STORE.json", "store",
+                    _store_metrics(9.0), "bbb", "t1")  # floor and -85%
+    assert bt.main(["check", "--root", str(tmp_path)]) == 1
+    failures = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("GATE FAILED: ")]
+    assert len(failures) == 3
+    assert "BENCH_SWEEP.json: reference_speedup regressed" in failures[0]
+    assert "BENCH_STORE.json: lookup_speedup_100k = 9.000 is below" in failures[1]
+    assert "BENCH_STORE.json: lookup_speedup_100k regressed" in failures[2]
+
+
+def test_cli_check_malformed_outranks_a_gate_failure(tmp_path, capsys):
+    _seed_both(tmp_path, reference_speedup=4.0)
+    (tmp_path / "BENCH_REMOTE.json").write_text("{")
+    assert bt.main(["check", "--root", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "GATE FAILED: BENCH_SWEEP.json" in err
+    assert "MALFORMED: BENCH_REMOTE.json" in err
 
 
 def test_cli_run_with_injected_measures(tmp_path, monkeypatch):

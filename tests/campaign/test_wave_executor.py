@@ -12,9 +12,9 @@ properties that make that safe to default on:
   retries;
 * **observability** -- a traced wave campaign carries ``wave.fuse`` /
   ``wave.execute`` spans on the ``wave`` track;
-* **profile gates** -- the wave path reuses contexts and thread layouts
-  instead of rebuilding them per point, which is where its speedup over
-  point-at-a-time evaluation comes from;
+* **profile gates** -- the wave path reuses contexts instead of
+  rebuilding them per point, and builds one thread layout per distinct
+  partition, after which a point-at-a-time replay builds none;
 * **bounded memory** -- a wave whose profiles outgrow
   ``WAVE_CHUNK_BUDGET`` (or ``WAVE_POINT_BUDGET`` points) runs as
   several sub-waves, and the profile memo never holds more than that
@@ -29,6 +29,8 @@ import sys
 import threading
 import tracemalloc
 from types import SimpleNamespace
+
+import numpy as np
 
 from repro.backends import PARALLEL_CPU_BACKENDS, get_backend
 from repro.campaign import executor as executor_mod
@@ -201,8 +203,13 @@ def test_wave_campaign_builds_one_context_per_cell():
 
 
 def test_wave_path_builds_fewer_thread_layouts_than_batch(monkeypatch):
-    """The fused wave shares layout work point-at-a-time batch repeats."""
+    """From a cleared layout memo, a campaign builds one fold layout per
+    distinct thread-id array of its waves; replaying every point as a
+    one-entry wave then builds none and gives bit-identical seconds."""
     spec = wider_spec()
+    memo = wave_mod.WeightedLRU(wave_mod.WAVE_CHUNK_BUDGET,
+                                wave_mod._LAYOUTS.size)
+    monkeypatch.setattr(wave_mod, "_LAYOUTS", memo)
     counts = {"n": 0}
     real_layout = wave_mod._thread_layout
 
@@ -211,25 +218,28 @@ def test_wave_path_builds_fewer_thread_layouts_than_batch(monkeypatch):
         return real_layout(thread)
 
     monkeypatch.setattr(wave_mod, "_thread_layout", counting_layout)
-
-    counts["n"] = 0
     outcome = run_campaign(spec)
-    wave_layouts = counts["n"]
 
-    counts["n"] = 0
+    done = []
     for task in plan_campaign(spec).runnable:
-        if outcome.result_for(task).status != DONE:
+        result = outcome.result_for(task)
+        if result.status != DONE:
             continue
         point = task.point
+        machine, backend = get_machine(point.machine), get_backend(point.backend)
         profile = executor_mod._cached_profile(
-            get_machine(point.machine), get_backend(point.backend),
-            point.threads, point.allocator, point.mode, point.case, point.n,
+            machine, backend, point.threads, point.allocator, point.mode,
+            point.case, point.n,
         )
-        simulate_cpu_arrays(get_machine(point.machine),
-                            get_backend(point.backend), profile)
-    batch_layouts = counts["n"]
+        done.append((machine, backend, profile, result.seconds))
+    partitions = {phase.thread.astype(np.int64).tobytes()
+                  for _, _, profile, _ in done for phase in profile.phases}
+    assert done and counts["n"] == memo.misses == len(partitions)
 
-    assert 0 < wave_layouts < batch_layouts
+    for machine, backend, profile, seconds in done:
+        report = simulate_cpu_arrays(machine, backend, profile)
+        assert report.seconds.hex() == seconds.hex()
+    assert counts["n"] == memo.misses == len(partitions)
 
 
 def _hpx_payloads():
@@ -240,7 +250,8 @@ def _hpx_payloads():
 
 
 def _fresh_memo(monkeypatch):
-    memo = executor_mod._ProfileMemo(executor_mod.WAVE_CHUNK_BUDGET)
+    memo = wave_mod.WeightedLRU(executor_mod.WAVE_CHUNK_BUDGET,
+                                executor_mod._PROFILES.size)
     monkeypatch.setattr(executor_mod, "_PROFILES", memo)
     return memo
 
@@ -258,7 +269,7 @@ def test_oversized_wave_runs_as_bounded_sub_waves(monkeypatch):
     assert sum(s.attributes["points"] for s in fuses) == len(payloads)
     assert all(s.attributes["chunks"] <= executor_mod.WAVE_CHUNK_BUDGET
                for s in fuses)
-    assert 0 < memo.chunks <= executor_mod.WAVE_CHUNK_BUDGET
+    assert 0 < memo.weight <= executor_mod.WAVE_CHUNK_BUDGET
     assert len(memo) < len(payloads)
 
     # Sub-waving changes no answer: the same points one at a time.
@@ -282,8 +293,9 @@ def test_repeated_small_grid_is_served_from_the_memo(monkeypatch):
 
 
 def test_profile_memo_is_thread_safe():
-    """Concurrent get/put keep the weight total exact and within budget."""
-    memo = executor_mod._ProfileMemo(budget=64)
+    """Concurrent get/put keep the weight total exact and within budget
+    in the LRU class every wave memo (profiles, layouts, node maps) uses."""
+    memo = wave_mod.WeightedLRU(64, executor_mod._PROFILES.size)
     profiles = [SimpleNamespace(chunk_entries=1 + k % 7) for k in range(40)]
     rounds = 3000
 
@@ -306,8 +318,8 @@ def test_profile_memo_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert memo.hits + memo.misses == 8 * rounds
     stored = [memo.get(key) for key in range(len(profiles))]
-    assert memo.chunks == sum(p.chunk_entries for p in stored if p is not None)
-    assert memo.chunks <= memo.budget
+    assert memo.weight == sum(p.chunk_entries for p in stored if p is not None)
+    assert memo.weight <= memo.budget
 
 
 def test_wide_wave_runs_in_point_bounded_sub_waves(monkeypatch):
@@ -357,8 +369,8 @@ def test_profile_memo_bytes_per_profile_are_bounded(monkeypatch):
         fill()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        assert (len(memo), memo.chunks) == (len(points), 98_868) == (4038, 98_868)
-        memo._profiles.clear()
+        assert (len(memo), memo.weight) == (len(points), 98_868) == (4038, 98_868)
+        memo.clear()
         gc.collect()
         released = held - tracemalloc.get_traced_memory()[0]
     finally:

@@ -295,6 +295,14 @@ def test_randomized_wave_groups_agree_with_batch():
         assert not divergences, "\n".join(divergences)
 
 
+@pytest.mark.diffcheck
+def test_randomized_sample_is_the_same_with_memos_cold_and_warm():
+    """Each configuration costed right after the engine memos are cleared
+    equals the whole sample costed warm, bit for bit."""
+    divergences = diffcheck.compare_memos(diffcheck.random_configs(48, seed=7))
+    assert not divergences, "\n".join(divergences)
+
+
 # --- 3. observability contract ---------------------------------------------
 
 

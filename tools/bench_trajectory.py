@@ -85,10 +85,12 @@ families instead take the median ratio over :data:`RATIO_ROUNDS`
 interleaved rounds of CPU time) and appends one entry keyed by the
 current commit SHA -- re-running on the same commit
 replaces that commit's entry instead of duplicating it, so the append
-is idempotent per commit. ``check`` validates both files against the
+is idempotent per commit. ``check`` validates every ledger against the
 schema (malformed files are a hard error with a pointed message, not a
-silent skip) and enforces the floors plus the 10% regression rule.
-Exit codes: 0 OK, 1 gate failure, 2 malformed trajectory file.
+silent skip) and enforces the floors plus the 10% regression rule. It
+checks every family and prints every violation before it exits.
+Exit codes: 0 OK, 1 gate failure, 2 malformed trajectory file (either
+alongside gate failures or alone).
 """
 
 from __future__ import annotations
@@ -608,10 +610,10 @@ def append_entry(path: Path, benchmark: str, metrics: dict,
 def check_trajectory(path: Path, benchmark: str) -> list[str]:
     """Validate one ledger and enforce floors + the regression rule.
 
-    Returns human-readable OK lines; raises :class:`GateError` on any
-    violation and :class:`TrajectoryError` on a malformed file (a
-    missing or empty ledger is also a gate failure: the PR forgot to
-    run the trajectory).
+    Returns human-readable OK lines; raises :class:`GateError` naming
+    every violated gate of the family (one per line) and
+    :class:`TrajectoryError` on a malformed file (a missing or empty
+    ledger is also a gate failure: the PR forgot to run the trajectory).
     """
     data = load_trajectory(path, benchmark)
     entries = data["entries"]
@@ -623,7 +625,8 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
     last = entries[-1]
     prev = entries[-2]["metrics"] if len(entries) > 1 else {}
     prev_commit = entries[-2]["commit"][:12] if len(entries) > 1 else ""
-    lines = []
+    lines: list[str] = []
+    failures: list[str] = []
     missing = [m for m in (*GATES[benchmark], *CEILINGS[benchmark])
                if m not in last["metrics"]]
     if missing:
@@ -634,7 +637,7 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
     for metric, floor in GATES[benchmark].items():
         value = last["metrics"][metric]
         if value < floor:
-            raise GateError(
+            failures.append(
                 f"{path.name}: {metric} = {value:.3f} is below the "
                 f"floor {floor:.3f} (commit {last['commit'][:12]})"
             )
@@ -642,7 +645,7 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
             baseline = prev[metric]
             allowed = baseline * (1.0 - REGRESSION_TOLERANCE)
             if value < allowed:
-                raise GateError(
+                failures.append(
                     f"{path.name}: {metric} regressed {value:.3f} < "
                     f"{allowed:.3f} (= {baseline:.3f} from commit "
                     f"{prev_commit} minus "
@@ -656,7 +659,7 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
     for metric, ceiling in CEILINGS[benchmark].items():
         value = last["metrics"][metric]
         if value > ceiling:
-            raise GateError(
+            failures.append(
                 f"{path.name}: {metric} = {value:.3f} is over the "
                 f"ceiling {ceiling:.3f} (commit {last['commit'][:12]})"
             )
@@ -664,7 +667,7 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
             baseline = prev[metric]
             allowed = baseline * (1.0 + REGRESSION_TOLERANCE)
             if value > allowed:
-                raise GateError(
+                failures.append(
                     f"{path.name}: {metric} regressed {value:.3f} > "
                     f"{allowed:.3f} (= {baseline:.3f} from commit "
                     f"{prev_commit} plus "
@@ -675,6 +678,8 @@ def check_trajectory(path: Path, benchmark: str) -> list[str]:
         else:
             lines.append(f"{path.name}: {metric} = {value:.3f} "
                          f"(ceiling {ceiling}, first value)")
+    if failures:
+        raise GateError("\n".join(failures))
     return lines
 
 
@@ -701,16 +706,24 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    """Check every family and print every violation: exit 2 if any ledger
+    is malformed, else 1 if any gate failed, else 0."""
     root = Path(args.root)
-    try:
-        for family, name in TRAJECTORY_FILES.items():
+    malformed = failed = False
+    for family, name in TRAJECTORY_FILES.items():
+        try:
             for line in check_trajectory(root / name, family):
                 print(line)
-    except TrajectoryError as exc:
-        print(f"MALFORMED: {exc}", file=sys.stderr)
+        except TrajectoryError as exc:
+            print(f"MALFORMED: {exc}", file=sys.stderr)
+            malformed = True
+        except GateError as exc:
+            for violation in str(exc).splitlines():
+                print(f"GATE FAILED: {violation}", file=sys.stderr)
+            failed = True
+    if malformed:
         return 2
-    except GateError as exc:
-        print(f"GATE FAILED: {exc}", file=sys.stderr)
+    if failed:
         return 1
     print("benchmark trajectory OK")
     return 0
@@ -739,7 +752,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="directory holding the BENCH_*.json ledgers")
     run_p.set_defaults(func=_cmd_run)
 
-    check_p = sub.add_parser("check", help="validate both ledgers and "
+    check_p = sub.add_parser("check", help="validate every ledger and "
                                            "enforce floors + regression rule")
     check_p.add_argument("--root", default=str(REPO_ROOT))
     check_p.set_defaults(func=_cmd_check)

@@ -10,7 +10,7 @@ product path runs on a CPU. The wave engine promises *bit-identical*
 results to the reference: not "close", identical, so cached campaign
 results, golden figures and the paper's speedup ratios do not depend
 on how the points were grouped into waves. This tool is the
-enforcement, in two layers:
+enforcement, in three layers:
 
 1. :func:`compare_point` sweeps randomized configurations (machine x
    backend x allocator x case x size x threads x element type, over all
@@ -32,6 +32,10 @@ enforcement, in two layers:
    engine's phase blocks fill up, and once more under a small block
    budget (:data:`SMALL_BLOCK_ENTRIES`), so equal-length phases split
    across many blocks, as they do in a large campaign wave.
+3. :func:`compare_memos` costs the sample once with the engine's
+   process-wide memos (fold layouts, NUMA node maps) cleared before
+   every configuration, and once warm, and requires identical bits:
+   the memos hold index bookkeeping only, never a float.
 
 Wired into tier-1 via ``tests/sim/test_batch_differential.py`` and
 ``tests/sim/test_wave_differential.py`` (marker ``diffcheck``) and into
@@ -208,8 +212,10 @@ def _scalar_run(config: DiffConfig):
                         arrays_to_profile(profile)), None
 
 
-def _diff_reports(label: str, scalar, wave) -> list[str]:
-    """Field-by-field divergences between a scalar and a wave report."""
+def _diff_reports(label: str, scalar, wave,
+                  sides: tuple[str, str] = ("scalar", "wave")) -> list[str]:
+    """Field-by-field divergences between a scalar and a wave report
+    (or any two reports, named by ``sides``)."""
     scalar_fields = _report_fields(scalar)
     wave_fields = _report_fields(wave)
     if len(scalar_fields) != len(wave_fields):
@@ -217,8 +223,9 @@ def _diff_reports(label: str, scalar, wave) -> list[str]:
             f"{label}: report shape differs "
             f"({len(scalar_fields)} vs {len(wave_fields)} fields)"
         ]
+    left, right = sides
     return [
-        f"{label}: {name_s}: scalar={value_s} wave={value_w}"
+        f"{label}: {name_s}: {left}={value_s} {right}={value_w}"
         for (name_s, value_s), (name_w, value_w) in zip(scalar_fields, wave_fields)
         if name_s != name_w or value_s != value_w
     ]
@@ -280,6 +287,28 @@ WAVE_GROUP = 16
 SMALL_BLOCK_ENTRIES = 64
 
 
+def _wave_entries(configs: list[DiffConfig]) -> list[tuple]:
+    """``(config, WaveEntry)`` for every configuration whose profile
+    builds; capability gaps are skipped (exception parity is
+    :func:`compare_point`'s job)."""
+    from repro.errors import UnsupportedOperationError
+    from repro.sim.wave import WaveEntry
+    from repro.suite.cases import get_case
+    from repro.types import elem_type
+
+    built = []
+    for config in configs:
+        ctx = _context(config)
+        try:
+            profile = get_case(config.case).profile(
+                ctx, config.n, elem_type(config.dtype)
+            )
+        except UnsupportedOperationError:
+            continue
+        built.append((config, WaveEntry(ctx.machine, ctx.backend, profile)))
+    return built
+
+
 def compare_wave(configs: list[DiffConfig],
                  block_entries: int | None = None) -> list[str]:
     """Divergences between a fused wave and the reference, entry by entry.
@@ -295,29 +324,19 @@ def compare_wave(configs: list[DiffConfig],
     the wave agrees bitwise.
     """
     _ensure_importable()
-    from repro.errors import UnsupportedOperationError
     from repro.sim import wave
-    from repro.sim.wave import WaveEntry, fuse_wave, simulate_wave
-    from repro.suite.cases import get_case
-    from repro.types import elem_type
+    from repro.sim.wave import fuse_wave, simulate_wave
 
     entries: list = []
     labels: list[str] = []
     scalar_reports: list = []
     divergences: list[str] = []
-    for config in configs:
-        ctx = _context(config)
-        try:
-            profile = get_case(config.case).profile(
-                ctx, config.n, elem_type(config.dtype)
-            )
-        except UnsupportedOperationError:
-            continue  # exception parity is compare_point's job
+    for config, entry in _wave_entries(configs):
         scalar_report, scalar_exc = _scalar_run(config)
         if scalar_exc is not None:
             divergences.append(f"{config.label()}: {scalar_exc}")
             continue
-        entries.append(WaveEntry(ctx.machine, ctx.backend, profile))
+        entries.append(entry)
         labels.append(config.label())
         scalar_reports.append(scalar_report)
     if not entries:
@@ -337,6 +356,37 @@ def compare_wave(configs: list[DiffConfig],
     return divergences
 
 
+def compare_memos(configs: list[DiffConfig]) -> list[str]:
+    """Divergences between the sample costed cold and warm on the memos.
+
+    Cold: each configuration alone, as a one-entry wave, right after the
+    wave engine's layout and node-map memos are cleared, so every layout
+    and node map it reads is built for it. Warm: the whole sample fused
+    as one wave, costed once to fill the memos and again to compare.
+    Configurations that raise on build are skipped, as in
+    :func:`compare_wave`.
+    """
+    _ensure_importable()
+    from repro.sim import wave
+    from repro.sim.wave import fuse_wave, simulate_wave
+
+    built = _wave_entries(configs)
+    cold = []
+    for _config, entry in built:
+        wave._LAYOUTS.clear()
+        wave._NODE_MAPS.clear()
+        cold.append(wave.simulate_cpu_arrays(
+            entry.machine, entry.backend, entry.profile))
+    entries = [entry for _config, entry in built]
+    simulate_wave(fuse_wave(entries))
+    warm = simulate_wave(fuse_wave(entries))
+    divergences: list[str] = []
+    for (config, _entry), cold_report, warm_report in zip(built, cold, warm):
+        divergences.extend(_diff_reports(config.label(), cold_report,
+                                         warm_report, ("cold", "warm")))
+    return divergences
+
+
 def run_diffcheck(
     configs: int = 200, seed: int = 0, verbose: bool = False
 ) -> list[str]:
@@ -346,7 +396,8 @@ def run_diffcheck(
     and the same sample is then fused in groups of :data:`WAVE_GROUP`,
     and as a whole under the engine's block budget and under
     :data:`SMALL_BLOCK_ENTRIES`, and checked entry by entry against the
-    reference.
+    reference; finally it is costed with the engine memos cold and warm
+    (:func:`compare_memos`).
     """
     divergences = []
     sample = random_configs(configs, seed)
@@ -365,6 +416,9 @@ def run_diffcheck(
               file=sys.stderr)
     divergences.extend(compare_wave(sample))
     divergences.extend(compare_wave(sample, SMALL_BLOCK_ENTRIES))
+    if verbose:
+        print("[memos] costing the sample cold and warm", file=sys.stderr)
+    divergences.extend(compare_memos(sample))
     return divergences
 
 
@@ -388,7 +442,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}", file=sys.stderr)
         return 1
     print(f"diffcheck: OK ({args.configs} configurations, seed {args.seed}, "
-          "bit-identical reports on the reference and wave engines)")
+          "bit-identical reports on the reference and wave engines, "
+          "with the engine memos cold and warm)")
     return 0
 
 
