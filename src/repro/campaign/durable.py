@@ -6,7 +6,7 @@ cut mid-write: :func:`locked` (an advisory ``flock``), the healing
 :func:`append_lines`, the whole-log :func:`read_lines`, the resumable
 :func:`read_tail` and the temp-file-plus-rename :func:`publish`.
 Callers encode their own bytes and keep their own policies: which
-appends are fenced or synced, and what a shrunk log means.
+appends are synced, and what a shrunk log means.
 
 A log is one JSON object per line. Both reads hand back :class:`Lines`,
 which parses as it is iterated (a replay folds a shard's rows one at a
@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
@@ -56,14 +56,11 @@ def locked(path: Path, flags: int = os.O_RDWR) -> Iterator[int]:
         os.close(fd)
 
 
-def append_lines(path: Path, data: bytes, *,
-                 fence: Callable[[], None] | None = None,
-                 fsync: bool = False) -> None:
+def append_lines(path: Path, data: bytes, *, fsync: bool = False) -> None:
     """Append ``data`` (whole encoded lines) to the log at ``path``.
 
-    Under the lock, ``fence`` runs first and may raise to abort with
-    nothing written. A final line a crash left without its newline is
-    then terminated, so the torn fragment stays a line of its own, and
+    Under the lock, a final line a crash left without its newline is
+    first terminated, so the torn fragment stays a line of its own, and
     ``data`` lands through one ``O_APPEND`` descriptor, rewritten until
     every byte is down, so concurrent batches never interleave.
     ``fsync=True`` syncs before the lock is released. Empty ``data``
@@ -72,8 +69,6 @@ def append_lines(path: Path, data: bytes, *,
     if not data:
         return
     with locked(path, os.O_RDWR | os.O_APPEND) as fd:
-        if fence is not None:
-            fence()
         size = os.fstat(fd).st_size
         if size and os.pread(fd, 1, size - 1) != b"\n":
             os.write(fd, b"\n")

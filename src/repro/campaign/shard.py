@@ -250,8 +250,8 @@ class ShardIndex:
         """Append ``rows`` to the shard log as one batch of whole lines.
 
         The same locked append as :meth:`Journal.append`
-        (:func:`repro.campaign.durable.append_lines`) minus the fence
-        and the ``fsync``: the index is derived from the records and
+        (:func:`repro.campaign.durable.append_lines`) minus the
+        ``fsync``: the index is derived from the records and
         rebuildable, so a lost tail row costs a flagged rebuild, not
         data. A call with no rows touches no file.
         """

@@ -93,7 +93,7 @@ import os
 import re
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO
@@ -958,44 +958,25 @@ class Journal:
     sharing one journal can never interleave partial lines, and each
     append's batch lands as one contiguous run (the 8-appender property
     test in ``tests/campaign/test_store_properties.py`` pins this).
-
-    A journal may additionally be *fenced*: ``fence`` is a zero-argument
-    callable re-validated under the append lock before any byte is
-    written. Remote executors fence their private segment journals with
-    the lease check (:meth:`repro.remote.lease.LeaseFile.guard`), so a
-    writer whose lease expired or was taken over gets a typed error
-    (``LeaseExpiredError`` / ``StaleWriterError``) instead of silently
-    appending rows the coordinator will never own.
     """
 
-    def __init__(self, path: str | os.PathLike,
-                 fence: Callable[[], None] | None = None) -> None:
-        """Bind to ``path`` (created lazily on first append).
-
-        ``fence``, when given, runs under the append lock before each
-        write; raising from it aborts the append with nothing written.
-        """
+    def __init__(self, path: str | os.PathLike) -> None:
+        """Bind to ``path`` (created lazily on first append)."""
         self.path = Path(path)
-        self.fence = fence
 
     def append(self, *entries: Mapping[str, Any]) -> None:
         """Append ``entries`` as one group commit: one write, one fsync.
 
-        Any number of entries cost one lock, one tail heal, one fence
-        check, one ``write()`` of the joined lines and one ``fsync``
+        Any number of entries cost one lock, one tail heal, one
+        ``write()`` of the joined lines and one ``fsync``
         (:func:`repro.campaign.durable.append_lines`) -- the campaign
-        executor commits a whole wave's rows this way. A call with no
-        entries touches nothing.
-
-        When the journal carries a ``fence``, it is re-checked *inside*
-        the lock: an expired or superseded lease holder is rejected with
-        the fence's typed error before the heal or the write touch the
-        file, so a stale writer cannot race a takeover, and a rejected
-        batch leaves none of its lines behind.
+        executor commits a whole wave's rows this way, and a remote
+        executor a whole wave's segment. A call with no entries touches
+        nothing.
         """
         append_lines(self.path, "".join(
             canonical_json(dict(entry)) + "\n" for entry in entries
-        ).encode("utf-8"), fence=self.fence, fsync=True)
+        ).encode("utf-8"), fsync=True)
 
     def tear_tail(self, at: float = 0.0) -> int:
         """Truncate the final line mid-write (fault-injection hook).

@@ -97,29 +97,6 @@ class RemoteError(ReproError):
     """The multi-host result-shipping protocol hit an unrecoverable state."""
 
 
-class LeaseError(RemoteError):
-    """A lease could not be acquired, renewed or released."""
-
-
-class LeaseExpiredError(LeaseError):
-    """The holder's lease lapsed before the guarded operation ran.
-
-    Raised when an executor tries to act on a lease whose TTL has
-    passed: the coordinator may already have reassigned the work, so
-    the only safe move is to re-acquire (bumping the epoch) and redo.
-    """
-
-
-class StaleWriterError(LeaseError):
-    """An epoch-fenced write was attempted by a superseded lease holder.
-
-    The on-disk lease names a different (holder, epoch) than the writer
-    presented -- a takeover happened. The write is rejected *before* any
-    bytes land, so a zombie executor can never corrupt a segment that a
-    new holder now owns.
-    """
-
-
 class SegmentError(RemoteError):
     """A shipped journal segment failed verification against its manifest."""
 

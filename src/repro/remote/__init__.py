@@ -1,28 +1,28 @@
-"""Multi-host result shipping: leases, journal segments, remote executors.
+"""Multi-host result shipping: journal segments, remote executors, ingest.
 
 The campaign store (:mod:`repro.campaign.store`) is safe for many
 writers *on one host* -- ``flock`` plus single-``write()`` appends. This
 package extends that contract across hosts without assuming a shared
-filesystem lock, using a lease-based log-shipping protocol:
+filesystem lock, using log shipping fenced by one epoch per wave:
 
-1. **Leases** (:mod:`repro.remote.lease`): epoch-fenced lease files
-   with expiry and takeover. A holder that lapses is superseded by a
-   higher epoch; its later writes fail with a typed error instead of
-   landing silently.
-2. **Segments** (:mod:`repro.remote.segment`): each executor appends
-   results to a *private* leased journal segment, then seals it with a
-   manifest carrying the row count and content checksum.
+1. **Dispatch** (:mod:`repro.remote.registry`,
+   :mod:`repro.remote.coordinator`, :mod:`repro.remote.executor`): the
+   service daemon registers executors (``POST /executors``) and leases
+   campaign waves to them. Every claim bumps the wave's epoch, and a
+   lease that outlives its deadline goes back to pending
+   (``expire_stale``), so a late ship from the expired holder presents
+   an old epoch and is filed ``stale``: the registry epoch is the
+   protocol's one fence. With no executor live, waves degrade
+   gracefully to local execution.
+2. **Segments** (:mod:`repro.remote.segment`): each executor appends a
+   wave's results, in one fsynced write, to a fresh *private* journal
+   segment, then seals it with a manifest carrying the row count and
+   content checksum.
 3. **Shipping** (:mod:`repro.remote.ship`): sealed segments travel to
    the coordinator, which verifies them against their manifest and
    ingests rows into the sharded v2 store with dedup against the
-   persistent index plus a segment ledger -- re-shipped or duplicated
-   segments ingest exactly once.
-4. **Dispatch** (:mod:`repro.remote.registry`,
-   :mod:`repro.remote.coordinator`, :mod:`repro.remote.executor`): the
-   service daemon registers executors (``POST /executors``), leases
-   campaign waves to them with heartbeat-based liveness, reassigns
-   expired leases, and degrades gracefully to local execution when no
-   executor is live.
+   persistent index plus a segment ledger -- re-shipped, stale or
+   duplicated segments ingest exactly once.
 
 The headline invariant, pinned by the distributed harness in
 ``tests/integration/test_distributed_identity.py``: a campaign executed
@@ -33,16 +33,9 @@ fault-free run.
 
 from __future__ import annotations
 
-from repro.errors import (
-    LeaseError,
-    LeaseExpiredError,
-    RemoteError,
-    SegmentError,
-    StaleWriterError,
-)
+from repro.errors import RemoteError, SegmentError
 from repro.remote.coordinator import RemoteCoordinator
 from repro.remote.executor import RemoteExecutor
-from repro.remote.lease import Lease, LeaseFile
 from repro.remote.registry import ExecutorInfo, ExecutorRegistry, WaveOffer
 from repro.remote.segment import SegmentManifest, SegmentWriter, read_segment
 from repro.remote.ship import IngestReport, SegmentIngestor
@@ -51,10 +44,6 @@ __all__ = [
     "ExecutorInfo",
     "ExecutorRegistry",
     "IngestReport",
-    "Lease",
-    "LeaseError",
-    "LeaseExpiredError",
-    "LeaseFile",
     "RemoteCoordinator",
     "RemoteError",
     "RemoteExecutor",
@@ -62,6 +51,5 @@ __all__ = [
     "SegmentIngestor",
     "SegmentManifest",
     "SegmentWriter",
-    "StaleWriterError",
     "WaveOffer",
 ]

@@ -7,11 +7,11 @@ A multi-host deployment is N shells running::
     ...
 
 Each process registers with the daemon's executor registry, then loops:
-claim a wave lease, compute it through the shared simulator, seal the
-rows into a private leased journal segment, ship the sealed segment
-back. ``--root`` must be private to the process (lease files and
-segments live there); nothing is ever written to shared storage -- all
-coordination is over HTTP.
+claim a wave (the claim carries the registry's epoch for it), compute
+it through the shared simulator, seal the rows into a private journal
+segment, ship the sealed segment back. ``--root`` must be private to
+the process: it holds the segments and nothing else; nothing is ever
+written to shared storage -- all coordination is over HTTP.
 
 Like the other CLIs, the daemon address can be given as ``--url`` or
 resolved from a service root's ``service.json`` via ``--service-root``.
@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="service root; reads its service.json for the URL")
     parser.add_argument("--root", required=True,
                         help="this executor's private directory "
-                             "(leases + segments)")
+                             "(its segments)")
     parser.add_argument("--host",
                         help="advertised host label (default: pid-derived)")
     parser.add_argument("--poll", type=float, default=0.05,

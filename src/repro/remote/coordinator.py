@@ -17,7 +17,7 @@ Degradation ladder, graceful at every rung:
 - no live executors, nobody completing by the wave deadline, or a
   remote row coming back failed -> the task is absent from the returned
   map, and the campaign runs it on its own local path, with its own
-  ``workers``, ``batch``, ``retries``, ``faults`` and ``backoff``
+  ``workers``, ``retries``, ``faults`` and ``backoff``
   (with no executor live, exactly the pre-remote behavior).
 
 Because the simulator is deterministic, a task computed remotely,

@@ -1,22 +1,24 @@
 """The remote wave executor: claim, compute, seal, ship, repeat.
 
 A :class:`RemoteExecutor` is one simulated "host": a process (or
-thread, in tests) with a *private* working directory -- its lease files
-and journal segments live under its own root, never on shared storage.
-All coordination happens over the service's HTTP executor protocol:
+thread, in tests) with a *private* working directory -- its journal
+segments live under its own root, never on shared storage. All
+coordination happens over the service's HTTP executor protocol:
 
-1. ``POST /executors`` to register (returns the executor id and lease
-   TTL);
+1. ``POST /executors`` to register (returns the executor id);
 2. ``POST /executors/{id}/lease`` to claim a pending wave (doubles as
-   the idle heartbeat);
+   the idle heartbeat); the claim carries the wave's registry epoch,
+   the one fence of the protocol;
 3. compute the wave through the same fused
    :func:`~repro.campaign.executor.execute_wave` path local campaigns
    use -- bit-identity starts with running identical code;
-4. append the wave's result rows, in one write, to a private leased
-   journal segment fenced by the local lease file (a lapsed lease
-   raises instead of writing), then seal it with a manifest;
+4. append the wave's result rows, in one fsynced write, to a fresh
+   private segment named after the wave and epoch, then seal it with a
+   manifest;
 5. ``POST /executors/{id}/segments`` to ship the sealed segment, with
-   a bounded re-ship loop absorbing lost deliveries.
+   a bounded re-ship loop absorbing lost deliveries. A ship whose epoch
+   the registry has since expired is filed as ``stale`` and dedups at
+   ingest.
 
 Chaos hooks (driven by the same deterministic
 :class:`~repro.faults.FaultPlan` as everything else): ``executor_dead``
@@ -33,14 +35,8 @@ import time
 from typing import Any, Callable
 
 from repro.campaign.executor import execute_wave
-from repro.errors import (
-    LeaseExpiredError,
-    QuotaExceededError,
-    ServiceError,
-    StaleWriterError,
-)
+from repro.errors import QuotaExceededError, ServiceError
 from repro.faults import FaultInjector, FaultPlan
-from repro.remote.lease import LeaseFile
 from repro.remote.segment import SegmentWriter, result_row
 from repro.service.client import ServiceClient
 
@@ -61,23 +57,20 @@ class RemoteExecutor:
     def __init__(self, base_url: str, root: str | os.PathLike, *,
                  host: str | None = None,
                  faults: FaultPlan | None = None,
-                 poll: float = 0.05,
-                 clock: Callable[[], float] = time.time) -> None:
+                 poll: float = 0.05) -> None:
         """Serve waves from the daemon at ``base_url``.
 
-        ``root`` is this executor's private directory (segments +
-        leases); ``host`` is the advertised host label (defaults to a
+        ``root`` is this executor's private directory (its segments);
+        ``host`` is the advertised host label (defaults to a
         pid-derived name, simulating distinct hosts in tests);
         ``faults`` activates the executor-side chaos sites.
         """
         self.root = os.fspath(root)
         self.host = host if host is not None else f"host-{os.getpid()}"
         self.poll = float(poll)
-        self.clock = clock
         self.client = ServiceClient(base_url, api_key=f"executor:{self.host}")
         self.injector = FaultInjector(faults) if faults is not None else None
         self.id: str | None = None
-        self.lease_ttl = 5.0
         self.waves = 0
         self.rows = 0
         self.reships = 0
@@ -89,7 +82,6 @@ class RemoteExecutor:
         """Join the daemon's registry; returns the assigned executor id."""
         doc = self.client.register_executor(self.host, os.getpid())
         self.id = doc["id"]
-        self.lease_ttl = float(doc.get("lease_ttl", self.lease_ttl))
         return self.id
 
     def run(self, *, max_idle: float = 60.0, max_waves: int | None = None,
@@ -151,37 +143,23 @@ class RemoteExecutor:
 
     def _write_segment(self, wave_id: str, epoch: int,
                        payloads: list[dict], outs: list[dict]):
-        """Write the wave's rows to a fenced private segment and seal it.
+        """Write the wave's rows to a private segment and seal it.
 
-        All rows land in one fenced append, so the local lease is
-        checked once, under the journal lock, right before the write:
-        a lapsed lease (slow host) leaves the segment empty rather than
-        partial. The writer then re-acquires -- bumping the local epoch
-        -- and rewrites into a fresh segment, so a sealed segment is
-        always the product of one uninterrupted lease.
+        The segment is named after the wave and its registry epoch and
+        starts empty, so a wave id and epoch a restarted daemon hands
+        out again never append to the last run's segment; all rows
+        land in one fsynced append.
         """
-        lease_file = LeaseFile(
-            os.path.join(self.root, "leases", f"{_safe(wave_id)}.json"),
-            clock=self.clock)
         assert self.id is not None
-        last_error: Exception | None = None
-        for _ in range(3):
-            lease = lease_file.acquire(self.id, self.lease_ttl)
-            writer = SegmentWriter(
-                os.path.join(self.root, "segments"),
-                f"{_safe(wave_id)}-e{epoch}-l{lease.epoch}",
-                executor=self.id, epoch=epoch, wave=wave_id,
-                fence=lease_file.guard(lease))
-            try:
-                writer.append(*(
-                    result_row(payload["task_id"], payload["point"], out,
-                               wall_ms=out.get("wall_ms"))
-                    for payload, out in zip(payloads, outs)))
-                return writer.seal(), writer.rows()
-            except (LeaseExpiredError, StaleWriterError) as exc:
-                last_error = exc
-                continue
-        raise last_error  # type: ignore[misc]  # three straight lease lapses
+        writer = SegmentWriter(
+            os.path.join(self.root, "segments"),
+            f"{_safe(wave_id)}-e{epoch}",
+            executor=self.id, epoch=epoch, wave=wave_id)
+        writer.append(*(
+            result_row(payload["task_id"], payload["point"], out,
+                       wall_ms=out.get("wall_ms"))
+            for payload, out in zip(payloads, outs)))
+        return writer.seal(), writer.rows()
 
     def _ship(self, wave_id: str, epoch: int, manifest, rows: list[dict]) -> None:
         """Deliver a sealed segment; bounded re-ships absorb lost ones."""

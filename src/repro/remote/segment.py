@@ -1,21 +1,22 @@
-"""Private leased journal segments and their sealed manifests.
+"""Private journal segments and their sealed manifests.
 
-A *segment* is one executor's private result log for one wave lease:
-an append-only journal (one canonical-JSON row per line, written and
-replayed by the campaign :class:`~repro.campaign.store.Journal`, so it
-heals torn tails the same way) whose appends are fenced by the
-executor's lease. When the wave finishes, the executor *seals* the
-segment: a manifest is published next to it (temp file plus rename,
-:func:`repro.campaign.durable.publish`) recording the row count, byte
-size, and a content checksum, after which the segment is immutable and
-ready to ship.
+A *segment* is one executor's private result log for one claimed wave
+at one registry epoch: an append-only journal (one canonical-JSON row
+per line, written and replayed by the campaign
+:class:`~repro.campaign.store.Journal`, so it heals torn tails the same
+way) that starts empty and takes the whole wave's rows in one fsynced
+append. The executor then *seals* the segment: a manifest is published
+next to it (temp file plus rename, :func:`repro.campaign.durable.publish`)
+recording the row count, byte size, and a content checksum, after which
+the segment is immutable and ready to ship. Whether a ship still counts
+is the registry's call (its epoch check), not the segment's.
 
 The checksum is defined over the canonical serialization of the rows
-(exactly the bytes a fence-disciplined writer produced), so the
-coordinator can verify a shipped segment from its JSON body alone --
-no shared filesystem required -- and two executors that computed the
-same rows independently produce byte-identical segments, which is what
-lets the ingest ledger deduplicate re-shipped and reassigned work.
+(exactly the bytes the writer appended), so the coordinator can verify
+a shipped segment from its JSON body alone -- no shared filesystem
+required -- and two executors that computed the same rows
+independently produce byte-identical segments, which is what lets the
+ingest ledger deduplicate re-shipped and reassigned work.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.campaign.durable import publish
 from repro.campaign.spec import canonical_json
@@ -105,19 +106,19 @@ def verify_rows(manifest: SegmentManifest,
 
 
 class SegmentWriter:
-    """Appends fenced result rows to a private segment, then seals it.
+    """Appends result rows to a private segment, then seals it.
 
-    The segment lives at ``<root>/<name>.seg.jsonl``; rows append
-    through a :class:`~repro.campaign.store.Journal` carrying the
-    executor's lease fence, so a writer whose lease lapsed or was taken
-    over raises instead of writing. ``seal()`` publishes the manifest
-    atomically and returns it; further appends are a programming error.
+    The segment lives at ``<root>/<name>.seg.jsonl`` and starts empty: a
+    segment or manifest an earlier writer left under ``name`` is removed
+    first, so a wave id and epoch handed out again by a restarted
+    daemon never extend the last run's rows. ``seal()`` publishes the
+    manifest atomically and returns it; further appends are a
+    programming error.
     """
 
     def __init__(self, root: str | os.PathLike, name: str, *,
-                 executor: str, epoch: int, wave: str,
-                 fence: Callable[[], None] | None = None) -> None:
-        """Open (or create) segment ``name`` under ``root``."""
+                 executor: str, epoch: int, wave: str) -> None:
+        """Start segment ``name`` under ``root``, empty."""
         self.root = Path(root)
         self.name = name
         self.executor = executor
@@ -125,15 +126,13 @@ class SegmentWriter:
         self.wave = wave
         self.path = self.root / f"{name}{SEGMENT_SUFFIX}"
         self.manifest_path = self.root / f"{name}{MANIFEST_SUFFIX}"
-        self._journal = Journal(self.path, fence=fence)
+        for stale in (self.manifest_path, self.path):
+            stale.unlink(missing_ok=True)
+        self._journal = Journal(self.path)
         self._sealed = False
 
     def append(self, *rows: Mapping[str, Any]) -> None:
-        """Append result rows as one fenced write (raises after seal).
-
-        The fence is checked once for the whole call, so a lapsed lease
-        rejects every row and leaves none of them in the segment.
-        """
+        """Append result rows as one fsynced write (raises after seal)."""
         if self._sealed:
             raise SegmentError(f"segment {self.name} is sealed; appends rejected")
         self._journal.append(*rows)
@@ -145,8 +144,8 @@ class SegmentWriter:
     def seal(self) -> SegmentManifest:
         """Freeze the segment and publish its manifest atomically.
 
-        Re-reads the rows actually on disk (a fenced append that raised
-        never landed) so the manifest always describes real content.
+        Re-reads the rows actually on disk, so the manifest always
+        describes real content.
         """
         rows = self.rows()
         manifest = SegmentManifest(
@@ -212,14 +211,3 @@ def result_row(task_id: str, point: Mapping[str, Any],
         row["wall_ms"] = wall_ms
     return row
 
-
-def iter_segments(root: str | os.PathLike) -> Iterable[Path]:
-    """Yield every sealed segment file under ``root`` (sorted for determinism)."""
-    root = Path(root)
-    if not root.is_dir():
-        return
-    for seg in sorted(root.glob(f"*{SEGMENT_SUFFIX}")):
-        manifest = seg.with_name(
-            seg.name[: -len(SEGMENT_SUFFIX)] + MANIFEST_SUFFIX)
-        if manifest.exists():
-            yield seg

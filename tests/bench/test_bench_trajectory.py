@@ -75,14 +75,17 @@ def _store_metrics(speedup_100k=60.0):
     }
 
 
-def _remote_metrics(completed=1.0, exactly_once=1.0, rows_per_s=300.0,
-                    overhead_ms=40.0):
+def _remote_metrics(completed=1.0, exactly_once=1.0, slowdown=2.5,
+                    over_put=2.5):
     return {
-        "fleet": 4, "remote_rows": 60, "remote_wall_s": 0.2,
+        "fleet": 4, "fleet_rounds": 31, "fleet_rows": 60,
+        "fleet_wall_s": 0.125, "local_wall_s": 0.05,
+        "fleet_rows_per_s": 480.0,
         "remote_completed_rate": completed,
         "exactly_once_rate": exactly_once,
-        "scaleout_rows_per_s": rows_per_s,
-        "ship_ingest_overhead_ms": overhead_ms,
+        "segment_ingest_ms": 13.0, "segment_put_ms": 5.2,
+        "fleet_slowdown": slowdown,
+        "segment_ingest_over_put": over_put,
     }
 
 
@@ -375,33 +378,62 @@ def test_remote_floor_fires_on_double_landed_rows(tmp_path):
 
 def test_remote_overhead_ceiling_fires(tmp_path):
     path = tmp_path / "BENCH_REMOTE.json"
-    bt.append_entry(path, "remote", _remote_metrics(overhead_ms=300.0),
+    bt.append_entry(path, "remote", _remote_metrics(over_put=25.0),
                     "aaa", "t")
     with pytest.raises(bt.GateError,
-                       match="ship_ingest_overhead_ms.*over the ceiling"):
+                       match="segment_ingest_over_put.*over the ceiling"):
         bt.check_trajectory(path, "remote")
 
 
 def test_remote_throughput_regression_fires(tmp_path):
     path = tmp_path / "BENCH_REMOTE.json"
-    bt.append_entry(path, "remote", _remote_metrics(rows_per_s=300.0),
+    bt.append_entry(path, "remote", _remote_metrics(slowdown=2.5),
                     "aaa", "t0")
-    bt.append_entry(path, "remote", _remote_metrics(rows_per_s=250.0),
+    bt.append_entry(path, "remote", _remote_metrics(slowdown=2.9),
                     "bbb", "t1")
-    with pytest.raises(bt.GateError, match="scaleout_rows_per_s regressed"):
-        bt.check_trajectory(path, "remote")  # ~17% drop > 10% tolerance
+    with pytest.raises(bt.GateError, match="fleet_slowdown regressed"):
+        bt.check_trajectory(path, "remote")  # 16% slower > 10% tolerance
 
 
 def test_remote_within_tolerance_dip_passes(tmp_path):
     path = tmp_path / "BENCH_REMOTE.json"
-    bt.append_entry(path, "remote", _remote_metrics(rows_per_s=300.0,
-                                                    overhead_ms=40.0),
+    bt.append_entry(path, "remote", _remote_metrics(slowdown=2.5,
+                                                    over_put=2.5),
                     "aaa", "t0")
-    bt.append_entry(path, "remote", _remote_metrics(rows_per_s=280.0,
-                                                    overhead_ms=43.0),
+    bt.append_entry(path, "remote", _remote_metrics(slowdown=2.7,
+                                                    over_put=2.7),
                     "bbb", "t1")
     lines = bt.check_trajectory(path, "remote")
-    assert any("scaleout_rows_per_s" in line for line in lines)
+    assert any("fleet_slowdown" in line for line in lines)
+
+
+def test_remote_sample_reshaped_as_a_new_series(tmp_path):
+    # The entries before the interleaved rounds recorded other names;
+    # the first entry of the new shape is compared with nothing.
+    path = tmp_path / "BENCH_REMOTE.json"
+    bt.append_entry(path, "remote", {
+        "fleet": 4, "remote_rows": 60, "remote_wall_s": 0.18,
+        "remote_completed_rate": 1.0, "exactly_once_rate": 1.0,
+        "scaleout_rows_per_s": 330.8, "ship_ingest_overhead_ms": 39.9},
+        "aaa", "t0")
+    bt.append_entry(path, "remote", _remote_metrics(), "bbb", "t1")
+    lines = bt.check_trajectory(path, "remote")
+    assert "BENCH_REMOTE.json: fleet_slowdown = 2.500 " \
+           "(ceiling 20.0, first value)" in lines
+
+
+def test_segment_ingest_sample_lands_fresh_rows_in_a_live_store(tmp_path):
+    from repro.campaign.store import ResultStore
+    from repro.remote import SegmentIngestor
+
+    store = ResultStore(tmp_path / "cache")
+    ingestor = SegmentIngestor(store, tmp_path / "ingest.jsonl")
+    for k in range(3):
+        segment_s, put_s = bt._segment_ingest_s(ingestor, tmp_path / "seg", k)
+        assert segment_s >= 0 and put_s >= 0
+    assert ingestor.report.ingested == 3 * bt.REMOTE_SEGMENT_ROWS
+    assert ingestor.report.duplicate_segments == 0
+    assert store.index.count() == 2 * 3 * bt.REMOTE_SEGMENT_ROWS
 
 
 def test_ratio_is_the_median_of_per_round_ratios():

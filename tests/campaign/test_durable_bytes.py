@@ -5,8 +5,8 @@ captured from the per-file writers these files had before they shared
 one set of file disciplines (:mod:`repro.campaign.durable`). A spy on
 ``os.fsync`` pins each writer's durability policy alongside: the
 campaign journal (and every journal-backed log: segments, the ingest
-ledger) syncs once per non-empty append, the lease once per grant, and
-the index, snapshots and published documents never.
+ledger) syncs once per non-empty append, and the index, snapshots and
+published documents never.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import pytest
 from repro.campaign.shard import ShardIndex, write_store_meta
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import Journal, write_spec
-from repro.remote.lease import LeaseFile
 from repro.remote.segment import SegmentWriter, result_row
 from repro.remote.ship import SegmentLedger
 
@@ -124,19 +123,13 @@ def test_store_meta_and_spec_bytes(tmp_path, fsyncs):
     assert sorted(p.name for p in path.parent.iterdir()) == ["spec.json"]
 
 
-def test_lease_segment_manifest_and_ledger_bytes(tmp_path, fsyncs):
-    lease_file = LeaseFile(tmp_path / "leases" / "wave-1.json",
-                           clock=lambda: 1000.0)
-    leases = []
-    assert _synced(fsyncs, lambda: leases.append(
-        lease_file.acquire("ex-1", ttl=5.0))) == 1
-    assert lease_file.path.read_bytes() == (
-        b'{"epoch": 1, "granted_at": 1000.0, "holder": "ex-1", '
-        b'"name": "wave-1", "ttl": 5.0}\n')
-
-    writer = SegmentWriter(tmp_path / "segments", "w1-e1", executor="ex-1",
-                           epoch=1, wave="c/w1",
-                           fence=lease_file.guard(leases[0]))
+def test_segment_manifest_and_ledger_bytes(tmp_path, fsyncs):
+    # An executor wave syncs once: its segment append.
+    writers = []
+    assert _synced(fsyncs, lambda: writers.append(SegmentWriter(
+        tmp_path / "segments", "w1-e1", executor="ex-1", epoch=1,
+        wave="c/w1"))) == 0
+    writer = writers[0]
     assert _synced(fsyncs, lambda: writer.append(
         result_row("t1", POINT, {"status": "done", "seconds": 0.5,
                                  "error": None}, wall_ms=1.5),

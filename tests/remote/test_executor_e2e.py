@@ -131,6 +131,74 @@ def test_chaos_fleet_is_still_bit_identical(tmp_path):
         + metrics["service_remote_ingest_duplicate_segments"] >= 1
 
 
+def _recorded_run(service_root, executor_root):
+    """Run SPEC on a fresh daemon with one executor on ``executor_root``.
+
+    Returns the campaign id, the task ids of every claim keyed by
+    (wave, epoch), every ship's manifest with its rows' task ids, and
+    the campaign's result rows.
+    """
+    claims, ships = {}, []
+    with start_background(service_root, concurrent=1) as svc:
+        ex = RemoteExecutor(svc.base_url, executor_root, host="restart",
+                            poll=0.01)
+        claim, ship = ex.client.claim_wave, ex.client.ship_segment
+
+        def recording_claim(eid):
+            offer = claim(eid)
+            if offer is not None:
+                claims[offer["wave"], offer["epoch"]] = [
+                    p["task_id"] for p in offer["payloads"]]
+            return offer
+
+        def recording_ship(eid, manifest, rows):
+            ships.append((dict(manifest), [row["task_id"] for row in rows]))
+            return ship(eid, manifest, rows)
+
+        ex.client.claim_wave = recording_claim
+        ex.client.ship_segment = recording_ship
+        ex.register()
+        stop = threading.Event()
+        thread = threading.Thread(
+            target=ex.run,
+            kwargs={"max_idle": 30.0, "should_stop": stop.is_set},
+            daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(svc.base_url)
+            doc = client.submit(SPEC)
+            assert client.wait(doc["id"], timeout=120)["state"] == "complete"
+            rows = client.results(doc["id"])["rows"]
+        finally:
+            _finish([thread], stop)
+    return doc["id"], claims, ships, rows
+
+
+def test_restarted_daemon_reusing_wave_ids_ships_fresh_segments(tmp_path):
+    """Wave ids and epochs restart with the daemon; segments must not.
+
+    Two daemons on separate service roots run the same spec one after
+    the other against one executor root, so both dispatch the same
+    campaign's ``.../w1`` at epoch 1. Every ship of the second run must
+    carry exactly the wave it claimed -- no rows left in the executor's
+    root by the first run -- and its campaign must equal a local
+    fault-free run.
+    """
+    first_id, first_claims, _, _ = _recorded_run(tmp_path / "svc-1",
+                                                 tmp_path / "ex")
+    cid, claims, ships, rows = _recorded_run(tmp_path / "svc-2",
+                                             tmp_path / "ex")
+    assert cid == first_id  # content-derived: the same campaign id
+    assert (f"{cid}/w1", 1) in first_claims
+    assert (f"{cid}/w1", 1) in claims  # the same wave at the same epoch
+    assert ships
+    for manifest, task_ids in ships:
+        claimed = claims[manifest["wave"], manifest["epoch"]]
+        assert manifest["rows"] == len(claimed) == len(task_ids)
+        assert task_ids == claimed
+    assert canonical_json(rows) == canonical_json(_control_rows())
+
+
 def test_registry_surface_over_http(tmp_path):
     with start_background(tmp_path / "svc") as svc:
         client = ServiceClient(svc.base_url)

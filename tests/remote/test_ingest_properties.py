@@ -1,16 +1,18 @@
-"""Property test: concurrent fenced appenders + chaos, exactly-once ingest.
+"""Property test: concurrent appenders + chaos, exactly-once ingest.
 
 Hypothesis drives randomized scenarios of the full shipping pipeline:
 
 - N appender threads concurrently write their shard of result rows into
-  lease-fenced private segments (real threads, real flocked files);
-- random chaos per shard: a mid-write lease *expiry* (the appender's
-  next fenced append raises ``LeaseExpiredError``, it re-acquires and
-  rewrites) or a *takeover* (another holder claims the lapsed lease,
-  the original appender's append raises ``StaleWriterError`` and the
-  new holder recomputes the shard -- reassignment in miniature);
+  private segments (real threads, real flocked files), each shard one
+  wave claimed from its own :class:`ExecutorRegistry`;
+- random chaos per shard, at a random row: an *expire* (the registry
+  expires the claim mid-write; the holder claims the wave again at the
+  next epoch and rewrites the whole shard into a fresh segment) or a
+  *takeover* (a second holder claims the expired wave and recomputes
+  the shard, and the original holder still finishes, seals and ships
+  its late segment, which the registry files as ``stale``);
 - random shard overlap (two appenders own some of the same points) and
-  random re-shipping of every sealed segment.
+  random re-shipping of every sealed segment through its registry.
 
 Whatever the interleaving, ingest must be exactly-once: every expected
 point present, no point landed twice (no superseded index rows), and
@@ -32,8 +34,7 @@ from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
 from repro.campaign.spec import PointSpec  # noqa: E402
 from repro.campaign.store import ResultStore  # noqa: E402
-from repro.errors import LeaseExpiredError, StaleWriterError  # noqa: E402
-from repro.remote.lease import LeaseFile  # noqa: E402
+from repro.remote.registry import ExecutorRegistry  # noqa: E402
 from repro.remote.segment import SegmentWriter, result_row  # noqa: E402
 from repro.remote.ship import SegmentIngestor  # noqa: E402
 
@@ -41,7 +42,7 @@ CASES = ("reduce", "transform", "sort", "copy", "find", "merge")
 
 
 class FakeClock:
-    """Thread-owned settable clock driving one lease file's expiry."""
+    """Thread-owned settable clock driving one registry's deadlines."""
 
     def __init__(self) -> None:
         self.now = 1000.0
@@ -64,52 +65,46 @@ def _row(i: int) -> dict:
 
 def _append_shard(root: Path, shard_id: int, rows: list[dict],
                   chaos: str, chaos_at: int, sealed: list) -> None:
-    """One appender thread: fenced writes, chaos mid-write, seal, collect.
+    """One appender thread: claim, write, chaos mid-write, seal, collect.
 
-    ``chaos`` is ``"none"``, ``"expire"`` (lease lapses mid-write, the
-    holder re-acquires and rewrites) or ``"takeover"`` (a second holder
-    claims the lapsed lease and recomputes the shard).
+    ``chaos`` is ``"none"``, ``"expire"`` (the claim expires mid-write;
+    the holder claims again and rewrites the shard into a fresh
+    segment) or ``"takeover"`` (a second holder claims the expired wave
+    and recomputes the shard; the original holder's late segment ships
+    too). Collects ``(registry, manifest, rows, late)`` per sealed
+    segment, the late one first.
     """
     clock = FakeClock()
-    lease_file = LeaseFile(root / "leases" / f"s{shard_id}.json", clock=clock)
-    holder = f"ex-{shard_id}"
+    registry = ExecutorRegistry(lease_ttl=5.0, executor_ttl=1e9, clock=clock)
+    holder = registry.register(f"host-{shard_id}", 1)["id"]
+    wave = registry.offer(f"c{shard_id}", [
+        {"task_id": row["task_id"]} for row in rows]).wave_id
 
-    lease = lease_file.acquire(holder, ttl=5.0)
-    writer = SegmentWriter(root / "segments", f"s{shard_id}-l{lease.epoch}",
-                           executor=holder, epoch=1, wave=f"c/w{shard_id}",
-                           fence=lease_file.guard(lease))
-    fired = False
+    def claim(eid: str) -> SegmentWriter:
+        epoch = registry.claim(eid)["epoch"]
+        return SegmentWriter(root / f"s{shard_id}" / eid, f"w-e{epoch}",
+                             executor=eid, epoch=epoch, wave=wave)
+
+    writer = claim(holder)
     for n, row in enumerate(rows):
         if chaos != "none" and n == chaos_at:
-            clock.now += 10.0  # the lease lapses mid-write
-            if chaos == "takeover":
+            clock.now += 10.0  # the claim lapses mid-write
+            assert registry.expire_stale() == [wave]
+            if chaos == "expire":
+                writer = claim(holder)  # epoch 2, a fresh segment
+                writer.append(*rows[:n])
+            else:
+                rescuer = registry.register(f"re-{shard_id}", 1)["id"]
+                recompute = claim(rescuer)
+                recompute.append(*rows)
+                writer.append(*rows[n:])  # the original holder finishes late
+                sealed.append((registry, writer.seal(), writer.rows(), True))
+                writer = recompute
                 break
-            with pytest.raises(LeaseExpiredError):
-                writer.append(row)
-            fired = True
-            # re-acquire (epoch bump) and rewrite into a fresh segment
-            lease = lease_file.acquire(holder, ttl=5.0)
-            writer = SegmentWriter(
-                root / "segments", f"s{shard_id}-l{lease.epoch}",
-                executor=holder, epoch=1, wave=f"c/w{shard_id}",
-                fence=lease_file.guard(lease))
-            for replay in rows[:n]:
-                writer.append(replay)
         writer.append(row)
-    if chaos == "takeover":
-        # reassignment: a new holder fences the original out and recomputes
-        takeover = lease_file.acquire(f"re-{shard_id}", ttl=5.0)
-        with pytest.raises(StaleWriterError):
-            writer.append(rows[min(chaos_at, len(rows) - 1)])
-        writer = SegmentWriter(
-            root / "segments", f"s{shard_id}-re-l{takeover.epoch}",
-            executor=f"re-{shard_id}", epoch=2, wave=f"c/w{shard_id}",
-            fence=lease_file.guard(takeover))
-        for row in rows:
-            writer.append(row)
-    elif chaos == "expire":
-        assert fired or chaos_at >= len(rows)
-    sealed.append((writer.seal(), writer.rows()))
+    if chaos != "none":
+        assert writer.epoch == 2
+    sealed.append((registry, writer.seal(), writer.rows(), False))
 
 
 def _run_scenario(data) -> None:
@@ -169,9 +164,20 @@ def _run_scenario(data) -> None:
             data.draw(st.integers(1, 3), label=f"ships_{k}")
             for k in range(len(sealed))
         ]
-        for (manifest, rows), ships in zip(sealed, reships):
-            for _ in range(ships):
-                ingestor.ingest(manifest, rows)
+        for (registry, manifest, rows, late), ships in zip(sealed, reships):
+            statuses = [registry.deliver(manifest.executor, manifest.wave,
+                                         manifest.epoch, manifest, rows)
+                        for _ in range(ships)]
+            # the registry epoch is the one fence: a late segment of an
+            # expired claim is filed stale, the live one completes the
+            # wave once, and every later ship is a duplicate
+            if late:
+                assert statuses == ["stale"] * ships
+            else:
+                assert statuses == ["accepted"] + ["duplicate"] * (ships - 1)
+            for _, delivered, shipped in registry.drain_deliveries(
+                    [manifest.wave]):
+                ingestor.ingest(delivered, shipped)
 
         # -- exactly-once: nothing lost ...
         for i in range(n_points):

@@ -6,12 +6,10 @@ import json
 
 import pytest
 
-from repro.errors import LeaseExpiredError, SegmentError
-from repro.remote.lease import LeaseFile
+from repro.errors import SegmentError
 from repro.remote.segment import (
     SegmentManifest,
     SegmentWriter,
-    iter_segments,
     read_segment,
     result_row,
     rows_checksum,
@@ -80,17 +78,18 @@ def test_checksum_depends_only_on_content_not_writer(tmp_path):
     assert a.seal().checksum == b.seal().checksum
 
 
-def test_multi_row_append_after_lease_lapse_writes_no_row(tmp_path):
-    """One fenced write per wave: a lapsed lease leaves no partial segment."""
-    now = [1000.0]
-    lease_file = LeaseFile(tmp_path / "lease.json", clock=lambda: now[0])
-    writer = SegmentWriter(
-        tmp_path, "w1", executor="ex-1", epoch=1, wave="w",
-        fence=lease_file.guard(lease_file.acquire("ex-1", ttl=5.0)))
-    now[0] += 6.0
-    with pytest.raises(LeaseExpiredError):
-        writer.append(*_rows(3))
-    assert writer.rows() == []
+def test_writer_starts_its_segment_empty(tmp_path):
+    """A reused name (a restarted daemon's wave and epoch) drops the old rows."""
+    old = SegmentWriter(tmp_path, "w1-e1", executor="ex-1", epoch=1, wave="c/w1")
+    old.append(*_rows(3))
+    old.seal()
+    writer = SegmentWriter(tmp_path, "w1-e1", executor="ex-1", epoch=1,
+                           wave="c/w1")
+    assert not writer.path.exists() and not writer.manifest_path.exists()
+    writer.append(*_rows(2))
+    manifest = writer.seal()
+    assert manifest.rows == 2
+    assert read_segment(writer.path) == (manifest, _rows(2))
 
 
 def test_read_segment_without_manifest_raises(tmp_path):
@@ -122,15 +121,6 @@ def test_read_segment_detects_post_seal_tampering(tmp_path):
                                         "error": None}}) + "\n")
     with pytest.raises(SegmentError):
         read_segment(writer.path)
-
-
-def test_iter_segments_yields_only_sealed(tmp_path):
-    sealed = SegmentWriter(tmp_path, "a", executor="e", epoch=1, wave="w")
-    sealed.append(_rows(1)[0])
-    sealed.seal()
-    unsealed = SegmentWriter(tmp_path, "b", executor="e", epoch=1, wave="w")
-    unsealed.append(_rows(1)[0])
-    assert [p.name for p in iter_segments(tmp_path)] == ["a.seg.jsonl"]
 
 
 def test_manifest_roundtrip_and_malformed():

@@ -55,18 +55,25 @@ repo root (schema documented in ``docs/PERFORMANCE.md``):
 
 ``BENCH_REMOTE.json``
     The multi-host shipping protocol (``repro.remote``,
-    ``docs/DISTRIBUTION.md``): one in-process daemon fans a campaign
-    out across a 4-executor fleet. Floors: ``remote_completed_rate``
-    (waves completed remotely / waves offered) and
-    ``exactly_once_rate`` (live index rows / (live + superseded) after
-    ingest) must both be exactly 1.0 -- a fleet that loses waves or
-    double-lands rows is a correctness failure, not a slow run --
-    and ``scaleout_rows_per_s`` (remote rows landed per wall second
-    across the fleet) has a deliberately generous absolute floor with
-    the regression rule doing the real work, like the service p99.
-    Ceiling: ``ship_ingest_overhead_ms``, the coordinator-side cost of
-    one sealed :data:`REMOTE_SEGMENT_ROWS`-row segment (append + seal
-    + manifest verify + ledger/index ingest).
+    ``docs/DISTRIBUTION.md``): in each of :data:`REMOTE_ROUNDS`
+    interleaved rounds, one in-process daemon runs a campaign alone,
+    another fans the same campaign out across a 4-executor fleet, and
+    one segment is shipped into a live store. Floors:
+    ``remote_completed_rate`` (waves completed remotely / waves
+    offered) and ``exactly_once_rate`` (live index rows / (live +
+    superseded) after ingest) must both be exactly 1.0 -- a fleet that
+    loses waves or double-lands rows is a correctness failure, not a
+    slow run. Ceilings, generous in absolute terms with the regression
+    rule doing the real work: ``fleet_slowdown``, the median per-round
+    ratio of the fleet campaign's wall to the local one's, and
+    ``segment_ingest_over_put``, the median per-round ratio of one
+    sealed :data:`REMOTE_SEGMENT_ROWS`-row segment's CPU (append + seal
+    + manifest verify + ledger/index ingest) to a plain ``put_many`` of
+    as many rows. The walls, ``fleet_rows_per_s`` and both segment
+    sides in milliseconds ride along for trend-reading. (Older entries
+    recorded ``scaleout_rows_per_s`` and ``ship_ingest_overhead_ms``,
+    single wall-clock samples that moved by 3x between runs on one
+    tree.)
 
 Floor gating compares *dimensionless ratios* (speedups, hit rates),
 never wall seconds, so those gates are stable across CI hardware of
@@ -80,9 +87,9 @@ Usage::
     python tools/bench_trajectory.py run [--benchmark all|sweep|campaign|service]
     python tools/bench_trajectory.py check
 
-``run`` measures (best-of-N wall clock, N=3; the sweep and campaign
-families instead take the median ratio over :data:`RATIO_ROUNDS`
-interleaved rounds of CPU time) and appends one entry keyed by the
+``run`` measures (best-of-N wall clock, N=3; the sweep, campaign and
+remote families instead take medians over :data:`FAMILY_ROUNDS`
+interleaved rounds) and appends one entry keyed by the
 current commit SHA -- re-running on the same commit
 replaces that commit's entry instead of duplicating it, so the append
 is idempotent per commit. ``check`` validates every ledger against the
@@ -123,8 +130,7 @@ GATES = {
     "campaign": {"cold_reference_speedup": 5.0, "cache_speedup": 5.0},
     "service": {"dedup_hit_rate": 1.0, "completed_rate": 1.0},
     "store": {"lookup_speedup_100k": 10.0},
-    "remote": {"remote_completed_rate": 1.0, "exactly_once_rate": 1.0,
-               "scaleout_rows_per_s": 25.0},
+    "remote": {"remote_completed_rate": 1.0, "exactly_once_rate": 1.0},
 }
 
 #: Absolute ceilings on lower-is-better metrics (family -> metric -> max).
@@ -136,7 +142,7 @@ CEILINGS = {
     "campaign": {},
     "service": {"submit_p99_ms": 500.0},
     "store": {},
-    "remote": {"ship_ingest_overhead_ms": 250.0},
+    "remote": {"fleet_slowdown": 20.0, "segment_ingest_over_put": 20.0},
 }
 
 #: Newest entry may lose at most this fraction vs. the previous entry.
@@ -151,8 +157,15 @@ DEFAULT_REPEATS = 3
 #: the last one on an unchanged tree (see docs/PERFORMANCE.md).
 RATIO_ROUNDS = 15
 
-#: The families measured in :data:`RATIO_ROUNDS` rounds by default.
-RATIO_FAMILIES = ("sweep", "campaign")
+#: Interleaved rounds for the remote family: a fleet campaign is a
+#: tenth of a second of threads and loopback HTTP, and its wall moved by
+#: 2x between stretches of host load, so it takes more rounds.
+REMOTE_ROUNDS = 31
+
+#: Default rounds of the families measured in interleaved rounds; the
+#: others take :data:`DEFAULT_REPEATS`.
+FAMILY_ROUNDS = {"sweep": RATIO_ROUNDS, "campaign": RATIO_ROUNDS,
+                 "remote": REMOTE_ROUNDS}
 
 #: Problem-size exponent for the campaign family.
 CAMPAIGN_SIZE_EXP = 26
@@ -402,6 +415,7 @@ REMOTE_FLEET = 4
 #: Rows per segment in the ship+ingest overhead micro-measurement.
 REMOTE_SEGMENT_ROWS = 64
 
+
 #: Campaign fanned out across the fleet (same shape as the distributed
 #: bit-identity harness, small enough to finish in seconds).
 REMOTE_SPEC = {
@@ -414,114 +428,178 @@ REMOTE_SPEC = {
 }
 
 
-def _ship_ingest_ms(root: Path, repeats: int) -> float:
-    """Coordinator-side cost of one sealed segment, best-of ``repeats``.
-
-    Each repetition is end to end on fresh state: append
-    :data:`REMOTE_SEGMENT_ROWS` rows to a private segment with one
-    fenced ``writer.append(*rows)`` (the single write per wave a remote
-    executor makes), seal it (manifest publish), then verify + ingest
-    into an empty indexed store through the segment ledger -- i.e.
-    exactly the per-segment work the shipping protocol adds over local
-    execution, minus the HTTP hop (measured separately by the fleet
-    campaign's throughput).
-    """
+def _segment_rows(k: int, machine: str) -> list[dict]:
+    """:data:`REMOTE_SEGMENT_ROWS` result rows, distinct for every ``k``."""
     from repro.campaign.spec import PointSpec
-    from repro.campaign.store import ResultStore
-    from repro.remote import SegmentIngestor, SegmentWriter
     from repro.remote.segment import result_row
 
-    rows = [
+    return [
         result_row(
-            f"t{i}",
-            PointSpec(machine="A", backend="GCC-TBB", case="reduce",
-                      size_exp=10 + i % 20, threads=1 + i).to_dict(),
+            f"t{k}-{i}",
+            PointSpec(machine=machine, backend="GCC-TBB", case="reduce",
+                      size_exp=10 + i % 20,
+                      threads=1 + i + k * REMOTE_SEGMENT_ROWS).to_dict(),
             {"status": "done", "seconds": 1e-3 * (i + 1), "error": None},
         )
         for i in range(REMOTE_SEGMENT_ROWS)
     ]
-    serial = iter(range(10_000))
-
-    def one_segment():
-        run = next(serial)
-        writer = SegmentWriter(root / f"seg{run}", "bench", executor="ex-1",
-                               epoch=1, wave="bench/w1")
-        writer.append(*rows)
-        manifest = writer.seal()
-        store = ResultStore(root / f"cache{run}")
-        ingestor = SegmentIngestor(store, root / f"ledger{run}.jsonl")
-        report = ingestor.ingest(manifest, writer.rows())
-        assert report.ingested == REMOTE_SEGMENT_ROWS, "ingest dropped rows"
-
-    return _best_of(one_segment, repeats) * 1000.0
 
 
-def measure_remote(repeats: int = DEFAULT_REPEATS) -> dict:
-    """Fan a campaign across a 4-executor fleet; measure the protocol.
+def _segment_ingest_s(ingestor, root: Path, k: int) -> tuple[float, float]:
+    """CPU seconds of shipping segment ``k``, and of storing as many rows.
 
-    The fleet campaign runs once (a multi-second end-to-end sample, not
-    a timing to take the min of); ``repeats`` drives only the
-    ship+ingest micro-measurement. The run must itself be correct --
-    every offered wave completed remotely and the shared store holding
-    exactly one live row per point -- before its numbers are recorded.
+    The first is one segment's write, seal, verify and ingest: its
+    rows appended with one ``writer.append(*rows)`` (the single fsynced
+    write per wave a remote executor makes), the manifest published,
+    then the rows verified and ingested through ``ingestor``'s ledger
+    into its store -- the per-segment work the shipping protocol adds
+    over local execution, minus the HTTP hop (which the fleet campaigns
+    carry). The second is a plain ``put_many`` of as many other fresh
+    rows into the same store, the write a local run makes for them.
+    The store is long-lived, as a daemon's is, so neither creates a
+    fresh store's shard logs. The clock is this process's CPU time (the
+    caller runs no other thread meanwhile). On the 2-vCPU reference
+    host either side alone moved by 15% between runs on one tree, with
+    the host's load, while their ratio moved by 1%.
     """
-    import tempfile
+    from repro.campaign.spec import PointSpec
+    from repro.remote import SegmentWriter
+
+    store = ingestor.store
+    puts = []
+    for row in _segment_rows(k, "B"):
+        point = PointSpec.from_dict(row["point"])
+        puts.append((store.key_for(point), point, row["result"], None))
+    rows = _segment_rows(k, "A")
+    before = ingestor.report.ingested
+    t0 = time.process_time()
+    writer = SegmentWriter(root, f"bench-w{k}-e1", executor="ex-1",
+                           epoch=1, wave=f"bench/w{k}")
+    writer.append(*rows)
+    report = ingestor.ingest(writer.seal(), writer.rows())
+    t1 = time.process_time()
+    store.put_many(puts)
+    t2 = time.process_time()
+    assert report.ingested - before == REMOTE_SEGMENT_ROWS, \
+        "ingest dropped rows"
+    return t1 - t0, t2 - t1
+
+
+def _service_campaign(root: Path, fleet: int) -> dict:
+    """Run :data:`REMOTE_SPEC` once on a fresh daemon under ``root``.
+
+    ``fleet`` executor threads serve its waves; with none, the daemon
+    runs the campaign itself. Returns the campaign's wall seconds on
+    the daemon's clock (submission to finish, so client polling does
+    not quantise it), the rows the executors computed, the waves the
+    registry offered and completed, and the store's live and superseded
+    index rows after ingest. The campaign must complete.
+    """
     import threading
 
     from repro.campaign.store import ResultStore
     from repro.remote import RemoteExecutor
     from repro.service import ServiceClient, start_background
 
+    with start_background(root / "svc", concurrent=2) as svc:
+        executors = [
+            RemoteExecutor(svc.base_url, root / f"ex{i}",
+                           host=f"bench-host-{i}", poll=0.005)
+            for i in range(fleet)
+        ]
+        for executor in executors:
+            executor.register()  # all live before the campaign starts
+        stop = threading.Event()
+        threads = [
+            threading.Thread(
+                target=executor.run,
+                kwargs={"max_idle": 60.0, "should_stop": stop.is_set},
+                daemon=True)
+            for executor in executors
+        ]
+        for thread in threads:
+            thread.start()
+        client = ServiceClient(svc.base_url, api_key="bench-remote")
+        done = client.wait(client.submit(REMOTE_SPEC)["id"], timeout=120)
+        assert done["state"] == "complete", done
+        record = svc.daemon.service.records[done["id"]]
+        while record.finished_at is None:  # set just after the state
+            time.sleep(0.001)
+        metrics = client.metrics()
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+    store = ResultStore(root / "svc" / "cache")
+    superseded = store.compact().superseded
+    return {
+        "wall_s": record.finished_at - record.submitted_at,
+        "rows": sum(executor.rows for executor in executors),
+        "offered": metrics["service_remote_waves_offered"],
+        "completed": metrics["service_remote_waves_completed"],
+        "live": store.index.count() if store.index is not None else 0,
+        "superseded": superseded,
+    }
+
+
+def measure_remote(repeats: int = REMOTE_ROUNDS) -> dict:
+    """Fan a campaign across a 4-executor fleet; measure the protocol.
+
+    Each of ``repeats`` rounds, after one warm-up round off the clock,
+    runs :data:`REMOTE_SPEC` on a fresh daemon alone, then on a fresh
+    daemon with the fleet, then ships one segment and stores as many
+    rows (:func:`_segment_ingest_s`). The sides of each ratio share one
+    stretch of host load, which moved a fleet campaign of about 0.1 s
+    by 2x within a minute on the 2-vCPU reference host; the entry
+    records the median per-round ratios. (Older entries recorded
+    ``scaleout_rows_per_s`` from one fleet campaign timed at the
+    client's 50 ms status polls, which read 337-1,080 rows/s on one
+    tree, and ``ship_ingest_overhead_ms`` into a fresh store.) Every
+    fleet run must be correct -- every offered wave completed remotely
+    and each store holding exactly one live row per point -- before its
+    numbers are recorded.
+    """
+    import tempfile
+
+    from repro.campaign.store import ResultStore
+    from repro.remote import SegmentIngestor
+
     with tempfile.TemporaryDirectory(prefix="bench_remote_") as tmp:
         root = Path(tmp)
-        with start_background(root / "svc", concurrent=2) as svc:
-            executors = [
-                RemoteExecutor(svc.base_url, root / f"ex{i}",
-                               host=f"bench-host-{i}", poll=0.005)
-                for i in range(REMOTE_FLEET)
-            ]
-            for executor in executors:
-                executor.register()  # all live before the campaign starts
-            stop = threading.Event()
-            threads = [
-                threading.Thread(
-                    target=executor.run,
-                    kwargs={"max_idle": 60.0, "should_stop": stop.is_set},
-                    daemon=True)
-                for executor in executors
-            ]
-            for thread in threads:
-                thread.start()
-            client = ServiceClient(svc.base_url, api_key="bench-remote")
-            t0 = time.perf_counter()
-            done = client.wait(client.submit(REMOTE_SPEC)["id"], timeout=120)
-            wall_s = time.perf_counter() - t0
-            assert done["state"] == "complete", done
-            metrics = client.metrics()
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=10)
+        ingestor = SegmentIngestor(ResultStore(root / "micro" / "cache"),
+                                   root / "micro" / "ingest.jsonl")
+        _service_campaign(root / "warmup-local", 0)
+        _service_campaign(root / "warmup-fleet", REMOTE_FLEET)
+        _segment_ingest_s(ingestor, root / "micro", 0)
+        local, fleet, segments, puts = [], [], [], []
+        for k in range(1, max(1, repeats) + 1):
+            local.append(_service_campaign(root / f"local{k}", 0))
+            fleet.append(_service_campaign(root / f"fleet{k}", REMOTE_FLEET))
+            segment_s, put_s = _segment_ingest_s(ingestor, root / "micro", k)
+            segments.append(segment_s)
+            puts.append(put_s)
 
-        offered = metrics["service_remote_waves_offered"]
-        completed = metrics["service_remote_waves_completed"]
-        assert offered > 0, "no waves went remote -- fleet never engaged"
-        remote_rows = sum(executor.rows for executor in executors)
-        assert remote_rows > 0, "executors computed nothing"
-
-        store = ResultStore(root / "svc" / "cache")
-        superseded = store.compact().superseded
-        live_rows = store.index.count() if store.index is not None else 0
-
-        overhead_ms = _ship_ingest_ms(root / "micro", repeats)
-
+    offered = sum(run["offered"] for run in fleet)
+    assert offered > 0, "no waves went remote -- fleet never engaged"
+    assert all(run["rows"] > 0 for run in fleet), "executors computed nothing"
+    live = sum(run["live"] for run in fleet)
     return {
         "fleet": REMOTE_FLEET,
-        "remote_rows": remote_rows,
-        "remote_wall_s": wall_s,
-        "remote_completed_rate": completed / offered,
-        "exactly_once_rate": live_rows / (live_rows + superseded),
-        "scaleout_rows_per_s": remote_rows / wall_s,
-        "ship_ingest_overhead_ms": overhead_ms,
+        "fleet_rounds": len(fleet),
+        "fleet_rows": statistics.median(run["rows"] for run in fleet),
+        "fleet_wall_s": statistics.median(run["wall_s"] for run in fleet),
+        "local_wall_s": statistics.median(run["wall_s"] for run in local),
+        "remote_completed_rate":
+            sum(run["completed"] for run in fleet) / offered,
+        "exactly_once_rate":
+            live / (live + sum(run["superseded"] for run in fleet)),
+        "fleet_rows_per_s": statistics.median(
+            run["rows"] / run["wall_s"] for run in fleet),
+        "segment_ingest_ms": statistics.median(segments) * 1000.0,
+        "segment_put_ms": statistics.median(puts) * 1000.0,
+        "fleet_slowdown": _median_ratio(
+            [run["wall_s"] for run in fleet],
+            [run["wall_s"] for run in local]),
+        "segment_ingest_over_put": _median_ratio(segments, puts),
     }
 
 
@@ -694,8 +772,7 @@ def _cmd_run(args) -> int:
     for family in families:
         repeats = args.repeats
         if repeats is None:
-            repeats = RATIO_ROUNDS if family in RATIO_FAMILIES \
-                else DEFAULT_REPEATS
+            repeats = FAMILY_ROUNDS.get(family, DEFAULT_REPEATS)
         print(f"[{family}] measuring ({repeats} repeats)...", flush=True)
         metrics = MEASURES[family](repeats=repeats)
         path = root / TRAJECTORY_FILES[family]
