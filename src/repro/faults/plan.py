@@ -46,7 +46,7 @@ Sites (see docs/ROBUSTNESS.md for the full fault model):
     lands).
 ``segment_dup_ship``
     The remote executor ships one sealed segment twice; the
-    coordinator's ledger + index dedup must ingest it exactly once.
+    coordinator's index dedup must ingest it exactly once.
 ``lease_expire``
     A claimed wave lease is treated as lapsed while its holder still
     computes; the coordinator reassigns the wave (epoch bump) and the

@@ -1,4 +1,4 @@
-"""Multi-host result shipping: journal segments, remote executors, ingest.
+"""Multi-host result shipping: sealed segments, remote executors, ingest.
 
 The campaign store (:mod:`repro.campaign.store`) is safe for many
 writers *on one host* -- ``flock`` plus single-``write()`` appends. This
@@ -14,14 +14,13 @@ filesystem lock, using log shipping fenced by one epoch per wave:
    an old epoch and is filed ``stale``: the registry epoch is the
    protocol's one fence. With no executor live, waves degrade
    gracefully to local execution.
-2. **Segments** (:mod:`repro.remote.segment`): each executor appends a
-   wave's results, in one fsynced write, to a fresh *private* journal
-   segment, then seals it with a manifest carrying the row count and
-   content checksum.
+2. **Segments** (:mod:`repro.remote.segment`): each executor seals a
+   wave's result rows in memory with a manifest carrying the row count
+   and content checksum; it writes no file.
 3. **Shipping** (:mod:`repro.remote.ship`): sealed segments travel to
    the coordinator, which verifies them against their manifest and
-   ingests rows into the sharded v2 store with dedup against the
-   persistent index plus a segment ledger -- re-shipped, stale or
+   ingests rows into the sharded v2 store, skipping every row whose key
+   the persistent index already holds -- re-shipped, stale or
    duplicated segments ingest exactly once.
 
 The headline invariant, pinned by the distributed harness in
@@ -37,7 +36,7 @@ from repro.errors import RemoteError, SegmentError
 from repro.remote.coordinator import RemoteCoordinator
 from repro.remote.executor import RemoteExecutor
 from repro.remote.registry import ExecutorInfo, ExecutorRegistry, WaveOffer
-from repro.remote.segment import SegmentManifest, SegmentWriter, read_segment
+from repro.remote.segment import SegmentManifest, seal
 from repro.remote.ship import IngestReport, SegmentIngestor
 
 __all__ = [
@@ -50,6 +49,6 @@ __all__ = [
     "SegmentError",
     "SegmentIngestor",
     "SegmentManifest",
-    "SegmentWriter",
     "WaveOffer",
+    "seal",
 ]

@@ -2,16 +2,17 @@
 
 A multi-host deployment is N shells running::
 
-    pstl-executor --url http://coordinator:8631 --root /scratch/ex1
-    pstl-executor --url http://coordinator:8631 --root /scratch/ex2
+    pstl-executor --url http://coordinator:8631
+    pstl-executor --url http://coordinator:8631
     ...
 
 Each process registers with the daemon's executor registry, then loops:
 claim a wave (the claim carries the registry's epoch for it), compute
-it through the shared simulator, seal the rows into a private journal
-segment, ship the sealed segment back. ``--root`` must be private to
-the process: it holds the segments and nothing else; nothing is ever
-written to shared storage -- all coordination is over HTTP.
+it through the shared simulator, seal the rows in memory, ship the
+sealed segment back. An executor writes no file anywhere -- all
+coordination is over HTTP. ``--root`` is accepted and ignored, so
+command lines written when executors kept their segments on disk still
+run.
 
 Like the other CLIs, the daemon address can be given as ``--url`` or
 resolved from a service root's ``service.json`` via ``--service-root``.
@@ -46,9 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--url", help="daemon base URL (http://host:port)")
     parser.add_argument("--service-root",
                         help="service root; reads its service.json for the URL")
-    parser.add_argument("--root", required=True,
-                        help="this executor's private directory "
-                             "(its segments)")
+    parser.add_argument("--root",
+                        help="ignored: executors keep no files (accepted "
+                             "so older command lines still run)")
     parser.add_argument("--host",
                         help="advertised host label (default: pid-derived)")
     parser.add_argument("--poll", type=float, default=0.05,
@@ -84,8 +85,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.fault_seed is not None:
                 faults = faults.with_seed(args.fault_seed)
         executor = RemoteExecutor(
-            _base_url(args), args.root,
-            host=args.host, faults=faults, poll=args.poll)
+            _base_url(args), host=args.host, faults=faults, poll=args.poll)
         summary = executor.run(
             max_idle=args.max_idle, max_waves=args.max_waves)
     except (ReproError, OSError, json.JSONDecodeError) as exc:

@@ -22,14 +22,13 @@ Degradation ladder, graceful at every rung:
 
 Because the simulator is deterministic, a task computed remotely,
 recomputed after reassignment, or computed locally yields identical
-bytes -- which is why the ingest dedup (ledger + index) can collapse
-every duplicate and the whole campaign stays bit-identical to a
+bytes -- which is why the ingest's index dedup can collapse every
+duplicate and the whole campaign stays bit-identical to a
 single-process run.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Callable
 
@@ -54,14 +53,12 @@ class RemoteCoordinator:
     def __init__(self, registry: ExecutorRegistry, *,
                  store: ResultStore,
                  campaign: str,
-                 ledger_path: str | os.PathLike,
                  wave_timeout: float = 60.0,
                  poll: float = 0.05,
                  clock: Callable[[], float] = time.monotonic) -> None:
         """Coordinate ``campaign``'s waves through ``registry``.
 
         ``store`` is the campaign's shared result store (ingest target);
-        ``ledger_path`` locates the campaign's segment-ingest ledger;
         ``wave_timeout`` bounds how long a wave may stay remote before
         the coordinator takes it back for the campaign's local path.
         """
@@ -70,7 +67,7 @@ class RemoteCoordinator:
         self.wave_timeout = float(wave_timeout)
         self.poll = float(poll)
         self.clock = clock
-        self.ingestor = SegmentIngestor(store, ledger_path)
+        self.ingestor = SegmentIngestor(store)
         self.rejected_segments = 0
         self.waves_dispatched = 0
         self.waves_local = 0
@@ -167,8 +164,7 @@ class RemoteCoordinator:
             "waves_dispatched": self.waves_dispatched,
             "waves_reclaimed_local": self.waves_local,
             "segments_rejected": self.rejected_segments,
-            **{f"ingest_{k}": v for k, v in report.to_dict().items()
-               if k != "by_executor"},
+            **{f"ingest_{k}": v for k, v in report.to_dict().items()},
         }
 
 

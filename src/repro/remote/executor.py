@@ -1,9 +1,9 @@
 """The remote wave executor: claim, compute, seal, ship, repeat.
 
 A :class:`RemoteExecutor` is one simulated "host": a process (or
-thread, in tests) with a *private* working directory -- its journal
-segments live under its own root, never on shared storage. All
-coordination happens over the service's HTTP executor protocol:
+thread, in tests) that keeps no files at all -- each wave's rows live
+in memory from compute to ship. All coordination happens over the
+service's HTTP executor protocol:
 
 1. ``POST /executors`` to register (returns the executor id);
 2. ``POST /executors/{id}/lease`` to claim a pending wave (doubles as
@@ -12,9 +12,9 @@ coordination happens over the service's HTTP executor protocol:
 3. compute the wave through the same fused
    :func:`~repro.campaign.executor.execute_wave` path local campaigns
    use -- bit-identity starts with running identical code;
-4. append the wave's result rows, in one fsynced write, to a fresh
-   private segment named after the wave and epoch, then seal it with a
-   manifest;
+4. seal the wave's result rows in memory
+   (:func:`~repro.remote.segment.seal`): a manifest named after the
+   wave and epoch, carrying the row count and content checksum;
 5. ``POST /executors/{id}/segments`` to ship the sealed segment, with
    a bounded re-ship loop absorbing lost deliveries. A ship whose epoch
    the registry has since expired is filed as ``stale`` and dedups at
@@ -37,7 +37,7 @@ from typing import Any, Callable
 from repro.campaign.executor import execute_wave
 from repro.errors import QuotaExceededError, ServiceError
 from repro.faults import FaultInjector, FaultPlan
-from repro.remote.segment import SegmentWriter, result_row
+from repro.remote.segment import SegmentManifest, result_row, seal
 from repro.service.client import ServiceClient
 
 __all__ = ["RemoteExecutor"]
@@ -47,25 +47,23 @@ SHIP_ATTEMPTS = 4
 
 
 def _safe(name: str) -> str:
-    """Filesystem-safe token for wave ids (``campaign/w1`` -> ``campaign_w1``)."""
+    """A wave id as a segment-name token (``campaign/w1`` -> ``campaign_w1``)."""
     return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in name)
 
 
 class RemoteExecutor:
-    """One executor process/thread bound to a daemon and a private root."""
+    """One executor process/thread bound to a daemon."""
 
-    def __init__(self, base_url: str, root: str | os.PathLike, *,
+    def __init__(self, base_url: str, *,
                  host: str | None = None,
                  faults: FaultPlan | None = None,
                  poll: float = 0.05) -> None:
         """Serve waves from the daemon at ``base_url``.
 
-        ``root`` is this executor's private directory (its segments);
         ``host`` is the advertised host label (defaults to a
         pid-derived name, simulating distinct hosts in tests);
         ``faults`` activates the executor-side chaos sites.
         """
-        self.root = os.fspath(root)
         self.host = host if host is not None else f"host-{os.getpid()}"
         self.poll = float(poll)
         self.client = ServiceClient(base_url, api_key=f"executor:{self.host}")
@@ -136,32 +134,18 @@ class RemoteExecutor:
             # expires by deadline and the coordinator reassigns.
             os.kill(os.getpid(), signal.SIGKILL)
         outs = execute_wave([dict(p["point"]) for p in payloads])
-        manifest, rows = self._write_segment(wave_id, epoch, payloads, outs)
-        self._ship(wave_id, epoch, manifest, rows)
+        rows = [result_row(payload["task_id"], payload["point"], out,
+                           wall_ms=out.get("wall_ms"))
+                for payload, out in zip(payloads, outs)]
+        assert self.id is not None
+        manifest = seal(rows, segment=f"{_safe(wave_id)}-e{epoch}",
+                        executor=self.id, epoch=epoch, wave=wave_id)
+        self._ship(wave_id, manifest, rows)
         self.waves += 1
         self.rows += len(rows)
 
-    def _write_segment(self, wave_id: str, epoch: int,
-                       payloads: list[dict], outs: list[dict]):
-        """Write the wave's rows to a private segment and seal it.
-
-        The segment is named after the wave and its registry epoch and
-        starts empty, so a wave id and epoch a restarted daemon hands
-        out again never append to the last run's segment; all rows
-        land in one fsynced append.
-        """
-        assert self.id is not None
-        writer = SegmentWriter(
-            os.path.join(self.root, "segments"),
-            f"{_safe(wave_id)}-e{epoch}",
-            executor=self.id, epoch=epoch, wave=wave_id)
-        writer.append(*(
-            result_row(payload["task_id"], payload["point"], out,
-                       wall_ms=out.get("wall_ms"))
-            for payload, out in zip(payloads, outs)))
-        return writer.seal(), writer.rows()
-
-    def _ship(self, wave_id: str, epoch: int, manifest, rows: list[dict]) -> None:
+    def _ship(self, wave_id: str, manifest: SegmentManifest,
+              rows: list[dict]) -> None:
         """Deliver a sealed segment; bounded re-ships absorb lost ones."""
         assert self.id is not None
         ident = f"{wave_id}:{manifest.checksum[:16]}"

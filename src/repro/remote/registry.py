@@ -26,8 +26,8 @@ Wave lease lifecycle::
 
 A delivery presenting a *stale* epoch -- its holder was expired and the
 wave reassigned -- does not complete the wave, but its rows are still
-queued for ingest: results are deterministic, so the ledger and index
-dedup collapse them into the exactly-once outcome, and the counter
+queued for ingest: results are deterministic, so the ingest's index
+dedup collapses them into the exactly-once outcome, and the counter
 ``stale_ships`` records that fencing did its job.
 """
 

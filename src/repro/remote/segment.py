@@ -1,48 +1,37 @@
-"""Private journal segments and their sealed manifests.
+"""Sealed segments: one claimed wave's result rows and their manifest.
 
-A *segment* is one executor's private result log for one claimed wave
-at one registry epoch: an append-only journal (one canonical-JSON row
-per line, written and replayed by the campaign
-:class:`~repro.campaign.store.Journal`, so it heals torn tails the same
-way) that starts empty and takes the whole wave's rows in one fsynced
-append. The executor then *seals* the segment: a manifest is published
-next to it (temp file plus rename, :func:`repro.campaign.durable.publish`)
-recording the row count, byte size, and a content checksum, after which
-the segment is immutable and ready to ship. Whether a ship still counts
+A *segment* is one executor's result rows for one claimed wave at one
+registry epoch. The executor *seals* it in memory (:func:`seal`): a
+manifest records the row count, and the byte size and content checksum
+of the rows' canonical lines, and travels beside the rows in one HTTP
+body. The executor writes nothing to disk; whether a ship still counts
 is the registry's call (its epoch check), not the segment's.
 
-The checksum is defined over the canonical serialization of the rows
-(exactly the bytes the writer appended), so the coordinator can verify
-a shipped segment from its JSON body alone -- no shared filesystem
-required -- and two executors that computed the same rows
-independently produce byte-identical segments, which is what lets the
-ingest ledger deduplicate re-shipped and reassigned work.
+The checksum is defined over the canonical serialization of the rows,
+so the coordinator can verify a shipped segment from its JSON body
+alone -- no shared filesystem required -- and two executors that
+computed the same rows independently seal the same checksum.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.campaign.durable import publish
 from repro.campaign.spec import canonical_json
-from repro.campaign.store import Journal
 from repro.errors import SegmentError
 
-MANIFEST_SUFFIX = ".manifest.json"
-SEGMENT_SUFFIX = ".seg.jsonl"
+
+def _lines(rows: Sequence[Mapping[str, Any]]) -> bytes:
+    """The canonical line serialization of ``rows``, one line per row."""
+    return "".join(canonical_json(dict(row)) + "\n"
+                   for row in rows).encode("utf-8")
 
 
 def rows_checksum(rows: Sequence[Mapping[str, Any]]) -> str:
     """sha256 (hex) over the canonical line serialization of ``rows``."""
-    digest = hashlib.sha256()
-    for row in rows:
-        digest.update((canonical_json(dict(row)) + "\n").encode("utf-8"))
-    return digest.hexdigest()
+    return hashlib.sha256(_lines(rows)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -58,7 +47,7 @@ class SegmentManifest:
     checksum: str
 
     def to_dict(self) -> dict[str, Any]:
-        """Serialize to the on-disk / on-wire JSON shape."""
+        """Serialize to the on-wire JSON shape."""
         return {
             "segment": self.segment,
             "executor": self.executor,
@@ -86,6 +75,26 @@ class SegmentManifest:
             raise SegmentError(f"malformed segment manifest: {exc}") from None
 
 
+def seal(rows: Sequence[Mapping[str, Any]], *, segment: str, executor: str,
+         epoch: int, wave: str) -> SegmentManifest:
+    """The manifest of ``rows`` sealed as ``segment``; touches no file.
+
+    ``size`` and ``checksum`` cover the rows' canonical lines, so a
+    receiver recomputes both from the shipped rows alone
+    (:func:`verify_rows` checks the checksum).
+    """
+    data = _lines(rows)
+    return SegmentManifest(
+        segment=segment,
+        executor=executor,
+        epoch=int(epoch),
+        wave=wave,
+        rows=len(rows),
+        size=len(data),
+        checksum=hashlib.sha256(data).hexdigest(),
+    )
+
+
 def verify_rows(manifest: SegmentManifest,
                 rows: Sequence[Mapping[str, Any]]) -> None:
     """Check shipped ``rows`` against their ``manifest``; raise on mismatch.
@@ -105,88 +114,6 @@ def verify_rows(manifest: SegmentManifest,
             f"(manifest {manifest.checksum[:16]}..., rows {actual[:16]}...)")
 
 
-class SegmentWriter:
-    """Appends result rows to a private segment, then seals it.
-
-    The segment lives at ``<root>/<name>.seg.jsonl`` and starts empty: a
-    segment or manifest an earlier writer left under ``name`` is removed
-    first, so a wave id and epoch handed out again by a restarted
-    daemon never extend the last run's rows. ``seal()`` publishes the
-    manifest atomically and returns it; further appends are a
-    programming error.
-    """
-
-    def __init__(self, root: str | os.PathLike, name: str, *,
-                 executor: str, epoch: int, wave: str) -> None:
-        """Start segment ``name`` under ``root``, empty."""
-        self.root = Path(root)
-        self.name = name
-        self.executor = executor
-        self.epoch = int(epoch)
-        self.wave = wave
-        self.path = self.root / f"{name}{SEGMENT_SUFFIX}"
-        self.manifest_path = self.root / f"{name}{MANIFEST_SUFFIX}"
-        for stale in (self.manifest_path, self.path):
-            stale.unlink(missing_ok=True)
-        self._journal = Journal(self.path)
-        self._sealed = False
-
-    def append(self, *rows: Mapping[str, Any]) -> None:
-        """Append result rows as one fsynced write (raises after seal)."""
-        if self._sealed:
-            raise SegmentError(f"segment {self.name} is sealed; appends rejected")
-        self._journal.append(*rows)
-
-    def rows(self) -> list[dict]:
-        """All intact rows currently in the segment, in append order."""
-        return self._journal.entries()
-
-    def seal(self) -> SegmentManifest:
-        """Freeze the segment and publish its manifest atomically.
-
-        Re-reads the rows actually on disk, so the manifest always
-        describes real content.
-        """
-        rows = self.rows()
-        manifest = SegmentManifest(
-            segment=self.name,
-            executor=self.executor,
-            epoch=self.epoch,
-            wave=self.wave,
-            rows=len(rows),
-            size=self.path.stat().st_size if self.path.exists() else 0,
-            checksum=rows_checksum(rows),
-        )
-        publish(self.manifest_path,
-                json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
-        self._sealed = True
-        return manifest
-
-
-def read_segment(path: str | os.PathLike) -> tuple[SegmentManifest, list[dict]]:
-    """Load a sealed segment from disk and verify it against its manifest.
-
-    ``path`` is the segment file (``*.seg.jsonl``); the manifest is
-    expected next to it. Raises :class:`SegmentError` when the manifest
-    is missing or the content fails verification.
-    """
-    seg_path = Path(path)
-    name = seg_path.name
-    if name.endswith(SEGMENT_SUFFIX):
-        name = name[: -len(SEGMENT_SUFFIX)]
-    manifest_path = seg_path.with_name(f"{name}{MANIFEST_SUFFIX}")
-    try:
-        manifest = SegmentManifest.from_dict(
-            json.loads(manifest_path.read_text(encoding="utf-8")))
-    except FileNotFoundError:
-        raise SegmentError(f"segment {name}: no manifest at {manifest_path}") from None
-    except ValueError as exc:
-        raise SegmentError(f"segment {name}: corrupt manifest: {exc}") from None
-    rows = Journal(seg_path).entries()
-    verify_rows(manifest, rows)
-    return manifest, rows
-
-
 def result_row(task_id: str, point: Mapping[str, Any],
                payload: Mapping[str, Any],
                wall_ms: float | None = None) -> dict[str, Any]:
@@ -196,18 +123,19 @@ def result_row(task_id: str, point: Mapping[str, Any],
     / ``error``); ``point`` is the task's point spec as a dict. Rows
     deliberately carry no timestamps or host names in the checksummed
     body -- determinism of the row content is what makes re-shipped and
-    reassigned segments collapse to one ingest.
+    reassigned segments collapse to one ingest. Keys are built in
+    sorted order, so a row's JSON on the wire lists its fields in the
+    order of its canonical line.
     """
     row = {
-        "task_id": task_id,
-        "point": dict(point),
+        "point": dict(sorted(point.items())),
         "result": {
-            "status": payload.get("status"),
-            "seconds": payload.get("seconds"),
             "error": payload.get("error"),
+            "seconds": payload.get("seconds"),
+            "status": payload.get("status"),
         },
+        "task_id": task_id,
     }
     if wall_ms is not None:
         row["wall_ms"] = wall_ms
     return row
-

@@ -341,7 +341,6 @@ class CampaignService:
                 self.registry,
                 store=ResultStore(self.cache_root),
                 campaign=record.id,
-                ledger_path=self._dir(record.id) / "ingest.jsonl",
                 wave_timeout=self.wave_timeout,
             )
             self._coordinators[record.id] = coordinator

@@ -427,13 +427,15 @@ def test_segment_ingest_sample_lands_fresh_rows_in_a_live_store(tmp_path):
     from repro.remote import SegmentIngestor
 
     store = ResultStore(tmp_path / "cache")
-    ingestor = SegmentIngestor(store, tmp_path / "ingest.jsonl")
+    ingestor = SegmentIngestor(store)
     for k in range(3):
-        segment_s, put_s = bt._segment_ingest_s(ingestor, tmp_path / "seg", k)
+        segment_s, put_s = bt._segment_ingest_s(ingestor, k)
         assert segment_s >= 0 and put_s >= 0
     assert ingestor.report.ingested == 3 * bt.REMOTE_SEGMENT_ROWS
-    assert ingestor.report.duplicate_segments == 0
+    assert ingestor.report.deduped == 0
     assert store.index.count() == 2 * 3 * bt.REMOTE_SEGMENT_ROWS
+    # sealed in memory: the store is the only thing on disk
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
 
 
 def test_ratio_is_the_median_of_per_round_ratios():

@@ -4,13 +4,16 @@ Each format is written from fixed inputs and compared with literal bytes
 captured from the per-file writers these files had before they shared
 one set of file disciplines (:mod:`repro.campaign.durable`). A spy on
 ``os.fsync`` pins each writer's durability policy alongside: the
-campaign journal (and every journal-backed log: segments, the ingest
-ledger) syncs once per non-empty append, and the index, snapshots and
-published documents never.
+campaign journal syncs once per non-empty append, and the index,
+snapshots and published documents never. A remote executor's sealed
+segment manifest is pinned here too, though it is built in memory and
+never written.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -18,8 +21,7 @@ import pytest
 from repro.campaign.shard import ShardIndex, write_store_meta
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import Journal, write_spec
-from repro.remote.segment import SegmentWriter, result_row
-from repro.remote.ship import SegmentLedger
+from repro.remote.segment import result_row, seal
 
 POINT = {"machine": "A", "backend": "GCC-TBB", "case": "reduce",
          "size_exp": 8, "threads": 2, "mode": "model",
@@ -123,36 +125,36 @@ def test_store_meta_and_spec_bytes(tmp_path, fsyncs):
     assert sorted(p.name for p in path.parent.iterdir()) == ["spec.json"]
 
 
-def test_segment_manifest_and_ledger_bytes(tmp_path, fsyncs):
-    # An executor wave syncs once: its segment append.
-    writers = []
-    assert _synced(fsyncs, lambda: writers.append(SegmentWriter(
-        tmp_path / "segments", "w1-e1", executor="ex-1", epoch=1,
-        wave="c/w1"))) == 0
-    writer = writers[0]
-    assert _synced(fsyncs, lambda: writer.append(
+def test_sealed_manifest_bytes(tmp_path, fsyncs, monkeypatch):
+    # An executor wave seals in memory: no fsync, no file. The manifest
+    # and the rows' canonical lines are the wire format, so their bytes
+    # stay pinned.
+    monkeypatch.chdir(tmp_path)
+    rows = [
         result_row("t1", POINT, {"status": "done", "seconds": 0.5,
                                  "error": None}, wall_ms=1.5),
         result_row("t2", POINT, {"status": "na", "seconds": None,
-                                 "error": None}))) == 1
+                                 "error": None}),
+    ]
     manifests = []
-    assert _synced(fsyncs, lambda: manifests.append(writer.seal())) == 0
-    assert writer.path.read_bytes() == (
-        SEGMENT_POINT + b'"result":{"error":null,"seconds":0.5,'
-        b'"status":"done"},"task_id":"t1","wall_ms":1.5}\n'
-        + SEGMENT_POINT + b'"result":{"error":null,"seconds":null,'
-        b'"status":"na"},"task_id":"t2"}\n')
-    assert writer.manifest_path.read_bytes() == (
+    assert _synced(fsyncs, lambda: manifests.append(seal(
+        rows, segment="w1-e1", executor="ex-1", epoch=1,
+        wave="c/w1"))) == 0
+    manifest = manifests[0]
+    assert manifest.checksum == CHECKSUM
+    assert manifest.size == 419
+    assert (json.dumps(manifest.to_dict(), sort_keys=True, indent=2)
+            + "\n").encode() == (
         b'{\n  "checksum": "' + CHECKSUM.encode() + b'",\n  "epoch": 1,\n'
         b'  "executor": "ex-1",\n  "rows": 2,\n  "segment": "w1-e1",\n'
         b'  "size": 419,\n  "wave": "c/w1"\n}\n')
-    assert sorted(p.name for p in writer.root.iterdir()) == \
-        ["w1-e1.manifest.json", "w1-e1.seg.jsonl"]  # no temp file left
-
-    ledger = SegmentLedger(tmp_path / "ingest.jsonl")
-    assert _synced(fsyncs, lambda: ledger.record(
-        manifests[0], ingested=2, deduped=0)) == 1
-    assert ledger.path.read_bytes() == (
-        b'{"checksum":"' + CHECKSUM.encode() + b'","deduped":0,"epoch":1,'
-        b'"executor":"ex-1","ingested":2,"rows":2,"segment":"w1-e1",'
-        b'"wave":"c/w1"}\n')
+    # The 419 bytes are the rows' canonical lines, and the rows ship
+    # with their keys in that same order.
+    lines = (SEGMENT_POINT + b'"result":{"error":null,"seconds":0.5,'
+             b'"status":"done"},"task_id":"t1","wall_ms":1.5}\n'
+             + SEGMENT_POINT + b'"result":{"error":null,"seconds":null,'
+             b'"status":"na"},"task_id":"t2"}\n')
+    assert len(lines) == 419
+    assert hashlib.sha256(lines).hexdigest() == CHECKSUM
+    assert json.dumps(rows) == json.dumps(rows, sort_keys=True)
+    assert list(tmp_path.iterdir()) == []

@@ -125,6 +125,11 @@ def test_four_executor_chaos_campaign_is_bit_identical(tmp_path):
     # -- headline: byte-identical to the single-process fault-free run
     assert canonical_json(remote_rows) == canonical_json(_control_rows())
 
+    # -- executors keep no files: --root is accepted and left untouched
+    for i in range(FLEET):
+        root = tmp_path / f"ex{i}"
+        assert not root.exists() or not any(root.iterdir()), root
+
     # -- exactly-once: one index row per unique point, nothing superseded
     store = ResultStore(svc_root / "cache")
     assert store.index is not None

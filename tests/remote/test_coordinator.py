@@ -70,7 +70,7 @@ def registry():
 def _coordinator(registry, tmp_path, **kwargs) -> RemoteCoordinator:
     return RemoteCoordinator(
         registry, store=ResultStore(tmp_path / "cache"), campaign="c",
-        ledger_path=tmp_path / "ingest.jsonl", poll=0.01, **kwargs)
+        poll=0.01, **kwargs)
 
 
 def test_no_live_executors_means_dispatch_declines(registry, tmp_path):
@@ -115,8 +115,7 @@ def test_dead_fleet_exits_before_the_deadline(registry, tmp_path):
     clock[0] = 60.0  # fleet lapsed after the liveness probe in dispatch()
     coordinator = RemoteCoordinator(
         registry_dead, store=ResultStore(tmp_path / "cache"), campaign="c",
-        ledger_path=tmp_path / "ingest.jsonl", poll=0.01,
-        wave_timeout=3600.0, clock=lambda: clock[0])
+        poll=0.01, wave_timeout=3600.0, clock=lambda: clock[0])
     # live() is empty by dispatch time -> decline, not a one-hour stall
     assert coordinator.dispatch([_task(0)]) == {}
 
@@ -141,4 +140,7 @@ def test_counters_shape(registry, tmp_path):
     counters = coordinator.counters()
     assert counters["waves_dispatched"] == 0
     assert counters["ingest_segments"] == 0
-    assert "by_executor" not in counters
+    assert sorted(counters) == [
+        "ingest_deduped", "ingest_ingested", "ingest_rows",
+        "ingest_segments", "ingest_skipped", "segments_rejected",
+        "waves_dispatched", "waves_reclaimed_local"]

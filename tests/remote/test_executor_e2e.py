@@ -49,14 +49,13 @@ def _control_rows() -> list[dict]:
     return rows
 
 
-def _fleet(base_url: str, tmp_path, n: int, *,
-           faults: FaultPlan | None = None):
+def _fleet(base_url: str, n: int, *, faults: FaultPlan | None = None):
     """Register ``n`` executor threads; returns (executors, threads, stop)."""
     stop = threading.Event()
     executors, threads = [], []
     for i in range(n):
-        ex = RemoteExecutor(base_url, tmp_path / f"ex{i}",
-                            host=f"e2e-{i}", faults=faults, poll=0.01)
+        ex = RemoteExecutor(base_url, host=f"e2e-{i}", faults=faults,
+                            poll=0.01)
         ex.register()  # registered before any submission: no startup race
         thread = threading.Thread(
             target=ex.run,
@@ -76,7 +75,7 @@ def _finish(threads, stop):
 
 def test_fleet_runs_the_campaign_and_matches_local_bytes(tmp_path):
     with start_background(tmp_path / "svc", concurrent=2) as svc:
-        executors, threads, stop = _fleet(svc.base_url, tmp_path, 2)
+        executors, threads, stop = _fleet(svc.base_url, 2)
         try:
             client = ServiceClient(svc.base_url)
             doc = client.submit(SPEC)
@@ -102,14 +101,14 @@ def test_chaos_fleet_is_still_bit_identical(tmp_path):
     executor re-ships); ``segment_dup_ship=1.0`` makes every executor
     ship its sealed segment twice; ``lease_expire`` fires on a claimed
     lease whenever the coordinator sweeps before the ship lands. The
-    ledger + index dedup must collapse all of it to exactly-once.
+    index dedup must collapse all of it to exactly-once.
     """
     service_faults = FaultPlan(seed=11, segment_lost=1.0, lease_expire=0.5)
     executor_faults = FaultPlan(seed=13, segment_dup_ship=1.0)
     with start_background(tmp_path / "svc", concurrent=2,
                           faults=service_faults) as svc:
         executors, threads, stop = _fleet(
-            svc.base_url, tmp_path, 3, faults=executor_faults)
+            svc.base_url, 3, faults=executor_faults)
         try:
             client = ServiceClient(svc.base_url)
             doc = client.submit(SPEC)
@@ -127,12 +126,11 @@ def test_chaos_fleet_is_still_bit_identical(tmp_path):
     assert sum(ex.reships for ex in executors) >= 1
     assert sum(ex.dup_ships for ex in executors) >= 1
     # and ingest stayed exactly-once: every unique point landed one row
-    assert metrics["service_remote_ingest_deduped"] \
-        + metrics["service_remote_ingest_duplicate_segments"] >= 1
+    assert metrics["service_remote_ingest_deduped"] >= 1
 
 
-def _recorded_run(service_root, executor_root):
-    """Run SPEC on a fresh daemon with one executor on ``executor_root``.
+def _recorded_run(service_root):
+    """Run SPEC on a fresh daemon with one executor.
 
     Returns the campaign id, the task ids of every claim keyed by
     (wave, epoch), every ship's manifest with its rows' task ids, and
@@ -140,8 +138,7 @@ def _recorded_run(service_root, executor_root):
     """
     claims, ships = {}, []
     with start_background(service_root, concurrent=1) as svc:
-        ex = RemoteExecutor(svc.base_url, executor_root, host="restart",
-                            poll=0.01)
+        ex = RemoteExecutor(svc.base_url, host="restart", poll=0.01)
         claim, ship = ex.client.claim_wave, ex.client.ship_segment
 
         def recording_claim(eid):
@@ -178,16 +175,13 @@ def test_restarted_daemon_reusing_wave_ids_ships_fresh_segments(tmp_path):
     """Wave ids and epochs restart with the daemon; segments must not.
 
     Two daemons on separate service roots run the same spec one after
-    the other against one executor root, so both dispatch the same
-    campaign's ``.../w1`` at epoch 1. Every ship of the second run must
-    carry exactly the wave it claimed -- no rows left in the executor's
-    root by the first run -- and its campaign must equal a local
-    fault-free run.
+    the other, so both dispatch the same campaign's ``.../w1`` at epoch
+    1. Every ship of the second run must carry exactly the wave it
+    claimed -- no rows left over from the first run -- and its campaign
+    must equal a local fault-free run.
     """
-    first_id, first_claims, _, _ = _recorded_run(tmp_path / "svc-1",
-                                                 tmp_path / "ex")
-    cid, claims, ships, rows = _recorded_run(tmp_path / "svc-2",
-                                             tmp_path / "ex")
+    first_id, first_claims, _, _ = _recorded_run(tmp_path / "svc-1")
+    cid, claims, ships, rows = _recorded_run(tmp_path / "svc-2")
     assert cid == first_id  # content-derived: the same campaign id
     assert (f"{cid}/w1", 1) in first_claims
     assert (f"{cid}/w1", 1) in claims  # the same wave at the same epoch
@@ -202,7 +196,7 @@ def test_restarted_daemon_reusing_wave_ids_ships_fresh_segments(tmp_path):
 def test_registry_surface_over_http(tmp_path):
     with start_background(tmp_path / "svc") as svc:
         client = ServiceClient(svc.base_url)
-        ex = RemoteExecutor(svc.base_url, tmp_path / "ex", host="solo")
+        ex = RemoteExecutor(svc.base_url, host="solo")
         ex.register()
         doc = client.executors()
         assert [e["host"] for e in doc["executors"]] == ["solo"]
@@ -215,7 +209,7 @@ def test_warm_cache_serves_a_second_fleet_campaign_without_executors(tmp_path):
     """Remote-ingested rows are first-class cache entries."""
     with start_background(tmp_path / "svc", concurrent=2) as svc:
         client = ServiceClient(svc.base_url)
-        executors, threads, stop = _fleet(svc.base_url, tmp_path, 2)
+        executors, threads, stop = _fleet(svc.base_url, 2)
         try:
             cold = client.submit(SPEC)
             client.wait(cold["id"], timeout=120)
@@ -242,7 +236,7 @@ def test_finished_campaigns_release_their_coordinators(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scheduler_mod, "RemoteCoordinator", tracking)
     with start_background(tmp_path / "svc", concurrent=2) as svc:
-        executors, threads, stop = _fleet(svc.base_url, tmp_path, 1)
+        executors, threads, stop = _fleet(svc.base_url, 1)
         try:
             client = ServiceClient(svc.base_url)
             for name, exps in (("remote-a", [8]), ("remote-b", [9])):

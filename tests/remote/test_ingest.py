@@ -1,4 +1,5 @@
-"""Segment ingest: the three dedup layers that make shipping exactly-once."""
+"""Segment ingest: manifest verification and the index dedup that make
+shipping exactly-once."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from repro.remote.segment import (
     result_row,
     rows_checksum,
 )
-from repro.remote.ship import SegmentIngestor, SegmentLedger
+from repro.remote.ship import SegmentIngestor
 
 
 def _point(i: int) -> dict:
@@ -45,8 +46,8 @@ def store(tmp_path):
 
 
 @pytest.fixture
-def ingestor(store, tmp_path):
-    return SegmentIngestor(store, tmp_path / "ingest.jsonl")
+def ingestor(store):
+    return SegmentIngestor(store)
 
 
 def test_fresh_segment_lands_every_storable_row(ingestor, store):
@@ -62,11 +63,11 @@ def test_fresh_segment_lands_every_storable_row(ingestor, store):
         assert record["result"]["seconds"] == 0.25
 
 
-def test_reshipped_segment_is_skipped_whole_by_the_ledger(ingestor):
+def test_reshipped_segment_dedups_every_row_in_the_index(ingestor):
     manifest, rows = _segment("s1", _done_rows(3))
     ingestor.ingest(manifest, rows)
     report = ingestor.ingest(manifest, rows)
-    assert report.duplicate_segments == 1
+    assert report.deduped == 3
     assert report.ingested == 3  # unchanged: nothing landed twice
 
 
@@ -78,7 +79,7 @@ def test_recomputed_identical_segment_dedups_even_under_a_new_name(ingestor):
     assert first.checksum == second.checksum
     ingestor.ingest(first, rows)
     report = ingestor.ingest(second, rows)
-    assert report.duplicate_segments == 1
+    assert report.deduped == 3
     assert report.ingested == 3
 
 
@@ -122,27 +123,13 @@ def test_corrupt_shipment_is_rejected_whole(ingestor, store):
     assert store.load_key(store.key_for(PointSpec.from_dict(_point(1)))) is None
 
 
-def test_ledger_survives_process_restart(tmp_path, store):
+def test_ledger_survives_process_restart(tmp_path):
+    """The store's own index is the ingest ledger: it outlives the process."""
     manifest, rows = _segment("s", _done_rows(2))
-    SegmentIngestor(store, tmp_path / "ledger.jsonl").ingest(manifest, rows)
-    # a fresh ingestor (fresh process) still recognises the segment
-    reborn = SegmentIngestor(store, tmp_path / "ledger.jsonl")
+    SegmentIngestor(ResultStore(tmp_path / "cache")).ingest(manifest, rows)
+    # a fresh ingestor on a fresh handle (a restarted daemon) lands nothing
+    reborn = SegmentIngestor(ResultStore(tmp_path / "cache"))
     report = reborn.ingest(manifest, rows)
-    assert report.duplicate_segments == 1
     assert report.ingested == 0
-
-
-def test_ledger_records_are_queryable(tmp_path):
-    ledger = SegmentLedger(tmp_path / "ledger.jsonl")
-    manifest, _ = _segment("s", _done_rows(1))
-    assert not ledger.seen(manifest.checksum)
-    ledger.record(manifest, ingested=1, deduped=0)
-    assert ledger.seen(manifest.checksum)
-
-
-def test_by_executor_attribution(ingestor):
-    m1, r1 = _segment("a", _done_rows(2), executor="ex-1")
-    m2, r2 = _segment("b", _done_rows(2, start=5), executor="ex-2")
-    ingestor.ingest(m1, r1)
-    ingestor.ingest(m2, r2)
-    assert ingestor.report.by_executor == {"ex-1": 2, "ex-2": 2}
+    assert report.deduped == 2
+    assert reborn.store.index.count() == 2

@@ -2,9 +2,9 @@
 
 Hypothesis drives randomized scenarios of the full shipping pipeline:
 
-- N appender threads concurrently write their shard of result rows into
-  private segments (real threads, real flocked files), each shard one
-  wave claimed from its own :class:`ExecutorRegistry`;
+- N appender threads concurrently compute their shard of result rows
+  into segments sealed in memory, each shard one wave claimed from its
+  own :class:`ExecutorRegistry`;
 - random chaos per shard, at a random row: an *expire* (the registry
   expires the claim mid-write; the holder claims the wave again at the
   next epoch and rewrites the whole shard into a fresh segment) or a
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import tempfile
 import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 from repro.campaign.spec import PointSpec  # noqa: E402
 from repro.campaign.store import ResultStore  # noqa: E402
 from repro.remote.registry import ExecutorRegistry  # noqa: E402
-from repro.remote.segment import SegmentWriter, result_row  # noqa: E402
+from repro.remote.segment import result_row, seal  # noqa: E402
 from repro.remote.ship import SegmentIngestor  # noqa: E402
 
 CASES = ("reduce", "transform", "sort", "copy", "find", "merge")
@@ -63,12 +64,21 @@ def _row(i: int) -> dict:
                       wall_ms=1.0)
 
 
-def _append_shard(root: Path, shard_id: int, rows: list[dict],
-                  chaos: str, chaos_at: int, sealed: list) -> None:
-    """One appender thread: claim, write, chaos mid-write, seal, collect.
+@dataclass
+class Claim:
+    """One claim of a wave: its holder, epoch and the rows computed so far."""
 
-    ``chaos`` is ``"none"``, ``"expire"`` (the claim expires mid-write;
-    the holder claims again and rewrites the shard into a fresh
+    executor: str
+    epoch: int
+    rows: list[dict] = field(default_factory=list)
+
+
+def _append_shard(shard_id: int, rows: list[dict],
+                  chaos: str, chaos_at: int, sealed: list) -> None:
+    """One appender thread: claim, compute, chaos mid-wave, seal, collect.
+
+    ``chaos`` is ``"none"``, ``"expire"`` (the claim expires mid-wave;
+    the holder claims again and recomputes the shard into a fresh
     segment) or ``"takeover"`` (a second holder claims the expired wave
     and recomputes the shard; the original holder's late segment ships
     too). Collects ``(registry, manifest, rows, late)`` per sealed
@@ -80,31 +90,34 @@ def _append_shard(root: Path, shard_id: int, rows: list[dict],
     wave = registry.offer(f"c{shard_id}", [
         {"task_id": row["task_id"]} for row in rows]).wave_id
 
-    def claim(eid: str) -> SegmentWriter:
-        epoch = registry.claim(eid)["epoch"]
-        return SegmentWriter(root / f"s{shard_id}" / eid, f"w-e{epoch}",
-                             executor=eid, epoch=epoch, wave=wave)
+    def claim(eid: str) -> Claim:
+        return Claim(eid, registry.claim(eid)["epoch"])
 
-    writer = claim(holder)
+    def seal_claim(held: Claim, late: bool) -> None:
+        manifest = seal(held.rows, segment=f"w-e{held.epoch}",
+                        executor=held.executor, epoch=held.epoch, wave=wave)
+        sealed.append((registry, manifest, held.rows, late))
+
+    held = claim(holder)
     for n, row in enumerate(rows):
         if chaos != "none" and n == chaos_at:
-            clock.now += 10.0  # the claim lapses mid-write
+            clock.now += 10.0  # the claim lapses mid-wave
             assert registry.expire_stale() == [wave]
             if chaos == "expire":
-                writer = claim(holder)  # epoch 2, a fresh segment
-                writer.append(*rows[:n])
+                held = claim(holder)  # epoch 2, a fresh segment
+                held.rows.extend(rows[:n])
             else:
                 rescuer = registry.register(f"re-{shard_id}", 1)["id"]
                 recompute = claim(rescuer)
-                recompute.append(*rows)
-                writer.append(*rows[n:])  # the original holder finishes late
-                sealed.append((registry, writer.seal(), writer.rows(), True))
-                writer = recompute
+                recompute.rows.extend(rows)
+                held.rows.extend(rows[n:])  # the original holder finishes late
+                seal_claim(held, late=True)
+                held = recompute
                 break
-        writer.append(row)
+        held.rows.append(row)
     if chaos != "none":
-        assert writer.epoch == 2
-    sealed.append((registry, writer.seal(), writer.rows(), False))
+        assert held.epoch == 2
+    seal_claim(held, late=False)
 
 
 def _run_scenario(data) -> None:
@@ -141,7 +154,7 @@ def _run_scenario(data) -> None:
 
         def run_shard(e: int) -> None:
             try:
-                _append_shard(root, e, shards[e], chaos[e],
+                _append_shard(e, shards[e], chaos[e],
                               min(chaos_at[e], max(0, len(shards[e]) - 1)),
                               sealed)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
@@ -159,7 +172,7 @@ def _run_scenario(data) -> None:
         assert not failures, f"appender thread raised: {failures[0]!r}"
 
         store = ResultStore(root / "cache")
-        ingestor = SegmentIngestor(store, root / "ingest.jsonl")
+        ingestor = SegmentIngestor(store)
         reships = [
             data.draw(st.integers(1, 3), label=f"ships_{k}")
             for k in range(len(sealed))

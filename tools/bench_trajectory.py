@@ -445,15 +445,14 @@ def _segment_rows(k: int, machine: str) -> list[dict]:
     ]
 
 
-def _segment_ingest_s(ingestor, root: Path, k: int) -> tuple[float, float]:
+def _segment_ingest_s(ingestor, k: int) -> tuple[float, float]:
     """CPU seconds of shipping segment ``k``, and of storing as many rows.
 
-    The first is one segment's write, seal, verify and ingest: its
-    rows appended with one ``writer.append(*rows)`` (the single fsynced
-    write per wave a remote executor makes), the manifest published,
-    then the rows verified and ingested through ``ingestor``'s ledger
-    into its store -- the per-segment work the shipping protocol adds
-    over local execution, minus the HTTP hop (which the fleet campaigns
+    The first is one segment's seal, verify and ingest: the rows sealed
+    in memory (as a remote executor seals each wave), then verified and
+    ingested through ``ingestor`` into its store, deduplicated against
+    its index -- the per-segment work the shipping protocol adds over
+    local execution, minus the HTTP hop (which the fleet campaigns
     carry). The second is a plain ``put_many`` of as many other fresh
     rows into the same store, the write a local run makes for them.
     The store is long-lived, as a daemon's is, so neither creates a
@@ -463,7 +462,7 @@ def _segment_ingest_s(ingestor, root: Path, k: int) -> tuple[float, float]:
     the host's load, while their ratio moved by 1%.
     """
     from repro.campaign.spec import PointSpec
-    from repro.remote import SegmentWriter
+    from repro.remote import seal
 
     store = ingestor.store
     puts = []
@@ -473,10 +472,9 @@ def _segment_ingest_s(ingestor, root: Path, k: int) -> tuple[float, float]:
     rows = _segment_rows(k, "A")
     before = ingestor.report.ingested
     t0 = time.process_time()
-    writer = SegmentWriter(root, f"bench-w{k}-e1", executor="ex-1",
-                           epoch=1, wave=f"bench/w{k}")
-    writer.append(*rows)
-    report = ingestor.ingest(writer.seal(), writer.rows())
+    manifest = seal(rows, segment=f"bench-w{k}-e1", executor="ex-1",
+                    epoch=1, wave=f"bench/w{k}")
+    report = ingestor.ingest(manifest, rows)
     t1 = time.process_time()
     store.put_many(puts)
     t2 = time.process_time()
@@ -503,8 +501,7 @@ def _service_campaign(root: Path, fleet: int) -> dict:
 
     with start_background(root / "svc", concurrent=2) as svc:
         executors = [
-            RemoteExecutor(svc.base_url, root / f"ex{i}",
-                           host=f"bench-host-{i}", poll=0.005)
+            RemoteExecutor(svc.base_url, host=f"bench-host-{i}", poll=0.005)
             for i in range(fleet)
         ]
         for executor in executors:
@@ -565,16 +562,15 @@ def measure_remote(repeats: int = REMOTE_ROUNDS) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="bench_remote_") as tmp:
         root = Path(tmp)
-        ingestor = SegmentIngestor(ResultStore(root / "micro" / "cache"),
-                                   root / "micro" / "ingest.jsonl")
+        ingestor = SegmentIngestor(ResultStore(root / "micro" / "cache"))
         _service_campaign(root / "warmup-local", 0)
         _service_campaign(root / "warmup-fleet", REMOTE_FLEET)
-        _segment_ingest_s(ingestor, root / "micro", 0)
+        _segment_ingest_s(ingestor, 0)
         local, fleet, segments, puts = [], [], [], []
         for k in range(1, max(1, repeats) + 1):
             local.append(_service_campaign(root / f"local{k}", 0))
             fleet.append(_service_campaign(root / f"fleet{k}", REMOTE_FLEET))
-            segment_s, put_s = _segment_ingest_s(ingestor, root / "micro", k)
+            segment_s, put_s = _segment_ingest_s(ingestor, k)
             segments.append(segment_s)
             puts.append(put_s)
 
