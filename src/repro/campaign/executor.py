@@ -72,7 +72,6 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -262,8 +261,17 @@ def _cached_context(machine, backend, threads: int,
     )
 
 
+#: What a memoised profile holds besides its chunk arrays (16 B per
+#: entry), in entries: about 600 B of key, profile and phase objects
+#: (tracemalloc, CPython 3.11). It keeps a memo of tiny profiles inside
+#: its byte budget, and still fits the largest seeded benchmark grid
+#: (4,038 profiles, 98,868 chunk entries) whole.
+PROFILE_ENTRY_UNITS = 40
+
 #: Array profiles by cell key; weighed in chunk entries.
-_PROFILES = WeightedLRU(WAVE_CHUNK_BUDGET, attrgetter("chunk_entries"))
+_PROFILES = WeightedLRU(
+    WAVE_CHUNK_BUDGET,
+    lambda profile: profile.chunk_entries + PROFILE_ENTRY_UNITS)
 
 
 def _cached_profile(machine, backend, threads: int,

@@ -7,9 +7,10 @@ A multi-host deployment is N shells running::
     ...
 
 Each process registers with the daemon's executor registry, then loops:
-claim a wave (the claim carries the registry's epoch for it), compute
-it through the shared simulator, seal the rows in memory, ship the
-sealed segment back. An executor writes no file anywhere -- all
+claim a wave (the claim carries the registry's epoch for it; an idle
+claim parks at the daemon until a wave is offered), compute it through
+the shared simulator, seal the rows in memory, ship the sealed segment
+back. An executor writes no file anywhere -- all
 coordination is over HTTP. ``--root`` is accepted and ignored, so
 command lines written when executors kept their segments on disk still
 run.
@@ -52,8 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "so older command lines still run)")
     parser.add_argument("--host",
                         help="advertised host label (default: pid-derived)")
-    parser.add_argument("--poll", type=float, default=0.05,
-                        help="idle claim-poll interval in seconds")
     parser.add_argument("--max-idle", type=float, default=60.0,
                         help="exit after this many idle seconds")
     parser.add_argument("--max-waves", type=int,
@@ -84,8 +83,8 @@ def main(argv: list[str] | None = None) -> int:
             faults = load_fault_plan(args.faults)
             if args.fault_seed is not None:
                 faults = faults.with_seed(args.fault_seed)
-        executor = RemoteExecutor(
-            _base_url(args), host=args.host, faults=faults, poll=args.poll)
+        executor = RemoteExecutor(_base_url(args), host=args.host,
+                                  faults=faults)
         summary = executor.run(
             max_idle=args.max_idle, max_waves=args.max_waves)
     except (ReproError, OSError, json.JSONDecodeError) as exc:

@@ -61,6 +61,8 @@ class RemoteCoordinator:
         ``store`` is the campaign's shared result store (ingest target);
         ``wave_timeout`` bounds how long a wave may stay remote before
         the coordinator takes it back for the campaign's local path.
+        ``poll`` only bounds how often the wave loop sweeps for expired
+        leases: a delivery wakes it at once.
         """
         self.registry = registry
         self.campaign = campaign

@@ -5,10 +5,13 @@ thread, in tests) that keeps no files at all -- each wave's rows live
 in memory from compute to ship. All coordination happens over the
 service's HTTP executor protocol:
 
-1. ``POST /executors`` to register (returns the executor id);
-2. ``POST /executors/{id}/lease`` to claim a pending wave (doubles as
-   the idle heartbeat); the claim carries the wave's registry epoch,
-   the one fence of the protocol;
+1. ``POST /executors`` to register (returns the executor id and the
+   daemon's executor TTL);
+2. ``POST /executors/{id}/lease?wait=S`` to claim a pending wave; an
+   idle claim parks at the daemon until a wave is offered, for at most
+   half the executor TTL, so the claim doubles as the heartbeat. The
+   lease carries the wave's registry epoch, the one fence of the
+   protocol;
 3. compute the wave through the same fused
    :func:`~repro.campaign.executor.execute_wave` path local campaigns
    use -- bit-identity starts with running identical code;
@@ -56,8 +59,7 @@ class RemoteExecutor:
 
     def __init__(self, base_url: str, *,
                  host: str | None = None,
-                 faults: FaultPlan | None = None,
-                 poll: float = 0.05) -> None:
+                 faults: FaultPlan | None = None) -> None:
         """Serve waves from the daemon at ``base_url``.
 
         ``host`` is the advertised host label (defaults to a
@@ -65,10 +67,11 @@ class RemoteExecutor:
         ``faults`` activates the executor-side chaos sites.
         """
         self.host = host if host is not None else f"host-{os.getpid()}"
-        self.poll = float(poll)
         self.client = ServiceClient(base_url, api_key=f"executor:{self.host}")
         self.injector = FaultInjector(faults) if faults is not None else None
         self.id: str | None = None
+        #: The daemon's liveness window, learned at registration.
+        self.executor_ttl = 0.0
         self.waves = 0
         self.rows = 0
         self.reships = 0
@@ -80,14 +83,21 @@ class RemoteExecutor:
         """Join the daemon's registry; returns the assigned executor id."""
         doc = self.client.register_executor(self.host, os.getpid())
         self.id = doc["id"]
+        self.executor_ttl = float(doc["executor_ttl"])
         return self.id
 
     def run(self, *, max_idle: float = 60.0, max_waves: int | None = None,
             should_stop: Callable[[], bool] | None = None) -> dict[str, Any]:
         """Serve waves until idle for ``max_idle`` seconds (or stopped).
 
-        Returns a summary counter dict. A daemon that goes away mid-run
-        ends the loop cleanly -- executors are disposable by design.
+        An idle claim parks at the daemon for at most half the executor
+        TTL (so the executor stays live) and never past ``max_idle``
+        (so the idle limit stays exact). ``should_stop`` is checked
+        between claims and, while a claim is parked, every
+        :data:`~repro.service.client.ABANDON_CHECK_S`: the claim hangs
+        up and the daemon grants it nothing. Returns a summary counter
+        dict. A daemon that goes away or drains mid-run ends the loop
+        cleanly -- executors are disposable by design.
         """
         if self.id is None:
             self.register()
@@ -97,14 +107,16 @@ class RemoteExecutor:
                 break
             if max_waves is not None and self.waves >= max_waves:
                 break
+            idle_left = max_idle - (time.monotonic() - idle_since)
             try:
-                offer = self.client.claim_wave(self.id)
+                offer = self.client.claim_wave(
+                    self.id, wait=max(0.0, min(self.executor_ttl / 2, idle_left)),
+                    abandon=should_stop)
             except (ServiceError, QuotaExceededError):
-                break  # daemon gone or draining: nothing left to serve
+                break  # daemon gone or draining, or stopped mid-park
             if offer is None:
                 if time.monotonic() - idle_since >= max_idle:
                     break
-                time.sleep(self.poll)
                 continue
             self.serve_wave(offer)
             idle_since = time.monotonic()

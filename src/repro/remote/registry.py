@@ -14,6 +14,9 @@ Everything is guarded by one condition variable: registry operations
 are tiny (no I/O under the lock -- segment ingest happens on the
 coordinator's thread *after* draining), so a single lock stays far off
 any hot path while making the state machine easy to reason about.
+Coordinators wait on that condition; the daemon's parked claims wait on
+its event loop instead, which the :attr:`ExecutorRegistry.on_claimable`
+hook wakes whenever a wave becomes claimable.
 
 Wave lease lifecycle::
 
@@ -128,6 +131,11 @@ class ExecutorRegistry:
         self.stale_ships = 0
         self.lost_ships = 0
         self.duplicate_ships = 0
+        #: Called, outside the lock and on whichever thread made it so,
+        #: each time a wave becomes claimable: an :meth:`offer`, or
+        #: :meth:`expire_stale` returning leases to pending. The daemon
+        #: sets it to wake its parked ``?wait=`` claims.
+        self.on_claimable: Callable[[], None] | None = None
 
     # -- executor side ---------------------------------------------------
 
@@ -258,7 +266,8 @@ class ExecutorRegistry:
                              payloads=payloads)
             self._offers[wave_id] = wave
             self._cond.notify_all()
-            return wave
+        self._claimable()
+        return wave
 
     def expire_stale(self) -> list[str]:
         """Return expired leases to the pending queue; list of wave ids.
@@ -287,12 +296,19 @@ class ExecutorRegistry:
             if expired:
                 self._cond.notify_all()
         if expired:
+            self._claimable()
             tracer = get_tracer()
             if tracer.enabled:
                 for wave_id in expired:
                     tracer.record("remote.reassign", 0.0, category="remote",
                                   track="remote", wave=wave_id)
         return expired
+
+    def _claimable(self) -> None:
+        """Run the :attr:`on_claimable` hook, if one is set."""
+        hook = self.on_claimable
+        if hook is not None:
+            hook()
 
     def drain_deliveries(self, wave_ids: Sequence[str]
                          ) -> list[tuple[str, SegmentManifest, list[dict]]]:

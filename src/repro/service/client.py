@@ -19,14 +19,21 @@ Every response's ``X-Handle-Ms`` header is accumulated in
 ``handle_ms_total`` alongside ``wall_ms_total``, so a caller can split
 observed latency into "work the server did" and "everything else"
 (queueing, protocol, scheduling) without extra instrumentation.
+
+Waiting is event-driven: :meth:`ServiceClient.wait` long-polls
+``GET /campaigns/{id}?wait=S``, which the daemon answers at the
+campaign's next state change, and :meth:`ServiceClient.claim_wave`
+takes a ``wait`` that parks an idle claim until a wave is offered. A
+long-poll's socket timeout is the client's ``timeout`` plus its park.
 """
 
 from __future__ import annotations
 
 import json
+import select
 import time
 from http.client import HTTPConnection
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 from urllib.parse import urlsplit
 
 from repro.errors import QuotaExceededError, ServiceError
@@ -35,6 +42,12 @@ __all__ = ["ServiceClient"]
 
 #: States from which a campaign will not move without new input.
 _TERMINAL = ("complete", "broken", "interrupted")
+
+#: Longest park :meth:`ServiceClient.wait` asks of one status request.
+STATUS_PARK_S = 10.0
+
+#: How often a parked request with an ``abandon`` check looks at it.
+ABANDON_CHECK_S = 0.02
 
 
 class ServiceClient:
@@ -62,16 +75,28 @@ class ServiceClient:
     # -- plumbing ----------------------------------------------------------
 
     def _request(self, method: str, path: str,
-                 payload: Mapping[str, Any] | None = None) -> dict[str, Any]:
-        """One round trip; returns the JSON body or raises on error."""
+                 payload: Mapping[str, Any] | None = None, *,
+                 wait: float = 0.0,
+                 abandon: Callable[[], bool] | None = None) -> dict[str, Any]:
+        """One round trip; returns the JSON body or raises on error.
+
+        ``wait`` is how long the daemon may park the request; it extends
+        the socket timeout. ``abandon``, checked every
+        :data:`ABANDON_CHECK_S` until the answer starts, hangs up as soon
+        as it returns True and raises :class:`ServiceError`.
+        """
         body = json.dumps(payload).encode("utf-8") if payload is not None else None
         headers = {"X-Api-Key": self.api_key}
         if body is not None:
             headers["Content-Type"] = "application/json"
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        conn = HTTPConnection(self.host, self.port, timeout=self.timeout + wait)
         t0 = time.perf_counter()
         try:
             conn.request(method, path, body=body, headers=headers)
+            if abandon is not None:
+                while not select.select([conn.sock], [], [], ABANDON_CHECK_S)[0]:
+                    if abandon():
+                        raise ServiceError(f"{method} {path} abandoned")
             response = conn.getresponse()
             raw = response.read()
             status = response.status
@@ -157,9 +182,17 @@ class ServiceClient:
             payload.update(overrides)
         return self.submit(payload, max_attempts=max_attempts)
 
-    def status(self, campaign_id: str) -> dict[str, Any]:
-        """``GET /campaigns/{id}``: state plus progress counts."""
-        return self._request("GET", f"/campaigns/{campaign_id}")
+    def status(self, campaign_id: str, *, wait: float = 0.0) -> dict[str, Any]:
+        """``GET /campaigns/{id}``: state plus progress counts.
+
+        ``wait > 0`` long-polls: the daemon answers at the campaign's
+        next state change, or after ``wait`` seconds, or at once when
+        the campaign is finished.
+        """
+        path = f"/campaigns/{campaign_id}"
+        if wait > 0:
+            path += f"?wait={wait:g}"
+        return self._request("GET", path, wait=wait)
 
     def events(self, campaign_id: str, offset: int = 0) -> dict[str, Any]:
         """``GET /campaigns/{id}/events?offset=N``: rows past ``offset``.
@@ -185,13 +218,21 @@ class ServiceClient:
         """``POST /executors/{id}/heartbeat``: refresh liveness."""
         return self._request("POST", f"/executors/{executor_id}/heartbeat")
 
-    def claim_wave(self, executor_id: str) -> dict[str, Any] | None:
+    def claim_wave(self, executor_id: str, *, wait: float = 0.0,
+                   abandon: Callable[[], bool] | None = None
+                   ) -> dict[str, Any] | None:
         """``POST /executors/{id}/lease``: claim a wave, or None if idle.
 
         The lease document carries ``wave``/``epoch``/``payloads``; the
         executor must ship a sealed segment presenting the same epoch.
+        ``wait > 0`` parks an idle claim at the daemon until a wave is
+        offered (or ``wait`` seconds pass); ``abandon`` hangs the parked
+        claim up early, and the daemon then grants it nothing.
         """
-        doc = self._request("POST", f"/executors/{executor_id}/lease")
+        path = f"/executors/{executor_id}/lease"
+        if wait > 0:
+            path += f"?wait={wait:g}"
+        doc = self._request("POST", path, wait=wait, abandon=abandon)
         return doc if doc.get("wave") else None
 
     def ship_segment(self, executor_id: str, manifest: Mapping[str, Any],
@@ -210,18 +251,27 @@ class ServiceClient:
         return self._request("GET", "/executors")
 
     def wait(self, campaign_id: str, *, timeout: float = 120.0,
-             poll: float = 0.05) -> dict[str, Any]:
-        """Poll status until the campaign reaches a terminal state."""
+             poll: float | None = None) -> dict[str, Any]:
+        """Long-poll status until the campaign reaches a terminal state.
+
+        Each request parks at the daemon until the campaign's state
+        changes (at most :data:`STATUS_PARK_S`, and never past
+        ``timeout``), so the answer arrives when the campaign finishes,
+        not at a poll tick. ``poll`` is accepted and ignored: there is
+        no poll interval any more, and callers written for one (the
+        pipeline benchmark passes ``poll=0.005``) still run.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            doc = self.status(campaign_id)
+            left = deadline - time.monotonic()
+            doc = self.status(campaign_id,
+                              wait=max(0.0, min(left, STATUS_PARK_S)))
             if doc.get("state") in _TERMINAL:
                 return doc
             if time.monotonic() >= deadline:
                 raise ServiceError(
                     f"campaign {campaign_id} still {doc.get('state')!r} "
                     f"after {timeout:g}s")
-            time.sleep(poll)
 
     def overhead_ms(self) -> float:
         """Mean per-request overhead: wall latency minus server handle time."""

@@ -14,7 +14,11 @@ Routes
 =========================== =============================================
 ``POST /campaigns``         submit a spec; 202 accepted / 200 duplicate /
                             429 or 503 + ``Retry-After`` / 413 oversized
-``GET /campaigns/{id}``     status + incremental progress counts
+``GET /campaigns/{id}?wait=S``
+                            status + incremental progress counts; with
+                            ``wait``, answers at the record's next state
+                            change or after S seconds (at once when the
+                            campaign is finished)
 ``GET /campaigns/{id}/events?offset=N``
                             journal entries past byte ``offset`` plus the
                             ``next_offset`` cursor to poll from
@@ -28,9 +32,12 @@ Routes
                             id and the lease/liveness TTLs
 ``POST /executors/{id}/heartbeat``
                             refresh an executor's liveness window
-``POST /executors/{id}/lease``
+``POST /executors/{id}/lease?wait=S``
                             claim a pending campaign wave (epoch-fenced
-                            lease; doubles as the idle heartbeat)
+                            lease; doubles as the idle heartbeat); with
+                            ``wait``, parks until a wave is claimable or
+                            S seconds (at most half the executor TTL)
+                            pass, then answers ``{"wave": null}``
 ``POST /executors/{id}/segments``
                             ship a sealed result segment (manifest +
                             rows); 503 + ``Retry-After`` when an
@@ -40,16 +47,26 @@ Routes
 
 Every response carries ``X-Handle-Ms``, the server-side handling time:
 the load generator subtracts it from wall latency to report *request
-overhead* -- what the service costs beyond the work itself.
+overhead* -- what the service costs beyond the work itself. For a
+parked ``?wait=`` request it includes the park.
+
+A parked request is a coroutine on the daemon's one event loop, never a
+thread. Record state changes happen on the loop and resolve the status
+waits directly; the executor registry is driven by campaign runner
+threads, so its :attr:`~repro.remote.registry.ExecutorRegistry.
+on_claimable` hook wakes parked claims through ``call_soon_threadsafe``.
+A parked claim whose client hangs up is granted nothing, and a drain
+answers every parked request at once.
 
 Once listening, the daemon publishes its bound address to
 ``<root>/service.json`` by temp file plus rename
 (:func:`repro.campaign.durable.publish`), so a client that finds the
 file always reads a whole document. ``serve()`` installs SIGTERM/SIGINT
-handlers that drain gracefully: stop admissions, let running campaigns
-finish their wave, flush journals, remove ``service.json``, exit. A
-restarted daemon resumes interrupted campaigns from those journals (see
-:meth:`CampaignService.start`).
+handlers that drain gracefully: stop admissions, answer parked requests,
+close the listener once every connection it accepted is answered, let
+running campaigns finish their wave, flush journals, remove
+``service.json``, exit. A restarted daemon resumes interrupted
+campaigns from those journals (see :meth:`CampaignService.start`).
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ import signal
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro import __version__
 from repro.campaign.durable import publish
@@ -69,7 +86,7 @@ from repro.errors import CampaignError, ReproError, SegmentError, ServiceError
 from repro.faults import FaultPlan
 from repro.remote.segment import SegmentManifest, verify_rows
 from repro.service.quotas import QuotaPolicy, Rejection
-from repro.service.scheduler import CampaignService
+from repro.service.scheduler import FINAL, CampaignService
 from repro.trace import get_tracer
 
 __all__ = ["ServiceDaemon", "serve", "start_background", "BackgroundService"]
@@ -81,12 +98,22 @@ MAX_BODY_BYTES = 1 << 20
 #: headroom than a spec while still bounding a hostile client.
 MAX_SEGMENT_BODY_BYTES = 8 << 20
 
+#: Longest park a ``?wait=S`` request gets, in seconds.
+MAX_WAIT_S = 60.0
+
+#: How long a stopping daemon waits to answer the connections it accepted.
+CLOSE_GRACE_S = 5.0
+
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class _ClientGone(Exception):
+    """Internal control flow: the client hung up while its request parked."""
 
 
 class _HttpReply(Exception):
@@ -146,9 +173,13 @@ class ServiceDaemon:
         )
         self.requests = 0
         self.request_serial = 0
+        #: Requests parked right now, by kind.
+        self.parked = {"claims": 0, "status": 0}
         self._server: asyncio.AbstractServer | None = None
         self._stopping: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
+        #: Resolved (and replaced) whenever a wave becomes claimable.
+        self._claimable: asyncio.Future | None = None
 
     # -- wire plumbing -----------------------------------------------------
 
@@ -205,12 +236,13 @@ class ServiceDaemon:
         retry_after: float | None = None
         try:
             method, target, headers, body = await self._read_request(reader)
-            status, payload, content_type = self._dispatch(
-                method, target, headers, body)
+            status, payload, content_type = await self._dispatch(
+                method, target, headers, body, reader)
         except _HttpReply as reply:
             status, payload = reply.status, reply.payload
             retry_after, content_type = reply.retry_after, "application/json"
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
+                _ClientGone):
             writer.close()
             return
         except Exception as exc:  # noqa: BLE001 - the 500 boundary
@@ -238,8 +270,10 @@ class ServiceDaemon:
 
     # -- routing -----------------------------------------------------------
 
-    def _dispatch(self, method: str, target: str, headers: dict[str, str],
-                  body: bytes) -> tuple[int, dict[str, Any], str]:
+    async def _dispatch(self, method: str, target: str,
+                        headers: dict[str, str], body: bytes,
+                        reader: asyncio.StreamReader
+                        ) -> tuple[int, dict[str, Any], str]:
         """Route one parsed request to its handler."""
         path, _, query = target.partition("?")
         parts = [p for p in path.split("/") if p]
@@ -254,7 +288,7 @@ class ServiceDaemon:
             if len(parts) == 1 and method == "POST":
                 return self._post_campaign(headers, body)
             if len(parts) == 2 and method == "GET":
-                return self._get_status(parts[1])
+                return await self._get_status(parts[1], query, reader)
             if len(parts) == 3 and method == "GET" and parts[2] == "events":
                 return self._get_events(parts[1], query)
             if len(parts) == 3 and method == "GET" and parts[2] == "results":
@@ -270,7 +304,7 @@ class ServiceDaemon:
             if len(parts) == 3 and method == "POST" and parts[2] == "heartbeat":
                 return self._post_heartbeat(parts[1])
             if len(parts) == 3 and method == "POST" and parts[2] == "lease":
-                return self._post_lease(parts[1])
+                return await self._post_lease(parts[1], query, reader)
             if len(parts) == 3 and method == "POST" and parts[2] == "segments":
                 return self._post_segment(parts[1], body)
         if parts and parts[0] in ("campaigns", "healthz", "metrics", "store",
@@ -296,12 +330,70 @@ class ServiceDaemon:
             raise _HttpReply(404, {"error": f"unknown executor {eid!r}"})
         return 200, {"ok": True}, "application/json"
 
-    def _post_lease(self, eid: str) -> tuple[int, dict[str, Any], str]:
-        """``POST /executors/{id}/lease``: claim a pending wave."""
-        if not self.service.registry.heartbeat(eid):
+    async def _post_lease(self, eid: str, query: str,
+                          reader: asyncio.StreamReader
+                          ) -> tuple[int, dict[str, Any], str]:
+        """``POST /executors/{id}/lease?wait=S``: claim a pending wave.
+
+        With ``wait``, an idle claim parks until a wave becomes
+        claimable, the window ends or a drain starts; a draining daemon
+        grants no lease. The window is capped at half the executor TTL,
+        so a parked executor stays live. Each pass takes the claimable
+        future *before* it re-checks the registry, so an offer landing
+        in between is never missed.
+        """
+        registry = self.service.registry
+        if not registry.heartbeat(eid):
             raise _HttpReply(404, {"error": f"unknown executor {eid!r}"})
-        doc = self.service.registry.claim(eid)
-        return 200, (doc if doc is not None else {"wave": None}), "application/json"
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + min(_wait_seconds(query),
+                                     registry.executor_ttl / 2)
+        hangup: asyncio.Task | None = None
+        try:
+            while not self.service.draining:
+                claimable = self._claimable
+                assert claimable is not None  # set while run() serves
+                doc = registry.claim(eid)
+                if doc is not None:
+                    return 200, doc, "application/json"
+                left = deadline - loop.time()
+                if left <= 0:
+                    break
+                if hangup is None:
+                    hangup = asyncio.ensure_future(reader.read(1))
+                await self._park("claims", (claimable, hangup), left)
+                if hangup.done() or reader.at_eof():
+                    raise _ClientGone()
+            return 200, {"wave": None}, "application/json"
+        finally:
+            _drop(hangup)
+
+    async def _park(self, kind: str, wakes: tuple[asyncio.Future, ...],
+                    seconds: float) -> None:
+        """Wait until one of ``wakes`` resolves or ``seconds`` pass."""
+        self.parked[kind] += 1
+        try:
+            await asyncio.wait(wakes, timeout=seconds,
+                               return_when=asyncio.FIRST_COMPLETED)
+        finally:
+            self.parked[kind] -= 1
+
+    def _wake_claims(self) -> None:
+        """Answer every parked claim's wait (on the loop): re-check now."""
+        claimable = self._claimable
+        if claimable is not None:
+            self._claimable = asyncio.get_running_loop().create_future()
+            claimable.set_result(None)
+
+    def _claimable_soon(self) -> None:
+        """The registry's hook, on any thread: wake parked claims."""
+        loop = self._loop
+        if loop is None:
+            return
+        try:
+            loop.call_soon_threadsafe(self._wake_claims)
+        except RuntimeError:
+            pass  # loop already closed: nothing is parked any more
 
     def _post_segment(self, eid: str,
                       body: bytes) -> tuple[int, dict[str, Any], str]:
@@ -356,26 +448,36 @@ class ServiceDaemon:
         doc["deduped"] = deduped
         return (200 if deduped else 202), doc, "application/json"
 
-    def _get_status(self, cid: str) -> tuple[int, dict[str, Any], str]:
-        """``GET /campaigns/{id}``: the incremental status document."""
+    async def _get_status(self, cid: str, query: str,
+                          reader: asyncio.StreamReader
+                          ) -> tuple[int, dict[str, Any], str]:
+        """``GET /campaigns/{id}?wait=S``: the incremental status document.
+
+        With ``wait``, a campaign that can still change parks until its
+        record's next state change, the window ends, a drain starts or
+        the client hangs up.
+        """
+        wait = _wait_seconds(query)
         try:
             record = self.service.status(cid)
         except ServiceError as exc:
             raise _HttpReply(404, {"error": str(exc)}) from None
+        if wait > 0 and record.state not in FINAL and not self.service.draining:
+            hangup = asyncio.ensure_future(reader.read(1))
+            try:
+                await self._park(
+                    "status", (self.service.state_change(cid), hangup), wait)
+                if hangup.done() or reader.at_eof():
+                    raise _ClientGone()
+            finally:
+                _drop(hangup)
+            record = self.service.status(cid)
         return 200, record.to_dict(), "application/json"
 
     def _get_events(self, cid: str,
                     query: str) -> tuple[int, dict[str, Any], str]:
         """``GET /campaigns/{id}/events``: journal rows past ``offset``."""
-        offset = 0
-        for pair in query.split("&"):
-            name, _, value = pair.partition("=")
-            if name == "offset":
-                try:
-                    offset = max(0, int(value))
-                except ValueError:
-                    raise _HttpReply(
-                        400, {"error": f"bad offset {value!r}"}) from None
+        offset = max(0, _query_param(query, "offset", int) or 0)
         try:
             return 200, self.service.events(cid, offset), "application/json"
         except ServiceError as exc:
@@ -428,6 +530,8 @@ class ServiceDaemon:
         """
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
+        self._claimable = self._loop.create_future()
+        self.service.registry.on_claimable = self._claimable_soon
         resumed = self.service.start()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
@@ -445,9 +549,13 @@ class ServiceDaemon:
         try:
             await self._stopping.wait()
         finally:
+            self.service.begin_drain()
+            self._wake_claims()
+            await self._answer_accepted(CLOSE_GRACE_S)
             self._server.close()
             await self._server.wait_closed()
             await self.service.drain()
+            self.service.registry.on_claimable = None
             if install_signals:
                 loop = asyncio.get_running_loop()
                 for signum in (signal.SIGTERM, signal.SIGINT):
@@ -456,6 +564,66 @@ class ServiceDaemon:
                 port_file.unlink()
             except FileNotFoundError:
                 pass
+
+    async def _answer_accepted(self, timeout: float) -> None:
+        """Stop accepting, then answer every connection already accepted.
+
+        The listening socket stops being read first, so nothing new is
+        accepted; connections still queued in the kernel are reset when
+        the listener closes. A connection accepted just before that has
+        only a pending transport set-up task, and asyncio fails that
+        set-up once the server is closed: the client would wait out its
+        own timeout unanswered. So the caller closes the server only
+        after every task on the loop but this one and the campaign
+        runners -- the set-up tasks, then the :meth:`_handle` tasks they
+        start, which answer (a submission gets 503 while draining) --
+        has finished, or ``timeout`` seconds have passed.
+        """
+        assert self._server is not None
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            loop.remove_reader(sock.fileno())
+        deadline = loop.time() + timeout
+        while (left := deadline - loop.time()) > 0:
+            pending = asyncio.all_tasks() - {asyncio.current_task(),
+                                             *self.service.runners}
+            if not pending:
+                return
+            await asyncio.wait(pending, timeout=left)
+
+
+def _drop(hangup: asyncio.Task | None) -> None:
+    """Retire a hang-up watch: cancel it, or collect how it ended."""
+    if hangup is None:
+        return
+    if not hangup.done():
+        hangup.cancel()
+    elif not hangup.cancelled():
+        hangup.exception()  # a reset connection ends the read with an error
+
+
+def _query_param(query: str, name: str, parse: Callable[[str], Any]) -> Any:
+    """Query parameter ``name`` through ``parse``: None when absent, 400
+    when it does not parse."""
+    for pair in query.split("&"):
+        key, _, value = pair.partition("=")
+        if key == name:
+            try:
+                return parse(value)
+            except ValueError:
+                raise _HttpReply(
+                    400, {"error": f"bad {name} {value!r}"}) from None
+    return None
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``wait`` query parameter in seconds (0 when absent), capped."""
+    seconds = _query_param(query, "wait", float)
+    if seconds is None:
+        return 0.0
+    if not 0.0 <= seconds:  # negative or NaN
+        raise _HttpReply(400, {"error": f"bad wait {seconds!r}"})
+    return min(seconds, MAX_WAIT_S)
 
 
 def serve(root: str | Path, **kwargs: Any) -> None:

@@ -25,7 +25,9 @@ results (the shutdown suite pins this).
 
 All record mutation happens on the daemon's event loop; the only
 off-loop work is the executor call itself, which touches no scheduler
-state.
+state. Every state change goes through one place, which also resolves
+the futures that the daemon's ``?wait=`` status requests park on
+(:meth:`CampaignService.state_change`).
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "COMPLETE",
     "INTERRUPTED",
     "BROKEN",
+    "FINAL",
 ]
 
 #: Lifecycle states a record moves through (terminal: COMPLETE, BROKEN).
@@ -74,6 +77,9 @@ RUNNING = "running"
 COMPLETE = "complete"
 INTERRUPTED = "interrupted"
 BROKEN = "broken"
+
+#: States a record leaves only when a restarted daemon resumes it.
+FINAL = (COMPLETE, BROKEN, INTERRUPTED)
 
 
 def campaign_id(spec: CampaignSpec) -> str:
@@ -185,6 +191,8 @@ class CampaignService:
         self._semaphore = asyncio.Semaphore(concurrent)
         self._draining = asyncio.Event()
         self._runners: set[asyncio.Task] = set()
+        #: Per record id: the future its next state change resolves.
+        self._changes: dict[str, asyncio.Future] = {}
         self._store_handle: ResultStore | None = None
 
     def _store(self) -> ResultStore:
@@ -225,7 +233,7 @@ class CampaignService:
             pending = [t for t in plan_campaign(spec).runnable
                        if t.task_id not in done]
             if not pending:
-                record.state = COMPLETE
+                self._set_state(record, COMPLETE)
                 self.admission.release(record.api_key)
             else:
                 resumed += 1
@@ -326,11 +334,12 @@ class CampaignService:
             if record.state != QUEUED:
                 return
             if self._draining.is_set():
-                record.state = INTERRUPTED  # drained before it ever started
+                # drained before it ever started
+                self._set_state(record, INTERRUPTED)
                 self.interrupted += 1
                 self.admission.release(record.api_key)
                 return
-            record.state = RUNNING
+            self._set_state(record, RUNNING)
             t0 = time.perf_counter()
             # One coordinator per campaign run: waves go remote-first
             # through the executor registry, and every task no executor
@@ -357,16 +366,16 @@ class CampaignService:
                     dispatch=coordinator.dispatch,
                 )
             except Exception as exc:  # noqa: BLE001 - runner boundary
-                record.state = BROKEN
                 record.error = f"{type(exc).__name__}: {exc}"
+                self._set_state(record, BROKEN)
                 self.broken += 1
             else:
                 record.stats = outcome.stats.summary()
                 if outcome.stats.drained:
-                    record.state = INTERRUPTED
+                    self._set_state(record, INTERRUPTED)
                     self.interrupted += 1
                 else:
-                    record.state = COMPLETE
+                    self._set_state(record, COMPLETE)
                     self.completed += 1
             finally:
                 _add_counters(self._finished_dispatch, coordinator.counters())
@@ -376,7 +385,26 @@ class CampaignService:
             self._trace("service.campaign", time.perf_counter() - t0,
                         campaign=record.id, state=record.state)
 
+    def _set_state(self, record: CampaignRecord, state: str) -> None:
+        """Move ``record`` to ``state`` and wake its parked status waits."""
+        record.state = state
+        change = self._changes.pop(record.id, None)
+        if change is not None and not change.done():
+            change.set_result(state)
+
     # -- reads -------------------------------------------------------------
+
+    def state_change(self, cid: str) -> asyncio.Future:
+        """A future that record ``cid``'s next state change resolves.
+
+        Every waiter on one record shares the future; a drain resolves
+        them all (:meth:`begin_drain`). Call it on the event loop.
+        """
+        change = self._changes.get(cid)
+        if change is None:
+            change = asyncio.get_running_loop().create_future()
+            self._changes[cid] = change
+        return change
 
     def status(self, cid: str) -> CampaignRecord:
         """The record for ``cid``, its progress refreshed incrementally.
@@ -451,6 +479,19 @@ class CampaignService:
         """Whether a drain has been requested (new submissions get 503)."""
         return self._draining.is_set()
 
+    @property
+    def runners(self) -> frozenset[asyncio.Task]:
+        """The campaign runner tasks not yet finished."""
+        return frozenset(self._runners)
+
+    def begin_drain(self) -> None:
+        """Stop admissions and answer every parked status wait (idempotent)."""
+        self._draining.set()
+        changes, self._changes = self._changes, {}
+        for change in changes.values():
+            if not change.done():
+                change.set_result(None)
+
     async def drain(self) -> None:
         """Stop admissions, stop executors between waves, wait for them.
 
@@ -458,7 +499,7 @@ class CampaignService:
         resumable state and every journal is durable; a restarted
         daemon's :meth:`start` picks the interrupted ones back up.
         """
-        self._draining.set()
+        self.begin_drain()
         self._trace("service.drain")
         if self._runners:
             await asyncio.gather(*list(self._runners), return_exceptions=True)

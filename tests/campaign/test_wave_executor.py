@@ -295,7 +295,9 @@ def test_repeated_small_grid_is_served_from_the_memo(monkeypatch):
 def test_profile_memo_is_thread_safe():
     """Concurrent get/put keep the weight total exact and within budget
     in the LRU class every wave memo (profiles, layouts, node maps) uses."""
-    memo = wave_mod.WeightedLRU(64, executor_mod._PROFILES.size)
+    # room for about 16 of these profiles, as before the per-entry term
+    memo = wave_mod.WeightedLRU(16 * (4 + executor_mod.PROFILE_ENTRY_UNITS),
+                                executor_mod._PROFILES.size)
     profiles = [SimpleNamespace(chunk_entries=1 + k % 7) for k in range(40)]
     rounds = 3000
 
@@ -318,8 +320,35 @@ def test_profile_memo_is_thread_safe():
     assert not any(t.is_alive() for t in threads)
     assert memo.hits + memo.misses == 8 * rounds
     stored = [memo.get(key) for key in range(len(profiles))]
-    assert memo.weight == sum(p.chunk_entries for p in stored if p is not None)
+    assert memo.weight == sum(memo.size(p) for p in stored if p is not None)
     assert memo.weight <= memo.budget
+
+
+def test_a_memo_of_tiny_profiles_stays_inside_its_byte_budget(monkeypatch):
+    """The per-entry term: a one-chunk profile holds some 600 B, not 16 B.
+
+    Weighed by chunk entries alone, 300 one-chunk profiles (~180 KB)
+    would all sit under a budget meant as 64 KiB (16 B per entry).
+    """
+    budget = 1 << 12
+    memo = wave_mod.WeightedLRU(budget, executor_mod._PROFILES.size)
+    monkeypatch.setattr(executor_mod, "_PROFILES", memo)
+    machine, backend = get_machine("A"), get_backend("GCC-SEQ")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in range(1000, 1300):
+            executor_mod._cached_profile(machine, backend, 1, None, "model",
+                                         "reduce", n)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        assert memo.misses == 300 and len(memo) > 0
+        memo.clear()
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.5 * 16 * budget, f"{held} B held"
 
 
 def test_wide_wave_runs_in_point_bounded_sub_waves(monkeypatch):
@@ -340,9 +369,11 @@ def test_wide_wave_runs_in_point_bounded_sub_waves(monkeypatch):
 def test_profile_memo_bytes_per_profile_are_bounded(monkeypatch):
     """A grid-cold-shaped grid (3 machines x 5 backends x 33 cases x 2 sizes
     x 4 thread counts: 4,038 profiles, 98,868 chunk entries) memoises at
-    under 1 KiB per profile. On grids of small profiles the per-profile
-    overhead, not the chunk data the budget weighs, is what the memo
-    holds: six chunk-field arrays per phase, unshared, read ~3 KB."""
+    under 1 KiB per profile, and whole: the per-profile term that keeps a
+    memo of small profiles inside its byte budget leaves this grid in it,
+    so a rerun builds nothing. On grids of small profiles the
+    per-profile overhead is most of what the memo holds: six chunk-field
+    arrays per phase, unshared, read ~3 KB."""
     from repro.suite.cases import case_names
 
     spec = CampaignSpec(
@@ -369,7 +400,9 @@ def test_profile_memo_bytes_per_profile_are_bounded(monkeypatch):
         fill()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
-        assert (len(memo), memo.weight) == (len(points), 98_868) == (4038, 98_868)
+        assert (len(memo), memo.weight) == (len(points), 98_868 + len(
+            points) * executor_mod.PROFILE_ENTRY_UNITS) == (4038, 260_388)
+        assert memo.weight <= memo.budget
         memo.clear()
         gc.collect()
         released = held - tracemalloc.get_traced_memory()[0]

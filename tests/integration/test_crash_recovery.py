@@ -128,7 +128,7 @@ def _executor_proc(base_url: str, root: Path, *, faults: Path | None = None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     cmd = [sys.executable, "-m", "repro.remote.cli", "--url", base_url,
-           "--root", str(root), "--max-idle", "30", "--poll", "0.01"]
+           "--root", str(root), "--max-idle", "30"]
     if faults is not None:
         cmd += ["--faults", str(faults)]
     return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import threading
+import time
 
 import pytest
 
@@ -54,8 +55,7 @@ def _fleet(base_url: str, n: int, *, faults: FaultPlan | None = None):
     stop = threading.Event()
     executors, threads = [], []
     for i in range(n):
-        ex = RemoteExecutor(base_url, host=f"e2e-{i}", faults=faults,
-                            poll=0.01)
+        ex = RemoteExecutor(base_url, host=f"e2e-{i}", faults=faults)
         ex.register()  # registered before any submission: no startup race
         thread = threading.Thread(
             target=ex.run,
@@ -138,11 +138,11 @@ def _recorded_run(service_root):
     """
     claims, ships = {}, []
     with start_background(service_root, concurrent=1) as svc:
-        ex = RemoteExecutor(svc.base_url, host="restart", poll=0.01)
+        ex = RemoteExecutor(svc.base_url, host="restart")
         claim, ship = ex.client.claim_wave, ex.client.ship_segment
 
-        def recording_claim(eid):
-            offer = claim(eid)
+        def recording_claim(eid, **kwargs):
+            offer = claim(eid, **kwargs)
             if offer is not None:
                 claims[offer["wave"], offer["epoch"]] = [
                     p["task_id"] for p in offer["payloads"]]
@@ -255,3 +255,30 @@ def test_finished_campaigns_release_their_coordinators(tmp_path, monkeypatch):
     assert expected["waves_dispatched"] >= 2  # both runs went remote
     for name, value in expected.items():
         assert metrics[f"service_remote_{name}"] == value, name
+
+
+def test_an_idle_executor_parks_instead_of_polling(tmp_path):
+    """One parked claim covers a whole idle window, and max_idle is exact."""
+    with start_background(tmp_path / "svc") as svc:
+        ex = RemoteExecutor(svc.base_url, host="idle")
+        t0 = time.perf_counter()
+        summary = ex.run(max_idle=0.3)
+        assert 0.3 <= time.perf_counter() - t0 < 2.0
+        assert summary["waves"] == 0
+        assert ex.client.requests == 2  # register, then one parked claim
+
+
+def test_should_stop_hangs_up_a_parked_claim(tmp_path):
+    with start_background(tmp_path / "svc") as svc:
+        _, threads, stop = _fleet(svc.base_url, 1)
+        deadline = time.monotonic() + 5.0
+        while svc.daemon.parked["claims"] < 1:
+            assert time.monotonic() < deadline, "the claim never parked"
+            time.sleep(0.005)
+        t0 = time.perf_counter()
+        _finish(threads, stop)
+        assert time.perf_counter() - t0 < 1.0
+        assert not threads[0].is_alive()
+        while svc.daemon.parked["claims"]:
+            assert time.monotonic() < deadline, "the hang-up went unseen"
+            time.sleep(0.005)

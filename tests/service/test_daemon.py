@@ -14,6 +14,8 @@ import builtins
 import io
 import json
 import os
+import socket
+import threading
 from http.client import HTTPConnection
 
 import pytest
@@ -233,6 +235,36 @@ def test_drain_rejects_new_submissions_with_503(tmp_path):
         else:
             assert doc.get("deduped") in (False, True)
     # context exit: drain completed, thread joined
+
+
+def test_a_connection_accepted_as_the_daemon_stops_is_answered(tmp_path):
+    # The loop is held while a client connects and sends a submission
+    # and the stop is requested, so on release the loop runs the stop
+    # first and accepts the connection right after it: the exact
+    # interleaving in which a daemon used to return with the accepted
+    # connection's set-up still pending, leaving the client unanswered
+    # until its own timeout.
+    body = json.dumps(dict(SPEC, name="late")).encode()
+    with start_background(tmp_path / "svc") as svc:
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            held.set()
+            release.wait(10)
+
+        svc.daemon._loop.call_soon_threadsafe(hold)
+        assert held.wait(10)
+        try:
+            sock = socket.create_connection(svc.daemon.address, timeout=10)
+            sock.sendall(b"POST /campaigns HTTP/1.1\r\nHost: svc\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            svc.daemon.request_stop()
+        finally:
+            release.set()
+    with sock:
+        reply = b"".join(iter(lambda: sock.recv(65536), b""))
+    assert reply.startswith(b"HTTP/1.1 503 "), reply[:80]
+    assert b"Retry-After:" in reply and b"service is draining" in reply
 
 
 def test_service_json_is_published_and_removed(tmp_path):

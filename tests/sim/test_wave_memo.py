@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -118,7 +120,7 @@ def test_layout_memo_stays_in_budget_and_skips_oversized_layouts():
         for k in range(12):
             wave_mod._layout(rng.integers(0, 4, 30 + k))
             assert memo.weight <= memo.budget
-            assert memo.weight == sum(len(flat) for _, flat, _ in
+            assert memo.weight == sum(memo.size(layout) for layout in
                                       memo._values.values())
         assert 0 < len(memo) <= 3
         for order, flat, _depth in memo._values.values():
@@ -126,6 +128,45 @@ def test_layout_memo_stays_in_budget_and_skips_oversized_layouts():
                 flat[0] = 1
             with pytest.raises(ValueError):
                 order[0] = 1
+
+
+def _fill_layouts() -> None:
+    for i in range(3000):
+        wave_mod._layout(np.array([i], dtype=np.int64))
+
+
+def _fill_node_maps() -> None:
+    machine, backend = get_machine("A"), get_backend("GCC-TBB")
+    for i in range(3000):
+        wave_mod._nodes_of(machine, backend, 1, np.array([i], dtype=np.int64))
+
+
+@pytest.mark.parametrize("name, unit_bytes, fill", [
+    ("_LAYOUTS", 8, _fill_layouts),      # int32 key + int32 index per chunk
+    ("_NODE_MAPS", 16, _fill_node_maps),  # int64 key + int64 node per thread
+])
+def test_a_memo_of_tiny_values_stays_inside_its_byte_budget(name, unit_bytes,
+                                                            fill):
+    """A one-chunk layout holds ~390 B, a one-thread node map ~270 B.
+
+    Weighed by their arrays alone, 3,000 of them would all sit under a
+    budget meant as ``unit_bytes`` per unit, several times over it.
+    """
+    budget = 1 << 14
+    with fresh_memo(name, budget=budget) as memo:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            fill()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            assert memo.misses == 3000 and len(memo) > 0
+            memo.clear()
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert held <= 1.5 * unit_bytes * budget, f"{held} B held"
 
 
 def test_a_lossy_narrowing_is_never_stored(monkeypatch):

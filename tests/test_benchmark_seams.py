@@ -11,6 +11,7 @@ small campaign through a patched use site, and ``uninstall()``.
 from __future__ import annotations
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,25 @@ def test_traced_campaign_patches_and_restores_every_seam(workloads, tmp_path):
     for (module, path), original in originals.items():
         assert getattr(*_site(module, path)) == original, \
             f"{module}.{path} was not restored"
+
+
+def test_the_fleet_workloads_calls_still_bind():
+    """``ServiceFleet`` calls the client and starts executors this way.
+
+    The calls are copied from ``workloads.py`` (``ServiceFleet.setup``,
+    ``measure`` and ``_client``); a signature change that breaks one
+    fails here instead of inside a benchmark run.
+    """
+    from repro.remote.cli import _build_parser
+    from repro.service.client import ServiceClient
+
+    client = ServiceClient("http://127.0.0.1:1")  # never connects
+    payload = {"name": "seams"}
+    inspect.signature(client.submit).bind(payload, max_attempts=8)
+    inspect.signature(client.wait).bind("cid", timeout=60.0, poll=0.005)
+    inspect.signature(client.results).bind("cid")
+    inspect.signature(client.executors).bind()
+    inspect.signature(client.metrics).bind()
+    args = _build_parser().parse_args(
+        ["--service-root", "R", "--root", "R/executor-0", "--max-idle", "600"])
+    assert (args.service_root, args.max_idle) == ("R", 600.0)

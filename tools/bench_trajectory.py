@@ -501,17 +501,14 @@ def _service_campaign(root: Path, fleet: int) -> dict:
 
     with start_background(root / "svc", concurrent=2) as svc:
         executors = [
-            RemoteExecutor(svc.base_url, host=f"bench-host-{i}", poll=0.005)
+            RemoteExecutor(svc.base_url, host=f"bench-host-{i}")
             for i in range(fleet)
         ]
         for executor in executors:
             executor.register()  # all live before the campaign starts
-        stop = threading.Event()
         threads = [
-            threading.Thread(
-                target=executor.run,
-                kwargs={"max_idle": 60.0, "should_stop": stop.is_set},
-                daemon=True)
+            threading.Thread(target=executor.run, kwargs={"max_idle": 60.0},
+                             daemon=True)
             for executor in executors
         ]
         for thread in threads:
@@ -523,9 +520,10 @@ def _service_campaign(root: Path, fleet: int) -> dict:
         while record.finished_at is None:  # set just after the state
             time.sleep(0.001)
         metrics = client.metrics()
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10)
+    # The daemon's drain has answered the executors' parked claims, so
+    # each one exits at its next claim instead of waiting out a park.
+    for thread in threads:
+        thread.join(timeout=10)
     store = ResultStore(root / "svc" / "cache")
     superseded = store.compact().superseded
     return {
