@@ -11,10 +11,9 @@ layers:
   with capability pruning and shared-baseline deduplication;
 * :mod:`repro.campaign.store` + :mod:`repro.campaign.shard` +
   :mod:`repro.campaign.fingerprint` -- content-addressed result cache
-  keyed by (point, model fingerprint), fanned out over 256 key-prefix
-  shards with a persistent per-shard index (O(result) lookups, counts
-  and queries; background compaction via ``pstl-campaign compact``),
-  plus the append-only journal that makes runs resumable;
+  keyed by (point, model fingerprint), one SQLite table per store (one
+  transaction per wave; compaction via ``pstl-campaign compact``), plus
+  the append-only journal that makes runs resumable;
 * :mod:`repro.campaign.executor` / :mod:`repro.campaign.query` --
   process-pool execution with timeout/retry/graceful failure, and
   derivations back into the experiment grid shapes.
@@ -46,13 +45,7 @@ from repro.campaign.query import (
     speedup_grid,
     store_query,
 )
-from repro.campaign.shard import (
-    SHARD_COUNT,
-    CompactionReport,
-    ShardIndex,
-    StoreIndex,
-    shard_prefix,
-)
+from repro.campaign.shard import CompactionReport, ShardIndex
 from repro.campaign.spec import CampaignSpec, PointSpec
 from repro.campaign.store import (
     Journal,
@@ -92,9 +85,6 @@ __all__ = [
     "bench_rows",
     "grid_key",
     "store_query",
-    "SHARD_COUNT",
     "CompactionReport",
     "ShardIndex",
-    "StoreIndex",
-    "shard_prefix",
 ]

@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.bench.reporters import csv_report, json_report
 from repro.campaign.executor import BackoffPolicy, load_campaign, run_campaign
 from repro.campaign.query import bench_rows, filter_results, speedup_grid
+from repro.campaign.shard import DB_NAME
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import (
     FAILED,
@@ -115,16 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("dir", help="campaign directory to audit")
     verify.add_argument("--quarantine", action="store_true",
                         help="pull every corrupt record out of service "
-                        "(tombstoned, its bytes copied to cache/quarantine/) "
-                        "instead of only reporting it")
+                        "(its row deleted, its bytes copied to "
+                        "cache/quarantine/) instead of only reporting it")
 
     compact = sub.add_parser(
         "compact",
-        help="fold the store's per-shard index logs into their compacted "
-        "snapshots (drops superseded and quarantined rows)",
+        help="report the rows superseded and quarantined since the last "
+        "compaction, then vacuum the store's database",
     )
     compact.add_argument("dir", help="campaign directory, or a bare store "
-                         "root (a directory holding objects/)")
+                         "root (a directory holding cache.db)")
 
     status = sub.add_parser("status", help="summarise a campaign directory")
     status.add_argument("dir", help="campaign directory")
@@ -252,11 +253,9 @@ def _cmd_resume(args) -> int:
 def _cmd_verify(args) -> int:
     """``pstl-campaign verify``: audit store + journal integrity.
 
-    Exit 0 when the record behind every live index row parses, verifies
-    its checksum and matches its content address (and the journal has
-    at most a torn tail, which resume tolerates by design); exit 1
-    otherwise. Orphaned pack lines and stale rows are reported as
-    advisory drift, never as errors.
+    Exit 0 when every stored record parses, verifies its checksum and
+    matches its content address (and the journal has at most a torn
+    tail, which resume tolerates by design); exit 1 otherwise.
     """
     root = Path(args.dir)
     read_spec(root / "spec.json")  # fail fast (exit 2) on a non-campaign dir
@@ -277,16 +276,7 @@ def _cmd_verify(args) -> int:
     print(f"store:    {scan.summary()}")
     for key, reason in scan.corrupt:
         print(f"  corrupt {key[:16]}...: {reason}")
-    print(f"index:    {store.index.count()} row(s) across "
-          f"{len(store.index.prefixes())} shard(s)")
-    if scan.orphaned:
-        print(f"  index drift: {scan.orphaned} orphaned line(s) -- advisory; "
-              "dead bytes of superseded, quarantined or crash-orphaned "
-              "records, which stay because packs are never rewritten "
-              "(no index rebuild reclaims them)")
-    if scan.index_stale:
-        print(f"  index drift: {scan.index_stale} stale row(s) -- advisory; "
-              "tools/migrate_store.py --force rebuilds the index")
+    print(f"index:    {store.count_objects()} row(s)")
     print(f"journal:  {len(journal.entries())} intact entr(ies), "
           f"{torn} torn line(s)")
     print(f"reader:   {replayed} entr(ies) replayed, "
@@ -306,24 +296,25 @@ def _store_root(path: Path) -> Path:
     """Resolve a compact target: a campaign dir's ``cache/`` or a bare store.
 
     Accepts either a campaign directory (holding ``spec.json``) or a
-    store root itself (holding ``objects/``); anything else raises.
+    store root itself (holding ``cache.db``, or an older layout's
+    ``objects/``, which then raises naming the migration tool); anything
+    else raises.
     """
     if (path / "spec.json").exists():
         return path / "cache"
-    if (path / "objects").is_dir() or (path / "STORE_META.json").exists():
+    if (path / DB_NAME).exists() or (path / "objects").is_dir():
         return path
     raise ReproError(
         f"{path} is neither a campaign directory (no spec.json) "
-        "nor a result store (no objects/)")
+        f"nor a result store (no {DB_NAME})")
 
 
 def _cmd_compact(args) -> int:
-    """``pstl-campaign compact``: fold index logs into shard snapshots."""
-    store = ResultStore(_store_root(Path(args.dir)))  # v1 raises -> exit 2
+    """``pstl-campaign compact``: report superseded and quarantined rows
+    since the last compaction, then vacuum the database."""
+    store = ResultStore(_store_root(Path(args.dir)))  # old layout -> exit 2
     report = store.compact()
     print(f"compact:  {report.summary()}")
-    print(f"index:    {store.index.count()} row(s) across "
-          f"{len(store.index.prefixes())} shard(s)")
     return 0
 
 
@@ -345,8 +336,7 @@ def _cmd_status(args) -> int:
             print(f"  {status:6s} {by_status[status]}")
     _print_wall_time(outcome, entries)
     store = ResultStore(Path(args.dir) / "cache")
-    print(f"cache:    {store.count_objects()} object(s) across "
-          f"{len(store.index.prefixes())} index shard(s)")
+    print(f"cache:    {store.count_objects()} object(s)")
     print(f"pending:  {len(pending)}")
     if pending:
         print("resume with: pstl-campaign resume " + str(args.dir))

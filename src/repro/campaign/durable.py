@@ -1,18 +1,16 @@
-"""The file disciplines every durable store file shares, each written once.
+"""The file disciplines of the durable files outside the result table.
 
-The store, the remote shipping protocol and the service keep their
-state in plain files that several processes share and that a crash may
-cut mid-write: :func:`locked` (an advisory ``flock``), the healing
+The campaign journal, ``spec.json`` and ``service.json`` are plain
+files that several processes share and that a crash may cut mid-write:
+:func:`locked` (an advisory ``flock``), the healing and synced
 :func:`append_lines`, the whole-log :func:`read_lines`, the resumable
 :func:`read_tail` and the temp-file-plus-rename :func:`publish`.
-Callers encode their own bytes and keep their own policies: which
-appends are synced, and what a shrunk log means.
+Callers encode their own bytes and decide what a shrunk log means.
 
 A log is one JSON object per line. Both reads hand back :class:`Lines`,
-which parses as it is iterated (a replay folds a shard's rows one at a
-time instead of holding them all), skips blank lines and JSON values
-that are not objects, and counts the lines that do not parse -- a tail
-torn by a crash, which the next append heals -- as ``torn``.
+which parses as it is iterated, skips blank lines and JSON values that
+are not objects, and counts the lines that do not parse -- a tail torn
+by a crash, which the next append heals -- as ``torn``.
 """
 
 from __future__ import annotations
@@ -23,15 +21,14 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
 
 try:  # pragma: no cover - platform probe
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback (single-writer)
     fcntl = None
 
-__all__ = ["Lines", "append_lines", "locked", "publish", "read_json",
-           "read_lines", "read_tail"]
+__all__ = ["Lines", "append_lines", "locked", "publish", "read_lines",
+           "read_tail"]
 
 
 @contextmanager
@@ -56,15 +53,14 @@ def locked(path: Path, flags: int = os.O_RDWR) -> Iterator[int]:
         os.close(fd)
 
 
-def append_lines(path: Path, data: bytes, *, fsync: bool = False) -> None:
+def append_lines(path: Path, data: bytes) -> None:
     """Append ``data`` (whole encoded lines) to the log at ``path``.
 
     Under the lock, a final line a crash left without its newline is
     first terminated, so the torn fragment stays a line of its own, and
     ``data`` lands through one ``O_APPEND`` descriptor, rewritten until
-    every byte is down, so concurrent batches never interleave.
-    ``fsync=True`` syncs before the lock is released. Empty ``data``
-    touches nothing.
+    every byte is down, so concurrent batches never interleave; it is
+    synced before the lock is released. Empty ``data`` touches nothing.
     """
     if not data:
         return
@@ -75,8 +71,7 @@ def append_lines(path: Path, data: bytes, *, fsync: bool = False) -> None:
         view = memoryview(data)
         while view:  # a short write (rare on files) must not drop lines
             view = view[os.write(fd, view):]
-        if fsync:
-            os.fsync(fd)
+        os.fsync(fd)
 
 
 class Lines:
@@ -147,12 +142,3 @@ def publish(path: Path, text: str) -> None:
         f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
-
-
-def read_json(path: Path) -> Any:
-    """The JSON document published at ``path``; None when it is missing
-    or does not parse."""
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, ValueError):
-        return None

@@ -12,15 +12,15 @@ and for every task:
    invocations. Each task's key is hashed from the canonical JSON the
    planner encoded once (``PointTask.canonical``), and a wave's hits are
    read with one verified batch read
-   (:meth:`~repro.campaign.store.ResultStore.results_for`), which opens
-   each pack once;
+   (:meth:`~repro.campaign.store.ResultStore.results_for`), a few
+   queries per wave;
 2. otherwise executes it with a per-task timeout and bounded retry -- a
    *cache miss* span whose duration is the point's simulated seconds;
 3. journals the terminal outcome, making an interrupted campaign
    resumable: ``resume=True`` re-plans deterministically and skips every
    task the journal already holds. Both writes are group-committed when
-   the wave ends: its cache objects as one pack file plus their index
-   rows (:meth:`~repro.campaign.store.ResultStore.put_many`), then its
+   the wave ends: its cache objects as one transaction
+   (:meth:`~repro.campaign.store.ResultStore.put_many`), then its
    journal rows as one fsynced append, so every journaled result is
    already stored and a crash inside a wave loses just that wave, which
    a resume recomputes.
@@ -534,8 +534,8 @@ def _commit_wave(store: ResultStore, puts: list[tuple[str, PointResult]],
                  injector: FaultInjector | None = None) -> None:
     """Commit a wave's buffered objects, then its journal rows.
 
-    The objects land with one :meth:`ResultStore.put_many` (one pack,
-    one index append per shard touched), the rows with one fsynced
+    The objects land with one :meth:`ResultStore.put_many` (one
+    transaction), the rows with one fsynced
     :meth:`Journal.append`. Both buffers are emptied before anything is
     written, so a failed commit is never retried into duplicates, and a
     failed object commit drops the wave's rows with it: the journal
@@ -1001,6 +1001,12 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                 # on this campaign's own local runner.
                 landed = dispatch(to_run) if dispatch is not None else {}
                 local = [t for t in to_run if t.task_id not in landed]
+                if local and should_stop is not None and should_stop():
+                    # Drained while the wave was remote: what landed is
+                    # stored, and the rest belongs to a future resume.
+                    to_run = [t for t in to_run if t.task_id in landed]
+                    local = []
+                    outcome.stats.drained = True
                 payloads = _run_wave(local, runner, timeout, retries,
                                      shards=shards,
                                      injector=injector, backoff=backoff)
@@ -1019,6 +1025,8 @@ def _run(spec, store, workers, timeout, retries, journal, resume, progress,
                         attempts=payload.get("attempts", 1),
                         wall_ms=payload.get("wall_ms"),
                     ), persist=not remote)
+                if outcome.stats.drained:
+                    break
         finally:
             try:
                 # The last wave, or on an exception whatever the failing

@@ -17,7 +17,6 @@ from repro.bench.state import BenchResult
 from repro.campaign.executor import CampaignOutcome
 from repro.campaign.plan import MEASURE, PointTask
 from repro.campaign.store import DONE, PointResult, ResultStore
-from repro.errors import CampaignError
 
 __all__ = [
     "grid_key",
@@ -163,43 +162,34 @@ def store_query(
     case: str | None = None,
     status: str | None = None,
 ) -> list[dict]:
-    """Filter a store's *persistent index* without opening object files.
+    """Filter a store's result table without verifying or serving records.
 
     The campaign-level :func:`filter_results` replays the plan and loads
-    each point's record -- O(campaign). This query walks the sharded
-    index instead, so it is O(result rows) over the *whole* store, which
-    is the shape the service's dashboards need at millions of cached
-    points. Each hit is a dict with ``key``, ``point``, ``status``,
-    ``seconds``, ``wall_ms`` and the record's locator (``path`` of its
-    pack relative to the store root, ``offset``, ``length``); rows come
-    back in (shard, key) order for determinism. Raises
-    :class:`CampaignError` on an in-memory store.
+    each point's record -- O(campaign). This query reads the whole
+    table instead (:meth:`ResultStore.rows`), which is the shape the
+    service's dashboards need. Each hit is a dict with ``key``,
+    ``point``, ``status``, ``seconds`` and ``wall_ms``; rows come back
+    in key order for determinism. Raises :class:`CampaignError` on an
+    in-memory store.
     """
-    if store.index is None:
-        raise CampaignError("in-memory store has no persistent index")
 
     def match(value, wanted: str | None) -> bool:
         return wanted is None or (
             isinstance(value, str) and value.lower() == wanted.lower())
 
     out: list[dict] = []
-    for key, row in store.index.rows():
-        point = row.get("point")
-        point = dict(point) if isinstance(point, dict) else {}
+    for key, point, result, wall_ms in store.rows():
         if not (match(point.get("machine"), machine)
                 and match(point.get("backend"), backend)
                 and match(point.get("case"), case)
-                and match(row.get("status"), status)):
+                and match(result.get("status"), status)):
             continue
         out.append({
             "key": key,
             "point": point,
-            "status": row.get("status"),
-            "seconds": row.get("seconds"),
-            "wall_ms": row.get("wall_ms"),
-            "path": row.get("path"),
-            "offset": row.get("offset"),
-            "length": row.get("length"),
+            "status": result.get("status"),
+            "seconds": result.get("seconds"),
+            "wall_ms": wall_ms,
         })
     return out
 

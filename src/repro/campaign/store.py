@@ -5,59 +5,30 @@ point's canonical JSON *and* the model-version fingerprint
 (`repro.campaign.fingerprint`). Identical (point, model) pairs therefore
 always collide onto the same key -- a re-run is a pure cache hit --
 while any model change shifts every key and transparently invalidates
-the whole cache. Records are JSON objects; on disk they are written a
-batch at a time (:meth:`ResultStore.put_many`: a whole campaign wave
-or shipped segment) as the lines of one new pack file
-(``objects/packs/<name>.pack``), so a batch costs one file create
-instead of one per point. A store constructed without a root keeps
-them in a plain dict (tests, throwaway runs).
+the whole cache. On disk the records are the rows of one SQLite table
+in ``cache.db`` under the store root (:mod:`repro.campaign.shard`),
+written a batch at a time (:meth:`ResultStore.put_many`: a whole
+campaign wave or shipped segment) as one transaction. A store
+constructed without a root keeps them in a plain dict (tests, throwaway
+runs). A root that holds the older file layouts' trees but no database
+raises, naming ``tools/migrate_store.py``, which imports its records.
 
-**Index.** Every disk store carries ``STORE_META.json`` and a
-persistent per-shard index (``index/ab.log.jsonl`` +
-``index/ab.idx.json``, see :mod:`repro.campaign.shard`): each written
-batch appends one row per record -- ``key -> pack path, offset,
-length, checksum, status, seconds, wall_ms, point`` -- with one append
-per shard touched, and every quarantine appends a tombstone. Reads
-follow each key's row and read only its span: a batch read
-(:meth:`ResultStore.results_for`, one per campaign wave) groups its
-keys by pack, opens each pack once and reads each record's span with
-one ``pread``. Counts and queries never open a pack. A root that holds
-an ``objects/`` tree but no marker is a v1 flat store: opening it
-raises, naming ``tools/migrate_store.py``, which indexes it in place.
-
-**Integrity.** Each record carries a checksum over its canonical form
-and its own key, and every read checks both on the bytes it just read.
-A read that finds unparseable bytes, no checksum, a checksum mismatch,
-or another key's record behind the index row *quarantines* the key
-(its span's bytes are copied to ``quarantine/``, a tombstone drops the
-row, the pack is left as it is) and the point recomputes; a damaged
-record is neither served nor silently dropped. Records whose
-``result`` payload has drifted schema (missing ``status`` /
-``seconds`` from an older version) are treated as misses, not errors.
-:meth:`ResultStore.scan` audits the record behind every live index
-row; the ``pstl-campaign verify`` subcommand fronts it.
-
-**The record byte path.** A batch read checks a pack line in exactly
-``put_many``'s shape on its own bytes, without parsing it. The shape
-(:data:`_RECORD_LINE`) is ``json.dumps(record, sort_keys=True)`` of the
-five-member record: ``checksum`` (16 hex digits), ``fingerprint``,
-``key`` (64 hex digits), ``point`` with exactly its eight fields, and
-``result`` with ``error``, ``seconds`` and ``status``; every string is
-printable ASCII without ``"`` or ``\\``, the point's ``size_exp`` and
-``threads`` are integers, and ``min_time`` and ``seconds`` are spelled
-the way ``repr`` spells the value ``json`` reads from them (checked
-after the match). In that shape a ``"`` only ever delimits a string, so
-every ``": `` is a key separator and every ``, "`` an item separator
-(a string may not start with ``: `` or end with ``, ``, which would
-fake one). Cutting the leading ``checksum`` member and compacting
-those separators therefore gives, byte for byte, the canonical JSON
-the writer hashed: the line verifies when that hash equals its
-checksum and its key is the requested one, and its status, seconds
-and error come from the same match. The byte path only ever accepts:
-any other line, or one whose hash or key disagrees, goes through the
-parse, :func:`_record_problem` and :meth:`ResultStore.load_key` as
-before, which alone quarantine. Either way every read hashes the
-record it serves.
+**Integrity.** Each record carries a checksum: the first 16 hex digits
+of sha256 over the canonical JSON of its core (fingerprint, key, point
+and result). A row stores the point's and the result's canonical text,
+so the core is the string join
+``{"fingerprint":...,"key":"...","point":<point>,"result":<result>}``
+and verifying a hit costs one join and one hash; serving it parses only
+the result text. A row that fails that check goes to
+:meth:`ResultStore.load_key`, which parses the whole record and checks
+it again (an equivalent respelling is served). A record that does not
+parse, fails its checksum or names another key is *quarantined*: its
+bytes are copied to ``quarantine/``, its row is deleted and the point
+recomputes; a damaged record is neither served nor silently dropped.
+Records whose ``result`` payload has drifted schema (missing ``status``
+/ ``seconds`` from an older version) are treated as misses, not errors.
+:meth:`ResultStore.scan` audits every row; the ``pstl-campaign verify``
+subcommand fronts it.
 
 **Journal.** Each campaign run records one JSON line per finished task
 in ``journal.jsonl``, committed once per wave: :meth:`Journal.append`
@@ -65,22 +36,20 @@ takes any number of entries and lands them with one fsynced write. The
 journal is the resume log: an interrupted campaign re-plans
 (deterministically), drops every task whose terminal entry is already
 journaled, and executes only the remainder. The executor commits a
-wave's records (pack, then index rows) before its journal rows, so
-every journaled result is already stored; a crash inside a wave loses
-the whole wave, which a resume recomputes. Torn final lines from a
-killed process are tolerated and skipped.
+wave's records before its journal rows, so every journaled result is
+already stored; a crash inside a wave loses the whole wave, which a
+resume recomputes. Torn final lines from a killed process are tolerated
+and skipped.
 
 **Concurrency.** Several processes may share one store and one journal
 (the ``repro.service`` daemon multiplexes client campaigns over a
-shared cache; the 8-writer property tests pin the contract). Each
-batch goes to a pack file created with ``O_EXCL`` under a name of its
-own writer's (time stamp, pid, thread), so writers never share a pack,
-and a record becomes visible only once its index row lands. Every
-other durable file goes through :mod:`repro.campaign.durable`: journal
-and index appends are one locked ``O_APPEND`` write that heals a torn
-tail first, so concurrent appenders can never interleave partial lines
-or split each other's batches; their replays skip torn lines; and
-``spec.json`` and ``STORE_META.json`` publish by temp file plus rename.
+shared cache; the 8-writer property tests pin the contract). The
+database serializes writers with its busy timeout, and each process
+shares one connection among its handles and threads. Journal appends go
+through :mod:`repro.campaign.durable`: one locked ``O_APPEND`` write
+that heals a torn tail first, so concurrent appenders can never
+interleave partial lines or split each other's batches; replays skip
+torn lines; and ``spec.json`` publishes by temp file plus rename.
 :class:`JournalReader` adds the offset-resumable read side: repeated
 polls cost O(new bytes), not O(journal).
 """
@@ -90,36 +59,25 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-import threading
-import time
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any
 
 from repro.campaign.durable import append_lines, publish, read_lines, read_tail
 from repro.campaign.fingerprint import model_fingerprint
-from repro.campaign.shard import (
-    CompactionReport,
-    StoreIndex,
-    read_store_meta,
-    write_store_meta,
-)
+from repro.campaign.shard import DB_NAME, CompactionReport, Row, ShardIndex
 from repro.campaign.spec import PointSpec, canonical_json
 from repro.errors import CampaignError
 
 __all__ = [
     "PointResult",
-    "RecordSpan",
     "ResultStore",
     "StoreScan",
     "Journal",
     "JournalReader",
     "cache_key",
-    "pack_lines",
     "record_checksum",
-    "record_files",
     "write_spec",
     "read_spec",
 ]
@@ -193,30 +151,17 @@ class PointResult:
 class StoreScan:
     """Integrity report over a store's records (see :meth:`ResultStore.scan`).
 
-    ``objects`` counts the records audited -- one per live index row
-    (per stored record on a memory store). ``corrupt`` lists ``(key,
+    ``objects`` counts the records audited. ``corrupt`` lists ``(key,
     reason)`` pairs for records that fail to parse, carry no checksum,
-    fail it, or are not the record of the key that indexes them;
+    fail it, or do not re-derive the key they are stored under;
     ``drifted`` counts records that verify but whose ``result`` payload
     is schema-drifted (served as misses, never as hits).
-
-    Two advisory counters cross-check the index against the records,
-    *not* errors: ``orphaned`` counts pack lines (and loose objects) no
-    live index row points to -- superseded or quarantined records, or a
-    batch whose index rows a crash lost -- and ``index_stale`` counts
-    rows whose checksum disagrees with their intact record, or that
-    point at a missing file. The records are ground truth and
-    ``tools/migrate_store.py --force`` rebuilds the index from them,
-    which mends stale rows; orphaned lines keep their bytes, since
-    packs are never rewritten.
     """
 
     objects: int = 0
     ok: int = 0
     drifted: int = 0
     quarantined: int = 0
-    orphaned: int = 0
-    index_stale: int = 0
     corrupt: list[tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -226,18 +171,13 @@ class StoreScan:
 
     def summary(self) -> str:
         """One-line human report."""
-        base = (
+        return (
             f"{self.objects} object(s): {self.ok} ok, "
             f"{self.drifted} schema-drifted, {self.errors} corrupt, "
             f"{self.quarantined} quarantined"
         )
-        if self.orphaned or self.index_stale:
-            base += (f", {self.orphaned} orphaned, "
-                     f"{self.index_stale} index-stale")
-        return base
 
-    def audit(self, key: str, record: Any, reason: str = "",
-              row: Mapping[str, Any] | None = None) -> None:
+    def audit(self, key: str, record: Any, reason: str = "") -> None:
         """Count one record read for ``key`` (None: it did not parse)."""
         self.objects += 1
         problem = reason or _record_problem(key, record)
@@ -247,13 +187,10 @@ class StoreScan:
                 problem = "content hash != index key"
         if problem is not None:
             self.corrupt.append((key, problem))
-        elif _result_slice(record) is None:
+        elif _result_slice(record.get("result")) is None:
             self.drifted += 1
         else:
             self.ok += 1
-        if problem is None and row is not None \
-                and row.get("checksum") != record["checksum"]:
-            self.index_stale += 1
 
 
 def _record_problem(key: str, record: Any) -> str | None:
@@ -262,7 +199,7 @@ def _record_problem(key: str, record: Any) -> str | None:
     The record must be a JSON object carrying a checksum that verifies,
     and must name ``key`` itself -- so neither a record written before
     checksums (or one whose ``checksum`` field a flipped bit renamed)
-    nor a stale index row pointing at another key's record is served.
+    nor a row holding another key's record is served.
     """
     if not isinstance(record, Mapping):
         return "not a JSON object"
@@ -276,7 +213,7 @@ def _record_problem(key: str, record: Any) -> str | None:
     return None
 
 
-def _result_slice(record: Mapping[str, Any]) -> dict | None:
+def _result_slice(result: Any) -> dict | None:
     """The usable ``result`` payload of a record, or None on schema drift.
 
     Older (or newer) store versions may journal records whose ``result``
@@ -284,7 +221,6 @@ def _result_slice(record: Mapping[str, Any]) -> dict | None:
     ``KeyError`` crashes -- the point simply recomputes under the
     current schema.
     """
-    result = record.get("result")
     if not isinstance(result, Mapping):
         return None
     status = result.get("status")
@@ -295,91 +231,11 @@ def _result_slice(record: Mapping[str, Any]) -> dict | None:
     return dict(result)
 
 
-#: The text of a JSON string in the record shape: printable ASCII
-#: without ``"`` or ``\`` that neither starts with ``: `` nor ends with
-#: ``, ``.
-_TEXT = rb'(?!: )[\x20\x21\x23-\x5b\x5d-\x7e]*(?<!, )'
-#: Any JSON number, and an integer ``repr`` spells so (``-0`` aside, no
-#: JSON integer is spelled otherwise; 18 digits keep ``int`` in range).
-_NUMBER = rb'-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
-_INT = rb'(?:0|-?[1-9][0-9]{0,17})'
-
-#: A pack line exactly as ``put_many`` writes it (see the module doc);
-#: groups: checksum, key, min_time, error, seconds, status.
-_RECORD_LINE = re.compile(
-    rb'\{"checksum": "([0-9a-f]{16})", "fingerprint": "' + _TEXT
-    + rb'", "key": "([0-9a-f]{64})", "point": \{"allocator": (?:null|"'
-    + _TEXT + rb'"), "backend": "' + _TEXT + rb'", "case": "' + _TEXT
-    + rb'", "machine": "' + _TEXT + rb'", "min_time": (' + _NUMBER
-    + rb'), "mode": "' + _TEXT + rb'", "size_exp": ' + _INT
-    + rb', "threads": ' + _INT + rb'\}, "result": \{"error": (?:null|"('
-    + _TEXT + rb')"), "seconds": (?:null|(' + _NUMBER + rb')), "status": "('
-    + _TEXT + rb')"\}\}')
-
-#: Where the record core starts: past ``{"checksum": "<16 hex>", ``.
-_CORE_AT = len(b'{"checksum": "0123456789abcdef", ')
-
-
-def _number(token: bytes) -> int | float:
-    """JSON number ``token`` as ``json`` reads it; ValueError unless
-    ``repr`` spells that value exactly as ``token`` does."""
-    if b"." in token or b"e" in token or b"E" in token:
-        value = float(token)
-        if repr(value).encode() != token:
-            raise ValueError(f"{token!r} is not spelled as repr spells it")
-        return value
-    if token == b"-0":
-        raise ValueError("-0 is the integer 0")
-    return int(token)
-
-
-def _record_view(line: bytes) -> tuple[bytes, str, str, str,
-                                       int | float | None, str | None] | None:
-    """``(core, checksum, key, status, seconds, error)`` of a pack line
-    in exactly ``put_many``'s shape; None for any other line.
-
-    ``core`` is the line with its ``checksum`` member cut and its
-    separators compacted: the canonical JSON of the parsed record minus
-    its checksum, which is what :func:`record_checksum` hashes.
-    """
-    match = _RECORD_LINE.fullmatch(line)
-    if match is None:
-        return None
-    checksum, key, min_time, error, seconds, status = match.groups()
-    try:
-        _number(min_time)
-        if seconds is not None:
-            seconds = _number(seconds)
-    except ValueError:
-        return None
-    core = (b"{" + line[_CORE_AT:]).replace(b'": ', b'":').replace(b', "', b',"')
-    return (core, checksum.decode(), key.decode(), status.decode(), seconds,
-            None if error is None else error.decode())
-
-
-def _verified_slice(key: str, line: bytes
-                    ) -> tuple[str, int | float | None, str | None] | None:
-    """``(status, seconds, error)`` of pack ``line`` when the byte path
-    accepts it for ``key``: the line is in ``put_many``'s shape, its
-    core hashes to its checksum, it names ``key``, and its payload is
-    one :func:`_result_slice` serves. None sends the line to the full
-    check, which alone may quarantine."""
-    view = _record_view(line)
-    if view is None:
-        return None
-    core, checksum, record_key, status, seconds, error = view
-    if record_key != key \
-            or hashlib.sha256(core).hexdigest()[:16] != checksum \
-            or status not in _STATUSES or (status == DONE and seconds is None):
-        return None
-    return status, seconds, error
-
-
 def _cached_result(task_id: str, point: PointSpec,
-                   record: Mapping[str, Any] | None) -> PointResult | None:
-    """The cache-served :class:`PointResult` of a verified ``record``
-    (None when there is no record or its payload has drifted)."""
-    result = None if record is None else _result_slice(record)
+                   result: Any) -> PointResult | None:
+    """The cache-served :class:`PointResult` of a verified record's
+    ``result`` payload (None when its schema has drifted)."""
+    result = _result_slice(result)
     if result is None:
         return None
     return PointResult(
@@ -389,60 +245,22 @@ def _cached_result(task_id: str, point: PointSpec,
     )
 
 
-@dataclass(frozen=True)
-class RecordSpan:
-    """Where one record's bytes are: a pack line, or a whole loose object.
-
-    ``length=None`` marks a loose object (written before packs), read to
-    the end of its file.
-    """
-
-    path: Path
-    offset: int = 0
-    length: int | None = None
-
-    def read(self) -> bytes:
-        """The span's bytes (fewer when the file was cut short)."""
-        return _read_span(self.path, self.offset, self.length)
+def _row_record(key: str, row: Row) -> dict:
+    """The record a stored row holds, parsed whole (ValueError when a
+    text does not parse; an empty checksum reads as none)."""
+    fingerprint, point, result, checksum = row
+    return {"checksum": checksum.decode() or None,
+            "fingerprint": fingerprint.decode(), "key": key,
+            "point": json.loads(point), "result": json.loads(result)}
 
 
-def _read_span(path: str | os.PathLike, offset: int | None,
-               length: int | None) -> bytes:
-    """``length`` bytes of ``path`` at ``offset`` (the whole file when
-    ``length`` is None); raises FileNotFoundError for a missing file."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        if length is None:
-            size = os.fstat(fd).st_size
-            return os.pread(fd, size, 0)
-        return os.pread(fd, length, offset or 0)
-    finally:
-        os.close(fd)
-
-
-#: Where packs live, relative to the store root.
-PACKS = "objects/packs"
-
-
-def record_files(root: str | os.PathLike) -> list[str]:
-    """Every loose object, then every pack, under store ``root``.
-
-    Paths are relative to ``root``, each group in name order; pack names
-    start with their creation time stamp, so packs come in write order.
-    """
-    root = Path(root)
-    return [path.relative_to(root).as_posix()
-            for pattern in ("objects/??/*.json", f"{PACKS}/*.pack")
-            for path in sorted(root.glob(pattern))]
-
-
-def pack_lines(data: bytes) -> Iterator[tuple[int, bytes]]:
-    """``(offset, line)`` for every record line in a pack's bytes."""
-    offset = 0
-    for line in data.split(b"\n"):
-        if line:
-            yield offset, line
-        offset += len(line) + 1
+def _core(key: str, row: Row) -> bytes:
+    """The record core joined from a stored row's texts: for a row as
+    ``put_many`` wrote it, the canonical JSON its checksum hashes."""
+    fingerprint, point, result, _checksum = row
+    return b"".join((b'{"fingerprint":"', fingerprint, b'","key":"',
+                     key.encode(), b'","point":', point, b',"result":',
+                     result, b"}"))
 
 
 class ResultStore:
@@ -450,12 +268,11 @@ class ResultStore:
 
     def __init__(self, root: str | os.PathLike | None = None,
                  fingerprint: str | None = None) -> None:
-        """``root=None`` keeps records in a dict; else packs under ``root``.
+        """``root=None`` keeps records in a dict; else ``root/cache.db``.
 
-        A fresh or empty root is stamped with ``STORE_META.json``; a
-        root that holds an ``objects/`` tree but no marker is a v1 flat
-        store and raises :class:`CampaignError` naming
-        ``tools/migrate_store.py`` -- reads go through the index, so
+        A root that holds the file layouts' ``objects/`` or ``index/``
+        tree but no database was written before the table: it raises
+        :class:`CampaignError` naming ``tools/migrate_store.py``, since
         serving it unmigrated would read as all misses.
         """
         self.root = Path(root) if root is not None else None
@@ -465,29 +282,28 @@ class ResultStore:
         # sort_keys puts "model" before "point", so a key's payload is
         # this head, the point's canonical JSON and a closing brace.
         self._key_head = '{"model":' + canonical_json(self.fingerprint) + ',"point":'
+        # ... and "fingerprint" before "key", "point" and "result", so a
+        # record core is this head, the key, and the two texts.
+        self._core_head = ('{"fingerprint":' + canonical_json(self.fingerprint)
+                           + ',"key":"')
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
-        self.index: StoreIndex | None = None
+        self.index: ShardIndex | None = None
         if self.root is not None:
-            objects = self.root / "objects"
-            # Look at objects/ before the marker: a concurrent writer
-            # stamps the marker before it creates any pack.
-            populated = objects.is_dir() and any(objects.iterdir())
-            if read_store_meta(self.root) is None:
-                if populated:
-                    raise CampaignError(
-                        f"{self.root} is a v1 flat result store (objects/ "
-                        "but no STORE_META.json); upgrade it in place with "
-                        "tools/migrate_store.py")
-                objects.mkdir(parents=True, exist_ok=True)
-                write_store_meta(self.root)
-            self.index = StoreIndex.shared(self.root)
+            db = self.root / DB_NAME
+            if not db.exists() and any(
+                    (self.root / tree).is_dir() for tree in ("objects", "index")):
+                raise CampaignError(
+                    f"{self.root} is a result store of the file layout "
+                    f"(objects/ or index/ but no {DB_NAME}); import it with "
+                    "tools/migrate_store.py")
+            self.index = ShardIndex.shared(db)
 
     @property
     def indexed(self) -> bool:
-        """Whether this store carries a persistent shard index (on disk)."""
+        """Whether this store keeps its records in a database (on disk)."""
         return self.index is not None
 
     def key_for(self, point: PointSpec) -> str:
@@ -506,25 +322,15 @@ class ResultStore:
         return hashlib.sha256(
             (self._key_head + canonical + "}").encode()).hexdigest()
 
-    def locate(self, key: str) -> RecordSpan | None:
-        """Where ``key``'s live record is stored (disk stores only)."""
-        if self.root is None:
-            raise CampaignError("in-memory store has no record spans")
-        loc = self.index.locate(key)
-        if loc is None:
-            return None
-        path, offset, length = loc
-        return RecordSpan(self.root / path, offset or 0, length)
-
     def quarantine(self, key: str, reason: str) -> None:
-        """Pull ``key``'s record out of service (counted, never deleted).
+        """Pull ``key``'s record out of service (counted, never lost).
 
-        Disk stores copy the span's bytes to ``quarantine/`` (the
-        evidence for post-mortems) and tombstone the key's index row;
-        the pack itself is never rewritten, its line just goes dead.
-        Memory stores park the record in a side dict. Either way the
-        next read of the key (:meth:`load_key`, :meth:`results_for`) is
-        a miss and the point recomputes.
+        Disk stores copy the row's bytes to ``quarantine/`` (the
+        evidence for post-mortems, as one record line) and
+        delete the row. Memory stores park the record in a side dict.
+        Either way the next read of the key (:meth:`load_key`,
+        :meth:`results_for`) is a miss and the point recomputes.
+        ``reason`` names the failed check for the caller's report.
 
         Re-quarantining the same key (heal, recompute, corrupt again)
         must not overwrite the earlier evidence: the destination gains a
@@ -540,93 +346,72 @@ class ResultStore:
                     slot = f"{key}.{serial}"
                 self._memory_quarantine[slot] = record
             return
-        span = self.locate(key)
-        try:
-            evidence = None if span is None else span.read()
-        except FileNotFoundError:
-            evidence = None  # already gone; nothing to preserve
-        if evidence is not None:
+        row = self.index.get(key)
+        if row is not None:
             qdir = self.root / "quarantine"
             qdir.mkdir(parents=True, exist_ok=True)
             serial = 0
             while True:
                 name = f"{key}.json" if not serial else f"{key}.{serial}.json"
                 try:
-                    with open(qdir / name, "xb") as fh:
-                        fh.write(evidence)
+                    with open(qdir / name, "xb") as fh:  # the row, verbatim
+                        fh.write(b'{"checksum":"' + row[3] + b'",'
+                                 + _core(key, row)[1:])
                     break
                 except FileExistsError:
                     serial += 1
-        self.index.record_quarantine(key, reason)
+        self.index.delete(key)
 
     def contains(self, key: str) -> bool:
-        """Cheap presence probe for ``key`` -- no record load, no quarantine.
+        """Cheap presence probe for ``key`` -- no verification, no quarantine.
 
         The remote-ingest dedup path asks "is this key already landed?"
         for every shipped row; answering via :meth:`load_key` would
-        read and checksum the record. Disk stores answer from the
-        shard index. A corrupt record therefore *does* read as present
-        here -- ingest skips it and the normal verify/quarantine
+        verify the record. A corrupt record therefore *does* read as
+        present here -- ingest skips it and the normal verify/quarantine
         machinery reclaims it later, which is the same trade the
         executor's resume path makes.
         """
         if self.root is None:
             return key in self._memory
-        return self.index.has(key)
+        return self.index.get(key) is not None
 
     def load_key(self, key: str) -> dict | None:
         """Fetch a verified cached record by key (None if absent/corrupt).
 
-        Disk stores follow the key's index row and read only its span
-        (a loose object whole). A record that fails to parse, carries
-        no checksum, fails it, or is another key's record is
-        quarantined on the spot and reads as a miss -- a damaged or
-        misdirected record is never served as a hit. Before that, a
-        failed read re-polls the shard: when another process has since
-        replaced the row, the live one is read instead, and only a bad
-        live record is quarantined.
+        The full check: the row's texts are parsed into the record and
+        :func:`_record_problem` verifies it, so a respelled but
+        equivalent text (one a migration or an older writer left) is
+        served. A record that fails to parse, fails its checksum or is
+        another key's record is quarantined on the spot and reads as a
+        miss -- a damaged record is never served as a hit.
         """
         if self.root is None:
             record = self._memory.get(key)
-            if record is None:
+        else:
+            row = self.index.get(key)
+            if row is None:
                 return None
-            problem = _record_problem(key, record)
-            if problem is None:
-                return dict(record)
-            self.quarantine(key, problem)
-            return None
-        shard = self.index.shard_for(key)
-        loc = shard.locate(key)
-        for _attempt in range(2):
-            if loc is None:
-                return None
-            path, offset, length = loc
-            record = problem = None
             try:
-                raw = _read_span(os.path.join(self.root, path), offset, length)
-                record = json.loads(raw.decode("utf-8"))
-                problem = _record_problem(key, record)
-            except FileNotFoundError:
-                pass  # gone: a plain miss
+                record = _row_record(key, row)
             except ValueError:
-                # torn or rotten bytes -- possibly not even valid UTF-8,
-                # or an integer past json's digit limit
-                problem = "unparseable JSON"
-            if record is not None and problem is None:
-                return record
-            live = shard.locators().get(key)  # poll: was our locator stale?
-            if live == loc:
-                if problem is not None:
-                    self.quarantine(key, problem)
+                # rotten bytes -- possibly not even valid UTF-8, or an
+                # integer past json's digit limit
+                self.quarantine(key, "unparseable JSON")
                 return None
-            loc = live
+        if record is None:
+            return None
+        problem = _record_problem(key, record)
+        if problem is None:
+            return dict(record)
+        self.quarantine(key, problem)
         return None
 
     def put(self, point: PointSpec, payload: Mapping[str, Any],
             wall_ms: float | None = None) -> str:
         """Store one ``payload`` for ``point``; returns the cache key.
 
-        A one-item :meth:`put_many` (so on disk, a pack of one record).
+        A one-item :meth:`put_many`.
         """
         return self.put_many([(self.key_for(point), point, payload, wall_ms)])[0]
 
@@ -636,105 +421,54 @@ class ResultStore:
 
         Each ``key`` is the point's key as this store derives it
         (:meth:`key_for` / :meth:`key_of`); callers that already hold it
-        pass it rather than have the point encoded again. Each record is
-        checksummed exactly as a single put's. On disk
-        the records stream, one line each, into one new pack file --
-        created with ``O_EXCL`` under a name of this writer's, written
-        without ``fsync`` -- and then their index rows land with one
-        append per shard touched, so a record is served only once its
-        pack line is complete. A crash between the two leaves orphaned
-        pack lines (advisory in :meth:`scan`) and misses that
-        recompute. An empty batch touches nothing.
+        pass it rather than have the point encoded again. On disk the
+        batch is one transaction (:meth:`ShardIndex.append`): each row
+        holds the point's and the payload's canonical text and the
+        checksum over the record core they make, and a crash before the
+        commit leaves none of the batch. A put replaces the key's live
+        row. An empty batch touches nothing.
 
         ``wall_ms`` (real wall-clock the executor spent on the point, if
         known) is *not* part of the cached record -- cache-served results
-        stay bit-identical to computed ones -- but is carried on the
-        index row so latency queries never open a pack.
+        stay bit-identical to computed ones -- but is carried on the row
+        for latency queries.
         """
         keys: list[str] = []
         if self.root is None:
             for key, point, payload, _wall_ms in items:
-                self._memory[key] = self._record(key, point, payload)
+                record = {"key": key, "fingerprint": self.fingerprint,
+                          "point": point.to_dict(), "result": dict(payload)}
+                record["checksum"] = record_checksum(record)
+                self._memory[key] = record
                 keys.append(key)
             self.writes += len(keys)
             return keys
-        # Until the pack is complete each record's row waits as a
-        # compact tuple, grouped by shard; the row dicts are built one
-        # shard at a time, so a wave's rows never sit in memory whole.
-        pending: dict[str, list[tuple]] = {}
-        pack = None
-        try:
-            for key, point, payload, wall_ms in items:
-                record = self._record(key, point, payload)
-                data = json.dumps(record, sort_keys=True).encode("utf-8")
-                if pack is None:
-                    pack, path = self._create_pack()
-                    offset = 0
-                pack.write(data + b"\n")
-                result = record["result"]
-                pending.setdefault(key[:2], []).append((
-                    key, offset, len(data), record["checksum"], point,
-                    result.get("status"), result.get("seconds"), wall_ms))
-                offset += len(data) + 1
-                keys.append(key)
-        finally:
-            if pack is not None:
-                pack.close()
-        for prefix, entries in pending.items():
-            self.index.shard(prefix).append(*(
-                {"op": "put", "key": key, "path": path, "offset": offset,
-                 "length": length, "checksum": checksum,
-                 "point": point.to_dict(), "status": status,
-                 "seconds": seconds, "wall_ms": wall_ms}
-                for key, offset, length, checksum, point, status, seconds,
-                wall_ms in entries))
+        rows = []
+        for key, point, payload, wall_ms in items:
+            point_text = canonical_json(point.to_dict())
+            result_text = canonical_json(dict(payload))
+            core = (self._core_head + key + '","point":' + point_text
+                    + ',"result":' + result_text + "}")
+            rows.append((key, self.fingerprint, point_text, result_text,
+                         hashlib.sha256(core.encode()).hexdigest()[:16],
+                         wall_ms))
+            keys.append(key)
+        if rows:
+            self.index.append(*rows)
         self.writes += len(keys)
         return keys
-
-    def _record(self, key: str, point: PointSpec,
-                payload: Mapping[str, Any]) -> dict:
-        """The checksummed record of ``payload`` for ``point`` under ``key``."""
-        record = {
-            "key": key,
-            "fingerprint": self.fingerprint,
-            "point": point.to_dict(),
-            "result": dict(payload),
-        }
-        record["checksum"] = record_checksum(record)
-        return record
-
-    def _create_pack(self) -> tuple[BinaryIO, str]:
-        """Open a new pack file exclusively: (binary writer, relative path).
-
-        The name carries a nanosecond stamp, the pid and the thread id,
-        so concurrent writers -- sibling processes or the service
-        daemon's runner threads -- never collide; ``O_EXCL`` turns the
-        rare repeat stamp into a retry instead of a shared file.
-        """
-        packs = self.root / PACKS
-        packs.mkdir(parents=True, exist_ok=True)
-        writer = f"{os.getpid()}-{threading.get_ident():x}"
-        while True:
-            name = f"{time.time_ns():016x}-{writer}.pack"
-            try:
-                fd = os.open(packs / name,
-                             os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                continue
-            return os.fdopen(fd, "wb"), f"{PACKS}/{name}"
 
     def corrupt(self, key: str, at: float = 0.0) -> None:
         """Damage ``key``'s stored record in place (fault-injection hook).
 
         ``at`` in [0, 1] picks *where*: disk stores XOR one byte at that
-        fraction of the record's span (its pack line, never the line's
-        newline), memory stores tamper the record without refreshing
-        its checksum. Out-of-range ``at`` values are clamped (fault
-        schedules derive ``at`` from seeded hashes and may hand in
-        anything); empty or missing records are a no-op, never an
-        error. Only :mod:`repro.faults` and tests call this; it exists
-        so chaos schedules can corrupt through the same API surface the
-        store itself owns.
+        fraction of the row's point and result text, memory stores
+        tamper the record without refreshing its checksum. Out-of-range
+        ``at`` values are clamped (fault schedules derive ``at`` from
+        seeded hashes and may hand in anything); a missing record is a
+        no-op, never an error. Only :mod:`repro.faults` and tests call
+        this; it exists so chaos schedules can corrupt through the same
+        API surface the store itself owns.
         """
         at = min(max(float(at), 0.0), 1.0)
         if self.root is None:
@@ -742,23 +476,7 @@ class ResultStore:
             if record is not None:
                 record["fingerprint"] = f"corrupt|{record.get('fingerprint')}"
             return
-        span = self.locate(key)
-        if span is None:
-            return
-        try:
-            fd = os.open(span.path, os.O_RDWR)
-        except FileNotFoundError:
-            return
-        try:
-            size = os.fstat(fd).st_size - span.offset
-            length = size if span.length is None else min(span.length, size)
-            if length <= 0:
-                return
-            pos = span.offset + min(int(at * length), length - 1)
-            byte = os.pread(fd, 1, pos)
-            os.pwrite(fd, bytes([byte[0] ^ 0x01]), pos)
-        finally:
-            os.close(fd)
+        self.index.corrupt(key, at)
 
     def result_for(self, task_id: str, point: PointSpec) -> PointResult | None:
         """Reconstruct a :class:`PointResult` from cache (marked cached).
@@ -775,106 +493,64 @@ class ResultStore:
         """Batch :meth:`result_for`: one result (or None) per
         ``(task_id, point, key)`` item, in order.
 
-        Disk stores look every key up in the shared locator cache
-        (polling each shard at most once), group the spans by pack,
-        open each pack once and ``pread`` each span (adjacent lines are
-        read one by one, not coalesced). Each record is verified on its
-        bytes (the byte path, see the module doc) or, when not in
-        ``put_many``'s shape, exactly as :meth:`load_key` verifies it,
-        and becomes its :class:`PointResult` at once, so a wave's raw
-        records are never held together. A record that fails to parse
-        or to verify, a span whose pack is gone, and a loose object
-        (``length`` None) are read again through :meth:`load_key`,
-        which re-polls the shard and quarantines a bad live record: the
-        quarantine decision stays in one place. A memory store reads
-        every key through :meth:`load_key`. ``hits`` and ``misses``
-        count one per item, as :meth:`result_for` does.
+        Disk stores fetch every key's row in a few ``IN (...)`` queries
+        (:meth:`ShardIndex.fetch`). A row is served when the record core
+        joined from its stored texts hashes to its checksum; serving it
+        then parses only its result text. Any other row is read again
+        through :meth:`load_key`, whose full check serves an equivalent
+        respelling and quarantines a bad record: the quarantine decision
+        stays in one place. A memory store reads every key through
+        :meth:`load_key`. ``hits`` and ``misses`` count one per item, as
+        :meth:`result_for` does.
         """
         items = list(items)
         out: list[PointResult | None] = [None] * len(items)
-        again = range(len(items)) if self.root is None \
-            else self._read_packs(items, out)
+        if self.root is None:
+            again = range(len(items))
+        else:
+            again = []
+            rows = self.index.fetch([key for _tid, _point, key in items])
+            for i, (task_id, point, key) in enumerate(items):
+                row = rows.get(key)
+                if row is None:
+                    continue
+                if hashlib.sha256(_core(key, row)).hexdigest()[:16].encode() \
+                        != row[3]:
+                    again.append(i)
+                    continue
+                out[i] = _cached_result(task_id, point, json.loads(row[2]))
         for i in again:
             task_id, point, key = items[i]
-            out[i] = _cached_result(task_id, point, self.load_key(key))
+            record = self.load_key(key)
+            if record is not None:
+                out[i] = _cached_result(task_id, point, record.get("result"))
         hits = sum(result is not None for result in out)
         self.hits += hits
         self.misses += len(out) - hits
         return out
 
-    def _read_packs(self, items: list[tuple[str, PointSpec, str]],
-                    out: list[PointResult | None]) -> list[int]:
-        """Disk half of :meth:`results_for`: one open per pack.
-
-        Fills ``out[i]`` for every item whose pack line verifies and
-        returns the indices :meth:`load_key` must read again: a line
-        that fails to parse or to verify, a span whose pack is gone, and
-        a loose object. A key with no live row is a plain miss.
-        """
-        again: list[int] = []
-        by_pack: dict[str, list[tuple[int, int, int]]] = {}
-        locs = self.index.locate_many([key for _tid, _point, key in items])
-        for i, loc in enumerate(locs):
-            if loc is None:
-                continue
-            path, offset, length = loc
-            if length is None:
-                again.append(i)
-            else:
-                by_pack.setdefault(path, []).append((i, offset or 0, length))
-        for path, spans in by_pack.items():
-            try:
-                fd = os.open(os.path.join(self.root, path), os.O_RDONLY)
-            except FileNotFoundError:
-                again.extend(i for i, _offset, _length in spans)
-                continue
-            try:
-                for i, offset, length in spans:
-                    task_id, point, key = items[i]
-                    line = os.pread(fd, length, offset)
-                    served = _verified_slice(key, line)
-                    if served is not None:
-                        status, seconds, error = served
-                        out[i] = PointResult(
-                            task_id=task_id, point=point, status=status,
-                            seconds=seconds, error=error, cached=True,
-                            attempts=0)
-                        continue
-                    try:
-                        record = json.loads(line.decode("utf-8"))
-                    except ValueError:
-                        again.append(i)
-                        continue
-                    if _record_problem(key, record) is None:
-                        out[i] = _cached_result(task_id, point, record)
-                    else:
-                        again.append(i)
-            finally:
-                os.close(fd)
-        return again
-
     def scan(self, quarantine: bool = False) -> StoreScan:
-        """Audit the record behind every live index row; optionally
-        quarantine what fails.
+        """Audit every stored record; optionally quarantine what fails.
 
-        Checks, per record: its bytes parse to a JSON object, it carries
-        a checksum that verifies, it names the key that indexes it, and
-        its point/fingerprint re-derive that same key. Schema-drifted
-        ``result`` payloads are counted but are not errors.
-        ``quarantine=True`` additionally pulls every corrupt record out
-        of service, exactly as a read would.
-
-        Each pack (and loose object) is read once; its lines that no
-        live row points to count as ``orphaned``, rows that contradict
-        their record (or point at a missing file) as ``index_stale``.
-        Both are advisory, not errors.
+        Checks, per record: its texts parse, it carries a checksum that
+        verifies, it names its own key, and its point and fingerprint
+        re-derive that same key. Records of every fingerprint are
+        checked. Schema-drifted ``result`` payloads are counted but are
+        not errors. ``quarantine=True`` additionally pulls every corrupt
+        record out of service, exactly as a read would.
         """
         report = StoreScan()
         if self.root is None:
             for key, record in self._memory.items():
                 report.audit(key, record)
         else:
-            self._scan_files(report)
+            for key, *row in self.index.rows():
+                try:
+                    record = _row_record(key, row[:4])
+                except ValueError as exc:
+                    report.audit(key, None, f"unparseable: {exc}")
+                    continue
+                report.audit(key, record)
         report.corrupt.sort()
         if quarantine:
             for key, reason in report.corrupt:
@@ -882,53 +558,39 @@ class ResultStore:
                 report.quarantined += 1
         return report
 
-    def _scan_files(self, report: StoreScan) -> None:
-        """Disk half of :meth:`scan`: one read per pack or loose object."""
-        live: dict[str, list[tuple[str, dict]]] = {}
-        for key, row in self.index.rows():
-            live.setdefault(str(row.get("path")), []).append((key, row))
-        for rel in sorted(set(record_files(self.root)) | set(live)):
-            rows = live.get(rel, [])
-            try:
-                data = (self.root / rel).read_bytes()
-            except FileNotFoundError:
-                report.index_stale += len(rows)  # rows with no file
-                continue
-            pointed = set()
-            for key, row in rows:
-                offset, length = row.get("offset"), row.get("length")
-                pointed.add(offset or 0)
-                raw = data if length is None else \
-                    data[offset or 0:(offset or 0) + length]
-                try:
-                    record = json.loads(raw.decode("utf-8"))
-                except ValueError as exc:
-                    report.audit(key, None, f"unparseable: {exc}")
-                    continue
-                report.audit(key, record, row=row)
-            if rel.endswith(".pack"):
-                report.orphaned += sum(1 for offset, _line in pack_lines(data)
-                                       if offset not in pointed)
-            elif not rows:
-                report.orphaned += 1
+    def rows(self) -> Iterator[tuple[str, dict, dict, float | None]]:
+        """``(key, point, result, wall_ms)`` of every stored row, in key
+        order, unverified (queries only; a text that does not parse
+        reads as ``{}``). Raises :class:`CampaignError` on an in-memory
+        store."""
+        if self.index is None:
+            raise CampaignError("in-memory store has no result table")
+        for key, _fingerprint, point, result, _checksum, wall_ms \
+                in self.index.rows():
+            yield key, _parsed(point), _parsed(result), wall_ms
 
     def count_objects(self) -> int:
-        """Number of live records: O(index) on disk, never a pack read.
-
-        The index-backed count is what the service's ``/metrics`` and
-        ``/store`` endpoints poll.
-        """
+        """Number of live records (one ``count(*)`` on disk)."""
         if self.root is None:
             return len(self._memory)
         return self.index.count()
 
     def compact(self) -> CompactionReport:
-        """Fold every shard's index log into its snapshot (see
-        :meth:`repro.campaign.shard.StoreIndex.compact`); raises
+        """Report what changed since the last compaction and vacuum the
+        database (see :meth:`ShardIndex.compact`); raises
         :class:`CampaignError` on an in-memory store."""
         if self.index is None:
-            raise CampaignError("in-memory store has no persistent index")
+            raise CampaignError("in-memory store has no result table")
         return self.index.compact()
+
+
+def _parsed(text: bytes) -> dict:
+    """``text`` as a JSON object; ``{}`` when it is not one."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return {}
+    return value if isinstance(value, dict) else {}
 
 
 def _derive_key(record: Mapping[str, Any]) -> str | None:
@@ -976,7 +638,7 @@ class Journal:
         """
         append_lines(self.path, "".join(
             canonical_json(dict(entry)) + "\n" for entry in entries
-        ).encode("utf-8"), fsync=True)
+        ).encode("utf-8"))
 
     def tear_tail(self, at: float = 0.0) -> int:
         """Truncate the final line mid-write (fault-injection hook).

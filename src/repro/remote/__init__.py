@@ -19,8 +19,8 @@ filesystem lock, using log shipping fenced by one epoch per wave:
    and content checksum; it writes no file.
 3. **Shipping** (:mod:`repro.remote.ship`): sealed segments travel to
    the coordinator, which verifies them against their manifest and
-   ingests rows into the sharded v2 store, skipping every row whose key
-   the persistent index already holds -- re-shipped, stale or
+   ingests rows into the result store, skipping every row whose key
+   the store already holds -- re-shipped, stale or
    duplicated segments ingest exactly once.
 
 The headline invariant, pinned by the distributed harness in

@@ -22,7 +22,7 @@ Degradation ladder, graceful at every rung:
 
 Because the simulator is deterministic, a task computed remotely,
 recomputed after reassignment, or computed locally yields identical
-bytes -- which is why the ingest's index dedup can collapse every
+bytes -- which is why the ingest's key dedup can collapse every
 duplicate and the whole campaign stays bit-identical to a
 single-process run.
 """
@@ -124,7 +124,7 @@ class RemoteCoordinator:
             states = self.registry.state_of(wave_ids)
             if all(state == WAVE_DONE for state in states.values()):
                 break
-            if self.clock() >= deadline:
+            if self.clock() >= deadline or self.registry.draining:
                 break
             if not any(state == WAVE_LEASED for state in states.values()) \
                     and not self.registry.live():

@@ -118,7 +118,10 @@ class RemoteExecutor:
                 if time.monotonic() - idle_since >= max_idle:
                     break
                 continue
-            self.serve_wave(offer)
+            try:
+                self.serve_wave(offer)
+            except (ServiceError, QuotaExceededError):
+                break  # the daemon went away or drained mid-wave
             idle_since = time.monotonic()
         return self.summary()
 

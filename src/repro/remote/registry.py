@@ -29,7 +29,7 @@ Wave lease lifecycle::
 
 A delivery presenting a *stale* epoch -- its holder was expired and the
 wave reassigned -- does not complete the wave, but its rows are still
-queued for ingest: results are deterministic, so the ingest's index
+queued for ingest: results are deterministic, so the ingest's key
 dedup collapses them into the exactly-once outcome, and the counter
 ``stale_ships`` records that fencing did its job.
 """
@@ -131,6 +131,9 @@ class ExecutorRegistry:
         self.stale_ships = 0
         self.lost_ships = 0
         self.duplicate_ships = 0
+        #: Set by :meth:`drain`: coordinators stop waiting for remote
+        #: waves and take them back.
+        self.draining = False
         #: Called, outside the lock and on whichever thread made it so,
         #: each time a wave becomes claimable: an :meth:`offer`, or
         #: :meth:`expire_stale` returning leases to pending. The daemon
@@ -354,6 +357,13 @@ class ExecutorRegistry:
         """Block until registry state changes (or ``timeout`` seconds pass)."""
         with self._cond:
             self._cond.wait(timeout)
+
+    def drain(self) -> None:
+        """Wake every coordinator's wait for good: the service is draining
+        and no held wave will ship (idempotent)."""
+        with self._cond:
+            self.draining = True
+            self._cond.notify_all()
 
     # -- observability ---------------------------------------------------
 

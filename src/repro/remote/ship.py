@@ -6,17 +6,17 @@ without a shared filesystem lock. Two checks, cheapest first:
 1. **Manifest verification** -- a shipped segment whose row count or
    content checksum disagrees with its sealed manifest is rejected
    whole (:class:`~repro.errors.SegmentError`); no partial ingest.
-2. **Index dedup** -- every row whose key the store's persistent shard
-   index already holds is counted ``deduped`` and not re-put, so the
-   index gains exactly one row per unique result. Because result rows
+2. **Key dedup** -- every row whose key the store already holds is
+   counted ``deduped`` and not re-put, so the store gains exactly one
+   row per unique result. Because result rows
    are deterministic, this one check absorbs every duplicate the
    protocol can produce: a re-shipped segment (duplicate ship fault,
    retry after a lost ack), a stale holder's late ship, an identical
    segment recomputed by a reassigned executor, and overlapping
    segments of a wave sharded differently -- across daemon restarts
-   too, since the index is the store's own. The rest of the segment
+   too, since the check reads the store itself. The rest of the segment
    lands with one :meth:`~repro.campaign.store.ResultStore.put_many`:
-   one pack file and one index append per shard touched.
+   one transaction.
 
 Ingest deliberately does **not** append to the campaign journal: the
 campaign executor's single finish path journals every dispatched task
@@ -49,7 +49,7 @@ class IngestReport:
     segments: int = 0            #: segments verified and processed
     rows: int = 0                #: rows examined across processed segments
     ingested: int = 0            #: rows newly landed in the store
-    deduped: int = 0             #: rows already present (index hit)
+    deduped: int = 0             #: rows already present (key hit)
     skipped: int = 0             #: non-storable rows (failed / drifted)
 
     def to_dict(self) -> dict[str, Any]:
@@ -67,7 +67,7 @@ class SegmentIngestor:
     """Lands shipped segments in one campaign's shared store, exactly once."""
 
     def __init__(self, store: ResultStore) -> None:
-        """Ingest into ``store``, deduplicating against its index."""
+        """Ingest into ``store``, deduplicating against its keys."""
         self.store = store
         self.report = IngestReport()
 
@@ -96,7 +96,7 @@ class SegmentIngestor:
                 continue
             queued.add(key)
             items.append((key, point, dict(row["result"]), row.get("wall_ms")))
-        self.store.put_many(items)  # the whole segment: one pack
+        self.store.put_many(items)  # the whole segment: one transaction
         self.report.ingested += len(items)
         self._trace(manifest, started)
         return self.report

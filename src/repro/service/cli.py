@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("id")
     _add_target(p)
 
-    p = sub.add_parser("store", help="shared-cache stats off the shard index")
+    p = sub.add_parser("store", help="shared-cache stats off the result table")
     _add_target(p)
 
     p = sub.add_parser("executors",

@@ -144,7 +144,7 @@ class ServiceClient:
         return out
 
     def store(self) -> dict[str, Any]:
-        """``GET /store``: shared-cache stats off the persistent index."""
+        """``GET /store``: shared-cache stats off the result table."""
         return self._request("GET", "/store")
 
     def submit(self, spec_payload: Mapping[str, Any], *,

@@ -26,8 +26,8 @@ Routes
                             the finished grid's rows (409 while running)
 ``GET /healthz``            liveness + drain flag
 ``GET /metrics``            ``name value`` lines, text/plain
-``GET /store``              shared-cache stats from the persistent shard
-                            index (objects, shards, quarantined)
+``GET /store``              shared-cache stats from the result table
+                            (objects, indexed, quarantined)
 ``POST /executors``         register a remote wave executor; returns its
                             id and the lease/liveness TTLs
 ``POST /executors/{id}/heartbeat``

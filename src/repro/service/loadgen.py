@@ -18,8 +18,9 @@ requests in flight):
 
 Clients honour the protocol: a 429/503 with ``Retry-After`` is slept
 and retried (bounded), never counted as a failure unless the budget
-runs out. After the submission phase the generator polls every accepted
-campaign to a terminal state, then audits completeness over HTTP --
+runs out. After the submission phase the generator long-polls every
+accepted campaign (``GET /campaigns/{id}?wait=S``, one request per state
+change) to a terminal state, then audits completeness over HTTP --
 every campaign complete, every result grid exactly as long as its
 plan, no failed points -- which is the "zero lost or corrupted"
 acceptance check. :func:`LoadgenReport.to_dict` feeds
@@ -41,6 +42,7 @@ from typing import Any
 from urllib.parse import urlsplit
 
 from repro.errors import ServiceError
+from repro.service.client import STATUS_PARK_S
 from repro.suite.cases import case_names
 
 __all__ = ["LoadgenConfig", "LoadgenReport", "build_payloads", "run_loadgen",
@@ -282,29 +284,29 @@ async def _submit_one(host: str, port: int, payload: dict[str, Any],
 async def _await_completion(host: str, port: int, ids: list[str],
                             config: LoadgenConfig,
                             report: LoadgenReport) -> None:
-    """Poll every campaign to a terminal state, then audit its results."""
+    """Long-poll every campaign to a terminal state, at most
+    ``config.concurrency`` at a time; count it completed or lost."""
     deadline = time.monotonic() + config.completion_timeout
-    pending = dict.fromkeys(ids)  # insertion-ordered unique ids
-    while pending and time.monotonic() < deadline:
-        still: list[str] = []
-        for cid in pending:
-            status, _headers, raw = await _http(
-                host, port, "GET", f"/campaigns/{cid}",
-                timeout=config.submit_timeout)
-            if status != 200:
-                report.lost += 1
-                continue
-            state = json.loads(raw.decode("utf-8")).get("state")
-            if state == "complete":
-                report.completed += 1
-            elif state in ("broken", "interrupted"):
-                report.lost += 1
-            else:
-                still.append(cid)
-        pending = dict.fromkeys(still)
-        if pending:
-            await asyncio.sleep(0.05)
-    report.lost += len(pending)
+    semaphore = asyncio.Semaphore(config.concurrency)
+
+    async def settle(cid: str) -> None:
+        async with semaphore:
+            while (left := deadline - time.monotonic()) > 0:
+                wait = min(left, STATUS_PARK_S)
+                status, _headers, raw = await _http(
+                    host, port, "GET", f"/campaigns/{cid}?wait={wait:g}",
+                    timeout=config.submit_timeout + wait)
+                if status != 200:
+                    break
+                state = json.loads(raw.decode("utf-8")).get("state")
+                if state == "complete":
+                    report.completed += 1
+                    return
+                if state in ("broken", "interrupted"):
+                    break
+        report.lost += 1
+
+    await asyncio.gather(*(settle(cid) for cid in ids))
 
 
 async def _audit_results(host: str, port: int, ids: list[str],

@@ -198,10 +198,10 @@ class CampaignService:
     def _store(self) -> ResultStore:
         """The shared cache as a (lazily bound) :class:`ResultStore`.
 
-        One long-lived handle so metrics polls reuse the store's shard
-        caches -- each poll costs O(shards touched) stat calls, not an
-        object-tree walk. Campaign runners still construct their own
-        handles; all handles share the same on-disk index.
+        One long-lived handle, opened by :meth:`start`, so the process's
+        connection to the store's database stays open between campaigns:
+        campaign runners construct their own handles, and every handle
+        shares it.
         """
         if self._store_handle is None:
             self._store_handle = ResultStore(self.cache_root)
@@ -217,7 +217,7 @@ class CampaignService:
         entries) are re-queued for resume. Returns how many campaigns
         were re-queued.
         """
-        self.cache_root.mkdir(parents=True, exist_ok=True)
+        self._store()
         self.campaigns_root.mkdir(parents=True, exist_ok=True)
         resumed = 0
         for spec_path in sorted(self.campaigns_root.glob("*/spec.json")):
@@ -485,8 +485,10 @@ class CampaignService:
         return frozenset(self._runners)
 
     def begin_drain(self) -> None:
-        """Stop admissions and answer every parked status wait (idempotent)."""
+        """Stop admissions, answer every parked status wait and stop every
+        coordinator's wait for remote waves (idempotent)."""
         self._draining.set()
+        self.registry.drain()
         changes, self._changes = self._changes, {}
         for change in changes.values():
             if not change.done():
@@ -509,10 +511,7 @@ class CampaignService:
     def counters(self) -> dict[str, int | float]:
         """Scheduler-side counters for the ``/metrics`` endpoint.
 
-        ``store_objects`` comes from the store's persistent shard index
-        (O(result), cached between polls) -- the pre-index
-        ``rglob("*.json")`` walk here was the service's last O(all
-        objects) hot path.
+        ``store_objects`` is one ``count(*)`` over the store's table.
         """
         states: dict[str, int] = {}
         for record in self.records.values():
@@ -550,13 +549,12 @@ class CampaignService:
         return agg
 
     def store_stats(self) -> dict[str, int | bool]:
-        """Store-level stats for the ``/store`` endpoint (index-backed)."""
+        """Store-level stats for the ``/store`` endpoint."""
         store = self._store()
         qdir = self.cache_root / "quarantine"
         return {
             "objects": store.count_objects(),
             "indexed": store.indexed,
-            "shards": len(store.index.prefixes()) if store.index else 0,
             "quarantined": (
                 sum(1 for _ in qdir.glob("*.json")) if qdir.is_dir() else 0
             ),

@@ -433,7 +433,7 @@ def test_segment_ingest_sample_lands_fresh_rows_in_a_live_store(tmp_path):
         assert segment_s >= 0 and put_s >= 0
     assert ingestor.report.ingested == 3 * bt.REMOTE_SEGMENT_ROWS
     assert ingestor.report.deduped == 0
-    assert store.index.count() == 2 * 3 * bt.REMOTE_SEGMENT_ROWS
+    assert store.count_objects() == 2 * 3 * bt.REMOTE_SEGMENT_ROWS
     # sealed in memory: the store is the only thing on disk
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache"]
 

@@ -11,6 +11,7 @@ from repro.campaign.cli import main
 from repro.campaign.store import FAILED, ResultStore
 
 from tests.campaign.test_executor import per_point
+from tests.campaign.test_store import plant
 
 
 SPEC = {
@@ -153,51 +154,53 @@ def test_verify_quarantine_pulls_corrupt_objects(spec_file, tmp_path, capsys):
           "--workers", "0"])
     capsys.readouterr()
     store = ResultStore(cdir / "cache")
-    key, _row = next(store.index.rows())
-    victim = store.locate(key)
-    with open(victim.path, "r+b") as fh:  # a torn record, same span length
-        fh.seek(victim.offset)
-        fh.write(b"{torn".ljust(victim.length))
+    key = next(store.rows())[0]
+    plant(store, key, result=b"{torn")  # a torn record
 
     assert main(["verify", str(cdir), "--quarantine"]) == 1
     assert "unparseable" in capsys.readouterr().out
-    assert ResultStore(cdir / "cache").locate(key) is None  # tombstoned
+    assert not ResultStore(cdir / "cache").contains(key)  # its row deleted
     assert (cdir / "cache" / "quarantine" / f"{key}.json").exists()
     assert main(["verify", str(cdir)]) == 0  # the audit now comes back clean
-    assert "1 orphaned line(s)" in capsys.readouterr().out  # advisory only
+    assert "orphaned" not in capsys.readouterr().out  # nothing left behind
 
 
 def test_verify_reports_orphaned_lines_without_the_rebuild_hint(
         spec_file, tmp_path, capsys):
+    # A quarantine deletes its row, so it leaves no dead bytes to report
+    # and nothing to rebuild.
     cdir = tmp_path / "c"
     main(["run", "--spec-file", str(spec_file), "--dir", str(cdir),
           "--workers", "0"])
     store = ResultStore(cdir / "cache")
-    key, _row = next(store.index.rows())
-    store.quarantine(key, "pulled by hand")  # its pack line goes dead
+    rows = store.count_objects()
+    key = next(store.rows())[0]
+    store.quarantine(key, "pulled by hand")
     capsys.readouterr()
 
     assert main(["verify", str(cdir)]) == 0
     out = capsys.readouterr().out
-    assert "1 orphaned line(s)" in out and "never rewritten" in out
-    assert "--force" not in out and "stale row(s)" not in out
+    assert f"index:    {rows - 1} row(s)" in out
+    assert "orphaned" not in out and "--force" not in out
 
 
 def test_verify_hints_at_the_rebuild_for_stale_rows(spec_file, tmp_path, capsys):
+    # A row carries its record's checksum itself, so a row whose checksum
+    # disagrees with its record is a corrupt record: an integrity error
+    # that --quarantine pulls, not advisory drift for a rebuild.
     cdir = tmp_path / "c"
     main(["run", "--spec-file", str(spec_file), "--dir", str(cdir),
           "--workers", "0"])
     store = ResultStore(cdir / "cache")
-    key, row = next(store.index.rows())
-    # a row whose checksum disagrees with its intact record
-    store.index.record_puts([{**row, "key": key, "checksum": "0" * 16}])
+    key = next(store.rows())[0]
+    plant(store, key, checksum="0" * 16)
     capsys.readouterr()
 
-    assert main(["verify", str(cdir)]) == 0
-    out = capsys.readouterr().out
-    assert "1 stale row(s)" in out
-    assert "tools/migrate_store.py --force rebuilds the index" in out
-    assert "orphaned line(s)" not in out
+    assert main(["verify", str(cdir)]) == 1
+    captured = capsys.readouterr()
+    assert "checksum mismatch" in captured.out
+    assert "re-run with --quarantine" in captured.err
+    assert "migrate_store" not in captured.out + captured.err
 
 
 def test_fault_seed_requires_a_plan(spec_file, tmp_path, capsys):
@@ -225,26 +228,24 @@ def test_compact_folds_the_index_and_status_reports_it(spec_file, tmp_path, caps
     cdir = tmp_path / "c"
     main(["run", "--spec-file", str(spec_file), "--dir", str(cdir),
           "--workers", "0"])
+    rows = ResultStore(cdir / "cache").count_objects()
     capsys.readouterr()
 
-    # fresh runs leave rows in the shard logs; compact folds them away
     assert main(["compact", str(cdir)]) == 0
     out = capsys.readouterr().out
-    assert "compact:" in out and "row(s) kept" in out
-    assert "shard(s)" in out
-    for log in (cdir / "cache" / "index").glob("*.log.jsonl"):
-        assert log.stat().st_size == 0
+    assert f"compact:  {rows} row(s) kept, 0 superseded" in out
 
     # a bare store root (no spec.json) is accepted too; idempotent
     assert main(["compact", str(cdir / "cache")]) == 0
-    assert "0 log byte(s) merged" in capsys.readouterr().out
+    assert f"{rows} row(s) kept, 0 superseded, 0 quarantined row(s) " \
+        "dropped" in capsys.readouterr().out
 
     assert main(["status", str(cdir)]) == 0
-    assert "index shard(s)" in capsys.readouterr().out
+    assert f"cache:    {rows} object(s)" in capsys.readouterr().out
 
     assert main(["verify", str(cdir)]) == 0
     out = capsys.readouterr().out
-    assert "index:" in out and "shard(s)" in out
+    assert f"index:    {rows} row(s)" in out
     assert "verify: OK" in out
 
 

@@ -1,13 +1,15 @@
 """Byte and fsync pins for every durable file the store writes.
 
-Each format is written from fixed inputs and compared with literal bytes
-captured from the per-file writers these files had before they shared
-one set of file disciplines (:mod:`repro.campaign.durable`). A spy on
-``os.fsync`` pins each writer's durability policy alongside: the
-campaign journal syncs once per non-empty append, and the index,
-snapshots and published documents never. A remote executor's sealed
-segment manifest is pinned here too, though it is built in memory and
-never written.
+Each file format is written from fixed inputs and compared with literal
+bytes captured from the per-file writers these files had before they
+shared one set of file disciplines (:mod:`repro.campaign.durable`). A
+spy on ``os.fsync`` pins each writer's durability policy alongside: the
+campaign journal syncs once per non-empty append, and the published
+documents never. The result table is pinned by its schema, its
+``user_version``, the pragmas of a store's connection and one stored
+row for a fixed point, whose checksum is the one the pack line of the
+same record carried. A remote executor's sealed segment manifest is
+pinned here too, though it is built in memory and never written.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sqlite3
 
 import pytest
 
-from repro.campaign.shard import ShardIndex, write_store_meta
-from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import Journal, write_spec
+from repro.campaign.shard import SCHEMA_VERSION, ShardIndex
+from repro.campaign.spec import CampaignSpec, PointSpec
+from repro.campaign.store import Journal, ResultStore, record_checksum, write_spec
 from repro.remote.segment import result_row, seal
 
 POINT = {"machine": "A", "backend": "GCC-TBB", "case": "reduce",
@@ -76,40 +79,51 @@ def test_journal_bytes_heal_and_one_fsync_per_append(tmp_path, fsyncs):
 
 
 def test_shard_log_and_snapshot_bytes_never_fsync(tmp_path, fsyncs):
-    shard = ShardIndex(tmp_path / "index", "ab")
-    assert _synced(fsyncs, lambda: shard.append(
-        {"op": "put", "key": "ab01", "path": "objects/packs/p.pack",
-         "offset": 0, "length": 10, "checksum": "c1",
-         "point": {"case": "reduce"}, "status": "done", "seconds": 1.0,
-         "wall_ms": 2.5},
-        {"op": "put", "key": "ab02", "path": "objects/packs/p.pack",
-         "offset": 11, "length": 12, "checksum": "c2",
-         "point": {"case": "sort"}, "status": "na", "seconds": None,
-         "wall_ms": None})) == 0
-    assert _synced(fsyncs, lambda: shard.append(
-        {"op": "quarantine", "key": "ab01", "reason": "tampered"})) == 0
-    assert shard.log_path.read_bytes() == (
-        b'{"checksum":"c1","key":"ab01","length":10,"offset":0,"op":"put",'
-        b'"path":"objects/packs/p.pack","point":{"case":"reduce"},'
-        b'"seconds":1.0,"status":"done","wall_ms":2.5}\n'
-        b'{"checksum":"c2","key":"ab02","length":12,"offset":11,"op":"put",'
-        b'"path":"objects/packs/p.pack","point":{"case":"sort"},'
-        b'"seconds":null,"status":"na","wall_ms":null}\n'
-        b'{"key":"ab01","op":"quarantine","reason":"tampered"}\n')
-    assert _synced(fsyncs, shard.compact) == 0
-    assert shard.compact_path.read_bytes() == (
-        b'{"count": 1, "layout": 2, "prefix": "ab", "rows": {"ab02": '
-        b'{"checksum": "c2", "length": 12, "offset": 11, '
-        b'"path": "objects/packs/p.pack", "point": {"case": "sort"}, '
-        b'"seconds": null, "status": "na", "wall_ms": null}}}')
-    assert shard.log_path.read_bytes() == b""
-    assert shard.count() == 1  # read from the snapshot's head
+    # One row for a fixed point, byte for byte; the record it holds has
+    # the checksum its v2 pack line carried. The commit is SQLite's (WAL,
+    # synced at checkpoints only), so Python syncs nothing.
+    store = ResultStore(tmp_path / "cache", fingerprint="fp-pin")
+    point = PointSpec.from_dict(POINT)
+    assert _synced(fsyncs, lambda: store.put(
+        point, {"status": "done", "seconds": 1.5, "error": None},
+        wall_ms=2.5)) == 0
+    key = "f1570b0ae50fbcd680702943599a053726f8fbe2a1a8724f0247478f28bf1f86"
+    conn = sqlite3.connect(tmp_path / "cache" / "cache.db")
+    try:
+        assert conn.execute("SELECT * FROM results").fetchall() == [(
+            key, "fp-pin",
+            '{"allocator":null,"backend":"GCC-TBB","case":"reduce",'
+            '"machine":"A","min_time":0.0,"mode":"model","size_exp":8,'
+            '"threads":2}',
+            '{"error":null,"seconds":1.5,"status":"done"}',
+            "74187b9f56f1e56c", 2.5)]
+        assert conn.execute("SELECT * FROM ledger").fetchall() == [(1, 0, 0)]
+    finally:
+        conn.close()
+    assert record_checksum(store.load_key(key)) == "74187b9f56f1e56c"
+    assert _synced(fsyncs, store.compact) == 0
 
 
 def test_store_meta_and_spec_bytes(tmp_path, fsyncs):
-    assert _synced(fsyncs, lambda: write_store_meta(tmp_path / "store")) == 0
-    assert (tmp_path / "store" / "STORE_META.json").read_bytes() == \
-        b'{"layout": 2, "shards": 256}'
+    table = ShardIndex(tmp_path / "store" / "cache.db")
+    try:
+        conn = table._conn
+        assert conn.execute("PRAGMA journal_mode").fetchone() == (b"wal",)
+        assert conn.execute("PRAGMA synchronous").fetchone() == (1,)  # NORMAL
+        assert conn.execute("PRAGMA busy_timeout").fetchone() == (30000,)
+        assert conn.execute("PRAGMA user_version").fetchone() == \
+            (SCHEMA_VERSION,) == (3,)
+        assert conn.execute("SELECT type, name, sql FROM sqlite_master"
+                            ).fetchall() == [
+            (b"table", b"results",
+             b"CREATE TABLE results (key TEXT PRIMARY KEY, fingerprint TEXT "
+             b"NOT NULL, point TEXT NOT NULL, result TEXT NOT NULL, checksum "
+             b"TEXT NOT NULL, wall_ms REAL) WITHOUT ROWID"),
+            (b"table", b"ledger",
+             b"CREATE TABLE ledger (puts INTEGER NOT NULL, quarantined "
+             b"INTEGER NOT NULL, kept INTEGER NOT NULL)")]
+    finally:
+        table.close()
     spec = CampaignSpec(name="pin", machines=("A",), backends=("GCC-TBB",),
                         cases=("reduce",), size_exps=(12,), threads=(2, None))
     path = tmp_path / "campaign" / "spec.json"

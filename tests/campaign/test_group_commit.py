@@ -1,16 +1,24 @@
-"""Wave-level group commit: one pack and one fsynced journal append per wave.
+"""Wave-level group commit: one transaction and one fsynced journal
+append per wave.
 
 The executor buffers each wave's cache objects and journal rows and
-commits them when the wave ends: the objects as one pack file plus
-their index rows (``ResultStore.put_many``), then the rows with one
+commits them when the wave ends: the objects as one transaction
+(``ResultStore.put_many``), then the rows with one
 ``Journal.append(*rows)``. A crash after the object commit loses only
 rows whose results are already stored: a resume serves them as cache
 hits, never re-executes them, and converges bit-identically. A crash
-between the pack and its index rows loses the wave: a resume recomputes
-it bit-identically and the pack's lines are reported as orphaned.
+inside the object commit loses the wave whole: none of its rows is
+visible, and a resume recomputes it bit-identically.
 """
 
 from __future__ import annotations
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +26,6 @@ from repro.campaign import executor as executor_mod
 from repro.campaign.cli import main
 from repro.campaign.executor import run_campaign
 from repro.campaign.plan import plan_campaign
-from repro.campaign.shard import ShardIndex
 from repro.campaign.store import FAILED, Journal, ResultStore
 
 from tests.campaign.test_executor import tiny_spec
@@ -98,31 +105,49 @@ def test_drain_after_the_first_wave_leaves_every_result_durable(tmp_path):
     assert set(Journal(cdir / "journal.jsonl").completed_ids()) == durable
 
 
-def test_crash_between_the_pack_and_its_index_rows_recomputes(
-        tmp_path, monkeypatch, capsys):
+#: A campaign whose writer is SIGKILLed inside the put of its measures,
+#: with that batch's rows inserted and not yet committed.
+_KILLED_WRITER = textwrap.dedent("""
+    import os, signal, sys
+    from repro.campaign import shard
+    from repro.campaign.executor import run_campaign
+    from tests.campaign.test_executor import tiny_spec
+
+    keys = set(sys.argv[2:])
+
+    def killed(self, *rows):
+        self._conn.execute("BEGIN IMMEDIATE")
+        self._conn.executemany(
+            "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?, ?, ?)", rows)
+        if keys & {row[0] for row in rows}:
+            os.kill(os.getpid(), signal.SIGKILL)
+        self._conn.execute("COMMIT")
+
+    shard.ShardIndex.append = killed
+    run_campaign(tiny_spec(), campaign_dir=sys.argv[1])
+""")
+
+
+def test_crash_between_the_pack_and_its_index_rows_recomputes(tmp_path, capsys):
     plan = plan_campaign(tiny_spec())
     measures = {t.task_id for t in plan.measures if t.pruned is None}
     keys = {ResultStore(None).key_for(t.point)
             for t in plan.measures if t.pruned is None}
     assert len(keys) == len(measures)
-    real = ShardIndex.append
-
-    def crash_on_measures(self, *rows):
-        if any(row["key"] in keys for row in rows):
-            raise OSError("crash between the pack and its index rows")
-        return real(self, *rows)
-
+    repo = Path(__file__).resolve().parents[2]
     cdir = tmp_path / "camp"
-    monkeypatch.setattr(ShardIndex, "append", crash_on_measures)
-    with pytest.raises(OSError, match="index rows"):
-        run_campaign(tiny_spec(), campaign_dir=cdir)
-    monkeypatch.undo()
-    # the failed object commit took the wave's journal rows with it...
+    env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+    killed = subprocess.run(
+        [sys.executable, "-c", _KILLED_WRITER, str(cdir), *sorted(keys)],
+        cwd=repo, env=env, timeout=120)
+    assert killed.returncode == -signal.SIGKILL
+    # the killed put took the wave's journal rows with it...
     journaled = Journal(cdir / "journal.jsonl").completed_ids()
     assert journaled and not measures & set(journaled)
-    # ...and left the written pack's lines unindexed: advisory, not errors
-    scan = ResultStore(cdir / "cache").scan()
-    assert scan.errors == 0 and scan.orphaned == len(keys)
+    # ...and no row of its uncommitted batch is visible
+    store = ResultStore(cdir / "cache")
+    assert not any(store.contains(key) for key in keys)
+    assert store.count_objects() > 0 and store.scan().errors == 0
 
     resumed = run_campaign(tiny_spec(), campaign_dir=cdir, resume=True)
     assert resumed.stats.executed == len(measures)  # recomputed, not served
@@ -133,6 +158,4 @@ def test_crash_between_the_pack_and_its_index_rows_recomputes(
         assert resumed.results[tid].seconds == result.seconds  # bit-identical
     capsys.readouterr()
     assert main(["verify", str(cdir)]) == 0
-    out = capsys.readouterr().out
-    assert "verify: OK" in out
-    assert f"{len(keys)} orphaned line(s)" in out
+    assert "verify: OK" in capsys.readouterr().out

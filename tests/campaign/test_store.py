@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from collections import Counter
+import sqlite3
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.campaign.store import (
     read_spec,
     record_checksum,
 )
-from repro.campaign.spec import PointSpec
+from repro.campaign.spec import PointSpec, canonical_json
 from repro.errors import CampaignError
 
 
@@ -31,30 +33,51 @@ OTHER = PointSpec(machine="B", backend="GCC-TBB", case="reduce",
                   size_exp=12, threads=2)
 
 
-def _overwrite(span, data: bytes) -> None:
-    """Write ``data`` over ``span`` in place, space-padded to its length
-    (a pack line cannot change length without moving its neighbours)."""
-    assert len(data) <= span.length
-    with open(span.path, "r+b") as fh:
-        fh.seek(span.offset)
-        fh.write(data.ljust(span.length))
+COLUMNS = ("fingerprint", "point", "result", "checksum")
 
 
-def _replant(store, key: str, raw: bytes) -> None:
-    """Point ``key``'s index row at ``raw`` -- tampered or hand-written
-    record bytes -- written as a pack of their own."""
-    pack = store.root / "objects" / "packs" / f"planted-{key[:12]}.pack"
-    pack.parent.mkdir(parents=True, exist_ok=True)
-    pack.write_bytes(raw + b"\n")
-    row = store.index.lookup(key) or {}
-    store.index.record_puts([{
-        **row, "key": key, "path": pack.relative_to(store.root).as_posix(),
-        "offset": 0, "length": len(raw)}])
+def stored(store, key: str) -> dict | None:
+    """``key``'s row as stored: its text columns, as bytes (None: no row)."""
+    row = store.index.get(key)
+    return None if row is None else dict(zip(COLUMNS, row))
+
+
+def record_line(key: str, row: dict) -> bytes:
+    """A stored row's bytes as one record line: what a quarantine keeps."""
+    return (b'{"checksum":"' + row["checksum"] + b'","fingerprint":"'
+            + row["fingerprint"] + b'","key":"' + key.encode()
+            + b'","point":' + row["point"] + b',"result":' + row["result"]
+            + b"}")
+
+
+def plant(store, key: str, record: dict | None = None, **columns) -> None:
+    """Write ``key``'s row by hand on a connection of its own -- a tamper,
+    or a row another writer left: the texts of ``record`` (encoded
+    canonically; a missing checksum stored empty), then ``columns``
+    verbatim. The row is inserted when the key has none."""
+    values = {}
+    if record is not None:
+        values = {"fingerprint": record["fingerprint"],
+                  "point": canonical_json(record["point"]),
+                  "result": canonical_json(record["result"]),
+                  "checksum": record.get("checksum", "")}
+    values.update(columns)
+    conn = sqlite3.connect(store.root / "cache.db")
+    try:
+        with conn:
+            conn.execute("INSERT OR IGNORE INTO results (key, fingerprint, "
+                         "point, result, checksum) VALUES (?, '', '', '', '')",
+                         (key,))
+            for column, value in values.items():
+                conn.execute(f"UPDATE results SET {column} = ? WHERE key = ?",
+                             (value, key))
+    finally:
+        conn.close()
 
 
 def _encode(record) -> bytes:
-    """A record's stored form (the same JSON a put writes)."""
-    return json.dumps(record, sort_keys=True).encode("utf-8")
+    """A record's canonical bytes (a quarantined row's line, whole)."""
+    return canonical_json(record).encode("utf-8")
 
 
 def test_cache_key_depends_on_point_and_fingerprint():
@@ -76,10 +99,12 @@ def test_disk_roundtrip(tmp_path):
     key = store.put(POINT, payload)
     assert store.load_key(key)["result"] == payload
     assert store.load_key(store.key_for(POINT))["result"] == payload
-    # the record is one line of a pack; its index row locates the span
-    span = store.locate(key)
-    assert span.path.parent == tmp_path / "cache" / "objects" / "packs"
-    assert json.loads(span.read()) == store.load_key(key)
+    # the record is one row of the store's database, its texts canonical
+    assert (tmp_path / "cache" / "cache.db").is_file()
+    row = stored(store, key)
+    assert row["point"] == POINT.canonical().encode()
+    assert json.loads(row["result"]) == payload
+    assert json.loads(record_line(key, row)) == store.load_key(key)
 
 
 def test_memory_store_roundtrip():
@@ -102,15 +127,16 @@ def test_fingerprint_change_invalidates(tmp_path):
 def test_corrupt_object_is_a_miss(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    _overwrite(store.locate(key), b"{torn")
+    plant(store, key, result=b"{torn")
     assert store.load_key(store.key_for(POINT)) is None
+    assert stored(store, key) is None  # quarantined
 
 
 def test_huge_integer_pack_line_is_quarantined(tmp_path):
     # An integer past json's 4,300-digit limit raises a plain ValueError.
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    _replant(store, key, b'{"seconds": ' + b"9" * 5000 + b"}")
+    plant(store, key, result=b'{"seconds":' + b"9" * 5000 + b"}")
     assert store.scan().errors == 1  # audited as unparseable, not a crash
     assert store.results_for([("t", POINT, key)]) == [None]
     assert store.quarantined == 1
@@ -193,10 +219,10 @@ def test_result_for_tolerates_schema_drifted_records(tmp_path):
     # version used to raise KeyError from result_for; it must be a miss
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    record = json.loads(store.locate(key).read())
+    record = store.load_key(key)
     record["result"] = {"note": "written by a newer schema"}
     record["checksum"] = record_checksum(record)  # intact, just drifted
-    _replant(store, key, _encode(record))
+    plant(store, key, record)
 
     assert store.result_for("tid", POINT) is None
     assert store.misses == 1 and store.quarantined == 0  # a miss, not damage
@@ -207,47 +233,49 @@ def test_result_for_tolerates_schema_drifted_records(tmp_path):
 def test_checksum_mismatch_is_quarantined_not_served(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    span = store.locate(key)
-    record = json.loads(span.read())
+    record = store.load_key(key)
     record["result"]["seconds"] = 9.0  # tampered value, stale checksum
-    _overwrite(span, _encode(record))
+    plant(store, key, record)
+    tampered = record_line(key, stored(store, key))
 
     assert store.load_key(store.key_for(POINT)) is None
     assert store.quarantined == 1
-    assert store.locate(key) is None  # tombstoned out of the index
-    # the pack is never rewritten; the evidence is a copy of the span
+    assert stored(store, key) is None  # the row is deleted
+    # the evidence is the row's bytes, verbatim
     quarantined = tmp_path / "cache" / "quarantine" / f"{key}.json"
-    assert quarantined.read_bytes() == span.read() == _encode(record)
+    assert quarantined.read_bytes() == tampered == _encode(record)
 
 
 def test_records_without_checksum_are_quarantined(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 2.5, "error": None})
-    record = json.loads(store.locate(key).read())
+    record = store.load_key(key)
     del record["checksum"]  # unauditable: it must not be served
-    _replant(store, key, _encode(record))
+    plant(store, key, record)
 
     scan = store.scan()
     assert scan.corrupt == [(key, "missing checksum")]
     assert store.result_for("tid", POINT) is None
-    assert store.quarantined == 1 and store.locate(key) is None
+    assert store.quarantined == 1 and stored(store, key) is None
 
 
 def test_two_flipped_bits_never_serve_a_wrong_value(tmp_path):
     # Regression: one flip renaming "checksum" to "chdcksum" plus one
     # turning 0.5 into 0.4 used to leave a checksum-less record that was
-    # served, unverified, as a cache hit of 0.4.
+    # served, unverified, as a cache hit of 0.4. A row has no field name
+    # to flip; a flipped checksum digit plus the flipped value is the
+    # same double fault.
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 0.5, "error": None})
-    span = store.locate(key)
-    raw = bytearray(span.read())
-    raw[raw.index(b'"checksum"') + 3] ^= 0x01  # checksum -> chdcksum
-    raw[raw.index(b'"seconds": 0.5') + len(b'"seconds": 0.')] ^= 0x01  # 0.4
-    _overwrite(span, bytes(raw))
-    assert b'"chdcksum"' in span.read() and b'"seconds": 0.4' in span.read()
+    row = stored(store, key)
+    checksum = bytearray(row["checksum"])
+    checksum[3] ^= 0x01
+    plant(store, key, checksum=bytes(checksum),
+          result=row["result"].replace(b'"seconds":0.5', b'"seconds":0.4'))
+    assert b'"seconds":0.4' in stored(store, key)["result"]
 
     scan = store.scan()
-    assert scan.corrupt == [(key, "missing checksum")] and scan.ok == 0
+    assert scan.corrupt == [(key, "checksum mismatch")] and scan.ok == 0
     assert store.result_for("tid", POINT) is None
     assert store.quarantined == 1
 
@@ -256,7 +284,7 @@ def test_put_many_writes_one_pack_of_todays_record_bytes(tmp_path, monkeypatch):
     appends = []
     real = ShardIndex.append
     monkeypatch.setattr(ShardIndex, "append", lambda self, *rows: (
-        appends.append((self.prefix, len(rows))), real(self, *rows))[1])
+        appends.append(len(rows)), real(self, *rows))[1])
     store = ResultStore(tmp_path / "cache")
     points = [POINT, OTHER, PointSpec(machine="C", backend="GCC-TBB",
                                       case="reduce", size_exp=12, threads=4)]
@@ -265,40 +293,35 @@ def test_put_many_writes_one_pack_of_todays_record_bytes(tmp_path, monkeypatch):
                                 "error": None}, 0.5)
          for i, p in enumerate(points)])
     assert keys == [store.key_for(p) for p in points]
-    packs = sorted((tmp_path / "cache" / "objects" / "packs").iterdir())
-    assert len(packs) == 1  # one file for the whole batch
-    lines = packs[0].read_bytes().splitlines()
-    assert len(lines) == 3
-    for key, line in zip(keys, lines):
-        span = store.locate(key)
-        assert span.path == packs[0] and span.read() == line
-        record = json.loads(line)
-        assert line == _encode(record)  # the object JSON, byte for byte
-        assert record["key"] == key
-        assert record["checksum"] == record_checksum(record)
-    # One append per shard touched, carrying that shard's rows (keys move
-    # with the model fingerprint, so two of them may share a shard).
-    assert sorted(appends) == sorted(Counter(k[:2] for k in keys).items())
-    assert store.index.lookup(keys[0])["wall_ms"] == 0.5
+    assert appends == [3]  # one transaction for the whole batch
+    for key, point in zip(keys, points):
+        row = stored(store, key)
+        record = store.load_key(key)
+        # each text is the canonical JSON the record core joins, and the
+        # checksum is today's: over the canonical record core
+        assert row["point"] == point.canonical().encode()
+        assert row["result"] == canonical_json(record["result"]).encode()
+        assert record_line(key, row) == _encode(record)
+        assert row["checksum"].decode() == record_checksum(record)
+    assert {key: wall_ms for key, _p, _r, wall_ms in store.rows()} == \
+        dict.fromkeys(keys, 0.5)
     assert store.writes == 3
 
     appends.clear()
     assert store.put_many([]) == []  # nothing to write touches nothing
-    assert appends == [] and len(list(packs[0].parent.iterdir())) == 1
+    assert appends == [] and store.count_objects() == 3
 
 
 def test_stale_row_pointing_at_another_keys_record_is_a_miss(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     okey = store.put(OTHER, {"status": DONE, "seconds": 2.0, "error": None})
-    other = store.locate(okey)
-    store.index.record_puts([{
-        "key": key, "path": other.path.relative_to(store.root).as_posix(),
-        "offset": other.offset, "length": other.length}])
+    plant(store, key, **stored(store, okey))  # OTHER's record under key
 
-    assert store.scan().corrupt == [(key, "record key != index key")]
+    # the checksum covers the key, so another key's record never verifies
+    assert store.scan().corrupt == [(key, "checksum mismatch")]
     assert store.result_for("tid", POINT) is None  # never OTHER's 2.0
-    assert store.quarantined == 1 and store.locate(key) is None
+    assert store.quarantined == 1 and stored(store, key) is None
     assert store.result_for("tid", OTHER).seconds == 2.0  # owner unharmed
 
 
@@ -310,34 +333,32 @@ def test_quarantining_one_record_of_a_pack_keeps_its_neighbours(tmp_path):
         [(store.key_for(p), p, {"status": DONE, "seconds": float(i + 1),
                                 "error": None}, None)
          for i, p in enumerate(points)])
-    victim = store.locate(keys[1])
-    pristine = victim.path.read_bytes()
+    pristine = record_line(keys[1], stored(store, keys[1]))
     store.corrupt(keys[1], at=0.5)
-    damaged = victim.read()
+    damaged = record_line(keys[1], stored(store, keys[1]))
 
     assert store.result_for("tid", points[1]) is None
     assert store.quarantined == 1
-    for i in (0, 2):  # the neighbours are still served
+    for i in (0, 2):  # the neighbours of its batch are still served
         assert store.result_for("tid", points[i]).seconds == float(i + 1)
-    # the pack kept its size and every byte but the flipped one
-    now = victim.path.read_bytes()
-    assert len(now) == len(pristine)
-    assert sum(a != b for a, b in zip(now, pristine)) == 1
+    # the row kept its size and every byte but the flipped one
+    assert len(damaged) == len(pristine)
+    assert sum(a != b for a, b in zip(damaged, pristine)) == 1
     qfile = tmp_path / "cache" / "quarantine" / f"{keys[1]}.json"
     assert qfile.read_bytes() == damaged
     scan = store.scan()
-    assert (scan.objects, scan.ok, scan.errors, scan.orphaned) == (2, 2, 0, 1)
+    assert (scan.objects, scan.ok, scan.errors) == (2, 2, 0)
 
 
 def test_scan_flags_misfiled_and_mismatched_objects(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    record = json.loads(store.locate(key).read())
-    # index the record under a key that is not its content hash
+    record = store.load_key(key)
+    # store the record under a key that is not its content hash
     fake = "ab" + "0" * (len(key) - 2)
     record["key"] = fake
     record["checksum"] = record_checksum(record)
-    _replant(store, fake, _encode(record))
+    plant(store, fake, record)
 
     scan = store.scan()
     reasons = dict(scan.corrupt)
@@ -345,44 +366,29 @@ def test_scan_flags_misfiled_and_mismatched_objects(tmp_path):
 
     scan = store.scan(quarantine=True)
     assert scan.quarantined == 1
-    assert store.locate(fake) is None
+    assert stored(store, fake) is None
     assert store.scan().errors == 0  # a second audit comes back clean
 
 
-# -- sharded index (v2 layout) ----------------------------------------------
-
-
-def _same_shard_point(store, prefix, *, skip=()):
-    """A point whose cache key lands in shard ``prefix`` (and is not in
-    ``skip``) -- scans the thread axis until the content hash cooperates."""
-    for threads in range(1, 20_000):
-        point = PointSpec(machine="A", backend="GCC-TBB", case="reduce",
-                          size_exp=12, threads=threads)
-        key = cache_key(point, store.fingerprint)
-        if key[:2] == prefix and key not in skip:
-            return point, key
-    raise AssertionError(f"no key under shard {prefix!r} found")
+# -- the result table ---------------------------------------------------------
 
 
 def test_fresh_disk_store_is_indexed(tmp_path):
     store = ResultStore(tmp_path / "cache")
     assert store.indexed is True
-    assert (tmp_path / "cache" / "STORE_META.json").exists()
+    assert (tmp_path / "cache" / "cache.db").is_file()
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    row = store.index.lookup(key)
-    span = store.locate(key)
-    record = json.loads(span.read())
-    assert row["checksum"] == record["checksum"]
-    assert row["path"] == span.path.relative_to(store.root).as_posix()
-    assert row["path"].startswith("objects/packs/")
-    assert (row["offset"], row["length"]) == (0, len(span.read()))
-    assert row["status"] == DONE and row["seconds"] == 1.0
+    row = stored(store, key)
+    assert row["checksum"].decode() == store.load_key(key)["checksum"]
+    assert row["fingerprint"].decode() == store.fingerprint
+    assert json.loads(row["result"]) == \
+        {"status": DONE, "seconds": 1.0, "error": None}
     assert store.count_objects() == 1
 
 
 def test_preexisting_flat_store_reads_as_v1_unindexed(tmp_path):
-    # a v1 flat store: loose objects under objects/ab/, no marker, no
-    # index -- reads go through the index, so opening it is an error
+    # a v1 flat store: loose objects under objects/ab/ and no database --
+    # reads go through the database, so opening it is an error
     root = tmp_path / "cache"
     key = cache_key(POINT, model_fingerprint())
     record = {"key": key, "fingerprint": model_fingerprint(),
@@ -394,7 +400,7 @@ def test_preexisting_flat_store_reads_as_v1_unindexed(tmp_path):
 
     with pytest.raises(CampaignError, match="tools/migrate_store.py"):
         ResultStore(root)
-    assert not (root / "STORE_META.json").exists()  # nothing was stamped
+    assert not (root / "cache.db").exists()  # nothing was created
 
 
 def test_memory_store_has_no_index_to_compact():
@@ -412,7 +418,7 @@ def test_quarantine_drops_the_index_row(tmp_path):
     assert store.count_objects() == 1
     store.corrupt(key, at=0.5)
     assert store.load_key(store.key_for(POINT)) is None  # quarantining read
-    assert store.index.lookup(key) is None
+    assert stored(store, key) is None
     assert store.count_objects() == 0
     report = store.compact()
     assert report.quarantined_dropped == 1 and report.rows_kept == 0
@@ -424,13 +430,13 @@ def test_requarantine_does_not_overwrite_earlier_evidence(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     store.corrupt(key, at=0.25)
-    first_bytes = store.locate(key).read()
+    first_bytes = record_line(key, stored(store, key))
     assert store.load_key(store.key_for(POINT)) is None  # first quarantine
 
     key2 = store.put(POINT, {"status": DONE, "seconds": 2.0, "error": None})
     assert key2 == key  # same point, same content address
     store.corrupt(key, at=0.75)
-    second_bytes = store.locate(key).read()
+    second_bytes = record_line(key, stored(store, key))
     assert store.load_key(store.key_for(POINT)) is None  # second quarantine, same key
 
     qdir = tmp_path / "cache" / "quarantine"
@@ -454,21 +460,22 @@ def test_memory_requarantine_preserves_both_records():
 def test_corrupt_clamps_out_of_range_at(tmp_path):
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    span = store.locate(key)
-    pristine = span.read()
-    store.corrupt(key, at=-5.0)  # used to raise / index before the file
-    assert span.read() != pristine
-    store.corrupt(key, at=-5.0)  # XOR is an involution at the same spot
-    assert span.read() == pristine
-    store.corrupt(key, at=7.5)  # clamps to the span's final byte...
-    assert span.read()[:-1] == pristine[:-1] and span.read() != pristine
-    assert span.path.read_bytes().endswith(b"\n")  # ...never its newline
 
-    # empty and missing records are no-ops, never errors
-    span.path.write_bytes(b"")
-    store.corrupt(key, at=-1.0)
-    assert span.path.read_bytes() == b""
+    def text():
+        row = stored(store, key)
+        return row["point"] + row["result"]
+
+    pristine = text()
+    store.corrupt(key, at=-5.0)  # used to raise / index before the file
+    assert text() != pristine and text()[1:] == pristine[1:]
+    store.corrupt(key, at=-5.0)  # XOR is an involution at the same spot
+    assert text() == pristine
+    store.corrupt(key, at=7.5)  # clamps to the text's final byte
+    assert text()[:-1] == pristine[:-1] and text() != pristine
+
+    # a missing record is a no-op, never an error
     store.corrupt("ff" + "0" * 62, at=2.0)
+    assert store.count_objects() == 1
 
 
 def test_tear_tail_clamps_out_of_range_at(tmp_path):
@@ -487,16 +494,16 @@ def test_tear_tail_clamps_out_of_range_at(tmp_path):
 
 
 def test_legacy_and_v2_records_share_a_shard_without_double_count(tmp_path):
-    # One pre-checksum (legacy) record and one current record forced into
-    # the *same* shard: the audit flags and quarantines the legacy one
-    # exactly once, and a repeated audit counts neither twice.
+    # One pre-checksum (legacy) record and one current record in the one
+    # table: the audit flags and quarantines the legacy one exactly once,
+    # and a repeated audit counts neither twice.
     store = ResultStore(tmp_path / "cache")
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    sibling, key2 = _same_shard_point(store, key[:2], skip={key})
-    store.put(sibling, {"status": DONE, "seconds": 2.0, "error": None})
-    record = json.loads(store.locate(key2).read())
+    sibling = OTHER
+    key2 = store.put(sibling, {"status": DONE, "seconds": 2.0, "error": None})
+    record = store.load_key(key2)
     del record["checksum"]  # written before checksums existed
-    _replant(store, key2, _encode(record))
+    plant(store, key2, record)
 
     scan = store.scan(quarantine=True)
     assert (scan.objects, scan.ok, scan.quarantined) == (2, 1, 1)
@@ -504,17 +511,19 @@ def test_legacy_and_v2_records_share_a_shard_without_double_count(tmp_path):
     again = store.scan(quarantine=True)  # stable: nothing counted twice
     assert (again.objects, again.ok, again.errors, again.quarantined) == \
         (1, 1, 0, 0)
-    # the sibling's first line and the legacy line are dead, not errors
-    assert again.orphaned == 2 and again.index_stale == 0
     assert store.result_for("tid", sibling) is None
     assert store.result_for("tid", POINT).seconds == 1.0
 
 
 def test_scan_cross_checks_index_against_tree(tmp_path):
+    # The audit reads every row of the table, whatever model wrote it,
+    # and nothing outside the table.
     store = ResultStore(tmp_path / "cache")
-    key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
+    store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
+    ResultStore(tmp_path / "cache", fingerprint="model-v2").put(
+        OTHER, {"status": DONE, "seconds": 2.0, "error": None})
 
-    # an object dropped in by hand has no index row -> orphaned, unserved
+    # an object dropped in by hand has no row -> neither audited nor served
     okey = cache_key(OTHER, store.fingerprint)
     record = {"key": okey, "point": OTHER.to_dict(),
               "fingerprint": store.fingerprint,
@@ -525,44 +534,38 @@ def test_scan_cross_checks_index_against_tree(tmp_path):
     opath.write_bytes(_encode(record))
 
     scan = store.scan()
-    assert scan.orphaned == 1 and scan.index_stale == 0
-    assert scan.errors == 0
-    assert "1 orphaned" in scan.summary()
-    assert store.load_key(store.key_for(OTHER)) is None  # reads follow the index only
-
-    # a row whose pack vanished out-of-band -> index-stale
-    store.locate(key).path.unlink()
-    scan = store.scan()
-    assert scan.index_stale == 1 and scan.orphaned == 1
-    assert "1 index-stale" in scan.summary()
-
-    # a clean store keeps the short summary
-    clean = ResultStore(tmp_path / "clean")
-    clean.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    assert "orphaned" not in clean.scan().summary()
+    assert (scan.objects, scan.ok, scan.errors) == (2, 2, 0)
+    assert scan.summary() == ("2 object(s): 2 ok, 0 schema-drifted, "
+                              "0 corrupt, 0 quarantined")
+    assert store.load_key(store.key_for(OTHER)) is None  # reads the table only
 
 
 def test_a_row_without_offset_reads_a_loose_object_whole(tmp_path):
-    # stores written before packs hold loose objects and rows naming
-    # them without offset/length; reads, audits and quarantine still work
-    store = ResultStore(tmp_path / "cache")
-    key = cache_key(POINT, store.fingerprint)
-    record = {"key": key, "fingerprint": store.fingerprint,
+    # stores written before packs hold loose objects, read whole; the
+    # migration imports them, and reads, audits and quarantine then work
+    # on the imported row
+    root = tmp_path / "cache"
+    fingerprint = model_fingerprint()
+    key = cache_key(POINT, fingerprint)
+    record = {"key": key, "fingerprint": fingerprint,
               "point": POINT.to_dict(),
               "result": {"status": DONE, "seconds": 1.5, "error": None}}
     record["checksum"] = record_checksum(record)
-    loose = store.root / "objects" / key[:2] / f"{key}.json"
+    loose = root / "objects" / key[:2] / f"{key}.json"
     loose.parent.mkdir(parents=True)
-    loose.write_bytes(_encode(record))
-    store.index.record_puts([{"key": key,
-                              "path": f"objects/{key[:2]}/{key}.json",
-                              "checksum": record["checksum"]}])
+    loose.write_bytes(json.dumps(record, sort_keys=True).encode())
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+    try:
+        import migrate_store
+    finally:
+        sys.path.pop(0)
+    assert migrate_store.main([str(root)]) == 0
 
-    assert store.locate(key).length is None
+    store = ResultStore(root)
     assert store.result_for("tid", POINT).seconds == 1.5
     scan = store.scan()
-    assert (scan.objects, scan.ok, scan.orphaned) == (1, 1, 0)
+    assert (scan.objects, scan.ok) == (1, 1)
     store.corrupt(key, at=0.5)
+    damaged = record_line(key, stored(store, key))
     assert store.load_key(store.key_for(POINT)) is None and store.quarantined == 1
-    assert (store.root / "quarantine" / f"{key}.json").read_bytes() == \
-        loose.read_bytes()
+    assert (store.root / "quarantine" / f"{key}.json").read_bytes() == damaged

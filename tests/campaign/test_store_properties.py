@@ -10,8 +10,8 @@ damage and checks the safety properties the executor relies on:
 * a single flipped byte in a stored record is never served as a
   different value -- the read is either a miss (quarantined) or the
   original record, bit-identical;
-* concurrent ``put_many`` writers on one store each keep their own pack
-  files and land each shard's rows as one contiguous run.
+* concurrent ``put_many`` writers on one store each land their batch
+  whole, as one transaction.
 
 Stores touch real files, so tests open their own TemporaryDirectory per
 example instead of using pytest's function-scoped ``tmp_path`` (which
@@ -20,7 +20,6 @@ Hypothesis would reuse across examples).
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -28,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.campaign.spec import PointSpec
 from repro.campaign.store import DONE, FAILED, NA, Journal, ResultStore
+from tests.campaign.test_store import COLUMNS, plant, stored
 
 
 task_ids = st.sampled_from([f"task-{i}" for i in range(6)])
@@ -105,12 +105,14 @@ def test_flipped_byte_is_never_served_as_a_different_value(pos, mask):
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(Path(tmp) / "cache")
         key = store.put(POINT, PAYLOAD)
-        span = store.locate(key)
-        data = bytearray(span.read())
+        row = stored(store, key)
+        data = bytearray(b"".join(row[column] for column in COLUMNS))
         data[min(int(pos * len(data)), len(data) - 1)] ^= mask
-        with open(span.path, "r+b") as fh:  # in place: a pack line
-            fh.seek(span.offset)
-            fh.write(bytes(data))
+        flipped, at = {}, 0
+        for column in COLUMNS:  # in place: the same lengths
+            flipped[column] = bytes(data[at:at + len(row[column])])
+            at += len(row[column])
+        plant(store, key, **flipped)
 
         record = store.load_key(store.key_for(POINT))
         if record is None:
@@ -119,8 +121,7 @@ def test_flipped_byte_is_never_served_as_a_different_value(pos, mask):
             # exception
             assert store.quarantined <= 1
         else:
-            # served: then the result slice must be bit-identical (the
-            # flip turned JSON whitespace into other whitespace)
+            # served: then the record must be bit-identical
             assert record["result"] == PAYLOAD
             assert record["point"] == POINT.to_dict()
 
@@ -262,7 +263,8 @@ def _racer(threads: int) -> PointSpec:
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_eight_racing_put_many_writers_keep_their_packs_and_rows_whole(data):
-    # 8 processes, disjoint points, all creating one fresh store root
+    # 8 processes, disjoint points, all creating one fresh store root;
+    # each batch is one transaction, so each lands whole
     batches = [data.draw(st.lists(
         st.integers(min_value=100 * proc + 1, max_value=100 * proc + 60),
         min_size=1, max_size=12, unique=True)) for proc in range(8)]
@@ -281,33 +283,19 @@ def test_eight_racing_put_many_writers_keep_their_packs_and_rows_whole(data):
             for t in batch:
                 record = store.load_key(store.key_for(_racer(t)))
                 assert record["result"]["seconds"] == float(proc * 1000 + t)
-        # one pack per writer, never shared
-        packs = sorted((root / "objects" / "packs").iterdir())
-        assert len(packs) == 8
-        writers = [{owner[json.loads(line)["key"]]
-                    for line in pack.read_bytes().splitlines()}
-                   for pack in packs]
-        assert all(len(w) == 1 for w in writers)
-        assert sorted(w.pop() for w in writers) == list(range(8))
-        # each writer's rows for a shard are one unbroken run, in order
-        for log in (root / "index").glob("*.log.jsonl"):
-            rows = [json.loads(line)["key"]
-                    for line in log.read_bytes().splitlines()]
-            for proc, batch in enumerate(keys):
-                at = [i for i, key in enumerate(rows) if owner[key] == proc]
-                if at:
-                    assert at == list(range(at[0], at[0] + len(at)))
-                    assert [rows[i] for i in at] == \
-                        [k for k in batch if k[:2] == log.name[:2]]
+        # every row of every batch, and no other, landed once
+        assert store.count_objects() == len(owner)
         scan = store.scan()
-        assert (scan.ok, scan.errors, scan.orphaned) == (len(owner), 0, 0)
+        assert (scan.ok, scan.errors) == (len(owner), 0)
+        report = store.compact()
+        assert (report.rows_kept, report.superseded) == (len(owner), 0)
 
 
 def test_threads_sharing_one_handle_always_read_their_own_writes():
-    # The service's runner threads may share a store handle; its locator
-    # cache is folded from the log under a lock while writers drop their
-    # keys from it. A lost update would read a freshly written key as a
-    # miss on that handle.
+    # The service's runner threads may share a store handle, and every
+    # handle of a process shares one connection under a lock. An update
+    # lost or read around that lock would read a freshly written key as
+    # a miss on that handle.
     import sys
     import threading
 

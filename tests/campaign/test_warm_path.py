@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import math
 import random
-from collections import Counter
 
 import pytest
 
 from repro.campaign import CampaignSpec, PointSpec, ResultStore, run_campaign
 from repro.campaign.plan import PointTask, plan_campaign, task_id_for
-from repro.campaign.shard import StoreIndex
+from repro.campaign.shard import ShardIndex
 from repro.campaign.store import DONE, cache_key, record_checksum
+from tests.campaign.test_store import plant
 from repro.suite.cases import case_names
 
 #: Backends a seeded grid draws from; the sequential baseline backend is
@@ -134,7 +134,7 @@ def _points(count: int) -> list[PointSpec]:
 
 
 def _fill(store: ResultStore, points, seconds=None) -> list[str]:
-    """One ``put_many`` (one pack on disk) of done results."""
+    """One ``put_many`` (one transaction on disk) of done results."""
     return store.put_many([
         (store.key_for(p), p,
          {"status": DONE, "error": None,
@@ -156,12 +156,11 @@ def test_one_corrupt_record_is_quarantined_and_its_neighbours_served(tmp_path):
     store = ResultStore(tmp_path / "cache")
     points = _points(3)
     keys = _fill(store, points)
-    assert len({store.locate(k).path for k in keys}) == 1  # one pack
     store.corrupt(keys[1], at=0.5)
 
     assert _read(store, points) == [1.0, None, 3.0]
     assert (store.hits, store.misses, store.quarantined) == (2, 1, 1)
-    assert store.locate(keys[1]) is None  # tombstoned
+    assert not store.contains(keys[1])  # its row is deleted
     assert (tmp_path / "cache" / "quarantine" / f"{keys[1]}.json").exists()
     assert _read(store, points) == [1.0, None, 3.0]
     assert store.quarantined == 1  # nothing left to quarantine
@@ -177,57 +176,57 @@ def test_a_superseding_put_by_another_handle_is_served(tmp_path):
     assert reader.quarantined == 0
 
 
-def test_an_all_miss_batch_polls_each_shard_once(tmp_path, monkeypatch):
+def _selects(store: ResultStore) -> list[str]:
+    """The SELECT statements the store's connection runs from now on."""
+    statements: list[str] = []
+    store.index._conn.set_trace_callback(
+        lambda sql: statements.append(sql) if sql.startswith("SELECT") else None)
+    return statements
+
+
+def test_an_all_miss_batch_polls_each_shard_once(tmp_path):
+    # 300 keys the store does not hold cost one IN (...) query, not one
+    # probe per key
     _fill(ResultStore(tmp_path / "cache"), _points(8))
     store = ResultStore(tmp_path / "cache")
-    store.index = StoreIndex(tmp_path / "cache")  # a fresh handle's caches
     missing = [PointSpec(machine="B", backend="GCC-GNU", case="sort",
                          size_exp=10, threads=t) for t in range(1, 301)]
     keys = [store.key_for(p) for p in missing]
-    shards = {key[:2] for key in keys}
-    assert len(shards) < len(keys)  # several keys share a shard
-    stats: list[str] = []
-    real_stat = os.stat
-
-    def spy_stat(path, *args, **kwargs):
-        stats.append(str(path))
-        return real_stat(path, *args, **kwargs)
-
-    monkeypatch.setattr(os, "stat", spy_stat)
-    found = store.results_for(
-        (f"t{i}", p, key) for i, (p, key) in enumerate(zip(missing, keys)))
+    selects = _selects(store)
+    try:
+        found = store.results_for(
+            (f"t{i}", p, key) for i, (p, key) in enumerate(zip(missing, keys)))
+    finally:
+        store.index._conn.set_trace_callback(None)
     assert found == [None] * len(keys)
-    assert len(stats) <= 2 * len(shards)
-    assert max(Counter(stats).values()) == 1
+    assert len(selects) == 1
 
 
 def test_a_stale_locator_to_a_bad_span_reads_the_live_row(tmp_path):
-    # a handle with an index of its own (as in another process) still
-    # caches the locator another handle superseded; when that span goes
-    # bad, the read re-polls the shard and serves the live record
-    # instead of quarantining it
+    # a handle with a connection of its own (as in another process)
+    # reads the row another handle superseded as it is now, and
+    # quarantines nothing
     reader = ResultStore(tmp_path / "cache")
-    reader.index = StoreIndex(tmp_path / "cache")
+    reader.index = ShardIndex(tmp_path / "cache" / "cache.db")
     points = _points(2)
-    keys = _fill(reader, points)
+    _fill(reader, points)
     assert _read(reader, points) == [1.0, 2.0]
-    writer = ResultStore(tmp_path / "cache")
-    stale = writer.locate(keys[0])
-    _fill(writer, points[:1], seconds=9.0)
-    assert writer.locate(keys[0]) != stale
-    with open(stale.path, "r+b") as fh:  # the superseded line goes bad
-        fh.seek(stale.offset)
-        fh.write(b"#")
+    _fill(ResultStore(tmp_path / "cache"), points[:1], seconds=9.0)
 
     assert _read(reader, points) == [9.0, 2.0]
     assert reader.quarantined == 0
+    reader.index.close()
 
 
 def test_a_deleted_pack_reads_as_misses(tmp_path):
+    # rows deleted behind the store's back are misses, not damage
     store = ResultStore(tmp_path / "cache")
     points = _points(2)
-    keys = _fill(store, points)
-    store.locate(keys[0]).path.unlink()
+    _fill(store, points)
+    other = ShardIndex(tmp_path / "cache" / "cache.db")
+    for point in points:
+        other.delete(store.key_for(point))
+    other.close()
 
     assert _read(store, points) == [None, None]
     assert (store.hits, store.misses, store.quarantined) == (0, 2, 0)
@@ -235,6 +234,8 @@ def test_a_deleted_pack_reads_as_misses(tmp_path):
 
 
 def test_a_loose_legacy_object_is_served(tmp_path):
+    # a row spelled the way loose objects were (json.dumps' default
+    # separators) misses the fast path and the full check serves it
     store = ResultStore(tmp_path / "cache")
     points = _points(2)
     _fill(store, points[1:])
@@ -243,15 +244,13 @@ def test_a_loose_legacy_object_is_served(tmp_path):
               "point": points[0].to_dict(),
               "result": {"status": DONE, "seconds": 7.5, "error": None}}
     record["checksum"] = record_checksum(record)
-    loose = store.root / "objects" / key[:2] / f"{key}.json"
-    loose.parent.mkdir(parents=True, exist_ok=True)
-    loose.write_bytes(json.dumps(record, sort_keys=True).encode())
-    store.index.record_puts([{"key": key, "path": f"objects/{key[:2]}/{key}.json",
-                              "checksum": record["checksum"]}])
-    assert store.locate(key).length is None
+    plant(store, key, fingerprint=store.fingerprint,
+          point=json.dumps(record["point"], sort_keys=True),
+          result=json.dumps(record["result"], sort_keys=True),
+          checksum=record["checksum"])
 
     assert _read(store, points) == [7.5, 1.0]
-    assert (store.hits, store.misses) == (2, 0)
+    assert (store.hits, store.misses, store.quarantined) == (2, 0, 0)
 
 
 def test_memory_and_disk_stores_read_alike(tmp_path):
@@ -322,30 +321,28 @@ def test_one_encoding_per_task_and_one_batch_read_per_wave(tmp_path, monkeypatch
 
 
 def test_a_warm_rerun_opens_each_pack_once_per_wave(tmp_path, monkeypatch):
+    # each wave's hits are read with one IN (...) query per chunk of keys
     spec = _small_grid("open-once")
     store = ResultStore(tmp_path / "cache")
     run_campaign(spec, campaign_dir=tmp_path / "cold", store=store)
-    packs = str(tmp_path / "cache" / "objects" / "packs")
 
-    opened: list[Counter] = []
-    real_open = os.open
+    per_wave: list[tuple[int, int]] = []
     real_read = ResultStore.results_for
 
-    def spy_open(path, *args, **kwargs):
-        if opened and str(path).startswith(packs):
-            opened[-1].update([str(path)])
-        return real_open(path, *args, **kwargs)
-
     def spy_read(self, items):
-        opened.append(Counter())
-        return real_read(self, items)
+        items = list(items)
+        selects = _selects(self)
+        try:
+            return real_read(self, items)
+        finally:
+            self.index._conn.set_trace_callback(None)
+            per_wave.append((len(items), len(selects)))
 
-    monkeypatch.setattr(os, "open", spy_open)
     monkeypatch.setattr(ResultStore, "results_for", spy_read)
     warm = run_campaign(spec, campaign_dir=tmp_path / "warm",
                         store=ResultStore(tmp_path / "cache"))
 
-    assert warm.stats.cache_hits == len(warm.plan.runnable) > len(opened)
-    assert len(opened) == len(list(warm.plan.waves()))
-    for wave in opened:
-        assert wave and max(wave.values()) == 1
+    assert warm.stats.cache_hits == len(warm.plan.runnable) > len(per_wave)
+    assert len(per_wave) == len(list(warm.plan.waves()))
+    for keys, selects in per_wave:
+        assert selects == math.ceil(keys / 500)

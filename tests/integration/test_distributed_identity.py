@@ -130,9 +130,9 @@ def test_four_executor_chaos_campaign_is_bit_identical(tmp_path):
         root = tmp_path / f"ex{i}"
         assert not root.exists() or not any(root.iterdir()), root
 
-    # -- exactly-once: one index row per unique point, nothing superseded
+    # -- exactly-once: one row per unique point, nothing superseded
     store = ResultStore(svc_root / "cache")
-    assert store.index is not None
+    assert store.indexed
     assert store.compact().superseded == 0
     scan = store.scan()
     assert scan.errors == 0

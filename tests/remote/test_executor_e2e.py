@@ -282,3 +282,45 @@ def test_should_stop_hangs_up_a_parked_claim(tmp_path):
         while svc.daemon.parked["claims"]:
             assert time.monotonic() < deadline, "the hang-up went unseen"
             time.sleep(0.005)
+
+
+def test_a_drain_with_a_remote_wave_in_flight_ends_the_campaign_interrupted(
+        tmp_path, monkeypatch):
+    """The daemon stops while an executor holds a wave: the coordinator
+    stops waiting at once (not after the executor TTL), the campaign
+    ends interrupted, the executor's failed ship ends its loop cleanly,
+    and a restarted daemon completes the campaign bit-identically."""
+    import repro.remote.executor as executor_mod
+
+    claimed = threading.Event()
+    real = executor_mod.execute_wave
+
+    def slow(points):
+        claimed.set()
+        time.sleep(1.0)
+        return real(points)
+
+    monkeypatch.setattr(executor_mod, "execute_wave", slow)
+    root = tmp_path / "svc"
+    svc = start_background(root, concurrent=1)
+    ex = RemoteExecutor(svc.base_url, host="slow")
+    ex.register()
+    summary: dict = {}
+    thread = threading.Thread(
+        target=lambda: summary.update(ex.run(max_idle=30.0)), daemon=True)
+    thread.start()
+    cid = ServiceClient(svc.base_url).submit(SPEC)["id"]
+    assert claimed.wait(30)
+    started = time.monotonic()
+    svc.stop()
+    assert time.monotonic() - started < 2.0
+    assert svc.daemon.service.records[cid].state == "interrupted"
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert summary["waves"] == 0  # its ship failed; run returned anyway
+
+    with start_background(root, concurrent=1) as again:
+        client = ServiceClient(again.base_url)
+        assert client.wait(cid, timeout=60)["state"] == "complete"
+        rows = client.results(cid)["rows"]
+    assert canonical_json(rows) == canonical_json(_control_rows())

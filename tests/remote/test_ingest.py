@@ -1,4 +1,4 @@
-"""Segment ingest: manifest verification and the index dedup that make
+"""Segment ingest: manifest verification and the key dedup that make
 shipping exactly-once."""
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def test_recomputed_identical_segment_dedups_even_under_a_new_name(ingestor):
 
 
 def test_overlapping_segments_dedup_row_by_row(ingestor):
-    """Different shardings overlap; the index layer absorbs the overlap."""
+    """Different shardings overlap; the key dedup absorbs the overlap."""
     a_manifest, a_rows = _segment("a", _done_rows(3))
     b_manifest, b_rows = _segment("b", _done_rows(3, start=1))  # t1..t3
     ingestor.ingest(a_manifest, a_rows)
@@ -124,7 +124,7 @@ def test_corrupt_shipment_is_rejected_whole(ingestor, store):
 
 
 def test_ledger_survives_process_restart(tmp_path):
-    """The store's own index is the ingest ledger: it outlives the process."""
+    """The store's own table is the ingest ledger: it outlives the process."""
     manifest, rows = _segment("s", _done_rows(2))
     SegmentIngestor(ResultStore(tmp_path / "cache")).ingest(manifest, rows)
     # a fresh ingestor on a fresh handle (a restarted daemon) lands nothing
@@ -132,4 +132,4 @@ def test_ledger_survives_process_restart(tmp_path):
     report = reborn.ingest(manifest, rows)
     assert report.ingested == 0
     assert report.deduped == 2
-    assert reborn.store.index.count() == 2
+    assert reborn.store.count_objects() == 2

@@ -15,7 +15,7 @@ Hypothesis drives randomized scenarios of the full shipping pipeline:
   random re-shipping of every sealed segment through its registry.
 
 Whatever the interleaving, ingest must be exactly-once: every expected
-point present, no point landed twice (no superseded index rows), and
+point present, no point landed twice (no superseded rows), and
 the ingested-row count equal to the number of unique points. Three
 fixed derandomization seeds keep CI deterministic while varying the
 explored scenarios (satellite of docs/DISTRIBUTION.md).
@@ -199,8 +199,7 @@ def _run_scenario(data) -> None:
             assert record["result"]["seconds"] == 0.5 + i
         # ... and nothing landed twice
         assert ingestor.report.ingested == n_points
-        assert store.index is not None
-        assert store.index.count() == n_points
+        assert store.count_objects() == n_points
         assert store.compact().superseded == 0
 
 

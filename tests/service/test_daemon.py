@@ -334,15 +334,42 @@ def test_store_endpoint_reports_index_backed_stats(service):
     client = ServiceClient(service.base_url)
     empty = client.store()
     assert empty["objects"] == 0
-    assert empty["indexed"] is True  # fresh service roots are v2 stores
-    assert empty["shards"] == 0 and empty["quarantined"] == 0
+    assert empty["indexed"] is True  # fresh service roots hold a database
+    assert empty["quarantined"] == 0 and "shards" not in empty
 
     doc = client.submit(SPEC)
     client.wait(doc["id"], timeout=60)
     stats = client.store()
     assert stats["objects"] == client.status(doc["id"])["points"]
-    assert stats["shards"] >= 1  # every object landed in an indexed shard
 
     metrics = client.metrics()
     assert metrics["service_store_objects"] == stats["objects"]
     assert metrics["service_store_indexed"] == 1.0
+
+
+def test_open_descriptors_stay_flat_across_fifty_campaigns(service):
+    # Every campaign builds store handles of its own; they share the
+    # process's one connection to the store, so no descriptor of the
+    # store's files piles up (sockets come and go with requests).
+    client = ServiceClient(service.base_url)
+
+    def store_fds() -> int:
+        targets = []
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+            except OSError:  # closed since the listing
+                pass
+        return sum("cache.db" in target for target in targets)
+
+    def campaign(i: int) -> None:
+        doc = client.submit({**SPEC, "name": f"fds-{i}", "cases": ["reduce"]})
+        assert client.wait(doc["id"], timeout=60)["state"] == "complete"
+
+    for i in range(5):
+        campaign(i)
+    before = store_fds()
+    assert before > 0  # the daemon's connection is open
+    for i in range(5, 55):
+        campaign(i)
+    assert store_fds() == before

@@ -46,12 +46,13 @@ repo root (schema documented in ``docs/PERFORMANCE.md``):
     ``request_overhead_ms`` ride along ungated for trend-reading.
 
 ``BENCH_STORE.json``
-    The sharded result store's lookup path: synthetic stores of 10k and
-    100k objects, full-tree audit scan (the v1 O(all objects) path)
-    vs. index-backed count + sampled lookups (the v2 O(result) path),
-    plus compaction throughput. Floor: ``lookup_speedup_100k`` >= 10.0
-    -- the ISSUE 8 acceptance bound. ``cold_scan_s_*``, ``indexed_s_*``
-    and ``compact_rows_per_s`` ride along ungated for trend-reading.
+    The result store's lookup path: synthetic stores of 10k and 100k
+    objects, the full audit scan (parse and verify every record, the
+    O(all objects) path) vs. a count plus sampled verified lookups
+    through the public API (the O(result) path), plus compaction
+    throughput. Floor: ``lookup_speedup_100k`` >= 10.0 -- the ISSUE 8
+    acceptance bound. ``cold_scan_s_*``, ``indexed_s_*`` and
+    ``compact_rows_per_s`` ride along ungated for trend-reading.
 
 ``BENCH_REMOTE.json``
     The multi-host shipping protocol (``repro.remote``,
@@ -60,7 +61,7 @@ repo root (schema documented in ``docs/PERFORMANCE.md``):
     another fans the same campaign out across a 4-executor fleet, and
     one segment is shipped into a live store. Floors:
     ``remote_completed_rate`` (waves completed remotely / waves
-    offered) and ``exactly_once_rate`` (live index rows / (live +
+    offered) and ``exactly_once_rate`` (live rows / (live +
     superseded) after ingest) must both be exactly 1.0 -- a fleet that
     loses waves or double-lands rows is a correctness failure, not a
     slow run. Ceilings, generous in absolute terms with the regression
@@ -68,7 +69,7 @@ repo root (schema documented in ``docs/PERFORMANCE.md``):
     ratio of the fleet campaign's wall to the local one's, and
     ``segment_ingest_over_put``, the median per-round ratio of one
     sealed :data:`REMOTE_SEGMENT_ROWS`-row segment's CPU (append + seal
-    + manifest verify + ledger/index ingest) to a plain ``put_many`` of
+    + manifest verify + key-dedup ingest) to a plain ``put_many`` of
     as many rows. The walls, ``fleet_rows_per_s`` and both segment
     sides in milliseconds ride along for trend-reading. (Older entries
     recorded ``scaleout_rows_per_s`` and ``ship_ingest_overhead_ms``,
@@ -337,12 +338,12 @@ def measure_service(repeats: int = DEFAULT_REPEATS,
 #: Object counts for the store family (tag -> synthetic store size).
 STORE_SIZES = {"10k": 10_000, "100k": 100_000}
 
-#: Sampled index lookups per indexed-path measurement.
+#: Sampled key lookups per indexed-path measurement.
 STORE_LOOKUPS = 64
 
 
 def _build_store(root: Path, count: int, fingerprint: str):
-    """Populate a fresh indexed store with ``count`` synthetic points."""
+    """Populate a fresh store with ``count`` synthetic points, one put each."""
     from repro.campaign.spec import PointSpec
     from repro.campaign.store import ResultStore
 
@@ -362,16 +363,15 @@ def _build_store(root: Path, count: int, fingerprint: str):
 
 
 def measure_store(repeats: int = DEFAULT_REPEATS) -> dict:
-    """Cold full-tree scan vs indexed lookups at 10k/100k objects.
+    """Full audit scan vs counted lookups at 10k/100k objects.
 
-    ``cold_scan_s_*`` is the v1 O(all objects) path (open, parse and
-    checksum every record); ``indexed_s_*`` is the v2 path on a fresh
-    store handle: an index-backed full count plus :data:`STORE_LOOKUPS`
-    key lookups, reading only the compacted shard snapshots.
+    ``cold_scan_s_*`` is the O(all objects) path (parse and verify every
+    record, :meth:`ResultStore.scan`); ``indexed_s_*`` is the O(result)
+    path on a fresh store handle: :meth:`ResultStore.count_objects` plus
+    :data:`STORE_LOOKUPS` verified :meth:`ResultStore.load_key` lookups.
     ``lookup_speedup_*`` is their ratio -- the ISSUE 8 acceptance bound
     gates the 100k one at >= 10x. ``compact_rows_per_s`` is the
-    compaction pass folding the 100k freshly-appended log rows into
-    snapshots.
+    compaction pass (report, then vacuum) over the 100k fresh rows.
     """
     import tempfile
 
@@ -397,7 +397,7 @@ def measure_store(repeats: int = DEFAULT_REPEATS) -> dict:
                 fresh = ResultStore(root, fingerprint=fingerprint)
                 assert fresh.count_objects() == count
                 for key in sample:
-                    assert fresh.index.lookup(key) is not None
+                    assert fresh.load_key(key) is not None
 
             cold_s = _best_of(cold_scan, repeats)
             indexed_s = _best_of(indexed, repeats)
@@ -451,12 +451,12 @@ def _segment_ingest_s(ingestor, k: int) -> tuple[float, float]:
     The first is one segment's seal, verify and ingest: the rows sealed
     in memory (as a remote executor seals each wave), then verified and
     ingested through ``ingestor`` into its store, deduplicated against
-    its index -- the per-segment work the shipping protocol adds over
+    its keys -- the per-segment work the shipping protocol adds over
     local execution, minus the HTTP hop (which the fleet campaigns
     carry). The second is a plain ``put_many`` of as many other fresh
     rows into the same store, the write a local run makes for them.
     The store is long-lived, as a daemon's is, so neither creates a
-    fresh store's shard logs. The clock is this process's CPU time (the
+    fresh store's database. The clock is this process's CPU time (the
     caller runs no other thread meanwhile). On the 2-vCPU reference
     host either side alone moved by 15% between runs on one tree, with
     the host's load, while their ratio moved by 1%.
@@ -491,7 +491,7 @@ def _service_campaign(root: Path, fleet: int) -> dict:
     the daemon's clock (submission to finish, so client polling does
     not quantise it), the rows the executors computed, the waves the
     registry offered and completed, and the store's live and superseded
-    index rows after ingest. The campaign must complete.
+    rows after ingest. The campaign must complete.
     """
     import threading
 
@@ -531,7 +531,7 @@ def _service_campaign(root: Path, fleet: int) -> dict:
         "rows": sum(executor.rows for executor in executors),
         "offered": metrics["service_remote_waves_offered"],
         "completed": metrics["service_remote_waves_completed"],
-        "live": store.index.count() if store.index is not None else 0,
+        "live": store.count_objects(),
         "superseded": superseded,
     }
 

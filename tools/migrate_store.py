@@ -1,45 +1,44 @@
 #!/usr/bin/env python
-"""Build a result store's index from its records: migrate a v1 flat
-store in place, or (``--force``) rebuild the index of a v2 one.
+"""Import a file-layout result store into its ``cache.db``.
 
-A v1 store is a flat tree of loose objects (``objects/ab/<key>.json``)
-with no ``STORE_META.json`` and no index. Reads go through the index,
-so ``ResultStore`` refuses to open such a store until it is migrated.
-v2 stores write records as the lines of pack files
-(``objects/packs/<name>.pack``) and may still hold loose objects from
-before packs. The index is derived from those records: this tool reads
-every loose object and every pack line once, drops the old index,
-writes one compacted snapshot per populated shard, then stamps the
-``STORE_META.json`` marker (the commit point for a v1 store; a crash
-before it leaves the store as it was, and re-running finishes the
-job). No object or pack is ever rewritten. When a key has several
-intact records, the last one wins (loose objects first, then packs in
-name order -- their names start with a creation time stamp -- and lines
-in order). Damaged or misfiled records are left unindexed:
-``scan``/``verify`` report them as orphaned lines. Run it while no
-process writes to the store.
+Result stores written before the result table kept their records in
+files: a v1 store as loose objects (``objects/ab/<key>.json``), a v2
+store as the lines of pack files (``objects/packs/<name>.pack``, next
+to loose objects left from v1) with a sharded index beside them.
+``ResultStore`` refuses to open such a root until it holds a
+``cache.db``. This tool reads every loose object and pack line once and
+imports each key's last intact record -- loose objects first, then
+packs in name order (their names start with a creation time stamp) and
+lines in order. Records that do not parse, carry no checksum or fail
+it, or sit in a loose object named after another key are left out. The
+index is not read: every record it could point to is in the files.
+
+The database is written beside the old files and renamed to
+``cache.db`` last, so a crash before the rename leaves the root as it
+was and re-running finishes the job. The old files are not touched;
+delete ``objects/``, ``index/`` and the layout marker once the import
+is verified. Run it while no process writes to the store.
 
 Usage::
 
-    python tools/migrate_store.py STORE            # migrate in place
-    python tools/migrate_store.py STORE --verify   # + bit-identity audit
-    python tools/migrate_store.py STORE --compact  # + compaction pass
-    python tools/migrate_store.py STORE --force    # rebuild the index
-                                                   # even if already v2
+    python tools/migrate_store.py STORE            # import
+    python tools/migrate_store.py STORE --verify   # + read-back audit
+    python tools/migrate_store.py STORE --force    # import again over
+                                                   # an existing cache.db
 
 ``STORE`` is either a store root (a directory holding ``objects/``) or
 a campaign directory (holding ``spec.json``; its ``cache/`` is used).
+``--force`` replaces the database with a fresh import; rows written
+since the last import are dropped and recompute.
 
-``--verify`` proves the diffcheck-style contract: a pre-migration
-inventory of every loose object's and pack's bytes is re-hashed
-afterwards (nothing touched), the index must cover exactly the keys
-with an intact record in both directions, and for every key the indexed
-(checksum, status, seconds) must equal what the record itself answers
--- i.e. a migrated (and, with ``--compact``, compacted) store answers
-every query bit-identically to the records it was built from.
+``--verify`` proves the import bit-identical: every loose object and
+pack still hashes as it did before the import, the database holds
+exactly the keys with an intact record, and every key reads back
+through ``ResultStore.load_key`` as the canonical JSON of the record it
+was imported from.
 
-Exit codes: 0 = migrated/verified OK, 1 = verification failed,
-2 = bad invocation (not a store, unreadable layout).
+Exit codes: 0 = imported/verified OK, 1 = verification failed,
+2 = bad invocation (not a store).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import shutil
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,45 +56,34 @@ SRC = REPO / "src"
 if str(SRC) not in sys.path:  # runnable straight from a checkout
     sys.path.insert(0, str(SRC))
 
-from repro.campaign.shard import (  # noqa: E402
-    STORE_LAYOUT_VERSION,
-    STORE_META,
-    StoreIndex,
-    read_store_meta,
-    shard_prefix,
-    write_store_meta,
-)
-from repro.campaign.store import (  # noqa: E402
-    ResultStore,
-    pack_lines,
-    record_checksum,
-    record_files,
-)
-from repro.errors import CampaignError  # noqa: E402
+from repro.campaign.shard import DB_NAME, ShardIndex  # noqa: E402
+from repro.campaign.spec import canonical_json  # noqa: E402
+from repro.campaign.store import ResultStore, record_checksum  # noqa: E402
+
+#: The members of a stored record, and only those.
+_MEMBERS = {"checksum", "fingerprint", "key", "point", "result"}
 
 
 @dataclass
 class Inventory:
-    """Everything a store's records hold, read once.
+    """Everything a file-layout store's records hold, read once.
 
     ``files`` maps each loose object's and pack's path (relative to the
     store root) to the sha256 of its bytes; ``records`` lists every
-    loose object and pack line in precedence order as dicts with
-    ``name`` (a loose object's filename key, None for a pack line),
-    ``path``, ``offset``, ``length`` (None for a loose object, read
-    whole) and ``record`` (None when the bytes do not parse to a JSON
-    object).
+    loose object and pack line in precedence order as ``(name,
+    record)``: a loose object's filename key (None for a pack line) and
+    the parsed record (None when the bytes are not a JSON object).
     """
 
     files: dict[str, str] = field(default_factory=dict)
-    records: list[dict] = field(default_factory=list)
+    records: list[tuple[str | None, dict | None]] = field(default_factory=list)
 
 
 def resolve_store_root(target: Path) -> Path:
     """``target`` as a store root (campaign dirs resolve to their cache)."""
     if (target / "spec.json").exists():
         target = target / "cache"
-    if (target / "objects").is_dir() or (target / STORE_META).exists():
+    if (target / "objects").is_dir() or (target / DB_NAME).exists():
         return target
     print(f"error: {target} is not a result store (no objects/ tree) "
           "and not a campaign directory (no spec.json)", file=sys.stderr)
@@ -106,108 +94,71 @@ def _parse(raw: bytes) -> dict | None:
     """``raw`` as a JSON object, or None."""
     try:
         record = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError):
+    except ValueError:  # bad JSON or UTF-8, or a huge integer
         return None
     return record if isinstance(record, dict) else None
 
 
 def inventory_store(root: Path) -> Inventory:
-    """Read every loose object and pack line under ``root`` once."""
+    """Read every loose object, then every pack line, under ``root``."""
     inventory = Inventory()
-    for rel in record_files(root):
-        raw = (root / rel).read_bytes()
-        inventory.files[rel] = hashlib.sha256(raw).hexdigest()
-        if rel.endswith(".json"):
-            inventory.records.append({"name": Path(rel).stem, "path": rel,
-                                      "offset": None, "length": None,
-                                      "record": _parse(raw)})
-            continue
-        for offset, line in pack_lines(raw):
-            inventory.records.append({"name": None, "path": rel,
-                                      "offset": offset, "length": len(line),
-                                      "record": _parse(line)})
+    for pattern in ("objects/??/*.json", "objects/packs/*.pack"):
+        for path in sorted(root.glob(pattern)):
+            raw = path.read_bytes()
+            inventory.files[path.relative_to(root).as_posix()] = \
+                hashlib.sha256(raw).hexdigest()
+            if path.suffix == ".json":
+                inventory.records.append((path.stem, _parse(raw)))
+            else:
+                inventory.records.extend(
+                    (None, _parse(line)) for line in raw.split(b"\n") if line)
     return inventory
 
 
-def _indexable(entry: dict) -> dict | None:
-    """The index row for an inventoried record, or None to skip it.
-
-    Skipped: unparseable bytes, loose objects whose embedded key
-    disagrees with the filename (misfiled), records without a checksum
-    or failing it (a read would quarantine them, so indexing them would
-    only create an immediately-stale row), and keys that are not
-    two-hex-prefix shardable.
-    """
-    record = entry["record"]
-    if record is None:
-        return None
-    key = record.get("key")
-    if not isinstance(key, str) or entry["name"] not in (None, key):
-        return None
-    checksum = record.get("checksum")
-    if checksum is None or record_checksum(record) != checksum:
-        return None
-    try:
-        shard_prefix(key)
-    except CampaignError:
-        return None
-    result = record.get("result")
-    result = result if isinstance(result, dict) else {}
-    point = record.get("point")
-    return {
-        "key": key,
-        "path": entry["path"],
-        "offset": entry["offset"],
-        "length": entry["length"],
-        "checksum": checksum,
-        "point": dict(point) if isinstance(point, dict) else {},
-        "status": result.get("status"),
-        "seconds": result.get("seconds"),
-        "wall_ms": None,  # wall time is a run-side fact; unknowable here
-    }
-
-
-def expected_rows(inventory: Inventory) -> tuple[dict[str, dict], int]:
-    """key -> the row of its last intact record; plus the skipped count."""
-    rows: dict[str, dict] = {}
+def expected_records(inventory: Inventory) -> tuple[dict[str, dict], int]:
+    """key -> its last intact record; plus the number left out."""
+    records: dict[str, dict] = {}
     skipped = 0
-    for entry in inventory.records:
-        row = _indexable(entry)
-        if row is None:
+    for name, record in inventory.records:
+        if (record is None or set(record) != _MEMBERS
+                or not isinstance(record["key"], str)
+                or not isinstance(record["fingerprint"], str)
+                or name not in (None, record["key"])
+                or record_checksum(record) != record["checksum"]):
             skipped += 1
         else:
-            rows[row["key"]] = row
-    return rows, skipped
+            records[record["key"]] = record
+    return records, skipped
 
 
-def build_index(root: Path, inventory: Inventory) -> tuple[int, int]:
-    """Replace the index with one built from ``inventory``; stamp v2.
+def import_records(root: Path, inventory: Inventory) -> tuple[int, int]:
+    """Write the inventory's records into a new ``root/cache.db``.
 
-    Returns (rows indexed, records skipped). The old index is dropped
-    first, so the new one is derived from the records alone; each
-    shard's snapshot publishes atomically via its locked compaction
-    writer, and the ``STORE_META.json`` stamp lands last.
+    Returns (records imported, records left out). The database is
+    built as ``cache.db.import`` and renamed over ``cache.db`` once its
+    connection has closed, so its WAL is folded in first.
     """
-    rows, skipped = expected_rows(inventory)
-    shutil.rmtree(root / "index", ignore_errors=True)
-    index = StoreIndex(root)
-    index.record_puts(rows[key] for key in sorted(rows))
-    index.compact()  # fold straight to the snapshots; logs end empty
-    write_store_meta(root)
-    return len(rows), skipped
+    records, skipped = expected_records(inventory)
+    db = root / DB_NAME
+    building = root / f"{DB_NAME}.import"
+    for stale in (building, *(db.with_name(db.name + s) for s in ("-wal", "-shm"))):
+        stale.unlink(missing_ok=True)
+    table = ShardIndex(building)
+    try:
+        table.append(*(
+            (key, record["fingerprint"], canonical_json(record["point"]),
+             canonical_json(record["result"]), record["checksum"], None)
+            for key, record in sorted(records.items())))
+    finally:
+        table.close()
+    os.replace(building, db)
+    return len(records), skipped
 
 
 def verify_store(root: Path, inventory: Inventory) -> list[str]:
-    """Bit-identity audit of an indexed store against its inventory.
+    """Read-back audit of an imported store against its inventory.
 
-    Returns a list of problems (empty = verified):
-
-    * every inventoried loose object and pack still hashes to its
-      pre-migration sha256 (migration touched no record bytes);
-    * index coverage is exact both ways over the keys with an intact
-      record;
-    * per key, the indexed checksum equals its record's, and (status,
-      seconds) equal what a read of the record answers.
+    Returns a list of problems (empty = verified).
     """
     problems: list[str] = []
     for rel, digest in sorted(inventory.files.items()):
@@ -219,20 +170,17 @@ def verify_store(root: Path, inventory: Inventory) -> list[str]:
         if now != digest:
             problems.append(f"{rel}: bytes changed during migration")
 
-    rows = dict(StoreIndex(root).rows())
-    expected, _skipped = expected_rows(inventory)
-    for key in sorted(set(expected) - set(rows)):
-        problems.append(f"{key}: intact record missing from the index")
-    for key in sorted(set(rows) - set(expected)):
-        problems.append(f"{key}: index row with no intact record")
-    for key in sorted(set(expected) & set(rows)):
-        want, got = expected[key], rows[key]
-        if got.get("checksum") != want["checksum"]:
-            problems.append(f"{key}: index checksum disagrees with the record")
-        if (got.get("status"), got.get("seconds")) != (
-                want["status"], want["seconds"]):
-            problems.append(f"{key}: index (status, seconds) disagree "
-                            "with a read of the record")
+    expected, _skipped = expected_records(inventory)
+    store = ResultStore(root)
+    stored = {key for key, *_rest in store.rows()}
+    for key in sorted(set(expected) - stored):
+        problems.append(f"{key}: intact record missing from the database")
+    for key in sorted(stored - set(expected)):
+        problems.append(f"{key}: row with no intact record")
+    for key in sorted(set(expected) & stored):
+        record = store.load_key(key)
+        if record is None or canonical_json(record) != canonical_json(expected[key]):
+            problems.append(f"{key}: reads back differently from its record")
     return problems
 
 
@@ -243,30 +191,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("store", help="store root (objects/) or campaign "
                         "directory (spec.json)")
     parser.add_argument("--verify", action="store_true",
-                        help="audit bit-identity after migrating")
-    parser.add_argument("--compact", action="store_true",
-                        help="run a compaction pass after migrating")
+                        help="audit bit-identity after importing")
     parser.add_argument("--force", action="store_true",
-                        help="rebuild the index even on an already-v2 store")
+                        help="import again over an existing cache.db")
     args = parser.parse_args(argv)
 
     root = resolve_store_root(Path(args.store))
-    meta = read_store_meta(root)
     inventory = inventory_store(root)
 
-    if meta is not None and not args.force:
-        print(f"already v{meta.get('layout', STORE_LAYOUT_VERSION)}: "
-              f"{root} ({len(inventory.records)} record(s)); "
-              "use --force to rebuild")
+    if (root / DB_NAME).exists() and not args.force:
+        print(f"already imported: {root} holds {DB_NAME} "
+              f"({len(inventory.records)} old record(s)); "
+              "use --force to import again")
     else:
-        rows, skipped = build_index(root, inventory)
-        print(f"migrated {root}: {rows} row(s) indexed across "
-              f"{len(StoreIndex(root).prefixes())} shard(s), "
-              f"{skipped} object(s) left unindexed (corrupt/misfiled)")
-
-    if args.compact:
-        report = ResultStore(root).compact()
-        print(f"compacted: {report.summary()}")
+        imported, skipped = import_records(root, inventory)
+        print(f"imported {root}: {imported} record(s) into {DB_NAME}, "
+              f"{skipped} object(s) left out (corrupt/misfiled)")
 
     if args.verify:
         problems = verify_store(root, inventory)
@@ -276,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"  {problem}", file=sys.stderr)
             return 1
         print(f"verify: OK ({len(inventory.files)} file(s) bit-identical, "
-              "index coverage exact)")
+              "every key reads back)")
     return 0
 
 
