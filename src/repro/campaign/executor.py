@@ -73,7 +73,7 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.backends import get_backend
 from repro.campaign.plan import CampaignPlan, PointTask, plan_campaign
@@ -97,12 +97,7 @@ from repro.faults import (
     faulty_wave,
 )
 from repro.machines import get_machine
-from repro.memory.allocators import (
-    DefaultAllocator,
-    HpxNumaAllocator,
-    InterleavedAllocator,
-    ParallelFirstTouchAllocator,
-)
+from repro.memory.allocators import ALLOCATOR_FACTORIES
 from repro.sim.wave import WAVE_CHUNK_BUDGET, WeightedLRU
 from repro.suite.cases import get_case
 from repro.suite.wrappers import run_case
@@ -119,14 +114,6 @@ __all__ = [
     "point_context",
     "MAX_POOL_REBUILDS",
 ]
-
-#: Named allocators a point may request (None = backend default).
-_ALLOCATORS: Mapping[str, Callable] = {
-    "default": DefaultAllocator,
-    "first-touch": ParallelFirstTouchAllocator,
-    "hpx": HpxNumaAllocator,
-    "interleaved": InterleavedAllocator,
-}
 
 #: How many times one wave may rebuild a broken process pool before its
 #: remaining tasks are failed outright. A pool that keeps breaking is a
@@ -205,7 +192,7 @@ def point_context(point: PointSpec) -> ExecutionContext:
     threads = 1 if backend.is_sequential else point.threads
     allocator = None
     if point.allocator is not None:
-        allocator = _ALLOCATORS[point.allocator]()
+        allocator = ALLOCATOR_FACTORIES[point.allocator]()
     return ExecutionContext(
         machine, backend, threads=threads, allocator=allocator, mode=point.mode
     )
@@ -254,7 +241,7 @@ def _cached_context(machine, backend, threads: int,
     name changes -- a perturbation test, a custom registration -- the
     key changes with it, so a stale context can never be served.
     """
-    alloc = _ALLOCATORS[allocator]() if allocator is not None else None
+    alloc = ALLOCATOR_FACTORIES[allocator]() if allocator is not None else None
     return ExecutionContext(
         machine, backend, threads=1 if backend.is_sequential else threads,
         allocator=alloc, mode=mode,

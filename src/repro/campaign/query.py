@@ -169,8 +169,8 @@ def store_query(
     table instead (:meth:`ResultStore.rows`), which is the shape the
     service's dashboards need. Each hit is a dict with ``key``,
     ``point``, ``status``, ``seconds`` and ``wall_ms``; rows come back
-    in key order for determinism. Raises :class:`CampaignError` on an
-    in-memory store.
+    in key order for determinism. Any store answers, on disk or in
+    memory.
     """
 
     def match(value, wanted: str | None) -> bool:

@@ -1,8 +1,9 @@
 """The result table: one SQLite database per result store.
 
-Every record of a disk :class:`~repro.campaign.store.ResultStore` is one
-row of one ``WITHOUT ROWID`` table in ``<store root>/cache.db``, keyed
-by cache key (:data:`SCHEMA`):
+Every record of a :class:`~repro.campaign.store.ResultStore` is one row
+of one ``WITHOUT ROWID`` table, keyed by cache key (:data:`SCHEMA`), in
+``<store root>/cache.db`` or, for a store without a root, in an
+in-memory database of its own:
 
 * ``key`` -- the cache key;
 * ``fingerprint`` -- the model fingerprint the point was computed under;
@@ -93,6 +94,29 @@ def _close(conn: sqlite3.Connection, pid: int) -> None:
         conn.close()
 
 
+#: Each process's empty in-memory result database, by pid.
+_EMPTY: dict[int, sqlite3.Connection] = {}
+_EMPTY_LOCK = threading.Lock()
+
+
+def _copy_empty(conn: sqlite3.Connection) -> None:
+    """Make ``conn``'s in-memory database a copy of an empty result
+    database, built once per process (a forked child builds its own).
+
+    Copying costs a third of running :data:`SCHEMA`, which a throwaway
+    store's cold campaign would otherwise pay on every handle.
+    """
+    with _EMPTY_LOCK:
+        empty = _EMPTY.get(os.getpid())
+        if empty is None:
+            empty = _EMPTY[os.getpid()] = sqlite3.connect(
+                ":memory:", isolation_level=None, check_same_thread=False)
+            for statement in SCHEMA:
+                empty.execute(statement)
+            empty.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+        empty.backup(conn)
+
+
 @dataclass
 class CompactionReport:
     """What one compaction found (see :meth:`ShardIndex.compact`)."""
@@ -125,7 +149,14 @@ class ShardIndex:
     _open_lock = threading.Lock()
 
     def __init__(self, path: str | os.PathLike) -> None:
-        """Open (creating when absent) the database at ``path``."""
+        """Open (creating when absent) the database at ``path``.
+
+        ``":memory:"`` opens a private in-memory database instead (an
+        in-memory :class:`~repro.campaign.store.ResultStore`), a copy of
+        an empty one (:func:`_copy_empty`): no file, ``journal_mode``
+        reads ``memory``, and it is dropped with the instance. Only
+        files are shared (:meth:`shared`).
+        """
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
@@ -136,6 +167,9 @@ class ShardIndex:
         # A connection is only freed by the cyclic collector, which would
         # keep a dropped store's file open; close it with this instance.
         self.close = weakref.finalize(self, _close, self._conn, os.getpid())
+        if str(path) == ":memory:":
+            _copy_empty(self._conn)
+            return
         try:
             self._wal()
             self._conn.execute("PRAGMA synchronous=NORMAL")

@@ -20,14 +20,12 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.errors import CampaignError
+from repro.memory.allocators import ALLOCATOR_FACTORIES
 
 __all__ = ["PointSpec", "CampaignSpec", "canonical_json"]
 
 #: Modes a point may execute in (DESIGN.md section 1).
 _VALID_MODES = ("model", "run")
-
-#: Allocator names a point may request (None = the backend's default).
-ALLOCATOR_NAMES = ("default", "first-touch", "hpx", "interleaved")
 
 
 #: The one canonical encoder. ``json.dumps`` with these options builds
@@ -79,9 +77,9 @@ class PointSpec:
             raise CampaignError("threads must be >= 1")
         if self.mode not in _VALID_MODES:
             raise CampaignError(f"mode must be one of {_VALID_MODES}, got {self.mode!r}")
-        if self.allocator is not None and self.allocator not in ALLOCATOR_NAMES:
+        if self.allocator is not None and self.allocator not in ALLOCATOR_FACTORIES:
             raise CampaignError(
-                f"allocator must be one of {ALLOCATOR_NAMES} or None, "
+                f"allocator must be one of {tuple(ALLOCATOR_FACTORIES)} or None, "
                 f"got {self.allocator!r}"
             )
         if self.min_time < 0:

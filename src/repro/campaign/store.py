@@ -9,9 +9,11 @@ the whole cache. On disk the records are the rows of one SQLite table
 in ``cache.db`` under the store root (:mod:`repro.campaign.shard`),
 written a batch at a time (:meth:`ResultStore.put_many`: a whole
 campaign wave or shipped segment) as one transaction. A store
-constructed without a root keeps them in a plain dict (tests, throwaway
-runs). A root that holds the older file layouts' trees but no database
-raises, naming ``tools/migrate_store.py``, which imports its records.
+constructed without a root opens the same table in an in-memory
+database of its own (tests, throwaway runs), so every store runs one
+code path. A root that holds the older file layouts' trees but no
+database raises, naming ``tools/migrate_store.py``, which imports its
+records.
 
 **Integrity.** Each record carries a checksum: the first 16 hex digits
 of sha256 over the canonical JSON of its core (fingerprint, key, point
@@ -23,8 +25,9 @@ the result text. A row that fails that check goes to
 :meth:`ResultStore.load_key`, which parses the whole record and checks
 it again (an equivalent respelling is served). A record that does not
 parse, fails its checksum or names another key is *quarantined*: its
-bytes are copied to ``quarantine/``, its row is deleted and the point
-recomputes; a damaged record is neither served nor silently dropped.
+bytes are copied to ``quarantine/`` (a memory store has no root and
+keeps no copy), its row is deleted and counted, and the point
+recomputes; a damaged record is never served.
 Records whose ``result`` payload has drifted schema (missing ``status``
 / ``seconds`` from an older version) are treated as misses, not errors.
 :meth:`ResultStore.scan` audits every row; the ``pstl-campaign verify``
@@ -264,11 +267,14 @@ def _core(key: str, row: Row) -> bytes:
 
 
 class ResultStore:
-    """Content-addressed point-result cache (on disk or in memory)."""
+    """Content-addressed point-result cache: one result table, on disk or
+    in memory."""
 
     def __init__(self, root: str | os.PathLike | None = None,
                  fingerprint: str | None = None) -> None:
-        """``root=None`` keeps records in a dict; else ``root/cache.db``.
+        """Open ``root/cache.db``; ``root=None`` opens a private in-memory
+        table of the same schema (tests, throwaway runs), dropped with
+        the handle.
 
         A root that holds the file layouts' ``objects/`` or ``index/``
         tree but no database was written before the table: it raises
@@ -277,8 +283,6 @@ class ResultStore:
         """
         self.root = Path(root) if root is not None else None
         self.fingerprint = fingerprint if fingerprint is not None else model_fingerprint()
-        self._memory: dict[str, dict] = {}
-        self._memory_quarantine: dict[str, dict] = {}
         # sort_keys puts "model" before "point", so a key's payload is
         # this head, the point's canonical JSON and a closing brace.
         self._key_head = '{"model":' + canonical_json(self.fingerprint) + ',"point":'
@@ -290,21 +294,17 @@ class ResultStore:
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
-        self.index: ShardIndex | None = None
-        if self.root is not None:
-            db = self.root / DB_NAME
-            if not db.exists() and any(
-                    (self.root / tree).is_dir() for tree in ("objects", "index")):
-                raise CampaignError(
-                    f"{self.root} is a result store of the file layout "
-                    f"(objects/ or index/ but no {DB_NAME}); import it with "
-                    "tools/migrate_store.py")
-            self.index = ShardIndex.shared(db)
-
-    @property
-    def indexed(self) -> bool:
-        """Whether this store keeps its records in a database (on disk)."""
-        return self.index is not None
+        if self.root is None:
+            self.index = ShardIndex(":memory:")
+            return
+        db = self.root / DB_NAME
+        if not db.exists() and any(
+                (self.root / tree).is_dir() for tree in ("objects", "index")):
+            raise CampaignError(
+                f"{self.root} is a result store of the file layout "
+                f"(objects/ or index/ but no {DB_NAME}); import it with "
+                "tools/migrate_store.py")
+        self.index = ShardIndex.shared(db)
 
     def key_for(self, point: PointSpec) -> str:
         """This store's cache key for ``point`` (see :meth:`key_of`)."""
@@ -323,30 +323,22 @@ class ResultStore:
             (self._key_head + canonical + "}").encode()).hexdigest()
 
     def quarantine(self, key: str, reason: str) -> None:
-        """Pull ``key``'s record out of service (counted, never lost).
+        """Pull ``key``'s record out of service and count it.
 
-        Disk stores copy the row's bytes to ``quarantine/`` (the
-        evidence for post-mortems, as one record line) and
-        delete the row. Memory stores park the record in a side dict.
-        Either way the next read of the key (:meth:`load_key`,
-        :meth:`results_for`) is a miss and the point recomputes.
-        ``reason`` names the failed check for the caller's report.
+        The row is deleted (and counted in the table's ledger), so the
+        next read of the key (:meth:`load_key`, :meth:`results_for`) is
+        a miss and the point recomputes. A disk store first copies the
+        row's bytes to ``quarantine/`` (the evidence for post-mortems,
+        as one record line); an in-memory store has no root and keeps
+        no evidence. ``reason`` names the failed check for the caller's
+        report.
 
         Re-quarantining the same key (heal, recompute, corrupt again)
         must not overwrite the earlier evidence: the destination gains a
         monotonic ``.N`` suffix whenever the unsuffixed name is taken.
         """
         self.quarantined += 1
-        if self.root is None:
-            record = self._memory.pop(key, None)
-            if record is not None:
-                slot, serial = key, 0
-                while slot in self._memory_quarantine:
-                    serial += 1
-                    slot = f"{key}.{serial}"
-                self._memory_quarantine[slot] = record
-            return
-        row = self.index.get(key)
+        row = self.index.get(key) if self.root is not None else None
         if row is not None:
             qdir = self.root / "quarantine"
             qdir.mkdir(parents=True, exist_ok=True)
@@ -372,8 +364,6 @@ class ResultStore:
         machinery reclaims it later, which is the same trade the
         executor's resume path makes.
         """
-        if self.root is None:
-            return key in self._memory
         return self.index.get(key) is not None
 
     def load_key(self, key: str) -> dict | None:
@@ -386,24 +376,19 @@ class ResultStore:
         another key's record is quarantined on the spot and reads as a
         miss -- a damaged record is never served as a hit.
         """
-        if self.root is None:
-            record = self._memory.get(key)
-        else:
-            row = self.index.get(key)
-            if row is None:
-                return None
-            try:
-                record = _row_record(key, row)
-            except ValueError:
-                # rotten bytes -- possibly not even valid UTF-8, or an
-                # integer past json's digit limit
-                self.quarantine(key, "unparseable JSON")
-                return None
-        if record is None:
+        row = self.index.get(key)
+        if row is None:
+            return None
+        try:
+            record = _row_record(key, row)
+        except ValueError:
+            # rotten bytes -- possibly not even valid UTF-8, or an
+            # integer past json's digit limit
+            self.quarantine(key, "unparseable JSON")
             return None
         problem = _record_problem(key, record)
         if problem is None:
-            return dict(record)
+            return record
         self.quarantine(key, problem)
         return None
 
@@ -421,8 +406,8 @@ class ResultStore:
 
         Each ``key`` is the point's key as this store derives it
         (:meth:`key_for` / :meth:`key_of`); callers that already hold it
-        pass it rather than have the point encoded again. On disk the
-        batch is one transaction (:meth:`ShardIndex.append`): each row
+        pass it rather than have the point encoded again. The batch is
+        one transaction (:meth:`ShardIndex.append`): each row
         holds the point's and the payload's canonical text and the
         checksum over the record core they make, and a crash before the
         commit leaves none of the batch. A put replaces the key's live
@@ -434,15 +419,6 @@ class ResultStore:
         for latency queries.
         """
         keys: list[str] = []
-        if self.root is None:
-            for key, point, payload, _wall_ms in items:
-                record = {"key": key, "fingerprint": self.fingerprint,
-                          "point": point.to_dict(), "result": dict(payload)}
-                record["checksum"] = record_checksum(record)
-                self._memory[key] = record
-                keys.append(key)
-            self.writes += len(keys)
-            return keys
         rows = []
         for key, point, payload, wall_ms in items:
             point_text = canonical_json(point.to_dict())
@@ -461,22 +437,15 @@ class ResultStore:
     def corrupt(self, key: str, at: float = 0.0) -> None:
         """Damage ``key``'s stored record in place (fault-injection hook).
 
-        ``at`` in [0, 1] picks *where*: disk stores XOR one byte at that
-        fraction of the row's point and result text, memory stores
-        tamper the record without refreshing its checksum. Out-of-range
-        ``at`` values are clamped (fault schedules derive ``at`` from
-        seeded hashes and may hand in anything); a missing record is a
-        no-op, never an error. Only :mod:`repro.faults` and tests call
-        this; it exists so chaos schedules can corrupt through the same
-        API surface the store itself owns.
+        ``at`` in [0, 1] picks *where*: one byte at that fraction of the
+        row's point and result text is XORed. Out-of-range ``at`` values
+        are clamped (fault schedules derive ``at`` from seeded hashes
+        and may hand in anything); a missing record is a no-op, never an
+        error. Only :mod:`repro.faults` and tests call this; it exists
+        so chaos schedules can corrupt through the same API surface the
+        store itself owns.
         """
-        at = min(max(float(at), 0.0), 1.0)
-        if self.root is None:
-            record = self._memory.get(key)
-            if record is not None:
-                record["fingerprint"] = f"corrupt|{record.get('fingerprint')}"
-            return
-        self.index.corrupt(key, at)
+        self.index.corrupt(key, min(max(float(at), 0.0), 1.0))
 
     def result_for(self, task_id: str, point: PointSpec) -> PointResult | None:
         """Reconstruct a :class:`PointResult` from cache (marked cached).
@@ -493,32 +462,28 @@ class ResultStore:
         """Batch :meth:`result_for`: one result (or None) per
         ``(task_id, point, key)`` item, in order.
 
-        Disk stores fetch every key's row in a few ``IN (...)`` queries
+        Every key's row is fetched in a few ``IN (...)`` queries
         (:meth:`ShardIndex.fetch`). A row is served when the record core
         joined from its stored texts hashes to its checksum; serving it
         then parses only its result text. Any other row is read again
         through :meth:`load_key`, whose full check serves an equivalent
         respelling and quarantines a bad record: the quarantine decision
-        stays in one place. A memory store reads every key through
-        :meth:`load_key`. ``hits`` and ``misses`` count one per item, as
-        :meth:`result_for` does.
+        stays in one place. ``hits`` and ``misses`` count one per item,
+        as :meth:`result_for` does.
         """
         items = list(items)
         out: list[PointResult | None] = [None] * len(items)
-        if self.root is None:
-            again = range(len(items))
-        else:
-            again = []
-            rows = self.index.fetch([key for _tid, _point, key in items])
-            for i, (task_id, point, key) in enumerate(items):
-                row = rows.get(key)
-                if row is None:
-                    continue
-                if hashlib.sha256(_core(key, row)).hexdigest()[:16].encode() \
-                        != row[3]:
-                    again.append(i)
-                    continue
-                out[i] = _cached_result(task_id, point, json.loads(row[2]))
+        again = []
+        rows = self.index.fetch([key for _tid, _point, key in items])
+        for i, (task_id, point, key) in enumerate(items):
+            row = rows.get(key)
+            if row is None:
+                continue
+            if hashlib.sha256(_core(key, row)).hexdigest()[:16].encode() \
+                    != row[3]:
+                again.append(i)
+                continue
+            out[i] = _cached_result(task_id, point, json.loads(row[2]))
         for i in again:
             task_id, point, key = items[i]
             record = self.load_key(key)
@@ -540,17 +505,13 @@ class ResultStore:
         record out of service, exactly as a read would.
         """
         report = StoreScan()
-        if self.root is None:
-            for key, record in self._memory.items():
-                report.audit(key, record)
-        else:
-            for key, *row in self.index.rows():
-                try:
-                    record = _row_record(key, row[:4])
-                except ValueError as exc:
-                    report.audit(key, None, f"unparseable: {exc}")
-                    continue
-                report.audit(key, record)
+        for key, *row in self.index.rows():
+            try:
+                record = _row_record(key, row[:4])
+            except ValueError as exc:
+                report.audit(key, None, f"unparseable: {exc}")
+                continue
+            report.audit(key, record)
         report.corrupt.sort()
         if quarantine:
             for key, reason in report.corrupt:
@@ -561,26 +522,18 @@ class ResultStore:
     def rows(self) -> Iterator[tuple[str, dict, dict, float | None]]:
         """``(key, point, result, wall_ms)`` of every stored row, in key
         order, unverified (queries only; a text that does not parse
-        reads as ``{}``). Raises :class:`CampaignError` on an in-memory
-        store."""
-        if self.index is None:
-            raise CampaignError("in-memory store has no result table")
+        reads as ``{}``)."""
         for key, _fingerprint, point, result, _checksum, wall_ms \
                 in self.index.rows():
             yield key, _parsed(point), _parsed(result), wall_ms
 
     def count_objects(self) -> int:
-        """Number of live records (one ``count(*)`` on disk)."""
-        if self.root is None:
-            return len(self._memory)
+        """Number of live records (one ``count(*)``)."""
         return self.index.count()
 
     def compact(self) -> CompactionReport:
         """Report what changed since the last compaction and vacuum the
-        database (see :meth:`ShardIndex.compact`); raises
-        :class:`CampaignError` on an in-memory store."""
-        if self.index is None:
-            raise CampaignError("in-memory store has no result table")
+        database (see :meth:`ShardIndex.compact`)."""
         return self.index.compact()
 
 

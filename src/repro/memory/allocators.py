@@ -12,7 +12,7 @@ will use, so each page lands next to the thread that will stream it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from repro.memory.layout import PagePlacement
 from repro.types import ElemType
 
 __all__ = [
+    "ALLOCATOR_FACTORIES",
     "Allocator",
     "DefaultAllocator",
     "ParallelFirstTouchAllocator",
@@ -148,6 +149,17 @@ class InterleavedAllocator(Allocator):
             policy=self.name,
         )
 
+
+#: The allocators a campaign point or scenario spec may name (None or
+#: absent = the backend's default), by their spec names: the one table
+#: behind point validation, the campaign executor and the scenario
+#: resolver.
+ALLOCATOR_FACTORIES: Mapping[str, Callable[[], Allocator]] = {
+    "default": DefaultAllocator,
+    "first-touch": ParallelFirstTouchAllocator,
+    "hpx": HpxNumaAllocator,
+    "interleaved": InterleavedAllocator,
+}
 
 _ALLOCATORS: dict[str, Allocator] = {
     a.name: a

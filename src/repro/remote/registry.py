@@ -2,9 +2,9 @@
 
 The registry is the meeting point between three kinds of actors:
 
-- **executors** register, heartbeat, claim wave leases and deliver
-  sealed segments (over HTTP, so these calls arrive on the daemon's
-  event loop);
+- **executors** register, claim wave leases (each claim is a
+  heartbeat) and deliver sealed segments (over HTTP, so these calls
+  arrive on the daemon's event loop);
 - **coordinators** (one per running campaign, on a runner thread)
   offer waves, drain deliveries for ingest, and expire stale leases;
 - **operators** read the counters through ``GET /executors`` and

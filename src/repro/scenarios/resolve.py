@@ -16,18 +16,12 @@ from "engine bug".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING
 
 from repro.backends import get_backend
 from repro.errors import ScenarioError
 from repro.machines import get_machine
-from repro.memory.allocators import (
-    Allocator,
-    DefaultAllocator,
-    HpxNumaAllocator,
-    InterleavedAllocator,
-    ParallelFirstTouchAllocator,
-)
+from repro.memory.allocators import ALLOCATOR_FACTORIES, Allocator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.execution.context import ExecutionContext
@@ -43,17 +37,6 @@ __all__ = [
     "resolve_threads",
     "make_context",
 ]
-
-#: Named allocators a spec may request (``None``/"" = backend default).
-#: The same mapping the campaign executor applies to ``PointSpec.
-#: allocator``; kept here so spec validation, the scenario engine and
-#: the executor can never drift apart.
-ALLOCATOR_FACTORIES: Mapping[str, Callable[[], Allocator]] = {
-    "default": DefaultAllocator,
-    "first-touch": ParallelFirstTouchAllocator,
-    "hpx": HpxNumaAllocator,
-    "interleaved": InterleavedAllocator,
-}
 
 
 def resolve_machine(name: str):

@@ -214,10 +214,6 @@ class ServiceClient:
         return self._request("POST", "/executors",
                              {"host": host, "pid": int(pid)})
 
-    def executor_heartbeat(self, executor_id: str) -> dict[str, Any]:
-        """``POST /executors/{id}/heartbeat``: refresh liveness."""
-        return self._request("POST", f"/executors/{executor_id}/heartbeat")
-
     def claim_wave(self, executor_id: str, *, wait: float = 0.0,
                    abandon: Callable[[], bool] | None = None
                    ) -> dict[str, Any] | None:

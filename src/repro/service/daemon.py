@@ -27,17 +27,16 @@ Routes
 ``GET /healthz``            liveness + drain flag
 ``GET /metrics``            ``name value`` lines, text/plain
 ``GET /store``              shared-cache stats from the result table
-                            (objects, indexed, quarantined)
+                            (objects, quarantined)
 ``POST /executors``         register a remote wave executor; returns its
                             id and the lease/liveness TTLs
-``POST /executors/{id}/heartbeat``
-                            refresh an executor's liveness window
 ``POST /executors/{id}/lease?wait=S``
                             claim a pending campaign wave (epoch-fenced
-                            lease; doubles as the idle heartbeat); with
-                            ``wait``, parks until a wave is claimable or
-                            S seconds (at most half the executor TTL)
-                            pass, then answers ``{"wave": null}``
+                            lease; each claim is the executor's
+                            heartbeat); with ``wait``, parks until a
+                            wave is claimable or S seconds (at most half
+                            the executor TTL) pass, then answers
+                            ``{"wave": null}``
 ``POST /executors/{id}/segments``
                             ship a sealed result segment (manifest +
                             rows); 503 + ``Retry-After`` when an
@@ -301,8 +300,6 @@ class ServiceDaemon:
                     "executors": self.service.registry.executors(),
                     "counters": self.service.registry.counters(),
                 }, "application/json"
-            if len(parts) == 3 and method == "POST" and parts[2] == "heartbeat":
-                return self._post_heartbeat(parts[1])
             if len(parts) == 3 and method == "POST" and parts[2] == "lease":
                 return await self._post_lease(parts[1], query, reader)
             if len(parts) == 3 and method == "POST" and parts[2] == "segments":
@@ -323,12 +320,6 @@ class ServiceDaemon:
         except (TypeError, ValueError):
             raise _HttpReply(400, {"error": "pid must be an integer"}) from None
         return 200, self.service.registry.register(host, pid), "application/json"
-
-    def _post_heartbeat(self, eid: str) -> tuple[int, dict[str, Any], str]:
-        """``POST /executors/{id}/heartbeat``: refresh liveness."""
-        if not self.service.registry.heartbeat(eid):
-            raise _HttpReply(404, {"error": f"unknown executor {eid!r}"})
-        return 200, {"ok": True}, "application/json"
 
     async def _post_lease(self, eid: str, query: str,
                           reader: asyncio.StreamReader

@@ -534,7 +534,6 @@ class CampaignService:
             "running": states.get(RUNNING, 0),
             "draining": int(self.draining),
             "store_objects": store.count_objects(),
-            "store_indexed": int(store.indexed),
             **{f"remote_{name}": value
                for name, value in self.registry.counters().items()},
             **{f"remote_{name}": value
@@ -548,13 +547,12 @@ class CampaignService:
             _add_counters(agg, coordinator.counters())
         return agg
 
-    def store_stats(self) -> dict[str, int | bool]:
+    def store_stats(self) -> dict[str, int]:
         """Store-level stats for the ``/store`` endpoint."""
         store = self._store()
         qdir = self.cache_root / "quarantine"
         return {
             "objects": store.count_objects(),
-            "indexed": store.indexed,
             "quarantined": (
                 sum(1 for _ in qdir.glob("*.json")) if qdir.is_dir() else 0
             ),

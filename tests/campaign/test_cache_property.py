@@ -69,7 +69,7 @@ def test_fingerprint_bump_forces_recompute(spec):
     old_store = ResultStore(None, fingerprint="model-v1")
     cold = run_campaign(spec, store=old_store)
     new_store = ResultStore(None, fingerprint="model-v2")
-    new_store._memory = old_store._memory  # same object bag, shifted keys
+    new_store.index = old_store.index  # the same table, shifted keys
     recomputed = run_campaign(spec, store=new_store)
     assert recomputed.stats.cache_hits == 0  # every old key missed
     assert recomputed.stats.executed == cold.stats.executed

@@ -102,8 +102,8 @@ def test_migrate_stamps_v2_and_indexes_every_object(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "6 record(s) into cache.db" in out
 
+    assert (root / "cache.db").is_file()
     store = ResultStore(root)
-    assert store.indexed is True
     assert store.count_objects() == 6
     for i in range(6):
         assert store.load_key(store.key_for(_point(i)))["result"]["seconds"] == float(i + 1)
@@ -147,7 +147,8 @@ def test_campaign_directory_resolves_to_its_cache(tmp_path):
     _v1_store(cdir / "cache")
     (cdir / "spec.json").write_text("{}", encoding="utf-8")
     assert ms.main([str(cdir), "--verify"]) == 0
-    assert ResultStore(cdir / "cache").indexed is True
+    assert (cdir / "cache" / "cache.db").is_file()
+    assert ResultStore(cdir / "cache").count_objects() == 6
 
 
 def test_not_a_store_exits_2(tmp_path, capsys):

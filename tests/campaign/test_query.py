@@ -174,7 +174,5 @@ def test_store_query_walks_the_index_not_the_objects(tmp_path):
 
 
 def test_store_query_requires_an_index():
-    from repro.errors import CampaignError
-
-    with pytest.raises(CampaignError):
-        store_query(ResultStore(None))
+    # every store holds the result table, so a memory store answers too
+    assert store_query(ResultStore(None)) == []

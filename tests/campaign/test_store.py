@@ -375,7 +375,6 @@ def test_scan_flags_misfiled_and_mismatched_objects(tmp_path):
 
 def test_fresh_disk_store_is_indexed(tmp_path):
     store = ResultStore(tmp_path / "cache")
-    assert store.indexed is True
     assert (tmp_path / "cache" / "cache.db").is_file()
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     row = stored(store, key)
@@ -403,13 +402,21 @@ def test_preexisting_flat_store_reads_as_v1_unindexed(tmp_path):
     assert not (root / "cache.db").exists()  # nothing was created
 
 
-def test_memory_store_has_no_index_to_compact():
+def test_memory_store_has_no_index_to_compact(tmp_path, monkeypatch):
+    # A memory store is the same table in a database of its own in
+    # memory: it compacts like a disk store and writes no file.
+    monkeypatch.chdir(tmp_path)
     store = ResultStore(None)
     store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
-    assert store.indexed is False
+    store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     assert store.count_objects() == 1
-    with pytest.raises(CampaignError):
-        store.compact()
+    assert ResultStore(None).count_objects() == 0  # every handle starts empty
+    report = store.compact()
+    assert (report.rows_kept, report.superseded,
+            report.quarantined_dropped) == (1, 1, 0)
+    assert store.index._conn.execute(
+        "PRAGMA journal_mode").fetchone()[0] == b"memory"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quarantine_drops_the_index_row(tmp_path):
@@ -445,16 +452,20 @@ def test_requarantine_does_not_overwrite_earlier_evidence(tmp_path):
     assert store.quarantined == 2
 
 
-def test_memory_requarantine_preserves_both_records():
+def test_memory_requarantine_preserves_both_records(tmp_path, monkeypatch):
+    # A memory store has no root, so a quarantine keeps no evidence: it
+    # deletes the row and counts it, in the store and in the table.
+    monkeypatch.chdir(tmp_path)
     store = ResultStore(None)
     key = store.put(POINT, {"status": DONE, "seconds": 1.0, "error": None})
     store.quarantine(key, "first")
+    assert store.result_for("tid", POINT) is None
     store.put(POINT, {"status": DONE, "seconds": 2.0, "error": None})
     store.quarantine(key, "second")
-    parked = store._memory_quarantine
-    assert set(parked) == {key, f"{key}.1"}
-    assert parked[key]["result"]["seconds"] == 1.0
-    assert parked[f"{key}.1"]["result"]["seconds"] == 2.0
+    assert store.result_for("tid", POINT) is None
+    assert store.quarantined == 2 and store.count_objects() == 0
+    assert store.compact().quarantined_dropped == 2
+    assert list(tmp_path.iterdir()) == []  # no evidence file, anywhere
 
 
 def test_corrupt_clamps_out_of_range_at(tmp_path):

@@ -131,8 +131,8 @@ def test_four_executor_chaos_campaign_is_bit_identical(tmp_path):
         assert not root.exists() or not any(root.iterdir()), root
 
     # -- exactly-once: one row per unique point, nothing superseded
+    assert (svc_root / "cache" / "cache.db").is_file()
     store = ResultStore(svc_root / "cache")
-    assert store.indexed
     assert store.compact().superseded == 0
     scan = store.scan()
     assert scan.errors == 0
