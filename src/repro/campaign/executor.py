@@ -298,10 +298,11 @@ def _run_sub_wave(sub_wave: list, payloads: list[dict],
 
     try:
         t_fuse = time.perf_counter()
-        reports = simulate_wave(fuse_wave([entry for _, entry, _ in sub_wave]))
+        seconds = simulate_wave(
+            fuse_wave([entry for _, entry, _ in sub_wave])).seconds
         shared = (time.perf_counter() - t_fuse) * 1000.0 / len(sub_wave)
-        for (i, _entry, parse_ms), report in zip(sub_wave, reports):
-            out[i] = {"status": DONE, "seconds": report.seconds,
+        for (i, _entry, parse_ms), point_seconds in zip(sub_wave, seconds):
+            out[i] = {"status": DONE, "seconds": point_seconds,
                       "error": None, "wall_ms": parse_ms + shared}
     except Exception:  # noqa: BLE001 - degrade to the per-point path
         for i, _entry, _parse_ms in sub_wave:

@@ -37,7 +37,9 @@ __all__ = [
 class Allocator(ABC):
     """Strategy object deciding the NUMA placement of new arrays."""
 
-    #: Registry/lookup name; subclasses override.
+    #: Placement policy stamped on the pages it places (what
+    #: ``repro.sim.bandwidth.MATCHED_POLICIES`` reads); subclasses
+    #: override. Specs name allocators by their ``ALLOCATOR_FACTORIES`` key.
     name: str = "abstract"
 
     @abstractmethod
@@ -161,27 +163,23 @@ ALLOCATOR_FACTORIES: Mapping[str, Callable[[], Allocator]] = {
     "interleaved": InterleavedAllocator,
 }
 
-_ALLOCATORS: dict[str, Allocator] = {
-    a.name: a
-    for a in (
-        DefaultAllocator(),
-        ParallelFirstTouchAllocator(),
-        HpxNumaAllocator(),
-        InterleavedAllocator(),
-    )
-}
-
 
 def get_allocator(name: str) -> Allocator:
-    """Look up an allocator by name (``"default"``, ``"first-touch"``...)."""
-    key = name.strip().lower()
-    if key not in _ALLOCATORS:
+    """A fresh allocator for a spec name (a key of ``ALLOCATOR_FACTORIES``).
+
+    These are the names campaigns and scenarios accept. Two of them
+    differ from the placement policy the allocator stamps (its
+    ``name``): ``"hpx"`` places as ``"hpx-numa"`` and ``"interleaved"``
+    as ``"interleave"``.
+    """
+    factory = ALLOCATOR_FACTORIES.get(name.strip().lower())
+    if factory is None:
         raise AllocationError(
             f"unknown allocator {name!r}; known: {allocator_names()}"
         )
-    return _ALLOCATORS[key]
+    return factory()
 
 
 def allocator_names() -> list[str]:
-    """All registered allocator names, sorted."""
-    return sorted(_ALLOCATORS)
+    """The spec names :func:`get_allocator` accepts, sorted."""
+    return sorted(ALLOCATOR_FACTORIES)

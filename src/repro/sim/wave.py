@@ -15,10 +15,30 @@ one wave:
 * :func:`simulate_wave` evaluates the program in **blocks**: phases
   with the same chunk count are stacked as a (rows x chunks) matrix of
   at most :data:`BLOCK_ENTRIES` entries, with the phase scalars
-  broadcast as columns, and the elementwise stage (instruction totals,
-  FP lane execution, traffic scaling, time conversion), the counter
-  folds and the per-thread folds run once per block. Only the NUMA
-  bandwidth model and report assembly run per phase.
+  broadcast as columns.
+
+  - *Per block*, the elementwise stage (instruction totals, FP lane
+    execution, traffic scaling, time conversion) writes each row's
+    per-chunk instruction seconds and memory bytes in place
+    (:func:`_block_stage`).
+  - *Per layout group* (the block's rows that share one chunk->thread
+    partition), the per-thread folds run, and the tail computes every
+    row's compute, memory, overhead and phase seconds as columns: the
+    max reductions, ``effective_threads`` scaling, cache-level
+    bandwidth, spread penalty and scheduling and sync overheads
+    (:func:`_tail`).
+  - *Per phase*, only a phase whose working set spills to DRAM runs the
+    NUMA bandwidth model, row by row.
+  - *Per entry*, its phase seconds are summed in phase order, then
+    fork/join.
+
+  The result (:class:`WaveResult`) holds every entry's seconds, which
+  is all the fused feeders read, and the per-phase columns. An entry's
+  :class:`~repro.sim.report.SimReport` -- its ``PhaseReport`` per phase
+  and its ``Counters``, folded from the phase's chunk arrays -- is
+  built only when a caller reads ``result[i]``: a one-entry wave
+  (:func:`simulate_cpu_arrays`), the tracer's narration, and the
+  checks that compare reports.
 
 The index bookkeeping the folds need is not recomputed per wave: each
 distinct partition's chunk->thread fold layout and each distinct
@@ -32,7 +52,7 @@ Working memory is therefore the block budget plus the layout memo (8
 bytes per chunk entry: the int32 key and the int32 fold index), never a
 copy of the whole wave: evaluating 64 GCC-HPX points at 2^30 elements
 (32,768 fixed-grain tasks each, 64 distinct partitions, twice the memo
-budget) peaks at about 6 bytes per chunk entry.
+budget) peaks at about 5.3 bytes per chunk entry.
 
 A sweep curve is a wave whose points share a cell; a single point --
 every CPU ``ExecutionContext.simulate`` call -- is a one-entry wave
@@ -76,6 +96,7 @@ report's seconds.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,6 +122,7 @@ __all__ = [
     "WeightedLRU",
     "WaveEntry",
     "WaveProgram",
+    "WaveResult",
     "fuse_wave",
     "simulate_wave",
     "simulate_wave_entries",
@@ -110,11 +132,13 @@ __all__ = [
 #: Trace track that ``wave.fuse`` / ``wave.execute`` spans are recorded on.
 WAVE_TRACK = "wave"
 
-#: Most chunk entries one evaluation block stacks (rows x chunks). Bounds
-#: every block temporary of :func:`simulate_wave` to 16 KiB; a phase with
-#: more chunks than this is evaluated as a one-row block. Wave throughput
-#: measured flat from 2^11 to 2^16 on campaign-shaped waves (2-vCPU
-#: x86-64), so the budget sits at the small end.
+#: Most chunk entries one evaluation block stacks (rows x chunks). The
+#: block stage holds three (rows x chunks) float64 buffers -- instruction
+#: seconds, memory bytes and one scratch -- plus the stacked element
+#: counts, so each is at most 16 KiB. A phase with more chunks than this
+#: is a one-row block, which reads its phase's element array in place.
+#: Wave throughput measured flat from 2^11 to 2^16 on campaign-shaped
+#: waves (2-vCPU x86-64), so the budget sits at the small end.
 BLOCK_ENTRIES = 1 << 11
 
 #: Entries of array data kept alive at once: the chunk entries one fused
@@ -449,10 +473,11 @@ class _PhaseSlot:
 class WaveProgram:
     """A whole wave with every phase's model scalars resolved.
 
-    ``slots`` lists the phases of every entry in entry-then-phase order.
-    Each slot refers to its phase's chunk arrays (never a copy) and
-    holds the four scalars the elementwise stage needs: SIMD lanes,
-    issue rate, per-element instruction overhead and traffic factor.
+    ``slots`` lists the phases of every entry in entry-then-phase order,
+    entry ``i``'s at ``slots[offsets[i]:offsets[i + 1]]``. Each slot
+    refers to its phase's chunk arrays (never a copy) and holds the four
+    scalars the elementwise stage needs: SIMD lanes, issue rate,
+    per-element instruction overhead and traffic factor.
     :func:`simulate_wave` stacks slots of equal chunk count into blocks
     and broadcasts those scalars as columns, so a program costs no
     memory beyond its profiles until it is evaluated.
@@ -460,6 +485,7 @@ class WaveProgram:
 
     entries: tuple[WaveEntry, ...]
     slots: tuple[_PhaseSlot, ...]
+    offsets: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -468,6 +494,7 @@ class WaveProgram:
 def _pack(entries: tuple[WaveEntry, ...]) -> WaveProgram:
     """Span-free core of :func:`fuse_wave`."""
     slots: list[_PhaseSlot] = []
+    offsets = [0]
     for i, entry in enumerate(entries):
         machine, backend, profile = entry.machine, entry.backend, entry.profile
         if profile.threads > machine.total_cores:
@@ -492,7 +519,9 @@ def _pack(entries: tuple[WaveEntry, ...]) -> WaveProgram:
                 ),
                 traffic=backend.traffic_factor(alg),
             ))
-    return WaveProgram(entries=entries, slots=tuple(slots))
+        offsets.append(len(slots))
+    return WaveProgram(entries=entries, slots=tuple(slots),
+                       offsets=tuple(offsets))
 
 
 def fuse_wave(entries: list[WaveEntry] | tuple[WaveEntry, ...]) -> WaveProgram:
@@ -680,41 +709,52 @@ def _blocks(slots: tuple[_PhaseSlot, ...]):
             yield indices[lo:lo + rows]
 
 
-def _row_folds(block: np.ndarray) -> list[float]:
-    """Sequential left fold of every row (``_fold`` per row, at once)."""
-    return np.cumsum(block, axis=1)[:, -1].tolist()
+def _column(owners, name: str) -> np.ndarray:
+    """One attribute per owner, as a float64 column over a block's rows."""
+    return np.array([getattr(o, name) for o in owners],
+                    dtype=np.float64)[:, None]
 
 
-def _block_folds(slots: list[_PhaseSlot]):
-    """Elementwise stage and every chunk fold of one block of phases.
+def _block_stage(slots: list[_PhaseSlot]):
+    """Elementwise stage and per-thread folds of one block of phases.
 
-    The phases share a chunk count; their chunk fields are stacked as
-    rows and their scalars broadcast as columns. Yields, per phase:
-    its :class:`Counters`, its per-thread instruction time and memory
-    bytes (first-appearance thread order), and that thread order.
+    The phases share a chunk count; their element counts are stacked as
+    rows (a one-row block reads its phase's array in place) and their
+    scalars broadcast as columns. Three buffers -- instruction seconds,
+    memory bytes and a scratch -- hold every temporary: each ufunc
+    writes into one of them (``out=``), with the reference's per-chunk
+    IEEE-754 operations in its order. No counter is folded here
+    (:func:`_counters` folds an entry's when its report is read).
+
+    Yields, per fold layout the rows use, ``(rows, layout, instr_time,
+    mem_bytes)``: the block rows that share the layout and their
+    per-thread instruction seconds and memory bytes (rows x threads, in
+    first-appearance thread order).
     """
-    def column(owners, name: str) -> np.ndarray:
-        return np.array([getattr(o, name) for o in owners],
-                        dtype=np.float64)[:, None]
-
     phases = [s.phase for s in slots]
-    elems = np.stack([p.elems for p in phases], dtype=np.float64)
-    # The builders' per-chunk products, elementwise exactly as ChunkWork.
-    instr = elems * column(phases, "instr_per_elem")
-    fp_ops = elems * column(phases, "fp_per_elem")
-    bytes_read = elems * column(phases, "read_per_elem")
-    bytes_written = elems * column(phases, "write_per_elem")
-    traffic = column(slots, "traffic")
-
-    executed = np.where(fp_ops > 0.0, fp_ops / column(slots, "lanes"), 0.0)
-    instrs = instr + elems * column(slots, "ovh_per_elem") + executed
-    instr_vals = instrs / column(slots, "rate")
-    mem_vals = (bytes_read + bytes_written) * traffic
-    instructions = _row_folds(instrs)
-    # A one-lane phase counts ``executed`` as scalar FP: x / 1.0 == x.
-    fp = _row_folds(executed)
-    read = _row_folds(bytes_read * traffic)
-    written = _row_folds(bytes_written * traffic)
+    if len(phases) == 1:
+        elems = np.asarray(phases[0].elems, dtype=np.float64)[None, :]
+    else:
+        elems = np.stack([p.elems for p in phases], dtype=np.float64)
+    # instr_vals = (elems * instr + elems * ovh + executed) / rate
+    instr_vals = np.multiply(elems, _column(phases, "instr_per_elem"))
+    scratch = np.multiply(elems, _column(slots, "ovh_per_elem"))
+    np.add(instr_vals, scratch, out=instr_vals)
+    # executed = where(fp_ops > 0, fp_ops / lanes, 0.0): fmax maps a NaN
+    # quotient (an infinite element count times a zero cost) to 0.0, and
+    # adding +0.0 turns a -0.0 one into 0.0. A positive quotient stays.
+    np.multiply(elems, _column(phases, "fp_per_elem"), out=scratch)
+    np.divide(scratch, _column(slots, "lanes"), out=scratch)
+    np.fmax(scratch, 0.0, out=scratch)
+    np.add(scratch, 0.0, out=scratch)
+    np.add(instr_vals, scratch, out=instr_vals)
+    np.divide(instr_vals, _column(slots, "rate"), out=instr_vals)
+    # mem_vals = (elems * read + elems * write) * traffic
+    mem_vals = np.multiply(elems, _column(phases, "read_per_elem"))
+    np.multiply(elems, _column(phases, "write_per_elem"), out=scratch)
+    np.add(mem_vals, scratch, out=mem_vals)
+    np.multiply(mem_vals, _column(slots, "traffic"), out=mem_vals)
+    del scratch  # before the folds allocate theirs
 
     # A block's rows mostly share a few partition arrays (a campaign
     # grid's 6,318 rows: 354 arrays), so each array is looked up once.
@@ -726,176 +766,250 @@ def _block_folds(slots: list[_PhaseSlot]):
         if layout is None:
             layout = of_array[id(thread)] = _layout(thread)
         by_layout.setdefault(id(layout), (layout, []))[1].append(row)
-    per_thread: list = [None] * len(slots)
     for layout, rows in by_layout.values():
-        instr_time = _thread_fold(instr_vals[rows], layout)
-        mem_bytes = _thread_fold(mem_vals[rows], layout)
-        for k, row in enumerate(rows):
-            per_thread[row] = (instr_time[k], mem_bytes[k], layout[0])
-
-    for row, slot in enumerate(slots):
-        lanes = slot.lanes
-        counters = Counters(
-            instructions=instructions[row],
-            fp_scalar=fp[row] if lanes <= 1 else 0.0,
-            fp_packed_128=fp[row] if lanes == 2 else 0.0,
-            fp_packed_256=fp[row] if lanes > 2 else 0.0,
-            bytes_read=read[row],
-            bytes_written=written[row],
-        )
-        yield (counters, *per_thread[row])
+        whole = len(rows) == len(slots)  # every row, in order: no gather
+        yield (rows, layout,
+               _thread_fold(instr_vals if whole else instr_vals[rows], layout),
+               _thread_fold(mem_vals if whole else mem_vals[rows], layout))
 
 
-def _phase_report(
-    entry: WaveEntry,
-    phase: ArrayPhase,
-    counters: Counters,
-    instr_time: np.ndarray,
-    mem_bytes: np.ndarray,
-    thread_order: np.ndarray,
-) -> tuple[PhaseReport, tuple]:
-    """The per-phase roofline, NUMA and overhead stage over thread folds.
+def _tail(entries: tuple[WaveEntry, ...], slots: list[_PhaseSlot], layout,
+          instr_time: np.ndarray, mem_bytes: np.ndarray):
+    """The roofline, NUMA and overhead stage of rows sharing a fold layout.
 
-    Returns the phase's report and its lanes: ``(thread_order,
-    instr_time, lane_mem)``, each thread's scaled instruction time and
-    its memory time (``None`` when the phase streams nothing), the
-    values a traced phase narrates.
+    ``instr_time`` and ``mem_bytes`` are the rows' per-thread folds
+    (rows x threads). Every row's compute, memory, overhead and phase
+    seconds are computed as columns, with the reference's per-phase
+    operations: exact max reductions, the ``effective_threads`` scaling,
+    the fitting cache level's bandwidth, the spread penalty and the
+    scheduling and sync overheads. Only the rows whose working set
+    spills to DRAM go through the NUMA model one by one
+    (:func:`_dram_memory_time_arrays`). A scale, penalty or overhead a
+    row does not have is ``1.0``, ``1.0`` or ``0.0``, which leave its
+    values unchanged. A row whose model can fold a negative counter (a
+    negative traffic factor or instruction overhead) has its counters
+    folded, so it raises where its report would.
+
+    Returns a (4 x rows) array of phase, compute, memory and overhead
+    seconds, and the rows' lanes (rows x threads): each thread's scaled
+    instruction seconds and its memory seconds (zero when the row
+    streams nothing), which a traced phase narrates.
     """
-    machine, backend, profile = entry.machine, entry.backend, entry.profile
-    alg = profile.alg
-    num_threads = len(thread_order)
+    thread_order = layout[0]
+    active = max(1, len(thread_order))
+    streams = (np.cumsum(mem_bytes, axis=1)[:, -1] > 0.0).tolist()
+    scale, penalty, overhead = [], [], []
+    cached, bandwidth, dram = [], [], []
+    for row, slot in enumerate(slots):
+        entry = entries[slot.entry]
+        machine, backend = entry.machine, entry.backend
+        phase, threads = slot.phase, entry.profile.threads
+        if slot.traffic < 0.0 or slot.ovh_per_elem < 0.0:
+            _counters(slot)
+        scaling = 1.0
+        if phase.kind is PhaseKind.PARALLEL and threads > 1:
+            scaling = max(1.0, threads / backend.effective_threads(threads))
+        scale.append(scaling)
+        placement = phase.placement
+        if placement is not None and streams[row]:
+            level = machine.caches.fitting_level(int(phase.working_set),
+                                                 active)
+            if level is None:
+                dram.append(row)
+            else:
+                cached.append(row)
+                bandwidth.append(level.bandwidth_per_core)
+        factor = 1.0
+        if (
+            phase.spread_penalty > 1.0
+            and placement is not None
+            and max(placement.node_fractions) < 1.0 - 1e-3
+        ):
+            weight = min(1.0, 2.0 / machine.topology.num_nodes)
+            factor = 1.0 + (phase.spread_penalty - 1.0) * weight
+        penalty.append(factor)
+        cost = 0.0
+        if phase.sched_chunks:
+            cost += backend.sched_overhead(phase.sched_chunks, threads)
+        if phase.sync_points:
+            cost += phase.sync_points * backend.sync_cost(threads)
+        overhead.append(cost)
 
-    compute_time = float(instr_time.max()) if num_threads else 0.0
-    if phase.kind is PhaseKind.PARALLEL and profile.threads > 1:
-        scaling = profile.threads / backend.effective_threads(profile.threads)
-        if scaling > 1.0:
-            compute_time *= scaling
-            instr_time = instr_time * scaling
-
-    memory_time = 0.0
-    lane_mem = None
-    total_phase_bytes = _fold(mem_bytes)
-    if total_phase_bytes > 0.0 and phase.placement is not None:
-        active = max(1, num_threads)
-        level = machine.caches.fitting_level(int(phase.working_set), active)
-        if level is not None:
-            bw = level.bandwidth_per_core
-            lane_mem = mem_bytes / bw
-            memory_time = float(lane_mem.max())
-            per_thread_roofline = float(
-                np.maximum(instr_time, lane_mem).max()
-            )
-        else:
-            thread_nodes = _nodes_of(
-                machine, backend, profile.threads, thread_order
-            )
-            active_nodes = len(set(thread_nodes.tolist()))
-            matched = None
-            if phase.placement.policy in MATCHED_POLICIES:
-                matched = backend.numa_quality(alg) ** max(0, active_nodes - 1)
-            times = _dram_memory_time_arrays(
-                machine,
-                phase.placement,
-                mem_bytes,
-                thread_nodes,
-                matched_quality=matched,
-                bw_efficiency=backend.bw_efficiency_at(alg, active_nodes),
-            )
-            memory_time = times.total
-            scale = times.per_thread / max(1e-30, float(mem_bytes.max()))
-            lane_mem = mem_bytes * scale
-            per_thread_roofline = float(
-                np.maximum(instr_time, lane_mem).max()
-            )
-            per_thread_roofline = max(
-                per_thread_roofline,
-                times.per_node,
-                times.global_dram,
-                times.interconnect,
-            )
-    else:
-        per_thread_roofline = compute_time
-
-    phase_time = max(compute_time, per_thread_roofline)
-
-    if (
-        phase.spread_penalty > 1.0
-        and phase.placement is not None
-        and max(phase.placement.node_fractions) < 1.0 - 1e-3
-    ):
-        weight = min(1.0, 2.0 / machine.topology.num_nodes)
-        phase_time *= 1.0 + (phase.spread_penalty - 1.0) * weight
-
-    overhead_time = 0.0
-    if phase.sched_chunks:
-        overhead_time += backend.sched_overhead(
-            phase.sched_chunks, profile.threads
+    scale = np.array(scale)
+    compute = instr_time.max(axis=1) * scale
+    instr_time = instr_time * scale[:, None]
+    memory = np.zeros(len(slots))
+    roofline = compute.copy()
+    lane_mem = np.zeros_like(mem_bytes)
+    if cached:
+        from_cache = mem_bytes[cached] / np.array(bandwidth)[:, None]
+        memory[cached] = from_cache.max(axis=1)
+        roofline[cached] = np.maximum(instr_time[cached],
+                                      from_cache).max(axis=1)
+        lane_mem[cached] = from_cache
+    for row in dram:
+        entry, phase = entries[slots[row].entry], slots[row].phase
+        machine, backend, profile = entry.machine, entry.backend, entry.profile
+        alg = profile.alg
+        thread_nodes = _nodes_of(machine, backend, profile.threads,
+                                 thread_order)
+        active_nodes = len(set(thread_nodes.tolist()))
+        matched = None
+        if phase.placement.policy in MATCHED_POLICIES:
+            matched = backend.numa_quality(alg) ** max(0, active_nodes - 1)
+        times = _dram_memory_time_arrays(
+            machine,
+            phase.placement,
+            mem_bytes[row],
+            thread_nodes,
+            matched_quality=matched,
+            bw_efficiency=backend.bw_efficiency_at(alg, active_nodes),
         )
-    if phase.sync_points:
-        overhead_time += phase.sync_points * backend.sync_cost(profile.threads)
-    phase_time += overhead_time
+        memory[row] = times.total
+        lane = lane_mem[row] = mem_bytes[row] * (
+            times.per_thread / max(1e-30, float(mem_bytes[row].max())))
+        roofline[row] = max(
+            float(np.maximum(instr_time[row], lane).max()),
+            times.per_node,
+            times.global_dram,
+            times.interconnect,
+        )
 
-    return PhaseReport(
-        name=phase.name,
-        seconds=phase_time,
-        compute_seconds=compute_time,
-        memory_seconds=memory_time,
-        overhead_seconds=overhead_time,
-        counters=counters,
-    ), (thread_order, instr_time, lane_mem)
+    seconds = np.maximum(compute, roofline)
+    seconds *= penalty
+    seconds += overhead
+    if (seconds < 0.0).any():
+        raise SimulationError("phase time must be non-negative")
+    return np.stack([seconds, compute, memory, overhead]), instr_time, lane_mem
 
 
-def _evaluate(program: WaveProgram, tracer) -> tuple[SimReport, ...]:
-    """Evaluate ``program``; under an enabled ``tracer``, also narrate
-    every entry from the current clock (:func:`_narrate`), leaving the
-    clock where it was."""
-    if not program.entries:
-        return ()
+def _counters(slot: _PhaseSlot) -> Counters:
+    """One phase's hardware counters, folded from its chunk arrays.
 
-    # --- blocked elementwise and fold stages, then per-phase tails ------
-    slots = program.slots
-    by_slot: list[PhaseReport | None] = [None] * len(slots)
-    lanes = [None] * len(slots) if tracer.enabled else None
-    for block in _blocks(slots):
-        rows = [slots[i] for i in block]
-        for index, slot, folds in zip(block, rows, _block_folds(rows)):
-            by_slot[index], lane = _phase_report(
-                program.entries[slot.entry], slot.phase, *folds,
-            )
-            if lanes is not None:
-                lanes[index] = lane
+    The per-chunk products are the block stage's, and each counter is a
+    left fold along the phase's chunks, so they equal the reference's
+    counters whichever block the phase was costed in.
+    """
+    phase, lanes, traffic = slot.phase, slot.lanes, slot.traffic
+    elems = np.asarray(phase.elems, dtype=np.float64)
+    fp_ops = elems * phase.fp_per_elem
+    executed = np.where(fp_ops > 0.0, fp_ops / lanes, 0.0)
+    # A one-lane phase counts ``executed`` as scalar FP: x / 1.0 == x.
+    fp = _fold(executed)
+    return Counters(
+        instructions=_fold(elems * phase.instr_per_elem
+                           + elems * slot.ovh_per_elem + executed),
+        fp_scalar=fp if lanes <= 1 else 0.0,
+        fp_packed_128=fp if lanes == 2 else 0.0,
+        fp_packed_256=fp if lanes > 2 else 0.0,
+        bytes_read=_fold(elems * phase.read_per_elem * traffic),
+        bytes_written=_fold(elems * phase.write_per_elem * traffic),
+    )
 
-    per_entry_phases: list[list[PhaseReport]] = [[] for _ in program.entries]
-    for slot, phase_report in zip(slots, by_slot):
-        per_entry_phases[slot.entry].append(phase_report)
 
-    # --- per-entry report assembly (reference accumulation order) -------
-    reports: list[SimReport] = []
-    for entry, phase_reports in zip(program.entries, per_entry_phases):
+class WaveResult(Sequence):
+    """What :func:`simulate_wave` returns: seconds now, reports on demand.
+
+    ``seconds`` holds every entry's total simulated seconds, computed
+    with no counter fold and no report object; it is all a fused feeder
+    reads. ``result[i]`` (and iteration) builds entry ``i``'s
+    :class:`SimReport` from the wave's per-phase columns (``columns``:
+    phase, compute, memory and overhead seconds per slot of
+    ``program``), folding that entry's counters from its chunk arrays
+    (:func:`_counters`). Nothing is cached: each read builds an equal,
+    new report. ``len(result)`` counts the entries.
+    """
+
+    __slots__ = ("program", "seconds", "fork_join", "columns")
+
+    def __init__(self, program: WaveProgram, seconds: tuple[float, ...],
+                 fork_join: tuple[float, ...], columns: np.ndarray) -> None:
+        self.program = program
+        self.seconds = seconds
+        self.fork_join = fork_join
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.seconds)
+
+    def __getitem__(self, index: int) -> SimReport:
+        index = range(len(self.seconds))[index]
+        lo, hi = self.program.offsets[index], self.program.offsets[index + 1]
+        total = Counters()
+        phases = []
+        for slot, (seconds, compute, memory, overhead) in zip(
+            self.program.slots[lo:hi], self.columns[:, lo:hi].T.tolist()
+        ):
+            counters = _counters(slot)
+            total = total + counters
+            phases.append(PhaseReport(
+                name=slot.phase.name,
+                seconds=seconds,
+                compute_seconds=compute,
+                memory_seconds=memory,
+                overhead_seconds=overhead,
+                counters=counters,
+            ))
+        return SimReport(
+            seconds=self.seconds[index],
+            counters=total,
+            phases=tuple(phases),
+            fork_join_seconds=self.fork_join[index],
+        )
+
+
+def _entry_seconds(program: WaveProgram, phase_seconds: list[float]):
+    """Every entry's fork/join and total seconds, in the reference's order.
+
+    A total is a left fold from ``0.0`` over the entry's phase seconds in
+    phase order, then its fork/join.
+    """
+    offsets = program.offsets
+    totals, fork_joins = [], []
+    for i, entry in enumerate(program.entries):
         backend, profile = entry.backend, entry.profile
-        total_counters = Counters()
-        total_time = 0.0
-        for pr in phase_reports:
-            total_counters = total_counters + pr.counters
-            total_time += pr.seconds
+        total = 0.0
+        for seconds in phase_seconds[offsets[i]:offsets[i + 1]]:
+            total += seconds
         fork_join = 0.0
         if profile.is_parallel:
             fork_join = profile.regions * (
                 backend.fork_overhead(profile.threads)
                 + backend.join_overhead(profile.threads)
             )
-        total_time += fork_join
-        reports.append(
-            SimReport(
-                seconds=total_time,
-                counters=total_counters,
-                phases=tuple(phase_reports),
-                fork_join_seconds=fork_join,
+        total += fork_join
+        if total < 0.0:
+            raise SimulationError("total time must be non-negative")
+        totals.append(total)
+        fork_joins.append(fork_join)
+    return tuple(totals), tuple(fork_joins)
+
+
+def _evaluate(program: WaveProgram, tracer) -> WaveResult:
+    """Evaluate ``program``; under an enabled ``tracer``, also narrate
+    every entry from the current clock (:func:`_narrate`), leaving the
+    clock where it was."""
+    slots = program.slots
+    # NaN until a block evaluates the slot: a missed phase cannot pass
+    # for a free one.
+    columns = np.full((4, len(slots)), np.nan)
+    lanes = [None] * len(slots) if tracer.enabled else None
+    for block in _blocks(slots):
+        rows = [slots[i] for i in block]
+        for group, layout, instr_time, mem_bytes in _block_stage(rows):
+            index = [block[row] for row in group]
+            columns[:, index], instr_time, lane_mem = _tail(
+                program.entries, [rows[row] for row in group], layout,
+                instr_time, mem_bytes,
             )
-        )
+            if lanes is not None:
+                for k, i in enumerate(index):
+                    lanes[i] = (layout[0], instr_time[k], lane_mem[k])
+    result = WaveResult(program, *_entry_seconds(program, columns[0].tolist()),
+                        columns)
     if lanes is not None:
-        _narrate(tracer, program, reports, lanes)
-    return tuple(reports)
+        _narrate(tracer, result, lanes)
+    return result
 
 
 def _bound(report: PhaseReport) -> str:
@@ -906,18 +1020,18 @@ def _bound(report: PhaseReport) -> str:
     return "compute" if compute >= memory else "memory"
 
 
-def _narrate(tracer, program: WaveProgram, reports: list[SimReport],
-             lanes: list) -> None:
+def _narrate(tracer, result: WaveResult, lanes: list) -> None:
     """Record every entry's phase, lane and fork/join spans.
 
     Entries follow one another on the timeline from the current clock.
     Each phase span sits at its simulated start, with its thread lanes
     (in thread-id order) beside it, and a parallel entry ends with its
-    ``fork/join`` span. Never advances the clock.
+    ``fork/join`` span. Builds every entry's report. Never advances the
+    clock.
     """
     cursor = tracer.clock
-    slots = iter(zip(program.slots, lanes))
-    for entry, report in zip(program.entries, reports):
+    slots = iter(zip(result.program.slots, lanes))
+    for entry, report in zip(result.program.entries, result):
         for phase_report in report.phases:
             slot, (thread_order, instr_time, lane_mem) = next(slots)
             phase, counters = slot.phase, phase_report.counters
@@ -934,7 +1048,7 @@ def _narrate(tracer, program: WaveProgram, reports: list[SimReport],
                 bytes_written=counters.bytes_written,
             )
             instr = instr_time.tolist()
-            mem = [0.0] * len(instr) if lane_mem is None else lane_mem.tolist()
+            mem = lane_mem.tolist()
             threads = thread_order.tolist()
             for i in sorted(range(len(threads)), key=threads.__getitem__):
                 tracer.record(
@@ -953,35 +1067,37 @@ def _narrate(tracer, program: WaveProgram, reports: list[SimReport],
             cursor += report.fork_join_seconds
 
 
-def simulate_wave(program: WaveProgram) -> tuple[SimReport, ...]:
-    """Evaluate a fused wave; one :class:`SimReport` per entry.
+def simulate_wave(program: WaveProgram) -> WaveResult:
+    """Evaluate a fused wave: every entry's seconds, reports on demand.
 
-    Each report is bit-identical to the reference engine's report for
-    the equivalent :class:`~repro.sim.work.WorkProfile`
-    (``tools/diffcheck.py`` enforces this): each block computes the same
-    per-element IEEE-754 operations, and every order-sensitive fold is a
-    sequential left fold along one phase's row. Under a tracer it
-    records every entry's spans (:func:`_narrate`) and one
-    ``wave.execute`` span carrying the wave's total simulated seconds (a
-    left fold over the entries), and advances the clock by that total.
+    Each entry's seconds, and each report built from the result, are
+    bit-identical to the reference engine's for the equivalent
+    :class:`~repro.sim.work.WorkProfile` (``tools/diffcheck.py``
+    enforces this): each block computes the same per-element IEEE-754
+    operations, every order-sensitive fold is a sequential left fold
+    along one phase's row, and each entry's phase seconds are summed in
+    phase order, then fork/join. Under a tracer it records every entry's
+    spans (:func:`_narrate`) and one ``wave.execute`` span carrying the
+    wave's total simulated seconds (a left fold over the entries), and
+    advances the clock by that total.
     """
     tracer = get_tracer()
-    reports = _evaluate(program, tracer)
-    if tracer.enabled and reports:
+    result = _evaluate(program, tracer)
+    if tracer.enabled and result.seconds:
         total = 0.0
-        for report in reports:
-            total += report.seconds
+        for seconds in result.seconds:
+            total += seconds
         tracer.record(
             "wave.execute", total, category="wave", track=WAVE_TRACK,
-            points=len(reports),
+            points=len(result),
         )
         tracer.advance(total)
-    return reports
+    return result
 
 
 def simulate_wave_entries(
     entries: list[WaveEntry] | tuple[WaveEntry, ...],
-) -> tuple[SimReport, ...]:
+) -> WaveResult:
     """Fuse and evaluate ``entries`` in one call (span-emitting shortcut)."""
     return simulate_wave(fuse_wave(entries))
 
@@ -989,14 +1105,14 @@ def simulate_wave_entries(
 def simulate_cpu_arrays(
     machine: CpuMachine, backend: BackendModel, profile: ArrayProfile
 ) -> SimReport:
-    """Cost one :class:`ArrayProfile` as a one-entry wave.
+    """Cost one :class:`ArrayProfile` as a one-entry wave; its full report.
 
     Records no wave spans. Under a tracer it narrates the entry's
     phases, lanes and fork/join (:func:`_narrate`) and advances the
     clock by the report's seconds.
     """
     tracer = get_tracer()
-    (report,) = _evaluate(_pack((WaveEntry(machine, backend, profile),)),
-                          tracer)
+    report = _evaluate(_pack((WaveEntry(machine, backend, profile),)),
+                       tracer)[0]
     tracer.advance(report.seconds)
     return report

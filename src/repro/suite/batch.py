@@ -109,9 +109,9 @@ def _wave_curve(
         entries.append(WaveEntry(ctx.machine, ctx.backend, profile))
         supported.append(True)
     # Looked up on the module, so wrappers installed there see curves too.
-    reports = iter(_wave.simulate_wave(_wave.fuse_wave(entries)))
+    seconds = iter(_wave.simulate_wave(_wave.fuse_wave(entries)).seconds)
     return [
-        (x, next(reports).seconds, True) if ok else (x, float("nan"), False)
+        (x, next(seconds), True) if ok else (x, float("nan"), False)
         for (x, _ctx, _n), ok in zip(points, supported)
     ]
 

@@ -47,12 +47,12 @@ def _sweep_metrics(speedup=6.0):
             "reference_speedup": speedup}
 
 
-def _campaign_metrics(reference_speedup=12.0, cache_speedup=9.0):
+def _campaign_metrics(reference_speedup=12.0, warm_speedup=100.0):
     return {
         "cold_reference_s": 0.4, "cold_wave_s": 0.4 / reference_speedup,
-        "warm_s": 0.4 / reference_speedup / cache_speedup,
+        "warm_s": 0.4 / warm_speedup,
         "cold_reference_speedup": reference_speedup,
-        "cache_speedup": cache_speedup,
+        "warm_reference_speedup": warm_speedup,
     }
 
 
@@ -136,18 +136,36 @@ def test_floor_fires(tmp_path):
 
 def test_regression_fires_on_synthetic_slowdown(tmp_path):
     path = tmp_path / "BENCH_CAMPAIGN.json"
-    bt.append_entry(path, "campaign", _campaign_metrics(14.0, 9.0), "aaa", "t0")
-    bt.append_entry(path, "campaign", _campaign_metrics(11.9, 9.0), "bbb", "t1")
+    bt.append_entry(path, "campaign", _campaign_metrics(14.0, 100.0), "aaa", "t0")
+    bt.append_entry(path, "campaign", _campaign_metrics(11.9, 100.0), "bbb", "t1")
     with pytest.raises(bt.GateError, match="cold_reference_speedup regressed"):
         bt.check_trajectory(path, "campaign")  # 15% drop > 10% tolerance
 
 
+def test_warm_path_slowdown_fires_and_a_faster_cold_wave_does_not(tmp_path):
+    """warm_reference_speedup divides the fixed yardstick by the warm run,
+    so only a slower warm path lowers it; a faster cold wave, which
+    lowered the old cold-over-warm ratio, leaves it alone."""
+    path = tmp_path / "BENCH_CAMPAIGN.json"
+    bt.append_entry(path, "campaign", _campaign_metrics(10.0, 100.0), "aaa", "t0")
+    bt.append_entry(path, "campaign", _campaign_metrics(11.5, 100.0), "bbb", "t1")
+    bt.check_trajectory(path, "campaign")
+    bt.append_entry(path, "campaign", _campaign_metrics(11.5, 85.0), "ccc", "t2")
+    with pytest.raises(bt.GateError, match="warm_reference_speedup regressed"):
+        bt.check_trajectory(path, "campaign")  # 15% drop > 10% tolerance
+    bt.append_entry(path, "campaign", _campaign_metrics(11.5, 44.0), "ddd", "t3")
+    with pytest.raises(bt.GateError, match="warm_reference_speedup = 44.000 "
+                                           "is below the floor"):
+        bt.check_trajectory(path, "campaign")
+
+
 def test_within_tolerance_dip_passes(tmp_path):
     path = tmp_path / "BENCH_CAMPAIGN.json"
-    bt.append_entry(path, "campaign", _campaign_metrics(14.0, 9.0), "aaa", "t0")
-    bt.append_entry(path, "campaign", _campaign_metrics(12.95, 8.5), "bbb", "t1")
-    lines = bt.check_trajectory(path, "campaign")  # 7.5% drop: allowed
+    bt.append_entry(path, "campaign", _campaign_metrics(14.0, 100.0), "aaa", "t0")
+    bt.append_entry(path, "campaign", _campaign_metrics(12.95, 94.0), "bbb", "t1")
+    lines = bt.check_trajectory(path, "campaign")  # 7.5% and 6% drops: allowed
     assert any("cold_reference_speedup" in line for line in lines)
+    assert any("warm_reference_speedup" in line for line in lines)
 
 
 def test_new_metric_starts_a_series_against_an_older_entry(tmp_path):
@@ -309,7 +327,7 @@ def test_cli_run_with_injected_measures(tmp_path, monkeypatch):
     monkeypatch.setitem(bt.MEASURES, "sweep",
                         lambda repeats: _sweep_metrics(6.2))
     monkeypatch.setitem(bt.MEASURES, "campaign",
-                        lambda repeats: _campaign_metrics(13.0, 8.5))
+                        lambda repeats: _campaign_metrics(13.0, 95.0))
     monkeypatch.setitem(bt.MEASURES, "service",
                         lambda repeats: _service_metrics(110.0))
     monkeypatch.setitem(bt.MEASURES, "store",

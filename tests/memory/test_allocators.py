@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import AllocationError
 from repro.memory.allocators import (
+    ALLOCATOR_FACTORIES,
     DefaultAllocator,
     HpxNumaAllocator,
     InterleavedAllocator,
@@ -68,10 +69,22 @@ class TestCommonBehaviour:
             DefaultAllocator().allocate(0, FLOAT64, mach_a, (1, 0))
 
     def test_registry(self):
-        names = allocator_names()
-        assert {"default", "first-touch", "hpx-numa", "interleave"} <= set(names)
-        assert get_allocator("default").name == "default"
+        assert allocator_names() == sorted(ALLOCATOR_FACTORIES)
+        assert allocator_names() == ["default", "first-touch", "hpx",
+                                     "interleaved"]
+        # Every spec name resolves to a fresh instance of its factory,
+        # whose placement policy keeps its own spelling.
+        policies = {"default": "default", "first-touch": "first-touch",
+                    "hpx": "hpx-numa", "interleaved": "interleave"}
+        for name, policy in policies.items():
+            allocator = get_allocator(name)
+            assert type(allocator) is ALLOCATOR_FACTORIES[name]
+            assert allocator.name == policy
+            assert get_allocator(name) is not allocator
+        assert type(get_allocator(" HPX ")) is HpxNumaAllocator
 
     def test_registry_unknown(self):
         with pytest.raises(AllocationError):
             get_allocator("slab")
+        with pytest.raises(AllocationError):  # a policy, not a spec name
+            get_allocator("hpx-numa")

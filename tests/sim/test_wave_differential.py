@@ -192,7 +192,8 @@ def test_single_entry_wave_matches_batch():
 def test_empty_wave_is_empty():
     program = fuse_wave([])
     assert len(program) == 0
-    assert simulate_wave(program) == ()
+    result = simulate_wave(program)
+    assert len(result) == 0 and result.seconds == () and list(result) == []
 
 
 def test_wave_and_scalar_agree_end_to_end():

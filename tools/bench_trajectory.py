@@ -25,15 +25,16 @@ repo root (schema documented in ``docs/PERFORMANCE.md``):
     time on the scalar reference engine vs. a cold wave-fused campaign
     vs. a warm cache. Metrics: ``cold_reference_s``, ``cold_wave_s``,
     ``warm_s``, ``cold_reference_speedup`` = cold_reference/cold_wave
-    (floor >= 5.0), and ``cache_speedup`` = cold_wave/warm (floor >=
-    5.0). The warm run
-    still pays planning and one store lookup per point, so its ratio
-    against the already-fast wave engine sits near 9x on the reference
-    host; the floor leaves headroom below that, and the regression rule
-    does the real work. (Older entries recorded ``wave_over_batch`` and
-    ``warm_speedup`` against the retired per-curve batch tier, then
-    ``cold_scalar_s`` and ``wave_speedup`` against the scalar engine
-    behind ``run_campaign(batch=False)``.)
+    (floor >= 5.0), and ``warm_reference_speedup`` =
+    cold_reference/warm (floor >= 45.0). Both divide by the same fixed
+    yardstick, so the first falls only when the cold wave slows and the
+    second only when the warm (cached) path does; the floors sit near
+    half their first values, and the regression rule does the real
+    work. (Older entries recorded ``cache_speedup`` = cold_wave/warm,
+    which also fell whenever the cold wave got faster;
+    ``wave_over_batch`` and ``warm_speedup`` against the retired
+    per-curve batch tier; then ``cold_scalar_s`` and ``wave_speedup``
+    against the scalar engine behind ``run_campaign(batch=False)``.)
 
 ``BENCH_SERVICE.json``
     The campaign-service SLO harness: one in-process daemon, 1000
@@ -128,7 +129,8 @@ TRAJECTORY_FILES = {
 #: Absolute floors on dimensionless ratio metrics (family -> metric -> min).
 GATES = {
     "sweep": {"reference_speedup": 5.0},
-    "campaign": {"cold_reference_speedup": 5.0, "cache_speedup": 5.0},
+    "campaign": {"cold_reference_speedup": 5.0,
+                 "warm_reference_speedup": 45.0},
     "service": {"dedup_hit_rate": 1.0, "completed_rate": 1.0},
     "store": {"lookup_speedup_100k": 10.0},
     "remote": {"remote_completed_rate": 1.0, "exactly_once_rate": 1.0},
@@ -298,7 +300,7 @@ def measure_campaign(repeats: int = RATIO_ROUNDS) -> dict:
         "cold_wave_s": min(cold),
         "warm_s": min(warm),
         "cold_reference_speedup": _median_ratio(reference, cold),
-        "cache_speedup": _median_ratio(cold, warm),
+        "warm_reference_speedup": _median_ratio(reference, warm),
     }
 
 

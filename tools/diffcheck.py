@@ -28,10 +28,14 @@ enforcement, in three layers:
    one ``repro.sim.wave`` program -- deliberately mixing machines,
    backends and cases the way a campaign wave does -- and compares each
    fused entry's report against the reference report for the same
-   configuration. The whole sample is also fused as one wave, so the
-   engine's phase blocks fill up, and once more under a small block
-   budget (:data:`SMALL_BLOCK_ENTRIES`), so equal-length phases split
-   across many blocks, as they do in a large campaign wave.
+   configuration. It also checks the seconds path the fused feeders
+   read: ``result.seconds[i]`` (computed without building a report)
+   must equal ``result[i].seconds``, the reference's seconds and the
+   one-entry wave's. The whole sample is also fused as one wave, so
+   the engine's phase blocks fill up, and under a small block budget
+   (:data:`SMALL_BLOCK_ENTRIES`), so equal-length phases split across
+   many blocks, as they do in a large campaign wave; each of the two
+   runs with the engine memos cleared first and again warm.
 3. :func:`compare_memos` costs the sample once with the engine's
    process-wide memos (fold layouts, NUMA node maps) cleared before
    every configuration, and once warm, and requires identical bits:
@@ -310,7 +314,8 @@ def _wave_entries(configs: list[DiffConfig]) -> list[tuple]:
 
 
 def compare_wave(configs: list[DiffConfig],
-                 block_entries: int | None = None) -> list[str]:
+                 block_entries: int | None = None,
+                 cold: bool = False) -> list[str]:
     """Divergences between a fused wave and the reference, entry by entry.
 
     Builds every configuration's :class:`ArrayProfile`, fuses
@@ -318,7 +323,11 @@ def compare_wave(configs: list[DiffConfig],
     backends and cases the way a campaign wave does -- and diffs each
     fused entry's report against the reference report for the same
     configuration; ``block_entries`` evaluates the wave under that
-    block budget instead of the engine's. Configurations that raise on
+    block budget instead of the engine's, and ``cold`` clears the
+    engine's memos just before it. The seconds path is checked too:
+    each entry's ``result.seconds[i]`` (what the fused feeders read,
+    computed without a report) must equal its report's seconds, the
+    reference's and the one-entry wave's. Configurations that raise on
     build (capability gaps) are skipped: :func:`compare_point` already
     enforces their exception parity. An empty list means every entry of
     the wave agrees bitwise.
@@ -330,6 +339,7 @@ def compare_wave(configs: list[DiffConfig],
     entries: list = []
     labels: list[str] = []
     scalar_reports: list = []
+    alone: list[float] = []
     divergences: list[str] = []
     for config, entry in _wave_entries(configs):
         scalar_report, scalar_exc = _scalar_run(config)
@@ -339,20 +349,36 @@ def compare_wave(configs: list[DiffConfig],
         entries.append(entry)
         labels.append(config.label())
         scalar_reports.append(scalar_report)
+        alone.append(wave.simulate_cpu_arrays(
+            entry.machine, entry.backend, entry.profile).seconds)
     if not entries:
         return divergences
 
     blocks = block_entries or wave.BLOCK_ENTRIES
     saved, wave.BLOCK_ENTRIES = wave.BLOCK_ENTRIES, blocks
     try:
-        reports = simulate_wave(fuse_wave(entries))
+        if cold:
+            wave._LAYOUTS.clear()
+            wave._NODE_MAPS.clear()
+        result = simulate_wave(fuse_wave(entries))
     finally:
         wave.BLOCK_ENTRIES = saved
-    for label, scalar_report, wave_report in zip(labels, scalar_reports, reports):
+    where = (f"wave of {len(entries)}, blocks of {blocks}, "
+             f"memos {'cold' if cold else 'warm'}")
+    for i, (label, scalar_report) in enumerate(zip(labels, scalar_reports)):
+        wave_report = result[i]
         divergences.extend(_diff_reports(
-            f"{label} [wave of {len(entries)}, blocks of {blocks}]",
-            scalar_report, wave_report,
+            f"{label} [{where}]", scalar_report, wave_report,
         ))
+        seconds = _hex(result.seconds[i])
+        for side, value in (("report", wave_report.seconds),
+                            ("scalar", scalar_report.seconds),
+                            ("one-entry", alone[i])):
+            if _hex(value) != seconds:
+                divergences.append(
+                    f"{label} [{where}]: seconds path: "
+                    f"result.seconds={seconds} {side}={_hex(value)}"
+                )
     return divergences
 
 
@@ -395,9 +421,10 @@ def run_diffcheck(
     Each configuration goes through the reference-vs-wave point check,
     and the same sample is then fused in groups of :data:`WAVE_GROUP`,
     and as a whole under the engine's block budget and under
-    :data:`SMALL_BLOCK_ENTRIES`, and checked entry by entry against the
-    reference; finally it is costed with the engine memos cold and warm
-    (:func:`compare_memos`).
+    :data:`SMALL_BLOCK_ENTRIES`, each with the memos cleared first and
+    again warm, and checked entry by entry (reports and the seconds
+    path) against the reference; finally it is costed with the engine
+    memos cold and warm (:func:`compare_memos`).
     """
     divergences = []
     sample = random_configs(configs, seed)
@@ -411,11 +438,13 @@ def run_diffcheck(
             print(f"[wave {start // WAVE_GROUP + 1}] fusing {len(group)} "
                   "configurations", file=sys.stderr)
         divergences.extend(compare_wave(group))
-    if verbose:
-        print(f"[whole sample] fusing {len(sample)} configurations",
-              file=sys.stderr)
-    divergences.extend(compare_wave(sample))
-    divergences.extend(compare_wave(sample, SMALL_BLOCK_ENTRIES))
+    for blocks in (None, SMALL_BLOCK_ENTRIES):
+        for cold in (True, False):
+            if verbose:
+                print(f"[whole sample] fusing {len(sample)} configurations"
+                      f" (blocks of {blocks or 'the engine budget'}, memos "
+                      f"{'cold' if cold else 'warm'})", file=sys.stderr)
+            divergences.extend(compare_wave(sample, blocks, cold))
     if verbose:
         print("[memos] costing the sample cold and warm", file=sys.stderr)
     divergences.extend(compare_memos(sample))
@@ -442,8 +471,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {line}", file=sys.stderr)
         return 1
     print(f"diffcheck: OK ({args.configs} configurations, seed {args.seed}, "
-          "bit-identical reports on the reference and wave engines, "
-          "with the engine memos cold and warm)")
+          "bit-identical reports and fused seconds on the reference and "
+          "wave engines, with the engine memos cold and warm)")
     return 0
 
 
